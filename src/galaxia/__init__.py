@@ -13,7 +13,7 @@ instance generators, `cli` the command line.
 
 from .acircuitic import acircuitic_colouring, list_colouring_acyclic
 from .acyclic import star_colouring_acyclic
-from .colouring import ArcColouring, colours_used, compacted, from_class_list
+from .colouring import ArcColouring, from_class_list
 from .constructions import (ARC_BUDGET, CUBIC_GRAPHS, GadgetCertificate,
                             GnmkSizes, NpGadget, extremal_gnmk, gnmk_sizes,
                             np_gadget, np_reduction, random_digraph,

@@ -3,8 +3,9 @@
 Six subcommands over the text formats in `fileio`: generate instances,
 solve them constructively, verify colourings, run the exact solvers,
 build the hardness reduction, and benchmark the constructive
-algorithms.  Nothing is ever written without passing the matching
-verifier first.
+algorithms.  The solvers return their output unchecked; each output is
+run through the matching verifier exactly once here, before anything is
+printed or written, and a failure there exits 4.
 
 Exit codes: 0 success, 1 a verification failed or a cap was exceeded,
 2 bad usage or unreadable input, 3 no algorithm covers the instance,
@@ -18,7 +19,6 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from typing import IO
 
 from .acircuitic import acircuitic_colouring
 from .acyclic import star_colouring_acyclic
@@ -53,6 +53,17 @@ def _read_instance(path: str) -> LabelledDigraph:
         return read_digraph(sys.stdin)
     with open(path, encoding="utf-8") as fh:
         return read_digraph(fh)
+
+
+def _check_output(verifier, instance, output, what: str) -> None:
+    """Run `verifier` on solver output before it is printed or written.
+
+    This is the output's only check, and a violation means a bug in this
+    package, so it raises InternalDefectError (exit 4).
+    """
+    violation = verifier(instance, output)
+    if violation is not None:
+        raise InternalDefectError(f"{what} failed verification: {violation}")
 
 
 @contextmanager
@@ -155,9 +166,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if algo == "auto":
         algo = _pick_star_algorithm(d)
     colouring, intervals, bound, rule = _run_star(algo, d)
-    violation = verify_star_colouring(d, colouring)
-    if violation is not None:
-        raise InternalDefectError(f"solver output failed verification: {violation}")
+    _check_output(verify_star_colouring, d, colouring, "solver output")
+    if algo == "acircuitic":
+        _check_output(find_bicoloured_circuit, d, colouring, "acircuitic output")
     summary = (f"algorithm={algo} colours={colouring.colour_count}"
                f" bound={bound} ({rule})")
     print(summary)
@@ -197,13 +208,11 @@ def _solve_fibre(ld: LabelledDigraph, args: argparse.Namespace) -> int:
         rule = f"ceil((m/n)ceil(k/n) + k/n) with m={m} k={k}"
     else:
         raise NoApplicableAlgorithmError(f"{algo} does not apply to --fibres runs")
-    violation = verify_fibre_colouring(ld, fc)
-    if violation is not None:
-        raise InternalDefectError(f"fibre colouring failed verification: {violation}")
-    wa = expand_to_wavelength_assignment(ld, fc)
-    wl_violation = verify_wavelength_assignment(ld, wa)
-    if wl_violation is not None:
-        raise InternalDefectError(f"expansion failed verification: {wl_violation}")
+    try:  # expansion checks its input: the fibre colouring's one check
+        wa = expand_to_wavelength_assignment(ld, fc)
+    except InvalidColouringError as exc:
+        raise InternalDefectError(f"solver output failed verification: {exc}") from exc
+    _check_output(verify_wavelength_assignment, ld, wa, "expansion")
     summary = (f"algorithm={algo} fibres={n} colours={fc.colour_count}"
                f" bound={bound} ({rule})")
     print(summary)
@@ -271,6 +280,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         print(f"lambda_{args.fibres} = {value}")
         if args.output is not None:
             wa = expand_to_wavelength_assignment(ld, fc)
+            _check_output(verify_wavelength_assignment, ld, wa, "expansion")
             with _out_stream(args.output) as fh:
                 write_wavelengths(fh, dict(wa.triple),
                                   comments=[f"lambda_{args.fibres}={value}"])
@@ -334,8 +344,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         start = time.perf_counter()
         colouring, _intervals, bound, _rule = _run_star(algo, d)
         elapsed = (time.perf_counter() - start) * 1000
-        if verify_star_colouring(d, colouring) is not None:
-            raise InternalDefectError("bench output failed verification")
+        _check_output(verify_star_colouring, d, colouring, "bench output")
         if colouring.colour_count > bound:
             raise InternalDefectError("bench output exceeded its bound")
         print(f"{args.family}-{size}\t{d.vertex_count}\t{d.arc_count}"

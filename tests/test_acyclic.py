@@ -30,7 +30,7 @@ def check_locality(d, colouring, intervals, k):
 def test_single_arc():
     d = Digraph(2, ((0, 1),))
     colouring, intervals = star_colouring_acyclic(d)
-    assert colouring.verified
+    assert verify_star_colouring(d, colouring) is None
     assert colouring.colour_count == 2
     assert len(set(colouring.colour.values())) == 1
     check_locality(d, colouring, intervals, 1)

@@ -3,7 +3,8 @@ import io
 
 import pytest
 
-from galaxia import LabelledDigraph, read_digraph, write_digraph
+from galaxia import (ArcColouring, FibreColouring, LabelledDigraph,
+                     WavelengthAssignment, read_digraph, write_digraph)
 from galaxia.cli import main
 
 
@@ -104,6 +105,49 @@ def test_solve_parse_error_exits_2(tmp_path, capsys):
 
 def test_solve_missing_file_exits_2(tmp_path):
     assert main(["solve", str(tmp_path / "absent.dsa")]) == 2
+
+
+def test_solve_clashing_output_exits_4(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("galaxia.cli.star_colouring_subcubic",
+                        lambda d: ArcColouring({i: 1 for i in range(d.arc_count)}, 1))
+    out = tmp_path / "col.txt"
+    assert main(["solve", circuit_instance(tmp_path), "-o", str(out)]) == 4
+    assert "internal defect" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_acircuitic_bicoloured_circuit_exits_4(tmp_path, capsys, monkeypatch):
+    # 1,2,1,2 round a 4-circuit is a star colouring but a bicoloured circuit
+    monkeypatch.setattr("galaxia.cli.acircuitic_colouring",
+                        lambda d: ArcColouring({0: 1, 1: 2, 2: 1, 3: 2}, 2))
+    out = tmp_path / "col.txt"
+    code = main(["solve", circuit_instance(tmp_path, 4), "--algorithm", "acircuitic",
+                 "-o", str(out)])
+    assert code == 4
+    assert "internal defect" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_fibres_invalid_colouring_exits_4(tmp_path, capsys, monkeypatch):
+    instance = tmp_path / "star.dsa"
+    write_instance(instance, LabelledDigraph(4, 1, ((0, 3, 1), (1, 3, 1), (2, 3, 1))))
+    monkeypatch.setattr("galaxia.cli.fibre_colouring_smallm",
+                        lambda ld, n: FibreColouring(n, {0: 1, 1: 1, 2: 1}, 1))
+    out = tmp_path / "w.txt"
+    assert main(["solve", str(instance), "--fibres", "2", "-o", str(out)]) == 4
+    assert "internal defect" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exact_fibres_invalid_expansion_exits_4(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("galaxia.cli.expand_to_wavelength_assignment",
+                        lambda ld, fc: WavelengthAssignment(
+                            fc.n, {a: (1, 1, 1) for a in range(ld.arc_count)}))
+    out = tmp_path / "w.txt"
+    code = main(["exact", circuit_instance(tmp_path), "--fibres", "2", "-o", str(out)])
+    assert code == 4
+    assert "internal defect" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_roundtrip(tmp_path, capsys):

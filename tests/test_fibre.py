@@ -12,6 +12,7 @@ from galaxia import (
     InvalidColouringError,
     LabelledDigraph,
     WavelengthAssignment,
+    WavelengthViolation,
     degree_profile,
     exact_lambda_n,
     expand_to_wavelength_assignment,
@@ -122,6 +123,21 @@ def test_expand_through_vertex():
     assert (wa[0][0], wa[0][2]) != (wa[1][0], wa[1][1])
 
 
+def test_expand_pins_fibre_numbers():
+    # three fibres, two labels, two colours over five vertices: in-fibres
+    # count up per (head, colour) in arc order, then each (colour, label)
+    # group leaving a vertex takes the next fibre after that vertex's
+    # in-fibres of the colour, shared by the group's arcs
+    arcs = ((0, 2, 1), (1, 2, 2), (0, 3, 1), (2, 3, 1), (2, 4, 2),
+            (2, 4, 1), (3, 4, 1), (0, 2, 2), (2, 3, 2), (1, 4, 1))
+    ld = LabelledDigraph(5, 2, arcs)
+    colours = {0: 1, 1: 2, 2: 2, 3: 1, 4: 1, 5: 1, 6: 2, 7: 2, 8: 1, 9: 1}
+    wa = check_pipeline(ld, FibreColouring(3, colours, 2))
+    assert dict(wa.triple) == {
+        0: (1, 1, 1), 1: (2, 1, 1), 2: (2, 1, 1), 3: (1, 2, 1), 4: (1, 3, 1),
+        5: (1, 2, 2), 6: (2, 2, 1), 7: (2, 2, 2), 8: (1, 3, 2), 9: (1, 1, 3)}
+
+
 def test_expand_rejects_invalid_colouring():
     ld = LabelledDigraph(3, 1, ((0, 2, 1), (1, 2, 1)))
     with pytest.raises(InvalidColouringError):
@@ -154,6 +170,14 @@ def test_verify_wavelength_condition_i():
     wa = WavelengthAssignment(1, {0: (1, 1, 1), 1: (1, 1, 1)})
     violation = verify_wavelength_assignment(ld, wa)
     assert violation is not None and violation.condition == "i"
+
+
+def test_verify_wavelength_reports_first_violation_in_arc_order():
+    # at vertex 0 the leaving arcs 0 and 1 clash (iii) before the
+    # entering arcs 2 and 3 clash (ii)
+    ld = LabelledDigraph(4, 2, ((0, 1, 1), (0, 2, 2), (3, 0, 1), (1, 0, 1)))
+    wa = WavelengthAssignment(2, {arc: (1, 1, 1) for arc in range(4)})
+    assert verify_wavelength_assignment(ld, wa) == WavelengthViolation("iii", 0, 1)
 
 
 def test_same_label_out_arcs_may_share_a_fibre():

@@ -143,7 +143,7 @@ def test_spanning_galaxy_random(n, seed):
 
 def test_dst4_complete_digraph():
     col = dst4_colouring(K3)
-    assert col.verified and col.colour_count <= 4
+    assert col.colour_count <= 4
     assert verify_star_colouring(K3, col) is None
     assert dict(col.colour) == {0: 4, 1: 4, 2: 1, 3: 1, 4: 2, 5: 2}
 
@@ -164,7 +164,7 @@ def test_dst4_rejects_high_degree():
 def test_dst4_random(n, seed):
     d = random_digraph(n, min(2, n - 1), min(2, n - 1), seed)
     col = dst4_colouring(d)
-    assert col.verified and col.colour_count <= 4
+    assert col.colour_count <= 4
     assert verify_star_colouring(d, col) is None
 
 

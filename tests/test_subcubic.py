@@ -169,7 +169,6 @@ def test_brooks_rejects_bad_edges():
 
 def check_subcubic(d):
     col = star_colouring_subcubic(d)
-    assert col.verified
     assert col.colour_count <= 3
     assert verify_star_colouring(d, col) is None
     return col
