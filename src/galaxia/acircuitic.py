@@ -16,6 +16,7 @@ peeling arcs whose head is a sink.
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Mapping
 
 from .colouring import ArcColouring
@@ -34,7 +35,10 @@ def list_colouring_acyclic(d: Digraph,
     its head.  Arcs are peeled lowest-index-first among those whose head
     is a sink of the remaining digraph; colouring such an arc conflicts
     only with arcs headed at one of its endpoints, whose lists shrink by
-    one exactly when their own head loses one degree.
+    one exactly when their own head loses one degree.  The ready arcs
+    sit in a heap: an arc enters it once, when its head becomes a sink,
+    and heads never stop being sinks, so popping the smallest index is
+    the lowest-index-first order.
     """
     if len(set(d.arcs)) != d.arc_count:
         raise ValidateError("needs a simple digraph")
@@ -53,32 +57,37 @@ def list_colouring_acyclic(d: Digraph,
                 f"arc {i} has a list of {len(live[i])} colours but its head "
                 f"has degree {profile.degree[h]}")
 
-    remaining = set(range(d.arc_count))
     out_live = list(profile.outdegree)
     deg_live = list(profile.degree)
+    in_arcs = d.in_arcs
+    ready = [i for v in range(d.vertex_count) if out_live[v] == 0
+             for i in in_arcs[v]]
+    heapq.heapify(ready)
     colours: dict[int, int] = {}
-    while remaining:
-        pick = min((i for i in remaining if out_live[d.arcs[i][1]] == 0),
-                   default=None)
-        if pick is None:
-            raise InternalDefectError("no sink-headed arc in an acyclic rest")
+    while ready:
+        pick = heapq.heappop(ready)
         x, y = d.arcs[pick]
         if not live[pick]:
             raise InternalDefectError(f"arc {pick} ran out of colours")
         omega = live[pick][0]
         colours[pick] = omega
-        remaining.discard(pick)
         out_live[x] -= 1
         deg_live[x] -= 1
         deg_live[y] -= 1
-        for j in remaining:
-            h = d.arcs[j][1]
-            if h == x or h == y:
+        if out_live[x] == 0:
+            for i in in_arcs[x]:
+                heapq.heappush(ready, i)
+        for h in (x, y):
+            for j in in_arcs[h]:
+                if j in colours:
+                    continue
                 if omega in live[j]:
                     live[j].remove(omega)
                 if len(live[j]) < deg_live[h]:
                     raise InternalDefectError(
                         f"list of arc {j} fell below its head degree")
+    if len(colours) != d.arc_count:
+        raise InternalDefectError("no sink-headed arc in an acyclic rest")
     return ArcColouring(colours, max(colours.values(), default=0))
 
 

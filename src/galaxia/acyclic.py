@@ -30,23 +30,30 @@ def star_colouring_acyclic(d: Digraph,
         return ArcColouring({}, 0), {}
     recorded: dict[int, CyclicInterval] = {}
     colour: dict[int, int] = {}
+    # The SDR and the certificate at x depend only on the starts of the
+    # tails' recorded intervals, in arc order (k is fixed per call), so
+    # vertices with the same entering pattern share one computation.
+    table: dict[tuple[int, ...], tuple[tuple[int, ...], CyclicInterval]] = {}
     in_arcs = d.in_arcs
     for x in order:
         entering = in_arcs[x]
         if not entering:
             recorded[x] = CyclicInterval(modulus=2 * k, start=1, length=k)
             continue
-        intervals = [interval_complement(recorded[d.arcs[i][0]])
-                     for i in entering]
-        while len(intervals) < k:
-            intervals.append(intervals[-1])
-        _, reps = sdr_in_cyclic_interval(intervals)
+        key = tuple(recorded[d.arcs[i][0]].start for i in entering)
+        if key not in table:
+            intervals = [interval_complement(recorded[d.arcs[i][0]])
+                         for i in entering]
+            while len(intervals) < k:
+                intervals.append(intervals[-1])
+            _, reps = sdr_in_cyclic_interval(intervals)
+            certificate = smallest_interval_containing(
+                set(reps[:len(entering)]), 2 * k, k)
+            if certificate is None:
+                raise InternalDefectError(
+                    f"in-colours at {x} fit no cyclic {k}-interval")
+            table[key] = reps, certificate
+        reps, recorded[x] = table[key]
         for i, rep in zip(entering, reps):
             colour[i] = rep
-        certificate = smallest_interval_containing(
-            {colour[i] for i in entering}, 2 * k, k)
-        if certificate is None:
-            raise InternalDefectError(
-                f"in-colours at {x} fit no cyclic {k}-interval")
-        recorded[x] = certificate
     return ArcColouring(colour, 2 * k), recorded

@@ -8,8 +8,9 @@ run through the matching verifier exactly once here, before anything is
 printed or written, and a failure there exits 4.
 
 Exit codes: 0 success, 1 a verification failed or a cap was exceeded,
-2 bad usage or unreadable input, 3 no algorithm covers the instance,
-4 an internal proof obligation fired (a bug in this package).
+2 bad usage, unreadable input or an instance too large for memory,
+3 no algorithm covers the instance, 4 an internal proof obligation
+fired (a bug in this package).
 """
 
 from __future__ import annotations
@@ -448,6 +449,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: {args.command}: instance too large for memory",
+              file=sys.stderr)
         return 2
 
 

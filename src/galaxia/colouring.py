@@ -36,9 +36,6 @@ class ArcColouring:
         return (dict(self.colour) == dict(other.colour)
                 and self.colour_count == other.colour_count)
 
-    def __hash__(self) -> int:
-        return hash((frozenset(self.colour.items()), self.colour_count))
-
 
 def from_class_list(classes: list[set[int]] | tuple[set[int], ...]) -> ArcColouring:
     """Build a colouring from colour classes; class i gets colour i+1.

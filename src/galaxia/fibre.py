@@ -47,9 +47,6 @@ class FibreColouring:
         return (self.n == other.n and dict(self.colour) == dict(other.colour)
                 and self.colour_count == other.colour_count)
 
-    def __hash__(self) -> int:
-        return hash((self.n, frozenset(self.colour.items()), self.colour_count))
-
 
 @dataclass(frozen=True)
 class WavelengthAssignment:

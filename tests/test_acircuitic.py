@@ -48,6 +48,32 @@ def test_list_colouring_path():
     assert verify_star_colouring(d, col) is None
 
 
+@given(st.data())
+def test_list_colouring_random_subcubic_from_lists(data):
+    # a random subcubic graph oriented along a random vertex order, each
+    # arc with a random list from 1..5 as large as its head's degree
+    n = data.draw(st.integers(2, 30))
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                         st.integers(0, n - 1)),
+                               max_size=3 * n))
+    rank = {v: r for r, v in enumerate(data.draw(st.permutations(range(n))))}
+    degree = [0] * n
+    arcs = []
+    for a, b in pairs:
+        if (a == b or degree[a] == 3 or degree[b] == 3
+                or (a, b) in arcs or (b, a) in arcs):
+            continue
+        degree[a] += 1
+        degree[b] += 1
+        arcs.append((a, b) if rank[a] < rank[b] else (b, a))
+    d = Digraph(n, tuple(arcs))
+    lists = {i: data.draw(st.sets(st.integers(1, 5), min_size=degree[h]))
+             for i, (t, h) in enumerate(arcs)}
+    col = list_colouring_acyclic(d, lists)
+    assert verify_star_colouring(d, col) is None
+    assert all(col[i] in lists[i] for i in range(len(arcs)))
+
+
 def test_list_colouring_rejects_circuit():
     with pytest.raises(PreconditionViolatedError):
         list_colouring_acyclic(circuit(3), {i: (1, 2, 3) for i in range(3)})
@@ -81,6 +107,22 @@ def test_acircuitic_rejects_high_degree():
 def test_acircuitic_deterministic():
     d = random_oriented_subcubic(25, 4)
     assert acircuitic_colouring(d) == acircuitic_colouring(d)
+
+
+def test_acircuitic_pinned_colouring():
+    # colours recorded before the list colouring peeled arcs from a heap
+    d = Digraph(20, (
+        (10, 3), (8, 7), (8, 18), (3, 14), (16, 0), (4, 5), (10, 17),
+        (9, 16), (7, 9), (18, 14), (6, 4), (13, 9), (12, 19), (13, 19),
+        (0, 5), (7, 17), (8, 0), (2, 3), (16, 6), (2, 19), (12, 11),
+        (18, 12), (15, 6), (5, 10), (13, 14), (11, 15), (11, 1), (1, 4),
+        (17, 2), (1, 15)))
+    col = check_acircuitic(d)
+    assert dict(col.colour) == {
+        0: 2, 1: 3, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 4, 8: 1, 9: 2,
+        10: 2, 11: 2, 12: 1, 13: 2, 14: 2, 15: 2, 16: 3, 17: 3, 18: 1,
+        19: 3, 20: 2, 21: 3, 22: 3, 23: 4, 24: 3, 25: 1, 26: 1, 27: 3,
+        28: 4, 29: 2}
 
 
 def test_acircuitic_both_part_circuits():

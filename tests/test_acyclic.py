@@ -2,6 +2,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import galaxia.acyclic
 from galaxia import (
     CyclicError,
     Digraph,
@@ -65,6 +66,44 @@ def test_brandt_instance_needs_both_colours():
 def test_deterministic():
     d = random_labelled_dag(12, 1, 3, 5).underlying
     assert star_colouring_acyclic(d) == star_colouring_acyclic(d)
+
+
+def test_pinned_colouring_and_certificates():
+    # recorded before vertices with one entering pattern shared an SDR;
+    # here 12 vertices with entering arcs have only 7 distinct patterns
+    d = Digraph(14, (
+        (4, 11), (11, 6), (4, 9), (6, 9), (6, 1), (1, 5), (4, 7), (9, 7),
+        (5, 7), (4, 10), (9, 10), (7, 10), (4, 13), (4, 2), (11, 2),
+        (6, 2), (1, 12), (7, 12), (13, 12), (1, 0), (6, 3), (5, 3),
+        (12, 3)))
+    colouring, intervals = star_colouring_acyclic(d)
+    assert colouring.colour_count == 6
+    assert dict(colouring.colour) == {
+        0: 6, 1: 3, 2: 6, 3: 5, 4: 6, 5: 3, 6: 5, 7: 3, 8: 4, 9: 4, 10: 3,
+        11: 2, 12: 6, 13: 5, 14: 3, 15: 4, 16: 3, 17: 2, 18: 1, 19: 3,
+        20: 6, 21: 5, 22: 4}
+    assert {v: iv.start for v, iv in intervals.items()} == {
+        0: 1, 1: 4, 2: 3, 3: 4, 4: 1, 5: 1, 6: 1, 7: 3, 8: 1, 9: 4, 10: 2,
+        11: 4, 12: 1, 13: 4}
+    check_locality(d, colouring, intervals, 3)
+
+
+def test_sdr_solved_once_per_entering_pattern(monkeypatch):
+    # with k = 2 a pattern is 1 or 2 starts out of 4: at most 4 + 16
+    calls = []
+    real = galaxia.acyclic.sdr_in_cyclic_interval
+
+    def counting(intervals):
+        calls.append(len(intervals))
+        return real(intervals)
+
+    monkeypatch.setattr(galaxia.acyclic, "sdr_in_cyclic_interval", counting)
+    d = random_labelled_dag(3000, 1, 2, 11).underlying
+    assert degree_profile(d).max_indegree == 2
+    colouring, intervals = star_colouring_acyclic(d)
+    assert verify_star_colouring(d, colouring) is None
+    check_locality(d, colouring, intervals, 2)
+    assert 0 < len(calls) <= 4 + 16
 
 
 @given(st.integers(1, 24), st.integers(1, 5), st.integers(0, 999))

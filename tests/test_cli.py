@@ -107,6 +107,17 @@ def test_solve_missing_file_exits_2(tmp_path):
     assert main(["solve", str(tmp_path / "absent.dsa")]) == 2
 
 
+def test_solve_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # a header announcing billions of vertices fails allocation while
+    # the digraph is built; stand in for that without allocating
+    def exhausted(fh):
+        raise MemoryError
+
+    monkeypatch.setattr("galaxia.cli.read_digraph", exhausted)
+    assert main(["solve", dag_instance(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: solve:")
+
+
 def test_solve_clashing_output_exits_4(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("galaxia.cli.star_colouring_subcubic",
                         lambda d: ArcColouring({i: 1 for i in range(d.arc_count)}, 1))
