@@ -46,8 +46,7 @@ from .intervals import (CyclicInterval, interval_complement, interval_members,
 from .oracle import (StarViolation, arc_limit_default, edge_colouring_3regular,
                      exact_dst, exact_lambda_n, find_bicoloured_circuit,
                      verify_star_colouring)
-from .spanning import Galaxy, OrderedDigraph, dst4_colouring, ordig_witness, \
-    spanning_galaxy
+from .spanning import Galaxy, dst4_colouring, spanning_galaxy
 from .subcubic import (brooks_three_colouring, lemma_cycle_colouring,
                        lemma_extension_colouring, star_colouring_subcubic)
 

@@ -67,6 +67,21 @@ def _check_output(verifier, instance, output, what: str) -> None:
         raise InternalDefectError(f"{what} failed verification: {violation}")
 
 
+def _expand_checked(ld: LabelledDigraph, fc: FibreColouring,
+                    what: str) -> WavelengthAssignment:
+    """Expand fc and check the assignment.
+
+    Expansion checks its input, which is the fibre colouring's only
+    check, so a rejected colouring is a bug in this package (exit 4).
+    """
+    try:
+        wa = expand_to_wavelength_assignment(ld, fc)
+    except InvalidColouringError as exc:
+        raise InternalDefectError(f"{what} failed verification: {exc}") from exc
+    _check_output(verify_wavelength_assignment, ld, wa, "expansion")
+    return wa
+
+
 @contextmanager
 def _out_stream(path: str | None):
     if path is None or path == "-":
@@ -209,11 +224,7 @@ def _solve_fibre(ld: LabelledDigraph, args: argparse.Namespace) -> int:
         rule = f"ceil((m/n)ceil(k/n) + k/n) with m={m} k={k}"
     else:
         raise NoApplicableAlgorithmError(f"{algo} does not apply to --fibres runs")
-    try:  # expansion checks its input: the fibre colouring's one check
-        wa = expand_to_wavelength_assignment(ld, fc)
-    except InvalidColouringError as exc:
-        raise InternalDefectError(f"solver output failed verification: {exc}") from exc
-    _check_output(verify_wavelength_assignment, ld, wa, "expansion")
+    wa = _expand_checked(ld, fc, "solver output")
     summary = (f"algorithm={algo} fibres={n} colours={fc.colour_count}"
                f" bound={bound} ({rule})")
     print(summary)
@@ -278,15 +289,19 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     if args.fibres is not None:
         value, fc = exact_lambda_n(ld, args.fibres, args.colour_cap,
                                    args.arc_limit)
+        if args.output is None:
+            _check_output(verify_fibre_colouring, ld, fc, "exact witness")
+        else:
+            wa = _expand_checked(ld, fc, "exact witness")
         print(f"lambda_{args.fibres} = {value}")
         if args.output is not None:
-            wa = expand_to_wavelength_assignment(ld, fc)
-            _check_output(verify_wavelength_assignment, ld, wa, "expansion")
             with _out_stream(args.output) as fh:
                 write_wavelengths(fh, dict(wa.triple),
                                   comments=[f"lambda_{args.fibres}={value}"])
         return 0
-    value, witness = exact_dst(ld.underlying, args.colour_cap, args.arc_limit)
+    d = ld.underlying
+    value, witness = exact_dst(d, args.colour_cap, args.arc_limit)
+    _check_output(verify_star_colouring, d, witness, "exact witness")
     print(f"dst = {value}")
     if args.output is not None:
         with _out_stream(args.output) as fh:
@@ -312,7 +327,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
           f" -> {d.vertex_count} vertices, {d.arc_count} arcs")
     if args.check:
         feasible = edge_colouring_3regular(vertex_count, edges) is not None
-        value, _ = exact_dst(d, arc_limit=args.arc_limit)
+        value, witness = exact_dst(d, arc_limit=args.arc_limit)
+        _check_output(verify_star_colouring, d, witness, "exact witness")
         print(f"3-edge-colourable={feasible} dst={value}")
         if (value == 3) != feasible:
             raise InternalDefectError("reduction equivalence failed")

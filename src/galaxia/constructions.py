@@ -243,11 +243,11 @@ def _orient_no_sink_source(vertex_count: int, edges: Iterable[tuple[int, int]],
     Local search: orient low-to-high, then repeatedly flip a shortest
     directed path from a source to a vertex of indegree >= 2 (and the
     mirror move for sinks).  Each flip repairs its endpoint and breaks
-    nothing, so the defect count strictly decreases; graphs of at most
-    twelve vertices fall back to exhaustive search should it ever stall.
+    nothing, so the defect count strictly decreases.  A source always
+    reaches a vertex of indegree >= 2, else what it reaches would be an
+    arborescence whose leaves have degree one (and likewise for sinks).
     """
-    edge_list = [(min(u, v), max(u, v)) for u, v in edges]
-    arcs = list(edge_list)
+    arcs = [(min(u, v), max(u, v)) for u, v in edges]
     while True:
         indeg = [0] * vertex_count
         outdeg = [0] * vertex_count
@@ -263,52 +263,8 @@ def _orient_no_sink_source(vertex_count: int, edges: Iterable[tuple[int, int]],
         else:
             path = _bfs_to(arcs, sinks[0], vertex_count, outdeg, 2, forward=False)
         if path is None:
-            break
+            raise InternalDefectError("orientation local search stalled")
         _flip_path(arcs, path)
-    if vertex_count <= 12:
-        return _orient_exhaustive(vertex_count, edge_list)
-    raise InternalDefectError("orientation local search stalled")
-
-
-def _orient_exhaustive(vertex_count: int,
-                       edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    edge_count = len(edges)
-    incident: list[list[int]] = [[] for _ in range(vertex_count)]
-    for e, (u, v) in enumerate(edges):
-        incident[u].append(e)
-        incident[v].append(e)
-    undecided = [len(incident[v]) for v in range(vertex_count)]
-    indeg = [0] * vertex_count
-    outdeg = [0] * vertex_count
-    arcs: list[tuple[int, int] | None] = [None] * edge_count
-
-    def place(e: int) -> bool:
-        if e == edge_count:
-            return True
-        u, v = edges[e]
-        undecided[u] -= 1
-        undecided[v] -= 1
-        for tail, head in ((u, v), (v, u)):
-            outdeg[tail] += 1
-            indeg[head] += 1
-            ok = True
-            for w in (u, v):
-                if undecided[w] == 0 and (indeg[w] == 0 or outdeg[w] == 0):
-                    ok = False
-            if ok and place(e + 1):
-                arcs[e] = (tail, head)
-                return True
-            outdeg[tail] -= 1
-            indeg[head] -= 1
-        undecided[u] += 1
-        undecided[v] += 1
-        return False
-
-    if not place(0):
-        raise InfeasibleError("no orientation without sinks or sources exists")
-    done = [a for a in arcs if a is not None]
-    assert len(done) == edge_count
-    return done
 
 
 def np_reduction(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Digraph:

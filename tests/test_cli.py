@@ -4,7 +4,7 @@ import io
 import pytest
 
 from galaxia import (ArcColouring, FibreColouring, LabelledDigraph,
-                     WavelengthAssignment, read_digraph, write_digraph)
+                     WavelengthAssignment, fibre, read_digraph, write_digraph)
 from galaxia.cli import main
 
 
@@ -159,6 +159,42 @@ def test_exact_fibres_invalid_expansion_exits_4(tmp_path, capsys, monkeypatch):
     assert code == 4
     assert "internal defect" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [[], ["--fibres", "2"],
+                                  ["--fibres", "2", "-o", "w.txt"]])
+def test_exact_invalid_witness_exits_4(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr("galaxia.cli.exact_dst",
+                        lambda d, cap, limit: (1, ArcColouring(
+                            {i: 1 for i in range(d.arc_count)}, 1)))
+    monkeypatch.setattr("galaxia.cli.exact_lambda_n",
+                        lambda ld, n, cap, limit: (1, FibreColouring(
+                            n, {i: 1 for i in range(ld.arc_count)}, 1)))
+    instance = tmp_path / "star.dsa"
+    write_instance(instance, LabelledDigraph(4, 1, ((0, 3, 1), (1, 3, 1), (2, 3, 1))))
+    argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
+    assert main(["exact", str(instance)] + argv) == 4
+    captured = capsys.readouterr()
+    assert "internal defect" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "w.txt").exists()
+
+
+def test_exact_fibres_verifies_witness_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = fibre.verify_fibre_colouring
+
+    def counting(ld, fc):
+        calls.append(fc)
+        return real(ld, fc)
+
+    for module in ("galaxia.fibre", "galaxia.cli", "galaxia.oracle"):
+        monkeypatch.setattr(f"{module}.verify_fibre_colouring", counting,
+                            raising=False)
+    out = tmp_path / "w.txt"
+    assert main(["exact", circuit_instance(tmp_path), "--fibres", "2",
+                 "-o", str(out)]) == 0
+    assert len(calls) == 1
 
 
 def test_verify_roundtrip(tmp_path, capsys):

@@ -56,9 +56,11 @@ def test_exact_dst_circuits():
 
 
 def test_exact_dst_galaxy():
-    value, witness = exact_dst(Digraph(4, ((0, 1), (0, 2), (0, 3))))
+    d = Digraph(4, ((0, 1), (0, 2), (0, 3)))
+    value, witness = exact_dst(d)
     assert value == 1
     assert witness.colour_count == 1
+    assert verify_star_colouring(d, witness) is None
 
 
 def test_exact_dst_witness_is_valid():
@@ -91,7 +93,9 @@ def test_arc_limit_env_override(monkeypatch):
 
 def test_exact_dst_deterministic():
     d = random_digraph(8, 2, 2, 9)
-    assert exact_dst(d) == exact_dst(d)
+    value, witness = exact_dst(d)
+    assert (value, witness) == exact_dst(d)
+    assert verify_star_colouring(d, witness) is None
 
 
 @given(st.integers(2, 8), st.integers(0, 499))

@@ -160,6 +160,16 @@ def test_brooks_petersen():
     assert set(colours) <= {1, 2, 3}
 
 
+def test_brooks_cubic_with_bridge():
+    # K4 with edge 0-1 subdivided by vertex 4, a copy shifted by 5, and the
+    # bridge 4-9: a cubic graph with cut vertices, coloured piece by piece
+    half = [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (4, 1)]
+    edges = half + [(u + 5, v + 5) for u, v in half] + [(4, 9)]
+    colours = brooks_three_colouring(10, edges)
+    assert all(colours[u] != colours[v] for u, v in edges)
+    assert set(colours) <= {1, 2, 3}
+
+
 def test_brooks_rejects_bad_edges():
     with pytest.raises(ValidateError):
         brooks_three_colouring(2, [(0, 2)])
