@@ -5,23 +5,40 @@ sources isolated in the galaxy; u-suitable adds that no galaxy arc
 points at u.  Every k-nice multidigraph has one, and turning each
 forest into two galaxies colours any simple digraph with 2k+1 colours
 for k its maximum indegree.
+
+The proof is an induction on k.  A strong piece S gives forest k-1 a
+spanning arborescence rooted at the least outneighbour v of u_S, puts
+v's other entering arcs one per lower forest and u_S v in the galaxy,
+and leaves S - v to level k-1.  A piece that is not strong peels a
+terminal strong component D1 (the one with the lowest vertex), keeps
+D - D1 at level k, and contracts the arcs entering D1 to a fresh
+source: a breadth-first arborescence from that source goes to forest
+k-1 and the rest of D1 plus the source to level k-1.
+
+`_decompose` does one strong-component pass per level instead of one
+per peel.  Peeling a terminal component leaves the strong components
+of the rest unchanged, and a component peeled earlier has no arc into
+one peeled later, since it was terminal when it went.  So in any
+peeling order each component S with an entering arc is peeled once,
+with all its entering arcs crossing, and each source component of
+more than one vertex ends as a strong piece of its own.  What S receives therefore depends on S
+alone, and u_S is u when u is in S and min(S) otherwise, because every
+split passes on u or the least vertex of the part.  The contracted
+source keeps no vertex of its own: at level k-1 its arcs keep their
+real tails, which lie in other components of level k and so on no
+circuit, since arcs only ever leave.  A single vertex w with j
+entering arcs takes its lowest one per level, so its arcs go straight
+to forests k-1, k-2, ... in ascending order.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from itertools import count
 
 from .colouring import ArcColouring, from_class_list
 from .digraph import Digraph, degree_profile, strong_components
 from .errors import (BadParamsError, InternalDefectError, NotForestError,
                      NotNiceError, TooLargeError, ValidateError)
-
-# contraction recursion is linear in the vertex count
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
-
-InternalArc = tuple[int, int, int]  # (tail, head, original arc index)
 
 
 def is_galaxy_arcs(d: Digraph, arc_set: frozenset[int] | set[int]) -> bool:
@@ -104,170 +121,98 @@ def is_k_nice(d: Digraph, k: int) -> bool:
     return True
 
 
-def _weak_components(vertices: list[int],
-                     arcs: list[InternalArc]) -> list[set[int]]:
-    neighbours: dict[int, set[int]] = {v: set() for v in vertices}
-    for t, h, _ in arcs:
-        neighbours[t].add(h)
-        neighbours[h].add(t)
-    seen: set[int] = set()
-    comps = []
-    for v in vertices:
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        seen.add(v)
-        while stack:
-            w = stack.pop()
-            for x in neighbours[w]:
-                if x not in seen:
-                    seen.add(x)
-                    comp.add(x)
-                    stack.append(x)
-        comps.append(comp)
-    return comps
+def _bfs_tree(local: Digraph, comp_of: list[int], component: int,
+              first: list[int] | tuple[int, ...],
+              reached: list[bool]) -> list[int]:
+    """Breadth-first arborescence spanning one strong component of `local`.
 
-
-def _local_sccs(vertices: list[int],
-                arcs: list[InternalArc]) -> list[list[int]]:
-    """SCCs on an arbitrary vertex-id set, reverse-topological order."""
-    index = {v: i for i, v in enumerate(vertices)}
-    local = Digraph(len(vertices),
-                    tuple((index[t], index[h]) for t, h, _ in arcs),
-                    allow_parallel=True)
-    return [[vertices[i] for i in comp] for comp in strong_components(local)]
-
-
-def _bfs_arborescence(vertices: list[int], arcs: list[InternalArc], root: int,
-                      seed_all_root_arcs: bool) -> list[InternalArc]:
-    """Spanning arborescence by BFS, lowest original arc index first.
-
-    With seed_all_root_arcs every arc leaving the root is forced into
-    the tree (their heads must be distinct, which holds where it is
-    used: strongly connected pieces have no parallel arcs).
+    `first` are the arcs leaving the root, ascending: the out-arcs of a
+    member, or the component's entering arcs standing for a contracted
+    source.  Each reached vertex then scans its out-arcs in ascending
+    order, keeping those to unreached members of the component.
     """
-    out_of: dict[int, list[InternalArc]] = {v: [] for v in vertices}
-    for arc in sorted(arcs, key=lambda a: a[2]):
-        out_of[arc[0]].append(arc)
-    tree: list[InternalArc] = []
-    reached = {root}
-    queue = [root]
-    if seed_all_root_arcs:
-        for arc in out_of[root]:
-            if arc[1] in reached:
-                raise InternalDefectError(
-                    "root has parallel leaving arcs in a strong piece")
-            tree.append(arc)
-            reached.add(arc[1])
-            queue.append(arc[1])
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        for arc in out_of[v]:
-            if arc[1] not in reached:
-                tree.append(arc)
-                reached.add(arc[1])
-                queue.append(arc[1])
-    if len(reached) != len(vertices):
-        raise InternalDefectError("arborescence does not span its piece")
+    arcs = local.arcs
+    out_arcs = local.out_arcs
+    tree: list[int] = []
+    frontier = [first]
+    for scan in frontier:
+        for j in scan:
+            head = arcs[j][1]
+            if comp_of[head] == component and not reached[head]:
+                reached[head] = True
+                tree.append(j)
+                frontier.append(out_arcs[head])
     return tree
 
 
-def _decompose(vertices: list[int], arcs: list[InternalArc], u: int, k: int,
-               fresh: count) -> tuple[list[list[int]], list[int]]:
-    """Returns (k forests, galaxy) as lists of original arc indices."""
-    if not arcs:
-        return [[] for _ in range(k)], []
+def _decompose(d: Digraph, u: int, k: int) -> tuple[list[list[int]], list[int]]:
+    """Returns (k forests, galaxy) as lists of arc indices of d.
 
-    comps = _weak_components(vertices, arcs)
-    if len(comps) > 1:
-        forests: list[list[int]] = [[] for _ in range(k)]
-        galaxy: list[int] = []
-        for comp in comps:
-            comp_arcs = [a for a in arcs if a[0] in comp]
-            u_c = u if u in comp else min(comp)
-            sub_f, sub_g = _decompose(sorted(comp), comp_arcs, u_c, k, fresh)
-            for i in range(k):
-                forests[i].extend(sub_f[i])
-            galaxy.extend(sub_g)
-        return forests, galaxy
-
-    sccs = _local_sccs(vertices, arcs)
-    if len(sccs) == 1 and len(vertices) > 1:
-        # strongly connected: peel a spanning arborescence rooted at an
-        # outneighbour v of u, recurse without v, then spread v's other
-        # entering arcs one per forest and send uv to the galaxy.
-        out_heads = sorted(h for t, h, _ in arcs if t == u)
-        if not out_heads:
-            raise InternalDefectError("strong piece where u has no leaving arc")
-        v = out_heads[0]
-        tree = _bfs_arborescence(vertices, arcs, v, seed_all_root_arcs=True)
-        tree_set = {a[2] for a in tree}
-        into_v = sorted((a for a in arcs if a[1] == v and a[2] not in tree_set),
-                        key=lambda a: a[2])
-        uv_candidates = [a for a in into_v if a[0] == u]
-        if len(uv_candidates) != 1:
-            raise InternalDefectError("expected exactly one arc from u to v")
-        uv = uv_candidates[0]
-        others = [a for a in into_v if a is not uv]
-        rest = [a for a in arcs
-                if a[2] not in tree_set and a[1] != v and a[0] != v]
-        sub_vertices = [w for w in vertices if w != v]
-        forests, galaxy = _decompose(sub_vertices, rest, u, k - 1, fresh)
-        if len(others) > k - 1:
-            raise InternalDefectError("more entering arcs at v than forests")
-        for i, arc in enumerate(others):
-            forests[i].append(arc[2])
-        forests.append([a[2] for a in tree])
-        galaxy.append(uv[2])
-        return forests, galaxy
-
-    # connected but not strong: take the terminal component with the
-    # lowest vertex id (reverse-topological SCC order lists terminal
-    # components before anything that reaches them).
-    has_leaving = set()
-    scc_of: dict[int, int] = {}
-    for pos, comp in enumerate(sccs):
-        for w in comp:
-            scc_of[w] = pos
-    for t, h, _ in arcs:
-        if scc_of[t] != scc_of[h]:
-            has_leaving.add(scc_of[t])
-    terminal = [comp for pos, comp in enumerate(sccs) if pos not in has_leaving]
-    if not terminal:
-        raise InternalDefectError("no terminal strong component found")
-    d1 = set(min(terminal, key=min))
-    d2 = [w for w in vertices if w not in d1]
-    u1 = u if u in d1 else min(d1)
-
-    if len(d2) == 1:
-        v = d2[0]
-        if any(a[1] == v for a in arcs):
-            raise InternalDefectError("lone vertex outside a terminal "
-                                      "component must be a source")
-        tree = _bfs_arborescence(vertices, arcs, v, seed_all_root_arcs=False)
-        tree_set = {a[2] for a in tree}
-        rest = [a for a in arcs if a[2] not in tree_set]
-        forests, galaxy = _decompose(vertices, rest, u, k - 1, fresh)
-        forests.append([a[2] for a in tree])
-        return forests, galaxy
-
-    u2 = u if u in d2 else min(d2)
-    if any(a[0] in d1 and a[1] not in d1 for a in arcs):
-        raise InternalDefectError("terminal component has a leaving arc")
-    internal2 = [a for a in arcs if a[0] not in d1 and a[1] not in d1]
-    f2, g2 = _decompose(sorted(d2), internal2, u2, k, fresh)
-
-    v_new = next(fresh)
-    internal1 = [a for a in arcs if a[0] in d1 and a[1] in d1]
-    crossing = [(v_new, a[1], a[2]) for a in arcs
-                if a[0] not in d1 and a[1] in d1]
-    f1, g1 = _decompose(sorted(d1) + [v_new], internal1 + crossing, u1, k, fresh)
-
-    forests = [f1[i] + f2[i] for i in range(k)]
-    return forests, g1 + g2
+    Level l (k down to 1) fills forest l-1 from the strong components of
+    the arcs still unplaced; see the module docstring.  Each level takes
+    at least one entering arc of every vertex that has one, so with all
+    indegrees at most k no vertex has more entering arcs than levels left.
+    """
+    arcs = d.arcs
+    forests: list[list[int]] = [[] for _ in range(k)]
+    galaxy: list[int] = []
+    live = list(range(d.arc_count))
+    slot = [-1] * d.vertex_count  # local id of each vertex at this level
+    for level in range(k, 0, -1):
+        if not live:
+            break
+        verts: list[int] = []
+        for i in live:
+            for w in arcs[i]:
+                if slot[w] == -1:
+                    slot[w] = len(verts)
+                    verts.append(w)
+        local = Digraph(len(verts), tuple((slot[arcs[i][0]], slot[arcs[i][1]])
+                                          for i in live), allow_parallel=True)
+        local_arcs, in_arcs, out_arcs = local.arcs, local.in_arcs, local.out_arcs
+        comps = strong_components(local)
+        comp_of = [0] * len(verts)
+        for c, members in enumerate(comps):
+            for x in members:
+                comp_of[x] = c
+        placed: set[int] = set()  # local arcs that found their piece
+        reached = [False] * len(verts)
+        for c, members in enumerate(comps):
+            if len(members) == 1:
+                # every arc into a lone vertex enters it, and each level
+                # would take the lowest one left
+                entering = in_arcs[members[0]]
+                for pos, j in enumerate(entering):
+                    forests[level - 1 - pos].append(live[j])
+                placed.update(entering)
+                continue
+            entering = sorted(j for x in members for j in in_arcs[x]
+                              if comp_of[local_arcs[j][0]] != c)
+            if entering:
+                tree = _bfs_tree(local, comp_of, c, entering, reached)
+                forests[level - 1].extend(live[j] for j in tree)
+                placed.update(tree)
+            else:
+                # strong piece: an arborescence rooted at the least
+                # outneighbour v of u_S, then v's other entering arcs one
+                # per lower forest and u_S v to the galaxy
+                lu = slot[u]
+                if lu == -1 or comp_of[lu] != c:
+                    lu = min(members, key=verts.__getitem__)
+                lv = min((local_arcs[j][1] for j in out_arcs[lu]
+                          if comp_of[local_arcs[j][1]] == c), key=verts.__getitem__)
+                reached[lv] = True
+                tree = _bfs_tree(local, comp_of, c, out_arcs[lv], reached)
+                forests[level - 1].extend(live[j] for j in tree)
+                others = [j for j in in_arcs[lv] if local_arcs[j][0] != lu]
+                for pos, j in enumerate(others):
+                    forests[pos].append(live[j])
+                galaxy.extend(live[j] for j in in_arcs[lv] if local_arcs[j][0] == lu)
+                placed.update(tree, in_arcs[lv])
+        for w in verts:
+            slot[w] = -1
+        live = [i for j, i in enumerate(live) if j not in placed]
+    return forests, galaxy
 
 
 def u_suitable_decomposition(d: Digraph, u: int, k: int,
@@ -279,9 +224,7 @@ def u_suitable_decomposition(d: Digraph, u: int, k: int,
         raise BadParamsError("k must be non-negative")
     if not is_k_nice(d, k):
         raise NotNiceError(f"digraph is not {k}-nice")
-    arcs = [(t, h, i) for i, (t, h) in enumerate(d.arcs)]
-    forests, galaxy = _decompose(list(range(d.vertex_count)), arcs, u, k,
-                                 count(d.vertex_count))
+    forests, galaxy = _decompose(d, u, k)
     decomposition = ForestGalaxyDecomposition(
         d, tuple(frozenset(f) for f in forests), frozenset(galaxy))
     if not decomposition.suitable_for(u):

@@ -18,14 +18,31 @@ def perfect_matching(adjacency: list[list[int]], right_count: int,
     """
     owner = [-1] * right_count
 
-    def augment(left: int, seen: list[bool]) -> bool:
-        for right in adjacency[left]:
-            if seen[right]:
+    def augment(root: int, seen: list[bool]) -> bool:
+        # depth-first, one frame [left, next adjacency position] per
+        # level; rights[i] leads from frame i to frame i + 1
+        stack = [[root, 0]]
+        rights: list[int] = []
+        while stack:
+            frame = stack[-1]
+            left, pos = frame
+            options = adjacency[left]
+            while pos < len(options) and seen[options[pos]]:
+                pos += 1
+            if pos == len(options):
+                stack.pop()
+                if rights:
+                    rights.pop()
                 continue
+            right = options[pos]
+            frame[1] = pos + 1
             seen[right] = True
-            if owner[right] == -1 or augment(owner[right], seen):
-                owner[right] = left
+            rights.append(right)
+            if owner[right] == -1:
+                for (left, _), right in zip(stack, rights):
+                    owner[right] = left
                 return True
+            stack.append([owner[right], 0])
         return False
 
     for left in range(len(adjacency)):
@@ -48,20 +65,35 @@ def capacitated_assignment(adjacency: list[list[int]],
     load: list[list[int]] = [[] for _ in capacity]  # right -> left vertices
     assigned = [-1] * len(adjacency)
 
-    def augment(left: int, seen: list[bool]) -> bool:
-        for right in adjacency[left]:
-            if seen[right]:
+    def augment(root: int, seen: list[bool]) -> bool:
+        # depth-first, one frame [left, next adjacency position, right
+        # being emptied, next slot of that right] per level
+        stack = [[root, 0, -1, 0]]
+        while stack:
+            frame = stack[-1]
+            left, pos, right, slot = frame
+            if right != -1 and slot < len(load[right]):
+                frame[3] = slot + 1
+                stack.append([load[right][slot], 0, -1, 0])
                 continue
+            options = adjacency[left]
+            while pos < len(options) and seen[options[pos]]:
+                pos += 1
+            if pos == len(options):
+                stack.pop()
+                continue
+            right = options[pos]
+            frame[1:] = [pos + 1, right, 0]
             seen[right] = True
             if len(load[right]) < capacity[right]:
                 load[right].append(left)
                 assigned[left] = right
-                return True
-            for slot, other in enumerate(load[right]):
-                if augment(other, seen):
-                    load[right][slot] = left
+                # each frame below takes the slot its child moved out of
+                stack.pop()
+                for left, _, right, slot in stack:
+                    load[right][slot - 1] = left
                     assigned[left] = right
-                    return True
+                return True
         return False
 
     for left in range(len(adjacency)):

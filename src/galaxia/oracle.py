@@ -9,7 +9,7 @@ use at most one colour beyond those already placed.
 from __future__ import annotations
 
 import os
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .colouring import ArcColouring
 from .digraph import Digraph, LabelledDigraph, degree_profile, find_circuit_arcs
@@ -83,6 +83,39 @@ def _conflict_lists(d: Digraph) -> list[list[int]]:
     return conflicts
 
 
+def _backtrack(count: int, q: int, fits: Callable[[int, int], bool],
+               apply: Callable[[int, int, int], None]) -> list[int] | None:
+    """First colouring of positions 0..count-1 with colours 1..q, or None.
+
+    Depth first, colours ascending, position i using at most one colour
+    above the highest placed before it.  fits(i, c) says whether colour
+    c may go at position i given the colours placed so far; apply(i, c,
+    +1) places it and apply(i, c, -1) takes it back.  The search keeps
+    its own stack, so its depth is not bounded by the recursion limit.
+    """
+    colour = [0] * count
+    ceiling = [0] * (count + 1)  # highest colour placed before position i
+    i = c = 0
+    while i < count:
+        top = min(q, ceiling[i] + 1)
+        c += 1
+        while c <= top and not fits(i, c):
+            c += 1
+        if c <= top:
+            apply(i, c, +1)
+            colour[i] = c
+            ceiling[i + 1] = max(ceiling[i], c)
+            i, c = i + 1, 0
+        elif i == 0:
+            return None
+        else:
+            # no colour fits at i: take back the one at i - 1, try the next
+            i -= 1
+            c = colour[i]
+            apply(i, c, -1)
+    return colour
+
+
 def _colourable(order: list[int], conflicts: list[list[int]],
                 q: int) -> dict[int, int] | None:
     """Backtracking decision: colour the arcs in `order` with <= q colours.
@@ -99,35 +132,51 @@ def _colourable(order: list[int], conflicts: list[list[int]],
     # neighbours re-expressed in order positions
     adj = [[position[b] for b in conflicts[arc] if b in position]
            for arc in order]
-
-    def solve(i: int, max_used: int) -> bool:
-        if i == count:
-            return True
-        limit = min(q, max_used + 1)
-        mask = domain[i] & ((1 << limit) - 1)
+    # _backtrack's search written out, so that it walks the domain bits
+    # instead of calling back per colour (through the callbacks exact_dst
+    # took half as long again).  untried[i] holds the colours (as bits)
+    # position i has still to try, pruned[i] the neighbours its colour was
+    # taken from, ceiling[i] the highest colour before it.
+    untried = [0] * count
+    pruned: list[list[int]] = [[] for _ in range(count)]
+    ceiling = [0] * count
+    i = 0
+    mask = domain[0] & 1
+    while True:
         while mask:
             bit = mask & -mask
             mask -= bit
             colour = bit.bit_length()
             assigned[i] = colour
-            touched: list[int] = []
-            dead = False
+            touched = []
             for j in adj[i]:
                 if assigned[j] == 0 and domain[j] & bit:
                     domain[j] -= bit
                     touched.append(j)
                     if domain[j] == 0:
-                        dead = True
                         break
-            if not dead and solve(i + 1, max(max_used, colour)):
-                return True
+            else:
+                break  # colour placed without wiping out a domain
             for j in touched:
                 domain[j] += bit
             assigned[i] = 0
-        return False
-
-    if not solve(0, 0):
-        return None
+        else:
+            # no colour fits at i: take back the one at i - 1
+            if i == 0:
+                return None
+            i -= 1
+            bit = 1 << (assigned[i] - 1)
+            for j in pruned[i]:
+                domain[j] += bit
+            assigned[i] = 0
+            mask = untried[i]
+            continue
+        if i + 1 == count:
+            break
+        untried[i], pruned[i] = mask, touched
+        ceiling[i + 1] = max(ceiling[i], colour)
+        i += 1
+        mask = domain[i] & ((1 << min(q, ceiling[i] + 1)) - 1)
     return {arc: assigned[i] for i, arc in enumerate(order)}
 
 
@@ -198,7 +247,6 @@ def exact_lambda_n(ld: LabelledDigraph, n: int, colour_cap: int | None = None,
         in_load: dict[tuple[int, int], int] = {}
         out_labels: dict[tuple[int, int, int], int] = {}
         out_count: dict[tuple[int, int], int] = {}
-        assigned = [0] * count
 
         def usable(pos: int, colour: int) -> bool:
             tail, head, label = arcs[order[pos]]
@@ -222,23 +270,10 @@ def exact_lambda_n(ld: LabelledDigraph, n: int, colour_cap: int | None = None,
             if sign < 0 and out_labels[key] == 0:
                 out_count[(tail, colour)] -= 1
 
-        def solve(pos: int, max_used: int) -> bool:
-            if pos == count:
-                return True
-            for colour in range(1, min(q, max_used + 1) + 1):
-                if not usable(pos, colour):
-                    continue
-                assigned[pos] = colour
-                place(pos, colour, +1)
-                if solve(pos + 1, max(max_used, colour)):
-                    return True
-                place(pos, colour, -1)
-                assigned[pos] = 0
-            return False
-
-        if not solve(0, 0):
+        colours = _backtrack(count, q, usable, place)
+        if colours is None:
             return None
-        return {order[i]: assigned[i] for i in range(count)}
+        return {order[i]: colours[i] for i in range(count)}
 
     for q in range(lower, stop + 1):
         solution = attempt(q)
@@ -299,27 +334,18 @@ def edge_colouring_3regular(vertex_count: int,
         raise TooLargeError(f"{vertex_count} vertices exceed the limit {vertex_limit}")
 
     used = [0] * vertex_count  # bitmask of colours at each vertex
-    result = [0] * len(edges)
 
-    def solve(i: int, max_used: int) -> bool:
-        if i == len(edges):
-            return True
+    def fits(i: int, colour: int) -> bool:
         a, b = edges[i]
-        taken = used[a] | used[b]
-        for colour in range(1, min(3, max_used + 1) + 1):
-            bit = 1 << (colour - 1)
-            if taken & bit:
-                continue
-            used[a] |= bit
-            used[b] |= bit
-            result[i] = colour
-            if solve(i + 1, max(max_used, colour)):
-                return True
-            used[a] &= ~bit
-            used[b] &= ~bit
-            result[i] = 0
-        return False
+        return not (used[a] | used[b]) >> (colour - 1) & 1
 
-    if not solve(0, 0):
+    def apply(i: int, colour: int, sign: int) -> None:
+        # the bit is clear when placing and set when taking back
+        a, b = edges[i]
+        used[a] ^= 1 << (colour - 1)
+        used[b] ^= 1 << (colour - 1)
+
+    result = _backtrack(len(edges), 3, fits, apply)
+    if result is None:
         return None
-    return {i: result[i] for i in range(len(edges))}
+    return dict(enumerate(result))

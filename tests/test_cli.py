@@ -1,5 +1,6 @@
 """End-to-end runs of the console entry point."""
 import io
+import sys
 
 import pytest
 
@@ -234,6 +235,15 @@ def test_verify_fibres(tmp_path, capsys):
 def test_exact_dst(tmp_path, capsys):
     assert main(["exact", circuit_instance(tmp_path)]) == 0
     assert "dst = 3" in capsys.readouterr().out
+
+
+def test_exact_long_path_under_raised_arc_limit(tmp_path, capsys):
+    n = 2 * sys.getrecursionlimit()
+    path = tmp_path / "path.dsa"
+    write_instance(path, LabelledDigraph(n + 1, 1, tuple((i, i + 1, 1)
+                                                          for i in range(n))))
+    assert main(["exact", str(path), "--arc-limit", str(n)]) == 0
+    assert "dst = 2" in capsys.readouterr().out
 
 
 def test_exact_lambda(tmp_path, capsys):

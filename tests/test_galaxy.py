@@ -1,7 +1,16 @@
 """Forest/galaxy decompositions and the 2k+1 colouring."""
+import os
+import random
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import galaxia
 from galaxia import (
     BadParamsError,
     Digraph,
@@ -187,3 +196,138 @@ def test_frank_holds_at_k_plus_one(n, seed):
     d = random_digraph(n, min(2, n - 1), min(2, n - 1), seed)
     k = degree_profile(d).max_indegree
     assert frank_condition_check(d, k + 1) == (True, None)
+
+
+# Decompositions recorded from the recursive peeling construction (one
+# terminal strong component per level); the per-level strong-component
+# pass must give the same forests and galaxy.  Each entry: digraph, k,
+# and per u the forests and the galaxy as sorted arc-index lists.
+PINNED_DECOMPOSITIONS = {
+    "lone_source_into_terminal_component": (
+        Digraph(4, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 1))), 2, {
+            0: ([[2, 4], [0, 1, 3]], []),
+            2: ([[2, 4], [0, 1, 3]], []),
+        }),
+    "chain_of_three_components": (
+        Digraph(6, ((0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (3, 4), (4, 5),
+                    (5, 4))), 2, {
+            0: ([[4, 7], [1, 2, 3, 5, 6]], [0]),
+            3: ([[4, 7], [1, 2, 3, 5, 6]], [0]),
+            5: ([[4, 7], [1, 2, 3, 5, 6]], [0]),
+        }),
+    "two_source_components_into_one_sink": (
+        Digraph(8, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 3), (0, 5), (3, 6),
+                    (5, 6), (6, 7), (7, 5))), 2, {
+            0: ([[7, 9], [1, 2, 4, 5, 6, 8]], [0, 3]),
+            4: ([[7, 9], [1, 2, 3, 5, 6, 8]], [0, 4]),
+            6: ([[7, 9], [1, 2, 4, 5, 6, 8]], [0, 3]),
+        }),
+    "two_weak_components": (
+        Digraph(6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (3, 5))), 2, {
+            0: ([[5], [1, 2, 3, 4]], [0]),
+            4: ([[5], [1, 2, 3, 4]], [0]),
+        }),
+    "strong_piece_without_u": (
+        Digraph(7, ((0, 1), (1, 2), (2, 3), (3, 1), (2, 1), (4, 5), (5, 6),
+                    (6, 4), (4, 6), (6, 5))), 3, {
+            0: ([[4, 9], [3, 8], [0, 1, 2, 6, 7]], [5]),
+            1: ([[4, 9], [3, 8], [0, 1, 2, 6, 7]], [5]),
+            5: ([[4, 8], [3, 5], [0, 1, 2, 7, 9]], [6]),
+        }),
+    "parallel_arcs_leaving_a_source": (
+        Digraph(5, ((0, 1), (0, 1), (0, 2), (1, 2), (2, 3), (3, 1), (0, 3),
+                    (0, 3), (4, 3)), allow_parallel=True), 4, {
+            0: ([[8], [4, 5], [1, 3, 7], [0, 2, 6]], []),
+            3: ([[8], [4, 5], [1, 3, 7], [0, 2, 6]], []),
+        }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DECOMPOSITIONS))
+def test_decomposition_pinned(name):
+    d, k, by_u = PINNED_DECOMPOSITIONS[name]
+    for u, (forests, galaxy) in by_u.items():
+        dec = u_suitable_decomposition(d, u, k)
+        check_decomposition(d, dec, u, k)
+        assert [sorted(f) for f in dec.forests] == forests
+        assert sorted(dec.galaxy) == galaxy
+
+
+# (n, cap, seed) -> colour of each arc in arc order, recorded likewise
+PINNED_2K1 = {
+    (12, 3, 1): (5, 7, 1, 5, 1, 7, 6, 4, 2, 5, 4, 5, 5, 6, 1, 6, 4, 4, 1, 2,
+                 1, 3, 7, 2, 2, 3, 6, 3, 6, 3, 4, 4, 6, 3, 7),
+    (15, 2, 7): (3, 2, 3, 3, 4, 4, 2, 2, 1, 4, 1, 4, 1, 4, 1, 4, 1, 5, 4, 3,
+                 2, 2, 3, 3, 1, 5, 3, 1, 1, 2),
+    (20, 4, 3): (5, 4, 7, 1, 5, 5, 5, 7, 1, 2, 3, 3, 6, 6, 5, 3, 8, 1, 5, 7,
+                 3, 7, 4, 2, 8, 5, 8, 7, 5, 3, 4, 4, 3, 9, 4, 3, 6, 8, 1, 9,
+                 9, 7, 7, 3, 2, 1, 2, 7, 8, 1, 5, 5, 1, 8, 6, 7, 4, 2, 2, 3,
+                 7, 6, 7, 6, 6, 1, 4, 6, 8, 4, 3, 2, 6, 7),
+    (9, 2, 11): (3, 5, 1, 4, 2, 3, 1, 2, 4, 2, 4, 4, 1, 1, 5, 1, 3, 3),
+}
+
+
+@pytest.mark.parametrize("n, cap, seed", sorted(PINNED_2K1))
+def test_2k1_pinned(n, cap, seed):
+    d = random_digraph(n, cap, cap, seed)
+    col = dst_upper_2k1(d)
+    assert tuple(col[i] for i in range(d.arc_count)) == PINNED_2K1[n, cap, seed]
+    assert col.colour_count == max(PINNED_2K1[n, cap, seed])
+    assert verify_star_colouring(d, col) is None
+
+
+def test_import_keeps_recursion_limit():
+    # a fresh interpreter at the default limit: importing the package
+    # must not raise it, and an in-star with 3000 sources (k = 3000)
+    # must still decompose and colour
+    script = textwrap.dedent("""
+        import sys
+        before = sys.getrecursionlimit()
+        import galaxia
+        assert sys.getrecursionlimit() == before, sys.getrecursionlimit()
+        k = 3000
+        d = galaxia.Digraph(k + 1, tuple((i, k) for i in range(k)))
+        col = galaxia.dst_upper_2k1(d)
+        assert galaxia.verify_star_colouring(d, col) is None
+        assert col.colour_count == k
+        print("ok")
+    """)
+    src = Path(galaxia.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "ok"
+
+
+def _capped_arcs(n, cap, seed):
+    """Simple digraph with in- and outdegree at most cap, O(n * cap)."""
+    rng = random.Random(seed)
+    arcs = set()
+    indeg = [0] * n
+    for t in range(n):
+        for _ in range(cap):
+            h = rng.randrange(n)
+            if h != t and indeg[h] < cap and (t, h) not in arcs:
+                arcs.add((t, h))
+                indeg[h] += 1
+    return tuple(sorted(arcs))
+
+
+def test_2k1_scale_gate():
+    # ROADMAP item 3: near-linear in arcs, where the peeling recursion
+    # was quadratic in the number of strong components
+    path = Digraph(100_000, tuple((i, i + 1) for i in range(99_999)))
+    start = time.perf_counter()
+    col = dst_upper_2k1(path)
+    assert time.perf_counter() - start < 30.0
+    assert col.colour_count == 2
+    assert verify_star_colouring(path, col) is None
+
+    d = Digraph(4000, _capped_arcs(4000, 3, seed=4))
+    assert degree_profile(d).max_indegree == 3
+    start = time.perf_counter()
+    col = dst_upper_2k1(d)
+    assert time.perf_counter() - start < 10.0
+    assert col.colour_count <= 7
+    assert verify_star_colouring(d, col) is None

@@ -1,5 +1,6 @@
 """Exact solvers and verifiers."""
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -198,3 +199,23 @@ def test_edge_colouring_vertex_limit():
 def test_triangle_multidigraph_dst():
     assert exact_dst(triangle_multidigraph(1))[0] == 3
     assert exact_dst(triangle_multidigraph(2))[0] == 6
+
+
+def test_exact_solvers_search_deeper_than_recursion_limit():
+    # the backtracking keeps its own stack: one level per arc or edge
+    n = 2 * sys.getrecursionlimit()
+    path = Digraph(n + 1, tuple((i, i + 1) for i in range(n)))
+    value, witness = exact_dst(path, arc_limit=n)
+    assert value == 2
+    assert verify_star_colouring(path, witness) is None
+    labelled = LabelledDigraph(n + 1, 1, tuple((i, i + 1, 1) for i in range(n)))
+    assert exact_lambda_n(labelled, 1, arc_limit=n)[0] == 2
+    # prism C_m x K2: rung, outer and inner edge at each step
+    m = n // 3
+    edges = [e for i in range(m) for e in ((i, m + i), (i, (i + 1) % m),
+                                           (m + i, m + (i + 1) % m))]
+    colours = edge_colouring_3regular(2 * m, edges, vertex_limit=2 * m)
+    assert colours is not None
+    for v in range(2 * m):
+        assert sorted(colours[i] for i, e in enumerate(edges) if v in e) == [1, 2, 3]
+
