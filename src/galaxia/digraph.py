@@ -59,6 +59,11 @@ class Digraph:
             buckets[head].append(i)
         return tuple(tuple(b) for b in buckets)
 
+    @cached_property
+    def profile(self) -> DegreeProfile:
+        """In- and outdegree of every vertex; see degree_profile."""
+        return _count_degrees(self.vertex_count, self.arcs)
+
     def has_digon(self) -> bool:
         pairs = set(self.arcs)
         return any((h, t) in pairs for t, h in self.arcs)
@@ -99,6 +104,11 @@ class LabelledDigraph:
         return len(self.arcs)
 
     @cached_property
+    def profile(self) -> DegreeProfile:
+        """In- and outdegree of every vertex; see degree_profile."""
+        return _count_degrees(self.vertex_count, self.arcs)
+
+    @cached_property
     def underlying(self) -> Digraph:
         """The label-stripped multidigraph, same arc indices."""
         return Digraph(self.vertex_count, tuple((t, h) for t, h, _ in self.arcs),
@@ -122,13 +132,18 @@ class DegreeProfile:
         object.__setattr__(self, "max_degree", max(self.degree, default=0))
 
 
-def degree_profile(d: Digraph | LabelledDigraph) -> DegreeProfile:
-    indeg = [0] * d.vertex_count
-    outdeg = [0] * d.vertex_count
-    for arc in d.arcs:
+def _count_degrees(vertex_count: int, arcs) -> DegreeProfile:
+    indeg = [0] * vertex_count
+    outdeg = [0] * vertex_count
+    for arc in arcs:
         outdeg[arc[0]] += 1
         indeg[arc[1]] += 1
     return DegreeProfile(tuple(indeg), tuple(outdeg))
+
+
+def degree_profile(d: Digraph | LabelledDigraph) -> DegreeProfile:
+    """In- and outdegree of every vertex, counted once per digraph."""
+    return d.profile
 
 
 def strong_components(d: Digraph) -> tuple[tuple[int, ...], ...]:

@@ -237,6 +237,12 @@ def forest_to_two_galaxies(d: Digraph, forest: frozenset[int] | set[int],
     """Split a forest into two galaxies by the parity of tail depth."""
     if not is_forest_arcs(d, forest):
         raise NotForestError("arc set is not a forest")
+    return _split_forest(d, forest)
+
+
+def _split_forest(d: Digraph, forest: frozenset[int] | set[int],
+                  ) -> tuple[frozenset[int], frozenset[int]]:
+    """forest_to_two_galaxies for a forest that is already checked."""
     parent: dict[int, tuple[int, int]] = {}
     for i in forest:
         t, h = d.arcs[i]
@@ -273,7 +279,8 @@ def dst_upper_2k1(d: Digraph) -> ArcColouring:
     decomposition = u_suitable_decomposition(d, 0, k)
     classes: list[set[int]] = []
     for forest in decomposition.forests:
-        first, second = forest_to_two_galaxies(d, forest)
+        # ForestGalaxyDecomposition checked every forest
+        first, second = _split_forest(d, forest)
         classes.append(set(first))
         classes.append(set(second))
     classes.append(set(decomposition.galaxy))

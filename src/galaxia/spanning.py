@@ -1,17 +1,30 @@
 """Galaxies spanning the degree-4 vertices of a digraph with in- and
 outdegree at most two, and the 4-colour star colourings they induce.
 
-The augmentation engine mirrors a maximality argument: starting from a
-greedy maximal galaxy, an unspanned degree-4 vertex x admits alternating
-paths (galaxy arc, then non-galaxy arc, ending at x), and each way such a
-configuration could be rearranged yields a candidate exchange move.  The
-four moves, tried in this order, are: flip a path whose first tail keeps
-a second star arc; flip a path and drop its first tail or re-cover it
-through one of its in-arcs; flip a path and add a tail-to-tail arc; flip
-a path together with an alternating circuit.  Every candidate is
-validated before committing.  If no move applies, instances of at most
-twelve vertices fall back to exhaustive search, and larger ones raise
-InternalDefectError rather than return an unchecked result.
+`spanning_galaxy` finds its galaxy by a complete search.  Each arc is a
+variable, true when the arc is in the galaxy.  Two arcs conflict when
+they share a head or one enters the tail of the other, which is what a
+galaxy forbids; each degree-4 vertex has one cover clause, its four
+arcs.  The search branches on the first uncovered degree-4 vertex in
+index order and puts its least open arc in the galaxy.  Unit
+propagation runs from a trail: a chosen arc excludes the arcs it
+conflicts with, and a clause left with one open arc takes it.  A
+conflict is traced back through the reasons on the trail to a learnt
+clause (first unique implication point), and the search jumps back to
+the deepest level the clause still needs, where it forces one more
+literal.  Undoing only the latest decision instead thrashes: on one in
+about 240 random 2-in 2-out digraphs the decision that caused a
+conflict lies a thousand levels down, and plain chronological
+backtracking made millions of steps there.  Everything lives on
+explicit stacks, so the search never recurses.
+
+A search, and not a polynomial rule, because deciding whether a digraph
+has a spanning galaxy is NP-complete in general (Goncalves, Havet,
+Pinlou and Thomasse, On spanning galaxies in digraphs, Discrete Appl.
+Math. 2012).  The theorem guarantees a galaxy spanning the degree-4
+vertices when in- and outdegree are at most two, so running out of
+choices would be a defect; on random instances the search meets at
+most a handful of conflicts.
 """
 
 from __future__ import annotations
@@ -25,8 +38,6 @@ from .colouring import ArcColouring
 from .digraph import Digraph, degree_profile
 from .errors import DegreeTooHighError, InternalDefectError, ValidateError
 from .subcubic import star_colouring_subcubic
-
-_PATH_BUDGET = 20000
 
 
 @dataclass(frozen=True)
@@ -69,245 +80,12 @@ class Galaxy:
 # spanning galaxies
 
 
-def _galaxy_ok(arcs: tuple[tuple[int, int], ...], chosen) -> bool:
-    heads = [arcs[i][1] for i in chosen]
-    tails = {arcs[i][0] for i in chosen}
-    return len(heads) == len(set(heads)) and not (set(heads) & tails)
-
-
-def _extend_greedy(arcs, chosen: set[int]) -> None:
-    heads = {arcs[i][1] for i in chosen}
-    tails = {arcs[i][0] for i in chosen}
-    for i in range(len(arcs)):
-        if i in chosen:
-            continue
-        t, h = arcs[i]
-        if h in heads or h in tails or t in heads:
-            continue
-        chosen.add(i)
-        heads.add(h)
-        tails.add(t)
-
-
-def _spanned(arcs, chosen) -> set[int]:
-    out: set[int] = set()
-    for i in chosen:
-        out.update(arcs[i])
-    return out
-
-
-def _alt_reachable(d: Digraph, gset: frozenset[int], x: int) -> set[int]:
-    """Galaxy arcs from which an alternating suffix reaches x.
-
-    Arc-level reachability, walked backwards: a galaxy arc (u, v) reaches
-    the target w when some non-galaxy arc (v, w) exists; w is x or the
-    tail of an already-reachable galaxy arc.
-    """
-    arcs = d.arcs
-    in_arcs = d.in_arcs
-    g_by_head = {arcs[i][1]: i for i in gset}  # galaxy heads are distinct
-    reach: set[int] = set()
-    frontier = [x]
-    while frontier:
-        w = frontier.pop()
-        for j in in_arcs[w]:
-            if j in gset:
-                continue
-            i = g_by_head.get(arcs[j][0])
-            if i is not None and i not in reach:
-                reach.add(i)
-                frontier.append(arcs[i][0])
-    return reach
-
-
-def _alt_path(d: Digraph, gset: frozenset[int], start: int, x: int,
-              banned: frozenset[int] = frozenset()) -> list[int] | None:
-    """A vertex-simple alternating path from `start` (a galaxy arc) to x.
-
-    The path alternates galaxy and non-galaxy arcs, ends with a
-    non-galaxy arc into x and avoids `banned` arcs.  Depth-first with a
-    state budget; None when nothing is found within it.
-    """
-    arcs = d.arcs
-    out_arcs = d.out_arcs
-    if start in banned:
-        return None
-    su, sv = arcs[start]
-    budget = _PATH_BUDGET
-    # stack entries: (vertex, galaxy_next, path, visited)
-    stack = [(sv, False, [start], {su, sv})]
-    while stack and budget > 0:
-        budget -= 1
-        vertex, galaxy_next, path, visited = stack.pop()
-        for i in reversed(out_arcs[vertex]):
-            if (i in gset) != galaxy_next or i in banned:
-                continue
-            h = arcs[i][1]
-            if h == x and not galaxy_next:
-                return path + [i]
-            if h in visited:
-                continue
-            stack.append((h, not galaxy_next, path + [i], visited | {h}))
-    return None
-
-
-def _alt_circuit(d: Digraph, gset: frozenset[int], amembers: set[int]
-                 ) -> list[int] | None:
-    """A vertex-simple circuit alternating reachable galaxy arcs and
-    non-galaxy arcs."""
-    arcs = d.arcs
-    out_arcs = d.out_arcs
-    budget = _PATH_BUDGET
-    for a0 in sorted(amembers):
-        u0, v0 = arcs[a0]
-        stack = [(v0, False, [a0], {u0, v0})]
-        while stack and budget > 0:
-            budget -= 1
-            vertex, galaxy_next, path, visited = stack.pop()
-            for i in reversed(out_arcs[vertex]):
-                if galaxy_next:
-                    if i not in amembers:
-                        continue
-                elif i in gset:
-                    continue
-                h = arcs[i][1]
-                if h == u0 and not galaxy_next:
-                    return path + [i]
-                if h in visited:
-                    continue
-                stack.append((h, not galaxy_next, path + [i], visited | {h}))
-    return None
-
-
-def _augment(d: Digraph, gset: frozenset[int], x: int,
-             heavy: frozenset[int]) -> frozenset[int] | None:
-    """One exchange step spanning x, or None when every candidate fails.
-
-    Candidates mirror the maximality argument: flipping an alternating
-    path whose first tail keeps a second star arc; adding an in-arc of a
-    path's first tail; flipping a path from one arc and adding a
-    tail-to-tail arc; and flipping a path plus an alternating circuit.
-    """
-    arcs = d.arcs
-    in_arcs = d.in_arcs
-    old4 = _spanned(arcs, gset) & heavy
-
-    def attempt(cand: set[int]) -> frozenset[int] | None:
-        if not _galaxy_ok(arcs, cand):
-            return None
-        new4 = _spanned(arcs, cand) & heavy
-        if x in new4 and old4 <= new4:
-            return frozenset(cand)
-        return None
-
-    amembers = _alt_reachable(d, gset, x)
-    if not amembers:
-        raise InternalDefectError(
-            "an unspanned degree-4 vertex has no alternating path after "
-            "greedy maximalisation")
-    out_g: dict[int, int] = {}
-    for i in gset:
-        out_g[arcs[i][0]] = out_g.get(arcs[i][0], 0) + 1
-
-    # a first arc whose tail keeps another star arc
-    for a in sorted(amembers):
-        if out_g[arcs[a][0]] >= 2:
-            p = _alt_path(d, gset, a, x)
-            if p:
-                got = attempt(set(gset) ^ set(p))
-                if got:
-                    return got
-
-    # drop a light first tail, or re-cover it through one of its in-arcs
-    for a in sorted(amembers):
-        u = arcs[a][0]
-        p = _alt_path(d, gset, a, x)
-        if not p:
-            continue
-        flipped = set(gset) ^ set(p)
-        if len(in_arcs[u]) < 2:
-            got = attempt(flipped)
-            if got:
-                return got
-        for j in in_arcs[u]:
-            if j in gset:
-                continue
-            got = attempt(flipped | {j})
-            if got:
-                return got
-
-    # tail-to-tail arcs between two reachable galaxy arcs
-    idx = {arc: i for i, arc in enumerate(arcs)}
-    for b in sorted(amembers):
-        s = arcs[b][0]
-        for a in sorted(amembers):
-            if a == b:
-                continue
-            u = arcs[a][0]
-            j = idx.get((u, s))
-            if j is None or j in gset:
-                continue
-            p = _alt_path(d, gset, b, x, banned=frozenset({a}))
-            if p:
-                got = attempt((set(gset) ^ set(p)) | {j})
-                if got:
-                    return got
-
-    # an alternating circuit, flipped together with a path leaving it
-    circuit = _alt_circuit(d, gset, amembers)
-    if circuit:
-        cands = []
-        for c in circuit:
-            if c in amembers:
-                p = _alt_path(d, gset, c, x)
-                if p:
-                    cands.append(p)
-        for p in sorted(cands, key=len):
-            got = attempt(set(gset) ^ (set(p) | set(circuit)))
-            if got:
-                return got
-    return None
-
-
-def _exhaustive_spanning(d: Digraph, heavy: list[int]) -> frozenset[int]:
-    """Backtracking search for a galaxy covering `heavy`; small inputs only."""
-    arcs = d.arcs
-    incident: dict[int, list[int]] = {v: [] for v in heavy}
-    for i, (t, h) in enumerate(arcs):
-        for v in (t, h):
-            if v in incident:
-                incident[v].append(i)
-
-    def solve(k: int, chosen: set[int]) -> frozenset[int] | None:
-        while k < len(heavy) and heavy[k] in _spanned(arcs, chosen):
-            k += 1
-        if k == len(heavy):
-            return frozenset(chosen)
-        for i in incident[heavy[k]]:
-            if i in chosen:
-                continue
-            chosen.add(i)
-            if _galaxy_ok(arcs, chosen):
-                got = solve(k + 1, chosen)
-                if got is not None:
-                    return got
-            chosen.discard(i)
-        return None
-
-    got = solve(0, set())
-    if got is None:
-        raise InternalDefectError(
-            "exhaustive search found no galaxy spanning the degree-four "
-            f"vertices of {arcs}")
-    return got
-
-
 def spanning_galaxy(d: Digraph) -> Galaxy:
     """A galaxy of d spanning every vertex of degree four.
 
-    Requires maximum in- and outdegree two.  Starts from a greedy maximal
-    galaxy and augments along alternating paths until the degree-4
-    vertices are spanned; every exchange is validated before commit.
+    Requires a simple digraph with maximum in- and outdegree two.  The
+    search is complete, so it ends with a galaxy whenever one exists;
+    the theorem says one always does here.
     """
     profile = degree_profile(d)
     if profile.max_indegree > 2 or profile.max_outdegree > 2:
@@ -316,33 +94,140 @@ def spanning_galaxy(d: Digraph) -> Galaxy:
             " exceed two")
     if len(set(d.arcs)) != d.arc_count:
         raise ValidateError("needs a simple digraph")
-    arcs = d.arcs
-    heavy = frozenset(v for v in range(d.vertex_count)
-                      if profile.degree[v] == 4)
-    chosen: set[int] = set()
-    _extend_greedy(arcs, chosen)
-    for _ in range(d.vertex_count + 1):
-        missing = sorted(heavy - _spanned(arcs, chosen))
-        if not missing:
-            return Galaxy(tuple(arcs[i] for i in sorted(chosen)))
-        x = missing[0]
-        before = len(_spanned(arcs, chosen) & heavy)
-        got = _augment(d, frozenset(chosen), x, heavy)
-        if got is None:
-            if d.vertex_count <= 12:
-                chosen = set(_exhaustive_spanning(d, sorted(heavy)))
-                _extend_greedy(arcs, chosen)
-                continue
-            raise InternalDefectError(
-                f"augmentation stalled at vertex {x} on a digraph with "
-                f"{d.vertex_count} vertices; arcs: {arcs}")
-        chosen = set(got)
-        if len(_spanned(arcs, chosen) & heavy) <= before:
-            raise InternalDefectError(
-                "an exchange move failed to extend the spanned degree-four "
-                "set")
-        _extend_greedy(arcs, chosen)
-    raise InternalDefectError("spanning augmentation failed to converge")
+    arcs, in_arcs, out_arcs = d.arcs, d.in_arcs, d.out_arcs
+    degree = profile.degree
+    heavy = [v for v in range(d.vertex_count) if degree[v] == 4]
+    # A literal is a + 1 for "arc a in the galaxy" and -(a + 1) for "out";
+    # a clause is a tuple of literals, one of which must hold.
+    value = [0] * d.arc_count  # 1 in the galaxy, -1 out of it, 0 open
+    level = [0] * d.arc_count  # decision level of each assignment
+    reason: list[tuple[int, ...] | None] = [None] * d.arc_count
+    covered = [0] * d.vertex_count  # galaxy arcs at each vertex
+    trail: list[int] = []
+    starts: list[int] = []  # trail length when each decision level began
+    resume: list[int] = []  # heavy position of each level's decision
+    learnt_at: dict[int, list[tuple[int, ...]]] = {}  # literal -> clauses
+
+    def assign(q: int, why: tuple[int, ...] | None) -> None:
+        a = abs(q) - 1
+        value[a] = 1 if q > 0 else -1
+        level[a] = len(starts)
+        reason[a] = why
+        trail.append(a)
+        if q > 0:
+            for v in arcs[a]:
+                covered[v] += 1
+
+    def unit(clause: tuple[int, ...]) -> tuple[int, ...] | None:
+        """Assign the last open literal of a clause; the clause when it
+        has none left and none holds."""
+        free = []
+        for q in clause:
+            b = abs(q) - 1
+            if value[b] == 0:
+                free.append(q)
+            elif (value[b] == 1) == (q > 0):
+                return None
+        if not free:
+            return clause
+        if len(free) == 1:
+            assign(free[0], clause)
+        return None
+
+    def propagate(pos: int) -> tuple[int, ...] | None:
+        """Unit propagation over trail[pos:]; the clause that failed, if
+        one did."""
+        while pos < len(trail):
+            a = trail[pos]
+            pos += 1
+            t, h = arcs[a]
+            if value[a] == 1:
+                # the arcs sharing a's head, leaving its head or
+                # entering its tail
+                for b in (*in_arcs[h], *out_arcs[h], *in_arcs[t]):
+                    if b != a and value[b] != -1:
+                        clause = (-a - 1, -b - 1)
+                        if value[b] == 1:
+                            return clause
+                        assign(-b - 1, clause)
+                falsified = -a - 1
+            else:
+                for v in (t, h):
+                    if degree[v] == 4 and not covered[v]:
+                        failed = unit(tuple(b + 1 for b in (*in_arcs[v],
+                                                            *out_arcs[v])))
+                        if failed:
+                            return failed
+                falsified = a + 1
+            for clause in learnt_at.get(falsified, ()):
+                failed = unit(clause)
+                if failed:
+                    return failed
+        return None
+
+    def analyse(clause: tuple[int, ...]) -> tuple[int, ...]:
+        """The first-UIP clause learnt from a failed clause: its last
+        literal is the only one assigned at the current level."""
+        seen: set[int] = set()
+        learnt: list[int] = []
+        count = 0
+        pos = len(trail)
+        while True:
+            for q in clause:
+                b = abs(q) - 1
+                if b not in seen and level[b] > 0:
+                    seen.add(b)
+                    if level[b] == len(starts):
+                        count += 1
+                    else:
+                        learnt.append(q)
+            pos -= 1
+            while trail[pos] not in seen:
+                pos -= 1
+            a = trail[pos]
+            count -= 1
+            if count == 0:
+                learnt.append(-a - 1 if value[a] == 1 else a + 1)
+                return tuple(learnt)
+            clause = tuple(q for q in reason[a] if abs(q) - 1 != a)
+
+    nxt = 0  # heavy[:nxt] are covered
+    failed = None
+    while True:
+        if failed:
+            if not starts:
+                raise InternalDefectError(
+                    "no galaxy spans the degree-four vertices of a digraph "
+                    f"with {d.vertex_count} vertices and {d.arc_count} arcs")
+            learnt = analyse(failed)
+            # jump back to the deepest level among the other literals,
+            # where the learnt clause forces its last one
+            back = max((level[abs(q) - 1] for q in learnt[:-1]), default=0)
+            cut = starts[back]
+            for b in trail[cut:]:
+                if value[b] == 1:
+                    for v in arcs[b]:
+                        covered[v] -= 1
+                value[b] = 0
+            del trail[cut:]
+            nxt = resume[back]
+            del starts[back:], resume[back:]
+            for q in learnt:
+                learnt_at.setdefault(q, []).append(learnt)
+            assign(learnt[-1], learnt)
+            failed = propagate(cut)
+            continue
+        while nxt < len(heavy) and covered[heavy[nxt]]:
+            nxt += 1
+        if nxt == len(heavy):
+            return Galaxy(tuple(arcs[i] for i in range(d.arc_count)
+                                if value[i] == 1))
+        v = heavy[nxt]
+        starts.append(len(trail))
+        resume.append(nxt)
+        assign(min(b for b in (*in_arcs[v], *out_arcs[v]) if value[b] == 0) + 1,
+               None)
+        failed = propagate(len(trail) - 1)
 
 
 def dst4_colouring(d: Digraph) -> ArcColouring:

@@ -8,6 +8,7 @@ that eats terminal strong components one at a time.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
@@ -335,6 +336,22 @@ def _strike_at_tail(records: dict[int, list], by_head: dict[int, set[int]],
 
 
 def _extension_engine(records: dict[int, list]) -> dict[int, int]:
+    """Colour every record, taking strong components sinks first.
+
+    One Tarjan pass orders the components; they are consumed in the
+    order it emits them, which is reverse topological, so each one is
+    terminal among the records left when its turn comes.  Any such
+    order gives the same colours as always taking the first terminal
+    component of what is left.  Taking a component colours exactly the
+    arcs whose heads lie in it, from their lists, and strikes each new
+    colour at the arc's tail.  So the list of an arc into a vertex w is
+    struck only by the colours of arcs leaving w, whose heads lie in w's
+    component or downstream of it.  Every reverse topological order has
+    coloured all of those, with the same colours by induction, before
+    w's component comes up, and a component incomparable with it strikes
+    none of its lists.  A vertex whose arcs all went downstream is a
+    source of what is left and is skipped.
+    """
     colours: dict[int, int] = {}
     by_head: dict[int, set[int]] = {}
     by_tail: dict[int, set[int]] = {}
@@ -347,26 +364,19 @@ def _extension_engine(records: dict[int, list]) -> dict[int, int]:
         by_tail[t].discard(k)
         by_head[h].discard(k)
 
-    while records:
-        verts = sorted({r[0] for r in records.values()}
-                       | {r[1] for r in records.values()})
-        remap = {v: i for i, v in enumerate(verts)}
-        keys = sorted(records)
-        dense = Digraph(len(verts),
-                        tuple((remap[records[k][0]], remap[records[k][1]])
-                              for k in keys))
-        comp = strong_components(dense)[0]  # emitted first = terminal
+    verts = sorted(by_head.keys() | by_tail.keys())
+    remap = {v: i for i, v in enumerate(verts)}
+    dense = Digraph(len(verts),
+                    tuple((remap[records[k][0]], remap[records[k][1]])
+                          for k in sorted(records)))
+    for comp in strong_components(dense):
         comp_verts = [verts[i] for i in comp]
 
         if len(comp_verts) == 1:
             v = comp_verts[0]
-            if by_tail.get(v):
-                raise InternalDefectError(
-                    f"terminal vertex {v} still has out-arcs")
             in_keys = sorted(by_head.get(v, ()))
             if not in_keys:
-                raise InternalDefectError(
-                    f"vertex {v} owns no arcs yet reached the engine")
+                continue
             assignment = _distinct_assignment(
                 [sorted(records[k][2]) for k in in_keys])
             if assignment is None:
@@ -512,8 +522,9 @@ def _functional_cycles(step: dict[int, tuple[int, int]],
                        ) -> list[tuple[list[int], list[int]]]:
     """Cycles of a map vertex -> (arc key, next vertex).
 
-    Returns (vertex order, arc keys) pairs, each cycle reported once,
-    discovered in ascending order of its smallest vertex.
+    Returns (vertex order, arc keys) pairs, each cycle reported once
+    and opened at its smallest vertex, in the order that walks from the
+    vertices in ascending order first reach them.
     """
     state: dict[int, int] = {}
     cycles = []
@@ -560,6 +571,109 @@ def _free_colours(key: int, arcs: Mapping[int, tuple[int, int]],
     return [c for c in COLOURS if c not in forbidden]
 
 
+def _peel(arcs: dict[int, tuple[int, int]],
+          by_head: dict[int, list[int]], by_tail: dict[int, list[int]],
+          ) -> tuple[dict[int, tuple[int, int]], list[tuple[str, list[int]]]]:
+    """Peel sources and even circuits of the low-indegree part.
+
+    Returns the arcs left and the peeled batches in peeling order.
+    Sources go in layers: each batch is every live arc whose tail has no
+    live entering arc.
+    """
+    live = dict(arcs)
+    indeg = {v: len(ks) for v, ks in by_head.items()}
+    deferred: list[tuple[str, list[int]]] = []
+
+    def peel_sources(frontier: Iterable[int]) -> list[int]:
+        """Peel source layers from vertices just left without entering
+        arcs; return the heads whose indegree fell."""
+        touched = []
+        while True:
+            batch = sorted(k for v in frontier for k in by_tail.get(v, ())
+                           if k in live)
+            if not batch:
+                return touched
+            deferred.append(("sources", batch))
+            frontier = []
+            for k in batch:
+                h = live.pop(k)[1]
+                indeg[h] -= 1
+                touched.append(h)
+                if indeg[h] == 0:
+                    frontier.append(h)
+
+    # Once no sources are left, a live vertex is low when one live arc
+    # enters it.  step[h] = (arc, tail) for each low h whose tail is low
+    # too; the circuits of this map are the candidates, and the one
+    # taken is the even circuit whose basin (the step vertices whose
+    # walk along step reaches it) has the least vertex.  Peeling it with
+    # its sources removes its whole basin and leaves every other basin
+    # and circuit alive, so the map is kept as it grows: a union-find
+    # over low vertices with the least step vertex of each component,
+    # and a heap of the even circuits keyed by it.  A new step arc from
+    # h hangs h's tree below the root of the other end's component, so
+    # the root of a component with a circuit never changes.
+    low: dict[int, int] = {}  # union-find parent
+    least: dict[int, int] = {}  # root -> least step vertex in the component
+    circuits: dict[int, list[int]] = {}  # root -> entering arcs, even only
+    circuit_key: dict[int, int] = {}  # root -> basin key, until peeled
+    heap: list[tuple[int, int]] = []
+    step: dict[int, tuple[int, int]] = {}
+
+    def find(v: int) -> int:
+        while low[v] != v:
+            low[v] = low[low[v]]
+            v = low[v]
+        return v
+
+    def link(h: int, k: int, t: int) -> None:
+        step[h] = (k, t)
+        rh, rt = find(h), find(t)
+        low[rh] = rt
+        key = least[rt] = min(least.pop(rh, h), h, least.get(rt, h))
+        if rh == rt:
+            cyc = [h]
+            while step[cyc[-1]][1] != h:
+                cyc.append(step[cyc[-1]][1])
+            if len(cyc) % 2 == 0:
+                j = cyc.index(min(cyc))
+                circuits[rt] = [step[x][0] for x in cyc[j:] + cyc[:j]]
+                circuit_key[rt] = key
+                heappush(heap, (key, rt))
+        elif key < circuit_key.get(rt, key):
+            circuit_key[rt] = key
+            heappush(heap, (key, rt))
+
+    def make_low(w: int) -> None:
+        low[w] = w
+        k = next(k for k in by_head[w] if k in live)
+        if arcs[k][0] in low:
+            link(w, k, arcs[k][0])
+        for k in by_tail.get(w, ()):
+            x = arcs[k][1]
+            if k in live and x in low and x not in step:
+                link(x, k, w)
+
+    peel_sources([v for v in by_tail if v not in indeg])
+    for v, count in indeg.items():
+        if count == 1:
+            make_low(v)
+    while heap:
+        key, root = heappop(heap)
+        if circuit_key.get(root) != key:
+            continue
+        del circuit_key[root]
+        keys = circuits.pop(root)
+        # the circuit follows entering arcs, so flip to arc order
+        deferred.append(("circuit", keys[::-1]))
+        for k in keys:
+            indeg[live.pop(k)[1]] -= 1
+        for w in set(peel_sources([arcs[k][1] for k in keys])):
+            if indeg[w] == 1:
+                make_low(w)
+    return live, deferred
+
+
 def _colour_subcubic_arcs(arcs: dict[int, tuple[int, int]]) -> dict[int, int]:
     """Star-colour an arbitrary subcubic arc set with colours 1..3."""
     by_head: dict[int, list[int]] = {}
@@ -569,44 +683,9 @@ def _colour_subcubic_arcs(arcs: dict[int, tuple[int, int]]) -> dict[int, int]:
         by_tail.setdefault(t, []).append(k)
         by_head.setdefault(h, []).append(k)
 
-    # Peel sources and even circuits of the low-indegree part; both
-    # kinds of arcs keep at least one free colour whenever they are
-    # put back, so they are completed after everything else.
-    live = dict(arcs)
-    deferred: list[tuple[str, list[int]]] = []
-    while live:
-        indeg: dict[int, int] = {}
-        outdeg: dict[int, int] = {}
-        for t, h in live.values():
-            outdeg[t] = outdeg.get(t, 0) + 1
-            indeg[h] = indeg.get(h, 0) + 1
-        batch = sorted(k for k, (t, _) in live.items()
-                       if indeg.get(t, 0) == 0)
-        if batch:
-            deferred.append(("sources", batch))
-            for k in batch:
-                del live[k]
-            continue
-        low = {v for v in set(indeg) | set(outdeg) if indeg.get(v, 0) <= 1}
-        step: dict[int, tuple[int, int]] = {}
-        for k in sorted(live):
-            t, h = live[k]
-            if t in low and h in low:
-                if h in step:
-                    raise InternalDefectError(
-                        f"vertex {h} has two entering arcs in the low part")
-                step[h] = (k, t)
-        even = [(cyc, keys) for cyc, keys in _functional_cycles(step)
-                if len(cyc) % 2 == 0]
-        if not even:
-            break
-        cyc, keys = even[0]
-        # the walk above follows entering arcs, so flip to arc order
-        forward = list(reversed(keys))
-        deferred.append(("circuit", forward))
-        for k in keys:
-            del live[k]
-
+    # Both kinds of peeled arcs keep at least one free colour whenever
+    # they are put back, so they are completed after everything else.
+    live, deferred = _peel(arcs, by_head, by_tail)
     colours: dict[int, int] = {}
     if live:
         colours.update(_colour_core(live, arcs))
@@ -788,9 +867,8 @@ def _colour_core(live: dict[int, tuple[int, int]],
     # the engine as pass-through points; detach the in-arc onto a
     # fresh sink (its constraint is already burnt into the lists).
     for v in sorted(low):
-        ins = [k for k in records if records[k][1] == v]
-        outs = [k for k in records if records[k][0] == v]
-        if ins and outs:
+        ins = [k for k in by_head.get(v, ()) if k in records]
+        if ins and any(k in records for k in by_tail.get(v, ())):
             if len(ins) != 1:
                 raise InternalDefectError(
                     f"low vertex {v} with several engine in-arcs")

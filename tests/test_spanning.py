@@ -1,4 +1,8 @@
 """Spanning galaxies for 2-in 2-out digraphs and the dst <= 4 colouring."""
+import itertools
+import random
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,7 +10,6 @@ from galaxia import (
     DegreeTooHighError,
     Digraph,
     Galaxy,
-    InternalDefectError,
     ValidateError,
     degree_profile,
     dst4_colouring,
@@ -14,6 +17,7 @@ from galaxia import (
     is_galaxy_arcs,
     random_digraph,
     spanning_galaxy,
+    star_colouring_subcubic,
     verify_star_colouring,
 )
 from conftest import circuit
@@ -57,25 +61,21 @@ def test_spanning_galaxy_no_heavy_vertices():
     assert all(arc in arcset for arc in g.arcs)
 
 
-# The two galaxies below come from the named exchange move; with that
-# move disabled, spanning_galaxy returns a different galaxy.
-def test_spanning_galaxy_alternating_circuit_move():
-    d = Digraph(8, ((7, 6), (7, 4), (4, 7), (4, 6), (5, 3), (5, 7), (0, 4),
-                    (0, 1), (2, 5), (2, 0), (3, 2), (3, 0), (6, 3), (6, 1),
-                    (1, 5), (1, 2)))
-    assert spanning_galaxy(d).arcs == ((1, 5), (3, 0), (3, 2), (7, 4), (7, 6))
+@pytest.mark.parametrize("d, galaxy", [
+    (Digraph(8, ((7, 6), (7, 4), (4, 7), (4, 6), (5, 3), (5, 7), (0, 4),
+                 (0, 1), (2, 5), (2, 0), (3, 2), (3, 0), (6, 3), (6, 1),
+                 (1, 5), (1, 2))),
+     ((0, 4), (3, 2), (5, 7), (6, 1))),
+    (Digraph(7, ((2, 1), (2, 4), (3, 4), (3, 0), (4, 6), (4, 3), (1, 5),
+                 (1, 0), (5, 2), (5, 3), (0, 6), (0, 5), (6, 1), (6, 2))),
+     ((1, 5), (3, 0), (3, 4), (6, 2))),
+], ids=["eight_vertices", "seven_vertices"])
+def test_spanning_galaxy_search_pinned(d, galaxy):
+    assert spanning_galaxy(d).arcs == galaxy
 
 
-def test_spanning_galaxy_tail_to_tail_move():
-    d = Digraph(7, ((2, 1), (2, 4), (3, 4), (3, 0), (4, 6), (4, 3), (1, 5),
-                    (1, 0), (5, 2), (5, 3), (0, 6), (0, 5), (6, 1), (6, 2)))
-    assert spanning_galaxy(d).arcs == ((0, 6), (2, 1), (2, 4), (5, 3))
-
-
-@pytest.mark.xfail(strict=True, raises=InternalDefectError,
-                   reason="no exchange move applies and the digraph is above "
-                          "the exhaustive-search size")
 def test_spanning_galaxy_known_stall():
+    # the exchange-move engine this search replaced stalled here
     d = Digraph(13, ((2, 0), (2, 3), (8, 12), (8, 3), (10, 1), (10, 9),
                      (12, 11), (12, 5), (0, 9), (0, 1), (7, 12), (7, 8),
                      (9, 0), (9, 6), (1, 2), (1, 4), (5, 10), (5, 6), (4, 2),
@@ -84,6 +84,46 @@ def test_spanning_galaxy_known_stall():
     heavy = [v for v in range(13) if degree_profile(d).degree[v] == 4]
     g = spanning_galaxy(d)
     assert all(g.spans(v) for v in heavy)
+
+
+def _capped_digraphs(n):
+    """Every labelled simple digraph on n vertices with in- and outdegree
+    at most two."""
+    choices = [[s for r in range(3)
+                for s in itertools.combinations(
+                    [w for w in range(n) if w != v], r)]
+               for v in range(n)]
+    indeg = [0] * n
+    heads = []
+
+    def extend(v):
+        if v == n:
+            yield tuple((t, h) for t in range(n) for h in heads[t])
+            return
+        for s in choices[v]:
+            if all(indeg[h] < 2 for h in s):
+                for h in s:
+                    indeg[h] += 1
+                heads.append(s)
+                yield from extend(v + 1)
+                heads.pop()
+                for h in s:
+                    indeg[h] -= 1
+
+    yield from extend(0)
+
+
+def test_spanning_galaxy_every_small_digraph():
+    counts = []
+    for n in range(1, 6):
+        counts.append(0)
+        for arcs in _capped_digraphs(n):
+            d = Digraph(n, arcs)
+            degree = degree_profile(d).degree
+            g = spanning_galaxy(d)
+            assert all(g.spans(v) for v in range(n) if degree[v] == 4)
+            counts[-1] += 1
+    assert counts == [1, 4, 64, 1699, 67561]
 
 
 def test_spanning_galaxy_rejects_high_degree():
@@ -104,6 +144,75 @@ def test_spanning_galaxy_random(n, seed):
     rest = [arc for arc in d.arcs if arc not in set(g.arcs)]
     rest_profile = degree_profile(Digraph(n, tuple(rest)))
     assert rest_profile.max_degree <= 3
+
+
+@st.composite
+def near_two_regular(draw):
+    """A simple digraph whose arcs follow two permutations of the vertices,
+    so in- and outdegree are at most two and most vertices have degree 4."""
+    n = draw(st.integers(2, 40))
+    arcs = set()
+    for _ in range(2):
+        heads = draw(st.permutations(range(n)))
+        arcs.update((t, h) for t, h in enumerate(heads) if t != h)
+    dropped = draw(st.sets(st.sampled_from(sorted(arcs)), max_size=3)
+                   if arcs else st.just(set()))
+    return Digraph(n, tuple(sorted(arcs - dropped)))
+
+
+@given(near_two_regular())
+def test_spanning_galaxy_capped_property(d):
+    g = spanning_galaxy(d)
+    degree = degree_profile(d).degree
+    assert set(g.arcs) <= set(d.arcs)
+    assert all(g.spans(v) for v in range(d.vertex_count) if degree[v] == 4)
+    col = dst4_colouring(d)
+    assert col.colour_count <= 4
+    assert verify_star_colouring(d, col) is None
+
+
+def _two_regular_arcs(n, seed):
+    """Arcs along two random permutations, loops and repeats dropped, O(n)."""
+    rng = random.Random(seed)
+    arcs = set()
+    for _ in range(2):
+        heads = list(range(n))
+        rng.shuffle(heads)
+        arcs.update((t, h) for t, h in enumerate(heads) if t != h)
+    return tuple(sorted(arcs))
+
+
+def test_spanning_galaxy_deep_conflicts():
+    # a search that only undoes its latest decision took 330,000
+    # backtracks on seed 16; clause learning meets a few conflicts
+    for seed in (16, 76, 113):
+        d = Digraph(1000, _two_regular_arcs(1000, seed))
+        degree = degree_profile(d).degree
+        start = time.perf_counter()
+        g = spanning_galaxy(d)
+        assert time.perf_counter() - start < 2.0
+        assert all(g.spans(v) for v in range(1000) if degree[v] == 4)
+
+
+def test_dst4_scale_gate():
+    # near-linear in arcs: the exchange-move search took about 40 s on
+    # 1,000 vertices, and the subcubic engine rebuilt its strong
+    # components once per peeled component
+    d = Digraph(16_000, _two_regular_arcs(16_000, seed=6))
+    assert degree_profile(d).max_indegree == 2
+    start = time.perf_counter()
+    col = dst4_colouring(d)
+    assert time.perf_counter() - start < 15.0
+    assert col.colour_count == 4
+    assert verify_star_colouring(d, col) is None
+
+    galaxy = set(spanning_galaxy(d).arcs)
+    residue = Digraph(d.vertex_count,
+                      tuple(arc for arc in d.arcs if arc not in galaxy))
+    start = time.perf_counter()
+    col = star_colouring_subcubic(residue)
+    assert time.perf_counter() - start < 15.0
+    assert verify_star_colouring(residue, col) is None
 
 
 def test_dst4_complete_digraph():
