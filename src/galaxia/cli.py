@@ -1,11 +1,11 @@
 """Command line front end.
 
-Six subcommands over the text formats in `fileio`: generate instances,
-solve them constructively, verify colourings, run the exact solvers,
-build the hardness reduction, and benchmark the constructive
-algorithms.  The solvers return their output unchecked; each output is
-run through the matching verifier exactly once here, before anything is
-printed or written, and a failure there exits 4.
+Five subcommands over the text formats in `fileio`: generate instances,
+solve them constructively, verify colourings, run the exact solvers and
+build the hardness reduction.  The solvers return their output
+unchecked; each output is run through the matching verifier exactly
+once here, before anything is printed or written, and a failure there
+exits 4.
 
 Exit codes: 0 success, 1 a verification failed or a cap was exceeded,
 2 bad usage, unreadable input or an instance too large for memory,
@@ -16,9 +16,9 @@ fired (a bug in this package).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
-import time
 from contextlib import contextmanager
 
 from .acircuitic import acircuitic_colouring
@@ -341,38 +341,11 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bench
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    print("instance\tn\tarcs\tcolours\tbound\tms")
-    for size in sizes:
-        seed = args.seed * 1000 + size
-        if args.family == "random":
-            d = random_digraph(size, args.in_cap, args.out_cap, seed)
-        elif args.family == "subcubic":
-            d = random_subcubic(size, seed)
-        elif args.family == "oriented-subcubic":
-            d = random_oriented_subcubic(size, seed)
-        else:  # dag
-            d = random_labelled_dag(size, args.m, args.k, seed).underlying
-        algo = _pick_star_algorithm(d)
-        start = time.perf_counter()
-        colouring, _intervals, bound, _rule = _run_star(algo, d)
-        elapsed = (time.perf_counter() - start) * 1000
-        _check_output(verify_star_colouring, d, colouring, "bench output")
-        if colouring.colour_count > bound:
-            raise InternalDefectError("bench output exceeded its bound")
-        print(f"{args.family}-{size}\t{d.vertex_count}\t{d.arc_count}"
-              f"\t{colouring.colour_count}\t{bound}\t{elapsed:.1f}")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-
-
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="galaxia",
         description="Galaxy decompositions and fibre wavelength assignment.")
@@ -430,16 +403,6 @@ def _build_parser() -> argparse.ArgumentParser:
     red.add_argument("-o", "--output", default=None)
     red.set_defaults(func=_cmd_reduce)
 
-    bench = sub.add_parser("bench", help="time the constructive algorithms")
-    bench.add_argument("--family", required=True,
-                       choices=("random", "subcubic", "oriented-subcubic", "dag"))
-    bench.add_argument("--sizes", required=True, help="comma-separated vertex counts")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--in-cap", type=int, default=2)
-    bench.add_argument("--out-cap", type=int, default=2)
-    bench.add_argument("--m", type=int, default=1)
-    bench.add_argument("--k", type=int, default=3)
-    bench.set_defaults(func=_cmd_bench)
     return parser
 
 
@@ -465,6 +428,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError:
+        print(f"error: {args.command}: input is not UTF-8 text", file=sys.stderr)
         return 2
     except MemoryError:
         print(f"error: {args.command}: instance too large for memory",

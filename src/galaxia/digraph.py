@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappush, heappop
+from itertools import chain
+from operator import eq, itemgetter
 
 from .errors import CyclicError, ValidateError
 
@@ -25,19 +27,13 @@ class Digraph:
     allow_parallel: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "arcs", tuple((t, h) for t, h in self.arcs))
+        arcs = tuple(self.arcs)
+        if not _plain(arcs, 2):
+            arcs = tuple((t, h) for t, h in arcs)
+        object.__setattr__(self, "arcs", arcs)
         if self.vertex_count < 0:
             raise ValidateError("vertex_count must be non-negative")
-        seen = set()
-        for i, (tail, head) in enumerate(self.arcs):
-            if not (0 <= tail < self.vertex_count and 0 <= head < self.vertex_count):
-                raise ValidateError(f"arc {i} ({tail},{head}) out of vertex range")
-            if tail == head:
-                raise ValidateError(f"arc {i} is a self-loop at {tail}")
-            if not self.allow_parallel:
-                if (tail, head) in seen:
-                    raise ValidateError(f"arc {i} duplicates ({tail},{head})")
-                seen.add((tail, head))
+        _check_arcs(self.vertex_count, arcs, self.allow_parallel)
 
     @property
     def arc_count(self) -> int:
@@ -82,22 +78,15 @@ class LabelledDigraph:
     arcs: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "arcs", tuple((t, h, l) for t, h, l in self.arcs))
+        arcs = tuple(self.arcs)
+        if not _plain(arcs, 3):
+            arcs = tuple((t, h, l) for t, h, l in arcs)
+        object.__setattr__(self, "arcs", arcs)
         if self.vertex_count < 0:
             raise ValidateError("vertex_count must be non-negative")
         if self.label_count < 1:
             raise ValidateError("label_count must be positive")
-        seen = set()
-        for i, (tail, head, label) in enumerate(self.arcs):
-            if not (0 <= tail < self.vertex_count and 0 <= head < self.vertex_count):
-                raise ValidateError(f"arc {i} ({tail},{head}) out of vertex range")
-            if tail == head:
-                raise ValidateError(f"arc {i} is a self-loop at {tail}")
-            if not (1 <= label <= self.label_count):
-                raise ValidateError(f"arc {i} label {label} outside 1..{self.label_count}")
-            if (tail, head, label) in seen:
-                raise ValidateError(f"arc {i} duplicates ({tail},{head},{label})")
-            seen.add((tail, head, label))
+        _check_arcs(self.vertex_count, arcs, False, self.label_count)
 
     @property
     def arc_count(self) -> int:
@@ -111,8 +100,46 @@ class LabelledDigraph:
     @cached_property
     def underlying(self) -> Digraph:
         """The label-stripped multidigraph, same arc indices."""
-        return Digraph(self.vertex_count, tuple((t, h) for t, h, _ in self.arcs),
+        return Digraph(self.vertex_count, tuple(map(itemgetter(0, 1), self.arcs)),
                        allow_parallel=True)
+
+
+def _plain(arcs: tuple, width: int) -> bool:
+    """Whether every arc is a plain tuple of `width` entries, which the
+    constructors keep as they are."""
+    return set(map(type, arcs)) <= {tuple} and set(map(len, arcs)) <= {width}
+
+
+def _check_arcs(vertex_count, arcs: tuple, allow_parallel: bool,
+                label_count: int | None = None) -> None:
+    """Raise ValidateError unless every arc has its ends in range, is no
+    self-loop, has its label (a third entry) in 1..label_count and,
+    unless allow_parallel, repeats no earlier arc.  Built-ins pass a
+    valid tuple of int arcs in one sweep; only when they do not does the
+    per-arc loop run, to name the first offending arc."""
+    if not arcs:
+        return
+    tails, heads, *labels = zip(*arcs)
+    if (set(map(type, chain.from_iterable(arcs))) <= {int}
+            and min(tails) >= 0 and min(heads) >= 0
+            and max(tails) < vertex_count and max(heads) < vertex_count
+            and not any(map(eq, tails, heads))
+            and (not labels or (min(labels[0]) >= 1 and max(labels[0]) <= label_count))
+            and (allow_parallel or len(set(arcs)) == len(arcs))):
+        return
+    seen = set()
+    for i, arc in enumerate(arcs):
+        tail, head = arc[0], arc[1]
+        if not (0 <= tail < vertex_count and 0 <= head < vertex_count):
+            raise ValidateError(f"arc {i} ({tail},{head}) out of vertex range")
+        if tail == head:
+            raise ValidateError(f"arc {i} is a self-loop at {tail}")
+        if labels and not (1 <= arc[2] <= label_count):
+            raise ValidateError(f"arc {i} label {arc[2]} outside 1..{label_count}")
+        if not allow_parallel:
+            if arc in seen:
+                raise ValidateError(f"arc {i} duplicates ({','.join(map(format, arc))})")
+            seen.add(arc)
 
 
 @dataclass(frozen=True)

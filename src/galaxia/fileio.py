@@ -41,38 +41,44 @@ def _content_lines(stream: Iterable[str]):
 
 
 def read_digraph(stream: Iterable[str]) -> LabelledDigraph:
+    """Read and check an instance in one pass over its lines; arc lines,
+    the common case, are tested first."""
     header = None
     arcs: list[tuple[int, int, int]] = []
-    for lineno, fields in _content_lines(stream):
-        kind = fields[0]
-        if kind == "p":
+    append = arcs.append
+    for lineno, raw in enumerate(stream, start=1):
+        fields = raw.split()
+        count = len(fields)
+        if header is not None and (count == 3 or count == 4) and fields[0] == "a":
+            try:
+                arc = (int(fields[1]), int(fields[2]),
+                       int(fields[3]) if count == 4 else 1)
+            except ValueError:
+                _ints(fields[1:], lineno)  # names the first non-integer field
+                raise
+            if not (0 <= arc[0] < n and 0 <= arc[1] < n):
+                raise ParseError(lineno, f"vertex id outside 0..{n - 1}")
+            if not 1 <= arc[2] <= m:
+                raise ParseError(lineno, f"label {arc[2]} outside 1..{m}")
+            append(arc)
+        elif not count or fields[0].startswith("#"):
+            continue
+        elif fields[0] == "p":
             if header is not None:
                 raise ParseError(lineno, "second problem line")
-            if len(fields) != 5 or fields[1] != "dsa":
+            if count != 5 or fields[1] != "dsa":
                 raise ParseError(lineno, "problem line must be 'p dsa <n> <arcs> <m>'")
-            n, arc_count, m = _ints(fields[2:], lineno)
+            n, arc_count, m = header = _ints(fields[2:], lineno)
             if n < 0 or arc_count < 0 or m < 1:
                 raise ParseError(lineno, "bad problem-line counts")
-            header = (n, arc_count, m)
-        elif kind == "a":
+        elif fields[0] == "a":
             if header is None:
                 raise ParseError(lineno, "arc line before problem line")
-            if len(fields) not in (3, 4):
-                raise ParseError(lineno, "arc line must be 'a <tail> <head> [<label>]'")
-            nums = _ints(fields[1:], lineno)
-            tail, head = nums[0], nums[1]
-            label = nums[2] if len(nums) == 3 else 1
-            n, _, m = header
-            if not (0 <= tail < n and 0 <= head < n):
-                raise ParseError(lineno, f"vertex id outside 0..{n - 1}")
-            if not (1 <= label <= m):
-                raise ParseError(lineno, f"label {label} outside 1..{m}")
-            arcs.append((tail, head, label))
+            raise ParseError(lineno, "arc line must be 'a <tail> <head> [<label>]'")
         else:
-            raise ParseError(lineno, f"unknown line type {kind!r}")
+            raise ParseError(lineno, f"unknown line type {fields[0]!r}")
     if header is None:
         raise ParseError(0, "missing problem line")
-    n, arc_count, m = header
     if len(arcs) != arc_count:
         raise ValidateError(f"problem line promises {arc_count} arcs, file has {len(arcs)}")
     return LabelledDigraph(n, m, tuple(arcs))

@@ -1,8 +1,12 @@
 """End-to-end runs of the console entry point."""
+import argparse
+import contextlib
 import io
+import re
 import sys
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from galaxia import (ArcColouring, FibreColouring, LabelledDigraph,
                      WavelengthAssignment, fibre, read_digraph, write_digraph)
@@ -294,16 +298,81 @@ def test_reduce_unknown_name_exits_2():
     assert info.value.code == 2
 
 
-def test_bench_emits_table(capsys):
-    assert main(["bench", "--family", "subcubic", "--sizes", "8,12"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0].startswith("instance\t")
-    assert len(lines) == 3
-
-
 def test_stdin_instance(capsys, monkeypatch):
     buf = io.StringIO()
     write_digraph(buf, LabelledDigraph(2, 1, ((0, 1, 1),)))
     monkeypatch.setattr("sys.stdin", io.StringIO(buf.getvalue()))
     assert main(["exact", "-"]) == 0
     assert "dst = 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, bad_file", [("solve", 0), ("exact", 0),
+                                               ("verify", 0), ("verify", 1)])
+def test_non_utf8_input_exits_2(tmp_path, capsys, command, bad_file):
+    files = [circuit_instance(tmp_path), str(tmp_path / "col.txt")]
+    (tmp_path / "col.txt").write_text("c 0 1\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"p dsa 2 1 1\na 0 1 \xff\n")
+    files[bad_file] = str(bad)
+    argv = [command] + files[:2 if command == "verify" else 1]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {command}: input is not UTF-8 text\n"
+
+
+def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    instance = circuit_instance(tmp_path)
+    waves = tmp_path / "w.txt"
+    for _ in range(3):
+        assert main(["solve", instance, "--fibres", "2", "-o", str(waves)]) == 0
+        assert main(["solve", instance]) == 0
+        assert main(["exact", instance]) == 0
+    assert built.count("galaxia") <= 1
+    # options of one call do not carry over into the next
+    out = capsys.readouterr().out.splitlines()
+    assert "fibres=2" in out[0]
+    assert out[1].startswith("algorithm=subcubic") and "fibres" not in out[1]
+    assert out[2] == "dst = 3"
+    assert out == out[:3] * 3
+
+
+@st.composite
+def mutated_instances(draw):
+    """A valid instance file with up to three random byte edits."""
+    n = draw(st.integers(2, 7))
+    m = draw(st.integers(1, 3))
+    arcs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1),
+                                   st.integers(1, m)),
+                         min_size=3, max_size=10, unique=True).map(
+        lambda raw: [(t, (t + d) % n, l) for t, d, l in raw]))
+    lines = [f"p dsa {n} {len(arcs)} {m}"] + [f"a {t} {h} {l}" for t, h, l in arcs]
+    data = bytearray("\n".join(lines).encode() + b"\n")
+    byte = st.one_of(st.sampled_from(b"0123456789 _-+#apdsx\t\n"), st.integers(0, 255))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.sampled_from(range(len(data) + 1)))
+        edit = draw(st.sampled_from(("replace", "insert", "delete")))
+        if edit == "insert":
+            data[at:at] = bytes([draw(byte)])
+        elif at < len(data):
+            data[at:at + 1] = b"" if edit == "delete" else bytes([draw(byte)])
+    return bytes(data)
+
+
+@settings(max_examples=200)
+@given(mutated_instances())
+def test_hostile_input_never_raises_or_exits_4(tmp_path_factory, data):
+    # numbers of at most four digits keep the vertex count at most 9,999
+    assume(re.search(r"[\d_]{5}", data.decode("utf-8", "replace")) is None)
+    path = tmp_path_factory.getbasetemp() / "hostile.dsa"
+    path.write_bytes(data)
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        assert main(["solve", str(path)]) != 4
+        assert main(["exact", str(path)]) != 4

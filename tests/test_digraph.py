@@ -47,6 +47,35 @@ def test_digraph_rejects_duplicates_unless_parallel():
     assert d.arc_count == 2
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: Digraph(-1, ()), "vertex_count must be non-negative"),
+    (lambda: Digraph(2, ((0, 1), (0, 2))), "arc 1 (0,2) out of vertex range"),
+    (lambda: Digraph(2, ((-1, 0),)), "arc 0 (-1,0) out of vertex range"),
+    (lambda: Digraph(3, ((0, 1), (1, 1), (0, 5))), "arc 1 is a self-loop at 1"),
+    (lambda: Digraph(3, ((0, 1), (1, 2), (0, 1), (1, 2))), "arc 2 duplicates (0,1)"),
+    (lambda: LabelledDigraph(-1, 1, ()), "vertex_count must be non-negative"),
+    (lambda: LabelledDigraph(2, 0, ()), "label_count must be positive"),
+    (lambda: LabelledDigraph(2, 1, ((0, 1, 1), (0, 3, 1))), "arc 1 (0,3) out of vertex range"),
+    (lambda: LabelledDigraph(2, 1, ((1, 1, 7),)), "arc 0 is a self-loop at 1"),
+    (lambda: LabelledDigraph(2, 2, ((0, 1, 1), (1, 0, 3))), "arc 1 label 3 outside 1..2"),
+    (lambda: LabelledDigraph(2, 2, ((0, 1, 0),)), "arc 0 label 0 outside 1..2"),
+    (lambda: LabelledDigraph(3, 2, ((0, 1, 1), (0, 1, 2), (1, 2, 1), (0, 1, 2))),
+     "arc 3 duplicates (0,1,2)"),
+])
+def test_constructor_error_text(make, message):
+    with pytest.raises(ValidateError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_constructors_store_arcs_as_tuples():
+    assert Digraph(3, [[0, 1], (1, 2)]).arcs == ((0, 1), (1, 2))
+    ld = LabelledDigraph(3, 2, iter([[0, 1, 2], (1, 2, 1)]))
+    assert ld.arcs == ((0, 1, 2), (1, 2, 1))
+    assert type(ld.arcs[0]) is tuple
+    assert ld.underlying.arcs == ((0, 1), (1, 2))
+
+
 def test_digon_is_allowed():
     d = Digraph(2, ((0, 1), (1, 0)))
     assert d.has_digon()

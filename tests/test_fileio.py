@@ -105,3 +105,51 @@ def test_write_digraph_emits_comments():
 def test_roundtrip_random_instances(n, m, k, seed):
     ld = random_labelled_dag(n, m, k, seed)
     assert roundtrip(ld) == ld
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("p dsa 2 0 1\n# c\np dsa 2 0 1\n", ParseError, "line 3: second problem line"),
+    ("p dsb 2 0 1\n", ParseError, "line 1: problem line must be 'p dsa <n> <arcs> <m>'"),
+    ("\np dsa 2 0\n", ParseError, "line 2: problem line must be 'p dsa <n> <arcs> <m>'"),
+    ("p dsa two 0 1\n", ParseError, "line 1: expected integer, got 'two'"),
+    ("p dsa 2 0 0\n", ParseError, "line 1: bad problem-line counts"),
+    ("p dsa -1 0 1\n", ParseError, "line 1: bad problem-line counts"),
+    ("p dsa 2 -1 1\n", ParseError, "line 1: bad problem-line counts"),
+    ("a 0 1\np dsa 2 1 1\n", ParseError, "line 1: arc line before problem line"),
+    ("a 0\n", ParseError, "line 1: arc line before problem line"),
+    ("p dsa 2 1 1\na 0\n", ParseError, "line 2: arc line must be 'a <tail> <head> [<label>]'"),
+    ("p dsa 2 1 1\na 0 1 1 1\n", ParseError,
+     "line 2: arc line must be 'a <tail> <head> [<label>]'"),
+    ("p dsa 2 1 1\na 0 x\n", ParseError, "line 2: expected integer, got 'x'"),
+    ("p dsa 2 1 1\na x 7 y\n", ParseError, "line 2: expected integer, got 'x'"),
+    ("p dsa 2 1 1\na 0 1 1.5\n", ParseError, "line 2: expected integer, got '1.5'"),
+    ("p dsa 2 1 1\na 0 1 #\n", ParseError, "line 2: expected integer, got '#'"),
+    ("p dsa 2 1 1\na 0 2\n", ParseError, "line 2: vertex id outside 0..1"),
+    ("p dsa 2 1 1\n\na -1 0\n", ParseError, "line 3: vertex id outside 0..1"),
+    ("p dsa 0 1 1\na 0 0\n", ParseError, "line 2: vertex id outside 0..-1"),
+    ("p dsa 2 1 2\na 0 1 3\n", ParseError, "line 2: label 3 outside 1..2"),
+    ("p dsa 2 1 2\na 0 1 0\n", ParseError, "line 2: label 0 outside 1..2"),
+    ("p dsa 2 1 1\na 1 1\n", ValidateError, "arc 0 is a self-loop at 1"),
+    ("p dsa 2 2 1\na 0 1\na 0 1 1\n", ValidateError, "arc 1 duplicates (0,1,1)"),
+    ("p dsa 2 2 1\na 0 1\n", ValidateError, "problem line promises 2 arcs, file has 1"),
+    ("p dsa 2 0 1\na 0 1\n", ValidateError, "problem line promises 0 arcs, file has 1"),
+    ("", ParseError, "line 0: missing problem line"),
+    ("# p dsa 2 0 1\n", ParseError, "line 0: missing problem line"),
+    ("p dsa 2 1 1\nq 0 1\n", ParseError, "line 2: unknown line type 'q'"),
+    ("p dsa 2 1 1\nA 0 1\n", ParseError, "line 2: unknown line type 'A'"),
+])
+def test_read_digraph_error_text(text, error, message):
+    with pytest.raises(error) as info:
+        read_digraph(io.StringIO(text))
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, arcs", [
+    ("#p dsa 9 9 9\n\t# indented\np dsa 3 2 2\n  #a 0 0\n#\na 0 1\n a 1 2 2 \n",
+     ((0, 1, 1), (1, 2, 2))),
+    ("p dsa 2 1 1\r\na 0 1\r\n", ((0, 1, 1),)),
+    ("p\tdsa 2 1 1\na\t1 0", ((1, 0, 1),)),
+])
+def test_read_digraph_skips_comment_tokens(text, arcs):
+    assert read_digraph(io.StringIO(text)).arcs == arcs
