@@ -27,9 +27,9 @@ from .errors import (AboveCapError, BadListsError, BadParamsError,
                      GalaxiaError, HasDigonError, HasK4Error, InfeasibleError,
                      InternalDefectError, InvalidColouringError,
                      NoApplicableAlgorithmError, NotCubicError, NotForestError,
-                     NotNiceError, NotSubcubicError, ParseError,
-                     PreconditionViolatedError, SizeOverflowError,
-                     TooLargeError, ValidateError)
+                     NotNiceError, NotSimpleError, NotSubcubicError,
+                     ParseError, PreconditionViolatedError,
+                     SizeOverflowError, TooLargeError, ValidateError)
 from .fibre import (FibreColouring, FibreViolation, WavelengthAssignment,
                     WavelengthViolation, expand_to_wavelength_assignment,
                     fibre_colouring_acyclic, fibre_colouring_smallm,

@@ -21,8 +21,8 @@ from typing import Iterable, Mapping
 
 from .colouring import ArcColouring
 from .digraph import Digraph, degree_profile, is_acyclic
-from .errors import (HasDigonError, InternalDefectError, NotSubcubicError,
-                     PreconditionViolatedError, ValidateError)
+from .errors import (HasDigonError, InternalDefectError, NotSimpleError,
+                     NotSubcubicError, PreconditionViolatedError)
 from .subcubic import brooks_three_colouring
 
 
@@ -41,7 +41,7 @@ def list_colouring_acyclic(d: Digraph,
     the lowest-index-first order.
     """
     if len(set(d.arcs)) != d.arc_count:
-        raise ValidateError("needs a simple digraph")
+        raise NotSimpleError("needs a simple digraph")
     profile = degree_profile(d)
     if profile.max_degree > 3:
         raise PreconditionViolatedError("digraph is not subcubic")
@@ -126,7 +126,7 @@ def acircuitic_colouring(d: Digraph) -> ArcColouring:
     degree three).
     """
     if len(set(d.arcs)) != d.arc_count:
-        raise ValidateError("needs a simple digraph")
+        raise NotSimpleError("needs a simple digraph")
     if d.has_digon():
         raise HasDigonError("digraph has a digon")
     profile = degree_profile(d)

@@ -32,7 +32,8 @@ from .digraph import Digraph, LabelledDigraph, degree_profile, is_acyclic
 from .errors import (AboveCapError, CyclicError, DegreeTooHighError,
                      GalaxiaError, HasDigonError, InternalDefectError,
                      InvalidColouringError, NoApplicableAlgorithmError,
-                     NotSubcubicError, PreconditionViolatedError)
+                     NotSimpleError, NotSubcubicError,
+                     PreconditionViolatedError)
 from .fibre import (FibreColouring, WavelengthAssignment,
                     expand_to_wavelength_assignment, fibre_colouring_acyclic,
                     fibre_colouring_smallm, upper_bound_acyclic,
@@ -417,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"no applicable algorithm: {exc}", file=sys.stderr)
         return 3
     except (CyclicError, NotSubcubicError, DegreeTooHighError, HasDigonError,
-            PreconditionViolatedError) as exc:
+            NotSimpleError, PreconditionViolatedError) as exc:
         print(f"algorithm does not apply: {exc}", file=sys.stderr)
         return 3
     except (AboveCapError, InvalidColouringError) as exc:

@@ -22,6 +22,8 @@ class ArcColouring:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "colour", MappingProxyType(dict(self.colour)))
+        if ints_within(self.colour.values(), 1, self.colour_count):
+            return
         for arc, c in self.colour.items():
             if not (1 <= c <= self.colour_count):
                 raise ValidateError(
@@ -35,6 +37,23 @@ class ArcColouring:
             return NotImplemented
         return (dict(self.colour) == dict(other.colour)
                 and self.colour_count == other.colour_count)
+
+
+def ints_within(values, low: int, high: float) -> bool:
+    """Whether every value is an int in low..high, by built-ins alone; the
+    value types' per-item loops run only when it fails, to name one."""
+    return set(map(type, values)) <= {int} and (
+        not values or (low <= min(values) and max(values) <= high))
+
+
+def arc_values(arc_count: int, mapping: Mapping[int, object], missing: str) -> tuple:
+    """mapping[0], ..., mapping[arc_count - 1]; a ValidateError names the
+    first arc the mapping lacks as 'arc i is <missing>'."""
+    try:
+        return tuple(map(mapping.__getitem__, range(arc_count)))
+    except KeyError:
+        arc = next(a for a in range(arc_count) if a not in mapping)
+        raise ValidateError(f"arc {arc} is {missing}") from None
 
 
 def from_class_list(classes: list[set[int]] | tuple[set[int], ...]) -> ArcColouring:

@@ -60,6 +60,29 @@ class Digraph:
         """In- and outdegree of every vertex; see degree_profile."""
         return _count_degrees(self.vertex_count, self.arcs)
 
+    @cached_property
+    def _sort(self) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
+        """(topological order, None), or (None, witness circuit): Kahn's
+        algorithm, always removing the lowest-id ready vertex."""
+        indeg = list(self.profile.indegree)
+        ready = [v for v in range(self.vertex_count) if indeg[v] == 0]
+        heapify(ready)
+        order: list[int] = []
+        out_arcs = self.out_arcs
+        arcs = self.arcs
+        while ready:
+            v = heappop(ready)
+            order.append(v)
+            for i in out_arcs[v]:
+                w = arcs[i][1]
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    heappush(ready, w)
+        if len(order) < self.vertex_count:
+            alive = {v for v in range(self.vertex_count) if indeg[v] > 0}
+            return None, _witness_circuit(self, alive)
+        return tuple(order), None
+
     def has_digon(self) -> bool:
         pairs = set(self.arcs)
         return any((h, t) in pairs for t, h in self.arcs)
@@ -259,36 +282,17 @@ def _witness_circuit(d: Digraph, alive: set[int]) -> tuple[int, ...]:
 def topological_order(d: Digraph) -> tuple[int, ...]:
     """Kahn's algorithm, always removing the lowest-id ready vertex.
 
-    Raises CyclicError with a witness circuit when no order exists.
+    Raises CyclicError with a witness circuit when no order exists.  The
+    sort runs once per digraph; is_acyclic reads the same result.
     """
-    indeg = [0] * d.vertex_count
-    for _, head in d.arcs:
-        indeg[head] += 1
-    ready = [v for v in range(d.vertex_count) if indeg[v] == 0]
-    heapify(ready)
-    order: list[int] = []
-    out_arcs = d.out_arcs
-    arcs = d.arcs
-    while ready:
-        v = heappop(ready)
-        order.append(v)
-        for i in out_arcs[v]:
-            w = arcs[i][1]
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heappush(ready, w)
-    if len(order) < d.vertex_count:
-        alive = {v for v in range(d.vertex_count) if indeg[v] > 0}
-        raise CyclicError(_witness_circuit(d, alive))
-    return tuple(order)
+    order, circuit = d._sort
+    if circuit is not None:
+        raise CyclicError(circuit)
+    return order
 
 
 def is_acyclic(d: Digraph) -> bool:
-    try:
-        topological_order(d)
-    except CyclicError:
-        return False
-    return True
+    return d._sort[1] is None
 
 
 def find_circuit_arcs(d: Digraph, removed: set[int] | None = None) -> tuple[int, ...] | None:

@@ -28,6 +28,10 @@ class ValidateError(GalaxiaError):
         self.reason = reason
 
 
+class NotSimpleError(ValidateError):
+    """An operation restricted to simple digraphs found parallel arcs."""
+
+
 class CyclicError(GalaxiaError):
     """Raised when an operation requires an acyclic digraph.
 

@@ -11,10 +11,13 @@ n-fibre colouring expands mechanically into a full assignment of
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
+from .colouring import arc_values, ints_within
 from .digraph import LabelledDigraph, degree_profile, topological_order
 from .errors import (BadParamsError, InternalDefectError, InvalidColouringError,
                      ValidateError)
@@ -33,6 +36,8 @@ class FibreColouring:
         object.__setattr__(self, "colour", MappingProxyType(dict(self.colour)))
         if self.n < 1:
             raise ValidateError("fibre count must be positive")
+        if ints_within(self.colour.values(), 1, self.colour_count):
+            return
         for arc, c in self.colour.items():
             if not (1 <= c <= self.colour_count):
                 raise ValidateError(
@@ -58,6 +63,12 @@ class WavelengthAssignment:
     def __post_init__(self) -> None:
         object.__setattr__(self, "triple",
                            MappingProxyType(dict(self.triple)))
+        triples = self.triple.values()
+        if set(map(type, triples)) <= {tuple} and set(map(len, triples)) == {3}:
+            wls, f_outs, f_ins = zip(*triples)
+            if (ints_within(wls, 1, math.inf)
+                    and ints_within(f_outs + f_ins, 1, self.n)):
+                return
         for arc, (wl, f_out, f_in) in self.triple.items():
             if wl < 1:
                 raise ValidateError(f"arc {arc} wavelength must be positive")
@@ -81,12 +92,6 @@ class WavelengthViolation(NamedTuple):
     second_arc: int
 
 
-def _check_total(ld: LabelledDigraph, mapping: Mapping[int, object]) -> None:
-    for arc in range(ld.arc_count):
-        if arc not in mapping:
-            raise ValidateError(f"arc {arc} is unassigned")
-
-
 def fibre_counts(ld: LabelledDigraph, fc: FibreColouring,
                  ) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
     """(in(v,ω), out(v,ω)) tables; out counts distinct labels."""
@@ -106,7 +111,14 @@ def verify_fibre_colouring(ld: LabelledDigraph, fc: FibreColouring,
 
     Scanned by ascending vertex then colour, so the witness is stable.
     """
-    _check_total(ld, fc.colour)
+    colours = arc_values(ld.arc_count, fc.colour, "unassigned")
+    if not colours:
+        return None
+    tails, heads, labels = zip(*ld.arcs)
+    load = Counter(zip(heads, colours))
+    load.update(map(itemgetter(0, 1), set(zip(tails, colours, labels))))
+    if max(load.values()) <= fc.n:
+        return None
     in_count, out_count = fibre_counts(ld, fc)
     keys = sorted(set(in_count) | set(out_count))
     for v, w in keys:
@@ -127,7 +139,16 @@ def verify_wavelength_assignment(ld: LabelledDigraph, wa: WavelengthAssignment,
     (iii) two arcs leaving v with different labels may not share
           (wavelength, fibre-at-v).
     """
-    _check_total(ld, wa.triple)
+    triples = arc_values(ld.arc_count, wa.triple, "unassigned")
+    if not triples:
+        return None
+    tails, heads, labels = zip(*ld.arcs)
+    wls, f_outs, f_ins = zip(*triples)
+    entering = set(zip(heads, wls, f_ins))
+    leaving = set(zip(tails, wls, f_outs))
+    if (len(entering) == ld.arc_count and entering.isdisjoint(leaving)
+            and len(leaving) == len(set(zip(tails, wls, f_outs, labels)))):
+        return None
     d = ld.underlying
     for v in range(ld.vertex_count):
         in_here: dict[tuple[int, int], int] = {}
@@ -188,51 +209,48 @@ def fibre_colouring_acyclic(ld: LabelledDigraph, n: int) -> FibreColouring:
     # colour wheel.  m*K can exceed total, so blocks wrap around; any
     # colour lands in at most ceil(m*K/total) <= n of the sets because
     # m*K <= n*total - k < n*total.
-    def initial_sets() -> list[list[int]]:
-        sets = []
-        pos = 0
-        for _ in range(m):
-            block = [(pos + t) % total + 1 for t in range(big_k)]
-            sets.append(block)
-            pos += big_k
-        return sets
+    generic = tuple(tuple((i * big_k + t) % total + 1 for t in range(big_k))
+                    for i in range(m))
 
-    potential: dict[int, list[list[int]]] = {}
+    potential: dict[int, tuple[tuple[int, ...], ...]] = {}
     colour_of: dict[int, int] = {}
-
+    # The in-arc colours and the rebuilt sets at v depend only on the
+    # sets its entering arcs draw from, in arc order, so vertices with
+    # the same entering pattern share one computation.
+    table: dict[tuple, tuple[list[int], tuple[tuple[int, ...], ...]]] = {}
+    arcs = ld.arcs
+    in_arcs = ld.underlying.in_arcs
     for v in order:
-        arcs_in = ld.underlying.in_arcs[v]
+        arcs_in = in_arcs[v]
         if not arcs_in:
-            potential[v] = initial_sets()
+            potential[v] = generic
             continue
-        adjacency = []
-        for arc in arcs_in:
-            tail, _, label = ld.arcs[arc]
-            # tails precede v in topological order, so their sets exist
-            adjacency.append([c - 1 for c in potential[tail][label - 1]])
-        assigned = capacitated_assignment(adjacency, [n] * total)
-        if assigned is None:
-            raise InternalDefectError(
-                "in-arc colour assignment infeasible; the counting "
-                "argument guarantees a placement")
-        load = [0] * (total + 1)  # this vertex's in-count per colour
-        for arc, c0 in zip(arcs_in, assigned):
-            colour_of[arc] = c0 + 1
-            load[c0 + 1] += 1
-        # residual sequence: colours ascending, colour c repeated
-        # n - load[c] times consecutively; C_i(v) takes every m-th entry.
-        # A colour runs at most n <= m long, so each set sees it once.
-        residual: list[int] = []
-        for c in range(1, total + 1):
-            residual.extend([c] * (n - load[c]))
-        sets_v: list[list[int]] = []
-        for i in range(m):
-            picks = residual[i::m][:big_k]
-            if len(picks) < big_k or len(set(picks)) < big_k:
+        # tails precede v in topological order, so their sets exist
+        key = tuple(potential[arcs[a][0]][arcs[a][2] - 1] for a in arcs_in)
+        if key not in table:
+            assigned = capacitated_assignment(
+                [[c - 1 for c in sets] for sets in key], [n] * total)
+            if assigned is None:
+                raise InternalDefectError(
+                    "in-arc colour assignment infeasible; the counting "
+                    "argument guarantees a placement")
+            load = [0] * (total + 1)  # this vertex's in-count per colour
+            for c0 in assigned:
+                load[c0 + 1] += 1
+            # residual: colours ascending, colour c repeated n - load[c]
+            # times; C_i(v) takes every m-th entry.  A colour runs at
+            # most n <= m long, so each set sees it once.
+            residual: list[int] = []
+            for c in range(1, total + 1):
+                residual.extend([c] * (n - load[c]))
+            sets_v = tuple(tuple(residual[i::m][:big_k]) for i in range(m))
+            if any(len(picks) < big_k or len(set(picks)) < big_k
+                   for picks in sets_v):
                 raise InternalDefectError(
                     "residual capacity too small to rebuild potential sets")
-            sets_v.append(picks)
-        potential[v] = sets_v
+            table[key] = [c0 + 1 for c0 in assigned], sets_v
+        colours, potential[v] = table[key]
+        colour_of.update(zip(arcs_in, colours))
 
     return FibreColouring(n, colour_of, total)
 
@@ -276,20 +294,21 @@ def expand_to_wavelength_assignment(ld: LabelledDigraph, fc: FibreColouring,
             f"fibre colouring invalid at vertex {violation.vertex}, "
             f"colour {violation.colour}: {violation.in_count}+"
             f"{violation.out_count} > {fc.n}")
+    colours = arc_values(ld.arc_count, fc.colour, "unassigned")
     taken: dict[tuple[int, int], int] = {}  # (vertex, colour) -> fibres used
     f_in: list[int] = []
-    for arc, (_, head, _) in enumerate(ld.arcs):
-        key = (head, fc[arc])
-        taken[key] = taken.get(key, 0) + 1
-        f_in.append(taken[key])
+    for (_, head, _), w in zip(ld.arcs, colours):
+        key = (head, w)
+        taken[key] = fibre = taken.get(key, 0) + 1
+        f_in.append(fibre)
     # every in-fibre is numbered before the first out-fibre is placed
     group_fibre: dict[tuple[int, int, int], int] = {}
     triples: dict[int, tuple[int, int, int]] = {}
-    for arc, (tail, _, label) in enumerate(ld.arcs):
-        w = fc[arc]
+    for arc, ((tail, _, label), w) in enumerate(zip(ld.arcs, colours)):
         group = (tail, w, label)
-        if group not in group_fibre:
-            taken[(tail, w)] = taken.get((tail, w), 0) + 1
-            group_fibre[group] = taken[(tail, w)]
-        triples[arc] = (w, group_fibre[group], f_in[arc])
+        fibre = group_fibre.get(group)
+        if fibre is None:
+            key = (tail, w)
+            taken[key] = group_fibre[group] = fibre = taken.get(key, 0) + 1
+        triples[arc] = (w, fibre, f_in[arc])
     return WavelengthAssignment(fc.n, triples)

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 from .colouring import ArcColouring, from_class_list
 from .digraph import Digraph, degree_profile, strong_components
 from .errors import (BadParamsError, InternalDefectError, NotForestError,
-                     NotNiceError, TooLargeError, ValidateError)
+                     NotNiceError, NotSimpleError, TooLargeError,
+                     ValidateError)
 
 
 def is_galaxy_arcs(d: Digraph, arc_set: frozenset[int] | set[int]) -> bool:
@@ -272,7 +273,7 @@ def _split_forest(d: Digraph, forest: frozenset[int] | set[int],
 def dst_upper_2k1(d: Digraph) -> ArcColouring:
     """Directed star colouring with at most 2*max_indegree + 1 colours."""
     if d.allow_parallel and len(set(d.arcs)) != d.arc_count:
-        raise ValidateError("2k+1 colouring needs a simple digraph")
+        raise NotSimpleError("2k+1 colouring needs a simple digraph")
     if d.arc_count == 0:
         return ArcColouring({}, 0)
     k = degree_profile(d).max_indegree

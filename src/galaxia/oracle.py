@@ -9,9 +9,10 @@ use at most one colour beyond those already placed.
 from __future__ import annotations
 
 import os
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
-from .colouring import ArcColouring
+from .colouring import ArcColouring, arc_values
 from .digraph import Digraph, LabelledDigraph, degree_profile, find_circuit_arcs
 from .errors import (AboveCapError, InternalDefectError, NotCubicError,
                      TooLargeError, ValidateError)
@@ -45,11 +46,14 @@ def verify_star_colouring(d: Digraph, colouring: ArcColouring,
     """None when every colour class is a galaxy, else the first clash.
 
     Scans vertices ascending; at each vertex converging pairs (rule ii)
-    are reported before consecutive pairs (rule i).
+    are reported before consecutive pairs (rule i).  The scan runs only
+    when a pass of built-ins has found a clash.
     """
-    for arc in range(d.arc_count):
-        if arc not in colouring.colour:
-            raise ValidateError(f"arc {arc} is uncoloured")
+    colours = arc_values(d.arc_count, colouring.colour, "uncoloured")
+    entering = set(zip(map(itemgetter(1), d.arcs), colours))
+    if (len(entering) == d.arc_count
+            and entering.isdisjoint(zip(map(itemgetter(0), d.arcs), colours))):
+        return None
     in_arcs = d.in_arcs
     out_arcs = d.out_arcs
     for v in range(d.vertex_count):
@@ -290,22 +294,45 @@ def find_bicoloured_circuit(d: Digraph, colouring: ArcColouring,
 
     Colour pairs are scanned in ascending lexicographic order; the
     witness is the first circuit of the first cyclic pair subdigraph.
+    Each pair is tested by a sort of its own arcs; only the first cyclic
+    one is searched for its circuit.
     """
-    for arc in range(d.arc_count):
-        if arc not in colouring.colour:
-            raise ValidateError(f"arc {arc} is uncoloured")
+    colours = arc_values(d.arc_count, colouring.colour, "uncoloured")
+    classes: dict[int, list[int]] = {}
+    for arc, c in enumerate(colours):
+        classes.setdefault(c, []).append(arc)
     palette = sorted(set(colouring.colour.values()))
     for a_pos, alpha in enumerate(palette):
         for beta in palette[a_pos:]:
-            keep = {i for i in range(d.arc_count)
-                    if colouring[i] in (alpha, beta)}
-            removed = set(range(d.arc_count)) - keep
-            circ = find_circuit_arcs(d, removed)
-            if circ is not None:
-                vertices = tuple(d.arcs[i][0] for i in circ)
-                k = vertices.index(min(vertices))
-                return vertices[k:] + vertices[:k]
+            keep = classes.get(alpha, [])
+            if beta != alpha:
+                keep = keep + classes.get(beta, [])
+            if _acyclic_arcs(d.arcs, keep):
+                continue
+            circ = find_circuit_arcs(d, set(range(d.arc_count)).difference(keep))
+            vertices = tuple(d.arcs[i][0] for i in circ)
+            k = vertices.index(min(vertices))
+            return vertices[k:] + vertices[:k]
     return None
+
+
+def _acyclic_arcs(arcs, keep: list[int]) -> bool:
+    """Whether the arcs numbered in `keep` form no circuit (Kahn)."""
+    heads: dict[int, list[int]] = {}
+    indegree: dict[int, int] = {}
+    for i in keep:
+        tail, head = arcs[i]
+        heads.setdefault(tail, []).append(head)
+        indegree[head] = indegree.get(head, 0) + 1
+    ready = [v for v in heads if v not in indegree]
+    removed = 0
+    while ready:
+        for w in heads.get(ready.pop(), ()):
+            removed += 1
+            indegree[w] -= 1
+            if not indegree[w]:
+                ready.append(w)
+    return removed == len(keep)
 
 
 def edge_colouring_3regular(vertex_count: int,

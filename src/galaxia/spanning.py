@@ -36,7 +36,8 @@ from typing import Mapping
 
 from .colouring import ArcColouring
 from .digraph import Digraph, degree_profile
-from .errors import DegreeTooHighError, InternalDefectError, ValidateError
+from .errors import (DegreeTooHighError, InternalDefectError, NotSimpleError,
+                     ValidateError)
 from .subcubic import star_colouring_subcubic
 
 
@@ -93,7 +94,7 @@ def spanning_galaxy(d: Digraph) -> Galaxy:
             f"in/outdegrees ({profile.max_indegree}, {profile.max_outdegree})"
             " exceed two")
     if len(set(d.arcs)) != d.arc_count:
-        raise ValidateError("needs a simple digraph")
+        raise NotSimpleError("needs a simple digraph")
     arcs, in_arcs, out_arcs = d.arcs, d.in_arcs, d.out_arcs
     degree = profile.degree
     heavy = [v for v in range(d.vertex_count) if degree[v] == 4]
@@ -243,6 +244,8 @@ def dst4_colouring(d: Digraph) -> ArcColouring:
         raise DegreeTooHighError(
             f"in/outdegrees ({profile.max_indegree}, {profile.max_outdegree})"
             " exceed two")
+    if len(set(d.arcs)) != d.arc_count:
+        raise NotSimpleError("needs a simple digraph")
     heavy = [v for v in range(d.vertex_count) if profile.degree[v] == 4]
     galaxy_idx: set[int] = set()
     if heavy:

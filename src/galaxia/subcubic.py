@@ -20,6 +20,7 @@ from .errors import (
     HasK4Error,
     InfeasibleError,
     InternalDefectError,
+    NotSimpleError,
     NotSubcubicError,
     PreconditionViolatedError,
     ValidateError,
@@ -472,7 +473,7 @@ def lemma_extension_colouring(d: Digraph,
     odd circuit whose entering arcs all carry the same 2-colour list.
     """
     if len(set(d.arcs)) != d.arc_count:
-        raise ValidateError("needs a simple digraph")
+        raise NotSimpleError("needs a simple digraph")
     profile = degree_profile(d)
     if profile.max_degree > 3:
         raise PreconditionViolatedError("digraph is not subcubic")
@@ -896,7 +897,7 @@ def star_colouring_subcubic(d: Digraph) -> ArcColouring:
     every vertex; raises NotSubcubicError otherwise.
     """
     if len(set(d.arcs)) != d.arc_count:
-        raise ValidateError("needs a simple digraph")
+        raise NotSimpleError("needs a simple digraph")
     profile = degree_profile(d)
     if profile.max_degree > 3:
         raise NotSubcubicError(

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from galaxia import (ArcColouring, FibreColouring, LabelledDigraph,
-                     WavelengthAssignment, fibre, read_digraph, write_digraph)
+                     WavelengthAssignment, digraph, fibre, read_digraph,
+                     write_digraph)
 from galaxia.cli import main
 
 
@@ -100,6 +101,47 @@ def test_solve_fibres_cyclic_large_m_exits_3(tmp_path, capsys):
     code = main(["solve", circuit_instance(tmp_path), "--fibres", "1"])
     assert code == 3
     assert "no applicable algorithm" in capsys.readouterr().err
+
+
+def parallel_arc_instance(tmp_path):
+    """Valid labelled input whose underlying digraph repeats the arc 0->1
+    (under two labels) and has a circuit, so no constructive theorem
+    covers it."""
+    path = tmp_path / "parallel.dsa"
+    path.write_text("p dsa 2 3 2\na 0 1\na 0 1 2\na 1 0 2\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("algorithm", ["auto", "2k1", "subcubic", "diregular4",
+                                       "acircuitic"])
+def test_solve_non_simple_digraph_exits_3(tmp_path, capsys, algorithm):
+    instance = parallel_arc_instance(tmp_path)
+    assert main(["solve", instance, "--algorithm", algorithm]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("algorithm does not apply: ")
+    assert "needs a simple digraph" in err
+    assert main(["exact", instance]) == 0
+    assert capsys.readouterr().out == "dst = 3\n"
+
+
+@pytest.mark.parametrize("argv", [["--fibres", "2"], []])
+def test_auto_solve_sorts_acyclic_instance_once(tmp_path, capsys, monkeypatch,
+                                                argv):
+    # Kahn's sort heapifies its ready list once per run
+    sorts = []
+    real = digraph.heapify
+
+    def counting(ready):
+        sorts.append(len(ready))
+        real(ready)
+
+    monkeypatch.setattr(digraph, "heapify", counting)
+    path = tmp_path / "dag.dsa"
+    write_instance(path, LabelledDigraph(4, 2, ((0, 2, 1), (1, 2, 2), (0, 3, 1),
+                                                (2, 3, 2))))
+    assert main(["solve", str(path), *argv]) == 0
+    assert "algorithm=acyclic" in capsys.readouterr().out
+    assert len(sorts) == 1
 
 
 def test_solve_parse_error_exits_2(tmp_path, capsys):

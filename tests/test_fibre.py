@@ -12,10 +12,12 @@ from galaxia import (
     InvalidColouringError,
     LabelledDigraph,
     WavelengthAssignment,
+    ValidateError,
     WavelengthViolation,
     degree_profile,
     exact_lambda_n,
     expand_to_wavelength_assignment,
+    fibre,
     fibre_colouring_acyclic,
     fibre_colouring_smallm,
     random_labelled_dag,
@@ -144,10 +146,88 @@ def test_expand_rejects_invalid_colouring():
         expand_to_wavelength_assignment(ld, FibreColouring(1, {0: 1, 1: 1}, 1))
 
 
+# Colourings recorded before the per-vertex step was memoised; arc i's
+# colour is digit i.
+@pytest.mark.parametrize("vertices, m, k, seed, n, colour_count, colours", [
+    (40, 2, 3, 1, 2, 4, "111223313211212112121211121221111311121222321123121"
+                        "112211132112121132212221112"),
+    (30, 3, 4, 2, 2, 5, "31122113113523522131212243221212212122131215"),
+    (25, 2, 2, 3, 1, 6, "1134214233111122313342"),
+])
+def test_acyclic_colouring_pinned(vertices, m, k, seed, n, colour_count, colours):
+    ld = random_labelled_dag(vertices, m, k, seed)
+    fc = fibre_colouring_acyclic(ld, n)
+    assert fc.colour_count == colour_count
+    assert "".join(str(fc[arc]) for arc in range(ld.arc_count)) == colours
+
+
+def test_acyclic_assigns_each_entering_pattern_once(monkeypatch):
+    # 146 vertices have entering arcs, but only 59 distinct assignment
+    # inputs arise; each is solved once
+    inputs = []
+    real = fibre.capacitated_assignment
+
+    def counting(adjacency, capacity):
+        inputs.append(tuple(map(tuple, adjacency)))
+        return real(adjacency, capacity)
+
+    monkeypatch.setattr(fibre, "capacitated_assignment", counting)
+    ld = random_labelled_dag(200, 2, 3, 5)
+    fc = fibre_colouring_acyclic(ld, 2)
+    assert check_pipeline(ld, fc)
+    assert len(inputs) == len(set(inputs)) == 59
+    assert sum(map(bool, degree_profile(ld).indegree)) == 146
+
+
 def test_verify_fibre_reports_first_violation():
     ld = LabelledDigraph(3, 1, ((0, 2, 1), (1, 2, 1)))
     fc = FibreColouring(1, {0: 1, 1: 1}, 1)
     assert verify_fibre_colouring(ld, fc) == FibreViolation(2, 1, 2, 0)
+
+
+def test_verify_fibre_first_violation_by_vertex_then_colour():
+    # (3, 1) and (3, 2) are overloaded through lower-numbered arcs, but
+    # (1, 3) comes first in (vertex, colour) order
+    ld = LabelledDigraph(4, 2, ((0, 3, 1), (1, 3, 1), (3, 2, 1), (3, 1, 2),
+                                (0, 1, 1), (2, 1, 1)))
+    fc = FibreColouring(1, {0: 2, 1: 2, 2: 1, 3: 1, 4: 3, 5: 3}, 3)
+    assert verify_fibre_colouring(ld, fc) == FibreViolation(1, 3, 2, 0)
+
+
+@pytest.mark.parametrize("check, output, message", [
+    (verify_fibre_colouring, FibreColouring(1, {0: 1}, 1), "arc 1 is unassigned"),
+    (expand_to_wavelength_assignment, FibreColouring(1, {1: 1}, 1),
+     "arc 0 is unassigned"),
+    (verify_wavelength_assignment, WavelengthAssignment(1, {2: (1, 1, 1)}),
+     "arc 0 is unassigned"),
+])
+def test_partial_output_names_first_missing_arc(check, output, message):
+    ld = LabelledDigraph(3, 1, ((0, 1, 1), (1, 2, 1), (2, 0, 1)))
+    with pytest.raises(ValidateError) as info:
+        check(ld, output)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: FibreColouring(1, {0: 1, 1: 3}, 2), "arc 1 has colour 3 outside 1..2"),
+    (lambda: FibreColouring(1, {0: 0}, 1), "arc 0 has colour 0 outside 1..1"),
+    (lambda: WavelengthAssignment(2, {0: (0, 1, 1)}),
+     "arc 0 wavelength must be positive"),
+    (lambda: WavelengthAssignment(2, {0: (1, 1, 1), 1: (1, 3, 1)}),
+     "arc 1 fibre outside 1..2"),
+])
+def test_value_types_name_first_bad_arc(make, message):
+    with pytest.raises(ValidateError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_verify_wavelength_condition_i_reports_sorted_pair():
+    # at vertex 1 the leaving arc 0 and the entering arc 1 share
+    # (wavelength 1, fibre 1); the record lists the lower arc first
+    ld = LabelledDigraph(3, 1, ((1, 2, 1), (0, 1, 1)))
+    wa = WavelengthAssignment(1, {0: (1, 1, 1), 1: (1, 1, 1)})
+    assert verify_wavelength_assignment(ld, wa) == WavelengthViolation("i", 0, 1)
 
 
 def test_verify_wavelength_condition_ii():

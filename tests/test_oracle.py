@@ -45,6 +45,27 @@ def test_verify_star_rule_ii():
     assert violation == StarViolation("ii", 0, 1)
 
 
+def test_verify_star_rule_ii_before_rule_i_at_one_vertex():
+    # at vertex 2 the consecutive pair (1, 0) has the lower arc, but the
+    # converging pair (1, 2) is reported first
+    d = Digraph(4, ((2, 3), (0, 2), (1, 2)))
+    col = ArcColouring({0: 1, 1: 1, 2: 1}, 1)
+    assert verify_star_colouring(d, col) == StarViolation("ii", 1, 2)
+
+
+@pytest.mark.parametrize("check", [verify_star_colouring, find_bicoloured_circuit])
+def test_partial_colouring_names_first_uncoloured_arc(check):
+    with pytest.raises(ValidateError) as info:
+        check(circuit(3), ArcColouring({0: 1, 2: 1}, 1))
+    assert str(info.value) == "arc 1 is uncoloured"
+
+
+def test_arc_colouring_names_first_colour_out_of_range():
+    with pytest.raises(ValidateError) as info:
+        ArcColouring({0: 1, 1: 3, 2: 0}, 2)
+    assert str(info.value) == "arc 1 has colour 3 outside 1..2"
+
+
 def test_verify_star_rejects_partial():
     with pytest.raises(ValidateError):
         verify_star_colouring(circuit(3), ArcColouring({0: 1}, 1))
@@ -144,6 +165,14 @@ def test_bicoloured_circuit_acyclic():
     d = Digraph(3, ((0, 1), (1, 2), (0, 2)))
     col = ArcColouring({0: 1, 1: 2, 2: 2}, 2)
     assert find_bicoloured_circuit(d, col) is None
+
+
+def test_bicoloured_circuit_monochromatic_pair_first():
+    # colour 1 alone closes 3->4->5; the pair (1, 2) also closes 0->1->2,
+    # which a search from vertex 0 would report, but (1, 1) comes first
+    d = Digraph(6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)))
+    col = ArcColouring({0: 1, 1: 2, 2: 2, 3: 1, 4: 1, 5: 1}, 2)
+    assert find_bicoloured_circuit(d, col) == (3, 4, 5)
 
 
 def k4_edges():
