@@ -23,7 +23,7 @@ from .colouring import ArcColouring
 from .digraph import Digraph, degree_profile, is_acyclic
 from .errors import (HasDigonError, InternalDefectError, NotSimpleError,
                      NotSubcubicError, PreconditionViolatedError)
-from .subcubic import brooks_three_colouring
+from .subcubic import _functional_cycles, brooks_three_colouring
 
 
 def list_colouring_acyclic(d: Digraph,
@@ -91,33 +91,6 @@ def list_colouring_acyclic(d: Digraph,
     return ArcColouring(colours, max(colours.values(), default=0))
 
 
-def _part_circuits(next_of: dict[int, tuple[int, int]]) -> list[list[int]]:
-    """Cycles of a partial successor function, as lists of arc indices.
-
-    next_of maps a vertex to (arc index, next vertex); circuits inside
-    one part of the split are exactly these cycles since each vertex has
-    at most one successor there.
-    """
-    state: dict[int, int] = {}  # 1 on the current walk, 2 settled
-    cycles: list[list[int]] = []
-    for start in sorted(next_of):
-        if start in state:
-            continue
-        path: list[int] = []
-        pos: dict[int, int] = {}
-        v = start
-        while v in next_of and v not in state:
-            pos[v] = len(path)
-            path.append(v)
-            state[v] = 1
-            v = next_of[v][1]
-        if state.get(v) == 1:
-            cycles.append([next_of[w][0] for w in path[pos[v]:]])
-        for w in path:
-            state[w] = 2
-    return cycles
-
-
 def acircuitic_colouring(d: Digraph) -> ArcColouring:
     """Directed star colouring with at most 4 colours, no bicoloured
     circuit, and the colour-4 class a matching.
@@ -151,7 +124,9 @@ def acircuitic_colouring(d: Digraph) -> ArcColouring:
                 raise InternalDefectError(
                     f"vertex {h} has two in-arcs despite indegree one")
             pred2[h] = (i, t)
-    for cycle in _part_circuits(succ1) + _part_circuits(pred2):
+    # circuits inside one part are the cycles of these partial maps,
+    # since each vertex has at most one successor there
+    for _, cycle in _functional_cycles(succ1) + _functional_cycles(pred2):
         four.add(min(cycle))
 
     ends: set[int] = set()

@@ -301,7 +301,7 @@ def find_bicoloured_circuit(d: Digraph, colouring: ArcColouring,
     classes: dict[int, list[int]] = {}
     for arc, c in enumerate(colours):
         classes.setdefault(c, []).append(arc)
-    palette = sorted(set(colouring.colour.values()))
+    palette = sorted(classes)
     for a_pos, alpha in enumerate(palette):
         for beta in palette[a_pos:]:
             keep = classes.get(alpha, [])

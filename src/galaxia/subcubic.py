@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 from .colouring import ArcColouring
 from .digraph import Digraph, degree_profile, strong_components
@@ -49,9 +49,10 @@ def _greedy_fill(adj: list[set[int]], order: Iterable[int],
                 f"vertex {v} saw all three colours during greedy fill")
 
 
-def _reverse_bfs(adj: list[set[int]], root: int,
-                 allowed: set[int]) -> list[int]:
-    """Vertices of `allowed` reachable from root, root last."""
+def _bfs(adj: Sequence[set[int]] | Mapping[int, set[int]], root: int,
+         allowed: Container[int]) -> list[int]:
+    """Vertices of `allowed` reachable from root inside it, in
+    breadth-first order from root, neighbours taken ascending."""
     seen = {root}
     queue = [root]
     for v in queue:
@@ -59,23 +60,13 @@ def _reverse_bfs(adj: list[set[int]], root: int,
             if u in allowed and u not in seen:
                 seen.add(u)
                 queue.append(u)
-    queue.reverse()
     return queue
 
 
 def _component_connected_without(adj: list[set[int]], comp: list[int],
                                  banned: set[int]) -> bool:
     rest = [v for v in comp if v not in banned]
-    if not rest:
-        return True
-    seen = {rest[0]}
-    queue = [rest[0]]
-    for v in queue:
-        for u in adj[v]:
-            if u not in banned and u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return len(seen) == len(rest)
+    return not rest or len(_bfs(adj, rest[0], set(rest))) == len(rest)
 
 
 def _brooks_component(adj: list[set[int]], comp: list[int],
@@ -86,7 +77,7 @@ def _brooks_component(adj: list[set[int]], comp: list[int],
 
     low = [v for v in comp if len(adj[v]) <= 2]
     if low:
-        _greedy_fill(adj, _reverse_bfs(adj, min(low), compset), colours)
+        _greedy_fill(adj, _bfs(adj, min(low), compset)[::-1], colours)
         return
 
     # Cubic component.  A cut vertex lets us colour the pieces
@@ -109,7 +100,7 @@ def _brooks_component(adj: list[set[int]], comp: list[int],
                 if not _component_connected_without(adj, comp, {u, w}):
                     continue
                 colours[u] = colours[w] = 1
-                _greedy_fill(adj, _reverse_bfs(adj, v, compset - {u, w}),
+                _greedy_fill(adj, _bfs(adj, v, compset - {u, w})[::-1],
                              colours)
                 return
     raise InternalDefectError("no admissible pair in a cubic component")
@@ -120,14 +111,7 @@ def _split_on_cut_vertex(adj: list[set[int]], comp: list[int], cut: int,
     remaining = set(comp) - {cut}
     target = 0
     while remaining:
-        seed = min(remaining)
-        part = {seed}
-        queue = [seed]
-        for v in queue:
-            for u in adj[v]:
-                if u != cut and u not in part:
-                    part.add(u)
-                    queue.append(u)
+        part = set(_bfs(adj, min(remaining), remaining))
         remaining -= part
         part.add(cut)
         sub_adj = [adj[v] & part if v in part else set()
@@ -179,14 +163,8 @@ def brooks_three_colouring(vertex_count: int,
     for v0 in range(vertex_count):
         if v0 in done:
             continue
-        comp = {v0}
-        queue = [v0]
-        for v in queue:
-            for u in adj[v]:
-                if u not in comp:
-                    comp.add(u)
-                    queue.append(u)
-        done |= comp
+        comp = _bfs(adj, v0, range(vertex_count))
+        done.update(comp)
         if len(comp) == 1:
             colours[v0] = 1
         else:
@@ -311,11 +289,11 @@ def lemma_cycle_colouring(circuit: Digraph,
 # ---------------------------------------------------------------------------
 # List-extension engine.
 #
-# Records map an arc key to [tail, head, set of allowed colours].  The
-# engine repeatedly takes a terminal strong component of what is left:
-# a lone sink gets its in-arcs coloured pairwise distinct from their
-# lists, a circuit is solved exactly together with its entering arcs.
-# Whenever an arc u->v is coloured, its colour is struck from the
+# The engine colours the arcs of a digraph from per-arc colour lists.
+# It repeatedly takes a terminal strong component of the uncoloured
+# arcs: a lone sink gets its in-arcs coloured pairwise distinct from
+# their lists, a circuit is solved exactly together with its entering
+# arcs.  Whenever an arc u->v is coloured, its colour is struck from the
 # lists of the arcs entering u.
 
 
@@ -326,22 +304,13 @@ def _distinct_assignment(lists: list[list[int]]) -> tuple[int, ...] | None:
     return None
 
 
-def _strike_at_tail(records: dict[int, list], by_head: dict[int, set[int]],
-                    tail: int, colour: int) -> None:
-    for k in by_head.get(tail, ()):
-        rec = records[k]
-        rec[2].discard(colour)
-        if not rec[2]:
-            raise InternalDefectError(
-                f"arc {k} lost its last colour during propagation")
-
-
-def _extension_engine(records: dict[int, list]) -> dict[int, int]:
-    """Colour every record, taking strong components sinks first.
+def _extension_engine(e: Digraph, lists: list[set[int]]) -> dict[int, int]:
+    """Colour every arc of e from lists[arc], taking strong components
+    sinks first; the lists are struck in place.
 
     One Tarjan pass orders the components; they are consumed in the
     order it emits them, which is reverse topological, so each one is
-    terminal among the records left when its turn comes.  Any such
+    terminal among the uncoloured arcs when its turn comes.  Any such
     order gives the same colours as always taking the first terminal
     component of what is left.  Taking a component colours exactly the
     arcs whose heads lie in it, from their lists, and strikes each new
@@ -350,80 +319,65 @@ def _extension_engine(records: dict[int, list]) -> dict[int, int]:
     component or downstream of it.  Every reverse topological order has
     coloured all of those, with the same colours by induction, before
     w's component comes up, and a component incomparable with it strikes
-    none of its lists.  A vertex whose arcs all went downstream is a
-    source of what is left and is skipped.
+    none of its lists.  A vertex without entering arcs is skipped.  The
+    arcs entering a component, and those entering the tail of an arc
+    into it, are all uncoloured when it comes up, since their heads lie
+    in it or upstream of it.
     """
     colours: dict[int, int] = {}
-    by_head: dict[int, set[int]] = {}
-    by_tail: dict[int, set[int]] = {}
-    for k, (t, h, _) in records.items():
-        by_head.setdefault(h, set()).add(k)
-        by_tail.setdefault(t, set()).add(k)
+    arcs, in_arcs, out_arcs = e.arcs, e.in_arcs, e.out_arcs
 
-    def drop(k: int) -> None:
-        t, h, _ = records.pop(k)
-        by_tail[t].discard(k)
-        by_head[h].discard(k)
+    def strike(tail: int, colour: int) -> None:
+        for a in in_arcs[tail]:
+            lists[a].discard(colour)
+            if not lists[a]:
+                raise InternalDefectError(
+                    f"arc {a} lost its last colour during propagation")
 
-    verts = sorted(by_head.keys() | by_tail.keys())
-    remap = {v: i for i, v in enumerate(verts)}
-    dense = Digraph(len(verts),
-                    tuple((remap[records[k][0]], remap[records[k][1]])
-                          for k in sorted(records)))
-    for comp in strong_components(dense):
-        comp_verts = [verts[i] for i in comp]
-
-        if len(comp_verts) == 1:
-            v = comp_verts[0]
-            in_keys = sorted(by_head.get(v, ()))
-            if not in_keys:
+    for comp in strong_components(e):
+        if len(comp) == 1:
+            v = comp[0]
+            if not in_arcs[v]:
                 continue
             assignment = _distinct_assignment(
-                [sorted(records[k][2]) for k in in_keys])
+                [sorted(lists[a]) for a in in_arcs[v]])
             if assignment is None:
                 raise InternalDefectError(
                     f"no distinct colours for the arcs into {v}")
-            tails = [records[k][0] for k in in_keys]
-            for k, c in zip(in_keys, assignment):
-                colours[k] = c
-                drop(k)
-            for t, c in zip(tails, assignment):
-                _strike_at_tail(records, by_head, t, c)
+            for a, c in zip(in_arcs[v], assignment):
+                colours[a] = c
+                strike(arcs[a][0], c)
             continue
 
         # Terminal component on several vertices: must be a circuit.
-        comp_set = set(comp_verts)
-        seq = [min(comp_set)]
-        circ_keys = []
+        seq = [comp[0]]
+        circ = []
         while True:
-            outs = sorted(by_tail.get(seq[-1], ()))
+            outs = [a for a in out_arcs[seq[-1]] if a not in colours]
             if len(outs) != 1:
                 raise InternalDefectError(
                     f"vertex {seq[-1]} of a terminal component has "
                     f"{len(outs)} out-arcs")
-            k = outs[0]
-            circ_keys.append(k)
-            nxt = records[k][1]
+            circ.append(outs[0])
+            nxt = arcs[outs[0]][1]
             if nxt == seq[0]:
                 break
             seq.append(nxt)
-        if len(seq) != len(comp_set):
+        if len(seq) != len(comp):
             raise InternalDefectError("terminal component is not a circuit")
 
         entering: list[int | None] = []
         vertex_lists: list[Sequence[int]] = []
         arc_lists: list[Sequence[int]] = []
         for i, v in enumerate(seq):
-            into = sorted(by_head.get(v, ()))
-            circ_in = circ_keys[(i - 1) % len(seq)]
-            extra = [k for k in into if k != circ_in]
+            extra = [a for a in in_arcs[v] if a != circ[i - 1]]
             if len(extra) > 1:
                 raise InternalDefectError(
                     f"circuit vertex {v} has several entering arcs")
             entering.append(extra[0] if extra else None)
-            vertex_lists.append(sorted(records[extra[0]][2]) if extra
+            vertex_lists.append(sorted(lists[extra[0]]) if extra
                                 else COLOURS)
-            arc_lists.append(sorted(records[circ_keys[i]][2]))
+            arc_lists.append(sorted(lists[circ[i]]))
 
         solution = _cycle_dp(vertex_lists, arc_lists)
         if solution is None:
@@ -431,17 +385,12 @@ def _extension_engine(records: dict[int, list]) -> dict[int, int]:
                 "odd circuit whose entering arcs all carry the same "
                 "two-colour list")
         arc_cols, vert_cols = solution
-        strikes = []
-        for i, k in enumerate(circ_keys):
-            colours[k] = arc_cols[i]
-            drop(k)
-        for i, k in enumerate(entering):
-            if k is not None:
-                colours[k] = vert_cols[i]
-                strikes.append((records[k][0], vert_cols[i], k))
-                drop(k)
-        for t, c, _ in sorted(strikes, key=lambda s: s[2]):
-            _strike_at_tail(records, by_head, t, c)
+        colours.update(zip(circ, arc_cols))
+        strikes = sorted((a, c) for a, c in zip(entering, vert_cols)
+                         if a is not None)
+        colours.update(strikes)
+        for a, c in strikes:
+            strike(arcs[a][0], c)
     return colours
 
 
@@ -506,9 +455,7 @@ def lemma_extension_colouring(d: Digraph,
                         f"initial arcs {group[x]} and {group[y]} into "
                         f"{h} do not cover all three colours")
 
-    records = {i: [t, h, set(norm[i])]
-               for i, (t, h) in enumerate(d.arcs)}
-    colours = _extension_engine(records)
+    colours = _extension_engine(d, [set(lst) for lst in norm])
     for i in range(d.arc_count):
         if colours[i] not in norm[i]:
             raise InternalDefectError(f"arc {i} coloured off its list")
@@ -517,6 +464,13 @@ def lemma_extension_colouring(d: Digraph,
 
 # ---------------------------------------------------------------------------
 # The full pipeline.
+#
+# Every stage reads a Digraph's arc buckets.  A stage that keeps some
+# arcs of its digraph goes on with the sub-digraph of those arcs, whose
+# arcs and touched vertices are renumbered in ascending order, so that
+# every tie-break by index falls as it would in the whole digraph.  Next
+# to each sub-digraph runs `ids`, its arcs' indices in the input, which
+# index the run's one colour list (0 while an arc is uncoloured).
 
 
 def _functional_cycles(step: dict[int, tuple[int, int]],
@@ -554,35 +508,57 @@ def _functional_cycles(step: dict[int, tuple[int, int]],
     return cycles
 
 
-def _free_colours(key: int, arcs: Mapping[int, tuple[int, int]],
-                  colours: Mapping[int, int],
-                  by_head: Mapping[int, Sequence[int]],
-                  by_tail: Mapping[int, Sequence[int]]) -> list[int]:
-    t, h = arcs[key]
-    forbidden = set()
-    for j in by_head.get(h, ()):
-        if j != key and j in colours:
-            forbidden.add(colours[j])
-    for j in by_tail.get(h, ()):
-        if j in colours:
-            forbidden.add(colours[j])
-    for j in by_head.get(t, ()):
-        if j in colours:
-            forbidden.add(colours[j])
-    return [c for c in COLOURS if c not in forbidden]
+def _sub(g: Digraph, ids: Sequence[int], keep: Sequence[int],
+         ) -> tuple[Digraph, list[int]]:
+    """The arcs `keep` (ascending) of g on the vertices they touch, both
+    renumbered in ascending order, and the input index of each arc."""
+    arcs = g.arcs
+    verts = sorted({v for a in keep for v in arcs[a]})
+    index = {v: i for i, v in enumerate(verts)}
+    return (Digraph(len(verts), tuple((index[arcs[a][0]], index[arcs[a][1]])
+                                      for a in keep)),
+            [ids[a] for a in keep])
 
 
-def _peel(arcs: dict[int, tuple[int, int]],
-          by_head: dict[int, list[int]], by_tail: dict[int, list[int]],
-          ) -> tuple[dict[int, tuple[int, int]], list[tuple[str, list[int]]]]:
+def _free_colours(d: Digraph, colour: list[int], a: int) -> list[int]:
+    """Colours the uncoloured arc a of d can take next to its coloured
+    neighbours: arcs into either end of a, and arcs out of its head."""
+    t, h = d.arcs[a]
+    taken = set(map(colour.__getitem__,
+                    d.in_arcs[h] + d.out_arcs[h] + d.in_arcs[t]))
+    return [c for c in COLOURS if c not in taken]
+
+
+def _first_completion(d: Digraph, colour: list[int],
+                      todo: Sequence[int]) -> bool:
+    """Colour the arcs `todo` of d, returning whether some choice fits.
+
+    The choice is the first that fits in product(COLOURS, repeat=...)
+    order.  Whether two arcs' colours fit is one symmetric test per pair,
+    so backtracking over the arcs in order, each tried against those
+    set before it, meets that choice first.
+    """
+    if not todo:
+        return True
+    a = todo[0]
+    for c in _free_colours(d, colour, a):
+        colour[a] = c
+        if _first_completion(d, colour, todo[1:]):
+            return True
+    colour[a] = 0
+    return False
+
+
+def _peel(g: Digraph) -> tuple[list[int], list[tuple[str, list[int]]]]:
     """Peel sources and even circuits of the low-indegree part.
 
-    Returns the arcs left and the peeled batches in peeling order.
-    Sources go in layers: each batch is every live arc whose tail has no
-    live entering arc.
+    Returns the arcs left, ascending, and the peeled batches in peeling
+    order.  Sources go in layers: each batch is every live arc whose
+    tail has no live entering arc.
     """
-    live = dict(arcs)
-    indeg = {v: len(ks) for v, ks in by_head.items()}
+    arcs, in_arcs, out_arcs = g.arcs, g.in_arcs, g.out_arcs
+    live = [True] * g.arc_count
+    indeg = list(g.profile.indegree)
     deferred: list[tuple[str, list[int]]] = []
 
     def peel_sources(frontier: Iterable[int]) -> list[int]:
@@ -590,14 +566,15 @@ def _peel(arcs: dict[int, tuple[int, int]],
         arcs; return the heads whose indegree fell."""
         touched = []
         while True:
-            batch = sorted(k for v in frontier for k in by_tail.get(v, ())
-                           if k in live)
+            batch = sorted(a for v in frontier for a in out_arcs[v]
+                           if live[a])
             if not batch:
                 return touched
             deferred.append(("sources", batch))
             frontier = []
-            for k in batch:
-                h = live.pop(k)[1]
+            for a in batch:
+                live[a] = False
+                h = arcs[a][1]
                 indeg[h] -= 1
                 touched.append(h)
                 if indeg[h] == 0:
@@ -627,8 +604,8 @@ def _peel(arcs: dict[int, tuple[int, int]],
             v = low[v]
         return v
 
-    def link(h: int, k: int, t: int) -> None:
-        step[h] = (k, t)
+    def link(h: int, a: int, t: int) -> None:
+        step[h] = (a, t)
         rh, rt = find(h), find(t)
         low[rh] = rt
         key = least[rt] = min(least.pop(rh, h), h, least.get(rt, h))
@@ -647,94 +624,97 @@ def _peel(arcs: dict[int, tuple[int, int]],
 
     def make_low(w: int) -> None:
         low[w] = w
-        k = next(k for k in by_head[w] if k in live)
-        if arcs[k][0] in low:
-            link(w, k, arcs[k][0])
-        for k in by_tail.get(w, ()):
-            x = arcs[k][1]
-            if k in live and x in low and x not in step:
-                link(x, k, w)
+        a = next(a for a in in_arcs[w] if live[a])
+        if arcs[a][0] in low:
+            link(w, a, arcs[a][0])
+        for a in out_arcs[w]:
+            x = arcs[a][1]
+            if live[a] and x in low and x not in step:
+                link(x, a, w)
 
-    peel_sources([v for v in by_tail if v not in indeg])
-    for v, count in indeg.items():
-        if count == 1:
+    peel_sources([v for v in range(g.vertex_count) if indeg[v] == 0])
+    for v in range(g.vertex_count):
+        if indeg[v] == 1:
             make_low(v)
     while heap:
         key, root = heappop(heap)
         if circuit_key.get(root) != key:
             continue
         del circuit_key[root]
-        keys = circuits.pop(root)
+        circ = circuits.pop(root)
         # the circuit follows entering arcs, so flip to arc order
-        deferred.append(("circuit", keys[::-1]))
-        for k in keys:
-            indeg[live.pop(k)[1]] -= 1
-        for w in set(peel_sources([arcs[k][1] for k in keys])):
+        deferred.append(("circuit", circ[::-1]))
+        for a in circ:
+            live[a] = False
+            indeg[arcs[a][1]] -= 1
+        for w in set(peel_sources([arcs[a][1] for a in circ])):
             if indeg[w] == 1:
                 make_low(w)
-    return live, deferred
+    return [a for a in range(g.arc_count) if live[a]], deferred
 
 
-def _colour_subcubic_arcs(arcs: dict[int, tuple[int, int]]) -> dict[int, int]:
-    """Star-colour an arbitrary subcubic arc set with colours 1..3."""
-    by_head: dict[int, list[int]] = {}
-    by_tail: dict[int, list[int]] = {}
-    for k in sorted(arcs):
-        t, h = arcs[k]
-        by_tail.setdefault(t, []).append(k)
-        by_head.setdefault(h, []).append(k)
+def _colour_subcubic(d: Digraph) -> list[int]:
+    """Star-colour a subcubic digraph with colours 1..3, listed by arc.
 
-    # Both kinds of peeled arcs keep at least one free colour whenever
-    # they are put back, so they are completed after everything else.
-    live, deferred = _peel(arcs, by_head, by_tail)
-    colours: dict[int, int] = {}
-    if live:
-        colours.update(_colour_core(live, arcs))
+    Each level peels its digraph and colours the core left.  A complete
+    component of the core's conflict graph instead cuts the arcs at its
+    four vertices out of the core, and the next level runs on the rest.
+    Peeled and cut arcs keep a free colour whenever they are put back,
+    so they are completed in reverse order, in d: every arc outside the
+    level that peeled or cut an arc is still uncoloured then.
+    """
+    colour = [0] * d.arc_count
+    batches = []  # peeled and cut arcs in order, by input index
+    g, ids = d, list(range(d.arc_count))
+    while True:
+        live, peeled = _peel(g)
+        batches += [(kind, [ids[a] for a in batch]) for kind, batch in peeled]
+        g, ids = _sub(g, ids, live)
+        removed = _colour_core(g, ids, colour) if live else None
+        if removed is None:
+            break
+        batches.append(("cut", [ids[a] for a in removed]))
+        cut = set(removed)
+        g, ids = _sub(g, ids, [a for a in range(g.arc_count) if a not in cut])
 
-    for kind, batch in reversed(deferred):
+    for kind, batch in reversed(batches):
         if kind == "sources":
-            for k in batch:
-                free = _free_colours(k, arcs, colours, by_head, by_tail)
+            for a in batch:
+                free = _free_colours(d, colour, a)
                 if not free:
                     raise InternalDefectError(
-                        f"deferred arc {k} has no free colour")
-                colours[k] = free[0]
-        else:
+                        f"deferred arc {a} has no free colour")
+                colour[a] = free[0]
+        elif kind == "circuit":
             lists = []
-            for k in batch:
-                free = _free_colours(k, arcs, colours, by_head, by_tail)
+            for a in batch:
+                free = _free_colours(d, colour, a)
                 if len(free) < 2:
                     raise InternalDefectError(
-                        f"circuit arc {k} kept fewer than two colours")
+                        f"circuit arc {a} kept fewer than two colours")
                 lists.append(free)
             solution = _cycle_dp([COLOURS] * len(batch), lists)
             if solution is None:
-                raise InternalDefectError(
-                    "even circuit completion failed")
-            for k, c in zip(batch, solution[0]):
-                colours[k] = c
-    return colours
+                raise InternalDefectError("even circuit completion failed")
+            for a, c in zip(batch, solution[0]):
+                colour[a] = c
+        elif not _first_completion(d, colour, batch):
+            raise InternalDefectError(
+                "no completion around a complete conflict component")
+    return colour
 
 
-def _colour_core(live: dict[int, tuple[int, int]],
-                 arcs: dict[int, tuple[int, int]]) -> dict[int, int]:
-    """Core step: no sources, no even circuit in the low part."""
-    indeg: dict[int, int] = {}
-    outdeg: dict[int, int] = {}
-    for t, h in live.values():
-        outdeg[t] = outdeg.get(t, 0) + 1
-        indeg[h] = indeg.get(h, 0) + 1
-    verts = set(indeg) | set(outdeg)
-    low = {v for v in verts if indeg.get(v, 0) <= 1}
-    high = verts - low
-    by_head: dict[int, list[int]] = {}
-    by_tail: dict[int, list[int]] = {}
-    for k in sorted(live):
-        t, h = live[k]
-        by_tail.setdefault(t, []).append(k)
-        by_head.setdefault(h, []).append(k)
+def _colour_core(core: Digraph, ids: Sequence[int],
+                 colour: list[int]) -> list[int] | None:
+    """Core step: no sources, no even circuit in the low part.
 
-    aprime = sorted(k for k in live if live[k][1] in low)
+    Colours every arc of the core and returns None, or, when the
+    conflict graph has a complete component on four arcs, colours
+    nothing and returns the core's arcs at its four vertices.
+    """
+    arcs, in_arcs, out_arcs = core.arcs, core.in_arcs, core.out_arcs
+    low = [i <= 1 for i in core.profile.indegree]
+    aprime = [a for a, (_, h) in enumerate(arcs) if low[h]]
 
     # Critical sets: a high vertex with two in-arcs from the low part,
     # or an odd circuit of the high part fed only from the low part.
@@ -742,152 +722,137 @@ def _colour_core(live: dict[int, tuple[int, int]],
     # the marked arcs' conflict colours (and hence their residual
     # lists) apart.
     selected_pairs: list[tuple[int, int]] = []
-    for v in sorted(high):
-        from_low = [k for k in by_head[v] if live[k][0] in low]
-        if len(from_low) >= 2:
-            selected_pairs.append((from_low[0], from_low[1]))
+    for v in range(core.vertex_count):
+        if not low[v]:
+            from_low = [a for a in in_arcs[v] if low[arcs[a][0]]]
+            if len(from_low) >= 2:
+                selected_pairs.append((from_low[0], from_low[1]))
     step = {}
-    for k in sorted(live):
-        t, h = live[k]
-        if t in high and h in high:
+    for a, (t, h) in enumerate(arcs):
+        if not low[t] and not low[h]:
             if t in step:
                 raise InternalDefectError(
                     f"high vertex {t} has two out-arcs")
-            step[t] = (k, h)
+            step[t] = (a, h)
     for cyc, keys in _functional_cycles(step):
         if len(cyc) % 2 == 0:
             continue
         entering = []
         ok = True
         for i, v in enumerate(cyc):
-            circ_in = keys[(i - 1) % len(keys)]
-            for k in by_head[v]:
-                if k == circ_in:
+            for a in in_arcs[v]:
+                if a == keys[i - 1]:
                     continue
-                if live[k][0] not in low:
+                if not low[arcs[a][0]]:
                     ok = False
-                entering.append(k)
+                entering.append(a)
         if not ok:
             continue
         entering.sort()
         first = entering[0]
-        partner = next((k for k in entering[1:]
-                        if live[k][0] != live[first][0]), None)
+        partner = next((a for a in entering[1:]
+                        if arcs[a][0] != arcs[first][0]), None)
         if partner is None:
             raise InternalDefectError(
                 "critical circuit fed from a single tail")
         selected_pairs.append((first, partner))
 
-    conflict: dict[int, set[int]] = {k: set() for k in aprime}
-    aset = set(aprime)
-    for k in aprime:
-        t, h = live[k]
-        for j in by_tail.get(h, ()):
-            if j in aset and j != k:
-                conflict[k].add(j)
-                conflict[j].add(k)
+    conflict: dict[int, set[int]] = {a: set() for a in aprime}
+    for a in aprime:
+        for j in out_arcs[arcs[a][1]]:
+            if low[arcs[j][1]]:
+                conflict[a].add(j)
+                conflict[j].add(a)
+    # the marked arcs' tails are low, so every arc into them is in A'
     for s1, s2 in selected_pairs:
-        y1, y2 = live[s1][0], live[s2][0]
-        in1 = [k for k in by_head.get(y1, ()) if k in aset]
-        in2 = [k for k in by_head.get(y2, ()) if k in aset]
+        in1, in2 = in_arcs[arcs[s1][0]], in_arcs[arcs[s2][0]]
         if len(in1) != 1 or len(in2) != 1:
             raise InternalDefectError(
                 "marked arc tail without a unique entering arc")
         if in1[0] != in2[0]:
             conflict[in1[0]].add(in2[0])
             conflict[in2[0]].add(in1[0])
-    for k, nb in conflict.items():
+    for a, nb in conflict.items():
         if len(nb) > 3:
             raise InternalDefectError(
-                f"conflict graph degree {len(nb)} at arc {k}")
+                f"conflict graph degree {len(nb)} at arc {ids[a]}")
 
-    # A complete component on four arcs cannot be Brooks-coloured.
-    # Its four incident vertices are cut out, the rest is coloured
-    # recursively, and the handful of removed arcs is completed by
-    # exhaustive search.
+    # A complete component on four arcs cannot be Brooks-coloured.  Its
+    # four incident vertices are cut out, the rest is coloured on the
+    # next level, and the handful of removed arcs is completed after it.
     comp_seen: set[int] = set()
-    for k0 in aprime:
-        if k0 in comp_seen:
+    for a0 in aprime:
+        if a0 in comp_seen:
             continue
-        comp = {k0}
-        queue = [k0]
-        for k in queue:
-            for j in conflict[k]:
-                if j not in comp:
-                    comp.add(j)
-                    queue.append(j)
-        comp_seen |= comp
-        if len(comp) == 4 and all(len(conflict[k]) == 3 for k in comp):
-            bad_verts = set()
-            for k in comp:
-                bad_verts.update(live[k])
+        comp = _bfs(conflict, a0, conflict)
+        comp_seen.update(comp)
+        if len(comp) == 4 and all(len(conflict[a]) == 3 for a in comp):
+            bad_verts = {v for a in comp for v in arcs[a]}
             if len(bad_verts) != 4:
                 raise InternalDefectError(
                     "complete conflict component not on four vertices")
-            removed = sorted(k for k in live
-                             if set(live[k]) & bad_verts)
+            removed = sorted({a for v in bad_verts
+                              for a in in_arcs[v] + out_arcs[v]})
             if len(removed) > 10:
                 raise InternalDefectError(
                     "oversized neighbourhood around a complete component")
-            rest = {k: live[k] for k in live if k not in removed}
-            colours = _colour_subcubic_arcs(rest)
-            for combo in product(COLOURS, repeat=len(removed)):
-                trial = dict(colours)
-                trial.update(zip(removed, combo))
-                if all(trial[k] in _free_colours(k, live, trial,
-                                                 by_head, by_tail)
-                       for k in removed):
-                    return trial
-            raise InternalDefectError(
-                "no completion around a complete conflict component")
+            return removed
 
-    nodes = aprime
-    index = {k: i for i, k in enumerate(nodes)}
-    edges = sorted({(min(index[k], index[j]), max(index[k], index[j]))
-                    for k in nodes for j in conflict[k]})
-    node_colours = brooks_three_colouring(len(nodes), edges)
-    cprime = {k: node_colours[index[k]] for k in nodes}
+    index = {a: i for i, a in enumerate(aprime)}
+    edges = sorted({(min(index[a], index[j]), max(index[a], index[j]))
+                    for a in aprime for j in conflict[a]})
+    node_colours = brooks_three_colouring(len(aprime), edges)
+    cprime = {a: node_colours[index[a]] for a in aprime}
 
-    fresh = max(verts) + 1
-    records: dict[int, list] = {}
-    for k in sorted(live):
-        t, h = live[k]
-        if t in low and h in low:
-            continue  # coloured via the conflict graph
-        if h in low:
-            records[k] = [t, h, {cprime[k]}]
-        elif t in low:
-            tk = [j for j in by_head[t] if j in aset]
-            if len(tk) != 1:
-                raise InternalDefectError(
-                    f"low vertex {t} lacks a unique entering arc")
-            records[k] = [t, h, set(COLOURS) - {cprime[tk[0]]}]
-        else:
-            records[k] = [t, h, set(COLOURS)]
-    # Low vertices keeping both an in-arc and out-arcs would sit in
-    # the engine as pass-through points; detach the in-arc onto a
-    # fresh sink (its constraint is already burnt into the lists).
-    for v in sorted(low):
-        ins = [k for k in by_head.get(v, ()) if k in records]
-        if ins and any(k in records for k in by_tail.get(v, ())):
+    # Arcs between low vertices are coloured via the conflict graph; the
+    # engine colours the rest.  Low vertices keeping both an in-arc and
+    # out-arcs would sit in the engine as pass-through points; detach
+    # the in-arc onto a fresh sink (its constraint is already burnt into
+    # the lists).
+    fresh = core.vertex_count
+    detached: dict[int, int] = {}
+    for v in range(core.vertex_count):
+        if not low[v]:
+            continue
+        ins = [a for a in in_arcs[v] if not low[arcs[a][0]]]
+        if ins and any(not low[arcs[a][1]] for a in out_arcs[v]):
             if len(ins) != 1:
                 raise InternalDefectError(
                     f"low vertex {v} with several engine in-arcs")
-            records[ins[0]][1] = fresh
+            detached[ins[0]] = fresh
             fresh += 1
+    engine_arcs = []
+    engine_ids = []
+    lists = []
+    for a, (t, h) in enumerate(arcs):
+        if low[t] and low[h]:
+            continue
+        if low[h]:
+            lists.append({cprime[a]})
+        elif low[t]:
+            if len(in_arcs[t]) != 1:
+                raise InternalDefectError(
+                    f"low vertex {t} lacks a unique entering arc")
+            lists.append(set(COLOURS) - {cprime[in_arcs[t][0]]})
+        else:
+            lists.append(set(COLOURS))
+        engine_arcs.append((t, detached.get(a, h)))
+        engine_ids.append(a)
 
     try:
-        engine = _extension_engine(records)
+        engine = _extension_engine(Digraph(fresh, tuple(engine_arcs)), lists)
     except PreconditionViolatedError as exc:
         raise InternalDefectError(
             f"engine rejected a pipeline instance: {exc}") from exc
-    colours = dict(cprime)
-    for k, c in engine.items():
-        if k in colours and colours[k] != c:
+    for a, c in cprime.items():
+        colour[ids[a]] = c
+    for j, c in engine.items():
+        a = engine_ids[j]
+        if a in cprime and cprime[a] != c:
             raise InternalDefectError(
-                f"arc {k} coloured twice with different colours")
-        colours[k] = c
-    return colours
+                f"arc {ids[a]} coloured twice with different colours")
+        colour[ids[a]] = c
+    return None
 
 
 def star_colouring_subcubic(d: Digraph) -> ArcColouring:
@@ -902,5 +867,5 @@ def star_colouring_subcubic(d: Digraph) -> ArcColouring:
     if profile.max_degree > 3:
         raise NotSubcubicError(
             f"maximum total degree {profile.max_degree} exceeds three")
-    colours = _colour_subcubic_arcs(dict(enumerate(d.arcs)))
-    return ArcColouring(colours, 3 if d.arc_count else 0)
+    colours = _colour_subcubic(d)
+    return ArcColouring(dict(enumerate(colours)), 3 if d.arc_count else 0)

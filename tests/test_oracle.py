@@ -175,6 +175,16 @@ def test_bicoloured_circuit_monochromatic_pair_first():
     assert find_bicoloured_circuit(d, col) == (3, 4, 5)
 
 
+def test_bicoloured_circuit_ignores_keys_that_are_not_arcs():
+    # the pair (2, 3) closes 0->1->2 before colour 3 alone closes 3->4->5;
+    # colour 1 on the non-arc key 6 must not add the pair (1, 3) first
+    d = Digraph(6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)))
+    colours = {0: 2, 1: 2, 2: 3, 3: 3, 4: 3, 5: 3}
+    assert find_bicoloured_circuit(d, ArcColouring(colours, 3)) == (0, 1, 2)
+    colours[6] = 1
+    assert find_bicoloured_circuit(d, ArcColouring(colours, 3)) == (0, 1, 2)
+
+
 def k4_edges():
     return list(itertools.combinations(range(4), 2))
 

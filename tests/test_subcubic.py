@@ -236,3 +236,74 @@ def test_subcubic_scale_gate():
     assert time.perf_counter() - start < 15.0
     assert col.colour_count == 3
     assert verify_star_colouring(path, col) is None
+
+
+# Colourings recorded before the pipeline moved onto Digraph buckets, one
+# instance per branch: a peeled even circuit (the digon 1 <-> 2), a
+# critical odd circuit of the high part, a low vertex detached from the
+# engine, a circuit taken by the engine, and the K4 conflict gadget.
+K4_GADGET = ((2, 1), (0, 3), (4, 5), (2, 3), (5, 2), (4, 1), (0, 4), (3, 1),
+             (5, 0))
+K4_GADGET_COLOURS = (2, 2, 2, 3, 1, 3, 1, 1, 3)
+
+
+def gadget_copies(copies):
+    return Digraph(6 * copies, tuple((t + 6 * c, h + 6 * c)
+                                     for c in range(copies)
+                                     for t, h in K4_GADGET))
+
+
+@pytest.mark.parametrize("d, expected", [
+    (Digraph(3, ((2, 0), (2, 1), (1, 2))), (1, 1, 2)),
+    (Digraph(6, ((2, 4), (0, 3), (4, 0), (1, 3), (2, 1), (1, 5), (5, 2),
+                 (5, 0), (3, 4))),
+     (2, 2, 1, 1, 3, 2, 1, 3, 3)),
+    (Digraph(3, ((2, 1), (1, 0), (0, 2), (0, 1))), (3, 2, 1, 1)),
+    (Digraph(5, ((1, 0), (4, 3), (0, 2), (0, 4), (2, 3), (3, 2), (4, 1))),
+     (3, 1, 1, 2, 2, 3, 1)),
+    (gadget_copies(1), K4_GADGET_COLOURS),
+    (gadget_copies(2), K4_GADGET_COLOURS * 2),
+], ids=["even-circuit", "critical-odd-circuit", "detached-low-vertex",
+        "engine-circuit", "k4-gadget", "k4-gadget-twice"])
+def test_subcubic_pinned_colouring(d, expected):
+    col = check_subcubic(d)
+    assert tuple(col.colour[i] for i in range(d.arc_count)) == expected
+    assert col.colour_count == 3
+
+
+@pytest.mark.parametrize("d, lists, expected", [
+    (Digraph(4, ((1, 2), (1, 3), (1, 0))),
+     {0: (1,), 1: (2, 3), 2: (1, 2, 3)}, (1, 2, 1)),
+    (Digraph(9, ((2, 4), (6, 8), (5, 2), (3, 8), (1, 0), (5, 3), (8, 0),
+                 (1, 4), (0, 3), (5, 7))),
+     {0: (2, 3), 1: (1, 2), 2: (1, 2), 9: (1, 3),
+      **{i: (1, 2, 3) for i in range(3, 9)}},
+     (2, 1, 1, 2, 2, 3, 3, 1, 1, 1)),
+], ids=["sinks-only", "engine-circuit"])
+def test_extension_pinned_colouring(d, lists, expected):
+    col = lemma_extension_colouring(d, lists)
+    assert tuple(col.colour[i] for i in range(d.arc_count)) == expected
+    assert verify_star_colouring(d, col) is None
+
+
+def test_extension_odd_circuit_uniform_entering_lists():
+    # the circuit 1 -> 0 -> 3 -> 1 is entered by three arcs from vertex 2,
+    # each listing {1, 3}: only the engine finds it, when it reaches it
+    d = Digraph(4, ((1, 0), (2, 0), (2, 3), (2, 1), (3, 1), (0, 3)))
+    lists = {0: (1, 2, 3), 1: (1, 3), 2: (1, 3), 3: (1, 3), 4: (1, 2, 3),
+             5: (1, 2, 3)}
+    with pytest.raises(PreconditionViolatedError) as info:
+        lemma_extension_colouring(d, lists)
+    assert str(info.value) == ("odd circuit whose entering arcs all carry "
+                               "the same two-colour list")
+
+
+def test_subcubic_many_k4_components():
+    # every K4 conflict component re-runs the pipeline on the rest; a
+    # level per component once overflowed Python's recursion limit
+    d = gadget_copies(500)
+    start = time.perf_counter()
+    col = check_subcubic(d)
+    assert time.perf_counter() - start < 30.0
+    assert (tuple(col.colour[i] for i in range(d.arc_count))
+            == K4_GADGET_COLOURS * 500)
