@@ -28,32 +28,38 @@ def star_colouring_acyclic(d: Digraph,
     k = degree_profile(d).max_indegree
     if k == 0:
         return ArcColouring({}, 0), {}
+    p = 2 * k
+    source = CyclicInterval(modulus=p, start=1, length=k)
     recorded: dict[int, CyclicInterval] = {}
+    start = [0] * d.vertex_count  # recorded[v].start, read by v's heads
     colour: dict[int, int] = {}
     # The SDR and the certificate at x depend only on the starts of the
     # tails' recorded intervals, in arc order (k is fixed per call), so
-    # vertices with the same entering pattern share one computation.
+    # vertices with the same entering pattern share one computation and
+    # one certificate.
     table: dict[tuple[int, ...], tuple[tuple[int, ...], CyclicInterval]] = {}
-    in_arcs = d.in_arcs
+    arcs, in_arcs = d.arcs, d.in_arcs
     for x in order:
         entering = in_arcs[x]
         if not entering:
-            recorded[x] = CyclicInterval(modulus=2 * k, start=1, length=k)
+            recorded[x] = source
+            start[x] = 1
             continue
-        key = tuple(recorded[d.arcs[i][0]].start for i in entering)
-        if key not in table:
-            intervals = [interval_complement(recorded[d.arcs[i][0]])
-                         for i in entering]
+        key = tuple([start[arcs[i][0]] for i in entering])
+        entry = table.get(key)
+        if entry is None:
+            intervals = [interval_complement(CyclicInterval(modulus=p, start=s, length=k))
+                         for s in key]
             while len(intervals) < k:
                 intervals.append(intervals[-1])
             _, reps = sdr_in_cyclic_interval(intervals)
             certificate = smallest_interval_containing(
-                set(reps[:len(entering)]), 2 * k, k)
+                set(reps[:len(entering)]), p, k)
             if certificate is None:
                 raise InternalDefectError(
                     f"in-colours at {x} fit no cyclic {k}-interval")
-            table[key] = reps, certificate
-        reps, recorded[x] = table[key]
-        for i, rep in zip(entering, reps):
-            colour[i] = rep
-    return ArcColouring(colour, 2 * k), recorded
+            entry = table[key] = reps, certificate
+        reps, recorded[x] = entry
+        start[x] = recorded[x].start
+        colour.update(zip(entering, reps))
+    return ArcColouring(colour, p), recorded

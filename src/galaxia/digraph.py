@@ -58,7 +58,12 @@ class Digraph:
     @cached_property
     def profile(self) -> DegreeProfile:
         """In- and outdegree of every vertex; see degree_profile."""
-        return _count_degrees(self.vertex_count, self.arcs)
+        indeg = [0] * self.vertex_count
+        outdeg = [0] * self.vertex_count
+        for tail, head in self.arcs:
+            outdeg[tail] += 1
+            indeg[head] += 1
+        return DegreeProfile(tuple(indeg), tuple(outdeg))
 
     @cached_property
     def _sort(self) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
@@ -117,14 +122,22 @@ class LabelledDigraph:
 
     @cached_property
     def profile(self) -> DegreeProfile:
-        """In- and outdegree of every vertex; see degree_profile."""
-        return _count_degrees(self.vertex_count, self.arcs)
+        """In- and outdegree of every vertex; see degree_profile.  Labels
+        do not change degrees, so this is the underlying digraph's
+        profile, counted once for both."""
+        return self.underlying.profile
 
     @cached_property
     def underlying(self) -> Digraph:
-        """The label-stripped multidigraph, same arc indices."""
-        return Digraph(self.vertex_count, tuple(map(itemgetter(0, 1), self.arcs)),
-                       allow_parallel=True)
+        """The label-stripped multidigraph, same arc indices.  Its arcs
+        are this digraph's checked arcs less their labels, so they are
+        not checked again."""
+        d = object.__new__(Digraph)
+        for name, value in (("vertex_count", self.vertex_count),
+                            ("arcs", tuple(map(itemgetter(0, 1), self.arcs))),
+                            ("allow_parallel", True)):
+            object.__setattr__(d, name, value)
+        return d
 
 
 def _plain(arcs: tuple, width: int) -> bool:
@@ -180,15 +193,6 @@ class DegreeProfile:
         object.__setattr__(self, "max_indegree", max(self.indegree, default=0))
         object.__setattr__(self, "max_outdegree", max(self.outdegree, default=0))
         object.__setattr__(self, "max_degree", max(self.degree, default=0))
-
-
-def _count_degrees(vertex_count: int, arcs) -> DegreeProfile:
-    indeg = [0] * vertex_count
-    outdeg = [0] * vertex_count
-    for arc in arcs:
-        outdeg[arc[0]] += 1
-        indeg[arc[1]] += 1
-    return DegreeProfile(tuple(indeg), tuple(outdeg))
 
 
 def degree_profile(d: Digraph | LabelledDigraph) -> DegreeProfile:

@@ -11,10 +11,19 @@ Arc index is the occurrence order of `a` lines starting at 0.  Problems
 local to one line raise ParseError(line, reason); violations that only
 show up across lines (duplicate triples, count mismatch, self-loops)
 raise ValidateError.
+
+An instance read from a stream in the canonical layout that
+write_digraph writes (leading `#` lines, then `p dsa n a m`, then one
+`a t h l` line per arc, single spaces, ASCII digits, each line ended by
+a newline) is checked by three regular-expression searches and read
+column-wise with built-ins.  Any other layout, and any canonical text
+that fails a check, goes through the line reader on the same text, so
+the result, or the error with its text and line number, is the same.
 """
 
 from __future__ import annotations
 
+import re
 from typing import IO, Iterable
 
 from .digraph import LabelledDigraph
@@ -40,7 +49,56 @@ def _content_lines(stream: Iterable[str]):
         yield lineno, line.split()
 
 
+# A canonical text: its first problem line has only comment lines before
+# it, and each newline from that line's own on is followed by an arc
+# line, except the last, which ends the text.  Searches check this in
+# memory that does not grow with the text; one pattern repeated per line
+# would keep state for every line.
+_HEADER = re.compile(r"^p dsa ([0-9]{1,18}) ([0-9]{1,18}) ([0-9]{1,18})\n", re.M)
+_NOT_COMMENT = re.compile(r"^[^#]", re.M)
+_NOT_ARC_LINE = re.compile(r"\n(?!a [0-9]{1,18} [0-9]{1,18} [0-9]{1,18}\n)")
+_SLICE = 1 << 14  # characters of arc lines split at a time
+
+
 def read_digraph(stream: Iterable[str]) -> LabelledDigraph:
+    """Read and check an instance.  A stream with `read` is read whole,
+    and a canonical text in one pass of built-ins; anything else goes
+    through the line reader."""
+    if not hasattr(stream, "read"):
+        return _read_lines(stream)
+    text = stream.read()
+    ld = _read_canonical(text)
+    return _read_lines(text.split("\n")) if ld is None else ld
+
+
+def _read_canonical(text: str) -> LabelledDigraph | None:
+    """The instance of a canonical text whose counts and arcs pass
+    LabelledDigraph's own check, else None.  A number of more than 18
+    digits makes a text not canonical, so int() here never meets one
+    past its digit limit."""
+    header = _HEADER.search(text)
+    if (header is None or _NOT_COMMENT.search(text, 0, header.start())
+            or _NOT_ARC_LINE.search(text, header.end() - 1).start() != len(text) - 1):
+        return None
+    n, arc_count, m = map(int, header.groups())
+    # The arc lines go in slices of whole lines, so that the tokens of
+    # the whole text are never alive at once.
+    arcs: list[tuple[int, int, int]] = []
+    start = header.end()
+    while start < len(text):
+        end = text.find("\n", start + _SLICE) + 1 or len(text)
+        tokens = text[start:end].split()  # "a", tail, head, label per arc
+        arcs += zip(*(map(int, tokens[i::4]) for i in (1, 2, 3)))
+        start = end
+    if len(arcs) != arc_count:
+        return None
+    try:
+        return LabelledDigraph(n, m, tuple(arcs))
+    except ValidateError:
+        return None
+
+
+def _read_lines(stream: Iterable[str]) -> LabelledDigraph:
     """Read and check an instance in one pass over its lines; arc lines,
     the common case, are tested first."""
     header = None

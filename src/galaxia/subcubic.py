@@ -28,6 +28,9 @@ from .errors import (
 
 COLOURS = (1, 2, 3)
 FULL = frozenset(COLOURS)
+# Free colours by a mask whose bit c marks colour c as taken (bit 0 is
+# ignored).
+_FREE = [tuple(c for c in COLOURS if not mask >> c & 1) for mask in range(16)]
 
 
 # ---------------------------------------------------------------------------
@@ -677,28 +680,52 @@ def _colour_subcubic(d: Digraph) -> list[int]:
         cut = set(removed)
         g, ids = _sub(g, ids, [a for a in range(g.arc_count) if a not in cut])
 
+    # Bit c of into[v] (outof[v]) is set when an arc of colour c enters
+    # (leaves) v; bit 0 stands for uncoloured arcs and frees nothing.
+    # Only _first_completion ever uncolours an arc, and only its own, so
+    # the masks stay exact when each colouring below sets its bits.
+    arcs = d.arcs
+    into = [0] * d.vertex_count
+    outof = [0] * d.vertex_count
+    for (t, h), c in zip(arcs, colour):
+        outof[t] |= 1 << c
+        into[h] |= 1 << c
+
+    def free(a: int) -> tuple[int, ...]:
+        t, h = arcs[a]
+        return _FREE[into[h] | outof[h] | into[t]]
+
+    def put(a: int, c: int) -> None:
+        colour[a] = c
+        t, h = arcs[a]
+        outof[t] |= 1 << c
+        into[h] |= 1 << c
+
     for kind, batch in reversed(batches):
         if kind == "sources":
             for a in batch:
-                free = _free_colours(d, colour, a)
-                if not free:
+                options = free(a)
+                if not options:
                     raise InternalDefectError(
                         f"deferred arc {a} has no free colour")
-                colour[a] = free[0]
+                put(a, options[0])
         elif kind == "circuit":
             lists = []
             for a in batch:
-                free = _free_colours(d, colour, a)
-                if len(free) < 2:
+                options = free(a)
+                if len(options) < 2:
                     raise InternalDefectError(
                         f"circuit arc {a} kept fewer than two colours")
-                lists.append(free)
+                lists.append(options)
             solution = _cycle_dp([COLOURS] * len(batch), lists)
             if solution is None:
                 raise InternalDefectError("even circuit completion failed")
             for a, c in zip(batch, solution[0]):
-                colour[a] = c
-        elif not _first_completion(d, colour, batch):
+                put(a, c)
+        elif _first_completion(d, colour, batch):
+            for a in batch:
+                put(a, colour[a])
+        else:
             raise InternalDefectError(
                 "no completion around a complete conflict component")
     return colour

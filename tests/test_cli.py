@@ -1,7 +1,9 @@
 """End-to-end runs of the console entry point."""
 import argparse
 import contextlib
+import hashlib
 import io
+import random
 import re
 import sys
 
@@ -418,3 +420,58 @@ def test_hostile_input_never_raises_or_exits_4(tmp_path_factory, data):
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         assert main(["solve", str(path)]) != 4
         assert main(["exact", str(path)]) != 4
+
+
+def seeded_subcubic(n, seed):
+    """A seeded simple digraph of total degree at most 3: three stubs per
+    vertex paired at random, each pair oriented at random."""
+    rng = random.Random(seed)
+    stubs = [v for v in range(n) for _ in range(3)]
+    rng.shuffle(stubs)
+    seen = set()
+    arcs = []
+    for u, v in zip(stubs[::2], stubs[1::2]):
+        if rng.random() < 0.5:
+            u, v = v, u
+        if u != v and (u, v) not in seen:
+            seen.add((u, v))
+            arcs.append((u, v, 1))
+    return LabelledDigraph(n, 1, tuple(arcs))
+
+
+def solve_digests(path, out, capsys, algorithm):
+    capsys.readouterr()
+    assert main(["solve", str(path), "--algorithm", algorithm, "-o", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    return (hashlib.sha256(out.read_bytes()).hexdigest(),
+            hashlib.sha256(stdout.encode()).hexdigest())
+
+
+def test_solve_pinned_acyclic_output(tmp_path, capsys):
+    """A generated 3,000-vertex DAG with k=3: colour and interval lines."""
+    path, out = tmp_path / "dag.dsa", tmp_path / "dag.col"
+    assert main(["generate", "--family", "dag", "--vertices", "3000", "--k", "3",
+                 "--seed", "7", "-o", str(path)]) == 0
+    assert solve_digests(path, out, capsys, "acyclic") == (
+        "809409d6f7d9137d93859be45b4bc8190af91c3f0ccbcaada300fde1aa920c6f",
+        "b35102d5059ebf1193e177c936dd28cb896daaead24270485df93d0dcc183c7f")
+
+
+def test_solve_pinned_subcubic_output(tmp_path, capsys):
+    path, out = tmp_path / "sub.dsa", tmp_path / "sub.col"
+    with open(path, "w", encoding="utf-8") as handle:
+        write_digraph(handle, seeded_subcubic(3000, 7), comments=["seeded subcubic"])
+    assert solve_digests(path, out, capsys, "subcubic") == (
+        "6bba94d6b164698c426e3c54b3e4266e56d4db88bc448990e7c00f2ab23ce8af",
+        "d15f9cdd8a66d2eb9c20e289bea60267f844b0e76b42f1d6aaedb4d8d9a3dbae")
+
+
+def test_generated_file_reads_as_without_its_comment(tmp_path):
+    path = tmp_path / "g.dsa"
+    assert main(["generate", "--family", "dag", "--vertices", "40", "--m", "2",
+                 "--k", "3", "--seed", "5", "-o", str(path)]) == 0
+    text = path.read_text()
+    assert text.startswith("# generator=")
+    bare = text.split("\n", 1)[1]
+    assert bare.startswith("p dsa ")
+    assert read_digraph(io.StringIO(text)) == read_digraph(io.StringIO(bare))

@@ -8,6 +8,7 @@ from galaxia import (
     LabelledDigraph,
     ValidateError,
     degree_profile,
+    digraph,
     find_circuit_arcs,
     is_acyclic,
     split_acyclic_eulerian,
@@ -109,6 +110,18 @@ def test_underlying_strips_labels():
     d = ld.underlying
     assert d.arcs == ((0, 1), (0, 1), (1, 2))
     assert d.allow_parallel
+
+
+def test_underlying_reuses_checks_and_profile(monkeypatch):
+    ld = LabelledDigraph(3, 2, ((0, 1, 1), (0, 1, 2), (1, 2, 1)))
+    checks = []
+    monkeypatch.setattr(digraph, "_check_arcs",
+                        lambda *args: checks.append(args))
+    d = ld.underlying
+    assert checks == []
+    assert d.profile is ld.profile
+    assert d == Digraph(3, ((0, 1), (0, 1), (1, 2)), allow_parallel=True)
+    assert d.in_arcs == ((), (0, 1), (2,)) and d.out_arcs == ((0, 1), (2,), ())
 
 
 def test_degree_profile_empty():

@@ -2,12 +2,13 @@
 import io
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from galaxia import (
     LabelledDigraph,
     ParseError,
     ValidateError,
+    fileio,
     random_labelled_dag,
     read_colouring,
     read_digraph,
@@ -153,3 +154,87 @@ def test_read_digraph_error_text(text, error, message):
 ])
 def test_read_digraph_skips_comment_tokens(text, arcs):
     assert read_digraph(io.StringIO(text)).arcs == arcs
+
+
+def outcome(read, text):
+    try:
+        return read(io.StringIO(text))
+    except Exception as exc:  # the type and text are compared
+        return type(exc), str(exc)
+
+
+def written(n, m, arcs, comments=()):
+    buf = io.StringIO()
+    write_digraph(buf, LabelledDigraph(n, m, tuple(arcs)), comments=comments)
+    return buf.getvalue()
+
+
+def test_canonical_text_takes_the_one_pass_reader():
+    text = written(3, 2, [(0, 1, 1), (1, 2, 2)], comments=["generator=x"])
+    assert fileio._read_canonical(text) == read_digraph(io.StringIO(text))
+    assert fileio._read_canonical(text.replace("\n", "\r\n")) is None
+    assert fileio._read_canonical(text.replace("a 0 1 1", "a 0 1")) is None
+    assert fileio._read_canonical(text.replace("a 0 1 1", "a 0 3 1")) is None
+    assert fileio._read_canonical(text.replace("p dsa 3 2", "p dsa 3 3")) is None
+    big = written(3000, 2, random_labelled_dag(3000, 2, 3, 1).arcs)
+    assert len(big) > 3 * fileio._SLICE  # read in several slices
+    assert fileio._read_canonical(big) == fileio._read_lines(io.StringIO(big))
+
+
+@st.composite
+def instance_texts(draw):
+    """Instance text in the canonical layout or a looser one, with at most
+    one planted fault and up to three random character edits."""
+    n = draw(st.integers(2, 12))
+    m = draw(st.integers(1, 3))
+    arcs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1),
+                                   st.integers(1, m)),
+                         max_size=12, unique=True).map(
+        lambda raw: [[t, (t + d) % n, l] for t, d, l in raw]))
+    count = len(arcs)
+    fault = draw(st.sampled_from((None, None, None, "id", "label", "count",
+                                  "duplicate", "loop", "no labels")))
+    if fault == "count":
+        count += draw(st.sampled_from((-1, 1)))
+    elif fault == "no labels":
+        m = 0
+    elif fault == "duplicate" and arcs:
+        arcs.append(list(draw(st.sampled_from(arcs))))
+    elif arcs and fault is not None:
+        arc = draw(st.sampled_from(arcs))
+        if fault == "id":
+            arc[draw(st.integers(0, 1))] = n + draw(st.integers(0, 2))
+        elif fault == "label":
+            arc[2] = draw(st.sampled_from((0, m + 1)))
+        else:
+            arc[1] = arc[0]
+    loose = draw(st.booleans())
+    comment = st.text(st.characters(blacklist_characters="\n"), max_size=6)
+    lines = [f"#{c}" for c in draw(st.lists(comment, max_size=2))]
+    lines.append(f"p dsa {n} {count} {m}")
+    for t, h, l in arcs:
+        fields = ["a", str(t), str(h)]
+        if not (loose and l == 1 and draw(st.booleans())):
+            fields.append(str(l))
+        if loose:
+            fields[1:] = [draw(st.sampled_from((f, f, f"+{f}", f"{f[0]}_{f[1:] or 0}")))
+                          for f in fields[1:]]
+            lines.append(draw(st.sampled_from((" ", "\t", "  "))).join(fields))
+            lines.extend([""] * draw(st.integers(0, 1)))
+        else:
+            lines.append(" ".join(fields))
+    end = draw(st.sampled_from(("\r\n", "\n"))) if loose else "\n"
+    text = "".join(line + end for line in lines)
+    char = st.one_of(st.sampled_from("0123456789 _+#apds\t\n\r"), st.characters())
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2, 3)))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(("replace", "insert", "delete")))
+        rest = text[at:] if edit == "insert" else text[at + 1:]
+        text = text[:at] + ("" if edit == "delete" else draw(char)) + rest
+    return text
+
+
+@settings(max_examples=400)
+@given(instance_texts())
+def test_one_pass_reader_agrees_with_line_reader(text):
+    assert outcome(read_digraph, text) == outcome(fileio._read_lines, text)
