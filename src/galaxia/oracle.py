@@ -1,9 +1,11 @@
 """Verifiers and exact solvers: ground truth at desk scale.
 
-The exact solvers are plain backtracking with forward checking.  They
-are deliberately sequential and deterministic: fixed variable order,
-colours tried ascending, and a symmetry break that lets arc number i
-use at most one colour beyond those already placed.
+The exact solvers are backtracking with forward checking over bitmask
+domains, on their own stack.  They branch dynamically, DSATUR style: the
+next arc is the uncoloured one with the fewest colours left, ties going
+to more conflicts and then the lower arc index, never to set order, so
+the search is deterministic.  Colours are tried ascending, and a new
+colour is at most one above the highest placed so far.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .colouring import ArcColouring, arc_values
-from .digraph import Digraph, LabelledDigraph, degree_profile, find_circuit_arcs
+from .digraph import Digraph, LabelledDigraph, find_circuit_arcs
 from .errors import (AboveCapError, InternalDefectError, NotCubicError,
                      TooLargeError, ValidateError)
 from .fibre import FibreColouring
@@ -87,138 +89,131 @@ def _conflict_lists(d: Digraph) -> list[list[int]]:
     return conflicts
 
 
-def _backtrack(count: int, q: int, fits: Callable[[int, int], bool],
-               apply: Callable[[int, int, int], None]) -> list[int] | None:
-    """First colouring of positions 0..count-1 with colours 1..q, or None.
+def _dsatur(q: int, degree: list[int], place: Callable[[int, int], list[int]],
+            take_back: Callable[[int, int], object]) -> list[int] | None:
+    """First colouring of items 0..len(degree)-1 with colours 1..q, or None.
 
-    Depth first, colours ascending, position i using at most one colour
-    above the highest placed before it.  fits(i, c) says whether colour
-    c may go at position i given the colours placed so far; apply(i, c,
-    +1) places it and apply(i, c, -1) takes it back.  The search keeps
-    its own stack, so its depth is not bounded by the recursion limit.
+    Each item keeps its domain, the colours it may still take, as a
+    bitmask.  place(i, c) records colour c on item i and returns the
+    items this rules out of c (it may also list coloured items, and
+    items already without c); take_back(i, c) undoes place.  A placement
+    that empties a free item's domain is taken back at once (forward
+    checking).
+
+    Branching is DSATUR (Brelaz 1979): the next item is the free one
+    with the fewest colours left, then the one with the largest
+    degree[i], then the lowest index.  rank[i] encodes that key as one
+    int, so choosing is one min() over the free items and a pruned
+    colour moves an item by a constant.  Colours are tried ascending and
+    up to one above the highest placed so far: the colours not yet
+    placed are interchangeable.  The search keeps its own stack, so its
+    depth is not bounded by the recursion limit.
     """
+    count = len(degree)
     colour = [0] * count
-    ceiling = [0] * (count + 1)  # highest colour placed before position i
-    i = c = 0
-    while i < count:
-        top = min(q, ceiling[i] + 1)
-        c += 1
-        while c <= top and not fits(i, c):
-            c += 1
-        if c <= top:
-            apply(i, c, +1)
-            colour[i] = c
-            ceiling[i + 1] = max(ceiling[i], c)
-            i, c = i + 1, 0
-        elif i == 0:
-            return None
-        else:
-            # no colour fits at i: take back the one at i - 1, try the next
-            i -= 1
-            c = colour[i]
-            apply(i, c, -1)
-    return colour
-
-
-def _colourable(order: list[int], conflicts: list[list[int]],
-                q: int) -> dict[int, int] | None:
-    """Backtracking decision: colour the arcs in `order` with <= q colours.
-
-    Domains are bitmasks; assigning prunes neighbours' domains and a
-    wiped-out domain backtracks immediately.  Arc number i in the order
-    may use at most one colour above the maximum placed before it.
-    """
-    count = len(order)
-    position = {arc: i for i, arc in enumerate(order)}
-    full = (1 << q) - 1
-    domain = [full] * count
-    assigned = [0] * count  # colour 1..q, 0 = free
-    # neighbours re-expressed in order positions
-    adj = [[position[b] for b in conflicts[arc] if b in position]
-           for arc in order]
-    # _backtrack's search written out, so that it walks the domain bits
-    # instead of calling back per colour (through the callbacks exact_dst
-    # took half as long again).  untried[i] holds the colours (as bits)
-    # position i has still to try, pruned[i] the neighbours its colour was
-    # taken from, ceiling[i] the highest colour before it.
-    untried = [0] * count
-    pruned: list[list[int]] = [[] for _ in range(count)]
-    ceiling = [0] * count
-    i = 0
-    mask = domain[0] & 1
+    if not count:
+        return colour
+    domain = [(1 << q) - 1] * count
+    most = max(degree)
+    step = (most + 1) * count  # one colour fewer outweighs any degree
+    rank = [(most - deg) * count + i for i, deg in enumerate(degree)]
+    free = set(range(count))
+    # per placed item: the item, its untried colours (as bits), the
+    # items it pruned and the highest colour placed before it
+    stack: list[tuple[int, int, list[int], int]] = []
+    ceiling = 0
+    i = min(free, key=rank.__getitem__)
+    free.remove(i)
+    mask = 1
     while True:
         while mask:
             bit = mask & -mask
             mask -= bit
-            colour = bit.bit_length()
-            assigned[i] = colour
-            touched = []
-            for j in adj[i]:
-                if assigned[j] == 0 and domain[j] & bit:
+            c = bit.bit_length()
+            colour[i] = c
+            pruned = []
+            for j in place(i, c):
+                if not colour[j] and domain[j] & bit:
                     domain[j] -= bit
-                    touched.append(j)
-                    if domain[j] == 0:
+                    rank[j] -= step
+                    pruned.append(j)
+                    if not domain[j]:
                         break
             else:
                 break  # colour placed without wiping out a domain
-            for j in touched:
+            for j in pruned:
                 domain[j] += bit
-            assigned[i] = 0
+                rank[j] += step
+            take_back(i, c)
         else:
-            # no colour fits at i: take back the one at i - 1
-            if i == 0:
+            # no colour fits at i: take back the item placed before it
+            colour[i] = 0
+            free.add(i)
+            if not stack:
                 return None
-            i -= 1
-            bit = 1 << (assigned[i] - 1)
-            for j in pruned[i]:
+            i, mask, pruned, ceiling = stack.pop()
+            c = colour[i]
+            bit = 1 << (c - 1)
+            for j in pruned:
                 domain[j] += bit
-            assigned[i] = 0
-            mask = untried[i]
+                rank[j] += step
+            take_back(i, c)
             continue
-        if i + 1 == count:
-            break
-        untried[i], pruned[i] = mask, touched
-        ceiling[i + 1] = max(ceiling[i], colour)
-        i += 1
-        mask = domain[i] & ((1 << min(q, ceiling[i] + 1)) - 1)
-    return {arc: assigned[i] for i, arc in enumerate(order)}
+        if not free:
+            return colour
+        stack.append((i, mask, pruned, ceiling))
+        ceiling = max(ceiling, c)
+        i = min(free, key=rank.__getitem__)
+        free.remove(i)
+        mask = domain[i] & ((1 << min(q, ceiling + 1)) - 1)
 
 
-def _dst_lower_bound(d: Digraph) -> int:
-    profile = degree_profile(d)
-    best = 0
-    for v in range(d.vertex_count):
-        need = profile.indegree[v] + (1 if profile.outdegree[v] else 0)
-        best = max(best, need)
-    return best
+def _colour_graph(conflicts: list[list[int]], q: int) -> list[int] | None:
+    """A colouring with <= q colours in which no item shares its colour
+    with one in conflicts[item], or None."""
+    return _dsatur(q, list(map(len, conflicts)),
+                   lambda i, _c: conflicts[i], lambda _i, _c: None)
+
+
+def _lower_bound(indegree: tuple[int, ...], tails, n: int) -> int:
+    """Largest ceil((indeg(v) + labels leaving v) / n), at least 1.
+
+    `tails` names v once per distinct label on its leaving arcs.  In
+    each colour v has in + out <= n, and summed over the colours the in
+    parts give indeg(v) and the out parts at least the labels leaving v.
+    """
+    need = list(indegree)
+    for v in tails:
+        need[v] += 1
+    return max(1, -(-max(need) // n))
 
 
 def exact_dst(d: Digraph, colour_cap: int | None = None,
               arc_limit: int | None = None) -> tuple[int, ArcColouring]:
     """Exact directed star arboricity with a witness colouring.
 
-    Deterministic: arcs are ordered by descending head indegree then arc
-    index, and the search is sequential.  Raises TooLarge over the arc
-    limit and AboveCap when the optimum exceeds colour_cap.
+    Tries q = lower bound, lower bound + 1, ... and colours the arcs'
+    conflict graph with _dsatur: branch on the uncoloured arc with the
+    fewest colours left, then the most conflicts, then the lowest index.
+    Deterministic, but the witness is the first colouring this order
+    finds.  Raises TooLarge over the arc limit and AboveCap when the
+    optimum exceeds colour_cap.
     """
     limit = arc_limit if arc_limit is not None else arc_limit_default()
     if d.arc_count > limit:
         raise TooLargeError(f"{d.arc_count} arcs exceed the limit {limit}")
     if d.arc_count == 0:
         return 0, ArcColouring({}, 0)
-    profile = degree_profile(d)
-    order = sorted(range(d.arc_count),
-                   key=lambda a: (-profile.indegree[d.arcs[a][1]], a))
     conflicts = _conflict_lists(d)
-    lower = max(1, _dst_lower_bound(d))
+    lower = _lower_bound(d.profile.indegree, set(map(itemgetter(0), d.arcs)), 1)
     upper = d.arc_count  # one arc per colour always verifies
     if colour_cap is not None and colour_cap < lower:
         raise AboveCapError(colour_cap, f"lower bound is {lower}")
     stop = upper if colour_cap is None else min(upper, colour_cap)
     for q in range(lower, stop + 1):
-        solution = _colourable(order, conflicts, q)
+        solution = _colour_graph(conflicts, q)
         if solution is not None:
-            return q, ArcColouring(solution, q)
+            return q, ArcColouring(dict(enumerate(solution)), q)
     if colour_cap is not None:
         raise AboveCapError(colour_cap)
     raise InternalDefectError("one colour per arc must be feasible")
@@ -226,7 +221,14 @@ def exact_dst(d: Digraph, colour_cap: int | None = None,
 
 def exact_lambda_n(ld: LabelledDigraph, n: int, colour_cap: int | None = None,
                    arc_limit: int | None = None) -> tuple[int, FibreColouring]:
-    """Exact minimum colour count of an n-fibre colouring, with witness."""
+    """Exact minimum colour count of an n-fibre colouring, with witness.
+
+    Same search as exact_dst (_dsatur, same branching rule), where arc
+    (u, v, l) may take colour c while v has in + out < n in c and u has
+    in + out < n in c or already sends label l in c.  A colour is taken
+    from other arcs' domains only at a (vertex, colour) whose load has
+    just reached n; below n no arc can lose it there.
+    """
     if n < 1:
         raise ValidateError("fibre count must be positive")
     limit = arc_limit if arc_limit is not None else arc_limit_default()
@@ -234,55 +236,59 @@ def exact_lambda_n(ld: LabelledDigraph, n: int, colour_cap: int | None = None,
         raise TooLargeError(f"{ld.arc_count} arcs exceed the limit {limit}")
     if ld.arc_count == 0:
         return 0, FibreColouring(n, {}, 0)
-    profile = degree_profile(ld)
-    order = sorted(range(ld.arc_count),
-                   key=lambda a: (-profile.indegree[ld.arcs[a][1]], a))
-    lower = max(1, max(-(-profile.indegree[v] // n)
-                       for v in range(ld.vertex_count)))
+    lower = _lower_bound(ld.profile.indegree,
+                         map(itemgetter(0), set(map(itemgetter(0, 2), ld.arcs))), n)
     upper = ld.arc_count  # all-distinct colours satisfy in+out <= 1+0 at heads
     if colour_cap is not None and colour_cap < lower:
         raise AboveCapError(colour_cap, f"lower bound is {lower}")
     stop = upper if colour_cap is None else min(upper, colour_cap)
 
     arcs = ld.arcs
-    count = len(order)
+    in_arcs = ld.underlying.in_arcs
+    out_arcs = ld.underlying.out_arcs
+    width = ld.label_count + 1
+    degree = [len(in_arcs[u]) + len(out_arcs[u]) + len(in_arcs[v]) + len(out_arcs[v])
+              for u, v, _ in arcs]
 
-    def attempt(q: int) -> dict[int, int] | None:
-        in_load: dict[tuple[int, int], int] = {}
-        out_labels: dict[tuple[int, int, int], int] = {}
-        out_count: dict[tuple[int, int], int] = {}
+    def attempt(q: int) -> list[int] | None:
+        # load[v * (q + 1) + c]: in + out of v in colour c, where out
+        # counts distinct labels; sent[that index * width + l]: arcs
+        # placed leaving v in colour c with label l
+        load = [0] * (ld.vertex_count * (q + 1))
+        sent = [0] * (len(load) * width)
 
-        def usable(pos: int, colour: int) -> bool:
-            tail, head, label = arcs[order[pos]]
-            if (in_load.get((head, colour), 0) + 1
-                    + out_count.get((head, colour), 0)) > n:
-                return False
-            extra = 0 if out_labels.get((tail, colour, label)) else 1
-            if (in_load.get((tail, colour), 0)
-                    + out_count.get((tail, colour), 0) + extra) > n:
-                return False
-            return True
+        def full(v: int, at: int) -> list[int]:
+            # arcs ruled out at v once its load in the colour is n
+            return [*in_arcs[v], *(j for j in out_arcs[v]
+                                   if not sent[at * width + arcs[j][2]])]
 
-        def place(pos: int, colour: int, sign: int) -> None:
-            tail, head, label = arcs[order[pos]]
-            in_load[(head, colour)] = in_load.get((head, colour), 0) + sign
-            key = (tail, colour, label)
-            before = out_labels.get(key, 0)
-            out_labels[key] = before + sign
-            if sign > 0 and before == 0:
-                out_count[(tail, colour)] = out_count.get((tail, colour), 0) + 1
-            if sign < 0 and out_labels[key] == 0:
-                out_count[(tail, colour)] -= 1
+        def place(a: int, c: int) -> list[int]:
+            tail, head, label = arcs[a]
+            at = head * (q + 1) + c
+            load[at] += 1
+            ruled = full(head, at) if load[at] == n else []
+            at = tail * (q + 1) + c
+            sent[at * width + label] += 1
+            if sent[at * width + label] == 1:
+                load[at] += 1
+                if load[at] == n:
+                    ruled += full(tail, at)
+            return ruled
 
-        colours = _backtrack(count, q, usable, place)
-        if colours is None:
-            return None
-        return {order[i]: colours[i] for i in range(count)}
+        def take_back(a: int, c: int) -> None:
+            tail, head, label = arcs[a]
+            load[head * (q + 1) + c] -= 1
+            at = tail * (q + 1) + c
+            sent[at * width + label] -= 1
+            if not sent[at * width + label]:
+                load[at] -= 1
+
+        return _dsatur(q, degree, place, take_back)
 
     for q in range(lower, stop + 1):
         solution = attempt(q)
         if solution is not None:
-            return q, FibreColouring(n, solution, q)
+            return q, FibreColouring(n, dict(enumerate(solution)), q)
     if colour_cap is not None:
         raise AboveCapError(colour_cap)
     raise InternalDefectError("one colour per arc must be feasible")
@@ -341,8 +347,7 @@ def edge_colouring_3regular(vertex_count: int,
                             ) -> dict[int, int] | None:
     """Proper 3-edge-colouring of a cubic graph, or None if impossible.
 
-    Backtracking over edges with per-vertex used-colour masks; edge e
-    may use at most one colour above those placed before it.
+    Colours the line graph with the exact solvers' search (_dsatur).
     """
     degree = [0] * vertex_count
     seen = set()
@@ -360,19 +365,13 @@ def edge_colouring_3regular(vertex_count: int,
     if vertex_count > vertex_limit:
         raise TooLargeError(f"{vertex_count} vertices exceed the limit {vertex_limit}")
 
-    used = [0] * vertex_count  # bitmask of colours at each vertex
-
-    def fits(i: int, colour: int) -> bool:
-        a, b = edges[i]
-        return not (used[a] | used[b]) >> (colour - 1) & 1
-
-    def apply(i: int, colour: int, sign: int) -> None:
-        # the bit is clear when placing and set when taking back
-        a, b = edges[i]
-        used[a] ^= 1 << (colour - 1)
-        used[b] ^= 1 << (colour - 1)
-
-    result = _backtrack(len(edges), 3, fits, apply)
+    at_vertex: list[list[int]] = [[] for _ in range(vertex_count)]
+    for idx, (a, b) in enumerate(edges):
+        at_vertex[a].append(idx)
+        at_vertex[b].append(idx)
+    # the conflicts of an edge are the other edges at its two ends
+    result = _colour_graph([[f for f in at_vertex[a] + at_vertex[b] if f != e]
+                            for e, (a, b) in enumerate(edges)], 3)
     if result is None:
         return None
     return dict(enumerate(result))

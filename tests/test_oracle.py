@@ -1,6 +1,7 @@
 """Exact solvers and verifiers."""
 import itertools
 import sys
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +10,7 @@ from galaxia import (
     AboveCapError,
     ArcColouring,
     Digraph,
+    FibreColouring,
     LabelledDigraph,
     NotCubicError,
     StarViolation,
@@ -22,6 +24,7 @@ from galaxia import (
     find_bicoloured_circuit,
     random_digraph,
     triangle_multidigraph,
+    verify_fibre_colouring,
     verify_star_colouring,
 )
 from conftest import circuit
@@ -147,6 +150,83 @@ def test_exact_lambda_above_cap():
     ld = LabelledDigraph(4, 1, ((0, 3, 1), (1, 3, 1), (2, 3, 1)))
     with pytest.raises(AboveCapError):
         exact_lambda_n(ld, 1, colour_cap=2)
+
+
+def _colourings(count):
+    """Every colouring of `count` items up to renaming colours: colour
+    i + 1 is used only after colour i (restricted growth strings)."""
+    def grow(prefix, top):
+        if len(prefix) == count:
+            yield prefix
+            return
+        for c in range(1, top + 2):
+            yield from grow(prefix + [c], max(top, c))
+    yield from grow([], 0)
+
+
+@st.composite
+def small_labelled(draw):
+    vertices = draw(st.integers(2, 5))
+    labels = draw(st.integers(1, 3))
+    arc = st.tuples(st.integers(0, vertices - 1), st.integers(0, vertices - 1),
+                    st.integers(1, labels)).filter(lambda a: a[0] != a[1])
+    arcs = draw(st.lists(arc, min_size=1, max_size=8, unique=True))
+    return LabelledDigraph(vertices, labels, tuple(arcs))
+
+
+@given(small_labelled(), st.integers(1, 3))
+def test_exact_values_match_brute_force(ld, n):
+    # the least colour count of any colouring that passes the verifier
+    d = ld.underlying
+    colourings = [(dict(enumerate(c)), max(c)) for c in _colourings(ld.arc_count)]
+    dst = min(q for col, q in colourings
+              if verify_star_colouring(d, ArcColouring(col, q)) is None)
+    lam = min(q for col, q in colourings
+              if verify_fibre_colouring(ld, FibreColouring(n, col, q)) is None)
+    value, witness = exact_dst(d)
+    assert (value, witness.colour_count) == (dst, dst)
+    assert verify_star_colouring(d, witness) is None
+    value, fc = exact_lambda_n(ld, n)
+    assert (value, fc.colour_count) == (lam, lam)
+    assert verify_fibre_colouring(ld, fc) is None
+
+
+# The slowest of 8,000 random 16-vertex digraphs of indegree 2 (half of
+# them with outdegree at most 2, this one with every head drawing two random
+# tails) for the static arc order this search replaced: 16.5 s there for
+# dst = 4.
+HARD_DST = Digraph(16, (
+    (14, 0), (13, 0), (13, 1), (14, 1), (9, 2), (7, 2), (13, 3), (5, 3),
+    (5, 4), (15, 4), (8, 5), (3, 5), (11, 6), (8, 6), (12, 7), (2, 7),
+    (11, 8), (13, 8), (4, 9), (8, 9), (15, 10), (11, 10), (8, 11), (6, 11),
+    (5, 12), (7, 12), (1, 13), (9, 13), (13, 14), (5, 14), (5, 15), (1, 15)))
+
+
+def test_exact_dst_hard_instance_is_fast():
+    start = time.perf_counter()
+    value, witness = exact_dst(HARD_DST)
+    assert time.perf_counter() - start < 1.0
+    assert value == 4
+    assert verify_star_colouring(HARD_DST, witness) is None
+
+
+# The slowest of 3,000 random cyclic labelled digraphs (indegree <= 3,
+# labels <= 3, fibres <= labels + 1, at most 40 arcs) that the search this
+# one replaced finished within 20 s: 14.9 s there for lambda_1 = 5.
+HARD_LAMBDA = LabelledDigraph(13, 2, (
+    (0, 12, 1), (1, 4, 1), (1, 10, 2), (2, 1, 1), (2, 12, 1), (3, 4, 1),
+    (3, 6, 2), (3, 9, 1), (4, 6, 1), (5, 0, 1), (5, 3, 2), (6, 0, 1),
+    (6, 5, 1), (6, 9, 1), (8, 11, 1), (8, 11, 2), (9, 0, 2), (9, 3, 1),
+    (9, 8, 1), (9, 12, 1), (10, 2, 1), (10, 2, 2), (11, 1, 2), (11, 5, 2),
+    (11, 7, 1), (12, 1, 1), (12, 2, 2), (12, 7, 2), (12, 8, 2), (12, 10, 1)))
+
+
+def test_exact_lambda_hard_instance_is_fast():
+    start = time.perf_counter()
+    value, fc = exact_lambda_n(HARD_LAMBDA, 1)
+    assert time.perf_counter() - start < 1.0
+    assert value == 5
+    assert verify_fibre_colouring(HARD_LAMBDA, fc) is None
 
 
 def test_bicoloured_circuit_absent():
