@@ -20,8 +20,8 @@ from .constructions import (ARC_BUDGET, CUBIC_GRAPHS, GadgetCertificate,
                             random_labelled_dag, random_oriented_subcubic,
                             random_subcubic, triangle_multidigraph)
 from .digraph import (DegreeProfile, Digraph, LabelledDigraph, degree_profile,
-                      find_circuit_arcs, is_acyclic, split_acyclic_eulerian,
-                      strong_components, topological_order)
+                      find_circuit_arcs, is_acyclic, strong_components,
+                      topological_order)
 from .errors import (AboveCapError, BadListsError, BadParamsError,
                      BadShapeError, CyclicError, DegreeTooHighError,
                      GalaxiaError, HasDigonError, HasK4Error, InfeasibleError,
@@ -38,13 +38,12 @@ from .fibre import (FibreColouring, FibreViolation, WavelengthAssignment,
 from .fileio import (read_colouring, read_digraph, read_wavelengths,
                      write_colouring, write_digraph, write_wavelengths)
 from .galaxy import (ForestGalaxyDecomposition, dst_upper_2k1,
-                     forest_to_two_galaxies, frank_condition_check,
-                     is_forest_arcs, is_galaxy_arcs, is_k_nice,
-                     u_suitable_decomposition)
-from .intervals import (CyclicInterval, interval_complement, interval_members,
+                     forest_to_two_galaxies, is_forest_arcs, is_galaxy_arcs,
+                     is_k_nice, u_suitable_decomposition)
+from .intervals import (CyclicInterval, interval_complement,
                         sdr_in_cyclic_interval, smallest_interval_containing)
-from .oracle import (StarViolation, arc_limit_default, edge_colouring_3regular,
-                     exact_dst, exact_lambda_n, find_bicoloured_circuit,
+from .oracle import (StarViolation, edge_colouring_3regular, exact_dst,
+                     exact_lambda_n, find_bicoloured_circuit,
                      verify_star_colouring)
 from .spanning import Galaxy, dst4_colouring, spanning_galaxy
 from .subcubic import (brooks_three_colouring, lemma_cycle_colouring,

@@ -41,8 +41,9 @@ from .fibre import (FibreColouring, WavelengthAssignment,
 from .fileio import (read_colouring, read_digraph, read_wavelengths,
                      write_colouring, write_digraph, write_wavelengths)
 from .galaxy import dst_upper_2k1
-from .oracle import (edge_colouring_3regular, exact_dst, exact_lambda_n,
-                     find_bicoloured_circuit, verify_star_colouring)
+from .oracle import (DEFAULT_ARC_LIMIT, edge_colouring_3regular, exact_dst,
+                     exact_lambda_n, find_bicoloured_circuit,
+                     verify_star_colouring)
 from .spanning import dst4_colouring
 from .subcubic import star_colouring_subcubic
 
@@ -344,6 +345,17 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    """Argument type of --fibres and --arc-limit: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built on first use and shared by every later call."""
@@ -372,14 +384,14 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="colour an instance constructively")
     solve.add_argument("input")
     solve.add_argument("--algorithm", choices=_STAR_ALGORITHMS, default="auto")
-    solve.add_argument("--fibres", type=int, default=None)
+    solve.add_argument("--fibres", type=_positive_int, default=None)
     solve.add_argument("-o", "--output", default=None)
     solve.set_defaults(func=_cmd_solve)
 
     ver = sub.add_parser("verify", help="check a colouring file")
     ver.add_argument("input")
     ver.add_argument("colouring")
-    ver.add_argument("--fibres", type=int, default=None,
+    ver.add_argument("--fibres", type=_positive_int, default=None,
                      help="treat the file as a wavelength assignment")
     ver.add_argument("--acircuitic", action="store_true",
                      help="also reject bicoloured circuits")
@@ -387,10 +399,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     exact = sub.add_parser("exact", help="run the exponential exact solver")
     exact.add_argument("input")
-    exact.add_argument("--fibres", type=int, default=None)
+    exact.add_argument("--fibres", type=_positive_int, default=None)
     exact.add_argument("--colour-cap", type=int, default=None)
-    exact.add_argument("--arc-limit", type=int, default=None,
-                       help="override GALAXIA_ARC_LIMIT / the default 40")
+    exact.add_argument("--arc-limit", type=_positive_int, default=DEFAULT_ARC_LIMIT,
+                       help=f"most arcs to search (default {DEFAULT_ARC_LIMIT})")
     exact.add_argument("-o", "--output", default=None)
     exact.set_defaults(func=_cmd_exact)
 
@@ -400,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--input", help="cubic graph as an arc file, arcs read as edges")
     red.add_argument("--check", action="store_true",
                      help="cross-check dst=3 against 3-edge-colourability (exponential)")
-    red.add_argument("--arc-limit", type=int, default=None)
+    red.add_argument("--arc-limit", type=_positive_int, default=DEFAULT_ARC_LIMIT)
     red.add_argument("-o", "--output", default=None)
     red.set_defaults(func=_cmd_reduce)
 

@@ -343,28 +343,3 @@ def find_circuit_arcs(d: Digraph, removed: set[int] | None = None) -> tuple[int,
                 del depth[v]
     return None
 
-
-def split_acyclic_eulerian(d: Digraph) -> tuple[Digraph, Digraph]:
-    """Partition the arcs into an acyclic part and an Eulerian part.
-
-    Repeatedly peels the circuit found by find_circuit_arcs into the
-    Eulerian side until the residue is acyclic.  A union of arc-disjoint
-    circuits has equal in- and outdegree everywhere, which is the whole
-    Eulerian requirement here.
-    """
-    removed: set[int] = set()
-    eulerian: list[int] = []
-    while True:
-        circ = find_circuit_arcs(d, removed)
-        if circ is None:
-            break
-        eulerian.extend(circ)
-        removed.update(circ)
-    e_set = set(eulerian)
-    d_a = Digraph(d.vertex_count,
-                  tuple(d.arcs[i] for i in range(d.arc_count) if i not in e_set),
-                  allow_parallel=True)
-    d_e = Digraph(d.vertex_count,
-                  tuple(d.arcs[i] for i in sorted(e_set)),
-                  allow_parallel=True)
-    return d_a, d_e

@@ -58,6 +58,10 @@ _HEADER = re.compile(r"^p dsa ([0-9]{1,18}) ([0-9]{1,18}) ([0-9]{1,18})\n", re.M
 _NOT_COMMENT = re.compile(r"^[^#]", re.M)
 _NOT_ARC_LINE = re.compile(r"\n(?!a [0-9]{1,18} [0-9]{1,18} [0-9]{1,18}\n)")
 _SLICE = 1 << 14  # characters of arc lines split at a time
+# Most vertices a problem line may declare.  Solvers and verifiers build
+# tables with one entry per vertex, so a larger count is refused on its
+# own line, whatever memory the host has.
+VERTEX_LIMIT = 1 << 24
 
 
 def read_digraph(stream: Iterable[str]) -> LabelledDigraph:
@@ -81,6 +85,8 @@ def _read_canonical(text: str) -> LabelledDigraph | None:
             or _NOT_ARC_LINE.search(text, header.end() - 1).start() != len(text) - 1):
         return None
     n, arc_count, m = map(int, header.groups())
+    if n > VERTEX_LIMIT:
+        return None
     # The arc lines go in slices of whole lines, so that the tokens of
     # the whole text are never alive at once.
     arcs: list[tuple[int, int, int]] = []
@@ -129,6 +135,8 @@ def _read_lines(stream: Iterable[str]) -> LabelledDigraph:
             n, arc_count, m = header = _ints(fields[2:], lineno)
             if n < 0 or arc_count < 0 or m < 1:
                 raise ParseError(lineno, "bad problem-line counts")
+            if n > VERTEX_LIMIT:
+                raise ParseError(lineno, f"{n} vertices exceed the limit {VERTEX_LIMIT}")
         elif fields[0] == "a":
             if header is None:
                 raise ParseError(lineno, "arc line before problem line")

@@ -38,8 +38,7 @@ from dataclasses import dataclass
 from .colouring import ArcColouring, from_class_list
 from .digraph import Digraph, degree_profile, strong_components
 from .errors import (BadParamsError, InternalDefectError, NotForestError,
-                     NotNiceError, NotSimpleError, TooLargeError,
-                     ValidateError)
+                     NotNiceError, NotSimpleError, ValidateError)
 
 
 def is_galaxy_arcs(d: Digraph, arc_set: frozenset[int] | set[int]) -> bool:
@@ -287,47 +286,3 @@ def dst_upper_2k1(d: Digraph) -> ArcColouring:
     classes.append(set(decomposition.galaxy))
     return from_class_list(classes)
 
-
-def frank_condition_check(d: Digraph, k: int,
-                          vertex_limit: int = 20,
-                          ) -> tuple[bool, frozenset[int] | None]:
-    """Frank's forest-partition condition by exhaustive subset sweep.
-
-    Returns (True, None) when an arc-partition into k forests exists,
-    else (False, U) for the first dense subset found (masks ascending),
-    or (False, None) when only the indegree condition fails.
-    """
-    n = d.vertex_count
-    if n > vertex_limit:
-        raise TooLargeError(f"{n} vertices exceed the limit {vertex_limit}")
-    if k < 1:
-        raise BadParamsError("k must be positive")
-    if degree_profile(d).max_indegree > k:
-        return False, None
-    simple = len(set(d.arcs)) == d.arc_count
-    out_mask = [0] * n
-    in_mask = [0] * n
-    touching: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    by_pair: dict[tuple[int, int], int] = {}
-    for t, h in d.arcs:
-        out_mask[t] |= 1 << h
-        in_mask[h] |= 1 << t
-        by_pair[(t, h)] = by_pair.get((t, h), 0) + 1
-    for (t, h), mult in by_pair.items():
-        touching[t].append((h, mult))
-        touching[h].append((t, mult))
-    inside = [0] * (1 << n)  # arcs of D[U] per vertex mask U
-    for mask in range(1, 1 << n):
-        v = (mask & -mask).bit_length() - 1
-        rest = mask & (mask - 1)
-        if simple:
-            added = ((out_mask[v] & rest).bit_count()
-                     + (in_mask[v] & rest).bit_count())
-        else:
-            added = sum(mult for w, mult in touching[v] if rest >> w & 1)
-        inside[mask] = inside[rest] + added
-        size = mask.bit_count()
-        if inside[mask] > k * (size - 1):
-            members = frozenset(w for w in range(n) if mask >> w & 1)
-            return False, members
-    return True, None

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadParamsError, BadShapeError, InternalDefectError
-from .matching import perfect_matching
+from .matching import capacitated_assignment
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,6 @@ class CyclicInterval:
 
     def __contains__(self, value: int) -> bool:
         return (value - self.start) % self.modulus < self.length
-
-
-def interval_members(interval: CyclicInterval) -> set[int]:
-    return set(interval.members_tuple())
 
 
 def interval_complement(interval: CyclicInterval) -> CyclicInterval:
@@ -65,9 +61,10 @@ def sdr_in_cyclic_interval(intervals: list[CyclicInterval],
     k-interval of {1..2k}.
 
     Tries each of the 2k candidate intervals J by ascending start and
-    takes the first perfect matching interval -> member of J.  Existence
-    is guaranteed, so exhausting all candidates is an internal defect
-    and aborts loudly.
+    takes the first perfect matching interval -> member of J, found as a
+    `capacitated_assignment` with unit capacities.  Existence is
+    guaranteed, so exhausting all candidates is an internal defect and
+    aborts loudly.
     """
     k = len(intervals)
     if k < 1:
@@ -81,8 +78,8 @@ def sdr_in_cyclic_interval(intervals: list[CyclicInterval],
         members = j.members_tuple()
         adjacency = [[pos for pos, value in enumerate(members) if value in iv]
                      for iv in intervals]
-        match = perfect_matching(adjacency, k)
+        match = capacitated_assignment(adjacency, [1] * k)
         if match is not None:
-            return j, tuple(members[match[i]] for i in range(k))
+            return j, tuple(members[right] for right in match)
     raise InternalDefectError(
         "no candidate interval admits an SDR; existence is guaranteed")

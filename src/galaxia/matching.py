@@ -1,66 +1,23 @@
-"""Augmenting-path bipartite matching, plain and with right capacities.
+"""Augmenting-path bipartite assignment with right capacities.
 
-Small inputs only (interval SDRs, per-vertex colour assignment), so the
-classic Kuhn algorithm is plenty.  Left vertices are processed in
-ascending order and adjacency lists are scanned as given, which makes
-the result a pure function of the input.
+One routine serves both callers: interval SDRs pass unit capacities,
+which makes it a plain matching, and per-vertex colour assignment
+passes real ones.  Inputs are small, so the classic Kuhn algorithm is
+plenty.  Left vertices are processed in ascending order and adjacency
+lists are scanned as given, which makes the result a pure function of
+the input.
 """
 
 from __future__ import annotations
-
-
-def perfect_matching(adjacency: list[list[int]], right_count: int,
-                     ) -> list[int] | None:
-    """Match every left vertex to a distinct right vertex, or None.
-
-    adjacency[i] lists the right vertices allowed for left vertex i.
-    Returns match[i] = right vertex of i.
-    """
-    owner = [-1] * right_count
-
-    def augment(root: int, seen: list[bool]) -> bool:
-        # depth-first, one frame [left, next adjacency position] per
-        # level; rights[i] leads from frame i to frame i + 1
-        stack = [[root, 0]]
-        rights: list[int] = []
-        while stack:
-            frame = stack[-1]
-            left, pos = frame
-            options = adjacency[left]
-            while pos < len(options) and seen[options[pos]]:
-                pos += 1
-            if pos == len(options):
-                stack.pop()
-                if rights:
-                    rights.pop()
-                continue
-            right = options[pos]
-            frame[1] = pos + 1
-            seen[right] = True
-            rights.append(right)
-            if owner[right] == -1:
-                for (left, _), right in zip(stack, rights):
-                    owner[right] = left
-                return True
-            stack.append([owner[right], 0])
-        return False
-
-    for left in range(len(adjacency)):
-        if not augment(left, [False] * right_count):
-            return None
-    match = [-1] * len(adjacency)
-    for right, left in enumerate(owner):
-        if left != -1:
-            match[left] = right
-    return match
 
 
 def capacitated_assignment(adjacency: list[list[int]],
                            capacity: list[int]) -> list[int] | None:
     """Assign every left vertex a right vertex, right j used <= capacity[j].
 
-    Same augmenting-path scheme with per-right slot lists.  Returns the
-    assignment or None when some left vertex cannot be placed.
+    Kuhn's augmenting paths, one `seen` list per augment, with per-right
+    slot lists.  Returns the assignment or None when some left vertex
+    cannot be placed.
     """
     load: list[list[int]] = [[] for _ in capacity]  # right -> left vertices
     assigned = [-1] * len(adjacency)

@@ -10,7 +10,6 @@ colour is at most one above the highest placed so far.
 
 from __future__ import annotations
 
-import os
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
@@ -21,20 +20,6 @@ from .errors import (AboveCapError, InternalDefectError, NotCubicError,
 from .fibre import FibreColouring
 
 DEFAULT_ARC_LIMIT = 40
-ARC_LIMIT_ENV = "GALAXIA_ARC_LIMIT"
-
-
-def arc_limit_default() -> int:
-    raw = os.environ.get(ARC_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_ARC_LIMIT
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValidateError(f"{ARC_LIMIT_ENV} must be an integer, got {raw!r}")
-    if value < 1:
-        raise ValidateError(f"{ARC_LIMIT_ENV} must be positive")
-    return value
 
 
 class StarViolation(NamedTuple):
@@ -189,7 +174,7 @@ def _lower_bound(indegree: tuple[int, ...], tails, n: int) -> int:
 
 
 def exact_dst(d: Digraph, colour_cap: int | None = None,
-              arc_limit: int | None = None) -> tuple[int, ArcColouring]:
+              arc_limit: int = DEFAULT_ARC_LIMIT) -> tuple[int, ArcColouring]:
     """Exact directed star arboricity with a witness colouring.
 
     Tries q = lower bound, lower bound + 1, ... and colours the arcs'
@@ -199,9 +184,8 @@ def exact_dst(d: Digraph, colour_cap: int | None = None,
     finds.  Raises TooLarge over the arc limit and AboveCap when the
     optimum exceeds colour_cap.
     """
-    limit = arc_limit if arc_limit is not None else arc_limit_default()
-    if d.arc_count > limit:
-        raise TooLargeError(f"{d.arc_count} arcs exceed the limit {limit}")
+    if d.arc_count > arc_limit:
+        raise TooLargeError(f"{d.arc_count} arcs exceed the limit {arc_limit}")
     if d.arc_count == 0:
         return 0, ArcColouring({}, 0)
     conflicts = _conflict_lists(d)
@@ -220,7 +204,7 @@ def exact_dst(d: Digraph, colour_cap: int | None = None,
 
 
 def exact_lambda_n(ld: LabelledDigraph, n: int, colour_cap: int | None = None,
-                   arc_limit: int | None = None) -> tuple[int, FibreColouring]:
+                   arc_limit: int = DEFAULT_ARC_LIMIT) -> tuple[int, FibreColouring]:
     """Exact minimum colour count of an n-fibre colouring, with witness.
 
     Same search as exact_dst (_dsatur, same branching rule), where arc
@@ -231,9 +215,8 @@ def exact_lambda_n(ld: LabelledDigraph, n: int, colour_cap: int | None = None,
     """
     if n < 1:
         raise ValidateError("fibre count must be positive")
-    limit = arc_limit if arc_limit is not None else arc_limit_default()
-    if ld.arc_count > limit:
-        raise TooLargeError(f"{ld.arc_count} arcs exceed the limit {limit}")
+    if ld.arc_count > arc_limit:
+        raise TooLargeError(f"{ld.arc_count} arcs exceed the limit {arc_limit}")
     if ld.arc_count == 0:
         return 0, FibreColouring(n, {}, 0)
     lower = _lower_bound(ld.profile.indegree,

@@ -30,7 +30,6 @@ from galaxia import (
     fibre_colouring_acyclic,
     fibre_colouring_smallm,
     find_bicoloured_circuit,
-    interval_members,
     lemma_cycle_colouring,
     np_gadget,
     np_reduction,
@@ -102,7 +101,7 @@ def test_criterion_2():
             if entering:
                 iv = intervals[v]
                 assert iv.length == k and iv.modulus == 2 * k
-                assert {colouring[i] for i in entering} <= interval_members(iv)
+                assert {colouring[i] for i in entering} <= set(iv.members_tuple())
         if d.vertex_count <= 9:
             assert exact_dst(d)[0] <= 2 * k
     brandt = extremal_gnmk(1, 1, 1).underlying
@@ -116,8 +115,8 @@ def test_criterion_3():
     def check(intervals, k):
         j, reps = sdr_in_cyclic_interval(intervals)
         assert len(set(reps)) == k
-        assert all(reps[i] in interval_members(intervals[i]) for i in range(k))
-        assert set(reps) == interval_members(j) and j.length == k
+        assert all(reps[i] in intervals[i] for i in range(k))
+        assert set(reps) == set(j.members_tuple()) and j.length == k
 
     for k in (1, 2, 3):
         for starts in itertools.product(range(1, 2 * k + 1), repeat=k):

@@ -9,7 +9,6 @@ from galaxia import (
     degree_profile,
     exact_dst,
     extremal_gnmk,
-    interval_members,
     random_labelled_dag,
     star_colouring_acyclic,
     verify_star_colouring,
@@ -23,7 +22,7 @@ def check_locality(d, colouring, intervals, k):
         entering = d.in_arcs[v]
         if not entering:
             continue
-        members = interval_members(intervals[v])
+        members = set(intervals[v].members_tuple())
         assert intervals[v].length == k and intervals[v].modulus == 2 * k
         assert {colouring[i] for i in entering} <= members
 

@@ -105,6 +105,27 @@ def test_solve_fibres_cyclic_large_m_exits_3(tmp_path, capsys):
     assert "no applicable algorithm" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("make, args", [
+    (circuit_instance, ["solve", "--fibres", "0"]),
+    (dag_instance, ["solve", "--fibres", "0"]),
+    (circuit_instance, ["solve", "--algorithm", "smallm", "--fibres", "-1"]),
+    (dag_instance, ["verify", "-", "--fibres", "0"]),
+    (circuit_instance, ["exact", "--fibres", "0"]),
+    (circuit_instance, ["exact", "--arc-limit", "0"]),
+    (circuit_instance, ["exact", "--arc-limit", "many"]),
+    (None, ["reduce", "--named", "k4", "--check", "--arc-limit", "0"]),
+])
+def test_flags_below_one_exit_2_naming_the_flag(tmp_path, capsys, make, args):
+    command, *flags = args
+    flag, value = flags[-2:]
+    inputs = [] if make is None else [make(tmp_path)]
+    with pytest.raises(SystemExit) as info:
+        main([command, *inputs, *flags])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument {flag}: must be a positive integer, got {value!r}\n")
+
+
 def parallel_arc_instance(tmp_path):
     """Valid labelled input whose underlying digraph repeats the arc 0->1
     (under two labels) and has a circuit, so no constructive theorem
@@ -305,13 +326,6 @@ def test_exact_above_cap_exits_1(tmp_path, capsys):
 
 def test_exact_arc_limit_exits_2(tmp_path, capsys):
     assert main(["exact", circuit_instance(tmp_path), "--arc-limit", "2"]) == 2
-
-
-def test_exact_env_arc_limit(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GALAXIA_ARC_LIMIT", "2")
-    assert main(["exact", circuit_instance(tmp_path)]) == 2
-    monkeypatch.setenv("GALAXIA_ARC_LIMIT", "40")
-    assert main(["exact", circuit_instance(tmp_path)]) == 0
 
 
 def test_exact_writes_witness(tmp_path, capsys):

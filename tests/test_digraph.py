@@ -11,7 +11,6 @@ from galaxia import (
     digraph,
     find_circuit_arcs,
     is_acyclic,
-    split_acyclic_eulerian,
     strong_components,
     topological_order,
 )
@@ -219,33 +218,3 @@ def test_find_circuit_arcs_dag_and_circuit():
 def test_find_circuit_respects_removed():
     c = circuit(3)
     assert find_circuit_arcs(c, removed={1}) is None
-
-
-def test_split_single_circuit():
-    d_a, d_e = split_acyclic_eulerian(circuit(4))
-    assert d_a.arc_count == 0
-    assert sorted(d_e.arcs) == sorted(circuit(4).arcs)
-
-
-def test_split_dag():
-    d = Digraph(4, ((0, 1), (0, 2), (1, 3)))
-    d_a, d_e = split_acyclic_eulerian(d)
-    assert d_e.arc_count == 0
-    assert sorted(d_a.arcs) == sorted(d.arcs)
-
-
-def test_split_circuit_plus_chord():
-    d = Digraph(3, ((0, 1), (1, 2), (2, 0), (0, 2)))
-    d_a, d_e = split_acyclic_eulerian(d)
-    assert sorted(d_e.arcs) == [(0, 1), (1, 2), (2, 0)]
-    assert d_a.arcs == ((0, 2),)
-
-
-@given(arc_sets())
-def test_split_invariants(d):
-    d_a, d_e = split_acyclic_eulerian(d)
-    assert d_a.arc_count + d_e.arc_count == d.arc_count
-    assert sorted(d_a.arcs + d_e.arcs) == sorted(d.arcs)
-    assert is_acyclic(d_a)
-    p = degree_profile(d_e)
-    assert all(p.indegree[v] == p.outdegree[v] for v in range(d.vertex_count))

@@ -116,6 +116,10 @@ def test_roundtrip_random_instances(n, m, k, seed):
     ("p dsa 2 0 0\n", ParseError, "line 1: bad problem-line counts"),
     ("p dsa -1 0 1\n", ParseError, "line 1: bad problem-line counts"),
     ("p dsa 2 -1 1\n", ParseError, "line 1: bad problem-line counts"),
+    ("p dsa 3000000000 1 1\na 0 1 1\n", ParseError,
+     "line 1: 3000000000 vertices exceed the limit 16777216"),
+    ("# big\np dsa 16777217 1 1\na 0 1\n", ParseError,
+     "line 2: 16777217 vertices exceed the limit 16777216"),
     ("a 0 1\np dsa 2 1 1\n", ParseError, "line 1: arc line before problem line"),
     ("a 0\n", ParseError, "line 1: arc line before problem line"),
     ("p dsa 2 1 1\na 0\n", ParseError, "line 2: arc line must be 'a <tail> <head> [<label>]'"),

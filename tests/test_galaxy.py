@@ -17,13 +17,11 @@ from galaxia import (
     ForestGalaxyDecomposition,
     NotForestError,
     NotNiceError,
-    TooLargeError,
     ValidateError,
     degree_profile,
     dst_upper_2k1,
     exact_dst,
     forest_to_two_galaxies,
-    frank_condition_check,
     is_galaxy_arcs,
     is_k_nice,
     random_digraph,
@@ -169,33 +167,6 @@ def test_2k1_bound_random(n, seed):
     k = degree_profile(d).max_indegree
     assert col.colour_count <= 2 * k + 1
     assert verify_star_colouring(d, col) is None
-
-
-def test_frank_circuit_k1():
-    ok, witness = frank_condition_check(circuit(3), 1)
-    assert not ok
-    assert witness == frozenset({0, 1, 2})  # 3 arcs > 1 * 2
-
-
-def test_frank_circuit_k2():
-    assert frank_condition_check(circuit(3), 2) == (True, None)
-
-
-def test_frank_forest():
-    d = Digraph(4, ((0, 1), (1, 2), (1, 3)))
-    assert frank_condition_check(d, 1) == (True, None)
-
-
-def test_frank_vertex_limit():
-    with pytest.raises(TooLargeError):
-        frank_condition_check(Digraph(21, ()), 1)
-
-
-@given(st.integers(2, 10), st.integers(0, 499))
-def test_frank_holds_at_k_plus_one(n, seed):
-    d = random_digraph(n, min(2, n - 1), min(2, n - 1), seed)
-    k = degree_profile(d).max_indegree
-    assert frank_condition_check(d, k + 1) == (True, None)
 
 
 # Decompositions recorded from the recursive peeling construction (one

@@ -16,7 +16,6 @@ from galaxia import (
     StarViolation,
     TooLargeError,
     ValidateError,
-    arc_limit_default,
     degree_profile,
     edge_colouring_3regular,
     exact_dst,
@@ -104,16 +103,6 @@ def test_exact_dst_above_cap():
 def test_exact_dst_arc_limit():
     with pytest.raises(TooLargeError):
         exact_dst(circuit(5), arc_limit=4)
-
-
-def test_arc_limit_env_override(monkeypatch):
-    monkeypatch.delenv("GALAXIA_ARC_LIMIT", raising=False)
-    assert arc_limit_default() == 40
-    monkeypatch.setenv("GALAXIA_ARC_LIMIT", "7")
-    assert arc_limit_default() == 7
-    with pytest.raises(ValidateError):
-        monkeypatch.setenv("GALAXIA_ARC_LIMIT", "zero")
-        arc_limit_default()
 
 
 def test_exact_dst_deterministic():

@@ -98,9 +98,11 @@ def instances(args):
 def cmd_run(args) -> int:
     sys.path.insert(0, str(Path(args.src).resolve()))
     from galaxia import LabelledDigraph, exact_dst, exact_lambda_n
+    from galaxia.oracle import DEFAULT_ARC_LIMIT
     signal.signal(signal.SIGALRM, _alarm)
     for family, i, v, m, fibres, arcs, limit in list(instances(args)):
         ld = LabelledDigraph(v, m, tuple(arcs))
+        limit = limit or DEFAULT_ARC_LIMIT
         start = time.perf_counter()
         signal.setitimer(signal.ITIMER_REAL, args.cap)
         try:
