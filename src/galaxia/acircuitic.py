@@ -10,20 +10,20 @@ by list colouring.
 
 The list-colouring step stands alone as `list_colouring_acyclic`: any
 acyclic subcubic digraph with every arc list at least as large as its
-head's degree admits a directed star colouring from the lists, by
-peeling arcs whose head is a sink.
+head's degree admits a directed star colouring from the lists.  Both
+run subcubic's one list-extension engine, which on acyclic input colours
+the arcs into each vertex once every arc leaving it is coloured.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterable, Mapping
 
 from .colouring import ArcColouring
 from .digraph import Digraph, degree_profile, is_acyclic
 from .errors import (HasDigonError, InternalDefectError, NotSimpleError,
                      NotSubcubicError, PreconditionViolatedError)
-from .subcubic import _functional_cycles, brooks_three_colouring
+from .subcubic import _brooks, _extension_engine, _functional_cycles
 
 
 def list_colouring_acyclic(d: Digraph,
@@ -32,13 +32,12 @@ def list_colouring_acyclic(d: Digraph,
     """Directed star colouring of an acyclic subcubic digraph from lists.
 
     Every arc's list must be at least as large as the total degree of
-    its head.  Arcs are peeled lowest-index-first among those whose head
-    is a sink of the remaining digraph; colouring such an arc conflicts
-    only with arcs headed at one of its endpoints, whose lists shrink by
-    one exactly when their own head loses one degree.  The ready arcs
-    sit in a heap: an arc enters it once, when its head becomes a sink,
-    and heads never stop being sinks, so popping the smallest index is
-    the lowest-index-first order.
+    its head.  The colouring is subcubic's extension engine on acyclic
+    input: the arcs into a vertex w are coloured once every arc leaving
+    w is, their lists struck by those colours, and take the first
+    distinct choice in arc order.  Striking takes one colour per
+    coloured arc at w, so each list keeps at least as many colours as w
+    has entering arcs and no choice meets a dead end.
     """
     if len(set(d.arcs)) != d.arc_count:
         raise NotSimpleError("needs a simple digraph")
@@ -47,47 +46,16 @@ def list_colouring_acyclic(d: Digraph,
         raise PreconditionViolatedError("digraph is not subcubic")
     if not is_acyclic(d):
         raise PreconditionViolatedError("digraph has a circuit")
-    live: dict[int, list[int]] = {}
+    live: list[set[int]] = []
     for i, (t, h) in enumerate(d.arcs):
         if i not in lists:
             raise PreconditionViolatedError(f"arc {i} has no colour list")
-        live[i] = sorted(set(lists[i]))
+        live.append(set(lists[i]))
         if len(live[i]) < profile.degree[h]:
             raise PreconditionViolatedError(
                 f"arc {i} has a list of {len(live[i])} colours but its head "
                 f"has degree {profile.degree[h]}")
-
-    out_live = list(profile.outdegree)
-    deg_live = list(profile.degree)
-    in_arcs = d.in_arcs
-    ready = [i for v in range(d.vertex_count) if out_live[v] == 0
-             for i in in_arcs[v]]
-    heapq.heapify(ready)
-    colours: dict[int, int] = {}
-    while ready:
-        pick = heapq.heappop(ready)
-        x, y = d.arcs[pick]
-        if not live[pick]:
-            raise InternalDefectError(f"arc {pick} ran out of colours")
-        omega = live[pick][0]
-        colours[pick] = omega
-        out_live[x] -= 1
-        deg_live[x] -= 1
-        deg_live[y] -= 1
-        if out_live[x] == 0:
-            for i in in_arcs[x]:
-                heapq.heappush(ready, i)
-        for h in (x, y):
-            for j in in_arcs[h]:
-                if j in colours:
-                    continue
-                if omega in live[j]:
-                    live[j].remove(omega)
-                if len(live[j]) < deg_live[h]:
-                    raise InternalDefectError(
-                        f"list of arc {j} fell below its head degree")
-    if len(colours) != d.arc_count:
-        raise InternalDefectError("no sink-headed arc in an acyclic rest")
+    colours = _extension_engine(d, live)
     return ArcColouring(colours, max(colours.values(), default=0))
 
 
@@ -135,12 +103,6 @@ def acircuitic_colouring(d: Digraph) -> ArcColouring:
         if t in ends or h in ends:
             raise InternalDefectError("colour-4 arcs failed to be a matching")
         ends.update((t, h))
-    rest_after_four = [i for i in range(d.arc_count) if i not in four]
-    if not is_acyclic(Digraph(d.vertex_count,
-                              tuple(d.arcs[i] for i in rest_after_four))):
-        raise InternalDefectError(
-            "digraph stayed cyclic after removing the colour-4 arcs")
-
     # index the matching arcs; the back-arc graph H lives on the arcs
     # from a matched head y_i to a matched tail x_j
     m_sorted = sorted(m_idx)
@@ -151,32 +113,31 @@ def acircuitic_colouring(d: Digraph) -> ArcColouring:
     if set(eprime) & four:
         raise InternalDefectError("a back arc was already coloured 4")
 
+    # two back arcs y_i -> x_j conflict when they share x_j, or when one
+    # enters x_j, the other leaves y_j, and both other ends rank above j;
+    # a matched vertex has at most two back arcs, so the buckets are small
     pairs = [(y_rank[d.arcs[i][0]], x_rank[d.arcs[i][1]]) for i in eprime]
-    edges: list[tuple[int, int]] = []
-    for a in range(len(eprime)):
-        i1, j1 = pairs[a]
-        for b in range(a + 1, len(eprime)):
-            i2, j2 = pairs[b]
-            if (j1 == j2
-                    or (j1 == i2 and i1 > j1 and j2 > j1)
-                    or (j2 == i1 and i2 > j2 and j1 > j2)):
-                edges.append((a, b))
-    degree = [0] * len(eprime)
-    neigh: list[set[int]] = [set() for _ in range(len(eprime))]
-    for a, b in edges:
-        degree[a] += 1
-        degree[b] += 1
-        neigh[a].add(b)
-        neigh[b].add(a)
-    if degree and max(degree) > 3:
+    by_x: dict[int, list[int]] = {}
+    by_y: dict[int, list[int]] = {}
+    for a, (i, j) in enumerate(pairs):
+        by_x.setdefault(j, []).append(a)
+        by_y.setdefault(i, []).append(a)
+    neigh = [set(by_x[j]) - {a} for a, (_, j) in enumerate(pairs)]
+    for a, (i, j) in enumerate(pairs):
+        if i > j:
+            for b in by_y.get(j, ()):
+                if pairs[b][1] > j:
+                    neigh[a].add(b)
+                    neigh[b].add(a)
+    if any(len(nb) > 3 for nb in neigh):
         raise InternalDefectError("back-arc conflict graph has degree four")
-    for a in range(len(eprime)):
-        if degree[a] == 3:
-            x1, x2, x3 = sorted(neigh[a])
+    for nb in neigh:
+        if len(nb) == 3:
+            x1, x2, x3 = sorted(nb)
             if x2 in neigh[x1] and x3 in neigh[x1] and x3 in neigh[x2]:
                 raise InternalDefectError(
                     "back-arc conflict graph contains a complete quadruple")
-    brooks = brooks_three_colouring(len(eprime), edges)
+    brooks = _brooks(neigh)
     back_colour = {arc: brooks[k] for k, arc in enumerate(eprime)}
 
     rest = [i for i in range(d.arc_count)
@@ -191,16 +152,15 @@ def acircuitic_colouring(d: Digraph) -> ArcColouring:
     taken_at: dict[int, set[int]] = {}
     for arc, c in back_colour.items():
         taken_at.setdefault(d.arcs[arc][1], set()).add(c)
-    lists = {k: sorted({1, 2, 3} - taken_at.get(sub.arcs[k][1], set()))
-             for k in range(sub.arc_count)}
-    sub_profile = degree_profile(sub)
-    for k in range(sub.arc_count):
-        if len(lists[k]) < sub_profile.degree[sub.arcs[k][1]]:
+    lists = [{1, 2, 3} - taken_at.get(h, set()) for _, h in sub.arcs]
+    sub_degree = degree_profile(sub).degree
+    for k, (_, h) in enumerate(sub.arcs):
+        if len(lists[k]) < sub_degree[h]:
             raise InternalDefectError(
                 f"arc {rest[k]} got a list smaller than its head degree")
-    finish = list_colouring_acyclic(sub, lists)
+    finish = _extension_engine(sub, lists)
 
     colours = {i: 4 for i in four}
     colours.update(back_colour)
-    colours.update({rest[k]: c for k, c in finish.colour.items()})
+    colours.update({rest[k]: c for k, c in finish.items()})
     return ArcColouring(colours, max(colours.values(), default=0))

@@ -3,9 +3,9 @@
 Five subcommands over the text formats in `fileio`: generate instances,
 solve them constructively, verify colourings, run the exact solvers and
 build the hardness reduction.  The solvers return their output
-unchecked; each output is run through the matching verifier exactly
-once here, before anything is printed or written, and a failure there
-exits 4.
+unchecked; each output, with the interval certificates of an acyclic
+run, is run through the matching verifier exactly once here, before
+anything is printed or written, and a failure there exits 4.
 
 Exit codes: 0 success, 1 a verification failed or a cap was exceeded,
 2 bad usage, unreadable input or an instance too large for memory,
@@ -41,6 +41,7 @@ from .fibre import (FibreColouring, WavelengthAssignment,
 from .fileio import (read_colouring, read_digraph, read_wavelengths,
                      write_colouring, write_digraph, write_wavelengths)
 from .galaxy import dst_upper_2k1
+from .intervals import CyclicInterval
 from .oracle import (DEFAULT_ARC_LIMIT, edge_colouring_3regular, exact_dst,
                      exact_lambda_n, find_bicoloured_circuit,
                      verify_star_colouring)
@@ -67,6 +68,24 @@ def _check_output(verifier, instance, output, what: str) -> None:
     violation = verifier(instance, output)
     if violation is not None:
         raise InternalDefectError(f"{what} failed verification: {violation}")
+
+
+def _interval_violation(d: Digraph, colouring: ArcColouring,
+                        intervals: dict[int, CyclicInterval]) -> str | None:
+    """Why some `i <vertex> <start> <k>` line fails, or None: its vertex
+    is outside d, or a colour entering the vertex is outside its
+    interval.  The colouring must cover every arc."""
+    for v in sorted(intervals):
+        iv = intervals[v]
+        if v >= d.vertex_count:
+            return (f"interval line names vertex {v} outside "
+                    f"0..{d.vertex_count - 1}")
+        for a in d.in_arcs[v]:
+            c = colouring[a]
+            if c > iv.modulus or c not in iv:
+                return (f"arc {a} enters vertex {v} with colour {c} outside"
+                        f" its interval {list(iv.members_tuple())}")
+    return None
 
 
 def _expand_checked(ld: LabelledDigraph, fc: FibreColouring,
@@ -187,6 +206,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     _check_output(verify_star_colouring, d, colouring, "solver output")
     if algo == "acircuitic":
         _check_output(find_bicoloured_circuit, d, colouring, "acircuitic output")
+    _check_output(functools.partial(_interval_violation, intervals=intervals),
+                  d, colouring, "solver certificates")
     summary = (f"algorithm={algo} colours={colouring.colour_count}"
                f" bound={bound} ({rule})")
     print(summary)
@@ -246,7 +267,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if args.fibres is not None:
             triples = read_wavelengths(fh, arc_count=ld.arc_count)
         else:
-            colours, _intervals = read_colouring(fh, arc_count=ld.arc_count)
+            colours, intervals = read_colouring(fh, arc_count=ld.arc_count)
     if args.fibres is not None:
         wa = WavelengthAssignment(args.fibres, triples)
         top = max((wl for wl, _, _ in triples.values()), default=0)
@@ -278,6 +299,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if circuit is not None:
             print(f"violation: bicoloured circuit through vertices {list(circuit)}")
             return 1
+    interval_bad = _interval_violation(d, colouring, intervals)
+    if interval_bad is not None:
+        print(f"violation: {interval_bad}")
+        return 1
     print("ok")
     return 0
 

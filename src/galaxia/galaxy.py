@@ -34,6 +34,7 @@ to forests k-1, k-2, ... in ascending order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Collection
 
 from .colouring import ArcColouring, from_class_list
 from .digraph import Digraph, degree_profile, strong_components
@@ -240,7 +241,7 @@ def forest_to_two_galaxies(d: Digraph, forest: frozenset[int] | set[int],
     return _split_forest(d, forest)
 
 
-def _split_forest(d: Digraph, forest: frozenset[int] | set[int],
+def _split_forest(d: Digraph, forest: Collection[int],
                   ) -> tuple[frozenset[int], frozenset[int]]:
     """forest_to_two_galaxies for a forest that is already checked."""
     parent: dict[int, tuple[int, int]] = {}
@@ -275,14 +276,11 @@ def dst_upper_2k1(d: Digraph) -> ArcColouring:
         raise NotSimpleError("2k+1 colouring needs a simple digraph")
     if d.arc_count == 0:
         return ArcColouring({}, 0)
-    k = degree_profile(d).max_indegree
-    decomposition = u_suitable_decomposition(d, 0, k)
+    # a simple digraph is k-nice for k its maximum indegree
+    forests, galaxy = _decompose(d, 0, degree_profile(d).max_indegree)
     classes: list[set[int]] = []
-    for forest in decomposition.forests:
-        # ForestGalaxyDecomposition checked every forest
-        first, second = _split_forest(d, forest)
-        classes.append(set(first))
-        classes.append(set(second))
-    classes.append(set(decomposition.galaxy))
+    for forest in forests:
+        classes.extend(map(set, _split_forest(d, forest)))
+    classes.append(set(galaxy))
     return from_class_list(classes)
 

@@ -38,7 +38,7 @@ from .colouring import ArcColouring
 from .digraph import Digraph, degree_profile
 from .errors import (DegreeTooHighError, InternalDefectError, NotSimpleError,
                      ValidateError)
-from .subcubic import star_colouring_subcubic
+from .subcubic import _colour_subcubic
 
 
 @dataclass(frozen=True)
@@ -81,13 +81,8 @@ class Galaxy:
 # spanning galaxies
 
 
-def spanning_galaxy(d: Digraph) -> Galaxy:
-    """A galaxy of d spanning every vertex of degree four.
-
-    Requires a simple digraph with maximum in- and outdegree two.  The
-    search is complete, so it ends with a galaxy whenever one exists;
-    the theorem says one always does here.
-    """
+def _check_in_out_two(d: Digraph) -> None:
+    """Raise unless d is simple with in- and outdegree at most two."""
     profile = degree_profile(d)
     if profile.max_indegree > 2 or profile.max_outdegree > 2:
         raise DegreeTooHighError(
@@ -95,8 +90,23 @@ def spanning_galaxy(d: Digraph) -> Galaxy:
             " exceed two")
     if len(set(d.arcs)) != d.arc_count:
         raise NotSimpleError("needs a simple digraph")
+
+
+def spanning_galaxy(d: Digraph) -> Galaxy:
+    """A galaxy of d spanning every vertex of degree four.
+
+    Requires a simple digraph with maximum in- and outdegree two.  The
+    search is complete, so it ends with a galaxy whenever one exists;
+    the theorem says one always does here.
+    """
+    _check_in_out_two(d)
+    return Galaxy(tuple(d.arcs[i] for i in _galaxy_arcs(d)))
+
+
+def _galaxy_arcs(d: Digraph) -> list[int]:
+    """The arcs, ascending, of spanning_galaxy(d) for a checked d."""
     arcs, in_arcs, out_arcs = d.arcs, d.in_arcs, d.out_arcs
-    degree = profile.degree
+    degree = d.profile.degree
     heavy = [v for v in range(d.vertex_count) if degree[v] == 4]
     # A literal is a + 1 for "arc a in the galaxy" and -(a + 1) for "out";
     # a clause is a tuple of literals, one of which must hold.
@@ -221,8 +231,7 @@ def spanning_galaxy(d: Digraph) -> Galaxy:
         while nxt < len(heavy) and covered[heavy[nxt]]:
             nxt += 1
         if nxt == len(heavy):
-            return Galaxy(tuple(arcs[i] for i in range(d.arc_count)
-                                if value[i] == 1))
+            return [i for i in range(d.arc_count) if value[i] == 1]
         v = heavy[nxt]
         starts.append(len(trail))
         resume.append(nxt)
@@ -237,27 +246,15 @@ def dst4_colouring(d: Digraph) -> ArcColouring:
 
     Colour 4 is a galaxy spanning the degree-4 vertices; what remains has
     maximum degree three and is coloured with 1..3.  Digraphs without
-    degree-4 vertices skip the galaxy entirely.
+    degree-4 vertices get the empty galaxy.
     """
-    profile = degree_profile(d)
-    if profile.max_indegree > 2 or profile.max_outdegree > 2:
-        raise DegreeTooHighError(
-            f"in/outdegrees ({profile.max_indegree}, {profile.max_outdegree})"
-            " exceed two")
-    if len(set(d.arcs)) != d.arc_count:
-        raise NotSimpleError("needs a simple digraph")
-    heavy = [v for v in range(d.vertex_count) if profile.degree[v] == 4]
-    galaxy_idx: set[int] = set()
-    if heavy:
-        galaxy = spanning_galaxy(d)
-        idx = {arc: i for i, arc in enumerate(d.arcs)}
-        galaxy_idx = {idx[arc] for arc in galaxy.arcs}
-    rest = [i for i in range(d.arc_count) if i not in galaxy_idx]
+    _check_in_out_two(d)
+    galaxy = set(_galaxy_arcs(d))
+    rest = [i for i in range(d.arc_count) if i not in galaxy]
     sub = Digraph(d.vertex_count, tuple(d.arcs[i] for i in rest))
     if degree_profile(sub).max_degree > 3:
         raise InternalDefectError(
             "removing the spanning galaxy left a vertex of degree four")
-    base = star_colouring_subcubic(sub)
-    colours = {rest[j]: c for j, c in base.colour.items()}
-    colours.update({i: 4 for i in galaxy_idx})
-    return ArcColouring(colours, 4 if galaxy_idx else base.colour_count)
+    colours = dict(zip(rest, _colour_subcubic(sub)))
+    colours.update(dict.fromkeys(galaxy, 4))
+    return ArcColouring(colours, 4 if galaxy else 3 if rest else 0)

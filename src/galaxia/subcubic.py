@@ -160,13 +160,18 @@ def brooks_three_colouring(vertex_count: int,
     for v in range(vertex_count):
         if len(adj[v]) > 3:
             raise NotSubcubicError(f"vertex {v} has degree {len(adj[v])}")
+    return _brooks(adj)
 
-    colours = [0] * vertex_count
+
+def _brooks(adj: list[set[int]]) -> list[int]:
+    """brooks_three_colouring of a graph given by symmetric neighbour
+    sets, without loops, of at most three vertices each."""
+    colours = [0] * len(adj)
     done: set[int] = set()
-    for v0 in range(vertex_count):
+    for v0 in range(len(adj)):
         if v0 in done:
             continue
-        comp = _bfs(adj, v0, range(vertex_count))
+        comp = _bfs(adj, v0, range(len(adj)))
         done.update(comp)
         if len(comp) == 1:
             colours[v0] = 1
@@ -826,10 +831,8 @@ def _colour_core(core: Digraph, ids: Sequence[int],
             return removed
 
     index = {a: i for i, a in enumerate(aprime)}
-    edges = sorted({(min(index[a], index[j]), max(index[a], index[j]))
-                    for a in aprime for j in conflict[a]})
-    node_colours = brooks_three_colouring(len(aprime), edges)
-    cprime = {a: node_colours[index[a]] for a in aprime}
+    node_colours = _brooks([{index[j] for j in conflict[a]} for a in aprime])
+    cprime = dict(zip(aprime, node_colours))
 
     # Arcs between low vertices are coloured via the conflict graph; the
     # engine colours the rest.  Low vertices keeping both an in-arc and

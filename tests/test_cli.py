@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from galaxia import (ArcColouring, FibreColouring, LabelledDigraph,
+from galaxia import (ArcColouring, CyclicInterval, FibreColouring, LabelledDigraph,
                      WavelengthAssignment, digraph, fibre, read_digraph,
                      write_digraph)
 from galaxia.cli import main
@@ -290,6 +290,45 @@ def test_verify_acircuitic_flag(tmp_path, capsys):
     bicoloured.write_text("c 0 1\nc 1 2\nc 2 1\nc 3 2\n")
     assert main(["verify", instance, str(bicoloured)]) == 0
     assert main(["verify", instance, str(bicoloured), "--acircuitic"]) == 1
+
+
+def test_verify_dag_roundtrip_checks_interval_lines(tmp_path, capsys):
+    instance = dag_instance(tmp_path)
+    colouring = tmp_path / "col.txt"
+    assert main(["solve", instance, "-o", str(colouring)]) == 0
+    assert "\ni 2 " in colouring.read_text()
+    capsys.readouterr()
+    assert main(["verify", instance, str(colouring)]) == 0
+    assert capsys.readouterr().out == "ok\n"
+
+
+@pytest.mark.parametrize("line, text", [
+    ("i 2 1 2", "violation: arc 0 enters vertex 2 with colour 4 outside its"
+                " interval [1, 2]\n"),
+    ("i 99 1 5", "violation: interval line names vertex 99 outside 0..2\n"),
+])
+def test_verify_rejects_bad_interval_line(tmp_path, capsys, line, text):
+    # in-colours 4 and 3 at vertex 2 form a proper star colouring
+    instance = tmp_path / "in.dsa"
+    write_instance(instance, LabelledDigraph(3, 1, ((0, 2, 1), (1, 2, 1))))
+    colouring = tmp_path / "col.txt"
+    colouring.write_text(f"c 0 4\nc 1 3\n{line}\n")
+    assert main(["verify", str(instance), str(colouring)]) == 1
+    assert capsys.readouterr().out == text
+
+
+def test_solve_bad_interval_certificate_exits_4(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("galaxia.cli.star_colouring_acyclic",
+                        lambda d: (ArcColouring({0: 1, 1: 2, 2: 3}, 4),
+                                   {2: CyclicInterval(4, 1, 2)}))
+    out = tmp_path / "col.txt"
+    assert main(["solve", dag_instance(tmp_path), "-o", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == ("internal defect: solver certificates failed"
+                            " verification: arc 2 enters vertex 2 with colour 3"
+                            " outside its interval [1, 2]\n")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_verify_fibres(tmp_path, capsys):

@@ -47,3 +47,25 @@ def test_every_private_name_is_referenced():
                 orphans.append(f"{path.name}:{first} {name}")
     assert checked > 0
     assert orphans == []
+
+
+def _unused_imports(tree):
+    """(line, name) of each module-level import that the module never
+    reads; `from __future__` imports bind no name and are skipped."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    yield node.lineno, name
+
+
+def test_every_module_level_import_is_used():
+    # __init__.py imports in order to re-export
+    unused = [f"{path.name}:{line} {name}"
+              for path in sorted(SOURCE.glob("*.py")) if path.name != "__init__.py"
+              for line, name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))]
+    assert unused == []

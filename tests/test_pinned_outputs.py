@@ -1,0 +1,104 @@
+"""The exact colourings of four constructive theorems, pinned by hash.
+
+Each test builds a few hundred small instances from a seeded
+random.Random, colours them all, and compares the sha256 of the
+colourings with the value recorded when the solvers were last changed
+on purpose.  A refactor that keeps every colouring keeps the hash; one
+that changes a single colour or colour count anywhere does not.
+"""
+import hashlib
+import random
+
+from galaxia import (Digraph, acircuitic_colouring, dst4_colouring,
+                     dst_upper_2k1, list_colouring_acyclic)
+
+INSTANCES = 300
+
+
+def digest(colourings):
+    """sha256 of the colourings, each written as its colour count and its
+    (arc, colour) pairs in arc order."""
+    h = hashlib.sha256()
+    for col in colourings:
+        h.update(repr((col.colour_count, sorted(col.colour.items()))).encode())
+    return h.hexdigest()
+
+
+def random_arcs(rng, n, tries, fits):
+    """Arcs (t, h) drawn at random, each kept when fits(t, h, arcs) holds."""
+    arcs = []
+    for _ in range(tries):
+        t, h = rng.randrange(n), rng.randrange(n)
+        if t != h and (t, h) not in arcs and fits(t, h, arcs):
+            arcs.append((t, h))
+    return arcs
+
+
+def capped(rng, n, in_cap, out_cap):
+    indeg, outdeg = [0] * n, [0] * n
+
+    def fits(t, h, _arcs):
+        if outdeg[t] == out_cap or indeg[h] == in_cap:
+            return False
+        outdeg[t] += 1
+        indeg[h] += 1
+        return True
+
+    return Digraph(n, tuple(random_arcs(rng, n, (in_cap + out_cap) * n, fits)))
+
+
+def oriented_subcubic(rng, n, order=None):
+    """Oriented, maximum degree three; with `order`, every arc goes from
+    the lower to the higher rank, so the digraph is acyclic."""
+    degree = [0] * n
+
+    def fits(t, h, arcs):
+        if degree[t] == 3 or degree[h] == 3 or (h, t) in arcs:
+            return False
+        degree[t] += 1
+        degree[h] += 1
+        return True
+
+    arcs = random_arcs(rng, n, 3 * n, fits)
+    if order is not None:
+        arcs = [(t, h) if order[t] < order[h] else (h, t) for t, h in arcs]
+    return Digraph(n, tuple(arcs))
+
+
+def test_dst_upper_2k1_pinned():
+    rng = random.Random(2101)
+    cols = [dst_upper_2k1(capped(rng, rng.randint(2, 30), rng.randint(1, 4),
+                                 rng.randint(1, 4)))
+            for _ in range(INSTANCES)]
+    assert digest(cols) == "27ac0ab6213322e467a2eab7feb4474fdffe7792ae3c137b0cda4a2478938369"
+
+
+def test_dst4_colouring_pinned():
+    rng = random.Random(2102)
+    cols = [dst4_colouring(capped(rng, rng.randint(2, 40), 2, 2))
+            for _ in range(INSTANCES)]
+    assert digest(cols) == "235e3c2b70d2a673bf8cdb9a95a81ef34d4f2e5cb6909e0fdb26d5f89fec498f"
+
+
+def test_acircuitic_colouring_pinned():
+    rng = random.Random(2103)
+    cols = [acircuitic_colouring(oriented_subcubic(rng, rng.randint(2, 40)))
+            for _ in range(INSTANCES)]
+    assert digest(cols) == "f0991151dd18417db48a307e668ada7673e005fd05b20436c79b016cdb29f927"
+
+
+def test_list_colouring_acyclic_pinned():
+    # lists as large as the head's degree, from 1..3 or from 1..5
+    rng = random.Random(2104)
+    cols = []
+    for _ in range(INSTANCES):
+        n = rng.randint(2, 30)
+        order = list(range(n))
+        rng.shuffle(order)
+        d = oriented_subcubic(rng, n, order)
+        top = rng.choice((3, 5))
+        degree = d.profile.degree
+        lists = {i: rng.sample(range(1, top + 1), rng.randint(degree[h], top))
+                 for i, (_, h) in enumerate(d.arcs)}
+        cols.append(list_colouring_acyclic(d, lists))
+    assert digest(cols) == "d72d124e6924d26a9b1e7eb42e8bc3a677a182da7f5a5d8c3a723cfb59ff34d4"
