@@ -75,13 +75,14 @@ def _interval_violation(d: Digraph, colouring: ArcColouring,
     """Why some `i <vertex> <start> <k>` line fails, or None: its vertex
     is outside d, or a colour entering the vertex is outside its
     interval.  The colouring must cover every arc."""
+    colour, in_arcs = colouring.colour, d.in_arcs
     for v in sorted(intervals):
         iv = intervals[v]
         if v >= d.vertex_count:
             return (f"interval line names vertex {v} outside "
                     f"0..{d.vertex_count - 1}")
-        for a in d.in_arcs[v]:
-            c = colouring[a]
+        for a in in_arcs[v]:
+            c = colour[a]
             if c > iv.modulus or c not in iv:
                 return (f"arc {a} enters vertex {v} with colour {c} outside"
                         f" its interval {list(iv.members_tuple())}")
