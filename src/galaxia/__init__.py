@@ -33,7 +33,7 @@ from .errors import (AboveCapError, BadListsError, BadParamsError,
 from .fibre import (FibreColouring, FibreViolation, WavelengthAssignment,
                     WavelengthViolation, expand_to_wavelength_assignment,
                     fibre_colouring_acyclic, fibre_colouring_smallm,
-                    fibre_counts, upper_bound_acyclic, verify_fibre_colouring,
+                    upper_bound_acyclic, verify_fibre_colouring,
                     verify_wavelength_assignment)
 from .fileio import (read_colouring, read_digraph, read_wavelengths,
                      write_colouring, write_digraph, write_wavelengths)

@@ -5,7 +5,9 @@ solve them constructively, verify colourings, run the exact solvers and
 build the hardness reduction.  The solvers return their output
 unchecked; each output, with the interval certificates of an acyclic
 run, is run through the matching verifier exactly once here, before
-anything is printed or written, and a failure there exits 4.
+anything is printed or written, and a failure there exits 4.  A fibre
+colouring that is expanded is decided by the wavelength verifier on
+its expansion, which no invalid colouring passes.
 
 Exit codes: 0 success, 1 a verification failed or a cap was exceeded,
 2 bad usage, unreadable input or an instance too large for memory,
@@ -91,10 +93,14 @@ def _interval_violation(d: Digraph, colouring: ArcColouring,
 
 def _expand_checked(ld: LabelledDigraph, fc: FibreColouring,
                     what: str) -> WavelengthAssignment:
-    """Expand fc and check the assignment.
+    """Expand fc and check the assignment, the output's one verifier pass.
 
-    Expansion checks its input, which is the fibre colouring's only
-    check, so a rejected colouring is a bug in this package (exit 4).
+    Expansion rejects an overloaded colouring from its own fibre count,
+    so a rejection is a bug in this package (exit 4).  The wavelength
+    verifier also decides fc: a WavelengthAssignment keeps every fibre
+    in 1..n, and rules (i)-(iii) give in(v,α) distinct in-fibres and
+    out(v,α) more distinct out-fibres, one per label, disjoint from
+    them, so in(v,α) + out(v,α) <= n wherever it passes.
     """
     try:
         wa = expand_to_wavelength_assignment(ld, fc)
@@ -270,7 +276,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         else:
             colours, intervals = read_colouring(fh, arc_count=ld.arc_count)
     if args.fibres is not None:
-        wa = WavelengthAssignment(args.fibres, triples)
+        wl_bad = verify_wavelength_assignment(
+            ld, WavelengthAssignment(args.fibres, triples))
+        if wl_bad is None:  # so the wavelengths' fibre colouring is valid too
+            print("ok")
+            return 0
+        # an overload, when there is one, names the violation
         top = max((wl for wl, _, _ in triples.values()), default=0)
         fc = FibreColouring(args.fibres, {a: wl for a, (wl, _, _) in triples.items()},
                             top)
@@ -279,13 +290,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"violation: vertex {fibre_bad.vertex} colour {fibre_bad.colour}"
                   f" has in+out = {fibre_bad.in_count}+{fibre_bad.out_count}"
                   f" > {args.fibres}")
-            return 1
-        wl_bad = verify_wavelength_assignment(ld, wa)
-        if wl_bad is not None:
+        else:
             print(f"violation: {wl_bad}")
-            return 1
-        print("ok")
-        return 0
+        return 1
     d = ld.underlying
     top = max(colours.values(), default=0)
     colouring = ArcColouring(colours, top)

@@ -32,12 +32,6 @@ class ArcColouring:
     def __getitem__(self, arc: int) -> int:
         return self.colour[arc]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ArcColouring):
-            return NotImplemented
-        return (dict(self.colour) == dict(other.colour)
-                and self.colour_count == other.colour_count)
-
 
 def ints_within(values, low: int, high: float) -> bool:
     """Whether every value is an int in low..high, by built-ins alone; the

@@ -18,6 +18,7 @@ from typing import NamedTuple
 from .digraph import Digraph, LabelledDigraph, degree_profile
 from .errors import (BadParamsError, InfeasibleError, InternalDefectError,
                      NotCubicError, SizeOverflowError, ValidateError)
+from .oracle import _conflict_lists
 
 ARC_BUDGET = 1_000_000
 
@@ -126,17 +127,6 @@ _GADGET_ARCS = (
 _GADGET_A, _GADGET_B, _GADGET_C = 0, 1, 4
 
 
-def _conflict_pairs(arcs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    seq = list(arcs)
-    pairs = []
-    for i, (ti, hi) in enumerate(seq):
-        for j in range(i + 1, len(seq)):
-            tj, hj = seq[j]
-            if hi == hj or hi == tj or hj == ti:
-                pairs.append((i, j))
-    return pairs
-
-
 _gadget_cache: NpGadget | None = None
 
 
@@ -156,7 +146,8 @@ def np_gadget() -> NpGadget:
     profile = degree_profile(d)
     if profile.max_indegree > 2 or profile.max_outdegree > 2:
         raise InternalDefectError("gadget exceeds in/outdegree two")
-    pairs = _conflict_pairs(d.arcs)
+    pairs = [(a, b) for a, near in enumerate(_conflict_lists(d))
+             for b in near if a < b]
     interface = (_GADGET_A, _GADGET_B, _GADGET_C)
     valid = 0
     triples: set[tuple[int, int, int]] = set()

@@ -5,7 +5,9 @@ only if in(v,ω) + out(v,ω) <= n, where in counts entering ω-arcs and
 out counts the DISTINCT labels with at least one ω-arc leaving v (arcs
 of one label share a fibre, they carry the same multicast).  A valid
 n-fibre colouring expands mechanically into a full assignment of
-(wavelength, tail fibre, head fibre) triples.
+(wavelength, tail fibre, head fibre) triples, and a valid assignment
+proves the colouring of its wavelengths valid, so the wavelength
+verifier alone decides an expanded output.
 """
 
 from __future__ import annotations
@@ -45,12 +47,6 @@ class FibreColouring:
 
     def __getitem__(self, arc: int) -> int:
         return self.colour[arc]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FibreColouring):
-            return NotImplemented
-        return (self.n == other.n and dict(self.colour) == dict(other.colour)
-                and self.colour_count == other.colour_count)
 
 
 @dataclass(frozen=True)
@@ -92,24 +88,20 @@ class WavelengthViolation(NamedTuple):
     second_arc: int
 
 
-def fibre_counts(ld: LabelledDigraph, fc: FibreColouring,
-                 ) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
-    """(in(v,ω), out(v,ω)) tables; out counts distinct labels."""
-    in_count: dict[tuple[int, int], int] = {}
-    out_labels: dict[tuple[int, int], set[int]] = {}
-    for arc, (tail, head, label) in enumerate(ld.arcs):
-        w = fc[arc]
-        in_count[(head, w)] = in_count.get((head, w), 0) + 1
-        out_labels.setdefault((tail, w), set()).add(label)
-    out_count = {key: len(labels) for key, labels in out_labels.items()}
-    return in_count, out_count
+def _first_overload(ld: LabelledDigraph, colours: tuple, n: int,
+                    load: Mapping[tuple[int, int], int]) -> FibreViolation:
+    """The least (vertex, colour) whose load, in + out, exceeds n; its
+    entering arcs are counted again to split the load."""
+    key = min(key for key, count in load.items() if count > n)
+    in_count = list(zip(map(itemgetter(1), ld.arcs), colours)).count(key)
+    return FibreViolation(*key, in_count, load[key] - in_count)
 
 
 def verify_fibre_colouring(ld: LabelledDigraph, fc: FibreColouring,
                            ) -> FibreViolation | None:
     """First (vertex, colour) whose in+out exceeds n, or None if valid.
 
-    Scanned by ascending vertex then colour, so the witness is stable.
+    First by ascending vertex then colour, so the witness is stable.
     """
     colours = arc_values(ld.arc_count, fc.colour, "unassigned")
     if not colours:
@@ -119,14 +111,7 @@ def verify_fibre_colouring(ld: LabelledDigraph, fc: FibreColouring,
     load.update(map(itemgetter(0, 1), set(zip(tails, colours, labels))))
     if max(load.values()) <= fc.n:
         return None
-    in_count, out_count = fibre_counts(ld, fc)
-    keys = sorted(set(in_count) | set(out_count))
-    for v, w in keys:
-        i = in_count.get((v, w), 0)
-        o = out_count.get((v, w), 0)
-        if i + o > fc.n:
-            return FibreViolation(v, w, i, o)
-    return None
+    return _first_overload(ld, colours, fc.n, load)
 
 
 def verify_wavelength_assignment(ld: LabelledDigraph, wa: WavelengthAssignment,
@@ -285,15 +270,12 @@ def expand_to_wavelength_assignment(ld: LabelledDigraph, fc: FibreColouring,
     At each vertex v and colour ω: entering ω-arcs get head fibres
     1,2,... in arc order; the label groups of leaving ω-arcs get tail
     fibres continuing after them, one fibre per label, shared within a
-    label.  in+out <= n makes every number fit in 1..n.  Raises
-    InvalidColouringError when fc is not a valid n-fibre colouring.
+    label.  in+out <= n makes every number fit in 1..n.  Once every
+    fibre is numbered, the last number at (v, ω) is in(v,ω) + out(v,ω),
+    so the numbering decides validity itself: InvalidColouringError
+    names the witness verify_fibre_colouring would when a number
+    exceeds n.  No verifier runs here.
     """
-    violation = verify_fibre_colouring(ld, fc)
-    if violation is not None:
-        raise InvalidColouringError(
-            f"fibre colouring invalid at vertex {violation.vertex}, "
-            f"colour {violation.colour}: {violation.in_count}+"
-            f"{violation.out_count} > {fc.n}")
     colours = arc_values(ld.arc_count, fc.colour, "unassigned")
     taken: dict[tuple[int, int], int] = {}  # (vertex, colour) -> fibres used
     f_in: list[int] = []
@@ -311,4 +293,9 @@ def expand_to_wavelength_assignment(ld: LabelledDigraph, fc: FibreColouring,
             key = (tail, w)
             taken[key] = group_fibre[group] = fibre = taken.get(key, 0) + 1
         triples[arc] = (w, fibre, f_in[arc])
+    if max(taken.values(), default=0) > fc.n:
+        v = _first_overload(ld, colours, fc.n, taken)
+        raise InvalidColouringError(
+            f"fibre colouring invalid at vertex {v.vertex}, colour {v.colour}:"
+            f" {v.in_count}+{v.out_count} > {fc.n}")
     return WavelengthAssignment(fc.n, triples)

@@ -10,9 +10,9 @@ import sys
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from galaxia import (ArcColouring, CyclicInterval, FibreColouring, LabelledDigraph,
-                     WavelengthAssignment, digraph, fibre, read_digraph,
-                     write_digraph)
+from galaxia import (CUBIC_GRAPHS, ArcColouring, CyclicInterval, FibreColouring,
+                     LabelledDigraph, WavelengthAssignment, digraph, fibre,
+                     read_digraph, write_digraph)
 from galaxia.cli import main
 
 
@@ -250,21 +250,37 @@ def test_exact_invalid_witness_exits_4(tmp_path, capsys, monkeypatch, argv):
     assert not (tmp_path / "w.txt").exists()
 
 
-def test_exact_fibres_verifies_witness_once(tmp_path, capsys, monkeypatch):
+@pytest.fixture
+def fibre_verifier_calls(monkeypatch):
+    """The outputs passed to either fibre verifier, wherever it is called."""
     calls = []
-    real = fibre.verify_fibre_colouring
+    for name in ("verify_fibre_colouring", "verify_wavelength_assignment"):
+        def counting(ld, output, real=getattr(fibre, name)):
+            calls.append(output)
+            return real(ld, output)
 
-    def counting(ld, fc):
-        calls.append(fc)
-        return real(ld, fc)
+        for module in ("galaxia.fibre", "galaxia.cli", "galaxia.oracle"):
+            monkeypatch.setattr(f"{module}.{name}", counting, raising=False)
+    return calls
 
-    for module in ("galaxia.fibre", "galaxia.cli", "galaxia.oracle"):
-        monkeypatch.setattr(f"{module}.verify_fibre_colouring", counting,
-                            raising=False)
+
+def test_exact_fibres_verifies_witness_once(tmp_path, capsys,
+                                            fibre_verifier_calls):
+    # the wavelength verifier on the expansion decides the witness too
     out = tmp_path / "w.txt"
     assert main(["exact", circuit_instance(tmp_path), "--fibres", "2",
                  "-o", str(out)]) == 0
-    assert len(calls) == 1
+    assert len(fibre_verifier_calls) == 1
+
+
+def test_solve_and_verify_fibres_verify_once(tmp_path, capsys,
+                                             fibre_verifier_calls):
+    instance = circuit_instance(tmp_path)
+    waves = tmp_path / "w.txt"
+    assert main(["solve", instance, "--fibres", "2", "-o", str(waves)]) == 0
+    assert len(fibre_verifier_calls) == 1
+    assert main(["verify", instance, str(waves), "--fibres", "2"]) == 0
+    assert len(fibre_verifier_calls) == 2
 
 
 def test_verify_roundtrip(tmp_path, capsys):
@@ -340,6 +356,46 @@ def test_verify_fibres(tmp_path, capsys):
     assert "ok" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("arcs, lines, code, out, err", [
+    # vertex 1 takes two arcs in and sends one out, all in colour 1
+    (((0, 1, 1), (3, 1, 1), (1, 2, 1)), "w 0 1 1 1\nw 1 1 1 2\nw 2 1 1 1\n", 1,
+     "violation: vertex 1 colour 1 has in+out = 2+1 > 2\n", ""),
+    # two arcs enter vertex 2 on one fibre, though two fibres would fit
+    (((0, 2, 1), (1, 2, 1)), "w 0 1 1 1\nw 1 1 1 1\n", 1,
+     "violation: WavelengthViolation(condition='ii', first_arc=0,"
+     " second_arc=1)\n", ""),
+    (((0, 2, 1), (1, 2, 1)), "w 0 1 1 1\n", 2, "",
+     "error: arc 1 is unassigned\n"),
+])
+def test_verify_fibres_violation_text(tmp_path, capsys, arcs, lines, code,
+                                      out, err):
+    instance = tmp_path / "in.dsa"
+    write_instance(instance, LabelledDigraph(4, 1, arcs))
+    waves = tmp_path / "w.txt"
+    waves.write_text(lines)
+    assert main(["verify", str(instance), str(waves), "--fibres", "2"]) == code
+    assert capsys.readouterr() == (out, err)
+
+
+@pytest.mark.parametrize("make, flags, err", [
+    (circuit_instance, ["--algorithm", "smallm"],
+     "no applicable algorithm: smallm needs --fibres\n"),
+    (circuit_instance, ["--algorithm", "smallm", "--fibres", "1"],
+     "no applicable algorithm: smallm needs m < n, instance has m=1, n=1\n"),
+    (dag_instance, ["--algorithm", "acyclic", "--fibres", "2"],
+     "no applicable algorithm: the acyclic bound needs m >= n,"
+     " instance has m=1, n=2\n"),
+    (circuit_instance, ["--algorithm", "subcubic", "--fibres", "1"],
+     "no applicable algorithm: subcubic does not apply to --fibres runs\n"),
+    (circuit_instance, ["--algorithm", "acyclic", "--fibres", "1"],
+     "algorithm does not apply: digraph contains a circuit: [0, 1, 2, 3, 4]\n"),
+])
+def test_solve_explicit_algorithm_outside_its_theorem_exits_3(
+        tmp_path, capsys, make, flags, err):
+    assert main(["solve", make(tmp_path), *flags]) == 3
+    assert capsys.readouterr() == ("", err)
+
+
 def test_exact_dst(tmp_path, capsys):
     assert main(["exact", circuit_instance(tmp_path)]) == 0
     assert "dst = 3" in capsys.readouterr().out
@@ -387,6 +443,23 @@ def test_reduce_writes_instance(tmp_path):
     with open(out, encoding="utf-8") as handle:
         ld = read_digraph(handle)
     assert ld.vertex_count == 8 and ld.arc_count == 12
+
+
+def test_reduce_input_reads_arcs_as_edges(tmp_path, capsys):
+    vertex_count, edges = CUBIC_GRAPHS["k4"]
+    source = tmp_path / "k4.dsa"
+    write_instance(source, LabelledDigraph(
+        vertex_count, 1, tuple((t, h, 1) for t, h in edges)))
+    from_file, named = tmp_path / "file.dsa", tmp_path / "named.dsa"
+    assert main(["reduce", "--input", str(source), "--check",
+                 "-o", str(from_file)]) == 0
+    assert capsys.readouterr().out == (
+        f"reduced {source}: 4 vertices, 6 edges -> 8 vertices, 12 arcs\n"
+        "3-edge-colourable=True dst=3\n")
+    assert main(["reduce", "--named", "k4", "-o", str(named)]) == 0
+    # the same reduction; only the source named in the comment differs
+    assert (from_file.read_text().split("\n", 1)[1]
+            == named.read_text().split("\n", 1)[1])
 
 
 def test_reduce_unknown_name_exits_2():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from galaxia import (
+    ArcColouring,
     BadParamsError,
     CyclicError,
     FibreColouring,
@@ -146,6 +147,33 @@ def test_expand_rejects_invalid_colouring():
         expand_to_wavelength_assignment(ld, FibreColouring(1, {0: 1, 1: 1}, 1))
 
 
+@pytest.mark.parametrize("arcs, n, message", [
+    (((0, 2, 1), (1, 2, 1)), 1,
+     "fibre colouring invalid at vertex 2, colour 1: 2+0 > 1"),
+    (((0, 1, 1), (3, 1, 1), (1, 2, 1)), 2,
+     "fibre colouring invalid at vertex 1, colour 1: 2+1 > 2"),
+])
+def test_expand_names_the_overload_it_rejects(arcs, n, message):
+    ld = LabelledDigraph(4, 1, arcs)
+    fc = FibreColouring(n, dict.fromkeys(range(len(arcs)), 1), 1)
+    with pytest.raises(InvalidColouringError) as info:
+        expand_to_wavelength_assignment(ld, fc)
+    assert str(info.value) == message
+
+
+def test_value_types_compare_by_content_and_do_not_hash():
+    assert ArcColouring({0: 1, 1: 2}, 2) == ArcColouring({1: 2, 0: 1}, 2)
+    assert ArcColouring({0: 1}, 1) != ArcColouring({0: 1}, 2)
+    assert ArcColouring({0: 1}, 2) != ArcColouring({0: 2}, 2)
+    assert FibreColouring(2, {0: 1, 1: 1}, 1) == FibreColouring(2, {1: 1, 0: 1}, 1)
+    assert FibreColouring(1, {0: 1}, 1) != FibreColouring(2, {0: 1}, 1)
+    assert FibreColouring(1, {0: 1}, 2) != FibreColouring(1, {0: 1}, 1)
+    assert ArcColouring({0: 1}, 1) != FibreColouring(1, {0: 1}, 1)
+    for value in (ArcColouring({0: 1}, 1), FibreColouring(1, {0: 1}, 1)):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
 # Colourings recorded before the per-vertex step was memoised; arc i's
 # colour is digit i.
 @pytest.mark.parametrize("vertices, m, k, seed, n, colour_count, colours", [
@@ -192,6 +220,13 @@ def test_verify_fibre_first_violation_by_vertex_then_colour():
                                 (0, 1, 1), (2, 1, 1)))
     fc = FibreColouring(1, {0: 2, 1: 2, 2: 1, 3: 1, 4: 3, 5: 3}, 3)
     assert verify_fibre_colouring(ld, fc) == FibreViolation(1, 3, 2, 0)
+
+
+def test_verify_fibre_witness_of_out_load_alone():
+    # vertex 0 sends two labels in colour 1 on one fibre; nothing enters it
+    ld = LabelledDigraph(3, 2, ((0, 1, 1), (0, 2, 2)))
+    fc = FibreColouring(1, {0: 1, 1: 1}, 1)
+    assert verify_fibre_colouring(ld, fc) == FibreViolation(0, 1, 0, 2)
 
 
 @pytest.mark.parametrize("check, output, message", [
@@ -295,3 +330,16 @@ def test_exact_lambda_matches_construction_bound():
     value, witness = exact_lambda_n(ld, 2)
     assert value <= upper_bound_acyclic(2, 2, k)
     assert verify_fibre_colouring(ld, witness) is None
+
+
+def test_expand_runs_no_verifier(monkeypatch):
+    ld = random_labelled_dag(60, 2, 3, 7)
+    fc = fibre_colouring_acyclic(ld, 2)
+    expected = expand_to_wavelength_assignment(ld, fc)
+
+    def refuse(*args):
+        raise AssertionError("expansion called a verifier")
+
+    for name in ("verify_fibre_colouring", "verify_wavelength_assignment"):
+        monkeypatch.setattr(fibre, name, refuse)
+    assert expand_to_wavelength_assignment(ld, fc) == expected

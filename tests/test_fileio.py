@@ -242,3 +242,47 @@ def instance_texts(draw):
 @given(instance_texts())
 def test_one_pass_reader_agrees_with_line_reader(text):
     assert outcome(read_digraph, text) == outcome(fileio._read_lines, text)
+
+
+@pytest.mark.parametrize("read, text, error, message", [
+    (read_colouring, "c 0\n", ParseError,
+     "line 1: colour line must be 'c <arc_index> <colour>'"),
+    (read_colouring, "# c 5 1\n\nc 5 1\n", ParseError,
+     "line 3: arc index 5 out of range"),
+    (read_colouring, "c -1 1\n", ParseError, "line 1: arc index -1 out of range"),
+    (read_colouring, "c 0 1\nc 1 0\n", ParseError, "line 2: colours are positive"),
+    (read_colouring, "c 0 x\n", ParseError, "line 1: expected integer, got 'x'"),
+    (read_colouring, "c 0 1\n\nc 0 2\n", ValidateError, "arc 0 coloured twice"),
+    (read_colouring, "c 0 1\ni 0 1\n", ParseError,
+     "line 2: interval line must be 'i <vertex> <start> <k>'"),
+    (read_colouring, "i 0 0 1\n", ParseError, "line 1: bad interval line values"),
+    (read_colouring, "i 0 1 1\ni 0 2 1\n", ValidateError,
+     "vertex 0 has two interval lines"),
+    (read_colouring, "c 0 1\nw 0 1 1 1\n", ParseError,
+     "line 2: unknown line type 'w'"),
+    (read_wavelengths, "w 0 1 1 1\nc 1 1\n", ParseError,
+     "line 2: unknown line type 'c'"),
+    (read_wavelengths, "w 0 1 1\n", ParseError,
+     "line 1: wavelength line must be 'w <arc> <colour> <f_out> <f_in>'"),
+    (read_wavelengths, "#\n\nw 2 1 1 1\n", ParseError,
+     "line 3: arc index 2 out of range"),
+    (read_wavelengths, "w 0 1 0 1\n", ParseError,
+     "line 1: wavelength and fibres are positive"),
+    (read_wavelengths, "w 0 1 1 one\n", ParseError,
+     "line 1: expected integer, got 'one'"),
+    (read_wavelengths, "w 0 1 1 1\nw 0 2 1 1\n", ValidateError,
+     "arc 0 assigned twice"),
+])
+def test_colouring_and_wavelength_error_text(read, text, error, message):
+    with pytest.raises(error) as info:
+        read(io.StringIO(text), arc_count=2)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_read_digraph_takes_lines_without_a_stream():
+    lines = ["# comment\n", "p dsa 2 1 1\n", "a 0 1\n"]
+    assert read_digraph(lines) == read_digraph(io.StringIO("".join(lines)))
+    with pytest.raises(ParseError) as info:
+        read_digraph(iter(["p dsa 2 1 1", "a 0 2"]))
+    assert str(info.value) == "line 2: vertex id outside 0..1"

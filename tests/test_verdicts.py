@@ -8,7 +8,8 @@ from itertools import combinations, product
 
 from hypothesis import given, settings, strategies as st
 
-from galaxia import (ArcColouring, Digraph, FibreColouring, LabelledDigraph,
+from galaxia import (ArcColouring, Digraph, FibreColouring,
+                     InvalidColouringError, LabelledDigraph,
                      WavelengthAssignment, exact_dst, exact_lambda_n,
                      expand_to_wavelength_assignment,
                      find_bicoloured_circuit, verify_fibre_colouring,
@@ -121,3 +122,38 @@ def test_fibre_verdicts_match_pairwise_check(ld, n, data):
                                   st.integers(1, n)))
         assert ((verify_wavelength_assignment(ld, WavelengthAssignment(n, triple))
                  is None) == (not wavelength_clash(ld, triple)))
+
+
+@settings(max_examples=300)
+@given(labelled_digraphs(), st.integers(1, 3), st.data())
+def test_valid_assignment_has_a_valid_fibre_colouring(ld, n, data):
+    """Fibres lie in 1..n, and (i)-(iii) make the in-fibres and the
+    fibres of the distinct labels leaving a vertex in one wavelength
+    pairwise distinct, so in + out <= n there."""
+    triple = dict(enumerate(data.draw(st.lists(
+        st.tuples(st.integers(1, 3), st.integers(1, n), st.integers(1, n)),
+        min_size=ld.arc_count, max_size=ld.arc_count))))
+    if verify_wavelength_assignment(ld, WavelengthAssignment(n, triple)) is None:
+        colour = {arc: wl for arc, (wl, _, _) in triple.items()}
+        fc = FibreColouring(n, colour, max(colour.values(), default=0))
+        assert verify_fibre_colouring(ld, fc) is None
+
+
+@settings(max_examples=300)
+@given(labelled_digraphs(), st.integers(1, 3), st.data())
+def test_expansion_rejects_what_the_fibre_verifier_names(ld, n, data):
+    colour = dict(enumerate(data.draw(st.lists(
+        st.integers(1, 3), min_size=ld.arc_count, max_size=ld.arc_count))))
+    fc = FibreColouring(n, colour, max(colour.values(), default=0))
+    violation = verify_fibre_colouring(ld, fc)
+    try:
+        wa = expand_to_wavelength_assignment(ld, fc)
+    except InvalidColouringError as exc:
+        assert violation is not None
+        assert str(exc) == (
+            f"fibre colouring invalid at vertex {violation.vertex}, colour "
+            f"{violation.colour}: {violation.in_count}+{violation.out_count}"
+            f" > {n}")
+    else:
+        assert violation is None
+        assert verify_wavelength_assignment(ld, wa) is None
