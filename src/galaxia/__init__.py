@@ -9,46 +9,71 @@ cyclic-interval certificates, `subcubic` the 3-colour theorem,
 n-fibre/wavelength layer.  `oracle` holds the exact solvers and
 verifiers everything else is tested against, `constructions` the
 instance generators, `cli` the command line.
+
+`import galaxia` loads no submodule: each public name below is imported
+from its module on first access (PEP 562), so a program loads only the
+modules it uses.
 """
 
-from .acircuitic import acircuitic_colouring, list_colouring_acyclic
-from .acyclic import star_colouring_acyclic
-from .colouring import ArcColouring, from_class_list
-from .constructions import (ARC_BUDGET, CUBIC_GRAPHS, GadgetCertificate,
-                            GnmkSizes, NpGadget, extremal_gnmk, gnmk_sizes,
-                            np_gadget, np_reduction, random_digraph,
-                            random_labelled_dag, random_oriented_subcubic,
-                            random_subcubic, triangle_multidigraph)
-from .digraph import (DegreeProfile, Digraph, LabelledDigraph, degree_profile,
-                      find_circuit_arcs, is_acyclic, strong_components,
-                      topological_order)
-from .errors import (AboveCapError, BadListsError, BadParamsError,
-                     BadShapeError, CyclicError, DegreeTooHighError,
-                     GalaxiaError, HasDigonError, HasK4Error, InfeasibleError,
-                     InternalDefectError, InvalidColouringError,
-                     NoApplicableAlgorithmError, NotCubicError, NotForestError,
-                     NotNiceError, NotSimpleError, NotSubcubicError,
-                     ParseError, PreconditionViolatedError,
-                     SizeOverflowError, TooLargeError, ValidateError)
-from .fibre import (FibreColouring, FibreViolation, WavelengthAssignment,
-                    WavelengthViolation, expand_to_wavelength_assignment,
-                    fibre_colouring_acyclic, fibre_colouring_smallm,
-                    upper_bound_acyclic, verify_fibre_colouring,
-                    verify_wavelength_assignment)
-from .fileio import (read_colouring, read_digraph, read_wavelengths,
-                     write_colouring, write_digraph, write_wavelengths)
-from .galaxy import (ForestGalaxyDecomposition, dst_upper_2k1,
-                     forest_to_two_galaxies, is_forest_arcs, is_galaxy_arcs,
-                     is_k_nice, u_suitable_decomposition)
-from .intervals import (CyclicInterval, interval_complement,
-                        sdr_in_cyclic_interval, smallest_interval_containing)
-from .oracle import (StarViolation, edge_colouring_3regular, exact_dst,
-                     exact_lambda_n, find_bicoloured_circuit,
-                     verify_star_colouring)
-from .spanning import Galaxy, dst4_colouring, spanning_galaxy
-from .subcubic import (brooks_three_colouring, lemma_cycle_colouring,
-                       lemma_extension_colouring, star_colouring_subcubic)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Each submodule with the public names it exports through the package.
+_EXPORTS = {
+    "acircuitic": ("acircuitic_colouring", "list_colouring_acyclic"),
+    "acyclic": ("star_colouring_acyclic",),
+    "colouring": ("ArcColouring", "from_class_list"),
+    "constructions": ("ARC_BUDGET", "CUBIC_GRAPHS", "GadgetCertificate",
+                      "GnmkSizes", "NpGadget", "extremal_gnmk", "gnmk_sizes",
+                      "np_gadget", "np_reduction", "random_digraph",
+                      "random_labelled_dag", "random_oriented_subcubic",
+                      "random_subcubic", "triangle_multidigraph"),
+    "digraph": ("DegreeProfile", "Digraph", "LabelledDigraph", "degree_profile",
+                "find_circuit_arcs", "is_acyclic", "strong_components",
+                "topological_order"),
+    "errors": ("AboveCapError", "BadListsError", "BadParamsError",
+               "BadShapeError", "CyclicError", "DegreeTooHighError",
+               "GalaxiaError", "HasDigonError", "HasK4Error", "InfeasibleError",
+               "InternalDefectError", "InvalidColouringError",
+               "NoApplicableAlgorithmError", "NotCubicError", "NotForestError",
+               "NotNiceError", "NotSimpleError", "NotSubcubicError",
+               "ParseError", "PreconditionViolatedError", "SizeOverflowError",
+               "TooLargeError", "ValidateError"),
+    "fibre": ("FibreColouring", "FibreViolation", "WavelengthAssignment",
+              "WavelengthViolation", "expand_to_wavelength_assignment",
+              "fibre_colouring_acyclic", "fibre_colouring_smallm",
+              "upper_bound_acyclic", "verify_fibre_colouring",
+              "verify_wavelength_assignment"),
+    "fileio": ("read_colouring", "read_digraph", "read_wavelengths",
+               "write_colouring", "write_digraph", "write_wavelengths"),
+    "galaxy": ("ForestGalaxyDecomposition", "dst_upper_2k1",
+               "forest_to_two_galaxies", "is_forest_arcs", "is_galaxy_arcs",
+               "is_k_nice", "u_suitable_decomposition"),
+    "intervals": ("CyclicInterval", "interval_complement",
+                  "sdr_in_cyclic_interval", "smallest_interval_containing"),
+    "matching": (),
+    "oracle": ("StarViolation", "edge_colouring_3regular", "exact_dst",
+               "exact_lambda_n", "find_bicoloured_circuit",
+               "verify_star_colouring"),
+    "spanning": ("Galaxy", "dst4_colouring", "spanning_galaxy"),
+    "subcubic": ("brooks_three_colouring", "lemma_cycle_colouring",
+                 "lemma_extension_colouring", "star_colouring_subcubic"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_EXPORTS, *_MODULE_OF])
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # importing a submodule binds it here
+        return _import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -7,7 +7,9 @@ unchecked; each output, with the interval certificates of an acyclic
 run, is run through the matching verifier exactly once here, before
 anything is printed or written, and a failure there exits 4.  A fibre
 colouring that is expanded is decided by the wavelength verifier on
-its expansion, which no invalid colouring passes.
+its expansion, which no invalid colouring passes.  A command imports
+the solver, fibre and generator modules it runs when it runs, so a
+process loads only what its command uses.
 
 Exit codes: 0 success, 1 a verification failed or a cap was exceeded,
 2 bad usage, unreadable input or an instance too large for memory,
@@ -22,33 +24,24 @@ import functools
 import math
 import sys
 from contextlib import contextmanager
+from typing import TYPE_CHECKING
 
-from .acircuitic import acircuitic_colouring
-from .acyclic import star_colouring_acyclic
 from .colouring import ArcColouring
-from .constructions import (CUBIC_GRAPHS, extremal_gnmk, gnmk_sizes,
-                            np_reduction, random_digraph, random_labelled_dag,
-                            random_oriented_subcubic, random_subcubic,
-                            triangle_multidigraph)
 from .digraph import Digraph, LabelledDigraph, degree_profile, is_acyclic
 from .errors import (AboveCapError, CyclicError, DegreeTooHighError,
                      GalaxiaError, HasDigonError, InternalDefectError,
                      InvalidColouringError, NoApplicableAlgorithmError,
                      NotSimpleError, NotSubcubicError,
                      PreconditionViolatedError)
-from .fibre import (FibreColouring, WavelengthAssignment,
-                    expand_to_wavelength_assignment, fibre_colouring_acyclic,
-                    fibre_colouring_smallm, upper_bound_acyclic,
-                    verify_fibre_colouring, verify_wavelength_assignment)
 from .fileio import (read_colouring, read_digraph, read_wavelengths,
                      write_colouring, write_digraph, write_wavelengths)
-from .galaxy import dst_upper_2k1
 from .intervals import CyclicInterval
 from .oracle import (DEFAULT_ARC_LIMIT, edge_colouring_3regular, exact_dst,
                      exact_lambda_n, find_bicoloured_circuit,
                      verify_star_colouring)
-from .spanning import dst4_colouring
-from .subcubic import star_colouring_subcubic
+
+if TYPE_CHECKING:
+    from .fibre import FibreColouring, WavelengthAssignment
 
 _STAR_ALGORITHMS = ("auto", "2k1", "acyclic", "subcubic", "diregular4",
                     "acircuitic", "smallm")
@@ -102,6 +95,8 @@ def _expand_checked(ld: LabelledDigraph, fc: FibreColouring,
     out(v,α) more distinct out-fibres, one per label, disjoint from
     them, so in(v,α) + out(v,α) <= n wherever it passes.
     """
+    from .fibre import (expand_to_wavelength_assignment,
+                        verify_wavelength_assignment)
     try:
         wa = expand_to_wavelength_assignment(ld, fc)
     except InvalidColouringError as exc:
@@ -129,6 +124,9 @@ def _as_labelled(d: Digraph) -> LabelledDigraph:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .constructions import (extremal_gnmk, gnmk_sizes, random_digraph,
+                                random_labelled_dag, random_oriented_subcubic,
+                                random_subcubic, triangle_multidigraph)
     seed = args.seed
     reduced = False
     if args.family == "gnmk":
@@ -187,16 +185,21 @@ def _run_star(algo: str, d: Digraph):
     """(colouring, intervals, bound, rule) for one constructive theorem."""
     k = degree_profile(d).max_indegree
     if algo == "acyclic":
+        from .acyclic import star_colouring_acyclic
         colouring, intervals = star_colouring_acyclic(d)
         return colouring, intervals, 2 * k, f"2k with k={k}"
     if algo == "subcubic":
+        from .subcubic import star_colouring_subcubic
         return star_colouring_subcubic(d), {}, 3, "max degree <= 3"
     if algo == "diregular4":
+        from .spanning import dst4_colouring
         return dst4_colouring(d), {}, 4, "in/outdegrees <= 2"
     if algo == "acircuitic":
+        from .acircuitic import acircuitic_colouring
         return (acircuitic_colouring(d), {}, 4,
                 "oriented subcubic, no bicoloured circuit")
     if algo == "2k1":
+        from .galaxy import dst_upper_2k1
         return dst_upper_2k1(d), {}, 2 * k + 1, f"2k+1 with k={k}"
     raise NoApplicableAlgorithmError(f"{algo} needs --fibres")
 
@@ -226,6 +229,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _solve_fibre(ld: LabelledDigraph, args: argparse.Namespace) -> int:
+    from .fibre import (fibre_colouring_acyclic, fibre_colouring_smallm,
+                        upper_bound_acyclic)
     n = args.fibres
     m = ld.label_count
     k = degree_profile(ld).max_indegree
@@ -276,6 +281,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         else:
             colours, intervals = read_colouring(fh, arc_count=ld.arc_count)
     if args.fibres is not None:
+        from .fibre import (FibreColouring, WavelengthAssignment,
+                            verify_fibre_colouring,
+                            verify_wavelength_assignment)
         wl_bad = verify_wavelength_assignment(
             ld, WavelengthAssignment(args.fibres, triples))
         if wl_bad is None:  # so the wavelengths' fibre colouring is valid too
@@ -325,6 +333,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         value, fc = exact_lambda_n(ld, args.fibres, args.colour_cap,
                                    args.arc_limit)
         if args.output is None:
+            from .fibre import verify_fibre_colouring
             _check_output(verify_fibre_colouring, ld, fc, "exact witness")
         else:
             wa = _expand_checked(ld, fc, "exact witness")
@@ -349,6 +358,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
+    from .constructions import CUBIC_GRAPHS, np_reduction
     if args.named is not None:
         vertex_count, edges = CUBIC_GRAPHS[args.named]
         origin = args.named
@@ -378,15 +388,35 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    """Argument type of --fibres and --arc-limit: an integer of at least 1."""
+def _int_at_least(text: str, low: int, what: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be {what} integer, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """Argument type of --fibres and --arc-limit: an integer of at least 1."""
+    return _int_at_least(text, 1, "a positive")
+
+
+def _non_negative_int(text: str) -> int:
+    """Argument type of --colour-cap: an integer of at least 0."""
+    return _int_at_least(text, 0, "a non-negative")
+
+
+class _CubicGraphNames:
+    """The choices of `reduce --named`: the sorted names of
+    `constructions.CUBIC_GRAPHS`, read only when argparse checks a value
+    (`in` iterates) or prints them, so building the parser loads no
+    generator."""
+
+    def __iter__(self):
+        from .constructions import CUBIC_GRAPHS
+        return iter(sorted(CUBIC_GRAPHS))
 
 
 @functools.cache
@@ -433,7 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exact = sub.add_parser("exact", help="run the exponential exact solver")
     exact.add_argument("input")
     exact.add_argument("--fibres", type=_positive_int, default=None)
-    exact.add_argument("--colour-cap", type=int, default=None)
+    exact.add_argument("--colour-cap", type=_non_negative_int, default=None)
     exact.add_argument("--arc-limit", type=_positive_int, default=DEFAULT_ARC_LIMIT,
                        help=f"most arcs to search (default {DEFAULT_ARC_LIMIT})")
     exact.add_argument("-o", "--output", default=None)
@@ -441,7 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     red = sub.add_parser("reduce", help="3-edge-colouring hardness reduction")
     src = red.add_mutually_exclusive_group(required=True)
-    src.add_argument("--named", choices=sorted(CUBIC_GRAPHS))
+    src.add_argument("--named", choices=_CubicGraphNames())
     src.add_argument("--input", help="cubic graph as an arc file, arcs read as edges")
     red.add_argument("--check", action="store_true",
                      help="cross-check dst=3 against 3-edge-colourability (exponential)")

@@ -181,7 +181,7 @@ def read_colouring(stream: Iterable[str], arc_count: int | None = None,
             if len(fields) != 4:
                 raise ParseError(lineno, "interval line must be 'i <vertex> <start> <k>'")
             vertex, start, k = _ints(fields[1:], lineno)
-            if vertex < 0 or start < 1 or k < 1:
+            if vertex < 0 or k < 1 or not 1 <= start <= 2 * k:
                 raise ParseError(lineno, "bad interval line values")
             if vertex in intervals:
                 raise ValidateError(f"vertex {vertex} has two interval lines")

@@ -11,13 +11,15 @@ colour is at most one above the highest placed so far.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .colouring import ArcColouring, arc_values
 from .digraph import Digraph, LabelledDigraph, find_circuit_arcs
 from .errors import (AboveCapError, InternalDefectError, NotCubicError,
                      TooLargeError, ValidateError)
-from .fibre import FibreColouring
+
+if TYPE_CHECKING:
+    from .fibre import FibreColouring
 
 DEFAULT_ARC_LIMIT = 40
 
@@ -213,6 +215,7 @@ def exact_lambda_n(ld: LabelledDigraph, n: int, colour_cap: int | None = None,
     from other arcs' domains only at a (vertex, colour) whose load has
     just reached n; below n no arc can lose it there.
     """
+    from .fibre import FibreColouring
     if n < 1:
         raise ValidateError("fibre count must be positive")
     if ld.arc_count > arc_limit:

@@ -189,7 +189,7 @@ def test_solve_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_solve_clashing_output_exits_4(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("galaxia.cli.star_colouring_subcubic",
+    monkeypatch.setattr("galaxia.subcubic.star_colouring_subcubic",
                         lambda d: ArcColouring({i: 1 for i in range(d.arc_count)}, 1))
     out = tmp_path / "col.txt"
     assert main(["solve", circuit_instance(tmp_path), "-o", str(out)]) == 4
@@ -199,7 +199,7 @@ def test_solve_clashing_output_exits_4(tmp_path, capsys, monkeypatch):
 
 def test_solve_acircuitic_bicoloured_circuit_exits_4(tmp_path, capsys, monkeypatch):
     # 1,2,1,2 round a 4-circuit is a star colouring but a bicoloured circuit
-    monkeypatch.setattr("galaxia.cli.acircuitic_colouring",
+    monkeypatch.setattr("galaxia.acircuitic.acircuitic_colouring",
                         lambda d: ArcColouring({0: 1, 1: 2, 2: 1, 3: 2}, 2))
     out = tmp_path / "col.txt"
     code = main(["solve", circuit_instance(tmp_path, 4), "--algorithm", "acircuitic",
@@ -212,7 +212,7 @@ def test_solve_acircuitic_bicoloured_circuit_exits_4(tmp_path, capsys, monkeypat
 def test_solve_fibres_invalid_colouring_exits_4(tmp_path, capsys, monkeypatch):
     instance = tmp_path / "star.dsa"
     write_instance(instance, LabelledDigraph(4, 1, ((0, 3, 1), (1, 3, 1), (2, 3, 1))))
-    monkeypatch.setattr("galaxia.cli.fibre_colouring_smallm",
+    monkeypatch.setattr("galaxia.fibre.fibre_colouring_smallm",
                         lambda ld, n: FibreColouring(n, {0: 1, 1: 1, 2: 1}, 1))
     out = tmp_path / "w.txt"
     assert main(["solve", str(instance), "--fibres", "2", "-o", str(out)]) == 4
@@ -221,7 +221,7 @@ def test_solve_fibres_invalid_colouring_exits_4(tmp_path, capsys, monkeypatch):
 
 
 def test_exact_fibres_invalid_expansion_exits_4(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("galaxia.cli.expand_to_wavelength_assignment",
+    monkeypatch.setattr("galaxia.fibre.expand_to_wavelength_assignment",
                         lambda ld, fc: WavelengthAssignment(
                             fc.n, {a: (1, 1, 1) for a in range(ld.arc_count)}))
     out = tmp_path / "w.txt"
@@ -333,8 +333,19 @@ def test_verify_rejects_bad_interval_line(tmp_path, capsys, line, text):
     assert capsys.readouterr().out == text
 
 
+def test_verify_interval_start_above_2k_names_its_line(tmp_path, capsys):
+    instance = tmp_path / "in.dsa"
+    write_instance(instance, LabelledDigraph(3, 1, ((0, 2, 1), (1, 2, 1))))
+    colouring = tmp_path / "col.txt"
+    colouring.write_text("c 0 1\nc 1 2\ni 1 9 1\n")
+    assert main(["verify", str(instance), str(colouring)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 3: bad interval line values\n"
+    assert captured.out == ""
+
+
 def test_solve_bad_interval_certificate_exits_4(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("galaxia.cli.star_colouring_acyclic",
+    monkeypatch.setattr("galaxia.acyclic.star_colouring_acyclic",
                         lambda d: (ArcColouring({0: 1, 1: 2, 2: 3}, 4),
                                    {2: CyclicInterval(4, 1, 2)}))
     out = tmp_path / "col.txt"
@@ -419,6 +430,23 @@ def test_exact_above_cap_exits_1(tmp_path, capsys):
     assert main(["exact", circuit_instance(tmp_path), "--colour-cap", "2"]) == 1
 
 
+@pytest.mark.parametrize("value", ["-1", "two"])
+def test_exact_colour_cap_below_zero_exits_2_naming_the_flag(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as info:
+        main(["exact", circuit_instance(tmp_path), "--colour-cap", value])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --colour-cap: must be a non-negative integer,"
+        f" got {value!r}\n")
+
+
+def test_exact_colour_cap_zero_on_empty_instance(tmp_path, capsys):
+    path = tmp_path / "empty.dsa"
+    write_instance(path, LabelledDigraph(2, 1, ()))
+    assert main(["exact", str(path), "--colour-cap", "0"]) == 0
+    assert capsys.readouterr().out == "dst = 0\n"
+
+
 def test_exact_arc_limit_exits_2(tmp_path, capsys):
     assert main(["exact", circuit_instance(tmp_path), "--arc-limit", "2"]) == 2
 
@@ -462,10 +490,17 @@ def test_reduce_input_reads_arcs_as_edges(tmp_path, capsys):
             == named.read_text().split("\n", 1)[1])
 
 
-def test_reduce_unknown_name_exits_2():
+def test_reduce_unknown_name_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["reduce", "--named", "nonagon"])
     assert info.value.code == 2
+    err = capsys.readouterr().err
+    # argparse wraps the usage by terminal width and Python version
+    assert err.startswith("usage: galaxia reduce [-h]")
+    assert "(--named {k33,k4,moebius-kantor,petersen,prism} |" in err
+    assert err.endswith(
+        "galaxia reduce: error: argument --named: invalid choice: 'nonagon'"
+        " (choose from 'k33', 'k4', 'moebius-kantor', 'petersen', 'prism')\n")
 
 
 def test_stdin_instance(capsys, monkeypatch):

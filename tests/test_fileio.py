@@ -256,6 +256,7 @@ def test_one_pass_reader_agrees_with_line_reader(text):
     (read_colouring, "c 0 1\ni 0 1\n", ParseError,
      "line 2: interval line must be 'i <vertex> <start> <k>'"),
     (read_colouring, "i 0 0 1\n", ParseError, "line 1: bad interval line values"),
+    (read_colouring, "i 0 3 1\n", ParseError, "line 1: bad interval line values"),
     (read_colouring, "i 0 1 1\ni 0 2 1\n", ValidateError,
      "vertex 0 has two interval lines"),
     (read_colouring, "c 0 1\nw 0 1 1 1\n", ParseError,
