@@ -4,7 +4,8 @@ Three families live here: the layered extremal digraphs G_{n,m,k}
 witnessing the fibre lower bound, the reduction from 3-edge-colouring
 of cubic graphs (with a gadget whose two defining properties are
 re-certified by exhaustive enumeration every time it is built), and
-seeded random families used by the property suites.
+seeded random families used by the property suites, each built in one
+pass by pairing shuffled degree stubs.
 """
 
 from __future__ import annotations
@@ -12,13 +13,14 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from collections.abc import Iterable
 from typing import NamedTuple
 
 from .digraph import Digraph, LabelledDigraph, degree_profile
 from .errors import (BadParamsError, InfeasibleError, InternalDefectError,
-                     NotCubicError, SizeOverflowError, ValidateError)
-from .oracle import _conflict_lists
+                     SizeOverflowError)
+from .oracle import _check_cubic, _conflict_lists
 
 ARC_BUDGET = 1_000_000
 
@@ -168,28 +170,6 @@ def np_gadget() -> NpGadget:
     return _gadget_cache
 
 
-def _check_cubic(vertex_count: int, edges: Iterable[tuple[int, int]],
-                 ) -> list[tuple[int, int]]:
-    out: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    degree = [0] * vertex_count
-    for u, v in edges:
-        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-            raise ValidateError(f"edge ({u},{v}) outside 0..{vertex_count - 1}")
-        if u == v:
-            raise ValidateError(f"loop at vertex {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ValidateError(f"duplicate edge ({u},{v})")
-        seen.add(key)
-        degree[u] += 1
-        degree[v] += 1
-        out.append(key)
-    if any(deg != 3 for deg in degree):
-        raise NotCubicError("graph is not 3-regular")
-    return out
-
-
 def _flip_path(arcs: list[tuple[int, int]], path: list[int]) -> None:
     for e in path:
         t, h = arcs[e]
@@ -332,18 +312,20 @@ def triangle_multidigraph(multiplicity: int) -> Digraph:
 # seeded random families
 
 
-def _greedy_arcs(n: int, rng: random.Random,
-                 may_add) -> list[tuple[int, int]]:
-    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    rng.shuffle(pairs)
-    keep = rng.uniform(0.3, 0.9)
-    chosen: list[tuple[int, int]] = []
-    for u, v in pairs:
-        if rng.random() > keep:
-            continue
-        if may_add(u, v, chosen):
-            chosen.append((u, v))
-    return chosen
+def _stub_digraph(n: int, arcs: list[tuple[int, int]], tails: list[int],
+                  heads: list[int], oriented: bool = False) -> Digraph:
+    """The arcs given plus one arc per (tail, head) stub pair, in order.
+
+    A pair is dropped when it is a loop, repeats an arc or, when
+    oriented, reverses one; so each vertex keeps at most as many arcs
+    as it has stubs, and the pairing is one pass over the stubs.
+    """
+    present = set(arcs)
+    for u, v in zip(tails, heads):
+        if u != v and (u, v) not in present and not (oriented and (v, u) in present):
+            present.add((u, v))
+            arcs.append((u, v))
+    return Digraph(n, tuple(arcs))
 
 
 def random_digraph(n: int, in_cap: int, out_cap: int, seed: int) -> Digraph:
@@ -361,75 +343,42 @@ def random_digraph(n: int, in_cap: int, out_cap: int, seed: int) -> Digraph:
         raise InfeasibleError(
             f"caps ({in_cap},{out_cap}) unattainable on {n} vertices")
     rng = random.Random(seed)
-    indeg = [0] * n
-    outdeg = [0] * n
     # plant the attainment structure first: one vertex drinks in_cap
     # arcs, and the first of its tails also emits out_cap arcs; the
-    # greedy fill below can then never strand either cap.
+    # stubs paired below are what each vertex has left under its caps.
     target_in = rng.randrange(n)
     others = [v for v in range(n) if v != target_in]
     tails = rng.sample(others, in_cap)
-    chosen = [(u, target_in) for u in tails]
-    for u in tails:
-        outdeg[u] += 1
-    indeg[target_in] = in_cap
     target_out = tails[0]
     spare_heads = [v for v in others if v != target_out]
-    for v in rng.sample(spare_heads, out_cap - 1):
-        chosen.append((target_out, v))
-        outdeg[target_out] += 1
-        indeg[v] += 1
-    present = set(chosen)
+    chosen = [(u, target_in) for u in tails]
+    chosen += [(target_out, v) for v in rng.sample(spare_heads, out_cap - 1)]
+    outdeg = Counter(u for u, _ in chosen)
+    indeg = Counter(v for _, v in chosen)
+    out_stubs = [u for u in range(n) for _ in range(out_cap - outdeg[u])]
+    in_stubs = [v for v in range(n) for _ in range(in_cap - indeg[v])]
+    rng.shuffle(out_stubs)
+    rng.shuffle(in_stubs)
+    return _stub_digraph(n, chosen, out_stubs, in_stubs)
 
-    def may_add(u: int, v: int, _chosen) -> bool:
-        if (u, v) in present:
-            return False
-        if outdeg[u] < out_cap and indeg[v] < in_cap:
-            present.add((u, v))
-            outdeg[u] += 1
-            indeg[v] += 1
-            return True
-        return False
 
-    chosen.extend(_greedy_arcs(n, rng, may_add))
-    assert max(indeg) == in_cap and max(outdeg) == out_cap
-    return Digraph(n, tuple(chosen))
+def _random_subcubic(n: int, seed: int, oriented: bool) -> Digraph:
+    """Three shuffled stubs per vertex, paired off in consecutive twos."""
+    if n < 1:
+        raise BadParamsError(f"need n >= 1, got {n}")
+    stubs = [v for v in range(n) for _ in range(3)]
+    random.Random(seed).shuffle(stubs)
+    return _stub_digraph(n, [], stubs[0::2], stubs[1::2], oriented)
 
 
 def random_subcubic(n: int, seed: int) -> Digraph:
     """Random digraph with total degree at most 3 everywhere."""
-    if n < 1:
-        raise BadParamsError(f"need n >= 1, got {n}")
-    rng = random.Random(seed)
-    deg = [0] * n
-
-    def may_add(u: int, v: int, _chosen) -> bool:
-        if deg[u] < 3 and deg[v] < 3:
-            deg[u] += 1
-            deg[v] += 1
-            return True
-        return False
-
-    return Digraph(n, tuple(_greedy_arcs(n, rng, may_add)))
+    return _random_subcubic(n, seed, oriented=False)
 
 
 def random_oriented_subcubic(n: int, seed: int) -> Digraph:
     """Random subcubic digraph without digons."""
-    if n < 1:
-        raise BadParamsError(f"need n >= 1, got {n}")
-    rng = random.Random(seed)
-    deg = [0] * n
-    present: set[tuple[int, int]] = set()
-
-    def may_add(u: int, v: int, _chosen) -> bool:
-        if deg[u] < 3 and deg[v] < 3 and (v, u) not in present:
-            present.add((u, v))
-            deg[u] += 1
-            deg[v] += 1
-            return True
-        return False
-
-    return Digraph(n, tuple(_greedy_arcs(n, rng, may_add)))
+    return _random_subcubic(n, seed, oriented=True)
 
 
 def random_labelled_dag(n: int, m: int, k: int, seed: int) -> LabelledDigraph:

@@ -10,6 +10,7 @@ colour is at most one above the highest placed so far.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -327,6 +328,30 @@ def _acyclic_arcs(arcs, keep: list[int]) -> bool:
     return removed == len(keep)
 
 
+def _check_cubic(vertex_count: int, edges: Iterable[tuple[int, int]],
+                 ) -> list[tuple[int, int]]:
+    """The edges as (low, high) pairs in input order, after checking that
+    they form a simple 3-regular graph on 0..vertex_count-1."""
+    out: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    degree = [0] * vertex_count
+    for u, v in edges:
+        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+            raise ValidateError(f"edge ({u},{v}) outside 0..{vertex_count - 1}")
+        if u == v:
+            raise ValidateError(f"loop at vertex {u}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise ValidateError(f"duplicate edge ({u},{v})")
+        seen.add(key)
+        degree[u] += 1
+        degree[v] += 1
+        out.append(key)
+    if any(deg != 3 for deg in degree):
+        raise NotCubicError("graph is not 3-regular")
+    return out
+
+
 def edge_colouring_3regular(vertex_count: int,
                             edges: list[tuple[int, int]],
                             vertex_limit: int = 20,
@@ -335,19 +360,7 @@ def edge_colouring_3regular(vertex_count: int,
 
     Colours the line graph with the exact solvers' search (_dsatur).
     """
-    degree = [0] * vertex_count
-    seen = set()
-    for idx, (a, b) in enumerate(edges):
-        if not (0 <= a < vertex_count and 0 <= b < vertex_count) or a == b:
-            raise ValidateError(f"edge {idx} ({a},{b}) is invalid")
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            raise ValidateError(f"edge {idx} duplicates {key}")
-        seen.add(key)
-        degree[a] += 1
-        degree[b] += 1
-    if any(deg != 3 for deg in degree):
-        raise NotCubicError("graph is not 3-regular")
+    _check_cubic(vertex_count, edges)
     if vertex_count > vertex_limit:
         raise TooLargeError(f"{vertex_count} vertices exceed the limit {vertex_limit}")
 

@@ -1,4 +1,6 @@
 """Instance generators: extremal digraphs, the hardness reduction, random families."""
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -141,7 +143,7 @@ def test_random_digraph_deterministic():
 
 def test_random_digraph_canary():
     # pinned output guards against accidental generator drift
-    assert random_digraph(30, 2, 2, 7).arc_count == 58
+    assert random_digraph(30, 2, 2, 7).arc_count == 56
 
 
 def test_random_digraph_caps_attained():
@@ -159,6 +161,27 @@ def test_random_digraph_zero_cap():
 def test_random_digraph_cap_too_large():
     with pytest.raises(InfeasibleError):
         random_digraph(3, 3, 1, 0)
+
+
+RANDOM_FAMILIES = {
+    "random": lambda n: random_digraph(n, 3, 3, 1),
+    "subcubic": lambda n: random_subcubic(n, 1),
+    "oriented-subcubic": lambda n: random_oriented_subcubic(n, 1),
+}
+
+
+@pytest.mark.parametrize("family", sorted(RANDOM_FAMILIES))
+def test_random_family_memory_is_linear(family):
+    # one stub per arc end stays under 1 MB at 1,000 vertices; a list of
+    # all n(n-1) vertex pairs would peak near 84 MB
+    tracemalloc.start()
+    try:
+        d = RANDOM_FAMILIES[family](1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.arc_count > 1000
+    assert peak < 4_000_000
 
 
 @given(st.integers(1, 30), st.integers(0, 999))

@@ -224,6 +224,38 @@ def test_decomposition_pinned(name):
         assert sorted(dec.galaxy) == galaxy
 
 
+# (n, cap, seed) -> the arcs that random_digraph(n, cap, cap, seed) built
+# before the generator changed, kept literal so that the colourings
+# below keep checking dst_upper_2k1 and not the generator
+PINNED_2K1_ARCS = {
+    (9, 2, 11): ((8, 7), (3, 7), (8, 4), (4, 3), (3, 8), (2, 4), (7, 5),
+                 (4, 6), (1, 2), (2, 0), (0, 8), (1, 6), (6, 1), (7, 3),
+                 (0, 5), (6, 2), (5, 1), (5, 0)),
+    (12, 3, 1): ((10, 2), (1, 2), (5, 2), (10, 1), (10, 8), (3, 9), (9, 4),
+                 (6, 0), (11, 3), (8, 0), (6, 9), (8, 3), (8, 9), (0, 10),
+                 (7, 4), (3, 7), (1, 11), (1, 10), (9, 11), (11, 0), (5, 6),
+                 (7, 3), (0, 8), (6, 7), (11, 10), (7, 1), (9, 5), (2, 4),
+                 (0, 11), (2, 5), (4, 8), (5, 7), (3, 6), (2, 6), (4, 5)),
+    (15, 2, 7): ((2, 5), (7, 5), (2, 12), (0, 14), (11, 3), (12, 0), (3, 6),
+                 (10, 12), (14, 3), (11, 8), (8, 10), (5, 10), (6, 7), (1, 6),
+                 (5, 2), (4, 9), (6, 11), (0, 2), (12, 13), (10, 11), (7, 8),
+                 (4, 14), (9, 7), (13, 4), (14, 0), (3, 9), (13, 1), (8, 1),
+                 (9, 4), (1, 13)),
+    (20, 4, 3): ((19, 7), (18, 7), (4, 7), (12, 7), (19, 16), (19, 2),
+                 (19, 0), (3, 2), (15, 3), (8, 17), (12, 9), (16, 3), (7, 12),
+                 (2, 3), (4, 14), (5, 2), (6, 14), (13, 18), (9, 13), (3, 16),
+                 (17, 6), (1, 0), (1, 19), (7, 6), (16, 10), (9, 15), (2, 4),
+                 (1, 13), (5, 6), (15, 4), (1, 10), (13, 15), (12, 14),
+                 (0, 3), (6, 16), (12, 1), (7, 8), (16, 1), (13, 8), (0, 5),
+                 (0, 12), (3, 6), (14, 12), (0, 18), (8, 12), (13, 14),
+                 (8, 19), (18, 8), (6, 17), (15, 0), (5, 11), (5, 10),
+                 (15, 2), (2, 11), (6, 1), (10, 15), (4, 11), (18, 10),
+                 (8, 15), (17, 13), (3, 5), (10, 4), (4, 19), (14, 18),
+                 (14, 9), (17, 9), (14, 0), (7, 17), (2, 18), (18, 17),
+                 (17, 8), (9, 1), (10, 19), (11, 9)),
+}
+
+
 # (n, cap, seed) -> colour of each arc in arc order, recorded likewise
 PINNED_2K1 = {
     (12, 3, 1): (5, 7, 1, 5, 1, 7, 6, 4, 2, 5, 4, 5, 5, 6, 1, 6, 4, 4, 1, 2,
@@ -240,7 +272,7 @@ PINNED_2K1 = {
 
 @pytest.mark.parametrize("n, cap, seed", sorted(PINNED_2K1))
 def test_2k1_pinned(n, cap, seed):
-    d = random_digraph(n, cap, cap, seed)
+    d = Digraph(n, PINNED_2K1_ARCS[n, cap, seed])
     col = dst_upper_2k1(d)
     assert tuple(col[i] for i in range(d.arc_count)) == PINNED_2K1[n, cap, seed]
     assert col.colour_count == max(PINNED_2K1[n, cap, seed])
