@@ -9,7 +9,11 @@ anything is printed or written, and a failure there exits 4.  A fibre
 colouring that is expanded is decided by the wavelength verifier on
 its expansion, which no invalid colouring passes.  A command imports
 the solver, fibre and generator modules it runs when it runs, so a
-process loads only what its command uses.
+process loads only what its command uses.  A `-o` file is opened
+only after the output's check, written in place from its start and
+cut to the new length (so it keeps its links and mode), before the
+report line is printed; `-o -` is standard output, and no write is
+atomic or fsynced.
 
 Exit codes: 0 success, 1 a verification failed or a cap was exceeded,
 2 bad usage, unreadable input or an instance too large for memory,
@@ -22,6 +26,8 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
+import stat
 import sys
 from contextlib import contextmanager
 from typing import TYPE_CHECKING
@@ -107,11 +113,36 @@ def _expand_checked(ld: LabelledDigraph, fc: FibreColouring,
 
 @contextmanager
 def _out_stream(path: str | None):
+    """Standard output for None or "-", else the file at `path`, written
+    in place from offset 0.  Opening without O_TRUNC spares an existing
+    file the truncate that ext4 flushes at close; a regular file is cut
+    where the writing stopped instead, also when it stops by an error."""
     if path is None or path == "-":
         yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
+        return
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as fh:
+        try:
             yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+
+
+def _report(lines: list[str], path: str | None, write) -> int:
+    """Print a command's report `lines` and write its `-o` output by
+    `write(stream)`.  A named file is written first, so a run whose write
+    fails (exit 2) prints no success line; with `-o -` or no `-o` the
+    lines come first."""
+    named = path is not None and path != "-"
+    if not named:
+        print(*lines, sep="\n")
+    if path is not None:
+        with _out_stream(path) as fh:
+            write(fh)
+    if named:
+        print(*lines, sep="\n")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +251,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                   d, colouring, "solver certificates")
     summary = (f"algorithm={algo} colours={colouring.colour_count}"
                f" bound={bound} ({rule})")
-    print(summary)
-    if args.output is not None:
-        with _out_stream(args.output) as fh:
-            write_colouring(fh, dict(colouring.colour), intervals or None,
-                            comments=[summary])
-    return 0
+    return _report([summary], args.output, lambda fh: write_colouring(
+        fh, dict(colouring.colour), intervals or None, comments=[summary]))
 
 
 def _solve_fibre(ld: LabelledDigraph, args: argparse.Namespace) -> int:
@@ -262,11 +289,8 @@ def _solve_fibre(ld: LabelledDigraph, args: argparse.Namespace) -> int:
     wa = _expand_checked(ld, fc, "solver output")
     summary = (f"algorithm={algo} fibres={n} colours={fc.colour_count}"
                f" bound={bound} ({rule})")
-    print(summary)
-    if args.output is not None:
-        with _out_stream(args.output) as fh:
-            write_wavelengths(fh, dict(wa.triple), comments=[summary])
-    return 0
+    return _report([summary], args.output, lambda fh: write_wavelengths(
+        fh, dict(wa.triple), comments=[summary]))
 
 
 # ---------------------------------------------------------------------------
@@ -337,20 +361,15 @@ def _cmd_exact(args: argparse.Namespace) -> int:
             _check_output(verify_fibre_colouring, ld, fc, "exact witness")
         else:
             wa = _expand_checked(ld, fc, "exact witness")
-        print(f"lambda_{args.fibres} = {value}")
-        if args.output is not None:
-            with _out_stream(args.output) as fh:
-                write_wavelengths(fh, dict(wa.triple),
-                                  comments=[f"lambda_{args.fibres}={value}"])
-        return 0
+        return _report([f"lambda_{args.fibres} = {value}"], args.output,
+                       lambda fh: write_wavelengths(
+                           fh, dict(wa.triple),
+                           comments=[f"lambda_{args.fibres}={value}"]))
     d = ld.underlying
     value, witness = exact_dst(d, args.colour_cap, args.arc_limit)
     _check_output(verify_star_colouring, d, witness, "exact witness")
-    print(f"dst = {value}")
-    if args.output is not None:
-        with _out_stream(args.output) as fh:
-            write_colouring(fh, dict(witness.colour), comments=[f"dst={value}"])
-    return 0
+    return _report([f"dst = {value}"], args.output, lambda fh: write_colouring(
+        fh, dict(witness.colour), comments=[f"dst={value}"]))
 
 
 # ---------------------------------------------------------------------------
@@ -368,21 +387,18 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         vertex_count = ld.vertex_count
         origin = args.input
     d = np_reduction(vertex_count, edges)
-    print(f"reduced {origin}: {vertex_count} vertices, {len(edges)} edges"
-          f" -> {d.vertex_count} vertices, {d.arc_count} arcs")
+    lines = [f"reduced {origin}: {vertex_count} vertices, {len(edges)} edges"
+             f" -> {d.vertex_count} vertices, {d.arc_count} arcs"]
     if args.check:
         feasible = edge_colouring_3regular(vertex_count, edges) is not None
         value, witness = exact_dst(d, arc_limit=args.arc_limit)
         _check_output(verify_star_colouring, d, witness, "exact witness")
-        print(f"3-edge-colourable={feasible} dst={value}")
+        lines.append(f"3-edge-colourable={feasible} dst={value}")
         if (value == 3) != feasible:
-            raise InternalDefectError("reduction equivalence failed")
-    if args.output is not None:
-        with _out_stream(args.output) as fh:
-            write_digraph(fh, _as_labelled(d),
-                          comments=[f"generator=np-reduction source={origin},"
-                                    f" seed=none, reduced=false"])
-    return 0
+            raise InternalDefectError(f"reduction equivalence failed: {lines[-1]}")
+    return _report(lines, args.output, lambda fh: write_digraph(
+        fh, _as_labelled(d), comments=[f"generator=np-reduction source={origin},"
+                                       f" seed=none, reduced=false"]))
 
 
 # ---------------------------------------------------------------------------

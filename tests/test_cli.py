@@ -3,9 +3,12 @@ import argparse
 import contextlib
 import hashlib
 import io
+import os
 import random
 import re
+import stat
 import sys
+import threading
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -636,3 +639,111 @@ def test_generated_file_reads_as_without_its_comment(tmp_path):
     bare = text.split("\n", 1)[1]
     assert bare.startswith("p dsa ")
     assert read_digraph(io.StringIO(text)) == read_digraph(io.StringIO(bare))
+
+
+# ---------------------------------------------------------------------------
+# -o: an existing file is written in place and cut to the new length
+
+
+WRITERS = [
+    ["generate", "--family", "dag", "--vertices", "12", "--k", "2"],
+    ["solve", "INSTANCE"],
+    ["solve", "INSTANCE", "--fibres", "2"],
+    ["exact", "INSTANCE"],
+    ["exact", "INSTANCE", "--fibres", "2"],
+    ["reduce", "--named", "k4"],
+]
+STALE = "stale text that no output of these commands holds\n" * 100
+
+
+def write_to(tmp_path, capsys, argv, out):
+    """Run `argv` (INSTANCE standing for a small DAG) with `-o out`:
+    (exit code, stdout, stderr)."""
+    instance = dag_instance(tmp_path)
+    capsys.readouterr()
+    code = main([instance if arg == "INSTANCE" else arg for arg in argv]
+                + ["-o", str(out)])
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", WRITERS, ids=" ".join)
+def test_output_over_a_longer_file_equals_a_fresh_write(tmp_path, capsys, argv):
+    fresh, old = tmp_path / "fresh.out", tmp_path / "old.out"
+    first = write_to(tmp_path, capsys, argv, fresh)
+    assert first[0] == 0
+    old.write_text(STALE)
+    assert old.stat().st_size > fresh.stat().st_size
+    assert write_to(tmp_path, capsys, argv, old) == first
+    assert old.read_bytes() == fresh.read_bytes()
+
+
+def test_output_keeps_mode_hard_links_and_symlinks(tmp_path, capsys):
+    argv = ["solve", "INSTANCE"]
+    fresh = tmp_path / "fresh.col"
+    assert write_to(tmp_path, capsys, argv, fresh)[0] == 0
+    expected = fresh.read_bytes()
+    private, link = tmp_path / "private.col", tmp_path / "link.col"
+    private.write_text(STALE)
+    private.chmod(0o600)
+    os.link(private, link)
+    inode = private.stat().st_ino
+    assert write_to(tmp_path, capsys, argv, private)[0] == 0
+    assert stat.S_IMODE(private.stat().st_mode) == 0o600
+    assert private.stat().st_ino == inode
+    assert link.read_bytes() == private.read_bytes() == expected
+    target, alias = tmp_path / "target.col", tmp_path / "alias.col"
+    target.write_text(STALE)
+    alias.symlink_to(target)
+    assert write_to(tmp_path, capsys, argv, alias)[0] == 0
+    assert alias.is_symlink()
+    assert target.read_bytes() == expected
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+@pytest.mark.parametrize("argv", WRITERS, ids=" ".join)
+def test_output_to_dev_null_exits_0(tmp_path, capsys, argv):
+    assert write_to(tmp_path, capsys, argv, "/dev/null")[0] == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+def test_output_to_fifo_delivers_everything(tmp_path, capsys):
+    argv = ["solve", "INSTANCE"]
+    fresh, fifo = tmp_path / "fresh.col", tmp_path / "fifo"
+    assert write_to(tmp_path, capsys, argv, fresh)[0] == 0
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    assert write_to(tmp_path, capsys, argv, fifo)[0] == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [fresh.read_bytes()]
+
+
+def test_failed_write_leaves_only_what_was_written(tmp_path, capsys, monkeypatch):
+    def write_one_line_then_fail(handle, *args, **kwargs):
+        handle.write("c 0 1\n")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("galaxia.cli.write_colouring", write_one_line_then_fail)
+    out = tmp_path / "col.txt"
+    out.write_text(STALE)
+    assert write_to(tmp_path, capsys, ["solve", "INSTANCE"], out) == (
+        2, "", "error: [Errno 28] No space left on device\n")
+    assert out.read_text() == "c 0 1\n"
+
+
+@pytest.mark.parametrize("target, err", [
+    ("", "[Errno 21] Is a directory: '{}'"),
+    ("missing/x", "[Errno 2] No such file or directory: '{}'"),
+    ("/dev/full", "[Errno 28] No space left on device"),
+], ids=["directory", "missing directory", "/dev/full"])
+@pytest.mark.parametrize("argv", WRITERS[1:], ids=" ".join)
+def test_failed_write_exits_2_and_prints_no_report(tmp_path, capsys, argv,
+                                                   target, err):
+    if target == "/dev/full" and not os.path.exists(target):
+        pytest.skip("no /dev/full")
+    out = os.path.join(tmp_path, target)  # /dev/full stays absolute
+    assert write_to(tmp_path, capsys, argv, out) == (
+        2, "", f"error: {err.format(out)}\n")
