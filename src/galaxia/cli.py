@@ -13,7 +13,8 @@ process loads only what its command uses.  A `-o` file is opened
 only after the output's check, written in place from its start and
 cut to the new length (so it keeps its links and mode), before the
 report line is printed; `-o -` is standard output, and no write is
-atomic or fsynced.
+atomic or fsynced, so a crash soon after an overwrite can leave the
+old output's bytes at the new length.
 
 Exit codes: 0 success, 1 a verification failed or a cap was exceeded,
 2 bad usage, unreadable input or an instance too large for memory,
@@ -115,18 +116,23 @@ def _expand_checked(ld: LabelledDigraph, fc: FibreColouring,
 def _out_stream(path: str | None):
     """Standard output for None or "-", else the file at `path`, written
     in place from offset 0.  Opening without O_TRUNC spares an existing
-    file the truncate that ext4 flushes at close; a regular file is cut
-    where the writing stopped instead, also when it stops by an error."""
+    file the truncate that ext4 flushes at close; a regular file that
+    held bytes is cut where the writing stopped instead, also when it
+    stops by an error.  A new or empty file needs no cut."""
     if path is None or path == "-":
         yield sys.stdout
         return
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     with open(fd, "w", encoding="utf-8") as fh:
+        old = os.fstat(fd)
         try:
             yield fh
+            fh.flush()
         finally:
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                fh.truncate()
+            if stat.S_ISREG(old.st_mode) and old.st_size:
+                # at the bytes that reached the file, with no flush that
+                # could fail again when a failed flush ended the block
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 def _report(lines: list[str], path: str | None, write) -> int:
@@ -390,6 +396,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     lines = [f"reduced {origin}: {vertex_count} vertices, {len(edges)} edges"
              f" -> {d.vertex_count} vertices, {d.arc_count} arcs"]
     if args.check:
+        if args.output is None or args.output == "-":
+            print(lines.pop())  # shown before the exact search runs
         feasible = edge_colouring_3regular(vertex_count, edges) is not None
         value, witness = exact_dst(d, arc_limit=args.arc_limit)
         _check_output(verify_star_colouring, d, witness, "exact witness")

@@ -10,6 +10,11 @@ import stat
 import sys
 import threading
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -476,6 +481,21 @@ def test_reduce_writes_instance(tmp_path):
     assert ld.vertex_count == 8 and ld.arc_count == 12
 
 
+@pytest.mark.parametrize("output", [None, "-", "file"])
+def test_reduce_check_over_the_arc_limit(tmp_path, capsys, output):
+    # without a named -o the reduced line is printed before the exact
+    # search fails; with one, nothing is printed and no file is made
+    out = tmp_path / "red.dsa"
+    flags = {None: [], "-": ["-o", "-"], "file": ["-o", str(out)]}[output]
+    assert main(["reduce", "--named", "k4", "--check", "--arc-limit", "1",
+                 *flags]) == 2
+    reduced = "reduced k4: 4 vertices, 6 edges -> 8 vertices, 12 arcs\n"
+    assert tuple(capsys.readouterr()) == (
+        "" if output == "file" else reduced,
+        "error: 12 arcs exceed the limit 1\n")
+    assert not out.exists()
+
+
 def test_reduce_input_reads_arcs_as_edges(tmp_path, capsys):
     vertex_count, edges = CUBIC_GRAPHS["k4"]
     source = tmp_path / "k4.dsa"
@@ -732,6 +752,34 @@ def test_failed_write_leaves_only_what_was_written(tmp_path, capsys, monkeypatch
     assert write_to(tmp_path, capsys, ["solve", "INSTANCE"], out) == (
         2, "", "error: [Errno 28] No space left on device\n")
     assert out.read_text() == "c 0 1\n"
+
+
+@pytest.mark.skipif(resource is None, reason="no resource module")
+def test_failed_flush_still_cuts_the_old_tail(tmp_path, capsys, monkeypatch):
+    # a file-size limit makes the flush at the end of the block fail
+    # after a partial write; the file keeps that prefix of the output and
+    # none of the longer old file
+    argv = ["generate", "--family", "dag", "--vertices", "200", "--k", "2"]
+    fresh, out = tmp_path / "fresh.dsa", tmp_path / "old.dsa"
+    assert write_to(tmp_path, capsys, argv, fresh)[0] == 0
+    expected = fresh.read_bytes()
+    limit = 1000
+    assert limit < len(expected) < 8192  # one flush, at the end of the block
+    out.write_bytes(b"x" * 100_000)
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    real_write = write_digraph
+
+    def write_under_a_size_limit(*args, **kwargs):
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
+        real_write(*args, **kwargs)
+
+    monkeypatch.setattr("galaxia.cli.write_digraph", write_under_a_size_limit)
+    try:
+        result = write_to(tmp_path, capsys, argv, out)
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+    assert result == (2, "", "error: [Errno 27] File too large\n")
+    assert out.read_bytes() == expected[:limit]
 
 
 @pytest.mark.parametrize("target, err", [
