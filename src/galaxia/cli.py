@@ -14,7 +14,11 @@ only after the output's check, written in place from its start and
 cut to the new length (so it keeps its links and mode), before the
 report line is printed; `-o -` is standard output, and no write is
 atomic or fsynced, so a crash soon after an overwrite can leave the
-old output's bytes at the new length.
+old output's bytes at the new length.  Each command runs with the
+cyclic garbage collector paused, since its passes find no cyclic
+garbage in a command, and `main` restores the collector's state when it
+returns; a library caller that wants the same can call `gc.disable()`
+itself.
 
 Exit codes: 0 success, 1 a verification failed or a cap was exceeded,
 2 bad usage, unreadable input or an instance too large for memory,
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import math
 import os
 import stat
@@ -508,6 +513,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except InternalDefectError as exc:
@@ -536,6 +543,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {args.command}: instance too large for memory",
               file=sys.stderr)
         return 2
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -1,12 +1,14 @@
 """End-to-end runs of the console entry point."""
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import os
 import random
 import re
 import stat
+import subprocess
 import sys
 import threading
 
@@ -795,3 +797,126 @@ def test_failed_write_exits_2_and_prints_no_report(tmp_path, capsys, argv,
     out = os.path.join(tmp_path, target)  # /dev/full stays absolute
     assert write_to(tmp_path, capsys, argv, out) == (
         2, "", f"error: {err.format(out)}\n")
+
+
+def _raise_runtime_error(monkeypatch):
+    def broken(d):
+        raise RuntimeError(f"solver ran with gc.isenabled() = {gc.isenabled()}")
+
+    monkeypatch.setattr("galaxia.acyclic.star_colouring_acyclic", broken)
+
+
+def _clash(monkeypatch):
+    monkeypatch.setattr("galaxia.subcubic.star_colouring_subcubic",
+                        lambda d: ArcColouring({i: 1 for i in range(d.arc_count)}, 1))
+
+
+# (argv builder, patch, expected exit code or exception type)
+EXIT_PATHS = {
+    "exit 0": (lambda t: ["solve", dag_instance(t)], None, 0),
+    "exit 1": (lambda t: ["exact", circuit_instance(t), "--colour-cap", "2"], None, 1),
+    "exit 2": (lambda t: ["solve", str(t / "absent.dsa")], None, 2),
+    "exit 3": (lambda t: ["solve", circuit_instance(t), "--algorithm", "acyclic"],
+               None, 3),
+    "exit 4": (lambda t: ["solve", circuit_instance(t)], _clash, 4),
+    "escaping exception": (lambda t: ["solve", dag_instance(t)],
+                           _raise_runtime_error, RuntimeError),
+    "usage error": (lambda t: ["solve"], None, SystemExit),
+}
+
+
+@pytest.fixture
+def gc_state():
+    """Put the collector back as the test found it."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("path", EXIT_PATHS)
+def test_main_restores_the_collector_state(tmp_path, capsys, monkeypatch,
+                                          gc_state, path, enabled):
+    argv_of, patch, expected = EXIT_PATHS[path]
+    argv = argv_of(tmp_path)
+    if patch is not None:
+        patch(monkeypatch)
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    if isinstance(expected, int):
+        assert main(argv) == expected
+    else:
+        with pytest.raises(expected) as info:
+            main(argv)
+        assert "gc.isenabled() = True" not in str(info.value)
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_import_leaves_the_collector_state_alone(enabled):
+    # a new interpreter, since this one imported galaxia long ago
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = ("import gc, sys\n"
+            f"gc.{'enable' if enabled else 'disable'}()\n"
+            "import galaxia, galaxia.cli\n"
+            f"sys.exit(0 if gc.isenabled() is {enabled} else 1)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@pytest.fixture(scope="module")
+def thousands_of_arcs(tmp_path_factory):
+    """Generated instances of about 1,500-3,000 arcs, one per family."""
+    folder = tmp_path_factory.mktemp("garbage")
+    families = {
+        "dag": ["--family", "dag", "--vertices", "1000", "--k", "3"],
+        "labelled-dag": ["--family", "dag", "--vertices", "1000", "--m", "2",
+                         "--k", "3"],
+        "random": ["--family", "random", "--vertices", "1500"],
+        "subcubic": ["--family", "subcubic", "--vertices", "2000"],
+        "oriented-subcubic": ["--family", "oriented-subcubic",
+                              "--vertices", "2000"],
+    }
+    paths = {}
+    for name, flags in families.items():
+        paths[name] = str(folder / f"{name}.dsa")
+        assert main(["generate", *flags, "-o", paths[name]]) == 0
+    return paths
+
+
+@pytest.mark.parametrize("family, flags, algorithm", [
+    ("random", ["--algorithm", "2k1"], "2k1"),
+    ("dag", ["--algorithm", "acyclic"], "acyclic"),
+    ("subcubic", ["--algorithm", "subcubic"], "subcubic"),
+    ("random", ["--algorithm", "diregular4"], "diregular4"),
+    ("oriented-subcubic", ["--algorithm", "acircuitic"], "acircuitic"),
+    ("labelled-dag", ["--fibres", "2"], "acyclic"),
+    ("random", ["--fibres", "2"], "smallm"),
+], ids=["2k1", "acyclic", "subcubic", "diregular4", "acircuitic",
+        "fibres acyclic", "fibres smallm"])
+def test_solve_leaves_no_cyclic_garbage(tmp_path, capsys, thousands_of_arcs,
+                                        family, flags, algorithm):
+    # what makes pausing the collector safe: a command frees all it
+    # allocates by reference counting, so a pass after it finds nothing
+    argv = ["solve", thousands_of_arcs[family], *flags,
+            "-o", str(tmp_path / "out")]
+    assert main(argv) == 0  # warm-up: the first call imports the solver
+    gc.collect()
+    assert main(argv) == 0
+    assert gc.collect() == 0
+    assert capsys.readouterr().out.startswith(f"algorithm={algorithm} ")
+
+
+@pytest.mark.parametrize("flags", [[], ["--fibres", "2"]], ids=["dst", "lambda"])
+def test_exact_leaves_no_cyclic_garbage(tmp_path, capsys, flags):
+    argv = ["exact", circuit_instance(tmp_path, 7), *flags,
+            "-o", str(tmp_path / "witness")]
+    assert main(argv) == 0
+    gc.collect()
+    assert main(argv) == 0
+    assert gc.collect() == 0
