@@ -148,7 +148,7 @@ def acircuitic_colouring(d: Digraph) -> ArcColouring:
             raise InternalDefectError(
                 "a remaining arc leaves a matched tail or enters a matched "
                 "head")
-    sub = Digraph(d.vertex_count, tuple(d.arcs[i] for i in rest))
+    sub = Digraph._of(d.vertex_count, tuple(d.arcs[i] for i in rest))
     taken_at: dict[int, set[int]] = {}
     for arc, c in back_colour.items():
         taken_at.setdefault(d.arcs[arc][1], set()).add(c)

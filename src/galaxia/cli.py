@@ -263,7 +263,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     summary = (f"algorithm={algo} colours={colouring.colour_count}"
                f" bound={bound} ({rule})")
     return _report([summary], args.output, lambda fh: write_colouring(
-        fh, dict(colouring.colour), intervals or None, comments=[summary]))
+        fh, colouring.colour, intervals or None, comments=[summary]))
 
 
 def _solve_fibre(ld: LabelledDigraph, args: argparse.Namespace) -> int:
@@ -301,7 +301,7 @@ def _solve_fibre(ld: LabelledDigraph, args: argparse.Namespace) -> int:
     summary = (f"algorithm={algo} fibres={n} colours={fc.colour_count}"
                f" bound={bound} ({rule})")
     return _report([summary], args.output, lambda fh: write_wavelengths(
-        fh, dict(wa.triple), comments=[summary]))
+        fh, wa.triple, comments=[summary]))
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +374,13 @@ def _cmd_exact(args: argparse.Namespace) -> int:
             wa = _expand_checked(ld, fc, "exact witness")
         return _report([f"lambda_{args.fibres} = {value}"], args.output,
                        lambda fh: write_wavelengths(
-                           fh, dict(wa.triple),
+                           fh, wa.triple,
                            comments=[f"lambda_{args.fibres}={value}"]))
     d = ld.underlying
     value, witness = exact_dst(d, args.colour_cap, args.arc_limit)
     _check_output(verify_star_colouring, d, witness, "exact witness")
     return _report([f"dst = {value}"], args.output, lambda fh: write_colouring(
-        fh, dict(witness.colour), comments=[f"dst={value}"]))
+        fh, witness.colour, comments=[f"dst={value}"]))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from heapq import heapify, heappush, heappop
 from itertools import chain
 from operator import eq, itemgetter
 
@@ -34,6 +33,17 @@ class Digraph:
         if self.vertex_count < 0:
             raise ValidateError("vertex_count must be non-negative")
         _check_arcs(self.vertex_count, arcs, self.allow_parallel)
+
+    @classmethod
+    def _of(cls, vertex_count: int, arcs: tuple[Arc, ...],
+            allow_parallel: bool = False) -> Digraph:
+        """The digraph of arcs this package has already checked: a tuple
+        of plain int pairs with ends in range, no self-loop and, unless
+        allow_parallel, no repeat.  They are kept as they are."""
+        d = object.__new__(cls)
+        vars(d).update(vertex_count=vertex_count, arcs=arcs,
+                       allow_parallel=allow_parallel)
+        return d
 
     @property
     def arc_count(self) -> int:
@@ -68,21 +78,19 @@ class Digraph:
     @cached_property
     def _sort(self) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
         """(topological order, None), or (None, witness circuit): Kahn's
-        algorithm, always removing the lowest-id ready vertex."""
+        algorithm with a first-in first-out ready list (Kahn, 1962), so
+        the sources come first, ascending, and every other vertex follows
+        as soon as its last entering arc is removed."""
         indeg = list(self.profile.indegree)
-        ready = [v for v in range(self.vertex_count) if indeg[v] == 0]
-        heapify(ready)
-        order: list[int] = []
+        order = [v for v in range(self.vertex_count) if indeg[v] == 0]
         out_arcs = self.out_arcs
         arcs = self.arcs
-        while ready:
-            v = heappop(ready)
-            order.append(v)
+        for v in order:  # grows while it is read
             for i in out_arcs[v]:
                 w = arcs[i][1]
                 indeg[w] -= 1
                 if indeg[w] == 0:
-                    heappush(ready, w)
+                    order.append(w)
         if len(order) < self.vertex_count:
             alive = {v for v in range(self.vertex_count) if indeg[v] > 0}
             return None, _witness_circuit(self, alive)
@@ -116,6 +124,17 @@ class LabelledDigraph:
             raise ValidateError("label_count must be positive")
         _check_arcs(self.vertex_count, arcs, False, self.label_count)
 
+    @classmethod
+    def _of(cls, vertex_count: int, label_count: int,
+            arcs: tuple[tuple[int, int, int], ...]) -> LabelledDigraph:
+        """The labelled digraph of arcs this package has already checked
+        (see Digraph._of; labels in 1..label_count, no repeated triple),
+        kept as they are."""
+        ld = object.__new__(cls)
+        vars(ld).update(vertex_count=vertex_count, label_count=label_count,
+                        arcs=arcs)
+        return ld
+
     @property
     def arc_count(self) -> int:
         return len(self.arcs)
@@ -129,15 +148,9 @@ class LabelledDigraph:
 
     @cached_property
     def underlying(self) -> Digraph:
-        """The label-stripped multidigraph, same arc indices.  Its arcs
-        are this digraph's checked arcs less their labels, so they are
-        not checked again."""
-        d = object.__new__(Digraph)
-        for name, value in (("vertex_count", self.vertex_count),
-                            ("arcs", tuple(map(itemgetter(0, 1), self.arcs))),
-                            ("allow_parallel", True)):
-            object.__setattr__(d, name, value)
-        return d
+        """The label-stripped multidigraph, same arc indices."""
+        return Digraph._of(self.vertex_count,
+                           tuple(map(itemgetter(0, 1), self.arcs)), True)
 
 
 def _plain(arcs: tuple, width: int) -> bool:
@@ -284,7 +297,10 @@ def _witness_circuit(d: Digraph, alive: set[int]) -> tuple[int, ...]:
 
 
 def topological_order(d: Digraph) -> tuple[int, ...]:
-    """Kahn's algorithm, always removing the lowest-id ready vertex.
+    """Kahn's first-in first-out order: the sources ascending, then every
+    other vertex as soon as its last entering arc is removed.  It is one
+    valid order, not the lowest-id one, and callers must not rely on
+    which valid order it is.
 
     Raises CyclicError with a witness circuit when no order exists.  The
     sort runs once per digraph; is_acyclic reads the same result.

@@ -71,6 +71,16 @@ class WavelengthAssignment:
             if not (1 <= f_out <= self.n and 1 <= f_in <= self.n):
                 raise ValidateError(f"arc {arc} fibre outside 1..{self.n}")
 
+    @classmethod
+    def _of(cls, n: int, triple: dict[int, tuple[int, int, int]],
+            ) -> WavelengthAssignment:
+        """The assignment of a dict this package built, whose fibres it
+        has already proved to lie in 1..n and whose wavelengths are
+        positive; the dict is kept, not copied."""
+        wa = object.__new__(cls)
+        vars(wa).update(n=n, triple=MappingProxyType(triple))
+        return wa
+
     def __getitem__(self, arc: int) -> tuple[int, int, int]:
         return self.triple[arc]
 
@@ -197,7 +207,9 @@ def fibre_colouring_acyclic(ld: LabelledDigraph, n: int) -> FibreColouring:
     generic = tuple(tuple((i * big_k + t) % total + 1 for t in range(big_k))
                     for i in range(m))
 
-    potential: dict[int, tuple[tuple[int, ...], ...]] = {}
+    # a source keeps the generic family; every other vertex's entry is
+    # set before the first of its heads is reached
+    potential = [generic] * ld.vertex_count
     colour_of: dict[int, int] = {}
     # The in-arc colours and the rebuilt sets at v depend only on the
     # sets its entering arcs draw from, in arc order, so vertices with
@@ -208,10 +220,9 @@ def fibre_colouring_acyclic(ld: LabelledDigraph, n: int) -> FibreColouring:
     for v in order:
         arcs_in = in_arcs[v]
         if not arcs_in:
-            potential[v] = generic
             continue
         # tails precede v in topological order, so their sets exist
-        key = tuple(potential[arcs[a][0]][arcs[a][2] - 1] for a in arcs_in)
+        key = tuple([potential[arcs[a][0]][arcs[a][2] - 1] for a in arcs_in])
         if key not in table:
             assigned = capacitated_assignment(
                 [[c - 1 for c in sets] for sets in key], [n] * total)
@@ -255,12 +266,12 @@ def fibre_colouring_smallm(ld: LabelledDigraph, n: int) -> FibreColouring:
     if ld.arc_count == 0:
         return FibreColouring(n, {}, 0)
     total = math.ceil(k / (n - m))
-    colour_of: dict[int, int] = {}
+    colours: list[int] = []
     seen_in = [0] * ld.vertex_count
-    for arc, (_, head, _) in enumerate(ld.arcs):
-        colour_of[arc] = seen_in[head] // (n - m) + 1
+    for head in map(itemgetter(1), ld.arcs):
+        colours.append(seen_in[head] // (n - m) + 1)
         seen_in[head] += 1
-    return FibreColouring(n, colour_of, total)
+    return FibreColouring(n, dict(enumerate(colours)), total)
 
 
 def expand_to_wavelength_assignment(ld: LabelledDigraph, fc: FibreColouring,
@@ -277,25 +288,26 @@ def expand_to_wavelength_assignment(ld: LabelledDigraph, fc: FibreColouring,
     exceeds n.  No verifier runs here.
     """
     colours = arc_values(ld.arc_count, fc.colour, "unassigned")
+    arcs = ld.arcs
     taken: dict[tuple[int, int], int] = {}  # (vertex, colour) -> fibres used
     f_in: list[int] = []
-    for (_, head, _), w in zip(ld.arcs, colours):
-        key = (head, w)
+    for key in zip(map(itemgetter(1), arcs), colours):
         taken[key] = fibre = taken.get(key, 0) + 1
         f_in.append(fibre)
     # every in-fibre is numbered before the first out-fibre is placed
     group_fibre: dict[tuple[int, int, int], int] = {}
-    triples: dict[int, tuple[int, int, int]] = {}
-    for arc, ((tail, _, label), w) in enumerate(zip(ld.arcs, colours)):
-        group = (tail, w, label)
-        fibre = group_fibre.get(group)
+    f_out: list[int] = []
+    for group in zip(map(itemgetter(0), arcs), colours, map(itemgetter(2), arcs)):
+        fibre = group_fibre.get(group)  # group is (tail, colour, label)
         if fibre is None:
-            key = (tail, w)
+            key = group[:2]
             taken[key] = group_fibre[group] = fibre = taken.get(key, 0) + 1
-        triples[arc] = (w, fibre, f_in[arc])
+        f_out.append(fibre)
     if max(taken.values(), default=0) > fc.n:
         v = _first_overload(ld, colours, fc.n, taken)
         raise InvalidColouringError(
             f"fibre colouring invalid at vertex {v.vertex}, colour {v.colour}:"
             f" {v.in_count}+{v.out_count} > {fc.n}")
-    return WavelengthAssignment(fc.n, triples)
+    # every fibre is in 1..n now, and the colours are positive
+    return WavelengthAssignment._of(
+        fc.n, dict(enumerate(zip(colours, f_out, f_in))))

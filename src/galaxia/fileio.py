@@ -16,15 +16,19 @@ An instance read from a stream in the canonical layout that
 write_digraph writes (leading `#` lines, then `p dsa n a m`, then one
 `a t h l` line per arc, single spaces, ASCII digits, each line ended by
 a newline) is checked by three regular-expression searches and read
-column-wise with built-ins.  Any other layout, and any canonical text
-that fails a check, goes through the line reader on the same text, so
-the result, or the error with its text and line number, is the same.
+into three int columns with built-ins.  Checks on those columns (the
+arc count, ends and labels in range, no self-loop, no repeated triple)
+replace LabelledDigraph's own check, which does not run a second time.
+Any other layout, and any canonical text that fails a check, goes
+through the line reader on the same text, so the result, or the error
+with its text and line number, is the same.
 """
 
 from __future__ import annotations
 
 import re
-from typing import IO, Iterable
+from operator import eq
+from typing import IO, Iterable, Mapping
 
 from .digraph import LabelledDigraph
 from .errors import ParseError, ValidateError
@@ -76,10 +80,10 @@ def read_digraph(stream: Iterable[str]) -> LabelledDigraph:
 
 
 def _read_canonical(text: str) -> LabelledDigraph | None:
-    """The instance of a canonical text whose counts and arcs pass
-    LabelledDigraph's own check, else None.  A number of more than 18
+    """The instance of a canonical text whose counts and arcs pass the
+    checks of LabelledDigraph, else None.  A number of more than 18
     digits makes a text not canonical, so int() here never meets one
-    past its digit limit."""
+    past its digit limit, and none is negative."""
     header = _HEADER.search(text)
     if (header is None or _NOT_COMMENT.search(text, 0, header.start())
             or _NOT_ARC_LINE.search(text, header.end() - 1).start() != len(text) - 1):
@@ -89,19 +93,25 @@ def _read_canonical(text: str) -> LabelledDigraph | None:
         return None
     # The arc lines go in slices of whole lines, so that the tokens of
     # the whole text are never alive at once.
-    arcs: list[tuple[int, int, int]] = []
+    tails: list[int] = []
+    heads: list[int] = []
+    labels: list[int] = []
     start = header.end()
     while start < len(text):
         end = text.find("\n", start + _SLICE) + 1 or len(text)
         tokens = text[start:end].split()  # "a", tail, head, label per arc
-        arcs += zip(*(map(int, tokens[i::4]) for i in (1, 2, 3)))
+        tails += map(int, tokens[1::4])
+        heads += map(int, tokens[2::4])
+        labels += map(int, tokens[3::4])
         start = end
-    if len(arcs) != arc_count:
+    if not (tails and len(tails) == arc_count and max(tails) < n
+            and max(heads) < n and min(labels) >= 1 and max(labels) <= m
+            and not any(map(eq, tails, heads))):
         return None
-    try:
-        return LabelledDigraph(n, m, tuple(arcs))
-    except ValidateError:
+    arcs = tuple(zip(tails, heads, labels))
+    if len(set(arcs)) < arc_count:
         return None
+    return LabelledDigraph._of(n, m, arcs)
 
 
 def _read_lines(stream: Iterable[str]) -> LabelledDigraph:
@@ -191,7 +201,7 @@ def read_colouring(stream: Iterable[str], arc_count: int | None = None,
     return colours, intervals
 
 
-def write_colouring(stream: IO[str], colours: dict[int, int],
+def write_colouring(stream: IO[str], colours: Mapping[int, int],
                     intervals: dict[int, CyclicInterval] | None = None,
                     comments: Iterable[str] = ()) -> None:
     for c in comments:
@@ -224,7 +234,8 @@ def read_wavelengths(stream: Iterable[str], arc_count: int | None = None,
     return out
 
 
-def write_wavelengths(stream: IO[str], assignment: dict[int, tuple[int, int, int]],
+def write_wavelengths(stream: IO[str],
+                      assignment: Mapping[int, tuple[int, int, int]],
                       comments: Iterable[str] = ()) -> None:
     for c in comments:
         stream.write(f"# {c}\n")

@@ -168,8 +168,8 @@ def _decompose(d: Digraph, u: int, k: int) -> tuple[list[list[int]], list[int]]:
                 if slot[w] == -1:
                     slot[w] = len(verts)
                     verts.append(w)
-        local = Digraph(len(verts), tuple((slot[arcs[i][0]], slot[arcs[i][1]])
-                                          for i in live), allow_parallel=True)
+        local = Digraph._of(len(verts), tuple(
+            (slot[arcs[i][0]], slot[arcs[i][1]]) for i in live), True)
         local_arcs, in_arcs, out_arcs = local.arcs, local.in_arcs, local.out_arcs
         comps = strong_components(local)
         comp_of = [0] * len(verts)

@@ -251,7 +251,7 @@ def dst4_colouring(d: Digraph) -> ArcColouring:
     _check_in_out_two(d)
     galaxy = set(_galaxy_arcs(d))
     rest = [i for i in range(d.arc_count) if i not in galaxy]
-    sub = Digraph(d.vertex_count, tuple(d.arcs[i] for i in rest))
+    sub = Digraph._of(d.vertex_count, tuple(d.arcs[i] for i in rest))
     if degree_profile(sub).max_degree > 3:
         raise InternalDefectError(
             "removing the spanning galaxy left a vertex of degree four")

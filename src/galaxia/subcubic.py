@@ -523,8 +523,8 @@ def _sub(g: Digraph, ids: Sequence[int], keep: Sequence[int],
     arcs = g.arcs
     verts = sorted({v for a in keep for v in arcs[a]})
     index = {v: i for i, v in enumerate(verts)}
-    return (Digraph(len(verts), tuple((index[arcs[a][0]], index[arcs[a][1]])
-                                      for a in keep)),
+    return (Digraph._of(len(verts), tuple(
+                (index[arcs[a][0]], index[arcs[a][1]]) for a in keep)),
             [ids[a] for a in keep])
 
 

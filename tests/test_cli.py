@@ -1,6 +1,7 @@
 """End-to-end runs of the console entry point."""
 import argparse
 import contextlib
+import functools
 import gc
 import hashlib
 import io
@@ -160,15 +161,17 @@ def test_solve_non_simple_digraph_exits_3(tmp_path, capsys, algorithm):
 @pytest.mark.parametrize("argv", [["--fibres", "2"], []])
 def test_auto_solve_sorts_acyclic_instance_once(tmp_path, capsys, monkeypatch,
                                                 argv):
-    # Kahn's sort heapifies its ready list once per run
+    # count the runs of Kahn's sort itself, whichever digraph it runs on
     sorts = []
-    real = digraph.heapify
+    real = digraph.Digraph.__dict__["_sort"].func
 
-    def counting(ready):
-        sorts.append(len(ready))
-        real(ready)
+    def counting(d):
+        sorts.append(d.vertex_count)
+        return real(d)
 
-    monkeypatch.setattr(digraph, "heapify", counting)
+    cached = functools.cached_property(counting)
+    cached.__set_name__(digraph.Digraph, "_sort")
+    monkeypatch.setattr(digraph.Digraph, "_sort", cached)
     path = tmp_path / "dag.dsa"
     write_instance(path, LabelledDigraph(4, 2, ((0, 2, 1), (1, 2, 2), (0, 3, 1),
                                                 (2, 3, 2))))

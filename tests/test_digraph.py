@@ -1,4 +1,6 @@
 """Data model and basic graph machinery."""
+from heapq import heapify, heappop, heappush
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,10 +9,20 @@ from galaxia import (
     Digraph,
     LabelledDigraph,
     ValidateError,
+    acircuitic_colouring,
     degree_profile,
     digraph,
+    dst4_colouring,
+    dst_upper_2k1,
+    fibre_colouring_acyclic,
     find_circuit_arcs,
     is_acyclic,
+    random_digraph,
+    random_labelled_dag,
+    random_oriented_subcubic,
+    random_subcubic,
+    star_colouring_acyclic,
+    star_colouring_subcubic,
     strong_components,
     topological_order,
 )
@@ -207,6 +219,73 @@ def test_acyclic_iff_topological_order(d):
         assert len(set(cyc)) == len(cyc) >= 2
         assert all((cyc[i], cyc[(i + 1) % len(cyc)]) in arcset
                    for i in range(len(cyc)))
+
+
+def lowest_id_sort(d):
+    """Kahn's sort always removing the lowest-id ready vertex, the order
+    Digraph._sort once had; a reference for acyclic digraphs only."""
+    indeg = list(d.profile.indegree)
+    ready = [v for v in range(d.vertex_count) if indeg[v] == 0]
+    heapify(ready)
+    order = []
+    while ready:
+        v = heappop(ready)
+        order.append(v)
+        for i in d.out_arcs[v]:
+            w = d.arcs[i][1]
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heappush(ready, w)
+    assert len(order) == d.vertex_count
+    return tuple(order), None
+
+
+def test_topological_order_is_first_in_first_out():
+    # 4 is ready before 2, so it comes first, where lowest id puts 2 first
+    d = Digraph(5, ((0, 4), (1, 2), (4, 3), (2, 3)))
+    assert topological_order(d) == (0, 1, 4, 2, 3)
+    assert lowest_id_sort(d)[0] == (0, 1, 2, 4, 3)
+
+
+@given(st.integers(1, 30), st.integers(1, 3), st.integers(1, 4),
+       st.integers(0, 10**6))
+def test_acyclic_theorems_do_not_depend_on_the_order(n, m, k, seed):
+    fibres = 1 + seed % m
+    fifo = (star_colouring_acyclic(random_labelled_dag(n, m, k, seed).underlying),
+            fibre_colouring_acyclic(random_labelled_dag(n, m, k, seed), fibres))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Digraph, "_sort", property(lowest_id_sort))
+        ld = random_labelled_dag(n, m, k, seed)
+        lowest = (star_colouring_acyclic(ld.underlying),
+                  fibre_colouring_acyclic(ld, fibres))
+    (colouring, certificates), fc = fifo
+    (colouring_low, certificates_low), fc_low = lowest
+    assert colouring == colouring_low and certificates == certificates_low
+    assert fc == fc_low
+
+
+@pytest.mark.parametrize("solve, family", [
+    (dst_upper_2k1, lambda seed: random_digraph(40, 3, 3, seed)),
+    (dst4_colouring, lambda seed: random_digraph(60, 2, 2, seed)),
+    (star_colouring_subcubic, lambda seed: random_subcubic(60, seed)),
+    (acircuitic_colouring, lambda seed: random_oriented_subcubic(60, seed)),
+])
+def test_trusted_sub_digraphs_pass_the_arc_check(monkeypatch, solve, family):
+    # every sub-digraph a solver builds unchecked would pass the check
+    seeds = range(8)
+    unpatched = [solve(family(seed)) for seed in seeds]
+    real = Digraph.__dict__["_of"].__func__
+    built = []
+
+    def checked(cls, vertex_count, arcs, allow_parallel=False):
+        assert type(arcs) is tuple and digraph._plain(arcs, 2)
+        digraph._check_arcs(vertex_count, arcs, allow_parallel)
+        built.append(len(arcs))
+        return real(cls, vertex_count, arcs, allow_parallel)
+
+    monkeypatch.setattr(Digraph, "_of", classmethod(checked))
+    assert [solve(family(seed)) for seed in seeds] == unpatched
+    assert built
 
 
 def test_find_circuit_arcs_dag_and_circuit():

@@ -244,6 +244,49 @@ def test_one_pass_reader_agrees_with_line_reader(text):
     assert outcome(read_digraph, text) == outcome(fileio._read_lines, text)
 
 
+@st.composite
+def canonical_texts(draw):
+    """A text in the canonical layout and the one fault planted in it, or
+    None: each fault is one the column checks must find."""
+    n = draw(st.integers(2, 12))
+    m = draw(st.integers(1, 3))
+    arcs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1),
+                                   st.integers(1, m)),
+                         min_size=1, max_size=12, unique=True).map(
+        lambda raw: [[t, (t + d) % n, l] for t, d, l in raw]))
+    extra = 0  # arcs the problem line promises beyond those written
+    fault = draw(st.sampled_from((None, "label 0", "label m+1", "m = 0",
+                                  "end n", "loop", "repeat", "count")))
+    arc = draw(st.sampled_from(arcs))
+    if fault == "label 0":
+        arc[2] = 0
+    elif fault == "label m+1":
+        arc[2] = m + 1
+    elif fault == "m = 0":
+        m = 0
+    elif fault == "end n":
+        arc[draw(st.integers(0, 1))] = n
+    elif fault == "loop":
+        arc[1] = arc[0]
+    elif fault == "repeat":
+        arcs.insert(draw(st.integers(0, len(arcs))), list(arc))
+    elif fault == "count":
+        extra = draw(st.sampled_from((-1, 1)))
+    comments = draw(st.lists(st.text(st.characters(blacklist_characters="\n"),
+                                     max_size=6), max_size=2))
+    text = "".join(f"#{c}\n" for c in comments) + f"p dsa {n} {len(arcs) + extra} {m}\n"
+    return text + "".join(f"a {t} {h} {l}\n" for t, h, l in arcs), fault
+
+
+@settings(max_examples=400)
+@given(canonical_texts())
+def test_column_checks_agree_with_line_reader(case):
+    text, fault = case
+    assert (fileio._read_canonical(text) is None) == (fault is not None)
+    assert outcome(read_digraph, text) == outcome(
+        lambda stream: fileio._read_lines(stream.getvalue().split("\n")), text)
+
+
 @pytest.mark.parametrize("read, text, error, message", [
     (read_colouring, "c 0\n", ParseError,
      "line 1: colour line must be 'c <arc_index> <colour>'"),
