@@ -6,15 +6,31 @@ colours of all arcs entering v.  An arc v->x may then safely use any
 colour in the complement interval of v, and the SDR lemma picks
 distinct such colours for the arcs entering x that again fit inside one
 k-interval, which is what gets recorded at x.
+
+The SDR and the certificate at a vertex depend only on k and the
+pattern its tails recorded, so each such lemma instance is solved once
+per process: a bounded memo, shared by every call, remembers the
+solved patterns for the life of the process.  Once it holds
+`_MEMO_CAP` entries it stops growing and a call keeps its further
+patterns to itself.  Outputs do not depend on what the memo holds.
 """
 
 from __future__ import annotations
+
+import threading
 
 from .colouring import ArcColouring
 from .digraph import Digraph, degree_profile, topological_order
 from .errors import InternalDefectError
 from .intervals import (CyclicInterval, interval_complement,
                         sdr_in_cyclic_interval, smallest_interval_containing)
+
+_MEMO_CAP = 1 << 16
+# (k, entering pattern) -> (reps, certificate); both immutable, so calls
+# share them.  Stores take the lock, so the cap holds under threads.
+_memo: dict[tuple[int, tuple[int, ...]],
+            tuple[tuple[int, ...], CyclicInterval]] = {}
+_memo_lock = threading.Lock()
 
 
 def star_colouring_acyclic(d: Digraph,
@@ -33,11 +49,14 @@ def star_colouring_acyclic(d: Digraph,
     recorded: dict[int, CyclicInterval] = {}
     start = [0] * d.vertex_count  # recorded[v].start, read by v's heads
     colour: dict[int, int] = {}
-    # The SDR and the certificate at x depend only on the starts of the
-    # tails' recorded intervals, in arc order (k is fixed per call), so
-    # vertices with the same entering pattern share one computation and
-    # one certificate.
-    table: dict[tuple[int, ...], tuple[tuple[int, ...], CyclicInterval]] = {}
+    # The SDR and the certificate at x depend only on k and the starts
+    # of the tails' recorded intervals, in arc order, so vertices with
+    # the same entering pattern share one computation and one
+    # certificate, in this call and in every later one.  Patterns the
+    # full memo cannot take are kept for this call only.
+    memo_get = _memo.get
+    overflow: dict[tuple[int, tuple[int, ...]],
+                   tuple[tuple[int, ...], CyclicInterval]] = {}
     arcs, in_arcs = d.arcs, d.in_arcs
     for x in order:
         entering = in_arcs[x]
@@ -45,11 +64,11 @@ def star_colouring_acyclic(d: Digraph,
             recorded[x] = source
             start[x] = 1
             continue
-        key = tuple([start[arcs[i][0]] for i in entering])
-        entry = table.get(key)
+        key = k, tuple([start[arcs[i][0]] for i in entering])
+        entry = memo_get(key) or overflow.get(key)
         if entry is None:
             intervals = [interval_complement(CyclicInterval(modulus=p, start=s, length=k))
-                         for s in key]
+                         for s in key[1]]
             while len(intervals) < k:
                 intervals.append(intervals[-1])
             _, reps = sdr_in_cyclic_interval(intervals)
@@ -58,7 +77,9 @@ def star_colouring_acyclic(d: Digraph,
             if certificate is None:
                 raise InternalDefectError(
                     f"in-colours at {x} fit no cyclic {k}-interval")
-            entry = table[key] = reps, certificate
+            entry = reps, certificate
+            with _memo_lock:
+                (_memo if len(_memo) < _MEMO_CAP else overflow)[key] = entry
         reps, recorded[x] = entry
         start[x] = recorded[x].start
         colour.update(zip(entering, reps))

@@ -161,8 +161,10 @@ def _report(lines: list[str], path: str | None, write) -> int:
 
 
 def _as_labelled(d: Digraph) -> LabelledDigraph:
-    return LabelledDigraph(d.vertex_count, 1,
-                           tuple((t, h, 1) for t, h in d.arcs))
+    """d with every arc labelled 1.  Every caller passes a checked
+    simple digraph, whose triples need no second check."""
+    return LabelledDigraph._of(d.vertex_count, 1,
+                               tuple((t, h, 1) for t, h in d.arcs))
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:

@@ -8,11 +8,20 @@ n-fibre colouring expands mechanically into a full assignment of
 (wavelength, tail fibre, head fibre) triples, and a valid assignment
 proves the colouring of its wavelengths valid, so the wavelength
 verifier alone decides an expanded output.
+
+The acyclic construction's in-arc colours and rebuilt sets at a vertex
+depend only on (n, m, k) and the sets its entering arcs draw from, so
+each such assignment is solved once per process: a bounded memo, shared
+by every call, remembers the solved patterns for the life of the
+process.  Once it holds `_MEMO_CAP` entries it stops growing and a call
+keeps its further patterns to itself.  Outputs do not depend on what
+the memo holds.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
@@ -24,6 +33,13 @@ from .digraph import LabelledDigraph, degree_profile, topological_order
 from .errors import (BadParamsError, InternalDefectError, InvalidColouringError,
                      ValidateError)
 from .matching import capacitated_assignment
+
+_MEMO_CAP = 1 << 16
+# (n, m, k, entering pattern) -> (in-arc colours, rebuilt sets); both
+# tuples, so calls share them.  Stores take the lock, so the cap holds
+# under threads.
+_memo: dict[tuple, tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = {}
+_memo_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -211,10 +227,13 @@ def fibre_colouring_acyclic(ld: LabelledDigraph, n: int) -> FibreColouring:
     # set before the first of its heads is reached
     potential = [generic] * ld.vertex_count
     colour_of: dict[int, int] = {}
-    # The in-arc colours and the rebuilt sets at v depend only on the
-    # sets its entering arcs draw from, in arc order, so vertices with
-    # the same entering pattern share one computation.
-    table: dict[tuple, tuple[list[int], tuple[tuple[int, ...], ...]]] = {}
+    # The in-arc colours and the rebuilt sets at v depend only on
+    # (n, m, k) and the sets its entering arcs draw from, in arc order,
+    # so vertices with the same entering pattern share one computation,
+    # in this call and in every later one.  Patterns the full memo
+    # cannot take are kept for this call only.
+    memo_get = _memo.get
+    overflow: dict[tuple, tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = {}
     arcs = ld.arcs
     in_arcs = ld.underlying.in_arcs
     for v in order:
@@ -222,10 +241,12 @@ def fibre_colouring_acyclic(ld: LabelledDigraph, n: int) -> FibreColouring:
         if not arcs_in:
             continue
         # tails precede v in topological order, so their sets exist
-        key = tuple([potential[arcs[a][0]][arcs[a][2] - 1] for a in arcs_in])
-        if key not in table:
+        key = n, m, k, tuple([potential[arcs[a][0]][arcs[a][2] - 1]
+                              for a in arcs_in])
+        entry = memo_get(key) or overflow.get(key)
+        if entry is None:
             assigned = capacitated_assignment(
-                [[c - 1 for c in sets] for sets in key], [n] * total)
+                [[c - 1 for c in sets] for sets in key[3]], [n] * total)
             if assigned is None:
                 raise InternalDefectError(
                     "in-arc colour assignment infeasible; the counting "
@@ -244,8 +265,10 @@ def fibre_colouring_acyclic(ld: LabelledDigraph, n: int) -> FibreColouring:
                    for picks in sets_v):
                 raise InternalDefectError(
                     "residual capacity too small to rebuild potential sets")
-            table[key] = [c0 + 1 for c0 in assigned], sets_v
-        colours, potential[v] = table[key]
+            entry = tuple([c0 + 1 for c0 in assigned]), sets_v
+            with _memo_lock:
+                (_memo if len(_memo) < _MEMO_CAP else overflow)[key] = entry
+        colours, potential[v] = entry
         colour_of.update(zip(arcs_in, colours))
 
     return FibreColouring(n, colour_of, total)

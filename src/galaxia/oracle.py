@@ -285,10 +285,13 @@ def find_bicoloured_circuit(d: Digraph, colouring: ArcColouring,
                             ) -> tuple[int, ...] | None:
     """A circuit using at most two colours, as a vertex tuple, or None.
 
-    Colour pairs are scanned in ascending lexicographic order; the
-    witness is the first circuit of the first cyclic pair subdigraph.
-    Each pair is tested by a sort of its own arcs; only the first cyclic
-    one is searched for its circuit.
+    Colour pairs are scanned in ascending lexicographic order, (α, α)
+    before (α, β); the witness is the first circuit of the first cyclic
+    pair subdigraph.  Each pair of distinct colours is tested by a sort
+    of its own arcs.  A single colour class lies inside every pair that
+    holds it, so it is tested only when (α, β) is the first cyclic pair,
+    for (α, α), or when one colour is used; only the pair that gives the
+    witness is searched for its circuit.
     """
     colours = arc_values(d.arc_count, colouring.colour, "uncoloured")
     classes: dict[int, list[int]] = {}
@@ -296,17 +299,26 @@ def find_bicoloured_circuit(d: Digraph, colouring: ArcColouring,
         classes.setdefault(c, []).append(arc)
     palette = sorted(classes)
     for a_pos, alpha in enumerate(palette):
-        for beta in palette[a_pos:]:
-            keep = classes.get(alpha, [])
-            if beta != alpha:
-                keep = keep + classes.get(beta, [])
+        for beta in palette[a_pos + 1:]:
+            keep = classes[alpha] + classes[beta]
             if _acyclic_arcs(d.arcs, keep):
                 continue
-            circ = find_circuit_arcs(d, set(range(d.arc_count)).difference(keep))
-            vertices = tuple(d.arcs[i][0] for i in circ)
-            k = vertices.index(min(vertices))
-            return vertices[k:] + vertices[:k]
+            # every class below α lies inside an acyclic pair by now
+            if not _acyclic_arcs(d.arcs, classes[alpha]):
+                keep = classes[alpha]
+            return _circuit_through(d, keep)
+    if len(palette) == 1 and not _acyclic_arcs(d.arcs, classes[palette[0]]):
+        return _circuit_through(d, classes[palette[0]])
     return None
+
+
+def _circuit_through(d: Digraph, keep: list[int]) -> tuple[int, ...]:
+    """The vertices of the first circuit of the cyclic subdigraph of the
+    arcs in `keep`, starting at its least vertex."""
+    circ = find_circuit_arcs(d, set(range(d.arc_count)).difference(keep))
+    vertices = tuple(d.arcs[i][0] for i in circ)
+    k = vertices.index(min(vertices))
+    return vertices[k:] + vertices[:k]
 
 
 def _acyclic_arcs(arcs, keep: list[int]) -> bool:

@@ -13,7 +13,7 @@ from galaxia import (
     star_colouring_acyclic,
     verify_star_colouring,
 )
-from conftest import circuit
+from conftest import YieldingCap, circuit, run_in_threads
 
 
 def check_locality(d, colouring, intervals, k):
@@ -88,7 +88,9 @@ def test_pinned_colouring_and_certificates():
 
 
 def test_sdr_solved_once_per_entering_pattern(monkeypatch):
-    # with k = 2 a pattern is 1 or 2 starts out of 4: at most 4 + 16
+    # with k = 2 a pattern is 1 or 2 starts out of 4: at most 4 + 16;
+    # an empty memo makes the count this call's own
+    galaxia.acyclic._memo.clear()
     calls = []
     real = galaxia.acyclic.sdr_in_cyclic_interval
 
@@ -103,6 +105,71 @@ def test_sdr_solved_once_per_entering_pattern(monkeypatch):
     assert verify_star_colouring(d, colouring) is None
     check_locality(d, colouring, intervals, 2)
     assert 0 < len(calls) <= 4 + 16
+
+
+def test_second_call_solves_no_lemma_instance(monkeypatch):
+    # the first call leaves every pattern of the instance in the memo
+    d = random_labelled_dag(500, 1, 3, 4).underlying
+    first = star_colouring_acyclic(d)
+
+    def refuse(intervals):
+        raise AssertionError("an entering pattern was solved twice")
+
+    monkeypatch.setattr(galaxia.acyclic, "sdr_in_cyclic_interval", refuse)
+    colouring, intervals = star_colouring_acyclic(d)
+    assert colouring == first[0]
+    assert intervals == first[1]
+
+
+def runs_on_empty_memo(monkeypatch, dags):
+    """Each dag's (colouring, certificates) and its number of SDR calls,
+    each call made on an empty memo, as a new process makes it."""
+    real = galaxia.acyclic.sdr_in_cyclic_interval
+    calls = []
+
+    def counting(intervals):
+        calls.append(1)
+        return real(intervals)
+
+    monkeypatch.setattr(galaxia.acyclic, "sdr_in_cyclic_interval", counting)
+    runs = []
+    for d in dags:
+        galaxia.acyclic._memo.clear()
+        calls.clear()
+        runs.append((star_colouring_acyclic(d), len(calls)))
+    return runs
+
+
+def test_memo_never_grows_past_its_cap(monkeypatch):
+    dags = [random_labelled_dag(300, 1, k, seed).underlying
+            for k, seed in ((2, 1), (3, 2), (3, 3), (4, 5), (3, 2))]
+    fresh = runs_on_empty_memo(monkeypatch, dags)
+    monkeypatch.setattr(galaxia.acyclic, "_MEMO_CAP", 5)
+    galaxia.acyclic._memo.clear()
+    for d, (output, _) in zip(dags, fresh):
+        assert star_colouring_acyclic(d) == output
+        assert len(galaxia.acyclic._memo) == 5
+    # with no room at all, each call still solves each of its own
+    # patterns once, as on an empty memo
+    monkeypatch.setattr(galaxia.acyclic, "_MEMO_CAP", 0)
+    assert runs_on_empty_memo(monkeypatch, dags) == fresh
+    assert galaxia.acyclic._memo == {}
+
+
+def test_memo_cap_holds_under_threads(monkeypatch):
+    dags = [random_labelled_dag(200, 1, k, seed).underlying
+            for k in (2, 3, 4) for seed in (1, 2, 3)]
+    expected = [star_colouring_acyclic(d) for d in dags]
+    monkeypatch.setattr(galaxia.acyclic, "_MEMO_CAP", YieldingCap(7))
+    galaxia.acyclic._memo.clear()
+    results = [None] * len(dags)
+
+    def solve(i):
+        results[i] = star_colouring_acyclic(dags[i])
+
+    run_in_threads(solve, len(dags))
+    assert results == expected
+    assert len(galaxia.acyclic._memo) == 7
 
 
 @given(st.integers(1, 24), st.integers(1, 5), st.integers(0, 999))

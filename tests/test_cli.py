@@ -82,6 +82,37 @@ def test_generate_triangle_labels_encode_copies(tmp_path):
     assert ld.arc_count == 6 and ld.label_count == 2
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["generate", "--family", "random", "--vertices", "300", "--in-cap", "3",
+      "--out-cap", "3", "--seed", "7"],
+     "3e1510cf8c51c1aea301c28779e61fffb75bf8211771de489cb03d45e4256a0c"),
+    (["generate", "--family", "subcubic", "--vertices", "300", "--seed", "7"],
+     "9efde36afefeedfb647b515ce92e30c4af9cd85cbcc4a1cb408f41fa201673c5"),
+    (["generate", "--family", "oriented-subcubic", "--vertices", "300",
+      "--seed", "7"],
+     "6b3d2a7f0b52c751add89afebf49edf74b51f7c0f8c8699fbc370e6b1bee8e8c"),
+    (["reduce", "--named", "petersen"],
+     "f4d571aee17147622765055fefa6a114fa2269173bafb5eb711c4c97518d0c8c"),
+], ids=["random", "subcubic", "oriented-subcubic", "reduce-petersen"])
+def test_labelling_a_checked_digraph_checks_no_arc_again(tmp_path, monkeypatch,
+                                                          argv, digest):
+    # the generator checks its digraph once; labelling its arcs 1 for
+    # the file adds no second check and keeps the bytes
+    checks = []
+    real = digraph._check_arcs
+
+    def counting(*args):
+        checks.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(digraph, "_check_arcs", counting)
+    out = tmp_path / "out.dsa"
+    assert main([*argv, "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    if argv[0] == "generate":
+        assert len(checks) == 1
+
+
 def test_solve_auto_picks_acyclic(tmp_path, capsys):
     out = tmp_path / "col.txt"
     code = main(["solve", dag_instance(tmp_path), "-o", str(out)])

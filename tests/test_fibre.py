@@ -1,6 +1,5 @@
 """n-fibre colourings and wavelength assignments."""
 import math
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -26,6 +25,7 @@ from galaxia import (
     verify_fibre_colouring,
     verify_wavelength_assignment,
 )
+from conftest import YieldingCap, run_in_threads
 
 
 def check_pipeline(ld, fc):
@@ -191,7 +191,9 @@ def test_acyclic_colouring_pinned(vertices, m, k, seed, n, colour_count, colours
 
 def test_acyclic_assigns_each_entering_pattern_once(monkeypatch):
     # 146 vertices have entering arcs, but only 59 distinct assignment
-    # inputs arise; each is solved once
+    # inputs arise; each is solved once, and an empty memo makes the
+    # count this call's own
+    fibre._memo.clear()
     inputs = []
     real = fibre.capacitated_assignment
 
@@ -205,6 +207,71 @@ def test_acyclic_assigns_each_entering_pattern_once(monkeypatch):
     assert check_pipeline(ld, fc)
     assert len(inputs) == len(set(inputs)) == 59
     assert sum(map(bool, degree_profile(ld).indegree)) == 146
+
+
+def test_acyclic_second_call_solves_no_assignment(monkeypatch):
+    # the first call leaves every pattern of the instance in the memo
+    ld = random_labelled_dag(400, 3, 4, 6)
+    first = fibre_colouring_acyclic(ld, 2)
+
+    def refuse(adjacency, capacity):
+        raise AssertionError("an entering pattern was assigned twice")
+
+    monkeypatch.setattr(fibre, "capacitated_assignment", refuse)
+    assert fibre_colouring_acyclic(ld, 2) == first
+
+
+def runs_on_empty_memo(monkeypatch, cases):
+    """Each (instance, n)'s colouring and its number of assignment calls,
+    each call made on an empty memo, as a new process makes it."""
+    real = fibre.capacitated_assignment
+    calls = []
+
+    def counting(adjacency, capacity):
+        calls.append(1)
+        return real(adjacency, capacity)
+
+    monkeypatch.setattr(fibre, "capacitated_assignment", counting)
+    runs = []
+    for ld, n in cases:
+        fibre._memo.clear()
+        calls.clear()
+        runs.append((fibre_colouring_acyclic(ld, n), len(calls)))
+    return runs
+
+
+def test_acyclic_memo_never_grows_past_its_cap(monkeypatch):
+    # the same instance under two fibre counts has two sets of patterns
+    cases = [(random_labelled_dag(300, m, k, seed), n)
+             for m, k, seed, n in ((2, 3, 1, 2), (2, 3, 1, 1), (3, 4, 2, 2),
+                                   (1, 2, 3, 1), (2, 3, 1, 2))]
+    fresh = runs_on_empty_memo(monkeypatch, cases)
+    monkeypatch.setattr(fibre, "_MEMO_CAP", 5)
+    fibre._memo.clear()
+    for (ld, n), (output, _) in zip(cases, fresh):
+        assert fibre_colouring_acyclic(ld, n) == output
+        assert len(fibre._memo) == 5
+    # with no room at all, each call still solves each of its own
+    # patterns once, as on an empty memo
+    monkeypatch.setattr(fibre, "_MEMO_CAP", 0)
+    assert runs_on_empty_memo(monkeypatch, cases) == fresh
+    assert fibre._memo == {}
+
+
+def test_acyclic_memo_cap_holds_under_threads(monkeypatch):
+    cases = [(random_labelled_dag(200, m, 3, seed), n)
+             for m, n in ((1, 1), (2, 1), (2, 2)) for seed in (1, 2, 3)]
+    expected = [fibre_colouring_acyclic(ld, n) for ld, n in cases]
+    monkeypatch.setattr(fibre, "_MEMO_CAP", YieldingCap(7))
+    fibre._memo.clear()
+    results = [None] * len(cases)
+
+    def solve(i):
+        results[i] = fibre_colouring_acyclic(*cases[i])
+
+    run_in_threads(solve, len(cases))
+    assert results == expected
+    assert len(fibre._memo) == 7
 
 
 def test_verify_fibre_reports_first_violation():

@@ -1,5 +1,6 @@
 """Exact solvers and verifiers."""
 import itertools
+import random
 import sys
 import time
 
@@ -21,6 +22,8 @@ from galaxia import (
     exact_dst,
     exact_lambda_n,
     find_bicoloured_circuit,
+    find_circuit_arcs,
+    oracle,
     random_digraph,
     triangle_multidigraph,
     verify_fibre_colouring,
@@ -242,6 +245,44 @@ def test_bicoloured_circuit_monochromatic_pair_first():
     d = Digraph(6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)))
     col = ArcColouring({0: 1, 1: 2, 2: 2, 3: 1, 4: 1, 5: 1}, 2)
     assert find_bicoloured_circuit(d, col) == (3, 4, 5)
+
+
+def all_classes_scan(d, colouring):
+    """find_bicoloured_circuit as it was when it tested every single
+    colour class as well as every pair: the reference for its witness."""
+    classes = {}
+    for arc in range(d.arc_count):
+        classes.setdefault(colouring[arc], []).append(arc)
+    palette = sorted(classes)
+    for a_pos, alpha in enumerate(palette):
+        for beta in palette[a_pos:]:
+            keep = classes[alpha]
+            if beta != alpha:
+                keep = keep + classes[beta]
+            if oracle._acyclic_arcs(d.arcs, keep):
+                continue
+            circ = find_circuit_arcs(d, set(range(d.arc_count)).difference(keep))
+            vertices = tuple(d.arcs[i][0] for i in circ)
+            k = vertices.index(min(vertices))
+            return vertices[k:] + vertices[:k]
+    return None
+
+
+def test_bicoloured_circuit_matches_the_scan_of_every_class():
+    # random colourings of small digraphs, star colourings or not, with
+    # one to five colours; most have a bicoloured circuit
+    rng = random.Random(20)
+    found = 0
+    for _ in range(3000):
+        n = rng.randint(2, 7)
+        pairs = [(t, h) for t in range(n) for h in range(n) if t != h]
+        d = Digraph(n, tuple(rng.sample(pairs, rng.randint(0, len(pairs)))))
+        q = rng.randint(1, 5)
+        col = ArcColouring({a: rng.randint(1, q) for a in range(d.arc_count)}, q)
+        expected = all_classes_scan(d, col)
+        assert find_bicoloured_circuit(d, col) == expected
+        found += expected is not None
+    assert 1000 < found < 3000
 
 
 def test_bicoloured_circuit_ignores_keys_that_are_not_arcs():
