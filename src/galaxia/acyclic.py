@@ -8,16 +8,17 @@ distinct such colours for the arcs entering x that again fit inside one
 k-interval, which is what gets recorded at x.
 
 The SDR and the certificate at a vertex depend only on k and the
-pattern its tails recorded, so each such lemma instance is solved once
-per process: a bounded memo, shared by every call, remembers the
-solved patterns for the life of the process.  Once it holds
-`_MEMO_CAP` entries it stops growing and a call keeps its further
-patterns to itself.  Outputs do not depend on what the memo holds.
+pattern its tails recorded, so a call solves each of its patterns once.
+For k <= `_MEMO_MAX_K`, solved patterns are also kept for the life of
+the process, in a memo of at most `_MEMO_CAP` entries (about 1 MB when
+full) that drops the least recently used.  Only a process that colours
+several DAGs gains from it; a CLI command colours one.  Outputs do not
+depend on what the memo holds.
 """
 
 from __future__ import annotations
 
-import threading
+import functools
 
 from .colouring import ArcColouring
 from .digraph import Digraph, degree_profile, topological_order
@@ -25,12 +26,41 @@ from .errors import InternalDefectError
 from .intervals import (CyclicInterval, interval_complement,
                         sdr_in_cyclic_interval, smallest_interval_containing)
 
-_MEMO_CAP = 1 << 16
-# (k, entering pattern) -> (reps, certificate); both immutable, so calls
-# share them.  Stores take the lock, so the cap holds under threads.
-_memo: dict[tuple[int, tuple[int, ...]],
-            tuple[tuple[int, ...], CyclicInterval]] = {}
-_memo_lock = threading.Lock()
+# Past k = 4 a pattern is one of 111,110 or more, so few recur between
+# instances; at k <= 4 an entry holds at most 4 starts and 4 colours.
+_MEMO_MAX_K = 4
+_MEMO_CAP = 1 << 11
+
+
+def _solve(k: int, starts: tuple[int, ...],
+           ) -> tuple[tuple[int, ...], CyclicInterval | None]:
+    """The SDR for arcs whose tails recorded the k-intervals of {1..2k}
+    at `starts`, and the smallest k-interval holding its colours (None
+    is a defect, which the caller reports)."""
+    p = 2 * k
+    intervals = [interval_complement(CyclicInterval(modulus=p, start=s, length=k))
+                 for s in starts]
+    while len(intervals) < k:
+        intervals.append(intervals[-1])
+    _, reps = sdr_in_cyclic_interval(intervals)
+    return reps, smallest_interval_containing(set(reps[:len(starts)]), p, k)
+
+
+@functools.lru_cache(maxsize=_MEMO_CAP)
+def _lemma(k: int, starts: tuple[int, ...],
+           ) -> tuple[tuple[int, ...], CyclicInterval | None]:
+    """`_solve`, remembered, with its values shared between entries."""
+    reps, certificate = _solve(k, starts)
+    return _shared(reps), _shared(certificate)
+
+
+@functools.cache
+def _shared(value):
+    """The first value equal to `value` that the memo stored.  An SDR
+    fills a k-interval in some order, so k <= 4 allows at most 238 SDRs
+    and 20 certificates, and entries that share them keep far fewer
+    small objects alive."""
+    return value
 
 
 def star_colouring_acyclic(d: Digraph,
@@ -49,14 +79,12 @@ def star_colouring_acyclic(d: Digraph,
     recorded: dict[int, CyclicInterval] = {}
     start = [0] * d.vertex_count  # recorded[v].start, read by v's heads
     colour: dict[int, int] = {}
-    # The SDR and the certificate at x depend only on k and the starts
-    # of the tails' recorded intervals, in arc order, so vertices with
-    # the same entering pattern share one computation and one
-    # certificate, in this call and in every later one.  Patterns the
-    # full memo cannot take are kept for this call only.
-    memo_get = _memo.get
-    overflow: dict[tuple[int, tuple[int, ...]],
-                   tuple[tuple[int, ...], CyclicInterval]] = {}
+    # The SDR and the certificate at x depend only on the starts of the
+    # tails' recorded intervals, in arc order (k is fixed per call), so
+    # vertices with the same entering pattern share one computation and
+    # one certificate.
+    table: dict[tuple[int, ...], tuple[tuple[int, ...], CyclicInterval]] = {}
+    lemma = _lemma if k <= _MEMO_MAX_K else _solve
     arcs, in_arcs = d.arcs, d.in_arcs
     for x in order:
         entering = in_arcs[x]
@@ -64,22 +92,13 @@ def star_colouring_acyclic(d: Digraph,
             recorded[x] = source
             start[x] = 1
             continue
-        key = k, tuple([start[arcs[i][0]] for i in entering])
-        entry = memo_get(key) or overflow.get(key)
+        key = tuple([start[arcs[i][0]] for i in entering])
+        entry = table.get(key)
         if entry is None:
-            intervals = [interval_complement(CyclicInterval(modulus=p, start=s, length=k))
-                         for s in key[1]]
-            while len(intervals) < k:
-                intervals.append(intervals[-1])
-            _, reps = sdr_in_cyclic_interval(intervals)
-            certificate = smallest_interval_containing(
-                set(reps[:len(entering)]), p, k)
-            if certificate is None:
+            entry = table[key] = lemma(k, key)
+            if entry[1] is None:
                 raise InternalDefectError(
                     f"in-colours at {x} fit no cyclic {k}-interval")
-            entry = reps, certificate
-            with _memo_lock:
-                (_memo if len(_memo) < _MEMO_CAP else overflow)[key] = entry
         reps, recorded[x] = entry
         start[x] = recorded[x].start
         colour.update(zip(entering, reps))

@@ -10,18 +10,19 @@ proves the colouring of its wavelengths valid, so the wavelength
 verifier alone decides an expanded output.
 
 The acyclic construction's in-arc colours and rebuilt sets at a vertex
-depend only on (n, m, k) and the sets its entering arcs draw from, so
-each such assignment is solved once per process: a bounded memo, shared
-by every call, remembers the solved patterns for the life of the
-process.  Once it holds `_MEMO_CAP` entries it stops growing and a call
-keeps its further patterns to itself.  Outputs do not depend on what
-the memo holds.
+depend only on (n, m, k) and the sets its entering arcs draw from, so a
+call solves each of its patterns once.  For k <= `_MEMO_MAX_K` and
+m <= `_MEMO_MAX_M`, solved patterns are also kept for the life of the
+process, in a memo of at most `_MEMO_CAP` entries (about 2 MB when
+full) that drops the least recently used.  Only a process that colours
+several DAGs gains from it; a CLI command colours one.  Outputs do not
+depend on what the memo holds.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
@@ -34,12 +35,11 @@ from .errors import (BadParamsError, InternalDefectError, InvalidColouringError,
                      ValidateError)
 from .matching import capacitated_assignment
 
-_MEMO_CAP = 1 << 16
-# (n, m, k, entering pattern) -> (in-arc colours, rebuilt sets); both
-# tuples, so calls share them.  Stores take the lock, so the cap holds
-# under threads.
-_memo: dict[tuple, tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = {}
-_memo_lock = threading.Lock()
+# An entry holds at most k = 4 colours and m = 4 rebuilt sets of at most
+# 4 colours each; wider instances solve their patterns afresh.
+_MEMO_MAX_K = 4
+_MEMO_MAX_M = 4
+_MEMO_CAP = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -194,6 +194,52 @@ def upper_bound_acyclic(n: int, m: int, k: int) -> int:
     return math.ceil((m * big_k + k) / n)
 
 
+def _place(n: int, m: int, k: int, draws: tuple[tuple[int, ...], ...],
+           ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The colours of arcs entering a vertex, arc i drawing from the set
+    `draws[i]`, and the vertex's m rebuilt potential sets."""
+    big_k = math.ceil(k / n)
+    total = upper_bound_acyclic(n, m, k)
+    assigned = capacitated_assignment(
+        [[c - 1 for c in sets] for sets in draws], [n] * total)
+    if assigned is None:
+        raise InternalDefectError(
+            "in-arc colour assignment infeasible; the counting "
+            "argument guarantees a placement")
+    load = [0] * (total + 1)  # this vertex's in-count per colour
+    for c0 in assigned:
+        load[c0 + 1] += 1
+    # residual: colours ascending, colour c repeated n - load[c] times;
+    # C_i(v) takes every m-th entry.  A colour runs at most n <= m long,
+    # so each set sees it once.
+    residual: list[int] = []
+    for c in range(1, total + 1):
+        residual.extend([c] * (n - load[c]))
+    sets_v = tuple(tuple(residual[i::m][:big_k]) for i in range(m))
+    if any(len(picks) < big_k or len(set(picks)) < big_k
+           for picks in sets_v):
+        raise InternalDefectError(
+            "residual capacity too small to rebuild potential sets")
+    return tuple([c0 + 1 for c0 in assigned]), sets_v
+
+
+@functools.lru_cache(maxsize=_MEMO_CAP)
+def _assign(n: int, m: int, k: int, draws: tuple[tuple[int, ...], ...],
+            ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """`_place`, remembered, with its tuples shared between entries."""
+    colours, sets_v = _place(n, m, k, draws)
+    return _shared(colours), tuple(map(_shared, sets_v))
+
+
+@functools.lru_cache(maxsize=_MEMO_CAP)
+def _shared(value):
+    """The first value equal to `value` that the memo stored, among the
+    `_MEMO_CAP` most recently asked for.  Few distinct colour tuples and
+    sets occur, and entries that share them keep far fewer small objects
+    alive."""
+    return value
+
+
 def fibre_colouring_acyclic(ld: LabelledDigraph, n: int) -> FibreColouring:
     """n-fibre colouring of an acyclic m-labelled digraph, m >= n >= 1.
 
@@ -227,13 +273,11 @@ def fibre_colouring_acyclic(ld: LabelledDigraph, n: int) -> FibreColouring:
     # set before the first of its heads is reached
     potential = [generic] * ld.vertex_count
     colour_of: dict[int, int] = {}
-    # The in-arc colours and the rebuilt sets at v depend only on
-    # (n, m, k) and the sets its entering arcs draw from, in arc order,
-    # so vertices with the same entering pattern share one computation,
-    # in this call and in every later one.  Patterns the full memo
-    # cannot take are kept for this call only.
-    memo_get = _memo.get
-    overflow: dict[tuple, tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = {}
+    # The in-arc colours and the rebuilt sets at v depend only on the
+    # sets its entering arcs draw from, in arc order, so vertices with
+    # the same entering pattern share one computation.
+    table: dict[tuple, tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = {}
+    assign = _assign if k <= _MEMO_MAX_K and m <= _MEMO_MAX_M else _place
     arcs = ld.arcs
     in_arcs = ld.underlying.in_arcs
     for v in order:
@@ -241,33 +285,10 @@ def fibre_colouring_acyclic(ld: LabelledDigraph, n: int) -> FibreColouring:
         if not arcs_in:
             continue
         # tails precede v in topological order, so their sets exist
-        key = n, m, k, tuple([potential[arcs[a][0]][arcs[a][2] - 1]
-                              for a in arcs_in])
-        entry = memo_get(key) or overflow.get(key)
+        key = tuple([potential[arcs[a][0]][arcs[a][2] - 1] for a in arcs_in])
+        entry = table.get(key)
         if entry is None:
-            assigned = capacitated_assignment(
-                [[c - 1 for c in sets] for sets in key[3]], [n] * total)
-            if assigned is None:
-                raise InternalDefectError(
-                    "in-arc colour assignment infeasible; the counting "
-                    "argument guarantees a placement")
-            load = [0] * (total + 1)  # this vertex's in-count per colour
-            for c0 in assigned:
-                load[c0 + 1] += 1
-            # residual: colours ascending, colour c repeated n - load[c]
-            # times; C_i(v) takes every m-th entry.  A colour runs at
-            # most n <= m long, so each set sees it once.
-            residual: list[int] = []
-            for c in range(1, total + 1):
-                residual.extend([c] * (n - load[c]))
-            sets_v = tuple(tuple(residual[i::m][:big_k]) for i in range(m))
-            if any(len(picks) < big_k or len(set(picks)) < big_k
-                   for picks in sets_v):
-                raise InternalDefectError(
-                    "residual capacity too small to rebuild potential sets")
-            entry = tuple([c0 + 1 for c0 in assigned]), sets_v
-            with _memo_lock:
-                (_memo if len(_memo) < _MEMO_CAP else overflow)[key] = entry
+            entry = table[key] = assign(n, m, k, key)
         colours, potential[v] = entry
         colour_of.update(zip(arcs_in, colours))
 

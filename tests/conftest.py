@@ -1,8 +1,4 @@
 """Shared test helpers."""
-import sys
-import threading
-import time
-
 from hypothesis import settings
 
 from galaxia import Digraph
@@ -13,33 +9,3 @@ settings.load_profile("suite")
 
 def circuit(n: int) -> Digraph:
     return Digraph(n, tuple((i, (i + 1) % n) for i in range(n)))
-
-
-class YieldingCap:
-    """A memo cap that lets other threads run while a store compares the
-    memo's size with it, so threads meet between that check and the
-    store."""
-
-    def __init__(self, cap: int) -> None:
-        self.cap = cap
-
-    def __gt__(self, size: int) -> bool:
-        time.sleep(1e-4)
-        return size < self.cap
-
-
-def run_in_threads(target, count: int) -> None:
-    """Run target(0), ..., target(count - 1) in a thread each, with the
-    interpreter switching threads as often as it can, and check that
-    every thread finished."""
-    threads = [threading.Thread(target=target, args=(i,)) for i in range(count)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)

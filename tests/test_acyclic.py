@@ -1,4 +1,8 @@
 """2k-colouring of acyclic digraphs with in-colour locality."""
+import functools
+import itertools
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,7 +17,7 @@ from galaxia import (
     star_colouring_acyclic,
     verify_star_colouring,
 )
-from conftest import YieldingCap, circuit, run_in_threads
+from conftest import circuit
 
 
 def check_locality(d, colouring, intervals, k):
@@ -90,7 +94,7 @@ def test_pinned_colouring_and_certificates():
 def test_sdr_solved_once_per_entering_pattern(monkeypatch):
     # with k = 2 a pattern is 1 or 2 starts out of 4: at most 4 + 16;
     # an empty memo makes the count this call's own
-    galaxia.acyclic._memo.clear()
+    galaxia.acyclic._lemma.cache_clear()
     calls = []
     real = galaxia.acyclic.sdr_in_cyclic_interval
 
@@ -134,7 +138,7 @@ def runs_on_empty_memo(monkeypatch, dags):
     monkeypatch.setattr(galaxia.acyclic, "sdr_in_cyclic_interval", counting)
     runs = []
     for d in dags:
-        galaxia.acyclic._memo.clear()
+        galaxia.acyclic._lemma.cache_clear()
         calls.clear()
         runs.append((star_colouring_acyclic(d), len(calls)))
     return runs
@@ -144,32 +148,49 @@ def test_memo_never_grows_past_its_cap(monkeypatch):
     dags = [random_labelled_dag(300, 1, k, seed).underlying
             for k, seed in ((2, 1), (3, 2), (3, 3), (4, 5), (3, 2))]
     fresh = runs_on_empty_memo(monkeypatch, dags)
-    monkeypatch.setattr(galaxia.acyclic, "_MEMO_CAP", 5)
-    galaxia.acyclic._memo.clear()
+    solve = galaxia.acyclic._lemma.__wrapped__  # still shares values
+    monkeypatch.setattr(galaxia.acyclic, "_lemma", functools.lru_cache(5)(solve))
     for d, (output, _) in zip(dags, fresh):
         assert star_colouring_acyclic(d) == output
-        assert len(galaxia.acyclic._memo) == 5
+        assert galaxia.acyclic._lemma.cache_info().currsize == 5
     # with no room at all, each call still solves each of its own
     # patterns once, as on an empty memo
-    monkeypatch.setattr(galaxia.acyclic, "_MEMO_CAP", 0)
+    monkeypatch.setattr(galaxia.acyclic, "_lemma", functools.lru_cache(0)(solve))
     assert runs_on_empty_memo(monkeypatch, dags) == fresh
-    assert galaxia.acyclic._memo == {}
 
 
-def test_memo_cap_holds_under_threads(monkeypatch):
-    dags = [random_labelled_dag(200, 1, k, seed).underlying
-            for k in (2, 3, 4) for seed in (1, 2, 3)]
-    expected = [star_colouring_acyclic(d) for d in dags]
-    monkeypatch.setattr(galaxia.acyclic, "_MEMO_CAP", YieldingCap(7))
-    galaxia.acyclic._memo.clear()
-    results = [None] * len(dags)
+def test_memo_keeps_no_pattern_past_k_4(monkeypatch):
+    d = random_labelled_dag(300, 1, 5, 3).underlying
+    assert degree_profile(d).max_indegree == 5
+    galaxia.acyclic._lemma.cache_clear()
+    output = star_colouring_acyclic(d)
+    assert galaxia.acyclic._lemma.cache_info().currsize == 0
+    monkeypatch.setattr(galaxia.acyclic, "_MEMO_MAX_K", 5)
+    assert star_colouring_acyclic(d) == output
+    assert galaxia.acyclic._lemma.cache_info().currsize > 0
 
-    def solve(i):
-        results[i] = star_colouring_acyclic(dags[i])
 
-    run_in_threads(solve, len(dags))
-    assert results == expected
-    assert len(galaxia.acyclic._memo) == 7
+def test_full_memo_stays_near_a_megabyte():
+    # the widest entries, k = 4, fill the memo: its bytes stay bounded
+    galaxia.acyclic._lemma.cache_clear()
+    galaxia.acyclic._shared.cache_clear()
+    patterns = itertools.product(range(1, 9), repeat=4)
+    tracemalloc.start()
+    try:
+        for starts in itertools.islice(patterns, galaxia.acyclic._MEMO_CAP):
+            galaxia.acyclic._lemma(4, starts)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert galaxia.acyclic._lemma.cache_info().currsize == galaxia.acyclic._MEMO_CAP
+    assert held < 3 << 19  # about 1.0 MB on CPython 3.11
+    # at k = 4 an SDR is one of 8 intervals in one of 4! orders, and
+    # entries hold one object per distinct SDR and certificate
+    assert galaxia.acyclic._shared.cache_info().currsize <= 8 * 24 + 8
+    patterns = itertools.product(range(1, 9), repeat=4)
+    values = [v for starts in itertools.islice(patterns, galaxia.acyclic._MEMO_CAP)
+              for v in galaxia.acyclic._lemma(4, starts)]
+    assert len(set(map(id, values))) == len(set(values))
 
 
 @given(st.integers(1, 24), st.integers(1, 5), st.integers(0, 999))

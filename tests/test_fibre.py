@@ -1,5 +1,9 @@
 """n-fibre colourings and wavelength assignments."""
+import functools
 import math
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -25,7 +29,6 @@ from galaxia import (
     verify_fibre_colouring,
     verify_wavelength_assignment,
 )
-from conftest import YieldingCap, run_in_threads
 
 
 def check_pipeline(ld, fc):
@@ -193,7 +196,7 @@ def test_acyclic_assigns_each_entering_pattern_once(monkeypatch):
     # 146 vertices have entering arcs, but only 59 distinct assignment
     # inputs arise; each is solved once, and an empty memo makes the
     # count this call's own
-    fibre._memo.clear()
+    fibre._assign.cache_clear()
     inputs = []
     real = fibre.capacitated_assignment
 
@@ -234,7 +237,7 @@ def runs_on_empty_memo(monkeypatch, cases):
     monkeypatch.setattr(fibre, "capacitated_assignment", counting)
     runs = []
     for ld, n in cases:
-        fibre._memo.clear()
+        fibre._assign.cache_clear()
         calls.clear()
         runs.append((fibre_colouring_acyclic(ld, n), len(calls)))
     return runs
@@ -246,32 +249,54 @@ def test_acyclic_memo_never_grows_past_its_cap(monkeypatch):
              for m, k, seed, n in ((2, 3, 1, 2), (2, 3, 1, 1), (3, 4, 2, 2),
                                    (1, 2, 3, 1), (2, 3, 1, 2))]
     fresh = runs_on_empty_memo(monkeypatch, cases)
-    monkeypatch.setattr(fibre, "_MEMO_CAP", 5)
-    fibre._memo.clear()
+    solve = fibre._assign.__wrapped__  # still shares values
+    monkeypatch.setattr(fibre, "_assign", functools.lru_cache(5)(solve))
     for (ld, n), (output, _) in zip(cases, fresh):
         assert fibre_colouring_acyclic(ld, n) == output
-        assert len(fibre._memo) == 5
+        assert fibre._assign.cache_info().currsize == 5
     # with no room at all, each call still solves each of its own
     # patterns once, as on an empty memo
-    monkeypatch.setattr(fibre, "_MEMO_CAP", 0)
+    monkeypatch.setattr(fibre, "_assign", functools.lru_cache(0)(solve))
     assert runs_on_empty_memo(monkeypatch, cases) == fresh
-    assert fibre._memo == {}
 
 
-def test_acyclic_memo_cap_holds_under_threads(monkeypatch):
-    cases = [(random_labelled_dag(200, m, 3, seed), n)
-             for m, n in ((1, 1), (2, 1), (2, 2)) for seed in (1, 2, 3)]
-    expected = [fibre_colouring_acyclic(ld, n) for ld, n in cases]
-    monkeypatch.setattr(fibre, "_MEMO_CAP", YieldingCap(7))
-    fibre._memo.clear()
-    results = [None] * len(cases)
+@pytest.mark.parametrize("m, k", [(5, 3), (2, 5)])
+def test_acyclic_memo_keeps_no_pattern_past_four(monkeypatch, m, k):
+    ld = random_labelled_dag(300, m, k, 3)
+    assert degree_profile(ld).max_indegree == k
+    fibre._assign.cache_clear()
+    output = fibre_colouring_acyclic(ld, 2)
+    assert fibre._assign.cache_info().currsize == 0
+    monkeypatch.setattr(fibre, "_MEMO_MAX_M", 5)
+    monkeypatch.setattr(fibre, "_MEMO_MAX_K", 5)
+    assert fibre_colouring_acyclic(ld, 2) == output
+    assert fibre._assign.cache_info().currsize > 0
 
-    def solve(i):
-        results[i] = fibre_colouring_acyclic(*cases[i])
 
-    run_in_threads(solve, len(cases))
-    assert results == expected
-    assert len(fibre._memo) == 7
+def test_full_acyclic_memo_stays_near_two_megabytes():
+    # the widest entries, n = 1 and m = k = 4, fill the memo: each holds
+    # four 4-sets of 20 colours and is built here from fresh tuples
+    fibre._assign.cache_clear()
+    fibre._shared.cache_clear()
+    rng = random.Random(4)
+    tracemalloc.start()
+    try:
+        while fibre._assign.cache_info().currsize < fibre._MEMO_CAP:
+            fibre._assign(1, 4, 4, tuple(tuple(sorted(rng.sample(range(1, 21), 4)))
+                                         for _ in range(4)))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 3 << 20  # about 1.7 MB on CPython 3.11
+    # entries hold one object per distinct colour tuple and set
+    rng = random.Random(4)
+    values = []
+    for _ in range(fibre._MEMO_CAP // 2):
+        colours, sets = fibre._assign(1, 4, 4, tuple(tuple(sorted(rng.sample(range(1, 21), 4)))
+                                                  for _ in range(4)))
+        values += [colours, *sets]
+    assert fibre._assign.cache_info().misses == fibre._MEMO_CAP
+    assert len(set(map(id, values))) == len(set(values))
 
 
 def test_verify_fibre_reports_first_violation():
