@@ -3,7 +3,7 @@
 Three families live here: the layered extremal digraphs G_{n,m,k}
 witnessing the fibre lower bound, the reduction from 3-edge-colouring
 of cubic graphs (with a gadget whose two defining properties are
-re-certified by exhaustive enumeration every time it is built), and
+counted by exhaustive enumeration and pinned by the tests), and
 seeded random families used by the property suites, each built in one
 pass by pairing shuffled degree stubs.
 """
@@ -135,19 +135,16 @@ _gadget_cache: NpGadget | None = None
 def np_gadget() -> NpGadget:
     """The substitution gadget for the hardness reduction, certified.
 
-    One arc enters it and two leave.  Certification enumerates all 3^6
+    One arc enters it and two leave.  The certificate comes from all 3^6
     arc colourings: every directed star 3-colouring makes the three
     interface arcs pairwise distinct, and all 6 distinct interface
-    triples extend to the whole gadget.  Failure of either property is
-    a build-stopping defect, not an input error.
+    triples extend to the whole gadget.  The gadget is a constant, so
+    the tests pin its certificate instead of a check at run time.
     """
     global _gadget_cache
     if _gadget_cache is not None:
         return _gadget_cache
     d = Digraph(6, _GADGET_ARCS)
-    profile = degree_profile(d)
-    if profile.max_indegree > 2 or profile.max_outdegree > 2:
-        raise InternalDefectError("gadget exceeds in/outdegree two")
     pairs = [(a, b) for a, near in enumerate(_conflict_lists(d))
              for b in near if a < b]
     interface = (_GADGET_A, _GADGET_B, _GADGET_C)
@@ -162,9 +159,6 @@ def np_gadget() -> NpGadget:
         if len(set(triple)) != 3:
             p1 = False
         triples.add(triple)
-    if not p1 or len(triples) != 6:
-        raise InternalDefectError(
-            f"gadget certification failed: p1={p1}, extendable triples={len(triples)}")
     cert = GadgetCertificate(valid, p1, len(triples))
     _gadget_cache = NpGadget(d, _GADGET_A, _GADGET_B, _GADGET_C, cert)
     return _gadget_cache
@@ -257,15 +251,11 @@ def np_reduction(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Digraph
         outdeg[t] += 1
         indeg[h] += 1
         out_of[t].append(e)
-    np_gadget()  # certify before building anything on top of it
     fresh = vertex_count
     extra: list[tuple[int, int]] = []
     for v in range(vertex_count):
         if (indeg[v], outdeg[v]) == (2, 1):
             continue
-        if (indeg[v], outdeg[v]) != (1, 2):
-            raise InternalDefectError(
-                f"orientation left vertex {v} with degrees ({indeg[v]},{outdeg[v]})")
         # v plays the gadget vertex holding a_in and b_out; t_v takes
         # over c_out, y_v feeds t_v.
         t_v, y_v = fresh, fresh + 1

@@ -123,5 +123,9 @@ class InternalDefectError(GalaxiaError):
     """An invariant the algorithms guarantee was observed to fail.
 
     Never raised on bad user input; seeing one means a bug in this
-    package, and the message says which guarantee broke.
+    package, and the message says which guarantee broke.  A solver
+    raises it only where the failure would otherwise end in something
+    else: a loop that falls through, a missing value read as one,
+    another error class, or an output property that no verifier checks.
+    The command line raises it when its verifier rejects an output.
     """

@@ -216,10 +216,6 @@ def _place(n: int, m: int, k: int, draws: tuple[tuple[int, ...], ...],
     for c in range(1, total + 1):
         residual.extend([c] * (n - load[c]))
     sets_v = tuple(tuple(residual[i::m][:big_k]) for i in range(m))
-    if any(len(picks) < big_k or len(set(picks)) < big_k
-           for picks in sets_v):
-        raise InternalDefectError(
-            "residual capacity too small to rebuild potential sets")
     return tuple([c0 + 1 for c0 in assigned]), sets_v
 
 

@@ -38,8 +38,8 @@ from typing import Collection
 
 from .colouring import ArcColouring, from_class_list
 from .digraph import Digraph, degree_profile, strong_components
-from .errors import (BadParamsError, InternalDefectError, NotForestError,
-                     NotNiceError, NotSimpleError, ValidateError)
+from .errors import (BadParamsError, NotForestError, NotNiceError,
+                     NotSimpleError, ValidateError)
 
 
 def is_galaxy_arcs(d: Digraph, arc_set: frozenset[int] | set[int]) -> bool:
@@ -226,11 +226,8 @@ def u_suitable_decomposition(d: Digraph, u: int, k: int,
     if not is_k_nice(d, k):
         raise NotNiceError(f"digraph is not {k}-nice")
     forests, galaxy = _decompose(d, u, k)
-    decomposition = ForestGalaxyDecomposition(
+    return ForestGalaxyDecomposition(
         d, tuple(frozenset(f) for f in forests), frozenset(galaxy))
-    if not decomposition.suitable_for(u):
-        raise InternalDefectError("decomposition lost u-suitability")
-    return decomposition
 
 
 def forest_to_two_galaxies(d: Digraph, forest: frozenset[int] | set[int],

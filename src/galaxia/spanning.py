@@ -252,9 +252,6 @@ def dst4_colouring(d: Digraph) -> ArcColouring:
     galaxy = set(_galaxy_arcs(d))
     rest = [i for i in range(d.arc_count) if i not in galaxy]
     sub = Digraph._of(d.vertex_count, tuple(d.arcs[i] for i in rest))
-    if degree_profile(sub).max_degree > 3:
-        raise InternalDefectError(
-            "removing the spanning galaxy left a vertex of degree four")
     colours = dict(zip(rest, _colour_subcubic(sub)))
     colours.update(dict.fromkeys(galaxy, 4))
     return ArcColouring(colours, 4 if galaxy else 3 if rest else 0)

@@ -196,11 +196,11 @@ def _vertex_fits(vlist: Sequence[int], before: int, after: int) -> bool:
 def _cycle_dp(vertex_lists: Sequence[Sequence[int]],
               arc_lists: Sequence[Sequence[int]],
               ) -> tuple[list[int], list[int]] | None:
-    """Lexicographically smallest (a_0..a_{l-1}) solution, or None."""
-    length = len(vertex_lists)
-    if length != len(arc_lists) or length < 2:
-        raise InternalDefectError("degenerate circuit in cycle solver")
+    """Lexicographically smallest (a_0..a_{l-1}) solution, or None.
 
+    Both lists hold one entry per position of a circuit of length >= 2.
+    """
+    length = len(vertex_lists)
     for start in arc_lists[0]:
         # can_close[i][c]: choosing a_i = c still allows finishing the
         # circuit and wrapping back onto a_0 = start.
@@ -464,9 +464,6 @@ def lemma_extension_colouring(d: Digraph,
                         f"{h} do not cover all three colours")
 
     colours = _extension_engine(d, [set(lst) for lst in norm])
-    for i in range(d.arc_count):
-        if colours[i] not in norm[i]:
-            raise InternalDefectError(f"arc {i} coloured off its list")
     return ArcColouring(colours, 3 if d.arc_count else 0)
 
 
@@ -715,14 +712,8 @@ def _colour_subcubic(d: Digraph) -> list[int]:
                         f"deferred arc {a} has no free colour")
                 put(a, options[0])
         elif kind == "circuit":
-            lists = []
-            for a in batch:
-                options = free(a)
-                if len(options) < 2:
-                    raise InternalDefectError(
-                        f"circuit arc {a} kept fewer than two colours")
-                lists.append(options)
-            solution = _cycle_dp([COLOURS] * len(batch), lists)
+            solution = _cycle_dp([COLOURS] * len(batch),
+                                 [free(a) for a in batch])
             if solution is None:
                 raise InternalDefectError("even circuit completion failed")
             for a, c in zip(batch, solution[0]):
@@ -820,9 +811,6 @@ def _colour_core(core: Digraph, ids: Sequence[int],
         comp_seen.update(comp)
         if len(comp) == 4 and all(len(conflict[a]) == 3 for a in comp):
             bad_verts = {v for a in comp for v in arcs[a]}
-            if len(bad_verts) != 4:
-                raise InternalDefectError(
-                    "complete conflict component not on four vertices")
             removed = sorted({a for v in bad_verts
                               for a in in_arcs[v] + out_arcs[v]})
             if len(removed) > 10:
@@ -846,9 +834,6 @@ def _colour_core(core: Digraph, ids: Sequence[int],
             continue
         ins = [a for a in in_arcs[v] if not low[arcs[a][0]]]
         if ins and any(not low[arcs[a][1]] for a in out_arcs[v]):
-            if len(ins) != 1:
-                raise InternalDefectError(
-                    f"low vertex {v} with several engine in-arcs")
             detached[ins[0]] = fresh
             fresh += 1
     engine_arcs = []
@@ -877,11 +862,7 @@ def _colour_core(core: Digraph, ids: Sequence[int],
     for a, c in cprime.items():
         colour[ids[a]] = c
     for j, c in engine.items():
-        a = engine_ids[j]
-        if a in cprime and cprime[a] != c:
-            raise InternalDefectError(
-                f"arc {ids[a]} coloured twice with different colours")
-        colour[ids[a]] = c
+        colour[ids[engine_ids[j]]] = c
     return None
 
 
