@@ -2,14 +2,14 @@
 
 Five subcommands over the text formats in `fileio`: generate instances,
 solve them constructively, verify colourings, run the exact solvers and
-build the hardness reduction.  The solvers return their output
-unchecked; each output, with the interval certificates of an acyclic
-run, is run through the matching verifier exactly once here, before
-anything is printed or written, and a failure there exits 4.  A fibre
-colouring that is expanded is decided by the wavelength verifier on
-its expansion, which no invalid colouring passes.  A command imports
-the solver, fibre and generator modules it runs when it runs, so a
-process loads only what its command uses.  A `-o` file is opened
+build the hardness reduction.  Each output kind has one verdict, which
+returns the text `verify` prints after `violation: `, or None:
+`_star_violation` for a star colouring and `_fibre_violation` for a
+wavelength assignment.  The solvers return their output unchecked;
+`solve`, `exact` and `reduce --check` run it through its verdict once,
+before anything is printed or written, and exit 4 with that text if it
+fails.  A command imports the solver, fibre and generator modules it
+runs when it runs, so a process loads only what its command uses.  A `-o` file is opened
 only after the output's check, written in place from its start and
 cut to the new length (so it keeps its links and mode), before the
 report line is printed; `-o -` is standard output, and no write is
@@ -44,7 +44,7 @@ from .errors import (AboveCapError, CyclicError, DegreeTooHighError,
                      GalaxiaError, HasDigonError, InternalDefectError,
                      InvalidColouringError, NoApplicableAlgorithmError,
                      NotSimpleError, NotSubcubicError,
-                     PreconditionViolatedError)
+                     PreconditionViolatedError, ValidateError)
 from .fileio import (read_colouring, read_digraph, read_wavelengths,
                      write_colouring, write_digraph, write_wavelengths)
 from .intervals import CyclicInterval
@@ -66,22 +66,23 @@ def _read_instance(path: str) -> LabelledDigraph:
         return read_digraph(fh)
 
 
-def _check_output(verifier, instance, output, what: str) -> None:
-    """Run `verifier` on solver output before it is printed or written.
-
-    This is the output's only check, and a violation means a bug in this
-    package, so it raises InternalDefectError (exit 4).
-    """
-    violation = verifier(instance, output)
-    if violation is not None:
-        raise InternalDefectError(f"{what} failed verification: {violation}")
-
-
-def _interval_violation(d: Digraph, colouring: ArcColouring,
-                        intervals: dict[int, CyclicInterval]) -> str | None:
-    """Why some `i <vertex> <start> <k>` line fails, or None: its vertex
-    is outside d, or a colour entering the vertex is outside its
-    interval.  The colouring must cover every arc."""
+def _star_violation(d: Digraph, colouring: ArcColouring,
+                    intervals: dict[int, CyclicInterval],
+                    acircuitic: bool) -> str | None:
+    """Why `colouring` is no star colouring of d, or None: two arcs of a
+    colour converge or are consecutive; with `acircuitic`, two colours
+    hold a circuit; or some `i <vertex> <start> <k>` line names a vertex
+    outside d, or a colour entering its vertex lies outside its
+    interval."""
+    bad = verify_star_colouring(d, colouring)
+    if bad is not None:
+        kind = "converging" if bad.rule == "ii" else "consecutive"
+        return (f"{kind} arcs {bad.first_arc} and {bad.second_arc}"
+                f" share colour {colouring[bad.first_arc]}")
+    if acircuitic:
+        circuit = find_bicoloured_circuit(d, colouring)
+        if circuit is not None:
+            return f"bicoloured circuit through vertices {list(circuit)}"
     colour, in_arcs = colouring.colour, d.in_arcs
     for v in sorted(intervals):
         iv = intervals[v]
@@ -96,24 +97,54 @@ def _interval_violation(d: Digraph, colouring: ArcColouring,
     return None
 
 
-def _expand_checked(ld: LabelledDigraph, fc: FibreColouring,
-                    what: str) -> WavelengthAssignment:
-    """Expand fc and check the assignment, the output's one verifier pass.
-
-    Expansion rejects an overloaded colouring from its own fibre count,
-    so a rejection is a bug in this package (exit 4).  The wavelength
-    verifier also decides fc: a WavelengthAssignment keeps every fibre
-    in 1..n, and rules (i)-(iii) give in(v,α) distinct in-fibres and
-    out(v,α) more distinct out-fibres, one per label, disjoint from
-    them, so in(v,α) + out(v,α) <= n wherever it passes.
-    """
-    from .fibre import (expand_to_wavelength_assignment,
+def _fibre_violation(ld: LabelledDigraph, wa: WavelengthAssignment,
+                     ) -> str | None:
+    """Why `wa` is no wavelength assignment of ld, or None.  The
+    wavelength verifier decides: with fibres in 1..n, rules (i)-(iii)
+    give in(v,α) + out(v,α) distinct fibres at v, so its pass proves the
+    fibre colouring of the wavelengths valid too.  When it fails, that
+    colouring's first overload, if there is one, names the violation."""
+    from .fibre import (FibreColouring, verify_fibre_colouring,
                         verify_wavelength_assignment)
+    bad = verify_wavelength_assignment(ld, wa)
+    if bad is None:
+        return None
+    colour = {a: wl for a, (wl, _, _) in wa.triple.items()}
+    overload = verify_fibre_colouring(
+        ld, FibreColouring(wa.n, colour, max(colour.values(), default=0)))
+    if overload is None:
+        return str(bad)
+    return (f"vertex {overload.vertex} colour {overload.colour} has in+out ="
+            f" {overload.in_count}+{overload.out_count} > {wa.n}")
+
+
+def _require(violation: str | None) -> None:
+    """Raise InvalidColouringError(violation) unless it is None."""
+    if violation is not None:
+        raise InvalidColouringError(violation)
+
+
+@contextmanager
+def _own_output(what: str):
+    """Blame this package (exit 4) for an InvalidColouringError or a
+    ValidateError raised while the block builds and decides a command's
+    output from an instance already read; NotSimpleError, a solver's
+    verdict on its input, passes."""
     try:
-        wa = expand_to_wavelength_assignment(ld, fc)
-    except InvalidColouringError as exc:
+        yield
+    except NotSimpleError:
+        raise
+    except (InvalidColouringError, ValidateError) as exc:
         raise InternalDefectError(f"{what} failed verification: {exc}") from exc
-    _check_output(verify_wavelength_assignment, ld, wa, "expansion")
+
+
+def _expand_checked(ld: LabelledDigraph, fc: FibreColouring,
+                    ) -> WavelengthAssignment:
+    """fc's expansion, which rejects an overloaded fc, once its verdict
+    has passed; called inside `_own_output`."""
+    from .fibre import expand_to_wavelength_assignment
+    wa = expand_to_wavelength_assignment(ld, fc)
+    _require(_fibre_violation(ld, wa))
     return wa
 
 
@@ -256,12 +287,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     algo = args.algorithm
     if algo == "auto":
         algo = _pick_star_algorithm(d)
-    colouring, intervals, bound, rule = _run_star(algo, d)
-    _check_output(verify_star_colouring, d, colouring, "solver output")
-    if algo == "acircuitic":
-        _check_output(find_bicoloured_circuit, d, colouring, "acircuitic output")
-    _check_output(functools.partial(_interval_violation, intervals=intervals),
-                  d, colouring, "solver certificates")
+    with _own_output("solver output"):
+        colouring, intervals, bound, rule = _run_star(algo, d)
+        _require(_star_violation(d, colouring, intervals, algo == "acircuitic"))
     summary = (f"algorithm={algo} colours={colouring.colour_count}"
                f" bound={bound} ({rule})")
     return _report([summary], args.output, lambda fh: write_colouring(
@@ -287,19 +315,21 @@ def _solve_fibre(ld: LabelledDigraph, args: argparse.Namespace) -> int:
         if m >= n:
             raise NoApplicableAlgorithmError(
                 f"smallm needs m < n, instance has m={m}, n={n}")
-        fc = fibre_colouring_smallm(ld, n)
+        solver = fibre_colouring_smallm
         bound = math.ceil(k / (n - m)) if k else 0
         rule = f"ceil(k/(n-m)) with k={k}"
     elif algo == "acyclic":
         if m < n:
             raise NoApplicableAlgorithmError(
                 f"the acyclic bound needs m >= n, instance has m={m}, n={n}")
-        fc = fibre_colouring_acyclic(ld, n)
+        solver = fibre_colouring_acyclic
         bound = upper_bound_acyclic(n, m, k)
         rule = f"ceil((m/n)ceil(k/n) + k/n) with m={m} k={k}"
     else:
         raise NoApplicableAlgorithmError(f"{algo} does not apply to --fibres runs")
-    wa = _expand_checked(ld, fc, "solver output")
+    with _own_output("solver output"):
+        fc = solver(ld, n)
+        wa = _expand_checked(ld, fc)
     summary = (f"algorithm={algo} fibres={n} colours={fc.colour_count}"
                f" bound={bound} ({rule})")
     return _report([summary], args.output, lambda fh: write_wavelengths(
@@ -318,43 +348,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         else:
             colours, intervals = read_colouring(fh, arc_count=ld.arc_count)
     if args.fibres is not None:
-        from .fibre import (FibreColouring, WavelengthAssignment,
-                            verify_fibre_colouring,
-                            verify_wavelength_assignment)
-        wl_bad = verify_wavelength_assignment(
-            ld, WavelengthAssignment(args.fibres, triples))
-        if wl_bad is None:  # so the wavelengths' fibre colouring is valid too
-            print("ok")
-            return 0
-        # an overload, when there is one, names the violation
-        top = max((wl for wl, _, _ in triples.values()), default=0)
-        fc = FibreColouring(args.fibres, {a: wl for a, (wl, _, _) in triples.items()},
-                            top)
-        fibre_bad = verify_fibre_colouring(ld, fc)
-        if fibre_bad is not None:
-            print(f"violation: vertex {fibre_bad.vertex} colour {fibre_bad.colour}"
-                  f" has in+out = {fibre_bad.in_count}+{fibre_bad.out_count}"
-                  f" > {args.fibres}")
-        else:
-            print(f"violation: {wl_bad}")
-        return 1
-    d = ld.underlying
-    top = max(colours.values(), default=0)
-    colouring = ArcColouring(colours, top)
-    bad = verify_star_colouring(d, colouring)
-    if bad is not None:
-        kind = "converging" if bad.rule == "ii" else "consecutive"
-        print(f"violation: {kind} arcs {bad.first_arc} and {bad.second_arc}"
-              f" share colour {colouring[bad.first_arc]}")
-        return 1
-    if args.acircuitic:
-        circuit = find_bicoloured_circuit(d, colouring)
-        if circuit is not None:
-            print(f"violation: bicoloured circuit through vertices {list(circuit)}")
-            return 1
-    interval_bad = _interval_violation(d, colouring, intervals)
-    if interval_bad is not None:
-        print(f"violation: {interval_bad}")
+        from .fibre import WavelengthAssignment
+        violation = _fibre_violation(ld, WavelengthAssignment(args.fibres, triples))
+    else:
+        colouring = ArcColouring(colours, max(colours.values(), default=0))
+        violation = _star_violation(ld.underlying, colouring, intervals,
+                                    args.acircuitic)
+    if violation is not None:
+        print(f"violation: {violation}")
         return 1
     print("ok")
     return 0
@@ -367,20 +368,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_exact(args: argparse.Namespace) -> int:
     ld = _read_instance(args.input)
     if args.fibres is not None:
-        value, fc = exact_lambda_n(ld, args.fibres, args.colour_cap,
-                                   args.arc_limit)
-        if args.output is None:
-            from .fibre import verify_fibre_colouring
-            _check_output(verify_fibre_colouring, ld, fc, "exact witness")
-        else:
-            wa = _expand_checked(ld, fc, "exact witness")
+        with _own_output("exact witness"):
+            value, fc = exact_lambda_n(ld, args.fibres, args.colour_cap,
+                                       args.arc_limit)
+            wa = _expand_checked(ld, fc)
         return _report([f"lambda_{args.fibres} = {value}"], args.output,
                        lambda fh: write_wavelengths(
                            fh, wa.triple,
                            comments=[f"lambda_{args.fibres}={value}"]))
     d = ld.underlying
-    value, witness = exact_dst(d, args.colour_cap, args.arc_limit)
-    _check_output(verify_star_colouring, d, witness, "exact witness")
+    with _own_output("exact witness"):
+        value, witness = exact_dst(d, args.colour_cap, args.arc_limit)
+        _require(_star_violation(d, witness, {}, False))
     return _report([f"dst = {value}"], args.output, lambda fh: write_colouring(
         fh, witness.colour, comments=[f"dst={value}"]))
 
@@ -406,8 +405,9 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         if args.output is None or args.output == "-":
             print(lines.pop())  # shown before the exact search runs
         feasible = edge_colouring_3regular(vertex_count, edges) is not None
-        value, witness = exact_dst(d, arc_limit=args.arc_limit)
-        _check_output(verify_star_colouring, d, witness, "exact witness")
+        with _own_output("exact witness"):
+            value, witness = exact_dst(d, arc_limit=args.arc_limit)
+            _require(_star_violation(d, witness, {}, False))
         lines.append(f"3-edge-colourable={feasible} dst={value}")
         if (value == 3) != feasible:
             raise InternalDefectError(f"reduction equivalence failed: {lines[-1]}")

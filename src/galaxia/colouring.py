@@ -21,16 +21,21 @@ class ArcColouring:
     colour_count: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "colour", MappingProxyType(dict(self.colour)))
-        if ints_within(self.colour.values(), 1, self.colour_count):
-            return
-        for arc, c in self.colour.items():
-            if not (1 <= c <= self.colour_count):
-                raise ValidateError(
-                    f"arc {arc} has colour {c} outside 1..{self.colour_count}")
+        _freeze_colours(self)
 
     def __getitem__(self, arc: int) -> int:
         return self.colour[arc]
+
+
+def _freeze_colours(colouring) -> None:
+    """Make colouring.colour a read-only copy and check that every colour
+    of the ArcColouring or FibreColouring is in 1..colour_count."""
+    object.__setattr__(colouring, "colour", MappingProxyType(dict(colouring.colour)))
+    top = colouring.colour_count
+    if not ints_within(colouring.colour.values(), 1, top):
+        for arc, c in colouring.colour.items():
+            if not 1 <= c <= top:
+                raise ValidateError(f"arc {arc} has colour {c} outside 1..{top}")
 
 
 def ints_within(values, low: int, high: float) -> bool:

@@ -29,7 +29,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .colouring import arc_values, ints_within
+from .colouring import _freeze_colours, arc_values, ints_within
 from .digraph import LabelledDigraph, degree_profile, topological_order
 from .errors import (BadParamsError, InternalDefectError, InvalidColouringError,
                      ValidateError)
@@ -51,15 +51,9 @@ class FibreColouring:
     colour_count: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "colour", MappingProxyType(dict(self.colour)))
         if self.n < 1:
             raise ValidateError("fibre count must be positive")
-        if ints_within(self.colour.values(), 1, self.colour_count):
-            return
-        for arc, c in self.colour.items():
-            if not (1 <= c <= self.colour_count):
-                raise ValidateError(
-                    f"arc {arc} has colour {c} outside 1..{self.colour_count}")
+        _freeze_colours(self)
 
     def __getitem__(self, arc: int) -> int:
         return self.colour[arc]

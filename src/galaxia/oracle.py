@@ -176,6 +176,21 @@ def _lower_bound(indegree: tuple[int, ...], tails, n: int) -> int:
     return max(1, -(-max(need) // n))
 
 
+def _fewest_colours(lower: int, upper: int, colour_cap: int | None,
+                    attempt: Callable[[int], list[int] | None]) -> tuple[int, list[int]]:
+    """(q, attempt(q)) for the least q in lower..upper, capped at
+    colour_cap, whose attempt succeeds; the one at upper must."""
+    if colour_cap is not None and colour_cap < lower:
+        raise AboveCapError(colour_cap, f"lower bound is {lower}")
+    for q in range(lower, (upper if colour_cap is None else min(upper, colour_cap)) + 1):
+        solution = attempt(q)
+        if solution is not None:
+            return q, solution
+    if colour_cap is not None:
+        raise AboveCapError(colour_cap)
+    raise InternalDefectError("one colour per arc must be feasible")
+
+
 def exact_dst(d: Digraph, colour_cap: int | None = None,
               arc_limit: int = DEFAULT_ARC_LIMIT) -> tuple[int, ArcColouring]:
     """Exact directed star arboricity with a witness colouring.
@@ -193,17 +208,10 @@ def exact_dst(d: Digraph, colour_cap: int | None = None,
         return 0, ArcColouring({}, 0)
     conflicts = _conflict_lists(d)
     lower = _lower_bound(d.profile.indegree, set(map(itemgetter(0), d.arcs)), 1)
-    upper = d.arc_count  # one arc per colour always verifies
-    if colour_cap is not None and colour_cap < lower:
-        raise AboveCapError(colour_cap, f"lower bound is {lower}")
-    stop = upper if colour_cap is None else min(upper, colour_cap)
-    for q in range(lower, stop + 1):
-        solution = _colour_graph(conflicts, q)
-        if solution is not None:
-            return q, ArcColouring(dict(enumerate(solution)), q)
-    if colour_cap is not None:
-        raise AboveCapError(colour_cap)
-    raise InternalDefectError("one colour per arc must be feasible")
+    # one arc per colour always verifies
+    q, solution = _fewest_colours(lower, d.arc_count, colour_cap,
+                                  lambda q: _colour_graph(conflicts, q))
+    return q, ArcColouring(dict(enumerate(solution)), q)
 
 
 def exact_lambda_n(ld: LabelledDigraph, n: int, colour_cap: int | None = None,
@@ -225,11 +233,6 @@ def exact_lambda_n(ld: LabelledDigraph, n: int, colour_cap: int | None = None,
         return 0, FibreColouring(n, {}, 0)
     lower = _lower_bound(ld.profile.indegree,
                          map(itemgetter(0), set(map(itemgetter(0, 2), ld.arcs))), n)
-    upper = ld.arc_count  # all-distinct colours satisfy in+out <= 1+0 at heads
-    if colour_cap is not None and colour_cap < lower:
-        raise AboveCapError(colour_cap, f"lower bound is {lower}")
-    stop = upper if colour_cap is None else min(upper, colour_cap)
-
     arcs = ld.arcs
     in_arcs = ld.underlying.in_arcs
     out_arcs = ld.underlying.out_arcs
@@ -272,13 +275,9 @@ def exact_lambda_n(ld: LabelledDigraph, n: int, colour_cap: int | None = None,
 
         return _dsatur(q, degree, place, take_back)
 
-    for q in range(lower, stop + 1):
-        solution = attempt(q)
-        if solution is not None:
-            return q, FibreColouring(n, dict(enumerate(solution)), q)
-    if colour_cap is not None:
-        raise AboveCapError(colour_cap)
-    raise InternalDefectError("one colour per arc must be feasible")
+    # all-distinct colours satisfy in+out <= 1+0 at heads
+    q, solution = _fewest_colours(lower, ld.arc_count, colour_cap, attempt)
+    return q, FibreColouring(n, dict(enumerate(solution)), q)
 
 
 def find_bicoloured_circuit(d: Digraph, colouring: ArcColouring,

@@ -23,7 +23,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from galaxia import (CUBIC_GRAPHS, ArcColouring, CyclicInterval, FibreColouring,
                      LabelledDigraph, WavelengthAssignment, digraph, fibre,
-                     read_digraph, write_digraph)
+                     read_colouring, read_digraph, read_wavelengths,
+                     write_digraph)
 from galaxia.cli import main
 
 
@@ -395,11 +396,134 @@ def test_solve_bad_interval_certificate_exits_4(tmp_path, capsys, monkeypatch):
     out = tmp_path / "col.txt"
     assert main(["solve", dag_instance(tmp_path), "-o", str(out)]) == 4
     captured = capsys.readouterr()
-    assert captured.err == ("internal defect: solver certificates failed"
+    assert captured.err == ("internal defect: solver output failed"
                             " verification: arc 2 enters vertex 2 with colour 3"
                             " outside its interval [1, 2]\n")
     assert captured.out == ""
     assert not out.exists()
+
+
+def path_instance(tmp_path):
+    path = tmp_path / "path.dsa"
+    write_instance(path, LabelledDigraph(3, 1, ((0, 1, 1), (1, 2, 1))))
+    return str(path)
+
+
+@pytest.mark.parametrize("target, output, flags, text", [
+    # a solver that leaves an arc uncoloured
+    ("galaxia.subcubic.star_colouring_subcubic",
+     lambda d: ArcColouring({0: 1}, 3), ["--algorithm", "subcubic"],
+     "arc 1 is uncoloured"),
+    # a colour outside the range its ArcColouring declares
+    ("galaxia.subcubic._colour_subcubic", lambda d: [1, 0],
+     ["--algorithm", "subcubic"], "arc 1 has colour 0 outside 1..3"),
+    # a fibre colouring that leaves an arc unassigned
+    ("galaxia.fibre.fibre_colouring_smallm",
+     lambda ld, n: FibreColouring(2, {0: 1}, 1), ["--fibres", "2"],
+     "arc 1 is unassigned"),
+], ids=["uncoloured", "colour-out-of-range", "unassigned"])
+def test_solve_incomplete_or_out_of_range_output_exits_4(
+        tmp_path, capsys, monkeypatch, target, output, flags, text):
+    # the instance is fine, so what its output lacks is a bug here
+    monkeypatch.setattr(target, output)
+    out = tmp_path / "out.txt"
+    assert main(["solve", path_instance(tmp_path), *flags, "-o", str(out)]) == 4
+    assert capsys.readouterr() == (
+        "", f"internal defect: solver output failed verification: {text}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["exact", "{path}"],
+                                     ["reduce", "--named", "k4", "--check"]])
+def test_exact_incomplete_witness_exits_4(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr("galaxia.cli.exact_dst", lambda d, *args, **kwargs: (
+        1, ArcColouring({0: 1}, 1)))
+    argv = [arg.format(path=path_instance(tmp_path)) for arg in command]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == (
+        "internal defect: exact witness failed verification: arc 1 is uncoloured\n")
+
+
+# (name, generate flags, solve flags, verify flags, the solver to stand in for)
+PARITY_RUNS = [
+    ("2k1", ["random", "--in-cap", "3", "--out-cap", "3"], ["--algorithm", "2k1"], [],
+     "galaxia.galaxy.dst_upper_2k1"),
+    ("acyclic", ["dag", "--k", "3"], ["--algorithm", "acyclic"], [],
+     "galaxia.acyclic.star_colouring_acyclic"),
+    ("subcubic", ["subcubic"], ["--algorithm", "subcubic"], [],
+     "galaxia.subcubic.star_colouring_subcubic"),
+    ("diregular4", ["random", "--in-cap", "2", "--out-cap", "2"],
+     ["--algorithm", "diregular4"], [], "galaxia.spanning.dst4_colouring"),
+    ("acircuitic", ["oriented-subcubic"], ["--algorithm", "acircuitic"],
+     ["--acircuitic"], "galaxia.acircuitic.acircuitic_colouring"),
+    ("fibres-smallm", ["random", "--in-cap", "3", "--out-cap", "3"], ["--fibres", "2"],
+     ["--fibres", "2"], "galaxia.fibre.expand_to_wavelength_assignment"),
+    ("fibres-acyclic", ["dag", "--m", "2", "--k", "3"], ["--fibres", "2"],
+     ["--fibres", "2"], "galaxia.fibre.expand_to_wavelength_assignment"),
+]
+
+
+def corrupt_one_line(lines, arcs):
+    """The output lines with arc a's line changed, for the first arcs a
+    and b that a valid output must tell apart: a colour line takes b's
+    colour (b enters a's head or tail, or leaves a's head), a wavelength
+    line b's wavelength and in-fibre (b enters a's head)."""
+    kind = lines[0].split()[0]
+    fields = {int(line.split()[1]): line.split()[2:]
+              for line in lines if line.startswith(kind)}
+    for a, (ta, ha, _) in enumerate(arcs):
+        for b, (tb, hb, _) in enumerate(arcs):
+            if a != b and (ha == hb if kind == "w" else ha in (hb, tb) or hb == ta):
+                new = fields[b][:1] if kind == "c" else [
+                    fields[b][0], fields[a][1], fields[b][2]]
+                at = lines.index(" ".join([kind, str(a), *fields[a]]))
+                return lines[:at] + [" ".join([kind, str(a), *new])] + lines[at + 1:]
+    raise AssertionError("no two arcs meet")
+
+
+@pytest.mark.parametrize("family, flags, check, solver",
+                         [run[1:] for run in PARITY_RUNS],
+                         ids=[run[0] for run in PARITY_RUNS])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_solve_and_verify_decide_one_output_alike(tmp_path, capsys, monkeypatch,
+                                                  family, flags, check, solver, seed):
+    """`verify` passes what `solve` writes; on a copy with one line
+    corrupted it prints `violation: X`, and `solve` whose solver returns
+    that same output exits 4 with the same X.  On a fibre path the
+    corrupted assignment stands in for the expansion."""
+    instance, good, bad = (str(tmp_path / name) for name in ("in.dsa", "good", "bad"))
+    assert main(["generate", "--family", family[0], *family[1:], "--vertices", "24",
+                 "--seed", str(seed), "-o", instance]) == 0
+    assert main(["solve", instance, *flags, "-o", good]) == 0
+    capsys.readouterr()
+    assert main(["verify", instance, good, *check]) == 0
+    assert capsys.readouterr().out == "ok\n"
+
+    with open(instance, encoding="utf-8") as fh:
+        arcs = read_digraph(fh).arcs
+    with open(good, encoding="utf-8") as fh:
+        lines = [line.rstrip("\n") for line in fh if not line.startswith("#")]
+    with open(bad, "w", encoding="utf-8") as fh:
+        fh.write("".join(f"{line}\n" for line in corrupt_one_line(lines, arcs)))
+    assert main(["verify", instance, bad, *check]) == 1
+    stdout = capsys.readouterr().out
+    assert stdout.startswith("violation: ")
+    text = stdout[len("violation: "):-1]
+
+    with open(bad, encoding="utf-8") as fh:
+        if "--fibres" in flags:
+            triples = read_wavelengths(fh, arc_count=len(arcs))
+            output = lambda ld, fc: WavelengthAssignment(fc.n, triples)
+        else:
+            colours, intervals = read_colouring(fh, arc_count=len(arcs))
+            colouring = ArcColouring(colours, max(colours.values()))
+            # star_colouring_acyclic returns its interval certificates too
+            output = lambda d: (colouring, intervals) if intervals else colouring
+    monkeypatch.setattr(solver, output)
+    assert main(["solve", instance, *flags, "-o", str(tmp_path / "never")]) == 4
+    assert capsys.readouterr() == (
+        "", f"internal defect: solver output failed verification: {text}\n")
+    assert not (tmp_path / "never").exists()
 
 
 def test_verify_fibres(tmp_path, capsys):
