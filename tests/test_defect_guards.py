@@ -288,11 +288,16 @@ def test_spanning_galaxy_search_exhausted(monkeypatch, tmp_path):
 
 
 @case
-def test_exact_solvers_run_out_of_colours(monkeypatch, tmp_path):
-    # both exact solvers search their colour counts in one loop
-    monkeypatch.setattr(oracle, "_dsatur", lambda q, degree, place, take_back: None)
+def test_exact_dst_runs_out_of_colours(monkeypatch, tmp_path):
+    monkeypatch.setattr(oracle, "_colour_graph", lambda conflicts, q: None)
     with raises_defect("one colour per arc must be feasible"):
         exact_dst(Digraph(2, ((0, 1),)))
+
+
+def test_exact_lambda_runs_out_of_colours(monkeypatch):
+    # exact_lambda_n searches its colour counts in exact_dst's loop, so
+    # the census counts that guard site under the exact_dst case
+    monkeypatch.setattr(oracle, "_dsatur", lambda q, degree, place, take_back: None)
     with raises_defect("one colour per arc must be feasible"):
         exact_lambda_n(LabelledDigraph(2, 1, ((0, 1, 1),)), 1)
 
@@ -319,23 +324,28 @@ def test_reduction_output_degree_three(monkeypatch, tmp_path):
 
 @case
 def test_cli_output_fails_verification(monkeypatch, tmp_path):
-    # a star verdict, an overload that expansion rejects, and a colour
-    # out of range, each failing inside a command's output block
+    # a star verdict and a colour out of range, each failing inside a
+    # command's output block
     d = Digraph(3, ((0, 1), (1, 2)))
     with raises_defect("solver output failed verification: consecutive arcs"
                        " 0 and 1 share colour 1"):
         with cli._own_output("solver output"):
             cli._require(cli._star_violation(d, ArcColouring({0: 1, 1: 1}, 1),
                                              {}, False))
+    with raises_defect("exact witness failed verification: arc 1 has colour 0"
+                       " outside 1..1"):
+        with cli._own_output("exact witness"):
+            ArcColouring({0: 1, 1: 0}, 1)
+
+
+def test_cli_expansion_rejects_overload(monkeypatch):
+    # the expansion's rejection fails through the output block's raise
+    # site, which the census counts under the verification case above
     ld = LabelledDigraph(3, 1, ((0, 2, 1), (1, 2, 1)))
     with raises_defect("solver output failed verification: fibre colouring "
                        "invalid at vertex 2, colour 1: 2+0 > 1"):
         with cli._own_output("solver output"):
             cli._expand_checked(ld, FibreColouring(1, {0: 1, 1: 1}, 1))
-    with raises_defect("exact witness failed verification: arc 1 has colour 0"
-                       " outside 1..1"):
-        with cli._own_output("exact witness"):
-            ArcColouring({0: 1, 1: 0}, 1)
 
 
 @case
