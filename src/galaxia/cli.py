@@ -2,7 +2,10 @@
 
 Five subcommands over the text formats in `fileio`: generate instances,
 solve them constructively, verify colourings, run the exact solvers and
-build the hardness reduction.  Each output kind has one verdict, which
+build the hardness reduction.  `main` parses a command's arguments with
+that command's own subparser, the one argparse would call, and leaves an
+argv that does not start with a command word to the top parser, so usage
+texts and exit codes are argparse's.  Each output kind has one verdict, which
 returns the text `verify` prints after `violation: `, or None:
 `_star_violation` for a star colouring and `_fibre_violation` for a
 wavelength assignment.  The solvers return their output unchecked;
@@ -451,8 +454,10 @@ class _CubicGraphNames:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and shared by every later call."""
+def _build_parser() -> tuple[argparse.ArgumentParser,
+                             dict[str, argparse.ArgumentParser]]:
+    """The parser and its command name -> subparser map, built on first
+    use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="galaxia",
         description="Galaxy decompositions and fibre wavelength assignment.")
@@ -510,11 +515,28 @@ def _build_parser() -> argparse.ArgumentParser:
     red.add_argument("-o", "--output", default=None)
     red.set_defaults(func=_cmd_reduce)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """What `parser.parse_args(argv)` gives, with a command's arguments
+    parsed by its subparser alone: the subparser argparse would call,
+    without the top parser's matching of the whole argv first."""
+    parser, commands = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(argv)
     was_enabled = gc.isenabled()
     gc.disable()
     try:

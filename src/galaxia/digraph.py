@@ -76,11 +76,13 @@ class Digraph:
         return DegreeProfile(tuple(indeg), tuple(outdeg))
 
     @cached_property
-    def _sort(self) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
-        """(topological order, None), or (None, witness circuit): Kahn's
-        algorithm with a first-in first-out ready list (Kahn, 1962), so
-        the sources come first, ascending, and every other vertex follows
-        as soon as its last entering arc is removed."""
+    def _sort(self) -> tuple[int, ...]:
+        """Kahn's algorithm with a first-in first-out ready list (Kahn,
+        1962), so the sources come first, ascending, and every other
+        vertex follows as soon as its last entering arc is removed.  The
+        order is a topological one exactly when it holds every vertex;
+        with a circuit it stops short, and the vertices it leaves out
+        are those with an entering arc left."""
         indeg = list(self.profile.indegree)
         order = [v for v in range(self.vertex_count) if indeg[v] == 0]
         out_arcs = self.out_arcs
@@ -91,10 +93,7 @@ class Digraph:
                 indeg[w] -= 1
                 if indeg[w] == 0:
                     order.append(w)
-        if len(order) < self.vertex_count:
-            alive = {v for v in range(self.vertex_count) if indeg[v] > 0}
-            return None, _witness_circuit(self, alive)
-        return tuple(order), None
+        return tuple(order)
 
     def has_digon(self) -> bool:
         pairs = set(self.arcs)
@@ -305,14 +304,15 @@ def topological_order(d: Digraph) -> tuple[int, ...]:
     Raises CyclicError with a witness circuit when no order exists.  The
     sort runs once per digraph; is_acyclic reads the same result.
     """
-    order, circuit = d._sort
-    if circuit is not None:
-        raise CyclicError(circuit)
+    order = d._sort
+    if len(order) < d.vertex_count:
+        alive = set(range(d.vertex_count)).difference(order)
+        raise CyclicError(_witness_circuit(d, alive))
     return order
 
 
 def is_acyclic(d: Digraph) -> bool:
-    return d._sort[1] is None
+    return len(d._sort) == d.vertex_count
 
 
 def find_circuit_arcs(d: Digraph, removed: set[int] | None = None) -> tuple[int, ...] | None:

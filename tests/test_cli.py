@@ -25,6 +25,7 @@ from galaxia import (CUBIC_GRAPHS, ArcColouring, CyclicInterval, FibreColouring,
                      LabelledDigraph, WavelengthAssignment, digraph, fibre,
                      read_colouring, read_digraph, read_wavelengths,
                      write_digraph)
+from galaxia import cli
 from galaxia.cli import main
 
 
@@ -210,6 +211,23 @@ def test_auto_solve_sorts_acyclic_instance_once(tmp_path, capsys, monkeypatch,
     assert main(["solve", str(path), *argv]) == 0
     assert "algorithm=acyclic" in capsys.readouterr().out
     assert len(sorts) == 1
+
+
+def test_auto_solve_of_cyclic_instance_builds_no_witness(tmp_path, capsys,
+                                                         monkeypatch):
+    # is_acyclic only asks whether the sort covers every vertex; the
+    # witness circuit is for topological_order's CyclicError alone
+    witnesses = []
+    real = digraph._witness_circuit
+
+    def counting(d, alive):
+        witnesses.append(d.vertex_count)
+        return real(d, alive)
+
+    monkeypatch.setattr(digraph, "_witness_circuit", counting)
+    assert main(["solve", circuit_instance(tmp_path)]) == 0
+    assert "algorithm=" in capsys.readouterr().out
+    assert witnesses == []
 
 
 def test_solve_parse_error_exits_2(tmp_path, capsys):
@@ -729,6 +747,80 @@ def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch):
     assert out[1].startswith("algorithm=subcubic") and "fibres" not in out[1]
     assert out[2] == "dst = 3"
     assert out == out[:3] * 3
+
+
+# valid argvs of every command, then malformed ones
+PARSER_ARGVS = [
+    ["generate", "--family", "dag", "--vertices", "12", "--k", "2", "-o", "x.dsa"],
+    ["generate", "--family=gnmk", "--n", "2", "--y-cap", "3", "--seed", "7"],
+    ["solve", "in.dsa"],
+    ["solve", "in.dsa", "--algorithm", "acyclic", "-o", "-"],
+    ["solve", "--fibres", "2", "in.dsa"],
+    ["solve", "in.dsa", "--fibres=3", "--output", "out.wl"],
+    ["solve", "--", "in.dsa"],
+    ["verify", "in.dsa", "c.col", "--acircuitic"],
+    ["verify", "--fibres", "2", "--", "in.dsa", "c.wl"],
+    ["exact", "in.dsa", "--colour-cap", "3", "--arc-limit", "20"],
+    ["exact", "-", "--fibres", "2", "-o", "w.wl"],
+    ["reduce", "--named", "k4", "--check"],
+    ["reduce", "--input", "g.dsa", "--arc-limit", "30", "-o", "r.dsa"],
+    [],
+    ["-h"],
+    ["--help"],
+    ["solv", "in.dsa"],
+    ["-x", "solve", "in.dsa"],
+    ["--", "solve", "in.dsa"],
+    ["solve"],
+    ["verify", "in.dsa"],
+    ["generate"],
+    ["solve", "in.dsa", "--bogus"],
+    ["solve", "in.dsa", "extra", "--bogus"],
+    ["solve", "in.dsa", "-o"],
+    ["solve", "in.dsa", "--fib", "2"],
+    ["solve", "in.dsa", "--", "extra"],
+    ["solve", "in.dsa", "--algorithm", "fastest"],
+    ["solve", "in.dsa", "--fibres", "0"],
+    ["exact", "in.dsa", "--arc-limit", "many"],
+    ["reduce", "--named", "k4", "--input", "g.dsa"],
+    ["reduce", "--named", "nonagon"],
+    ["reduce"],
+    ["solve", "--help"],
+    ["exact", "in.dsa", "-h"],
+]
+
+
+def parse_outcome(parse, argv):
+    """(namespace or None, exit code or None, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    args = code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parse(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return args, code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS,
+                         ids=lambda argv: " ".join(argv) or "no arguments")
+def test_command_parse_matches_the_full_parser(argv):
+    # main hands a command's arguments to its subparser directly; the
+    # namespace, exit code and every printed byte must be what the top
+    # parser's parse_args gives on this Python's argparse
+    parser, _ = cli._build_parser()
+    assert parse_outcome(cli._parse, argv) == parse_outcome(parser.parse_args,
+                                                            argv)
+
+
+def test_main_without_argv_reads_sys_argv(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["galaxia", "solve", dag_instance(tmp_path)])
+    assert main() == 0
+    assert capsys.readouterr().out.startswith("algorithm=acyclic")
+    monkeypatch.setattr(sys, "argv", ["galaxia"])
+    with pytest.raises(SystemExit) as info:
+        main()
+    assert info.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: galaxia [-h]")
 
 
 @st.composite
