@@ -407,10 +407,13 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     if args.check:
         if args.output is None or args.output == "-":
             print(lines.pop())  # shown before the exact search runs
-        feasible = edge_colouring_3regular(vertex_count, edges) is not None
         with _own_output("exact witness"):
             value, witness = exact_dst(d, arc_limit=args.arc_limit)
             _require(_star_violation(d, witness, {}, False))
+        # the reduction has three arcs per vertex, so the arc limit the
+        # exact search passed bounds the edge-colouring search as well
+        feasible = edge_colouring_3regular(
+            vertex_count, edges, vertex_limit=vertex_count) is not None
         lines.append(f"3-edge-colourable={feasible} dst={value}")
         if (value == 3) != feasible:
             raise InternalDefectError(f"reduction equivalence failed: {lines[-1]}")

@@ -10,6 +10,7 @@ pass by pairing shuffled degree stubs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -129,9 +130,7 @@ _GADGET_ARCS = (
 _GADGET_A, _GADGET_B, _GADGET_C = 0, 1, 4
 
 
-_gadget_cache: NpGadget | None = None
-
-
+@functools.cache
 def np_gadget() -> NpGadget:
     """The substitution gadget for the hardness reduction, certified.
 
@@ -141,9 +140,6 @@ def np_gadget() -> NpGadget:
     triples extend to the whole gadget.  The gadget is a constant, so
     the tests pin its certificate instead of a check at run time.
     """
-    global _gadget_cache
-    if _gadget_cache is not None:
-        return _gadget_cache
     d = Digraph(6, _GADGET_ARCS)
     pairs = [(a, b) for a, near in enumerate(_conflict_lists(d))
              for b in near if a < b]
@@ -160,76 +156,50 @@ def np_gadget() -> NpGadget:
             p1 = False
         triples.add(triple)
     cert = GadgetCertificate(valid, p1, len(triples))
-    _gadget_cache = NpGadget(d, _GADGET_A, _GADGET_B, _GADGET_C, cert)
-    return _gadget_cache
-
-
-def _flip_path(arcs: list[tuple[int, int]], path: list[int]) -> None:
-    for e in path:
-        t, h = arcs[e]
-        arcs[e] = (h, t)
-
-
-def _bfs_to(arcs: list[tuple[int, int]], start: int, vertex_count: int,
-            want: list[int], threshold: int, forward: bool) -> list[int] | None:
-    """Edge indices of a shortest directed path from start to any vertex
-    whose want-degree is at least threshold (arcs walked backwards when
-    forward is false)."""
-    parent: dict[int, tuple[int, int]] = {}
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt: list[int] = []
-        for u in frontier:
-            for e, (t, h) in enumerate(arcs):
-                v = h if forward and t == u else (t if not forward and h == u else None)
-                if v is None or v in seen:
-                    continue
-                seen.add(v)
-                parent[v] = (u, e)
-                if want[v] >= threshold:
-                    path = [e]
-                    back = u
-                    while back != start:
-                        back, pe = parent[back]
-                        path.append(pe)
-                    path.reverse()
-                    return path
-                nxt.append(v)
-        frontier = nxt
-    return None
+    return NpGadget(d, _GADGET_A, _GADGET_B, _GADGET_C, cert)
 
 
 def _orient_no_sink_source(vertex_count: int, edges: Iterable[tuple[int, int]],
                            ) -> list[tuple[int, int]]:
     """Orient a graph with min degree >= 2 so every vertex keeps indegree
-    and outdegree at least one.
+    and outdegree at least one; the i-th arc is the i-th edge.
 
-    Local search: orient low-to-high, then repeatedly flip a shortest
-    directed path from a source to a vertex of indegree >= 2 (and the
-    mirror move for sinks).  Each flip repairs its endpoint and breaks
-    nothing, so the defect count strictly decreases.  A source always
-    reaches a vertex of indegree >= 2, else what it reaches would be an
-    arborescence whose leaves have degree one (and likewise for sinks).
+    Closed trails (Hierholzer, 1873): an extra vertex joined to every
+    odd-degree vertex makes every degree even.  From each vertex in
+    ascending order, a walk takes the lowest unused edge until it
+    stops, which on even degrees it can do only where it began; each
+    edge is oriented the way it was walked.  So every vertex is left as
+    often as it is entered, and dropping its extra edge, if it has one,
+    takes one arc from one side: a vertex of degree d >= 2 keeps at
+    least floor(d/2) >= 1 of each, a cubic one (1,2) or (2,1), all in
+    linear time.
     """
-    arcs = [(min(u, v), max(u, v)) for u, v in edges]
-    while True:
-        indeg = [0] * vertex_count
-        outdeg = [0] * vertex_count
-        for t, h in arcs:
-            outdeg[t] += 1
-            indeg[h] += 1
-        sources = [v for v in range(vertex_count) if indeg[v] == 0 and outdeg[v] > 0]
-        sinks = [v for v in range(vertex_count) if outdeg[v] == 0 and indeg[v] > 0]
-        if not sources and not sinks:
-            return arcs
-        if sources:
-            path = _bfs_to(arcs, sources[0], vertex_count, indeg, 2, forward=True)
-        else:
-            path = _bfs_to(arcs, sinks[0], vertex_count, outdeg, 2, forward=False)
-        if path is None:
-            raise InternalDefectError("orientation local search stalled")
-        _flip_path(arcs, path)
+    ends = list(edges)
+    edge_count, extra = len(ends), vertex_count
+    incident: list[list[int]] = [[] for _ in range(vertex_count + 1)]
+    for e, (u, v) in enumerate(ends):
+        incident[u].append(e)
+        incident[v].append(e)
+    for v in range(vertex_count):
+        if len(incident[v]) % 2:
+            incident[v].append(len(ends))
+            incident[extra].append(len(ends))
+            ends.append((v, extra))
+    arcs: list[tuple[int, int] | None] = [None] * len(ends)
+    unused = [0] * (vertex_count + 1)
+    for start in range(vertex_count):
+        u = start
+        while True:
+            at = incident[u]
+            while unused[u] < len(at) and arcs[at[unused[u]]] is not None:
+                unused[u] += 1
+            if unused[u] == len(at):
+                break
+            e = at[unused[u]]
+            w = ends[e][0] + ends[e][1] - u
+            arcs[e] = (u, w)
+            u = w
+    return arcs[:edge_count]
 
 
 def np_reduction(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Digraph:
@@ -238,31 +208,26 @@ def np_reduction(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Digraph
 
     The graph is oriented without sinks or sources, which leaves every
     vertex with degrees (1,2) or (2,1).  A (2,1)-vertex already forces
-    its three arcs apart in any 3-colouring; each (1,2)-vertex is
-    replaced by the certified gadget, whose internal vertices take over
-    the tail of its second leaving arc.  Output degrees stay <= 2.
+    its three arcs apart in any 3-colouring; each (1,2)-vertex v is
+    replaced by the certified gadget, as its vertex 1 with two new
+    vertices 2 and 3, and gadget vertex 2 takes over the tail of v's
+    second leaving arc.  Output degrees stay <= 2.
     """
     edge_list = _check_cubic(vertex_count, edges)
     arcs = _orient_no_sink_source(vertex_count, edge_list)
-    indeg = [0] * vertex_count
-    outdeg = [0] * vertex_count
-    out_of: list[list[int]] = [[] for _ in range(vertex_count)]
-    for e, (t, h) in enumerate(arcs):
-        outdeg[t] += 1
-        indeg[h] += 1
-        out_of[t].append(e)
+    oriented = Digraph._of(vertex_count, tuple(arcs))
     fresh = vertex_count
     extra: list[tuple[int, int]] = []
-    for v in range(vertex_count):
-        if (indeg[v], outdeg[v]) == (2, 1):
+    for v, degrees in enumerate(zip(oriented.profile.indegree,
+                                    oriented.profile.outdegree)):
+        if degrees == (2, 1):
             continue
-        # v plays the gadget vertex holding a_in and b_out; t_v takes
-        # over c_out, y_v feeds t_v.
-        t_v, y_v = fresh, fresh + 1
+        at = {1: v, 2: fresh, 3: fresh + 1}
         fresh += 2
-        second = out_of[v][1]
-        arcs[second] = (t_v, arcs[second][1])
-        extra.extend(((v, t_v), (t_v, v), (y_v, t_v)))
+        second = oriented.out_arcs[v][1]
+        arcs[second] = (at[_GADGET_ARCS[_GADGET_C][0]], arcs[second][1])
+        extra.extend((at[t], at[h]) for t, h in _GADGET_ARCS
+                     if t in at and h in at)
     result = Digraph(fresh, tuple(arcs) + tuple(extra))
     profile = degree_profile(result)
     if profile.max_indegree > 2 or profile.max_outdegree > 2:

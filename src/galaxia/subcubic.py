@@ -854,8 +854,10 @@ def _colour_core(core: Digraph, ids: Sequence[int],
         engine_arcs.append((t, detached.get(a, h)))
         engine_ids.append(a)
 
+    # core arcs, some with a fresh head: nothing to check again
     try:
-        engine = _extension_engine(Digraph(fresh, tuple(engine_arcs)), lists)
+        engine = _extension_engine(Digraph._of(fresh, tuple(engine_arcs)),
+                                   lists)
     except PreconditionViolatedError as exc:
         raise InternalDefectError(
             f"engine rejected a pipeline instance: {exc}") from exc

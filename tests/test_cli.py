@@ -94,7 +94,7 @@ def test_generate_triangle_labels_encode_copies(tmp_path):
       "--seed", "7"],
      "6b3d2a7f0b52c751add89afebf49edf74b51f7c0f8c8699fbc370e6b1bee8e8c"),
     (["reduce", "--named", "petersen"],
-     "f4d571aee17147622765055fefa6a114fa2269173bafb5eb711c4c97518d0c8c"),
+     "204465864009debeda9d59f77b264169e26201e54e23aaaef270721b9285782d"),
 ], ids=["random", "subcubic", "oriented-subcubic", "reduce-petersen"])
 def test_labelling_a_checked_digraph_checks_no_arc_again(tmp_path, monkeypatch,
                                                           argv, digest):
@@ -689,6 +689,23 @@ def test_reduce_input_reads_arcs_as_edges(tmp_path, capsys):
     # the same reduction; only the source named in the comment differs
     assert (from_file.read_text().split("\n", 1)[1]
             == named.read_text().split("\n", 1)[1])
+
+
+def test_reduce_check_obeys_the_arc_limit_alone(tmp_path, capsys):
+    # the 22-vertex Moebius ladder is past the edge-colouring search's
+    # default vertex limit, but its 66-arc reduction is within the arc
+    # limit given, and that limit alone decides
+    edges = [(i, (i + 1) % 22) for i in range(22)]
+    edges += [(i, (i + 11) % 22) for i in range(11)]
+    source = tmp_path / "ladder.dsa"
+    write_instance(source, LabelledDigraph(
+        22, 1, tuple((t, h, 1) for t, h in edges)))
+    assert main(["reduce", "--input", str(source), "--check",
+                 "--arc-limit", "66"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "3-edge-colourable=True dst=3")
+    assert main(["reduce", "--input", str(source), "--check"]) == 2
+    assert capsys.readouterr().err == "error: 66 arcs exceed the limit 40\n"
 
 
 def test_reduce_unknown_name_exits_2(capsys):

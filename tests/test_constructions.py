@@ -1,4 +1,6 @@
 """Instance generators: extremal digraphs, the hardness reduction, random families."""
+import random
+import time
 import tracemalloc
 
 import pytest
@@ -26,6 +28,20 @@ from galaxia import (
     random_subcubic,
     triangle_multidigraph,
 )
+from galaxia.constructions import _orient_no_sink_source
+
+
+def random_cubic(n, seed):
+    """Edges of a seeded random cubic graph on n vertices: three shuffled
+    stubs per vertex paired in consecutive twos, redrawn until simple."""
+    rng = random.Random(seed)
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = list(zip(stubs[0::2], stubs[1::2]))
+        if (all(u != v for u, v in edges)
+                and len({frozenset(e) for e in edges}) == len(edges)):
+            return edges
 
 
 def test_gnmk_sizes_base():
@@ -121,6 +137,54 @@ def test_reduction_petersen_needs_four():
     assert edge_colouring_3regular(n, edges) is None
     d = np_reduction(n, edges)
     assert exact_dst(d)[0] == 4
+
+
+def test_reduction_gadgets_are_the_certified_gadget():
+    # every pair of new vertices (t, y) with the (1,2)-vertex v they
+    # hang on is gadget vertices 2, 3 and 1, and the six arcs at v, t
+    # and y are exactly the certified gadget's arcs under that map
+    gadget = np_gadget().digraph
+    for name, (n, edges) in CUBIC_GRAPHS.items():
+        d = np_reduction(n, edges)
+        tails = lambda v: [d.arcs[a][0] for a in d.in_arcs[v]]
+        heads = lambda v: [d.arcs[a][1] for a in d.out_arcs[v]]
+        assert d.vertex_count == 2 * n, name
+        for t in range(n, d.vertex_count, 2):
+            y = t + 1
+            assert (tails(y), heads(y)) == ([], [t]), name
+            (v,) = set(tails(t)) - {y}
+            (c,) = set(heads(t)) - {v}
+            (u,) = set(tails(v)) - {t}
+            (b,) = set(heads(v)) - {t}
+            at = (u, v, t, y, b, c)
+            assert len(set(at)) == 6 and v < n, name
+            mine = {d.arcs[a] for w in (v, t, y)
+                    for a in d.in_arcs[w] + d.out_arcs[w]}
+            assert mine == {(at[p], at[q]) for p, q in gadget.arcs}, name
+
+
+@pytest.mark.parametrize("n, edges", [
+    *CUBIC_GRAPHS.values(),
+    *((n, random_cubic(n, seed)) for seed, n in enumerate((8, 30, 100, 400))),
+    (5, [(i, (i + 1) % 5) for i in range(5)]),
+    (5, [(a, b) for a in (0, 1) for b in (2, 3, 4)]),
+], ids=[*CUBIC_GRAPHS, "cubic-8", "cubic-30", "cubic-100", "cubic-400",
+        "c5", "k23"])
+def test_orientation_has_no_source_or_sink(n, edges):
+    arcs = _orient_no_sink_source(n, edges)
+    assert [set(arc) for arc in arcs] == [set(edge) for edge in edges]
+    tails = {t for t, _ in arcs}
+    heads = {h for _, h in arcs}
+    assert tails == heads == set(range(n))
+
+
+def test_reduction_is_linear_time():
+    # the local search this orientation replaced took about 19 s here
+    edges = random_cubic(20_000, 1)
+    start = time.perf_counter()
+    d = np_reduction(20_000, edges)
+    assert time.perf_counter() - start < 5.0
+    assert (d.vertex_count, d.arc_count) == (40_000, 60_000)
 
 
 def test_reduction_rejects_non_cubic():

@@ -303,13 +303,6 @@ def test_exact_lambda_runs_out_of_colours(monkeypatch):
 
 
 @case
-def test_reduction_orientation_stalls(monkeypatch, tmp_path):
-    monkeypatch.setattr(constructions, "_bfs_to", lambda *args, **kwargs: None)
-    with raises_defect("orientation local search stalled"):
-        np_reduction(*CUBIC_GRAPHS["k4"])
-
-
-@case
 def test_reduction_output_degree_three(monkeypatch, tmp_path):
     # K4 with vertex 0 a source of outdegree three
     monkeypatch.setattr(constructions, "_orient_no_sink_source", lambda n, edges: [
@@ -352,7 +345,8 @@ def test_cli_expansion_rejects_overload(monkeypatch):
 def test_cli_reduce_check_equivalence_fails(monkeypatch, tmp_path):
     # K4 is 3-edge-colourable and its reduction has dst 3; a colouring
     # search that finds nothing must stop the run before -o is written
-    monkeypatch.setattr(cli, "edge_colouring_3regular", lambda n, edges: None)
+    monkeypatch.setattr(cli, "edge_colouring_3regular",
+                        lambda n, edges, vertex_limit: None)
     out = tmp_path / "k4-reduced.dsa"
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
