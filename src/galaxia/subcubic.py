@@ -8,7 +8,6 @@ that eats terminal strong components one at a time.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
 from itertools import product
 from typing import Container, Iterable, Mapping, Sequence
 
@@ -52,7 +51,7 @@ def _greedy_fill(adj: list[set[int]], order: Iterable[int],
                 f"vertex {v} saw all three colours during greedy fill")
 
 
-def _bfs(adj: Sequence[set[int]] | Mapping[int, set[int]], root: int,
+def _bfs(adj: Sequence[set[int]], root: int,
          allowed: Container[int]) -> list[int]:
     """Vertices of `allowed` reachable from root inside it, in
     breadth-first order from root, neighbours taken ascending."""
@@ -482,13 +481,12 @@ def _functional_cycles(step: dict[int, tuple[int, int]],
                        ) -> list[tuple[list[int], list[int]]]:
     """Cycles of a map vertex -> (arc key, next vertex).
 
-    Returns (vertex order, arc keys) pairs, each cycle reported once
-    and opened at its smallest vertex, in the order that walks from the
-    vertices in ascending order first reach them.
+    Returns (vertex order, arc keys) pairs, each cycle reported once;
+    keys[i] leaves vertex i of its cycle.
     """
     state: dict[int, int] = {}
     cycles = []
-    for v0 in sorted(step):
+    for v0 in step:
         if state.get(v0):
             continue
         path: list[int] = []
@@ -497,11 +495,7 @@ def _functional_cycles(step: dict[int, tuple[int, int]],
         while True:
             if cur in pos:
                 cyc = path[pos[cur]:]
-                keys = [step[x][0] for x in cyc]
-                # keys[i] leaves cyc[i]; rotate so the smallest
-                # vertex opens the cycle
-                j = cyc.index(min(cyc))
-                cycles.append((cyc[j:] + cyc[:j], keys[j:] + keys[:j]))
+                cycles.append((cyc, [step[x][0] for x in cyc]))
                 break
             if state.get(cur) == 2 or cur not in step:
                 break
@@ -587,20 +581,16 @@ def _peel(g: Digraph) -> tuple[list[int], list[tuple[str, list[int]]]]:
 
     # Once no sources are left, a live vertex is low when one live arc
     # enters it.  step[h] = (arc, tail) for each low h whose tail is low
-    # too; the circuits of this map are the candidates, and the one
-    # taken is the even circuit whose basin (the step vertices whose
-    # walk along step reaches it) has the least vertex.  Peeling it with
-    # its sources removes its whole basin and leaves every other basin
-    # and circuit alive, so the map is kept as it grows: a union-find
-    # over low vertices with the least step vertex of each component,
-    # and a heap of the even circuits keyed by it.  A new step arc from
-    # h hangs h's tree below the root of the other end's component, so
-    # the root of a component with a circuit never changes.
+    # too, kept as it grows in a union-find over the low vertices; a new
+    # step arc from h hangs h's tree below the root of the other end's
+    # component, and closes a circuit of the map when both ends share a
+    # root.  Even circuits are peeled in the order they close.  Any order
+    # leaves the same core: a circuit keeps its one live entering arc at
+    # each of its vertices until it is peeled, and peeling it with its
+    # sources removes its own basin (the step vertices whose walk along
+    # step reaches it) and leaves every other basin and circuit alive.
     low: dict[int, int] = {}  # union-find parent
-    least: dict[int, int] = {}  # root -> least step vertex in the component
-    circuits: dict[int, list[int]] = {}  # root -> entering arcs, even only
-    circuit_key: dict[int, int] = {}  # root -> basin key, until peeled
-    heap: list[tuple[int, int]] = []
+    circuits: list[list[int]] = []  # entering arcs, even only
     step: dict[int, tuple[int, int]] = {}
 
     def find(v: int) -> int:
@@ -613,19 +603,14 @@ def _peel(g: Digraph) -> tuple[list[int], list[tuple[str, list[int]]]]:
         step[h] = (a, t)
         rh, rt = find(h), find(t)
         low[rh] = rt
-        key = least[rt] = min(least.pop(rh, h), h, least.get(rt, h))
         if rh == rt:
             cyc = [h]
             while step[cyc[-1]][1] != h:
                 cyc.append(step[cyc[-1]][1])
             if len(cyc) % 2 == 0:
+                # opened at its least vertex, whichever arc closed it
                 j = cyc.index(min(cyc))
-                circuits[rt] = [step[x][0] for x in cyc[j:] + cyc[:j]]
-                circuit_key[rt] = key
-                heappush(heap, (key, rt))
-        elif key < circuit_key.get(rt, key):
-            circuit_key[rt] = key
-            heappush(heap, (key, rt))
+                circuits.append([step[x][0] for x in cyc[j:] + cyc[:j]])
 
     def make_low(w: int) -> None:
         low[w] = w
@@ -641,12 +626,7 @@ def _peel(g: Digraph) -> tuple[list[int], list[tuple[str, list[int]]]]:
     for v in range(g.vertex_count):
         if indeg[v] == 1:
             make_low(v)
-    while heap:
-        key, root = heappop(heap)
-        if circuit_key.get(root) != key:
-            continue
-        del circuit_key[root]
-        circ = circuits.pop(root)
+    for circ in circuits:
         # the circuit follows entering arcs, so flip to arc order
         deferred.append(("circuit", circ[::-1]))
         for a in circ:
@@ -661,12 +641,13 @@ def _peel(g: Digraph) -> tuple[list[int], list[tuple[str, list[int]]]]:
 def _colour_subcubic(d: Digraph) -> list[int]:
     """Star-colour a subcubic digraph with colours 1..3, listed by arc.
 
-    Each level peels its digraph and colours the core left.  A complete
-    component of the core's conflict graph instead cuts the arcs at its
-    four vertices out of the core, and the next level runs on the rest.
-    Peeled and cut arcs keep a free colour whenever they are put back,
-    so they are completed in reverse order, in d: every arc outside the
-    level that peeled or cut an arc is still uncoloured then.
+    Each level peels its digraph and colours the core left, unless the
+    core's conflict graph has complete components: then the level cuts
+    the arcs at the four vertices of each out of the core, one batch per
+    component, and the next level runs on the rest.  Peeled and cut arcs
+    keep a free colour whenever they are put back, so they are completed
+    in reverse order, in d: every arc outside the level that peeled or
+    cut an arc, or in an earlier cut batch of it, is still uncoloured then.
     """
     colour = [0] * d.arc_count
     batches = []  # peeled and cut arcs in order, by input index
@@ -675,11 +656,11 @@ def _colour_subcubic(d: Digraph) -> list[int]:
         live, peeled = _peel(g)
         batches += [(kind, [ids[a] for a in batch]) for kind, batch in peeled]
         g, ids = _sub(g, ids, live)
-        removed = _colour_core(g, ids, colour) if live else None
-        if removed is None:
+        cuts = _colour_core(g, ids, colour) if live else []
+        if not cuts:
             break
-        batches.append(("cut", [ids[a] for a in removed]))
-        cut = set(removed)
+        batches += [("cut", [ids[a] for a in batch]) for batch in cuts]
+        cut = {a for batch in cuts for a in batch}
         g, ids = _sub(g, ids, [a for a in range(g.arc_count) if a not in cut])
 
     # Bit c of into[v] (outof[v]) is set when an arc of colour c enters
@@ -728,12 +709,13 @@ def _colour_subcubic(d: Digraph) -> list[int]:
 
 
 def _colour_core(core: Digraph, ids: Sequence[int],
-                 colour: list[int]) -> list[int] | None:
+                 colour: list[int]) -> list[list[int]]:
     """Core step: no sources, no even circuit in the low part.
 
-    Colours every arc of the core and returns None, or, when the
-    conflict graph has a complete component on four arcs, colours
-    nothing and returns the core's arcs at its four vertices.
+    Colours every arc of the core and returns [], or, when the conflict
+    graph has complete components on four arcs, colours nothing and
+    returns a batch for each, by least arc: the arcs at its four
+    vertices that no earlier batch holds, ascending.
     """
     arcs, in_arcs, out_arcs = core.arcs, core.in_arcs, core.out_arcs
     low = [i <= 1 for i in core.profile.indegree]
@@ -800,23 +782,24 @@ def _colour_core(core: Digraph, ids: Sequence[int],
             raise InternalDefectError(
                 f"conflict graph degree {len(nb)} at arc {ids[a]}")
 
-    # A complete component on four arcs cannot be Brooks-coloured.  Its
-    # four incident vertices are cut out, the rest is coloured on the
-    # next level, and the handful of removed arcs is completed after it.
-    comp_seen: set[int] = set()
+    # A complete component on four arcs cannot be Brooks-coloured.  Each
+    # one, met at its least arc, has its four incident vertices cut out;
+    # the rest is coloured on the next level, the cut arcs after it.
+    cuts: list[list[int]] = []
+    taken: set[int] = set()
     for a0 in aprime:
-        if a0 in comp_seen:
-            continue
-        comp = _bfs(conflict, a0, conflict)
-        comp_seen.update(comp)
-        if len(comp) == 4 and all(len(conflict[a]) == 3 for a in comp):
-            bad_verts = {v for a in comp for v in arcs[a]}
-            removed = sorted({a for v in bad_verts
-                              for a in in_arcs[v] + out_arcs[v]})
+        comp = conflict[a0] | {a0}
+        if (len(comp) == 4 and a0 == min(comp)
+                and all(conflict[a] | {a} == comp for a in conflict[a0])):
+            removed = {a for v in {v for a in comp for v in arcs[a]}
+                       for a in in_arcs[v] + out_arcs[v]}
             if len(removed) > 10:
                 raise InternalDefectError(
                     "oversized neighbourhood around a complete component")
-            return removed
+            cuts.append(sorted(removed - taken))
+            taken |= removed
+    if cuts:
+        return cuts
 
     index = {a: i for i, a in enumerate(aprime)}
     node_colours = _brooks([{index[j] for j in conflict[a]} for a in aprime])
@@ -865,7 +848,7 @@ def _colour_core(core: Digraph, ids: Sequence[int],
         colour[ids[a]] = c
     for j, c in engine.items():
         colour[ids[engine_ids[j]]] = c
-    return None
+    return []
 
 
 def star_colouring_subcubic(d: Digraph) -> ArcColouring:

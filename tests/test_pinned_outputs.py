@@ -77,7 +77,7 @@ def test_dst4_colouring_pinned():
     rng = random.Random(2102)
     cols = [dst4_colouring(capped(rng, rng.randint(2, 40), 2, 2))
             for _ in range(INSTANCES)]
-    assert digest(cols) == "235e3c2b70d2a673bf8cdb9a95a81ef34d4f2e5cb6909e0fdb26d5f89fec498f"
+    assert digest(cols) == "aa1f5f86e1b8d8e4733e4f85a243fe0e093dcf02348939d0f3fabd3bc79ffc16"
 
 
 def test_acircuitic_colouring_pinned():

@@ -1,5 +1,6 @@
 """Subcubic 3-colouring and its two lemma engines."""
 import itertools
+import random
 import time
 
 import pytest
@@ -18,8 +19,10 @@ from galaxia import (
     exact_dst,
     lemma_cycle_colouring,
     lemma_extension_colouring,
+    random_oriented_subcubic,
     random_subcubic,
     star_colouring_subcubic,
+    subcubic,
     verify_star_colouring,
 )
 from conftest import circuit
@@ -299,11 +302,82 @@ def test_extension_odd_circuit_uniform_entering_lists():
 
 
 def test_subcubic_many_k4_components():
-    # every K4 conflict component re-runs the pipeline on the rest; a
-    # level per component once overflowed Python's recursion limit
-    d = gadget_copies(500)
+    # one level cuts every K4 conflict component; a level per component
+    # re-ran the pipeline on the rest, about 10 s for 1,000 copies, and
+    # once overflowed Python's recursion limit
+    d = gadget_copies(4000)
     start = time.perf_counter()
     col = check_subcubic(d)
-    assert time.perf_counter() - start < 30.0
+    assert time.perf_counter() - start < 5.0
     assert (tuple(col.colour[i] for i in range(d.arc_count))
-            == K4_GADGET_COLOURS * 500)
+            == K4_GADGET_COLOURS * 4000)
+
+
+def test_one_level_cuts_every_complete_component(monkeypatch):
+    calls = []
+    core = subcubic._colour_core
+
+    def counted(*args):
+        calls.append(1)
+        return core(*args)
+
+    monkeypatch.setattr(subcubic, "_colour_core", counted)
+    d = gadget_copies(50)
+    col = check_subcubic(d)
+    assert len(calls) == 1
+    assert (tuple(col.colour[i] for i in range(d.arc_count))
+            == K4_GADGET_COLOURS * 50)
+
+
+def digons_with_pendant_arcs(n, seed):
+    """Digons on 0,1 / 2,3 / ..., each vertex with one spare stub, and n
+    more vertices with three stubs each, all stubs paired at random."""
+    rng = random.Random(seed)
+    arcs = {arc for u in range(0, 2 * n, 2)
+            for arc in ((u, u + 1), (u + 1, u))}
+    stubs = list(range(2 * n)) + [v for v in range(2 * n, 3 * n)
+                                  for _ in range(3)]
+    rng.shuffle(stubs)
+    for u, v in zip(stubs[0::2], stubs[1::2]):
+        if rng.random() < 0.5:
+            u, v = v, u
+        if u != v and (u, v) not in arcs:
+            arcs.add((u, v))
+    return Digraph(3 * n, tuple(sorted(arcs)))
+
+
+@pytest.mark.parametrize("make", [random_subcubic, random_oriented_subcubic,
+                                  digons_with_pendant_arcs],
+                         ids=["subcubic", "oriented", "digons"])
+@pytest.mark.parametrize("seed", range(20))
+def test_peel_leaves_a_core(make, seed):
+    # what any peel order must leave: no sources among the live arcs and
+    # no even circuit among the low vertices that step back to low tails
+    d = make(random.Random(seed).randint(2, 150), seed)
+    arcs = d.arcs
+    live, deferred = subcubic._peel(d)
+    assert (sorted(live + [a for _, batch in deferred for a in batch])
+            == list(range(d.arc_count)))
+
+    entering: dict[int, list[int]] = {}
+    for a in live:
+        entering.setdefault(arcs[a][1], []).append(a)
+    assert {v for a in live for v in arcs[a]} <= entering.keys()
+    step = {h: arcs[ins[0]][0] for h, ins in entering.items()
+            if len(ins) == 1 and len(entering[arcs[ins[0]][0]]) == 1}
+    done: set[int] = set()
+    for v in step:
+        path = []
+        while v in step and v not in done:
+            done.add(v)
+            path.append(v)
+            v = step[v]
+        if v in path:
+            assert (len(path) - path.index(v)) % 2 == 1
+
+    for kind, batch in deferred:
+        if kind == "circuit":
+            assert len(batch) % 2 == 0
+            tails = [arcs[a][0] for a in batch]
+            assert len(set(tails)) == len(batch)
+            assert [arcs[a][1] for a in batch] == tails[1:] + tails[:1]
