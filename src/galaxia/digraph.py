@@ -100,6 +100,26 @@ class Digraph:
         return any((h, t) in pairs for t, h in self.arcs)
 
 
+def _kahn_leftover(arcs, keep) -> list[int]:
+    """The vertices Kahn's sort of the arcs numbered in `keep` leaves
+    (Digraph._sort does the same over all arcs, in order).  It is empty
+    exactly when those arcs hold no circuit, and each vertex it holds is
+    entered by a kept arc from another vertex it holds."""
+    heads: dict[int, list[int]] = {}
+    indegree: dict[int, int] = {}
+    for i in keep:
+        tail, head = arcs[i]
+        heads.setdefault(tail, []).append(head)
+        indegree[head] = indegree.get(head, 0) + 1
+    ready = [v for v in heads if v not in indegree]
+    while ready:
+        for w in heads.get(ready.pop(), ()):
+            indegree[w] -= 1
+            if not indegree[w]:
+                ready.append(w)
+    return [v for v, k in indegree.items() if k]
+
+
 @dataclass(frozen=True)
 class LabelledDigraph:
     """Digraph whose arcs carry a label in 1..label_count.
@@ -273,41 +293,19 @@ def strong_components(d: Digraph) -> tuple[tuple[int, ...], ...]:
     return tuple(components)
 
 
-def _witness_circuit(d: Digraph, alive: set[int]) -> tuple[int, ...]:
-    """A circuit inside `alive`, every member of which has an entering
-    arc from within `alive`.  Walk backwards along the least such
-    in-neighbour until a vertex repeats."""
-    in_arcs = d.in_arcs
-    arcs = d.arcs
-    start = min(alive)
-    seen_at: dict[int, int] = {}
-    path = [start]
-    seen_at[start] = 0
-    while True:
-        v = path[-1]
-        prev = min(arcs[i][0] for i in in_arcs[v] if arcs[i][0] in alive)
-        if prev in seen_at:
-            cycle = path[seen_at[prev]:]
-            cycle.reverse()  # walked tail-wards, report in arc direction
-            k = cycle.index(min(cycle))
-            return tuple(cycle[k:] + cycle[:k])
-        seen_at[prev] = len(path)
-        path.append(prev)
-
-
 def topological_order(d: Digraph) -> tuple[int, ...]:
     """Kahn's first-in first-out order: the sources ascending, then every
     other vertex as soon as its last entering arc is removed.  It is one
     valid order, not the lowest-id one, and callers must not rely on
     which valid order it is.
 
-    Raises CyclicError with a witness circuit when no order exists.  The
-    sort runs once per digraph; is_acyclic reads the same result.
+    Raises CyclicError when no order exists, with the tails of
+    find_circuit_arcs(d) as its circuit.  The sort runs once per digraph;
+    is_acyclic reads the same result.
     """
     order = d._sort
     if len(order) < d.vertex_count:
-        alive = set(range(d.vertex_count)).difference(order)
-        raise CyclicError(_witness_circuit(d, alive))
+        raise CyclicError(tuple(d.arcs[i][0] for i in find_circuit_arcs(d)))
     return order
 
 
@@ -316,46 +314,28 @@ def is_acyclic(d: Digraph) -> bool:
 
 
 def find_circuit_arcs(d: Digraph, removed: set[int] | None = None) -> tuple[int, ...] | None:
-    """Arc indices of some circuit in d minus `removed` arcs, or None.
+    """Arc indices of a circuit in d minus the `removed` arcs, or None.
 
-    DFS from the lowest vertex, exploring lowest arc index first; the
-    first back-arc found closes the reported circuit.  Deterministic.
+    The circuit is found among the vertices Kahn's sort of the other arcs
+    leaves: from the least of them, walk back along the entering arc with
+    the least tail (then the least index) until a vertex repeats.  It is
+    returned in arc direction, starting with the arc that leaves its
+    least vertex.  Deterministic.
     """
     removed = removed or set()
     arcs = d.arcs
-    out_arcs = d.out_arcs
-    colour = [0] * d.vertex_count  # 0 white, 1 on current path, 2 done
-    for root in range(d.vertex_count):
-        if colour[root] != 0:
-            continue
-        path_arcs: list[int] = []
-        depth = {root: 0}  # number of path arcs from root to the vertex
-        work: list[tuple[int, int]] = [(root, 0)]
-        colour[root] = 1
-        while work:
-            v, ptr = work.pop()
-            descended = False
-            while ptr < len(out_arcs[v]):
-                i = out_arcs[v][ptr]
-                ptr += 1
-                if i in removed:
-                    continue
-                w = arcs[i][1]
-                if colour[w] == 1:
-                    # path_arcs[depth[w]:] runs w -> ... -> v, arc i closes it
-                    return tuple(path_arcs[depth[w]:]) + (i,)
-                if colour[w] == 0:
-                    work.append((v, ptr))
-                    colour[w] = 1
-                    path_arcs.append(i)
-                    depth[w] = len(path_arcs)
-                    work.append((w, 0))
-                    descended = True
-                    break
-            if not descended:
-                colour[v] = 2
-                if path_arcs:
-                    path_arcs.pop()
-                del depth[v]
-    return None
-
+    left = set(_kahn_leftover(arcs, [i for i in range(len(arcs)) if i not in removed]))
+    if not left:
+        return None
+    v = min(left)
+    walked: dict[int, int] = {}  # vertex -> position of its entering arc
+    back: list[int] = []  # the entering arcs walked, tail-wards
+    while v not in walked:
+        walked[v] = len(back)
+        back.append(min((arcs[i][0], i) for i in d.in_arcs[v]
+                        if i not in removed and arcs[i][0] in left)[1])
+        v = arcs[back[-1]][0]
+    circuit = back[walked[v]:][::-1]
+    tails = [arcs[i][0] for i in circuit]
+    k = tails.index(min(tails))
+    return tuple(circuit[k:] + circuit[:k])

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 from typing import Collection
 
 from .colouring import ArcColouring, from_class_list
-from .digraph import Digraph, degree_profile, strong_components
+from .digraph import (Digraph, _kahn_leftover, degree_profile,
+                      strong_components)
 from .errors import (BadParamsError, NotForestError, NotNiceError,
                      NotSimpleError, ValidateError)
 
@@ -53,23 +54,7 @@ def is_galaxy_arcs(d: Digraph, arc_set: frozenset[int] | set[int]) -> bool:
 def is_forest_arcs(d: Digraph, arc_set: frozenset[int] | set[int]) -> bool:
     """Union of arborescences: every head occurs once and no circuit."""
     heads = [d.arcs[i][1] for i in arc_set]
-    if len(heads) != len(set(heads)):
-        return False
-    parent = {d.arcs[i][1]: d.arcs[i][0] for i in arc_set}
-    # with indegree <= 1 a circuit is a parent-walk returning to its start
-    state: dict[int, int] = {}  # 1 walking, 2 safe
-    for start in parent:
-        v = start
-        trail = []
-        while v in parent and state.get(v) != 2:
-            if state.get(v) == 1:
-                return False
-            state[v] = 1
-            trail.append(v)
-            v = parent[v]
-        for w in trail:
-            state[w] = 2
-    return True
+    return len(heads) == len(set(heads)) and not _kahn_leftover(d.arcs, arc_set)
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,13 @@ colour is at most one above the highest placed so far.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from itertools import combinations
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .colouring import ArcColouring, arc_values
-from .digraph import Digraph, LabelledDigraph, find_circuit_arcs
+from .digraph import (Digraph, LabelledDigraph, _kahn_leftover,
+                      find_circuit_arcs)
 from .errors import (AboveCapError, InternalDefectError, NotCubicError,
                      TooLargeError, ValidateError)
 
@@ -285,9 +287,10 @@ def find_bicoloured_circuit(d: Digraph, colouring: ArcColouring,
     """A circuit using at most two colours, as a vertex tuple, or None.
 
     Colour pairs are scanned in ascending lexicographic order, (α, α)
-    before (α, β); the witness is the first circuit of the first cyclic
-    pair subdigraph.  Each pair of distinct colours is tested by a sort
-    of its own arcs.  A single colour class lies inside every pair that
+    before (α, β); the witness is the circuit find_circuit_arcs finds in
+    the first cyclic pair subdigraph, as its tails, starting at its least
+    vertex.  Each pair of distinct colours is tested by Kahn's sort of
+    its own arcs.  A single colour class lies inside every pair that
     holds it, so it is tested only when (α, β) is the first cyclic pair,
     for (α, α), or when one colour is used; only the pair that gives the
     witness is searched for its circuit.
@@ -297,46 +300,17 @@ def find_bicoloured_circuit(d: Digraph, colouring: ArcColouring,
     for arc, c in enumerate(colours):
         classes.setdefault(c, []).append(arc)
     palette = sorted(classes)
-    for a_pos, alpha in enumerate(palette):
-        for beta in palette[a_pos + 1:]:
-            keep = classes[alpha] + classes[beta]
-            if _acyclic_arcs(d.arcs, keep):
-                continue
-            # every class below α lies inside an acyclic pair by now
-            if not _acyclic_arcs(d.arcs, classes[alpha]):
-                keep = classes[alpha]
-            return _circuit_through(d, keep)
-    if len(palette) == 1 and not _acyclic_arcs(d.arcs, classes[palette[0]]):
-        return _circuit_through(d, classes[palette[0]])
+    # with one colour, its class is the one pair there is
+    for alpha, beta in combinations(palette, 2) if palette[1:] else zip(palette, palette):
+        keep = classes[alpha] + classes[beta]
+        if not _kahn_leftover(d.arcs, keep):
+            continue
+        # every class below α lies inside an acyclic pair by now
+        if _kahn_leftover(d.arcs, classes[alpha]):
+            keep = classes[alpha]
+        circuit = find_circuit_arcs(d, set(range(d.arc_count)).difference(keep))
+        return tuple(d.arcs[i][0] for i in circuit)
     return None
-
-
-def _circuit_through(d: Digraph, keep: list[int]) -> tuple[int, ...]:
-    """The vertices of the first circuit of the cyclic subdigraph of the
-    arcs in `keep`, starting at its least vertex."""
-    circ = find_circuit_arcs(d, set(range(d.arc_count)).difference(keep))
-    vertices = tuple(d.arcs[i][0] for i in circ)
-    k = vertices.index(min(vertices))
-    return vertices[k:] + vertices[:k]
-
-
-def _acyclic_arcs(arcs, keep: list[int]) -> bool:
-    """Whether the arcs numbered in `keep` form no circuit (Kahn)."""
-    heads: dict[int, list[int]] = {}
-    indegree: dict[int, int] = {}
-    for i in keep:
-        tail, head = arcs[i]
-        heads.setdefault(tail, []).append(head)
-        indegree[head] = indegree.get(head, 0) + 1
-    ready = [v for v in heads if v not in indegree]
-    removed = 0
-    while ready:
-        for w in heads.get(ready.pop(), ()):
-            removed += 1
-            indegree[w] -= 1
-            if not indegree[w]:
-                ready.append(w)
-    return removed == len(keep)
 
 
 def _check_cubic(vertex_count: int, edges: Iterable[tuple[int, int]],

@@ -8,7 +8,7 @@ that eats terminal strong components one at a time.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 from typing import Container, Iterable, Mapping, Sequence
 
 from .colouring import ArcColouring
@@ -65,12 +65,6 @@ def _bfs(adj: Sequence[set[int]], root: int,
     return queue
 
 
-def _component_connected_without(adj: list[set[int]], comp: list[int],
-                                 banned: set[int]) -> bool:
-    rest = [v for v in comp if v not in banned]
-    return not rest or len(_bfs(adj, rest[0], set(rest))) == len(rest)
-
-
 def _brooks_component(adj: list[set[int]], comp: list[int],
                       colours: list[int]) -> None:
     compset = set(comp)
@@ -84,28 +78,55 @@ def _brooks_component(adj: list[set[int]], comp: list[int],
 
     # Cubic component.  A cut vertex lets us colour the pieces
     # separately and align them on the shared vertex afterwards.
-    for c in comp:
-        if not _component_connected_without(adj, comp, {c}):
-            _split_on_cut_vertex(adj, comp, c, colours)
-            return
+    cut = _least_cut_vertex(adj, comp)
+    if cut is not None:
+        _split_on_cut_vertex(adj, comp, cut, colours)
+        return
 
     # Two-connected cubic, not complete: some vertex has two
     # non-adjacent neighbours whose removal keeps the rest connected.
     # Colour those two alike so the final vertex sees two colours only.
     for v in comp:
-        nbrs = sorted(adj[v])
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                u, w = nbrs[i], nbrs[j]
-                if u in adj[w]:
-                    continue
-                if not _component_connected_without(adj, comp, {u, w}):
-                    continue
-                colours[u] = colours[w] = 1
-                _greedy_fill(adj, _bfs(adj, v, compset - {u, w})[::-1],
-                             colours)
-                return
+        for u, w in combinations(sorted(adj[v]), 2):
+            if u in adj[w]:
+                continue
+            order = _bfs(adj, v, compset - {u, w})
+            if len(order) < len(comp) - 2:
+                continue
+            colours[u] = colours[w] = 1
+            _greedy_fill(adj, order[::-1], colours)
+            return
     raise InternalDefectError("no admissible pair in a cubic component")
+
+
+def _least_cut_vertex(adj: list[set[int]], comp: list[int]) -> int | None:
+    """The least cut vertex of a connected cubic component, or None.
+
+    A cubic graph's cut vertices are exactly the ends of its bridges.
+    Orient each edge the way a depth-first search first walks it, tree
+    edges down and the others up: the bridges are then exactly the arcs
+    between strong components (Robbins, 1939)."""
+    local = {v: k for k, v in enumerate(comp)}
+    depth = [-1] * len(comp)  # in the search tree, -1 while unseen
+    depth[0] = 0
+    arcs: list[tuple[int, int]] = []
+    work = [(0, iter(adj[comp[0]]))]
+    while work:
+        v, rest = work[-1]
+        for u in map(local.__getitem__, rest):
+            if depth[u] < 0:
+                depth[u] = depth[v] + 1
+                arcs.append((v, u))
+                work.append((u, iter(adj[comp[u]])))
+                break
+            if depth[u] < depth[v] - 1:  # an ancestor, not the parent
+                arcs.append((v, u))
+        else:
+            work.pop()
+    strong = {v: c for c, members in enumerate(strong_components(
+        Digraph._of(len(comp), tuple(arcs)))) for v in members}
+    return min((comp[v] for a in arcs if strong[a[0]] != strong[a[1]] for v in a),
+               default=None)
 
 
 def _split_on_cut_vertex(adj: list[set[int]], comp: list[int], cut: int,

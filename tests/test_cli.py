@@ -23,7 +23,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from galaxia import (CUBIC_GRAPHS, ArcColouring, CyclicInterval, FibreColouring,
                      LabelledDigraph, WavelengthAssignment, digraph, fibre,
-                     read_colouring, read_digraph, read_wavelengths,
+                     oracle, read_colouring, read_digraph, read_wavelengths,
                      write_digraph)
 from galaxia import cli
 from galaxia.cli import main
@@ -216,15 +216,16 @@ def test_auto_solve_sorts_acyclic_instance_once(tmp_path, capsys, monkeypatch,
 def test_auto_solve_of_cyclic_instance_builds_no_witness(tmp_path, capsys,
                                                          monkeypatch):
     # is_acyclic only asks whether the sort covers every vertex; the
-    # witness circuit is for topological_order's CyclicError alone
+    # circuit search is for topological_order's CyclicError alone
     witnesses = []
-    real = digraph._witness_circuit
+    real = digraph.find_circuit_arcs
 
-    def counting(d, alive):
+    def counting(d, removed=None):
         witnesses.append(d.vertex_count)
-        return real(d, alive)
+        return real(d, removed)
 
-    monkeypatch.setattr(digraph, "_witness_circuit", counting)
+    monkeypatch.setattr(digraph, "find_circuit_arcs", counting)
+    monkeypatch.setattr(oracle, "find_circuit_arcs", counting)
     assert main(["solve", circuit_instance(tmp_path)]) == 0
     assert "algorithm=" in capsys.readouterr().out
     assert witnesses == []

@@ -1,4 +1,5 @@
 """Data model and basic graph machinery."""
+import random
 from heapq import heapify, heappop, heappush
 
 import pytest
@@ -17,6 +18,7 @@ from galaxia import (
     fibre_colouring_acyclic,
     find_circuit_arcs,
     is_acyclic,
+    is_forest_arcs,
     random_digraph,
     random_labelled_dag,
     random_oriented_subcubic,
@@ -314,3 +316,45 @@ def test_find_circuit_arcs_dag_and_circuit():
 def test_find_circuit_respects_removed():
     c = circuit(3)
     assert find_circuit_arcs(c, removed={1}) is None
+
+
+def test_find_circuit_arcs_closes_a_circuit_exactly_when_one_is_kept():
+    # seeded random digraphs, some with parallel arcs, and random removed
+    # sets; the forest check runs on arc sets with distinct heads too
+    rng = random.Random(28)
+    cyclic = 0
+    for _ in range(2000):
+        n = rng.randint(2, 9)
+        pairs = [(t, h) for t in range(n) for h in range(n) if t != h]
+        parallel = rng.random() < 0.2
+        arcs = tuple(rng.choice(pairs) if parallel else pair
+                     for pair in rng.sample(pairs, rng.randint(0, min(len(pairs), 3 * n))))
+        d = Digraph(n, arcs, parallel)
+        removed = {i for i in range(d.arc_count) if rng.random() < 0.3}
+        kept = [i for i in range(d.arc_count) if i not in removed]
+        found = find_circuit_arcs(d, removed)
+        assert (found is None) == is_acyclic(
+            Digraph(n, tuple(arcs[i] for i in kept), parallel))
+        if found is not None:
+            cyclic += 1
+            tails = [arcs[i][0] for i in found]
+            assert set(found) <= set(kept)
+            assert all(arcs[i][1] == arcs[j][0]
+                       for i, j in zip(found, found[1:] + found[:1]))
+            assert len(set(tails)) == len(tails) and tails[0] == min(tails)
+        whole = find_circuit_arcs(d)
+        if whole is None:
+            assert len(topological_order(d)) == n
+        else:
+            with pytest.raises(CyclicError) as info:
+                topological_order(d)
+            assert info.value.circuit == tuple(arcs[i][0] for i in whole)
+        first_in = {}
+        for i in kept:
+            first_in.setdefault(arcs[i][1], i)
+        for subset in (set(kept), set(first_in.values())):
+            heads = [arcs[i][1] for i in subset]
+            assert is_forest_arcs(d, subset) == (
+                len(heads) == len(set(heads)) and is_acyclic(
+                    Digraph(n, tuple(arcs[i] for i in subset), parallel)))
+    assert 500 < cyclic < 1900

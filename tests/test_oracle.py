@@ -18,12 +18,12 @@ from galaxia import (
     TooLargeError,
     ValidateError,
     degree_profile,
+    digraph,
     edge_colouring_3regular,
     exact_dst,
     exact_lambda_n,
     find_bicoloured_circuit,
     find_circuit_arcs,
-    oracle,
     random_digraph,
     triangle_multidigraph,
     verify_fibre_colouring,
@@ -259,7 +259,7 @@ def all_classes_scan(d, colouring):
             keep = classes[alpha]
             if beta != alpha:
                 keep = keep + classes[beta]
-            if oracle._acyclic_arcs(d.arcs, keep):
+            if not digraph._kahn_leftover(d.arcs, keep):
                 continue
             circ = find_circuit_arcs(d, set(range(d.arc_count)).difference(keep))
             vertices = tuple(d.arcs[i][0] for i in circ)

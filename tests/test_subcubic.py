@@ -2,6 +2,7 @@
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -171,7 +172,52 @@ def test_brooks_cubic_with_bridge():
     edges = half + [(u + 5, v + 5) for u, v in half] + [(4, 9)]
     colours = brooks_three_colouring(10, edges)
     assert all(colours[u] != colours[v] for u, v in edges)
-    assert set(colours) <= {1, 2, 3}
+    assert colours == [3, 3, 2, 1, 1, 3, 3, 1, 2, 2]
+
+
+def bridged_cubic(blocks, seed):
+    """A cubic graph with bridges: a chain of `blocks` copies of K4 minus
+    an edge, each joined to the next by a bridge between their degree-2
+    ends, capped at both ends by a K4 with one edge subdivided, and the
+    vertex ids shuffled by `seed`."""
+    cap = [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (4, 1)]
+    edges, ends = [], []
+    for b in range(blocks):
+        a, c, x, y = range(4 * b, 4 * b + 4)
+        edges += [(a, x), (a, y), (c, x), (c, y), (x, y)]
+        ends.append((a, c))
+    edges += [(ends[b][1], ends[b + 1][0]) for b in range(blocks - 1)]
+    n = 4 * blocks
+    for end in (ends[0][0], ends[-1][1]):
+        edges += [(u + n, v + n) for u, v in cap] + [(end, n + 4)]
+        n += 5
+    ids = list(range(n))
+    random.Random(seed).shuffle(ids)
+    return n, [(ids[u], ids[v]) for u, v in edges]
+
+
+def test_brooks_bridged_cubic_pinned():
+    # each split takes the least cut vertex, wherever the shuffle puts it
+    n, edges = bridged_cubic(3, 28)
+    assert sorted(Counter(v for e in edges for v in e).values()) == [3] * n
+    colours = brooks_three_colouring(n, edges)
+    assert all(colours[u] != colours[v] for u, v in edges)
+    assert colours == [3, 1, 3, 1, 2, 3, 3, 3, 3, 1, 2, 2, 2, 2, 1, 1, 2, 1,
+                       1, 2, 1, 3]
+
+
+def test_brooks_generalized_petersen_is_linear():
+    # GP(4000, 3) is cubic and 2-connected: the cut-vertex search is one
+    # depth-first pass, where one search per vertex took about 1.5 s at
+    # 2,000 vertices and grew about 4x per doubling
+    n = 4000
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
+    edges += [(n + i, n + (i + 3) % n) for i in range(n)]
+    start = time.perf_counter()
+    colours = brooks_three_colouring(2 * n, edges)
+    elapsed = time.perf_counter() - start
+    assert all(colours[u] != colours[v] for u, v in edges)
+    assert elapsed < 2.0, elapsed
 
 
 def test_brooks_rejects_bad_edges():
