@@ -52,7 +52,6 @@ _EXPORTS = {
                "is_k_nice", "u_suitable_decomposition"),
     "intervals": ("CyclicInterval", "interval_complement",
                   "sdr_in_cyclic_interval", "smallest_interval_containing"),
-    "matching": (),
     "oracle": ("StarViolation", "edge_colouring_3regular", "exact_dst",
                "exact_lambda_n", "find_bicoloured_circuit",
                "verify_star_colouring"),

@@ -33,7 +33,6 @@ from .colouring import _freeze_colours, arc_values, ints_within
 from .digraph import LabelledDigraph, degree_profile, topological_order
 from .errors import (BadParamsError, InternalDefectError, InvalidColouringError,
                      ValidateError)
-from .matching import capacitated_assignment
 
 # An entry holds at most k = 4 colours and m = 4 rebuilt sets of at most
 # 4 colours each; wider instances solve their patterns afresh.
@@ -191,18 +190,25 @@ def upper_bound_acyclic(n: int, m: int, k: int) -> int:
 def _place(n: int, m: int, k: int, draws: tuple[tuple[int, ...], ...],
            ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """The colours of arcs entering a vertex, arc i drawing from the set
-    `draws[i]`, and the vertex's m rebuilt potential sets."""
+    `draws[i]`, and the vertex's m rebuilt potential sets.
+
+    Each arc in turn takes the first colour of its set that fewer than n
+    arcs entering here have taken.  First fit cannot get stuck: a set
+    holds K = ceil(k/n) distinct colours, so it is used up only after
+    n*K >= k earlier arcs, and at most k arcs enter a vertex.
+    """
     big_k = math.ceil(k / n)
     total = upper_bound_acyclic(n, m, k)
-    assigned = capacitated_assignment(
-        [[c - 1 for c in sets] for sets in draws], [n] * total)
-    if assigned is None:
-        raise InternalDefectError(
-            "in-arc colour assignment infeasible; the counting "
-            "argument guarantees a placement")
     load = [0] * (total + 1)  # this vertex's in-count per colour
-    for c0 in assigned:
-        load[c0 + 1] += 1
+    colours = []
+    for sets in draws:
+        c = next((c for c in sets if load[c] < n), 0)
+        if not c:
+            raise InternalDefectError(
+                "in-arc colour assignment infeasible; the counting "
+                "argument guarantees a placement")
+        load[c] += 1
+        colours.append(c)
     # residual: colours ascending, colour c repeated n - load[c] times;
     # C_i(v) takes every m-th entry.  A colour runs at most n <= m long,
     # so each set sees it once.
@@ -210,7 +216,7 @@ def _place(n: int, m: int, k: int, draws: tuple[tuple[int, ...], ...],
     for c in range(1, total + 1):
         residual.extend([c] * (n - load[c]))
     sets_v = tuple(tuple(residual[i::m][:big_k]) for i in range(m))
-    return tuple([c0 + 1 for c0 in assigned]), sets_v
+    return tuple(colours), sets_v
 
 
 @functools.lru_cache(maxsize=_MEMO_CAP)
@@ -235,8 +241,8 @@ def fibre_colouring_acyclic(ld: LabelledDigraph, n: int) -> FibreColouring:
 
     Vertices in topological order; each vertex v keeps m potential-colour
     sets C_1(v)..C_m(v) of size K = ceil(k/n); an arc with label i out of
-    u must take a colour from C_i(u).  In-arcs are placed by a
-    capacity-n assignment, then the C_i are rebuilt from the residual
+    u must take a colour from C_i(u).  In-arcs are placed first fit, at
+    most n per colour, then the C_i are rebuilt from the residual
     in-capacities so that any future colour still fits.
     """
     m = ld.label_count

@@ -3,7 +3,8 @@
 A cyclic n-interval of {1..p} is a block of n consecutive values modulo
 p, kept in 1..p.  The star colouring of acyclic digraphs records one
 k-interval of {1..2k} per vertex; its machinery needs complements and a
-system of distinct representatives lying inside a common interval.
+system of distinct representatives lying inside a common interval,
+which a greedy sweep finds.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadParamsError, BadShapeError, InternalDefectError
-from .matching import capacitated_assignment
 
 
 @dataclass(frozen=True)
@@ -55,16 +55,34 @@ def smallest_interval_containing(values: set[int], modulus: int,
     return None
 
 
+def _sweep(spans: list[tuple[int, int]]) -> list[int] | None:
+    """Distinct positions 0..k-1 for the spans [lo, hi] by Glover's
+    earliest-end greedy (Naval Res. Logist. Q. 14, 1967): each position
+    in turn goes to the unplaced span open there that ends first, the
+    lowest index on ties.  Returns each span's position, or None when a
+    position finds no open span, which happens only when no distinct
+    positions exist."""
+    where: list = [None] * len(spans)
+    for pos in range(len(spans)):
+        open_here = [(hi, i) for i, (lo, hi) in enumerate(spans)
+                     if lo <= pos <= hi and where[i] is None]
+        if not open_here:
+            return None
+        where[min(open_here)[1]] = pos
+    return where
+
+
 def sdr_in_cyclic_interval(intervals: list[CyclicInterval],
                            ) -> tuple[CyclicInterval, tuple[int, ...]]:
     """Distinct representatives of k k-intervals, themselves filling a
     k-interval of {1..2k}.
 
     Tries each of the 2k candidate intervals J by ascending start and
-    takes the first perfect matching interval -> member of J, found as a
-    `capacitated_assignment` with unit capacities.  Existence is
-    guaranteed, so exhausting all candidates is an internal defect and
-    aborts loudly.
+    takes the first that `_sweep` fills.  An interval starting d steps
+    after J (mod 2k) meets J in its positions d..k-1 when d < k and
+    0..d-k-1 otherwise, so the SDR is a convex bipartite matching, which
+    the greedy solves exactly.  Existence is guaranteed, so exhausting
+    all candidates is an internal defect and aborts loudly.
     """
     k = len(intervals)
     if k < 1:
@@ -74,12 +92,11 @@ def sdr_in_cyclic_interval(intervals: list[CyclicInterval],
             raise BadParamsError(
                 f"interval {pos} is not a {k}-interval of 1..{2 * k}")
     for start in range(1, 2 * k + 1):
-        j = CyclicInterval(modulus=2 * k, start=start, length=k)
-        members = j.members_tuple()
-        adjacency = [[pos for pos, value in enumerate(members) if value in iv]
-                     for iv in intervals]
-        match = capacitated_assignment(adjacency, [1] * k)
-        if match is not None:
-            return j, tuple(members[right] for right in match)
+        steps = [(iv.start - start) % (2 * k) for iv in intervals]
+        where = _sweep([(d, k - 1) if d < k else (0, d - k - 1) for d in steps])
+        if where is not None:
+            j = CyclicInterval(modulus=2 * k, start=start, length=k)
+            members = j.members_tuple()
+            return j, tuple(members[pos] for pos in where)
     raise InternalDefectError(
         "no candidate interval admits an SDR; existence is guaranteed")

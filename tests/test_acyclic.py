@@ -72,8 +72,8 @@ def test_deterministic():
 
 
 def test_pinned_colouring_and_certificates():
-    # recorded before vertices with one entering pattern shared an SDR;
-    # here 12 vertices with entering arcs have only 7 distinct patterns
+    # recorded with the greedy sweep's representatives; here 12 vertices
+    # with entering arcs have only 10 distinct patterns
     d = Digraph(14, (
         (4, 11), (11, 6), (4, 9), (6, 9), (6, 1), (1, 5), (4, 7), (9, 7),
         (5, 7), (4, 10), (9, 10), (7, 10), (4, 13), (4, 2), (11, 2),
@@ -82,12 +82,12 @@ def test_pinned_colouring_and_certificates():
     colouring, intervals = star_colouring_acyclic(d)
     assert colouring.colour_count == 6
     assert dict(colouring.colour) == {
-        0: 6, 1: 3, 2: 6, 3: 5, 4: 6, 5: 3, 6: 5, 7: 3, 8: 4, 9: 4, 10: 3,
-        11: 2, 12: 6, 13: 5, 14: 3, 15: 4, 16: 3, 17: 2, 18: 1, 19: 3,
-        20: 6, 21: 5, 22: 4}
+        0: 4, 1: 5, 2: 5, 3: 6, 4: 6, 5: 1, 6: 4, 7: 3, 8: 5, 9: 4, 10: 3,
+        11: 2, 12: 4, 13: 4, 14: 5, 15: 6, 16: 3, 17: 2, 18: 1, 19: 1,
+        20: 6, 21: 4, 22: 5}
     assert {v: iv.start for v, iv in intervals.items()} == {
-        0: 1, 1: 4, 2: 3, 3: 4, 4: 1, 5: 1, 6: 1, 7: 3, 8: 1, 9: 4, 10: 2,
-        11: 4, 12: 1, 13: 4}
+        0: 1, 1: 4, 2: 4, 3: 4, 4: 1, 5: 1, 6: 3, 7: 3, 8: 1, 9: 4, 10: 2,
+        11: 2, 12: 1, 13: 2}
     check_locality(d, colouring, intervals, 3)
 
 

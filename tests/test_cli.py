@@ -907,7 +907,7 @@ def test_solve_pinned_acyclic_output(tmp_path, capsys):
     assert main(["generate", "--family", "dag", "--vertices", "3000", "--k", "3",
                  "--seed", "7", "-o", str(path)]) == 0
     assert solve_digests(path, out, capsys, "acyclic") == (
-        "809409d6f7d9137d93859be45b4bc8190af91c3f0ccbcaada300fde1aa920c6f",
+        "89bf2f550bfe891e647c42aa21e6b848de9434e4d698f3b9bfe4178519d57777",
         "b35102d5059ebf1193e177c936dd28cb896daaead24270485df93d0dcc183c7f")
 
 

@@ -5,8 +5,8 @@ proof step would end in something other than exit 4: a loop that falls
 through, a None or a missing entry read as a value, another error class
 that blames the input, or an output property that no verifier checks.
 Each case drives one private core into that state, by a crafted digraph
-that breaks the core's precondition or by a helper monkeypatched to
-fail, and pins the message.  The census lists every `raise
+or crafted arguments that break the core's precondition or by a helper
+monkeypatched to fail, and pins the message.  The census lists every `raise
 InternalDefectError` in the package and requires the cases to reach
 exactly those sites, so a guard added without a case fails here.
 """
@@ -263,15 +263,16 @@ def test_acyclic_lemma_without_interval(monkeypatch, tmp_path):
 
 @case
 def test_fibre_placement_infeasible(monkeypatch, tmp_path):
-    monkeypatch.setattr(fibre, "capacitated_assignment", lambda lists, caps: None)
+    # two arcs draw from the same one-colour set under one fibre, where
+    # the counting argument asks for sets of ceil(2/1) = 2 colours
     with raises_defect("in-arc colour assignment infeasible; the counting "
                        "argument guarantees a placement"):
-        fibre._place(1, 1, 1, ((1,),))
+        fibre._place(1, 1, 2, ((1,), (1,)))
 
 
 @case
 def test_interval_sdr_missing(monkeypatch, tmp_path):
-    monkeypatch.setattr(intervals, "capacitated_assignment", lambda lists, caps: None)
+    monkeypatch.setattr(intervals, "_sweep", lambda spans: None)
     with raises_defect("no candidate interval admits an SDR; existence is "
                        "guaranteed"):
         sdr_in_cyclic_interval([CyclicInterval(modulus=2, start=1, length=1)])

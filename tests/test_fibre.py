@@ -3,6 +3,7 @@ import functools
 import math
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -177,14 +178,14 @@ def test_value_types_compare_by_content_and_do_not_hash():
             hash(value)
 
 
-# Colourings recorded before the per-vertex step was memoised; arc i's
-# colour is digit i.
+# Colourings recorded with first-fit placement of the entering arcs;
+# arc i's colour is digit i.
 @pytest.mark.parametrize("vertices, m, k, seed, n, colour_count, colours", [
-    (40, 2, 3, 1, 2, 4, "111223313211212112121211121221111311121222321123121"
-                        "112211132112121132212221112"),
-    (30, 3, 4, 2, 2, 5, "31122113113523522131212243221212212122131215"),
-    (25, 2, 2, 3, 1, 6, "1134214233111122313342"),
-])
+    (40, 2, 3, 1, 2, 4, "111223313211212112121211121211311311121222321123121"
+                        "112211132112111322312221112"),
+    (30, 3, 4, 2, 2, 5, "31122113113523522131212223241212212122131215"),
+    (25, 2, 2, 3, 1, 6, "1134214233111122313325"),
+], ids=["40-2-3-1-2", "30-3-4-2-2", "25-2-2-3-1"])
 def test_acyclic_colouring_pinned(vertices, m, k, seed, n, colour_count, colours):
     ld = random_labelled_dag(vertices, m, k, seed)
     fc = fibre_colouring_acyclic(ld, n)
@@ -193,22 +194,22 @@ def test_acyclic_colouring_pinned(vertices, m, k, seed, n, colour_count, colours
 
 
 def test_acyclic_assigns_each_entering_pattern_once(monkeypatch):
-    # 146 vertices have entering arcs, but only 59 distinct assignment
+    # 146 vertices have entering arcs, but only 57 distinct placement
     # inputs arise; each is solved once, and an empty memo makes the
     # count this call's own
     fibre._assign.cache_clear()
     inputs = []
-    real = fibre.capacitated_assignment
+    real = fibre._place
 
-    def counting(adjacency, capacity):
-        inputs.append(tuple(map(tuple, adjacency)))
-        return real(adjacency, capacity)
+    def counting(n, m, k, draws):
+        inputs.append((n, m, k, draws))
+        return real(n, m, k, draws)
 
-    monkeypatch.setattr(fibre, "capacitated_assignment", counting)
+    monkeypatch.setattr(fibre, "_place", counting)
     ld = random_labelled_dag(200, 2, 3, 5)
     fc = fibre_colouring_acyclic(ld, 2)
     assert check_pipeline(ld, fc)
-    assert len(inputs) == len(set(inputs)) == 59
+    assert len(inputs) == len(set(inputs)) == 57
     assert sum(map(bool, degree_profile(ld).indegree)) == 146
 
 
@@ -217,30 +218,48 @@ def test_acyclic_second_call_solves_no_assignment(monkeypatch):
     ld = random_labelled_dag(400, 3, 4, 6)
     first = fibre_colouring_acyclic(ld, 2)
 
-    def refuse(adjacency, capacity):
+    def refuse(n, m, k, draws):
         raise AssertionError("an entering pattern was assigned twice")
 
-    monkeypatch.setattr(fibre, "capacitated_assignment", refuse)
+    monkeypatch.setattr(fibre, "_place", refuse)
     assert fibre_colouring_acyclic(ld, 2) == first
 
 
 def runs_on_empty_memo(monkeypatch, cases):
-    """Each (instance, n)'s colouring and its number of assignment calls,
+    """Each (instance, n)'s colouring and its number of placement calls,
     each call made on an empty memo, as a new process makes it."""
-    real = fibre.capacitated_assignment
+    real = fibre._place
     calls = []
 
-    def counting(adjacency, capacity):
+    def counting(n, m, k, draws):
         calls.append(1)
-        return real(adjacency, capacity)
+        return real(n, m, k, draws)
 
-    monkeypatch.setattr(fibre, "capacitated_assignment", counting)
+    monkeypatch.setattr(fibre, "_place", counting)
     runs = []
     for ld, n in cases:
         fibre._assign.cache_clear()
         calls.clear()
         runs.append((fibre_colouring_acyclic(ld, n), len(calls)))
     return runs
+
+
+@given(st.data())
+def test_first_fit_places_every_counted_family(data):
+    # the counting argument: at most k arcs, each drawing from ceil(k/n)
+    # distinct colours of 1..L, fit at most n to a colour by first fit
+    n = data.draw(st.integers(1, 6))
+    m = data.draw(st.integers(n, 6))
+    k = data.draw(st.integers(1, 12))
+    big_k, total = math.ceil(k / n), upper_bound_acyclic(n, m, k)
+    one_set = st.lists(st.integers(1, total), min_size=big_k, max_size=big_k,
+                       unique=True).map(tuple)
+    draws = tuple(data.draw(st.lists(one_set, min_size=1, max_size=k)))
+    colours, sets_v = fibre._place(n, m, k, draws)
+    assert all(c in sets for c, sets in zip(colours, draws, strict=True))
+    assert max(Counter(colours).values()) <= n
+    assert len(sets_v) == m
+    assert all(len(set(sets)) == len(sets) == big_k for sets in sets_v)
 
 
 def test_acyclic_memo_never_grows_past_its_cap(monkeypatch):

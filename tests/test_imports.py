@@ -16,8 +16,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# galaxia.__all__ as the eager package defined it: its 90 exports and
-# the 14 submodules that importing them bound.
+# galaxia.__all__: its 90 exports and the 13 submodules that importing
+# them binds.
 PUBLIC_NAMES = [
     "ARC_BUDGET", "AboveCapError", "ArcColouring", "BadListsError",
     "BadParamsError", "BadShapeError", "CUBIC_GRAPHS", "CyclicError",
@@ -39,7 +39,7 @@ PUBLIC_NAMES = [
     "from_class_list", "galaxy", "gnmk_sizes", "interval_complement",
     "intervals", "is_acyclic", "is_forest_arcs", "is_galaxy_arcs", "is_k_nice",
     "lemma_cycle_colouring", "lemma_extension_colouring",
-    "list_colouring_acyclic", "matching", "np_gadget", "np_reduction", "oracle",
+    "list_colouring_acyclic", "np_gadget", "np_reduction", "oracle",
     "random_digraph", "random_labelled_dag", "random_oriented_subcubic",
     "random_subcubic", "read_colouring", "read_digraph", "read_wavelengths",
     "sdr_in_cyclic_interval", "smallest_interval_containing", "spanning",
@@ -52,15 +52,15 @@ PUBLIC_NAMES = [
 ]
 
 SUBMODULES = ["acircuitic", "acyclic", "colouring", "constructions", "digraph",
-              "errors", "fibre", "fileio", "galaxy", "intervals", "matching",
-              "oracle", "spanning", "subcubic"]
+              "errors", "fibre", "fileio", "galaxy", "intervals", "oracle",
+              "spanning", "subcubic"]
 
 # What `import galaxia.cli` and one acyclic `solve` need: the parser,
 # the reader and writer, the star verifier and the acyclic theorem.
 ACYCLIC_SOLVE_MODULES = [
     "galaxia", "galaxia.acyclic", "galaxia.cli", "galaxia.colouring",
     "galaxia.digraph", "galaxia.errors", "galaxia.fileio", "galaxia.intervals",
-    "galaxia.matching", "galaxia.oracle",
+    "galaxia.oracle",
 ]
 
 LOADED = "sorted(m for m in sys.modules if m.startswith('galaxia'))"
@@ -85,7 +85,7 @@ def test_import_galaxia_loads_no_submodule():
         "galaxia"]
 
 
-def test_cli_acyclic_solve_loads_ten_modules(tmp_path):
+def test_cli_acyclic_solve_loads_nine_modules(tmp_path):
     tiny = tmp_path / "tiny.dsa"
     tiny.write_text("p dsa 4 3 1\na 0 1 1\na 2 1 1\na 1 3 1\n")
     program = ("import json, sys, galaxia.cli\n"

@@ -106,27 +106,47 @@ def test_sdr_exhaustive_small(k):
         check_sdr(intervals, k)
 
 
+def least_start_with_sdr(intervals, k):
+    """The least J.start some ordering of whose members represents the
+    intervals, by trying every ordering."""
+    for start in range(1, 2 * k + 1):
+        members = CyclicInterval(2 * k, start, k).members_tuple()
+        if any(all(value in iv for value, iv in zip(order, intervals))
+               for order in itertools.permutations(members)):
+            return start
+    return None
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_sdr_takes_the_least_start_admitting_one(k):
+    # the certificates follow the choice of J, whatever the representatives
+    for starts in itertools.product(range(1, 2 * k + 1), repeat=k):
+        intervals = [CyclicInterval(2 * k, s, k) for s in starts]
+        j, _ = sdr_in_cyclic_interval(intervals)
+        assert j.start == least_start_with_sdr(intervals, k)
+
+
 # sdr_in_cyclic_interval's (J.start, representatives) for every tuple of
 # k k-intervals, starts in itertools.product order, one digit each.
-# The acyclic colourings follow these choices, so a matching change that
-# moves a representative fails here.
+# The acyclic colourings follow these choices, so a change of the greedy
+# sweep that moves a representative fails here.
 PINNED_SDR = {
     1: "1122",
-    2: "121112223121121232223121232232343334112112343414",
-    3: ("1321113212132324132113211231113211232324123112311231113222432234"
-        "1231123123422342224333543345234213121312121333545165131213211312"
-        "1213232413211321132113121213232413211321132124322243232413211321"
-        "1231234222432234123112312342234222433354334523421312131212133354"
-        "4465131213211312121323241321132113211312242323241321132113212432"
-        "2423232413211321243224323543335434352432234223423453335433452342"
-        "1312131234533354446513121321131224232324132113212432243224233534"
-        "3435243224322432242335343435243224322432354335343435243235433543"
-        "3543465444654546345334533453456444654456242324232423456444655516"
-        "1132113211233534561511321132113211233534464511321132113235433534"
-        "4645113235433543354346544645454656514654465446545165551611231123"
-        "1123456456155516123111321213223412311231123111321123223412311231"
-        "1231113222432234123112312243224322434654464551561213121312134654"
-        "51655156121312131213516551656216"),
+    2: "112112223121121223223121232232334334112112343441",
+    3: ("1123112311232234123112311123112311232234123112311132113222342234"
+        "1231123122432243224333453345234212131213121333545156131212131213"
+        "1213232413211312121312131213232412311231123122342234223412311231"
+        "1231223422342234123112312342224322433345334523421213121312133354"
+        "4456131212131213121323241321131213121312232423241321132113212324"
+        "2324232413211321234223423345334533452342234223423345334533452342"
+        "1312131233543354445613121312131223242324132113122423242324233435"
+        "3435243224322423242334353435243224322432343534353435243234533453"
+        "3453445644564456345334533453445644564456242324232423446544655561"
+        "1123112311233534551611321123112311233534454611321132113235343534"
+        "4546113235433543354345464546454655614564456445645561556111231123"
+        "1123456455615561112311231123223412311132112311231123223412311132"
+        "1132113222342234123111322243224322434645464556511213121312134654"
+        "56515651112311231123561556156612"),
 }
 
 
