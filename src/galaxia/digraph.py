@@ -238,7 +238,10 @@ def strong_components(d: Digraph) -> tuple[tuple[int, ...], ...]:
     Iterative Tarjan; a component is emitted only once everything it can
     reach has been emitted, which is exactly the contract.  Vertices are
     visited ascending and successors in arc order, so the output is a
-    pure function of the input.  Members are sorted ascending.
+    pure function of the input.  Members are sorted ascending.  A
+    vertex's index is its position on Tarjan's stack, which it keeps
+    while it is there, and the search compares only the indices of
+    vertices on the stack.
     """
     n = d.vertex_count
     index = [-1] * n
@@ -246,50 +249,40 @@ def strong_components(d: Digraph) -> tuple[tuple[int, ...], ...]:
     on_stack = [False] * n
     stack: list[int] = []
     components: list[tuple[int, ...]] = []
-    counter = 0
     out_arcs = d.out_arcs
     arcs = d.arcs
 
     for root in range(n):
         if index[root] != -1:
             continue
-        # explicit DFS stack of (vertex, iterator position into out_arcs)
-        work = [(root, 0)]
-        index[root] = low[root] = counter
-        counter += 1
+        # explicit DFS stack of (vertex, iterator over its out-arcs)
+        work = [(root, iter(out_arcs[root]))]
+        index[root] = low[root] = 0
         stack.append(root)
         on_stack[root] = True
         while work:
-            v, ptr = work.pop()
-            advanced = False
-            while ptr < len(out_arcs[v]):
-                w = arcs[out_arcs[v][ptr]][1]
-                ptr += 1
+            v, rest = work[-1]
+            for i in rest:
+                w = arcs[i][1]
                 if index[w] == -1:
-                    work.append((v, ptr))
-                    index[w] = low[w] = counter
-                    counter += 1
+                    index[w] = low[w] = len(stack)
                     stack.append(w)
                     on_stack[w] = True
-                    work.append((w, 0))
-                    advanced = True
+                    work.append((w, iter(out_arcs[w])))
                     break
                 if on_stack[w]:
                     low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(tuple(sorted(comp)))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    comp = stack[index[v]:]
+                    del stack[index[v]:]
+                    for w in comp:
+                        on_stack[w] = False
+                    components.append(tuple(sorted(comp)))
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
     return tuple(components)
 
 

@@ -256,8 +256,6 @@ def dst_upper_2k1(d: Digraph) -> ArcColouring:
     """Directed star colouring with at most 2*max_indegree + 1 colours."""
     if d.allow_parallel and len(set(d.arcs)) != d.arc_count:
         raise NotSimpleError("2k+1 colouring needs a simple digraph")
-    if d.arc_count == 0:
-        return ArcColouring({}, 0)
     # a simple digraph is k-nice for k its maximum indegree
     forests, galaxy = _decompose(d, 0, degree_profile(d).max_indegree)
     classes: list[set[int]] = []

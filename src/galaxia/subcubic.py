@@ -76,11 +76,27 @@ def _brooks_component(adj: list[set[int]], comp: list[int],
         _greedy_fill(adj, _bfs(adj, min(low), compset)[::-1], colours)
         return
 
-    # Cubic component.  A cut vertex lets us colour the pieces
-    # separately and align them on the shared vertex afterwards.
-    cut = _least_cut_vertex(adj, comp)
-    if cut is not None:
-        _split_on_cut_vertex(adj, comp, cut, colours)
+    # Cubic component with a bridge x-y (a cubic graph's cut vertices are
+    # exactly its bridges' ends).  Without the bridge, each side is
+    # connected and its end has degree 2, so each side colours greedily
+    # towards its end; swapping y's colour with another on y's side then
+    # keeps the bridge proper.
+    bridge = _least_bridge(adj, comp)
+    if bridge is not None:
+        x, y = bridge
+        cut = adj[:]
+        cut[x], cut[y] = adj[x] - {y}, adj[y] - {x}
+        for end in bridge:
+            side = _bfs(cut, end, compset)
+            _greedy_fill(cut, side[::-1], colours)
+        if colours[x] == colours[y]:
+            a = colours[y]
+            b = a % 3 + 1
+            for v in side:  # y's, filled last
+                if colours[v] == a:
+                    colours[v] = b
+                elif colours[v] == b:
+                    colours[v] = a
         return
 
     # Two-connected cubic, not complete: some vertex has two
@@ -99,10 +115,11 @@ def _brooks_component(adj: list[set[int]], comp: list[int],
     raise InternalDefectError("no admissible pair in a cubic component")
 
 
-def _least_cut_vertex(adj: list[set[int]], comp: list[int]) -> int | None:
-    """The least cut vertex of a connected cubic component, or None.
+def _least_bridge(adj: list[set[int]], comp: list[int],
+                  ) -> tuple[int, int] | None:
+    """The least bridge of a connected cubic component, as (least end,
+    other end), or None.
 
-    A cubic graph's cut vertices are exactly the ends of its bridges.
     Orient each edge the way a depth-first search first walks it, tree
     edges down and the others up: the bridges are then exactly the arcs
     between strong components (Robbins, 1939)."""
@@ -125,35 +142,8 @@ def _least_cut_vertex(adj: list[set[int]], comp: list[int]) -> int | None:
             work.pop()
     strong = {v: c for c, members in enumerate(strong_components(
         Digraph._of(len(comp), tuple(arcs)))) for v in members}
-    return min((comp[v] for a in arcs if strong[a[0]] != strong[a[1]] for v in a),
-               default=None)
-
-
-def _split_on_cut_vertex(adj: list[set[int]], comp: list[int], cut: int,
-                         colours: list[int]) -> None:
-    remaining = set(comp) - {cut}
-    target = 0
-    while remaining:
-        part = set(_bfs(adj, min(remaining), remaining))
-        remaining -= part
-        part.add(cut)
-        sub_adj = [adj[v] & part if v in part else set()
-                   for v in range(len(adj))]
-        colours[cut] = 0
-        _brooks_component(sub_adj, sorted(part), colours)
-        if target == 0:
-            target = colours[cut]
-        elif colours[cut] != target:
-            # swap the two colours inside this part only
-            a, b = colours[cut], target
-            for v in part:
-                if v == cut:
-                    continue
-                if colours[v] == a:
-                    colours[v] = b
-                elif colours[v] == b:
-                    colours[v] = a
-            colours[cut] = target
+    return min((tuple(sorted((comp[v], comp[u]))) for v, u in arcs
+                if strong[v] != strong[u]), default=None)
 
 
 def brooks_three_colouring(vertex_count: int,
@@ -257,29 +247,6 @@ def _cycle_dp(vertex_lists: Sequence[Sequence[int]],
     return None
 
 
-def _circuit_sequence(circuit: Digraph) -> tuple[list[int], list[int]]:
-    """Vertex order and arc order of a digraph that is one circuit."""
-    if circuit.vertex_count == 0 or circuit.arc_count == 0:
-        raise BadShapeError("empty digraph is not a circuit")
-    for v in range(circuit.vertex_count):
-        if len(circuit.in_arcs[v]) != 1 or len(circuit.out_arcs[v]) != 1:
-            raise BadShapeError(
-                f"vertex {v} has degrees other than one in and one out")
-    verts = [0]
-    arcs = []
-    cur = 0
-    while True:
-        arc = circuit.out_arcs[cur][0]
-        arcs.append(arc)
-        cur = circuit.arcs[arc][1]
-        if cur == 0:
-            break
-        verts.append(cur)
-    if len(verts) != circuit.vertex_count:
-        raise BadShapeError("digraph is a union of several circuits")
-    return verts, arcs
-
-
 def lemma_cycle_colouring(circuit: Digraph,
                           vertex_lists: Mapping[int, Iterable[int]],
                           ) -> tuple[dict[int, int], dict[int, int]]:
@@ -290,28 +257,42 @@ def lemma_cycle_colouring(circuit: Digraph,
     next arc.  Returns (arc colours by arc index, vertex colours).
     Raises InfeasibleError exactly when the circuit has odd length and
     all vertex lists are equal.
+
+    The engine solves it: each vertex v is entered by one more arc, from
+    a fresh source n + v, whose list is v's and whose colour is v's.
     """
-    verts, arcs = _circuit_sequence(circuit)
+    n = circuit.vertex_count
+    if n == 0 or circuit.arc_count == 0:
+        raise BadShapeError("empty digraph is not a circuit")
+    for v in range(n):
+        if len(circuit.in_arcs[v]) != 1 or len(circuit.out_arcs[v]) != 1:
+            raise BadShapeError(
+                f"vertex {v} has degrees other than one in and one out")
+    if len(strong_components(circuit)) > 1:
+        raise BadShapeError("digraph is a union of several circuits")
     lists = []
-    for v in verts:
+    for v in range(n):
         if v not in vertex_lists:
             raise BadListsError(f"vertex {v} has no list")
-        lst = sorted(set(vertex_lists[v]))
-        if len(lst) != 2 or not set(lst) <= FULL:
+        lst = set(vertex_lists[v])
+        if len(lst) != 2 or not lst <= FULL:
             raise BadListsError(
                 f"vertex {v} needs exactly two colours from 1..3")
         lists.append(lst)
 
-    solution = _cycle_dp(lists, [COLOURS] * len(verts))
-    if solution is None:
-        if len(verts) % 2 == 0 or any(l != lists[0] for l in lists):
+    try:
+        colours = _extension_engine(
+            Digraph._of(2 * n, circuit.arcs + tuple(
+                (n + v, v) for v in range(n))),
+            [set(COLOURS) for _ in range(n)] + lists)
+    except PreconditionViolatedError as exc:
+        if n % 2 == 0 or any(l != lists[0] for l in lists):
             raise InternalDefectError(
-                "solver gave up outside the odd uniform case")
+                "solver gave up outside the odd uniform case") from exc
         raise InfeasibleError(
-            "odd circuit with all vertex lists equal has no colouring")
-    arc_cols, vert_cols = solution
-    return ({arcs[i]: arc_cols[i] for i in range(len(arcs))},
-            {verts[i]: vert_cols[i] for i in range(len(verts))})
+            "odd circuit with all vertex lists equal has no colouring") from None
+    return ({a: colours[a] for a in range(n)},
+            {v: colours[n + v] for v in range(n)})
 
 
 # ---------------------------------------------------------------------------

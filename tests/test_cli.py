@@ -191,6 +191,14 @@ def test_solve_non_simple_digraph_exits_3(tmp_path, capsys, algorithm):
     assert capsys.readouterr().out == "dst = 3\n"
 
 
+def test_solve_2k1_on_arcless_digraph(tmp_path, capsys):
+    path = tmp_path / "arcless.dsa"
+    path.write_text("p dsa 3 0 1\n")
+    assert main(["solve", str(path), "--algorithm", "2k1"]) == 0
+    assert capsys.readouterr().out == (
+        "algorithm=2k1 colours=0 bound=1 (2k+1 with k=0)\n")
+
+
 @pytest.mark.parametrize("argv", [["--fibres", "2"], []])
 def test_auto_solve_sorts_acyclic_instance_once(tmp_path, capsys, monkeypatch,
                                                 argv):
@@ -954,6 +962,15 @@ def write_to(tmp_path, capsys, argv, out):
     code = main([instance if arg == "INSTANCE" else arg for arg in argv]
                 + ["-o", str(out)])
     return (code, *capsys.readouterr())
+
+
+def test_generate_without_output_prints_what_output_writes(tmp_path, capsys):
+    argv = ["generate", "--family", "dag", "--vertices", "5", "--seed", "3"]
+    out = tmp_path / "g.dsa"
+    assert main(argv + ["-o", str(out)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
 @pytest.mark.parametrize("argv", WRITERS, ids=" ".join)

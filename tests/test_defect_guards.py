@@ -70,7 +70,7 @@ def test_greedy_fill_sees_three_colours(monkeypatch, tmp_path):
 
 @case
 def test_brooks_no_admissible_pair(monkeypatch, tmp_path):
-    # K5: no cut vertex and no two non-adjacent neighbours anywhere
+    # K5: no bridge and no two non-adjacent neighbours anywhere
     adj = [set(range(5)) - {v} for v in range(5)]
     with raises_defect("no admissible pair in a cubic component"):
         subcubic._brooks(adj)

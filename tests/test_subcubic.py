@@ -146,6 +146,16 @@ def test_extension_rejects_short_list():
                                   {0: (1,), 1: (1, 2)})
 
 
+def test_extension_initial_pair_must_cover_all_colours():
+    # two initial arcs into vertex 2, whose out-arc takes colour 1
+    d = Digraph(4, ((0, 2), (1, 2), (2, 3)))
+    col = lemma_extension_colouring(d, {0: (1, 2), 1: (2, 3), 2: (1,)})
+    assert dict(col.colour) == {0: 2, 1: 3, 2: 1}
+    with pytest.raises(PreconditionViolatedError, match=(
+            "^initial arcs 0 and 1 into 2 do not cover all three colours$")):
+        lemma_extension_colouring(d, {0: (1, 2), 1: (1, 2), 2: (1,)})
+
+
 def test_brooks_triangle():
     colours = brooks_three_colouring(3, [(0, 1), (1, 2), (0, 2)])
     assert sorted(colours) == [1, 2, 3]
@@ -173,6 +183,16 @@ def test_brooks_cubic_with_bridge():
     colours = brooks_three_colouring(10, edges)
     assert all(colours[u] != colours[v] for u, v in edges)
     assert colours == [3, 3, 2, 1, 1, 3, 3, 1, 2, 2]
+
+
+def test_brooks_pair_that_disconnects_is_skipped():
+    # bridgeless cubic: at vertex 0, removing its one non-adjacent pair
+    # 1, 3 leaves 0 with only 6, so the search goes on to another vertex
+    edges = [(0, 1), (0, 3), (0, 6), (1, 6), (1, 7), (2, 7), (2, 8), (2, 9),
+             (3, 5), (3, 6), (4, 7), (4, 8), (4, 9), (5, 8), (5, 9)]
+    colours = brooks_three_colouring(10, edges)
+    assert all(colours[u] != colours[v] for u, v in edges)
+    assert colours == [1, 3, 2, 3, 2, 2, 2, 1, 1, 1]
 
 
 def bridged_cubic(blocks, seed):
