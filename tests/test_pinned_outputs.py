@@ -1,4 +1,4 @@
-"""The exact colourings of four constructive theorems, pinned by hash.
+"""The exact colourings of five constructive theorems, pinned by hash.
 
 Each test builds a few hundred small instances from a seeded
 random.Random, colours them all, and compares the sha256 of the
@@ -10,7 +10,8 @@ import hashlib
 import random
 
 from galaxia import (Digraph, acircuitic_colouring, dst4_colouring,
-                     dst_upper_2k1, list_colouring_acyclic)
+                     dst_upper_2k1, list_colouring_acyclic, random_subcubic,
+                     star_colouring_subcubic)
 
 INSTANCES = 300
 
@@ -78,6 +79,14 @@ def test_dst4_colouring_pinned():
     cols = [dst4_colouring(capped(rng, rng.randint(2, 40), 2, 2))
             for _ in range(INSTANCES)]
     assert digest(cols) == "aa1f5f86e1b8d8e4733e4f85a243fe0e093dcf02348939d0f3fabd3bc79ffc16"
+
+
+def test_star_colouring_subcubic_pinned():
+    rng = random.Random(2105)
+    cols = [star_colouring_subcubic(random_subcubic(rng.randint(2, 60),
+                                                    rng.randrange(10 ** 6)))
+            for _ in range(INSTANCES)]
+    assert digest(cols) == "dfe4fd9ba30e25f2563f60088808fb110f4a1871f7373ae64bbd99cb6dd5aaa0"
 
 
 def test_acircuitic_colouring_pinned():
