@@ -23,7 +23,8 @@ from .colouring import ArcColouring
 from .digraph import Digraph, degree_profile, is_acyclic
 from .errors import (HasDigonError, InternalDefectError, NotSimpleError,
                      NotSubcubicError, PreconditionViolatedError)
-from .subcubic import _brooks, _extension_engine, _functional_cycles
+from .subcubic import (_FULL_MASK, _brooks, _extension_engine,
+                       _functional_cycles)
 
 
 def list_colouring_acyclic(d: Digraph,
@@ -37,7 +38,9 @@ def list_colouring_acyclic(d: Digraph,
     w is, their lists struck by those colours, and take the first
     distinct choice in arc order.  Striking takes one colour per
     coloured arc at w, so each list keeps at least as many colours as w
-    has entering arcs and no choice meets a dead end.
+    has entering arcs and no choice meets a dead end.  The engine's masks
+    hold each colour's rank among all the listed colours, an order-keeping
+    renumbering, so a colour of any size takes one bit.
     """
     if len(set(d.arcs)) != d.arc_count:
         raise NotSimpleError("needs a simple digraph")
@@ -55,7 +58,11 @@ def list_colouring_acyclic(d: Digraph,
             raise PreconditionViolatedError(
                 f"arc {i} has a list of {len(live[i])} colours but its head "
                 f"has degree {profile.degree[h]}")
-    colours = _extension_engine(d, live)
+    palette = sorted(set().union(*live))
+    bit = {c: 1 << r for r, c in enumerate(palette)}
+    colours = _extension_engine(d, [sum(map(bit.__getitem__, lst))
+                                    for lst in live])
+    colours = {a: palette[r] for a, r in colours.items()}
     return ArcColouring(colours, max(colours.values(), default=0))
 
 
@@ -135,10 +142,11 @@ def acircuitic_colouring(d: Digraph) -> ArcColouring:
     rest = [i for i in range(d.arc_count)
             if i not in four and i not in back_colour]
     sub = Digraph._of(d.vertex_count, tuple(d.arcs[i] for i in rest))
-    taken_at: dict[int, set[int]] = {}
+    taken_at: dict[int, int] = {}  # mask of back-arc colours by head
     for arc, c in back_colour.items():
-        taken_at.setdefault(d.arcs[arc][1], set()).add(c)
-    lists = [{1, 2, 3} - taken_at.get(h, set()) for _, h in sub.arcs]
+        h = d.arcs[arc][1]
+        taken_at[h] = taken_at.get(h, 0) | 1 << c
+    lists = [_FULL_MASK & ~taken_at.get(h, 0) for _, h in sub.arcs]
     finish = _extension_engine(sub, lists)
 
     colours = {i: 4 for i in four}

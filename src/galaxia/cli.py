@@ -51,9 +51,9 @@ from .errors import (AboveCapError, CyclicError, DegreeTooHighError,
 from .fileio import (read_colouring, read_digraph, read_wavelengths,
                      write_colouring, write_digraph, write_wavelengths)
 from .intervals import CyclicInterval
-from .oracle import (DEFAULT_ARC_LIMIT, edge_colouring_3regular, exact_dst,
-                     exact_lambda_n, find_bicoloured_circuit,
-                     verify_star_colouring)
+from .oracle import (DEFAULT_ARC_LIMIT, _holds_bicoloured_circuit,
+                     edge_colouring_3regular, exact_dst, exact_lambda_n,
+                     find_bicoloured_circuit, verify_star_colouring)
 
 if TYPE_CHECKING:
     from .fibre import FibreColouring, WavelengthAssignment
@@ -76,16 +76,18 @@ def _star_violation(d: Digraph, colouring: ArcColouring,
     colour converge or are consecutive; with `acircuitic`, two colours
     hold a circuit; or some `i <vertex> <start> <k>` line names a vertex
     outside d, or a colour entering its vertex lies outside its
-    interval."""
+    interval.  Once the colouring is a star colouring, one alternating
+    walk per colour pair decides whether a circuit is there
+    (`_holds_bicoloured_circuit`), and only then does
+    find_bicoloured_circuit's pair scan name it."""
     bad = verify_star_colouring(d, colouring)
     if bad is not None:
         kind = "converging" if bad.rule == "ii" else "consecutive"
         return (f"{kind} arcs {bad.first_arc} and {bad.second_arc}"
                 f" share colour {colouring[bad.first_arc]}")
-    if acircuitic:
+    if acircuitic and _holds_bicoloured_circuit(d, colouring):
         circuit = find_bicoloured_circuit(d, colouring)
-        if circuit is not None:
-            return f"bicoloured circuit through vertices {list(circuit)}"
+        return f"bicoloured circuit through vertices {list(circuit)}"
     colour, in_arcs = colouring.colour, d.in_arcs
     for v in sorted(intervals):
         iv = intervals[v]

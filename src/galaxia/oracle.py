@@ -313,6 +313,38 @@ def find_bicoloured_circuit(d: Digraph, colouring: ArcColouring,
     return None
 
 
+def _holds_bicoloured_circuit(d: Digraph, colouring: ArcColouring) -> bool:
+    """Whether two colours of a star colouring of d hold a circuit.
+
+    The colouring must pass verify_star_colouring: each colour then
+    enters a vertex at most once and never colours two consecutive
+    arcs, so a circuit in two colours α, β alternates them, and walking
+    back from a head of α's class, "the α-arc in, then the β-arc in", is
+    a map on those heads.  Its cycles are exactly the α, β circuits, and
+    each pair is walked from the heads of its smaller class, each head
+    once, so the walk costs O(q·A) time for q colours and A arcs, and
+    O(A) memory."""
+    into: dict[int, dict[int, int]] = {}  # colour -> head -> tail
+    for (tail, head), c in zip(d.arcs, arc_values(
+            d.arc_count, colouring.colour, "uncoloured")):
+        into.setdefault(c, {})[head] = tail
+    classes = sorted(into.values(), key=len)
+    for k, alpha in enumerate(classes):
+        for beta in classes[k + 1:]:
+            walk: dict[int, int] = {}  # head -> the head its walk began at
+            for start in alpha:
+                v = start
+                while v not in walk:
+                    walk[v] = start
+                    v = beta.get(alpha[v])
+                    if v not in alpha:
+                        break
+                else:
+                    if walk[v] == start:
+                        return True
+    return False
+
+
 def _check_cubic(vertex_count: int, edges: Iterable[tuple[int, int]],
                  ) -> list[tuple[int, int]]:
     """The edges as (low, high) pairs in input order, after checking that

@@ -8,7 +8,7 @@ that eats terminal strong components one at a time.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from typing import Container, Iterable, Mapping, Sequence
 
 from .colouring import ArcColouring
@@ -27,9 +27,12 @@ from .errors import (
 
 COLOURS = (1, 2, 3)
 FULL = frozenset(COLOURS)
+# A colour list as an int: bit c stands for colour c.
+_FULL_MASK = 0b1110
 # Free colours by a mask whose bit c marks colour c as taken (bit 0 is
-# ignored).
+# ignored), and the first of them (0 when none is free).
 _FREE = [tuple(c for c in COLOURS if not mask >> c & 1) for mask in range(16)]
+_FIRST_FREE = [free[0] if free else 0 for free in _FREE]
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +287,7 @@ def lemma_cycle_colouring(circuit: Digraph,
         colours = _extension_engine(
             Digraph._of(2 * n, circuit.arcs + tuple(
                 (n + v, v) for v in range(n))),
-            [set(COLOURS) for _ in range(n)] + lists)
+            [_FULL_MASK] * n + [sum(1 << c for c in lst) for lst in lists])
     except PreconditionViolatedError as exc:
         if n % 2 == 0 or any(l != lists[0] for l in lists):
             raise InternalDefectError(
@@ -298,24 +301,34 @@ def lemma_cycle_colouring(circuit: Digraph,
 # ---------------------------------------------------------------------------
 # List-extension engine.
 #
-# The engine colours the arcs of a digraph from per-arc colour lists.
-# It repeatedly takes a terminal strong component of the uncoloured
-# arcs: a lone sink gets its in-arcs coloured pairwise distinct from
-# their lists, a circuit is solved exactly together with its entering
-# arcs.  Whenever an arc u->v is coloured, its colour is struck from the
-# lists of the arcs entering u.
+# The engine colours the arcs of a digraph from per-arc colour lists,
+# each an int mask whose bit c stands for colour c, so a list of any
+# positive colours fits.  It repeatedly takes a terminal strong
+# component of the uncoloured arcs: a lone sink gets its in-arcs
+# coloured pairwise distinct from their lists, a circuit is solved
+# exactly together with its entering arcs.  Whenever an arc u->v is
+# coloured c, bit c is cleared in the masks of the arcs entering u.  A
+# sink's choice depends only on its entering masks, in arc order, so
+# each call keeps a table from those masks to the choice.
 
 
-def _distinct_assignment(lists: list[list[int]]) -> tuple[int, ...] | None:
-    for combo in product(*lists):
+def _colours_of(mask: int) -> list[int]:
+    """The colours of a mask, ascending."""
+    return [c for c in range(mask.bit_length()) if mask >> c & 1]
+
+
+def _first_distinct(masks: tuple[int, ...]) -> tuple[int, ...]:
+    """The first choice of pairwise distinct colours, one from each mask,
+    in product order over ascending colours; () when there is none."""
+    for combo in product(*map(_colours_of, masks)):
         if len(set(combo)) == len(combo):
             return combo
-    return None
+    return ()
 
 
-def _extension_engine(e: Digraph, lists: list[set[int]]) -> dict[int, int]:
-    """Colour every arc of e from lists[arc], taking strong components
-    sinks first; the lists are struck in place.
+def _extension_engine(e: Digraph, lists: list[int]) -> dict[int, int]:
+    """Colour every arc of e from the colour mask lists[arc], taking
+    strong components sinks first; the masks are struck in place.
 
     One Tarjan pass orders the components; they are consumed in the
     order it emits them, which is reverse topological, so each one is
@@ -335,10 +348,12 @@ def _extension_engine(e: Digraph, lists: list[set[int]]) -> dict[int, int]:
     """
     colours: dict[int, int] = {}
     arcs, in_arcs, out_arcs = e.arcs, e.in_arcs, e.out_arcs
+    first: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def strike(tail: int, colour: int) -> None:
+        off = ~(1 << colour)
         for a in in_arcs[tail]:
-            lists[a].discard(colour)
+            lists[a] &= off
             if not lists[a]:
                 raise InternalDefectError(
                     f"arc {a} lost its last colour during propagation")
@@ -346,14 +361,17 @@ def _extension_engine(e: Digraph, lists: list[set[int]]) -> dict[int, int]:
     for comp in strong_components(e):
         if len(comp) == 1:
             v = comp[0]
-            if not in_arcs[v]:
+            ins = in_arcs[v]
+            if not ins:
                 continue
-            assignment = _distinct_assignment(
-                [sorted(lists[a]) for a in in_arcs[v]])
-            if assignment is None:
+            key = tuple(map(lists.__getitem__, ins))
+            choice = first.get(key)
+            if choice is None:
+                choice = first[key] = _first_distinct(key)
+            if not choice:
                 raise InternalDefectError(
                     f"no distinct colours for the arcs into {v}")
-            for a, c in zip(in_arcs[v], assignment):
+            for a, c in zip(ins, choice):
                 colours[a] = c
                 strike(arcs[a][0], c)
             continue
@@ -384,9 +402,9 @@ def _extension_engine(e: Digraph, lists: list[set[int]]) -> dict[int, int]:
                 raise InternalDefectError(
                     f"circuit vertex {v} has several entering arcs")
             entering.append(extra[0] if extra else None)
-            vertex_lists.append(sorted(lists[extra[0]]) if extra
+            vertex_lists.append(_colours_of(lists[extra[0]]) if extra
                                 else COLOURS)
-            arc_lists.append(sorted(lists[circ[i]]))
+            arc_lists.append(_colours_of(lists[circ[i]]))
 
         solution = _cycle_dp(vertex_lists, arc_lists)
         if solution is None:
@@ -464,7 +482,7 @@ def lemma_extension_colouring(d: Digraph,
                         f"initial arcs {group[x]} and {group[y]} into "
                         f"{h} do not cover all three colours")
 
-    colours = _extension_engine(d, [set(lst) for lst in norm])
+    colours = _extension_engine(d, [sum(1 << c for c in lst) for lst in norm])
     return ArcColouring(colours, 3 if d.arc_count else 0)
 
 
@@ -567,8 +585,8 @@ def _peel(g: Digraph) -> tuple[list[int], list[tuple[str, list[int]]]]:
         arcs; return the heads whose indegree fell."""
         touched = []
         while True:
-            batch = sorted(a for v in frontier for a in out_arcs[v]
-                           if live[a])
+            batch = [a for v in frontier for a in out_arcs[v] if live[a]]
+            batch.sort()
             if not batch:
                 return touched
             deferred.append(("sources", batch))
@@ -656,7 +674,8 @@ def _colour_subcubic(d: Digraph) -> list[int]:
     g, ids = d, list(range(d.arc_count))
     while True:
         live, peeled = _peel(g)
-        batches += [(kind, [ids[a] for a in batch]) for kind, batch in peeled]
+        batches += [(kind, list(map(ids.__getitem__, batch)))
+                    for kind, batch in peeled]
         g, ids = _sub(g, ids, live)
         cuts = _colour_core(g, ids, colour) if live else []
         if not cuts:
@@ -666,13 +685,13 @@ def _colour_subcubic(d: Digraph) -> list[int]:
         g, ids = _sub(g, ids, [a for a in range(g.arc_count) if a not in cut])
 
     # Bit c of into[v] (outof[v]) is set when an arc of colour c enters
-    # (leaves) v; bit 0 stands for uncoloured arcs and frees nothing.
-    # Only _first_completion ever uncolours an arc, and only its own, so
-    # the masks stay exact when each colouring below sets its bits.
+    # (leaves) v; an uncoloured arc sets none.  Only _first_completion
+    # ever uncolours an arc, and only its own, so the masks stay exact
+    # when each colouring below sets its bits.
     arcs = d.arcs
     into = [0] * d.vertex_count
     outof = [0] * d.vertex_count
-    for (t, h), c in zip(arcs, colour):
+    for (t, h), c in zip(compress(arcs, colour), filter(None, colour)):
         outof[t] |= 1 << c
         into[h] |= 1 << c
 
@@ -689,11 +708,14 @@ def _colour_subcubic(d: Digraph) -> list[int]:
     for kind, batch in reversed(batches):
         if kind == "sources":
             for a in batch:
-                options = free(a)
-                if not options:
+                t, h = arcs[a]
+                c = _FIRST_FREE[into[h] | outof[h] | into[t]]
+                if not c:
                     raise InternalDefectError(
                         f"deferred arc {a} has no free colour")
-                put(a, options[0])
+                colour[a] = c
+                outof[t] |= 1 << c
+                into[h] |= 1 << c
         elif kind == "circuit":
             solution = _cycle_dp([COLOURS] * len(batch),
                                  [free(a) for a in batch])
@@ -764,12 +786,16 @@ def _colour_core(core: Digraph, ids: Sequence[int],
                 "critical circuit fed from a single tail")
         selected_pairs.append((first, partner))
 
-    conflict: dict[int, set[int]] = {a: set() for a in aprime}
-    for a in aprime:
+    # The conflict graph on A', each arc by its rank in aprime.
+    rank = [0] * core.arc_count
+    for i, a in enumerate(aprime):
+        rank[a] = i
+    conflict: list[set[int]] = [set() for _ in aprime]
+    for i, a in enumerate(aprime):
         for j in out_arcs[arcs[a][1]]:
             if low[arcs[j][1]]:
-                conflict[a].add(j)
-                conflict[j].add(a)
+                conflict[i].add(rank[j])
+                conflict[rank[j]].add(i)
     # the marked arcs' tails are low, so every arc into them is in A'
     for s1, s2 in selected_pairs:
         in1, in2 = in_arcs[arcs[s1][0]], in_arcs[arcs[s2][0]]
@@ -777,23 +803,24 @@ def _colour_core(core: Digraph, ids: Sequence[int],
             raise InternalDefectError(
                 "marked arc tail without a unique entering arc")
         if in1[0] != in2[0]:
-            conflict[in1[0]].add(in2[0])
-            conflict[in2[0]].add(in1[0])
-    for a, nb in conflict.items():
+            x, y = rank[in1[0]], rank[in2[0]]
+            conflict[x].add(y)
+            conflict[y].add(x)
+    for i, nb in enumerate(conflict):
         if len(nb) > 3:
             raise InternalDefectError(
-                f"conflict graph degree {len(nb)} at arc {ids[a]}")
+                f"conflict graph degree {len(nb)} at arc {ids[aprime[i]]}")
 
     # A complete component on four arcs cannot be Brooks-coloured.  Each
     # one, met at its least arc, has its four incident vertices cut out;
     # the rest is coloured on the next level, the cut arcs after it.
     cuts: list[list[int]] = []
     taken: set[int] = set()
-    for a0 in aprime:
-        comp = conflict[a0] | {a0}
-        if (len(comp) == 4 and a0 == min(comp)
-                and all(conflict[a] | {a} == comp for a in conflict[a0])):
-            removed = {a for v in {v for a in comp for v in arcs[a]}
+    for i0, nb in enumerate(conflict):
+        comp = nb | {i0}
+        if (len(comp) == 4 and i0 == min(comp)
+                and all(conflict[i] | {i} == comp for i in nb)):
+            removed = {a for v in {v for i in comp for v in arcs[aprime[i]]}
                        for a in in_arcs[v] + out_arcs[v]}
             if len(removed) > 10:
                 raise InternalDefectError(
@@ -803,9 +830,7 @@ def _colour_core(core: Digraph, ids: Sequence[int],
     if cuts:
         return cuts
 
-    index = {a: i for i, a in enumerate(aprime)}
-    node_colours = _brooks([{index[j] for j in conflict[a]} for a in aprime])
-    cprime = dict(zip(aprime, node_colours))
+    cprime = dict(zip(aprime, _brooks(conflict)))
 
     # Arcs between low vertices are coloured via the conflict graph; the
     # engine colours the rest.  Low vertices keeping both an in-arc and
@@ -828,14 +853,14 @@ def _colour_core(core: Digraph, ids: Sequence[int],
         if low[t] and low[h]:
             continue
         if low[h]:
-            lists.append({cprime[a]})
+            lists.append(1 << cprime[a])
         elif low[t]:
             if len(in_arcs[t]) != 1:
                 raise InternalDefectError(
                     f"low vertex {t} lacks a unique entering arc")
-            lists.append(set(COLOURS) - {cprime[in_arcs[t][0]]})
+            lists.append(_FULL_MASK ^ 1 << cprime[in_arcs[t][0]])
         else:
-            lists.append(set(COLOURS))
+            lists.append(_FULL_MASK)
         engine_arcs.append((t, detached.get(a, h)))
         engine_ids.append(a)
 

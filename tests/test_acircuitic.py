@@ -42,6 +42,17 @@ def test_list_colouring_in_star():
     assert set(col.colour.values()) <= {1, 2}
 
 
+def test_list_colouring_huge_colours():
+    # each listed colour takes one bit of its rank, however large it is
+    d = Digraph(4, ((0, 2), (1, 2), (2, 3)))
+    big = 10 ** 14
+    col = list_colouring_acyclic(d, {0: (big, 1, big + 1), 1: (big, 1, 7),
+                                     2: (big + 1, big, 1)})
+    assert dict(col.colour) == {0: big, 1: 7, 2: 1}
+    assert col.colour_count == big
+    assert verify_star_colouring(d, col) is None
+
+
 def test_list_colouring_path():
     d = Digraph(4, ((0, 1), (1, 2), (2, 3)))
     col = list_colouring_acyclic(d, {i: (1, 2, 3) for i in range(3)})

@@ -380,6 +380,22 @@ def test_verify_acircuitic_flag(tmp_path, capsys):
     assert main(["verify", instance, str(bicoloured), "--acircuitic"]) == 1
 
 
+@pytest.mark.parametrize("n, colours, code, out", [
+    (2, (1, 2), 1, "violation: bicoloured circuit through vertices [0, 1]\n"),
+    (4, (1, 10 ** 14, 1, 10 ** 14), 1,
+     "violation: bicoloured circuit through vertices [0, 1, 2, 3]\n"),
+    (4, (1, 10 ** 14, 3, 10 ** 14), 0, "ok\n"),
+])
+def test_verify_acircuitic_texts(tmp_path, capsys, n, colours, code, out):
+    # the walk decides, whatever the size of a colour; the pair scan
+    # names the circuit
+    instance = circuit_instance(tmp_path, n)
+    colouring = tmp_path / "col.txt"
+    colouring.write_text("".join(f"c {a} {c}\n" for a, c in enumerate(colours)))
+    assert main(["verify", instance, str(colouring), "--acircuitic"]) == code
+    assert capsys.readouterr().out == out
+
+
 def test_verify_dag_roundtrip_checks_interval_lines(tmp_path, capsys):
     instance = dag_instance(tmp_path)
     colouring = tmp_path / "col.txt"

@@ -94,15 +94,15 @@ def test_cycle_solver_gives_up_on_even_circuit(monkeypatch, tmp_path):
 
 @case
 def test_engine_strikes_last_colour(monkeypatch, tmp_path):
-    # both arcs of the path 0 -> 1 -> 2 may only take colour 1
+    # both arcs of the path 0 -> 1 -> 2 may only take colour 1 (mask 0b10)
     with raises_defect("arc 0 lost its last colour during propagation"):
-        subcubic._extension_engine(Digraph(3, ((0, 1), (1, 2))), [{1}, {1}])
+        subcubic._extension_engine(Digraph(3, ((0, 1), (1, 2))), [0b10, 0b10])
 
 
 @case
 def test_engine_no_distinct_colours(monkeypatch, tmp_path):
     with raises_defect("no distinct colours for the arcs into 2"):
-        subcubic._extension_engine(Digraph(3, ((0, 2), (1, 2))), [{1}, {1}])
+        subcubic._extension_engine(Digraph(3, ((0, 2), (1, 2))), [0b10, 0b10])
 
 
 @case
@@ -110,7 +110,7 @@ def test_engine_terminal_vertex_with_two_out_arcs(monkeypatch, tmp_path):
     # vertex 1 has indegree 1 and outdegree 2 inside a strong component
     d = Digraph(3, ((0, 1), (1, 0), (1, 2), (2, 0)))
     with raises_defect("vertex 1 of a terminal component has 2 out-arcs"):
-        subcubic._extension_engine(d, [set(subcubic.COLOURS) for _ in d.arcs])
+        subcubic._extension_engine(d, [subcubic._FULL_MASK] * d.arc_count)
 
 
 @case
@@ -119,7 +119,7 @@ def test_engine_component_not_a_circuit(monkeypatch, tmp_path):
     monkeypatch.setattr(subcubic, "strong_components", lambda e: [[0, 1, 2, 3]])
     d = Digraph(4, ((0, 1), (1, 0), (2, 3), (3, 2)))
     with raises_defect("terminal component is not a circuit"):
-        subcubic._extension_engine(d, [set(subcubic.COLOURS) for _ in d.arcs])
+        subcubic._extension_engine(d, [subcubic._FULL_MASK] * d.arc_count)
 
 
 @case
@@ -127,7 +127,7 @@ def test_engine_circuit_vertex_entered_twice(monkeypatch, tmp_path):
     # vertex 0 of the digon 0 <-> 1 has indegree three
     d = Digraph(4, ((0, 1), (1, 0), (2, 0), (3, 0)))
     with raises_defect("circuit vertex 0 has several entering arcs"):
-        subcubic._extension_engine(d, [set(subcubic.COLOURS) for _ in d.arcs])
+        subcubic._extension_engine(d, [subcubic._FULL_MASK] * d.arc_count)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from galaxia import (
     exact_lambda_n,
     find_bicoloured_circuit,
     find_circuit_arcs,
+    oracle,
     random_digraph,
     triangle_multidigraph,
     verify_fibre_colouring,
@@ -285,6 +286,50 @@ def test_bicoloured_circuit_matches_the_scan_of_every_class():
     assert 1000 < found < 3000
 
 
+def random_star_colouring(rng, d, q):
+    """A star colouring of d: each arc, in random order, draws from the
+    colours 1..q its coloured conflicts leave, or takes a colour of its
+    own above q when they leave none."""
+    conflicts = oracle._conflict_lists(d)
+    colour = {}
+    for a in rng.sample(range(d.arc_count), d.arc_count):
+        taken = {colour.get(b) for b in conflicts[a]}
+        free = [c for c in range(1, q + 1) if c not in taken]
+        colour[a] = rng.choice(free) if free else q + 1 + a
+    return ArcColouring(colour, max(colour.values(), default=0))
+
+
+def test_alternating_walk_matches_the_pair_scan():
+    # random star colourings of small digraphs, digons allowed, in two to
+    # four colours: the walk finds a bicoloured circuit exactly when
+    # find_bicoloured_circuit's Kahn pair scan does
+    rng = random.Random(31)
+    outcomes = {True: 0, False: 0}
+    for _ in range(4000):
+        n = rng.randint(2, 8)
+        pairs = [(t, h) for t in range(n) for h in range(n) if t != h]
+        arcs = rng.sample(pairs, rng.randint(0, min(len(pairs), 2 * n)))
+        d = Digraph(n, tuple(arcs))
+        col = random_star_colouring(rng, d, rng.randint(2, 4))
+        assert verify_star_colouring(d, col) is None
+        held = oracle._holds_bicoloured_circuit(d, col)
+        assert held == (find_bicoloured_circuit(d, col) is not None)
+        outcomes[held] += 1
+    assert min(outcomes.values()) > 1000, outcomes
+
+
+@pytest.mark.parametrize("n, colours, held", [
+    (2, (1, 2), True),
+    (4, (1, 10 ** 14, 1, 10 ** 14), True),
+    (4, (1, 10 ** 14, 3, 10 ** 14), False),
+    (6, (1, 2, 3, 1, 2, 3), False),
+])
+def test_alternating_walk_on_circuits(n, colours, held):
+    col = ArcColouring(dict(enumerate(colours)), max(colours))
+    assert verify_star_colouring(circuit(n), col) is None
+    assert oracle._holds_bicoloured_circuit(circuit(n), col) is held
+
+
 def test_bicoloured_circuit_ignores_keys_that_are_not_arcs():
     # the pair (2, 3) closes 0->1->2 before colour 3 alone closes 3->4->5;
     # colour 1 on the non-arc key 6 must not add the pair (1, 3) first
@@ -327,6 +372,11 @@ def test_edge_colouring_k4():
 def test_edge_colouring_k33():
     edges = k33_edges()
     check_proper_edge_colouring(edges, edge_colouring_3regular(6, edges))
+
+
+def test_edge_colouring_empty_graph():
+    # no edges: the search returns before it builds a domain
+    assert edge_colouring_3regular(0, []) == {}
 
 
 def test_edge_colouring_petersen_infeasible():
