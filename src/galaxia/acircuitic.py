@@ -11,8 +11,10 @@ by list colouring.
 The list-colouring step stands alone as `list_colouring_acyclic`: any
 acyclic subcubic digraph with every arc list at least as large as its
 head's degree admits a directed star colouring from the lists.  Both
-run subcubic's one list-extension engine, which on acyclic input colours
-the arcs into each vertex once every arc leaving it is coloured.
+follow subcubic's list-extension engine, which on acyclic input colours
+the arcs into each vertex once every arc leaving it is coloured:
+`acircuitic_colouring` runs it on colour masks, `list_colouring_acyclic`
+runs its sink step on sets of colours of any size.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .colouring import ArcColouring
-from .digraph import Digraph, degree_profile, is_acyclic
+from .digraph import Digraph, degree_profile, is_acyclic, topological_order
 from .errors import (HasDigonError, InternalDefectError, NotSimpleError,
                      NotSubcubicError, PreconditionViolatedError)
 from .subcubic import (_FULL_MASK, _brooks, _extension_engine,
-                       _functional_cycles)
+                       _first_distinct, _functional_cycles)
 
 
 def list_colouring_acyclic(d: Digraph,
@@ -33,14 +35,14 @@ def list_colouring_acyclic(d: Digraph,
     """Directed star colouring of an acyclic subcubic digraph from lists.
 
     Every arc's list must be at least as large as the total degree of
-    its head.  The colouring is subcubic's extension engine on acyclic
-    input: the arcs into a vertex w are coloured once every arc leaving
-    w is, their lists struck by those colours, and take the first
-    distinct choice in arc order.  Striking takes one colour per
-    coloured arc at w, so each list keeps at least as many colours as w
-    has entering arcs and no choice meets a dead end.  The engine's masks
-    hold each colour's rank among all the listed colours, an order-keeping
-    renumbering, so a colour of any size takes one bit.
+    its head.  The colouring is the sink step of subcubic's extension
+    engine, taken in reverse topological order: the arcs into a vertex
+    w are coloured once every arc leaving w is, their lists struck by
+    those colours, and take the first distinct choice in arc order.
+    Striking takes one colour per coloured arc at w, so each list keeps
+    at least as many colours as w has entering arcs and no choice meets
+    a dead end.  The lists stay sets, since a colour may be any positive
+    int and the engine's masks would need a bit for each.
     """
     if len(set(d.arcs)) != d.arc_count:
         raise NotSimpleError("needs a simple digraph")
@@ -58,11 +60,15 @@ def list_colouring_acyclic(d: Digraph,
             raise PreconditionViolatedError(
                 f"arc {i} has a list of {len(live[i])} colours but its head "
                 f"has degree {profile.degree[h]}")
-    palette = sorted(set().union(*live))
-    bit = {c: 1 << r for r, c in enumerate(palette)}
-    colours = _extension_engine(d, [sum(map(bit.__getitem__, lst))
-                                    for lst in live])
-    colours = {a: palette[r] for a, r in colours.items()}
+    colours: dict[int, int] = {}
+    for w in reversed(topological_order(d)):
+        ins = d.in_arcs[w]
+        taken = {colours[a] for a in d.out_arcs[w]}
+        choice = _first_distinct([sorted(live[a] - taken) for a in ins])
+        if len(choice) < len(ins):
+            raise InternalDefectError(
+                f"no distinct colours for the arcs into {w}")
+        colours.update(zip(ins, choice))
     return ArcColouring(colours, max(colours.values(), default=0))
 
 

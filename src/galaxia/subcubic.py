@@ -30,9 +30,8 @@ FULL = frozenset(COLOURS)
 # A colour list as an int: bit c stands for colour c.
 _FULL_MASK = 0b1110
 # Free colours by a mask whose bit c marks colour c as taken (bit 0 is
-# ignored), and the first of them (0 when none is free).
+# ignored).
 _FREE = [tuple(c for c in COLOURS if not mask >> c & 1) for mask in range(16)]
-_FIRST_FREE = [free[0] if free else 0 for free in _FREE]
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +316,10 @@ def _colours_of(mask: int) -> list[int]:
     return [c for c in range(mask.bit_length()) if mask >> c & 1]
 
 
-def _first_distinct(masks: tuple[int, ...]) -> tuple[int, ...]:
-    """The first choice of pairwise distinct colours, one from each mask,
-    in product order over ascending colours; () when there is none."""
-    for combo in product(*map(_colours_of, masks)):
+def _first_distinct(lists: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    """The first choice of pairwise distinct colours, one from each list
+    of ascending colours, in product order; () when there is none."""
+    for combo in product(*lists):
         if len(set(combo)) == len(combo):
             return combo
     return ()
@@ -367,7 +366,7 @@ def _extension_engine(e: Digraph, lists: list[int]) -> dict[int, int]:
             key = tuple(map(lists.__getitem__, ins))
             choice = first.get(key)
             if choice is None:
-                choice = first[key] = _first_distinct(key)
+                choice = first[key] = _first_distinct(map(_colours_of, key))
             if not choice:
                 raise InternalDefectError(
                     f"no distinct colours for the arcs into {v}")
@@ -708,14 +707,11 @@ def _colour_subcubic(d: Digraph) -> list[int]:
     for kind, batch in reversed(batches):
         if kind == "sources":
             for a in batch:
-                t, h = arcs[a]
-                c = _FIRST_FREE[into[h] | outof[h] | into[t]]
-                if not c:
+                options = free(a)
+                if not options:
                     raise InternalDefectError(
                         f"deferred arc {a} has no free colour")
-                colour[a] = c
-                outof[t] |= 1 << c
-                into[h] |= 1 << c
+                put(a, options[0])
         elif kind == "circuit":
             solution = _cycle_dp([COLOURS] * len(batch),
                                  [free(a) for a in batch])

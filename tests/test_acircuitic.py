@@ -43,7 +43,7 @@ def test_list_colouring_in_star():
 
 
 def test_list_colouring_huge_colours():
-    # each listed colour takes one bit of its rank, however large it is
+    # the lists are sets, so a colour may be as large as any int
     d = Digraph(4, ((0, 2), (1, 2), (2, 3)))
     big = 10 ** 14
     col = list_colouring_acyclic(d, {0: (big, 1, big + 1), 1: (big, 1, 7),
@@ -51,6 +51,17 @@ def test_list_colouring_huge_colours():
     assert dict(col.colour) == {0: big, 1: 7, 2: 1}
     assert col.colour_count == big
     assert verify_star_colouring(d, col) is None
+
+
+def test_list_colouring_disjoint_lists():
+    # every arc lists three colours of its own, about 9,000 colours in
+    # all, and each choice looks only at the lists into its own head
+    g = random_oriented_subcubic(2000, 5)
+    d = Digraph(g.vertex_count, tuple((min(a), max(a)) for a in g.arcs))
+    lists = {i: (3 * i + 1, 3 * i + 2, 3 * i + 3) for i in range(d.arc_count)}
+    col = list_colouring_acyclic(d, lists)
+    assert verify_star_colouring(d, col) is None
+    assert all(col[i] in lists[i] for i in range(d.arc_count))
 
 
 def test_list_colouring_path():

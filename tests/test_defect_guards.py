@@ -211,7 +211,8 @@ def test_core_engine_rejects_instance(monkeypatch, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# acircuitic, on digraphs of degree four presented as subcubic
+# acircuitic, on digraphs of degree four presented as subcubic, and
+# list_colouring_acyclic on lists presented as long enough
 
 
 @case
@@ -248,6 +249,16 @@ def test_back_arc_conflict_complete_quadruple(monkeypatch, tmp_path):
     claims_subcubic(monkeypatch)
     with raises_defect("back-arc conflict graph contains a complete quadruple"):
         acircuitic.acircuitic_colouring(matched_pairs_into_one_tail(4))
+
+
+@case
+def test_list_colouring_no_distinct_colours(monkeypatch, tmp_path):
+    # both arcs into vertex 2 list only colour 1, passed off as lists as
+    # large as their head's degree
+    monkeypatch.setattr(acircuitic, "degree_profile", lambda d: types.SimpleNamespace(
+        max_degree=3, degree=[1] * d.vertex_count))
+    with raises_defect("no distinct colours for the arcs into 2"):
+        acircuitic.list_colouring_acyclic(Digraph(3, ((0, 2), (1, 2))), {0: (1,), 1: (1,)})
 
 
 # ---------------------------------------------------------------------------

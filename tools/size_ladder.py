@@ -1,16 +1,15 @@
 """Time each star theorem per arc on a ladder of sizes.
 
-    python3 tools/size_ladder.py [--src src] [--sizes 16000 64000 256000]
-                                 [--seed 1] [THEOREM ...]
+    python3 tools/size_ladder.py [--src src] [THEOREM ...]
 
-For each theorem named (all five when none is) and each size, a fresh
-interpreter imports galaxia from --src, builds the seeded instance with
-the package's own generator, and times the theorem's call alone, with
-the cyclic garbage collector paused as the command line pauses it.  One
-line per theorem gives the arcs and µs per arc at each size, the growth
-of µs per arc from the first size to the last (near-linear work reads
-about 1.0), and each cell's peak RSS in MB, instance generation
-included.  The cells run one at a time.
+For each theorem named (all five when none is) and each of 16k, 64k and
+256k vertices, a fresh interpreter imports galaxia from --src, builds
+the instance of seed 1 with the package's own generator, and times the
+theorem's call alone, with the cyclic garbage collector paused as the
+command line pauses it.  One line per theorem gives the arcs and µs per
+arc at each size, the growth of µs per arc from the first size to the
+last (near-linear work reads about 1.0), and each cell's peak RSS in MB,
+instance generation included.  The cells run one at a time.
 
     acyclic     star_colouring_acyclic on random_labelled_dag(n, 1, 3)
     2k1         dst_upper_2k1 on random_digraph(n, 3, 3)
@@ -32,22 +31,24 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 THEOREMS = ("acyclic", "2k1", "diregular4", "subcubic", "acircuitic")
+SIZES = (16000, 64000, 256000)
+SEED = 1
 
 
-def cell(theorem: str, n: int, seed: int) -> dict[str, float]:
+def cell(theorem: str, n: int) -> dict[str, float]:
     """Build one instance, time the theorem on it and read peak RSS."""
     import galaxia as g
     if theorem == "acyclic":
-        d = g.random_labelled_dag(n, 1, 3, seed).underlying
+        d = g.random_labelled_dag(n, 1, 3, SEED).underlying
         solve = g.star_colouring_acyclic
     elif theorem == "2k1":
-        d, solve = g.random_digraph(n, 3, 3, seed), g.dst_upper_2k1
+        d, solve = g.random_digraph(n, 3, 3, SEED), g.dst_upper_2k1
     elif theorem == "diregular4":
-        d, solve = g.random_digraph(n, 2, 2, seed), g.dst4_colouring
+        d, solve = g.random_digraph(n, 2, 2, SEED), g.dst4_colouring
     elif theorem == "subcubic":
-        d, solve = g.random_subcubic(n, seed), g.star_colouring_subcubic
+        d, solve = g.random_subcubic(n, SEED), g.star_colouring_subcubic
     else:
-        d, solve = g.random_oriented_subcubic(n, seed), g.acircuitic_colouring
+        d, solve = g.random_oriented_subcubic(n, SEED), g.acircuitic_colouring
     gc.disable()
     start = time.perf_counter()
     solve(d)
@@ -64,9 +65,6 @@ def main(argv: list[str] | None = None) -> int:
                         help=f"any of {', '.join(THEOREMS)}")
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="directory holding galaxia/")
-    parser.add_argument("--sizes", type=int, nargs="+",
-                        default=[16000, 64000, 256000])
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--cell", nargs=2, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     unknown = set(args.theorems) - set(THEOREMS)
@@ -74,15 +72,15 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unknown theorem {sorted(unknown)[0]}")
     if args.cell:
         sys.path.insert(0, str(Path(args.src).resolve()))
-        print(json.dumps(cell(args.cell[0], int(args.cell[1]), args.seed)))
+        print(json.dumps(cell(args.cell[0], int(args.cell[1]))))
         return 0
 
     for theorem in args.theorems or THEOREMS:
         cells = []
-        for n in args.sizes:
+        for n in SIZES:
             out = subprocess.run(
-                [sys.executable, __file__, "--src", args.src, "--seed",
-                 str(args.seed), "--cell", theorem, str(n)],
+                [sys.executable, __file__, "--src", args.src,
+                 "--cell", theorem, str(n)],
                 check=True, capture_output=True, text=True).stdout
             cells.append(json.loads(out))
         per_arc = [c["seconds"] * 1e6 / max(c["arcs"], 1) for c in cells]
