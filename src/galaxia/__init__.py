@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 # Each submodule with the public names it exports through the package.
 _EXPORTS = {
-    "acircuitic": ("acircuitic_colouring", "list_colouring_acyclic"),
+    "acircuitic": ("acircuitic_colouring",),
     "acyclic": ("star_colouring_acyclic",),
     "colouring": ("ArcColouring", "from_class_list"),
     "constructions": ("ARC_BUDGET", "CUBIC_GRAPHS", "GadgetCertificate",
@@ -34,12 +34,11 @@ _EXPORTS = {
                 "topological_order"),
     "errors": ("AboveCapError", "BadListsError", "BadParamsError",
                "BadShapeError", "CyclicError", "DegreeTooHighError",
-               "GalaxiaError", "HasDigonError", "HasK4Error", "InfeasibleError",
+               "GalaxiaError", "HasDigonError", "InfeasibleError",
                "InternalDefectError", "InvalidColouringError",
-               "NoApplicableAlgorithmError", "NotCubicError", "NotForestError",
-               "NotNiceError", "NotSimpleError", "NotSubcubicError",
-               "ParseError", "PreconditionViolatedError", "SizeOverflowError",
-               "TooLargeError", "ValidateError"),
+               "NoApplicableAlgorithmError", "NotCubicError", "NotSimpleError",
+               "NotSubcubicError", "ParseError", "PreconditionViolatedError",
+               "SizeOverflowError", "TooLargeError", "ValidateError"),
     "fibre": ("FibreColouring", "FibreViolation", "WavelengthAssignment",
               "WavelengthViolation", "expand_to_wavelength_assignment",
               "fibre_colouring_acyclic", "fibre_colouring_smallm",
@@ -47,17 +46,15 @@ _EXPORTS = {
               "verify_wavelength_assignment"),
     "fileio": ("read_colouring", "read_digraph", "read_wavelengths",
                "write_colouring", "write_digraph", "write_wavelengths"),
-    "galaxy": ("ForestGalaxyDecomposition", "dst_upper_2k1",
-               "forest_to_two_galaxies", "is_forest_arcs", "is_galaxy_arcs",
-               "is_k_nice", "u_suitable_decomposition"),
+    "galaxy": ("dst_upper_2k1",),
     "intervals": ("CyclicInterval", "interval_complement",
                   "sdr_in_cyclic_interval", "smallest_interval_containing"),
     "oracle": ("StarViolation", "edge_colouring_3regular", "exact_dst",
                "exact_lambda_n", "find_bicoloured_circuit",
                "verify_star_colouring"),
-    "spanning": ("Galaxy", "dst4_colouring", "spanning_galaxy"),
-    "subcubic": ("brooks_three_colouring", "lemma_cycle_colouring",
-                 "lemma_extension_colouring", "star_colouring_subcubic"),
+    "spanning": ("dst4_colouring",),
+    "subcubic": ("lemma_cycle_colouring", "lemma_extension_colouring",
+                 "star_colouring_subcubic"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -6,70 +6,18 @@ V1 holds the vertices of outdegree at most one.  What remains is acyclic;
 the arcs from heads of M4-matching arcs back to their tails are coloured
 through a Brooks colouring of an auxiliary conflict graph whose second
 adjacency rule kills every bicoloured circuit, and the rest is finished
-by list colouring.
-
-The list-colouring step stands alone as `list_colouring_acyclic`: any
-acyclic subcubic digraph with every arc list at least as large as its
-head's degree admits a directed star colouring from the lists.  Both
-follow subcubic's list-extension engine, which on acyclic input colours
-the arcs into each vertex once every arc leaving it is coloured:
-`acircuitic_colouring` runs it on colour masks, `list_colouring_acyclic`
-runs its sink step on sets of colours of any size.
+by list colouring with subcubic's list-extension engine, which on
+acyclic input colours the arcs into each vertex once every arc leaving
+it is coloured.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
-
 from .colouring import ArcColouring
-from .digraph import Digraph, degree_profile, is_acyclic, topological_order
+from .digraph import Digraph, degree_profile
 from .errors import (HasDigonError, InternalDefectError, NotSimpleError,
-                     NotSubcubicError, PreconditionViolatedError)
-from .subcubic import (_FULL_MASK, _brooks, _extension_engine,
-                       _first_distinct, _functional_cycles)
-
-
-def list_colouring_acyclic(d: Digraph,
-                           lists: Mapping[int, Iterable[int]],
-                           ) -> ArcColouring:
-    """Directed star colouring of an acyclic subcubic digraph from lists.
-
-    Every arc's list must be at least as large as the total degree of
-    its head.  The colouring is the sink step of subcubic's extension
-    engine, taken in reverse topological order: the arcs into a vertex
-    w are coloured once every arc leaving w is, their lists struck by
-    those colours, and take the first distinct choice in arc order.
-    Striking takes one colour per coloured arc at w, so each list keeps
-    at least as many colours as w has entering arcs and no choice meets
-    a dead end.  The lists stay sets, since a colour may be any positive
-    int and the engine's masks would need a bit for each.
-    """
-    if len(set(d.arcs)) != d.arc_count:
-        raise NotSimpleError("needs a simple digraph")
-    profile = degree_profile(d)
-    if profile.max_degree > 3:
-        raise PreconditionViolatedError("digraph is not subcubic")
-    if not is_acyclic(d):
-        raise PreconditionViolatedError("digraph has a circuit")
-    live: list[set[int]] = []
-    for i, (t, h) in enumerate(d.arcs):
-        if i not in lists:
-            raise PreconditionViolatedError(f"arc {i} has no colour list")
-        live.append(set(lists[i]))
-        if len(live[i]) < profile.degree[h]:
-            raise PreconditionViolatedError(
-                f"arc {i} has a list of {len(live[i])} colours but its head "
-                f"has degree {profile.degree[h]}")
-    colours: dict[int, int] = {}
-    for w in reversed(topological_order(d)):
-        ins = d.in_arcs[w]
-        taken = {colours[a] for a in d.out_arcs[w]}
-        choice = _first_distinct([sorted(live[a] - taken) for a in ins])
-        if len(choice) < len(ins):
-            raise InternalDefectError(
-                f"no distinct colours for the arcs into {w}")
-        colours.update(zip(ins, choice))
-    return ArcColouring(colours, max(colours.values(), default=0))
+                     NotSubcubicError)
+from .subcubic import _FULL_MASK, _brooks, _extension_engine, _functional_cycles
 
 
 def acircuitic_colouring(d: Digraph) -> ArcColouring:
@@ -136,12 +84,6 @@ def acircuitic_colouring(d: Digraph) -> ArcColouring:
                     neigh[b].add(a)
     if any(len(nb) > 3 for nb in neigh):
         raise InternalDefectError("back-arc conflict graph has degree four")
-    for nb in neigh:
-        if len(nb) == 3:
-            x1, x2, x3 = sorted(nb)
-            if x2 in neigh[x1] and x3 in neigh[x1] and x3 in neigh[x2]:
-                raise InternalDefectError(
-                    "back-arc conflict graph contains a complete quadruple")
     brooks = _brooks(neigh)
     back_colour = {arc: brooks[k] for k, arc in enumerate(eprime)}
 

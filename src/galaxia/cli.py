@@ -56,7 +56,7 @@ from .oracle import (DEFAULT_ARC_LIMIT, _holds_bicoloured_circuit,
                      find_bicoloured_circuit, verify_star_colouring)
 
 if TYPE_CHECKING:
-    from .fibre import FibreColouring, WavelengthAssignment
+    from .fibre import FibreColouring, WavelengthAssignment  # unreached: type checkers only
 
 _STAR_ALGORITHMS = ("auto", "2k1", "acyclic", "subcubic", "diregular4",
                     "acircuitic", "smallm")
@@ -578,4 +578,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main())  # unreached: runs only as a script, in a child process

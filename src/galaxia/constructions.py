@@ -143,19 +143,11 @@ def np_gadget() -> NpGadget:
     d = Digraph(6, _GADGET_ARCS)
     pairs = [(a, b) for a, near in enumerate(_conflict_lists(d))
              for b in near if a < b]
-    interface = (_GADGET_A, _GADGET_B, _GADGET_C)
-    valid = 0
-    triples: set[tuple[int, int, int]] = set()
-    p1 = True
-    for phi in itertools.product((1, 2, 3), repeat=len(d.arcs)):
-        if any(phi[i] == phi[j] for i, j in pairs):
-            continue
-        valid += 1
-        triple = tuple(phi[a] for a in interface)
-        if len(set(triple)) != 3:
-            p1 = False
-        triples.add(triple)
-    cert = GadgetCertificate(valid, p1, len(triples))
+    valid = [phi for phi in itertools.product((1, 2, 3), repeat=len(d.arcs))
+             if all(phi[i] != phi[j] for i, j in pairs)]
+    triples = {(phi[_GADGET_A], phi[_GADGET_B], phi[_GADGET_C]) for phi in valid}
+    cert = GadgetCertificate(len(valid), all(len(set(t)) == 3 for t in triples),
+                             len(triples))
     return NpGadget(d, _GADGET_A, _GADGET_B, _GADGET_C, cert)
 
 

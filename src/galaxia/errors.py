@@ -44,14 +44,6 @@ class CyclicError(GalaxiaError):
         self.circuit = tuple(circuit)
 
 
-class NotNiceError(GalaxiaError):
-    """The multidigraph is not k-nice for the requested k."""
-
-
-class NotForestError(GalaxiaError):
-    """An arc set required to be a directed forest is not one."""
-
-
 class NotSubcubicError(GalaxiaError):
     """An operation restricted to digraphs with max degree 3 got more."""
 
@@ -66,10 +58,6 @@ class HasDigonError(GalaxiaError):
 
 class NotCubicError(GalaxiaError):
     """An operation on undirected graphs requires 3-regularity."""
-
-
-class HasK4Error(GalaxiaError):
-    """Brooks colouring rejected a K4 component."""
 
 
 class BadShapeError(GalaxiaError):

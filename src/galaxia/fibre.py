@@ -25,6 +25,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import count
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
@@ -154,7 +155,9 @@ def verify_wavelength_assignment(ld: LabelledDigraph, wa: WavelengthAssignment,
             and len(leaving) == len(set(zip(tails, wls, f_outs, labels)))):
         return None
     d = ld.underlying
-    for v in range(ld.vertex_count):
+    # the test above found a violation, so the scan returns before it
+    # runs out of vertices
+    for v in count():
         in_here: dict[tuple[int, int], int] = {}
         out_here: dict[tuple[int, int], int] = {}
         # both directions in arc order, so the first violation is stable
@@ -176,7 +179,6 @@ def verify_wavelength_assignment(ld: LabelledDigraph, wa: WavelengthAssignment,
             if key in in_here:
                 a, b = in_here[key], arc
                 return WavelengthViolation("i", min(a, b), max(a, b))
-    return None
 
 
 def upper_bound_acyclic(n: int, m: int, k: int) -> int:

@@ -124,12 +124,7 @@ def _read_lines(stream: Iterable[str]) -> LabelledDigraph:
         fields = raw.split()
         count = len(fields)
         if header is not None and (count == 3 or count == 4) and fields[0] == "a":
-            try:
-                arc = (int(fields[1]), int(fields[2]),
-                       int(fields[3]) if count == 4 else 1)
-            except ValueError:
-                _ints(fields[1:], lineno)  # names the first non-integer field
-                raise
+            arc = (*_ints(fields[1:], lineno), 1)[:3]  # label 1 when omitted
             if not (0 <= arc[0] < n and 0 <= arc[1] < n):
                 raise ParseError(lineno, f"vertex id outside 0..{n - 1}")
             if not 1 <= arc[2] <= m:

@@ -2,9 +2,11 @@
 
 A k-decomposition splits the arcs into k forests and a galaxy with all
 sources isolated in the galaxy; u-suitable adds that no galaxy arc
-points at u.  Every k-nice multidigraph has one, and turning each
-forest into two galaxies colours any simple digraph with 2k+1 colours
-for k its maximum indegree.
+points at u.  Every k-nice multidigraph (indegree at most k, parallel
+arcs only out of sources) has one, which `_decompose` builds.  A simple
+digraph is k-nice for k its maximum indegree, and `_split_forest` turns
+each forest into two galaxies, so `dst_upper_2k1` colours it with 2k+1
+colours.
 
 The proof is an induction on k.  A strong piece S gives forest k-1 a
 spanning arborescence rooted at the least outneighbour v of u_S, puts
@@ -33,78 +35,11 @@ to forests k-1, k-2, ... in ascending order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Collection
 
 from .colouring import ArcColouring, from_class_list
-from .digraph import (Digraph, _kahn_leftover, degree_profile,
-                      strong_components)
-from .errors import (BadParamsError, NotForestError, NotNiceError,
-                     NotSimpleError, ValidateError)
-
-
-def is_galaxy_arcs(d: Digraph, arc_set: frozenset[int] | set[int]) -> bool:
-    """A set of arcs is a galaxy iff heads are pairwise distinct and no
-    head is also a tail: components are then exactly stars."""
-    heads = [d.arcs[i][1] for i in arc_set]
-    tails = {d.arcs[i][0] for i in arc_set}
-    return len(heads) == len(set(heads)) and not (set(heads) & tails)
-
-
-def is_forest_arcs(d: Digraph, arc_set: frozenset[int] | set[int]) -> bool:
-    """Union of arborescences: every head occurs once and no circuit."""
-    heads = [d.arcs[i][1] for i in arc_set]
-    return len(heads) == len(set(heads)) and not _kahn_leftover(d.arcs, arc_set)
-
-
-@dataclass(frozen=True)
-class ForestGalaxyDecomposition:
-    digraph: Digraph
-    forests: tuple[frozenset[int], ...]
-    galaxy: frozenset[int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "forests",
-                           tuple(frozenset(f) for f in self.forests))
-        object.__setattr__(self, "galaxy", frozenset(self.galaxy))
-        d = self.digraph
-        pieces = [*self.forests, self.galaxy]
-        total = sum(len(p) for p in pieces)
-        union = set().union(*pieces) if pieces else set()
-        if total != d.arc_count or union != set(range(d.arc_count)):
-            raise ValidateError("forests and galaxy do not partition the arcs")
-        for pos, forest in enumerate(self.forests):
-            if not is_forest_arcs(d, forest):
-                raise ValidateError(f"piece {pos} is not a forest")
-        if not is_galaxy_arcs(d, self.galaxy):
-            raise ValidateError("galaxy piece is not a galaxy")
-
-    def sources_isolated(self) -> bool:
-        profile = degree_profile(self.digraph)
-        sources = {v for v in range(self.digraph.vertex_count)
-                   if profile.indegree[v] == 0}
-        for i in self.galaxy:
-            t, h = self.digraph.arcs[i]
-            if t in sources or h in sources:
-                return False
-        return True
-
-    def suitable_for(self, u: int) -> bool:
-        return self.sources_isolated() and all(
-            self.digraph.arcs[i][1] != u for i in self.galaxy)
-
-
-def is_k_nice(d: Digraph, k: int) -> bool:
-    profile = degree_profile(d)
-    if profile.max_indegree > k:
-        return False
-    by_pair: dict[tuple[int, int], int] = {}
-    for t, h in d.arcs:
-        by_pair[(t, h)] = by_pair.get((t, h), 0) + 1
-    for (t, _), mult in by_pair.items():
-        if mult > 1 and profile.indegree[t] != 0:
-            return False
-    return True
+from .digraph import Digraph, degree_profile, strong_components
+from .errors import NotSimpleError
 
 
 def _bfs_tree(local: Digraph, comp_of: list[int], component: int,
@@ -201,31 +136,9 @@ def _decompose(d: Digraph, u: int, k: int) -> tuple[list[list[int]], list[int]]:
     return forests, galaxy
 
 
-def u_suitable_decomposition(d: Digraph, u: int, k: int,
-                             ) -> ForestGalaxyDecomposition:
-    """A u-suitable k-decomposition of a k-nice multidigraph."""
-    if not (0 <= u < d.vertex_count):
-        raise BadParamsError(f"vertex {u} outside 0..{d.vertex_count - 1}")
-    if k < 0:
-        raise BadParamsError("k must be non-negative")
-    if not is_k_nice(d, k):
-        raise NotNiceError(f"digraph is not {k}-nice")
-    forests, galaxy = _decompose(d, u, k)
-    return ForestGalaxyDecomposition(
-        d, tuple(frozenset(f) for f in forests), frozenset(galaxy))
-
-
-def forest_to_two_galaxies(d: Digraph, forest: frozenset[int] | set[int],
-                           ) -> tuple[frozenset[int], frozenset[int]]:
-    """Split a forest into two galaxies by the parity of tail depth."""
-    if not is_forest_arcs(d, forest):
-        raise NotForestError("arc set is not a forest")
-    return _split_forest(d, forest)
-
-
 def _split_forest(d: Digraph, forest: Collection[int],
                   ) -> tuple[frozenset[int], frozenset[int]]:
-    """forest_to_two_galaxies for a forest that is already checked."""
+    """Two galaxies that split a forest by the parity of tail depth."""
     parent: dict[int, tuple[int, int]] = {}
     for i in forest:
         t, h = d.arcs[i]

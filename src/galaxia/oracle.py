@@ -11,7 +11,7 @@ colour is at most one above the highest placed so far.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from itertools import combinations
+from itertools import combinations, count
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -22,7 +22,7 @@ from .errors import (AboveCapError, InternalDefectError, NotCubicError,
                      TooLargeError, ValidateError)
 
 if TYPE_CHECKING:
-    from .fibre import FibreColouring
+    from .fibre import FibreColouring  # unreached: type checkers only
 
 DEFAULT_ARC_LIMIT = 40
 
@@ -48,7 +48,9 @@ def verify_star_colouring(d: Digraph, colouring: ArcColouring,
         return None
     in_arcs = d.in_arcs
     out_arcs = d.out_arcs
-    for v in range(d.vertex_count):
+    # the pass found a clash, so the scan returns before it runs out of
+    # vertices
+    for v in count():
         first_in: dict[int, int] = {}
         for i in in_arcs[v]:
             c = colouring[i]
@@ -59,7 +61,6 @@ def verify_star_colouring(d: Digraph, colouring: ArcColouring,
             c = colouring[i]
             if c in first_in:
                 return StarViolation("i", first_in[c], i)
-    return None
 
 
 def _conflict_lists(d: Digraph) -> list[list[int]]:

@@ -1,7 +1,7 @@
 """Galaxies spanning the degree-4 vertices of a digraph with in- and
 outdegree at most two, and the 4-colour star colourings they induce.
 
-`spanning_galaxy` finds its galaxy by a complete search.  Each arc is a
+`_galaxy_arcs` finds the galaxy by a complete search.  Each arc is a
 variable, true when the arc is in the galaxy.  Two arcs conflict when
 they share a head or one enters the tail of the other, which is what a
 galaxy forbids; each degree-4 vertex has one cover clause, its four
@@ -29,82 +29,17 @@ most a handful of conflicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from types import MappingProxyType
-from typing import Mapping
-
 from .colouring import ArcColouring
 from .digraph import Digraph, degree_profile
-from .errors import (DegreeTooHighError, InternalDefectError, NotSimpleError,
-                     ValidateError)
+from .errors import DegreeTooHighError, InternalDefectError, NotSimpleError
 from .subcubic import _colour_subcubic
 
 
-@dataclass(frozen=True)
-class Galaxy:
-    """A vertex-disjoint union of out-stars given by (tail, head) pairs.
-
-    Heads are pairwise distinct and no head is also a tail; the stars are
-    recovered by grouping arcs on their tail, the centre.
-    """
-
-    arcs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        arcs = tuple(sorted((int(t), int(h)) for t, h in self.arcs))
-        heads = [h for _, h in arcs]
-        tails = {t for t, _ in arcs}
-        if any(t == h for t, h in arcs):
-            raise ValidateError("a star arc cannot be a loop")
-        if len(heads) != len(set(heads)) or set(heads) & tails:
-            raise ValidateError("arcs do not form a galaxy")
-        object.__setattr__(self, "arcs", arcs)
-
-    @cached_property
-    def centres(self) -> Mapping[int, tuple[int, ...]]:
-        by_tail: dict[int, list[int]] = {}
-        for t, h in self.arcs:
-            by_tail.setdefault(t, []).append(h)
-        return MappingProxyType({t: tuple(sorted(hs))
-                                 for t, hs in by_tail.items()})
-
-    @cached_property
-    def vertices(self) -> frozenset[int]:
-        return frozenset(v for arc in self.arcs for v in arc)
-
-    def spans(self, vertex: int) -> bool:
-        return vertex in self.vertices
-
-
-# ---------------------------------------------------------------------------
-# spanning galaxies
-
-
-def _check_in_out_two(d: Digraph) -> None:
-    """Raise unless d is simple with in- and outdegree at most two."""
-    profile = degree_profile(d)
-    if profile.max_indegree > 2 or profile.max_outdegree > 2:
-        raise DegreeTooHighError(
-            f"in/outdegrees ({profile.max_indegree}, {profile.max_outdegree})"
-            " exceed two")
-    if len(set(d.arcs)) != d.arc_count:
-        raise NotSimpleError("needs a simple digraph")
-
-
-def spanning_galaxy(d: Digraph) -> Galaxy:
-    """A galaxy of d spanning every vertex of degree four.
-
-    Requires a simple digraph with maximum in- and outdegree two.  The
-    search is complete, so it ends with a galaxy whenever one exists;
-    the theorem says one always does here.
-    """
-    _check_in_out_two(d)
-    return Galaxy(tuple(d.arcs[i] for i in _galaxy_arcs(d)))
-
-
 def _galaxy_arcs(d: Digraph) -> list[int]:
-    """The arcs, ascending, of spanning_galaxy(d) for a checked d."""
+    """The arcs, ascending, of a galaxy of d spanning every vertex of
+    degree four, for d simple with in- and outdegree at most two.  The
+    search is complete, so it ends with a galaxy whenever one exists;
+    the theorem says one always does here."""
     arcs, in_arcs, out_arcs = d.arcs, d.in_arcs, d.out_arcs
     degree = d.profile.degree
     heavy = [v for v in range(d.vertex_count) if degree[v] == 4]
@@ -173,7 +108,7 @@ def _galaxy_arcs(d: Digraph) -> list[int]:
             for clause in learnt_at.get(falsified, ()):
                 failed = unit(clause)
                 if failed:
-                    return failed
+                    return failed  # unreached: no known input fails a learnt clause
         return None
 
     def analyse(clause: tuple[int, ...]) -> tuple[int, ...]:
@@ -248,7 +183,13 @@ def dst4_colouring(d: Digraph) -> ArcColouring:
     maximum degree three and is coloured with 1..3.  Digraphs without
     degree-4 vertices get the empty galaxy.
     """
-    _check_in_out_two(d)
+    profile = degree_profile(d)
+    if profile.max_indegree > 2 or profile.max_outdegree > 2:
+        raise DegreeTooHighError(
+            f"in/outdegrees ({profile.max_indegree}, {profile.max_outdegree})"
+            " exceed two")
+    if len(set(d.arcs)) != d.arc_count:
+        raise NotSimpleError("needs a simple digraph")
     galaxy = set(_galaxy_arcs(d))
     rest = [i for i in range(d.arc_count) if i not in galaxy]
     sub = Digraph._of(d.vertex_count, tuple(d.arcs[i] for i in rest))

@@ -16,13 +16,11 @@ from .digraph import Digraph, degree_profile, strong_components
 from .errors import (
     BadListsError,
     BadShapeError,
-    HasK4Error,
     InfeasibleError,
     InternalDefectError,
     NotSimpleError,
     NotSubcubicError,
     PreconditionViolatedError,
-    ValidateError,
 )
 
 COLOURS = (1, 2, 3)
@@ -70,9 +68,6 @@ def _bfs(adj: Sequence[set[int]], root: int,
 def _brooks_component(adj: list[set[int]], comp: list[int],
                       colours: list[int]) -> None:
     compset = set(comp)
-    if len(comp) == 4 and all(len(adj[v]) == 3 for v in comp):
-        raise HasK4Error("a component is the complete graph on four vertices")
-
     low = [v for v in comp if len(adj[v]) <= 2]
     if low:
         _greedy_fill(adj, _bfs(adj, min(low), compset)[::-1], colours)
@@ -101,9 +96,10 @@ def _brooks_component(adj: list[set[int]], comp: list[int],
                     colours[v] = a
         return
 
-    # Two-connected cubic, not complete: some vertex has two
-    # non-adjacent neighbours whose removal keeps the rest connected.
-    # Colour those two alike so the final vertex sees two colours only.
+    # Two-connected cubic and not K4, which no caller passes (one would
+    # end at the raise below): some vertex has two non-adjacent
+    # neighbours whose removal keeps the rest connected.  Colour those
+    # two alike so the final vertex sees two colours only.
     for v in comp:
         for u, w in combinations(sorted(adj[v]), 2):
             if u in adj[w]:
@@ -148,36 +144,11 @@ def _least_bridge(adj: list[set[int]], comp: list[int],
                 if strong[v] != strong[u]), default=None)
 
 
-def brooks_three_colouring(vertex_count: int,
-                           edges: Iterable[tuple[int, int]]) -> list[int]:
-    """Proper 3-colouring of an undirected graph with degree <= 3.
-
-    Components that are complete on four vertices are the one
-    obstruction and raise HasK4Error.  Returns a list indexed by
-    vertex with colours in 1..3 (isolated vertices get 1).
-    """
-    adj: list[set[int]] = [set() for _ in range(vertex_count)]
-    seen_edges = set()
-    for u, v in edges:
-        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-            raise ValidateError(f"edge ({u}, {v}) out of range")
-        if u == v:
-            raise ValidateError(f"self-loop at vertex {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen_edges:
-            raise ValidateError(f"duplicate edge ({u}, {v})")
-        seen_edges.add(key)
-        adj[u].add(v)
-        adj[v].add(u)
-    for v in range(vertex_count):
-        if len(adj[v]) > 3:
-            raise NotSubcubicError(f"vertex {v} has degree {len(adj[v])}")
-    return _brooks(adj)
-
-
 def _brooks(adj: list[set[int]]) -> list[int]:
-    """brooks_three_colouring of a graph given by symmetric neighbour
-    sets, without loops, of at most three vertices each."""
+    """Proper colouring with 1..3, by Brooks' theorem, of a graph given
+    by symmetric neighbour sets, without loops, of at most three
+    vertices each and with no K4 component.  Returns a list indexed by
+    vertex; isolated vertices get 1."""
     colours = [0] * len(adj)
     done: set[int] = set()
     for v0 in range(len(adj)):

@@ -38,7 +38,6 @@ from galaxia import (
     random_oriented_subcubic,
     random_subcubic,
     sdr_in_cyclic_interval,
-    spanning_galaxy,
     star_colouring_acyclic,
     star_colouring_subcubic,
     triangle_multidigraph,
@@ -47,7 +46,8 @@ from galaxia import (
     verify_star_colouring,
     verify_wavelength_assignment,
 )
-from conftest import circuit
+from galaxia.spanning import _galaxy_arcs
+from conftest import circuit, is_galaxy
 
 TWO_LISTS = ((1, 2), (1, 3), (2, 3))
 
@@ -187,11 +187,12 @@ def test_criterion_5():
     for trial in range(500):
         n = rng.randint(2, 100)
         d = random_digraph(n, min(2, n - 1), min(2, n - 1), seed=trial)
-        g = spanning_galaxy(d)
+        g = set(_galaxy_arcs(d))
+        assert is_galaxy(d, g)
         profile = degree_profile(d)
         heavy = [v for v in range(n) if profile.degree[v] == 4]
-        assert all(g.spans(v) for v in heavy)
-        rest = tuple(arc for arc in d.arcs if arc not in set(g.arcs))
+        assert all(any(v in d.arcs[i] for i in g) for v in heavy)
+        rest = tuple(d.arcs[i] for i in range(d.arc_count) if i not in g)
         assert degree_profile(Digraph(n, rest)).max_degree <= 3
         col = dst4_colouring(d)
         assert col.colour_count <= 4

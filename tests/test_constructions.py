@@ -57,6 +57,17 @@ def test_gnmk_sizes_not_reduced_when_cap_is_loose():
     assert gnmk_sizes(1, 1, 1, y_cap=full.y) == full._replace(reduced=False)
 
 
+def test_random_generators_reject_bad_params():
+    with pytest.raises(BadParamsError, match=r"^bad parameters n=0, caps=\(1,1\)$"):
+        random_digraph(0, 1, 1, 0)
+    with pytest.raises(BadParamsError, match="^need n >= 1, got 0$"):
+        random_subcubic(0, 0)
+    with pytest.raises(BadParamsError, match="^need n >= 1, got 0$"):
+        random_oriented_subcubic(0, 0)
+    with pytest.raises(BadParamsError, match="^bad parameters n=1, m=0, k=1$"):
+        random_labelled_dag(1, 0, 1, 0)
+
+
 def test_gnmk_params_rejected():
     with pytest.raises(BadParamsError):
         gnmk_sizes(0, 1, 1)

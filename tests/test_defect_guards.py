@@ -211,8 +211,7 @@ def test_core_engine_rejects_instance(monkeypatch, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# acircuitic, on digraphs of degree four presented as subcubic, and
-# list_colouring_acyclic on lists presented as long enough
+# acircuitic, on digraphs of degree four presented as subcubic
 
 
 @case
@@ -242,23 +241,14 @@ def test_back_arc_conflict_degree_four(monkeypatch, tmp_path):
         acircuitic.acircuitic_colouring(matched_pairs_into_one_tail(5))
 
 
-@case
-def test_back_arc_conflict_complete_quadruple(monkeypatch, tmp_path):
-    # four back arcs enter the matched tail 0; without the guard Brooks
-    # would raise HasK4Error, which blames the input (exit 2)
+def test_back_arc_conflict_complete_quadruple(monkeypatch):
+    # four back arcs enter the matched tail 0, so the conflict graph is
+    # K4, which Brooks colouring meets as a cubic component without an
+    # admissible pair; the census counts that guard site under
+    # test_brooks_no_admissible_pair
     claims_subcubic(monkeypatch)
-    with raises_defect("back-arc conflict graph contains a complete quadruple"):
+    with raises_defect("no admissible pair in a cubic component"):
         acircuitic.acircuitic_colouring(matched_pairs_into_one_tail(4))
-
-
-@case
-def test_list_colouring_no_distinct_colours(monkeypatch, tmp_path):
-    # both arcs into vertex 2 list only colour 1, passed off as lists as
-    # large as their head's degree
-    monkeypatch.setattr(acircuitic, "degree_profile", lambda d: types.SimpleNamespace(
-        max_degree=3, degree=[1] * d.vertex_count))
-    with raises_defect("no distinct colours for the arcs into 2"):
-        acircuitic.list_colouring_acyclic(Digraph(3, ((0, 2), (1, 2))), {0: (1,), 1: (1,)})
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from galaxia import (
     fibre_colouring_acyclic,
     find_circuit_arcs,
     is_acyclic,
-    is_forest_arcs,
     random_digraph,
     random_labelled_dag,
     random_oriented_subcubic,
@@ -320,7 +319,7 @@ def test_find_circuit_respects_removed():
 
 def test_find_circuit_arcs_closes_a_circuit_exactly_when_one_is_kept():
     # seeded random digraphs, some with parallel arcs, and random removed
-    # sets; the forest check runs on arc sets with distinct heads too
+    # sets; Kahn's leftover runs on arc sets with distinct heads too
     rng = random.Random(28)
     cyclic = 0
     for _ in range(2000):
@@ -353,8 +352,6 @@ def test_find_circuit_arcs_closes_a_circuit_exactly_when_one_is_kept():
         for i in kept:
             first_in.setdefault(arcs[i][1], i)
         for subset in (set(kept), set(first_in.values())):
-            heads = [arcs[i][1] for i in subset]
-            assert is_forest_arcs(d, subset) == (
-                len(heads) == len(set(heads)) and is_acyclic(
-                    Digraph(n, tuple(arcs[i] for i in subset), parallel)))
+            assert (not digraph._kahn_leftover(arcs, subset)) == is_acyclic(
+                Digraph(n, tuple(arcs[i] for i in subset), parallel))
     assert 500 < cyclic < 1900

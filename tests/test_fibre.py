@@ -74,6 +74,13 @@ def test_acyclic_rejects_small_m():
         fibre_colouring_acyclic(LabelledDigraph(2, 1, ((0, 1, 1),)), 2)
 
 
+def test_fibre_count_must_be_positive():
+    with pytest.raises(ValidateError, match="^fibre count must be positive$"):
+        FibreColouring(0, {}, 0)
+    with pytest.raises(BadParamsError, match="^fibre count must be positive$"):
+        fibre_colouring_acyclic(LabelledDigraph(2, 1, ((0, 1, 1),)), 0)
+
+
 def test_acyclic_rejects_circuit():
     ld = LabelledDigraph(2, 1, ((0, 1, 1), (1, 0, 1)))
     with pytest.raises(CyclicError):

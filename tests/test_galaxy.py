@@ -12,127 +12,79 @@ from hypothesis import given, strategies as st
 
 import galaxia
 from galaxia import (
-    BadParamsError,
     Digraph,
-    ForestGalaxyDecomposition,
-    NotForestError,
-    NotNiceError,
     ValidateError,
     degree_profile,
     dst_upper_2k1,
     exact_dst,
-    forest_to_two_galaxies,
-    is_galaxy_arcs,
-    is_k_nice,
     random_digraph,
-    u_suitable_decomposition,
     verify_star_colouring,
 )
-from conftest import circuit
+from galaxia.galaxy import _decompose, _split_forest
+from conftest import circuit, is_forest, is_galaxy
 
 
-def check_decomposition(d, dec, u, k):
-    all_arcs = set()
-    for f in dec.forests:
-        all_arcs |= f
-    all_arcs |= dec.galaxy
-    assert all_arcs == set(range(d.arc_count))
-    assert len(dec.forests) == k
-    assert is_galaxy_arcs(d, dec.galaxy)
-    assert dec.sources_isolated()
-    assert dec.suitable_for(u)
-    assert all(d.arcs[i][1] != u for i in dec.galaxy)
-
-
-def test_is_k_nice_simple():
-    d = Digraph(3, ((0, 2), (1, 2)))
-    assert is_k_nice(d, 2)
-    assert not is_k_nice(d, 1)  # indegree 2 at vertex 2
-
-
-def test_is_k_nice_parallel_from_source():
-    d = Digraph(2, ((0, 1), (0, 1)), allow_parallel=True)
-    assert is_k_nice(d, 2)
-
-
-def test_is_k_nice_parallel_from_non_source():
-    d = Digraph(3, ((2, 0), (0, 1), (0, 1)), allow_parallel=True)
-    assert not is_k_nice(d, 3)
+def check_decomposition(d, forests, galaxy, u, k):
+    """(forests, galaxy) is a u-suitable k-decomposition of d: k forests
+    and a galaxy that partition the arcs, no galaxy arc at a source and
+    none into u; and each forest splits into two galaxies."""
+    assert sorted(i for piece in (*forests, galaxy) for i in piece) == list(
+        range(d.arc_count))
+    assert len(forests) == k
+    assert all(is_forest(d, f) for f in forests)
+    assert is_galaxy(d, galaxy)
+    indegree = degree_profile(d).indegree
+    assert all(indegree[v] for i in galaxy for v in d.arcs[i])
+    assert all(d.arcs[i][1] != u for i in galaxy)
+    for f in forests:
+        first, second = _split_forest(d, f)
+        assert first | second == set(f) and not first & second
+        assert is_galaxy(d, first) and is_galaxy(d, second)
 
 
 def test_decomposition_out_star():
     d = Digraph(4, ((0, 1), (0, 2), (0, 3)))
-    dec = u_suitable_decomposition(d, 0, 1)
-    check_decomposition(d, dec, 0, 1)
+    forests, galaxy = _decompose(d, 0, 1)
+    check_decomposition(d, forests, galaxy, 0, 1)
     # the root is a source, so it must sit isolated in the galaxy
-    assert dec.galaxy == frozenset()
-    assert dec.forests[0] == frozenset({0, 1, 2})
+    assert galaxy == []
+    assert sorted(forests[0]) == [0, 1, 2]
 
 
 def test_decomposition_circuit():
     d = circuit(3)
-    dec = u_suitable_decomposition(d, 0, 1)
-    check_decomposition(d, dec, 0, 1)
+    check_decomposition(d, *_decompose(d, 0, 1), 0, 1)
 
 
 def test_decomposition_two_components():
     arcs = tuple((i, (i + 1) % 3) for i in range(3))
     arcs += tuple((3 + i, 3 + (i + 1) % 3) for i in range(3))
     d = Digraph(6, arcs)
-    dec = u_suitable_decomposition(d, 0, 1)
-    check_decomposition(d, dec, 0, 1)
-
-
-def test_decomposition_rejects_non_nice():
-    with pytest.raises(NotNiceError):
-        u_suitable_decomposition(Digraph(3, ((0, 2), (1, 2))), 0, 1)
-
-
-def test_decomposition_rejects_bad_vertex():
-    with pytest.raises(BadParamsError):
-        u_suitable_decomposition(circuit(3), 7, 1)
+    check_decomposition(d, *_decompose(d, 0, 1), 0, 1)
 
 
 @given(st.integers(2, 16), st.integers(1, 3), st.integers(0, 999))
 def test_decomposition_random(n, k, seed):
     d = random_digraph(n, min(k, n - 1), min(3, n - 1), seed)
     for u in (0, n - 1):
-        dec = u_suitable_decomposition(d, u, k)
-        check_decomposition(d, dec, u, k)
-
-
-def test_decomposition_type_validates_partition():
-    d = circuit(3)
-    with pytest.raises(ValidateError):
-        ForestGalaxyDecomposition(d, (frozenset({0, 1, 2}),), frozenset({2}))
-
-
-def test_decomposition_type_rejects_circular_forest():
-    d = circuit(3)
-    with pytest.raises(ValidateError):
-        ForestGalaxyDecomposition(d, (frozenset({0, 1, 2}),), frozenset())
+        check_decomposition(d, *_decompose(d, u, k), u, k)
 
 
 def test_forest_split_path():
     d = Digraph(3, ((0, 1), (1, 2)))
-    assert forest_to_two_galaxies(d, {0, 1}) == ({0}, {1})
+    assert _split_forest(d, {0, 1}) == ({0}, {1})
 
 
 def test_forest_split_star():
     d = Digraph(4, ((0, 1), (0, 2), (0, 3)))
-    first, second = forest_to_two_galaxies(d, {0, 1, 2})
+    first, second = _split_forest(d, {0, 1, 2})
     assert first == {0, 1, 2} and second == frozenset()
 
 
 def test_forest_split_spider():
     # a->b->c plus b->d: depth parity splits ab from {bc, bd}
     d = Digraph(4, ((0, 1), (1, 2), (1, 3)))
-    assert forest_to_two_galaxies(d, {0, 1, 2}) == ({0}, {1, 2})
-
-
-def test_forest_split_rejects_circuit():
-    with pytest.raises(NotForestError):
-        forest_to_two_galaxies(circuit(3), {0, 1, 2})
+    assert _split_forest(d, {0, 1, 2}) == ({0}, {1, 2})
 
 
 def test_2k1_odd_circuit():
@@ -218,10 +170,10 @@ PINNED_DECOMPOSITIONS = {
 def test_decomposition_pinned(name):
     d, k, by_u = PINNED_DECOMPOSITIONS[name]
     for u, (forests, galaxy) in by_u.items():
-        dec = u_suitable_decomposition(d, u, k)
-        check_decomposition(d, dec, u, k)
-        assert [sorted(f) for f in dec.forests] == forests
-        assert sorted(dec.galaxy) == galaxy
+        found = _decompose(d, u, k)
+        check_decomposition(d, *found, u, k)
+        assert [sorted(f) for f in found[0]] == forests
+        assert sorted(found[1]) == galaxy
 
 
 # (n, cap, seed) -> the arcs that random_digraph(n, cap, cap, seed) built

@@ -14,6 +14,11 @@ from galaxia import (
 )
 
 
+def test_interval_rejects_bad_modulus():
+    with pytest.raises(BadParamsError, match="^modulus must be positive$"):
+        CyclicInterval(0, 1, 1)
+
+
 def all_k_intervals(k):
     return [CyclicInterval(2 * k, s, k) for s in range(1, 2 * k + 1)]
 

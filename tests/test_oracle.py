@@ -1,6 +1,7 @@
 """Exact solvers and verifiers."""
 import itertools
 import random
+import re
 import sys
 import time
 
@@ -24,6 +25,7 @@ from galaxia import (
     exact_lambda_n,
     find_bicoloured_circuit,
     find_circuit_arcs,
+    from_class_list,
     oracle,
     random_digraph,
     triangle_multidigraph,
@@ -102,6 +104,11 @@ def test_exact_dst_above_cap():
     with pytest.raises(AboveCapError) as info:
         exact_dst(circuit(5), colour_cap=2)
     assert info.value.cap == 2
+
+
+def test_from_class_list_rejects_an_arc_in_two_classes():
+    with pytest.raises(ValidateError, match="^arc 1 appears in two colour classes$"):
+        from_class_list([{0, 1}, set(), {1}])
 
 
 def test_exact_dst_arc_limit():
@@ -386,6 +393,24 @@ def test_edge_colouring_petersen_infeasible():
 def test_edge_colouring_rejects_non_cubic():
     with pytest.raises(NotCubicError):
         edge_colouring_3regular(3, [(0, 1), (1, 2), (0, 2)])
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 4)], "edge (0,4) outside 0..3"),
+    ([(2, 2)], "loop at vertex 2"),
+    ([(0, 1), (1, 0)], "duplicate edge (1,0)"),
+])
+def test_edge_colouring_rejects_bad_edges(edges, message):
+    with pytest.raises(ValidateError, match=f"^{re.escape(message)}$"):
+        edge_colouring_3regular(4, edges)
+
+
+def test_exact_lambda_rejects_bad_fibres_and_large_input():
+    ld = LabelledDigraph(3, 1, ((0, 1, 1), (1, 2, 1)))
+    with pytest.raises(ValidateError, match="^fibre count must be positive$"):
+        exact_lambda_n(ld, 0)
+    with pytest.raises(TooLargeError, match="^2 arcs exceed the limit 1$"):
+        exact_lambda_n(ld, 1, arc_limit=1)
 
 
 def test_edge_colouring_vertex_limit():

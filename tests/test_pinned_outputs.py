@@ -1,4 +1,5 @@
-"""The exact colourings of five constructive theorems, pinned by hash.
+"""The exact colourings of four constructive theorems and of subcubic's
+list-extension engine on acyclic digraphs, pinned by hash.
 
 Each test builds a few hundred small instances from a seeded
 random.Random, colours them all, and compares the sha256 of the
@@ -9,9 +10,9 @@ that changes a single colour or colour count anywhere does not.
 import hashlib
 import random
 
-from galaxia import (Digraph, acircuitic_colouring, dst4_colouring,
-                     dst_upper_2k1, list_colouring_acyclic, random_subcubic,
-                     star_colouring_subcubic)
+from galaxia import (ArcColouring, Digraph, acircuitic_colouring,
+                     dst4_colouring, dst_upper_2k1, random_subcubic,
+                     star_colouring_subcubic, subcubic)
 
 INSTANCES = 300
 
@@ -97,7 +98,9 @@ def test_acircuitic_colouring_pinned():
 
 
 def test_list_colouring_acyclic_pinned():
-    # lists as large as the head's degree, from 1..3 or from 1..5
+    # subcubic's extension engine on acyclic digraphs, the list step of
+    # the acircuitic colouring; lists as large as the head's degree, from
+    # 1..3 or from 1..5, as masks whose bit c stands for colour c
     rng = random.Random(2104)
     cols = []
     for _ in range(INSTANCES):
@@ -107,7 +110,9 @@ def test_list_colouring_acyclic_pinned():
         d = oriented_subcubic(rng, n, order)
         top = rng.choice((3, 5))
         degree = d.profile.degree
-        lists = {i: rng.sample(range(1, top + 1), rng.randint(degree[h], top))
-                 for i, (_, h) in enumerate(d.arcs)}
-        cols.append(list_colouring_acyclic(d, lists))
+        lists = [sum(1 << c for c in rng.sample(range(1, top + 1),
+                                                rng.randint(degree[h], top)))
+                 for _, h in d.arcs]
+        colours = subcubic._extension_engine(d, lists)
+        cols.append(ArcColouring(colours, max(colours.values(), default=0)))
     assert digest(cols) == "d72d124e6924d26a9b1e7eb42e8bc3a677a182da7f5a5d8c3a723cfb59ff34d4"

@@ -11,12 +11,11 @@ from galaxia import (
     BadListsError,
     BadShapeError,
     Digraph,
-    HasK4Error,
     InfeasibleError,
+    InternalDefectError,
+    NotSimpleError,
     NotSubcubicError,
     PreconditionViolatedError,
-    ValidateError,
-    brooks_three_colouring,
     exact_dst,
     lemma_cycle_colouring,
     lemma_extension_colouring,
@@ -89,6 +88,17 @@ def test_cycle_rejects_non_circuit():
                               {v: (1, 2) for v in range(3)})
 
 
+@pytest.mark.parametrize("d, lists, error, message", [
+    (Digraph(0, ()), {}, BadShapeError, "empty digraph is not a circuit"),
+    (Digraph(4, ((0, 1), (1, 0), (2, 3), (3, 2))), {v: (1, 2) for v in range(4)},
+     BadShapeError, "digraph is a union of several circuits"),
+    (circuit(3), {0: (1, 2), 1: (1, 2)}, BadListsError, "vertex 2 has no list"),
+], ids=["empty", "two_circuits", "missing_list"])
+def test_cycle_rejects_bad_input(d, lists, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        lemma_cycle_colouring(d, lists)
+
+
 @pytest.mark.parametrize("length", [3, 4, 5])
 def test_cycle_feasibility_characterisation(length):
     d = circuit(length)
@@ -146,6 +156,29 @@ def test_extension_rejects_short_list():
                                   {0: (1,), 1: (1, 2)})
 
 
+PATH4 = Digraph(4, ((0, 1), (1, 2), (2, 3)))
+
+
+@pytest.mark.parametrize("d, lists, error, message", [
+    (Digraph(2, ((0, 1), (0, 1)), allow_parallel=True), {0: (1,), 1: (2,)},
+     NotSimpleError, "needs a simple digraph"),
+    (Digraph(5, ((0, 4), (1, 4), (2, 4), (3, 4))), {i: (1, 2, 3) for i in range(4)},
+     PreconditionViolatedError, "digraph is not subcubic"),
+    (PATH4, {0: (1, 2), 1: (1, 2, 3)}, PreconditionViolatedError,
+     "arc 2 has no colour list"),
+    (PATH4, {0: (1, 2), 1: (1, 2, 3), 2: (1, 4)}, PreconditionViolatedError,
+     "arc 2 has list outside 1..3"),
+    (PATH4, {0: (1,), 1: (1, 2, 3), 2: (1,)}, PreconditionViolatedError,
+     "initial arc 0 has fewer than two colours"),
+    (PATH4, {0: (1, 2), 1: (1, 2), 2: (1,)}, PreconditionViolatedError,
+     "arc 1 must carry the full list"),
+], ids=["parallel", "degree_four", "missing_list", "colour_four",
+        "short_initial_list", "short_inner_list"])
+def test_extension_rejects_bad_input(d, lists, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        lemma_extension_colouring(d, lists)
+
+
 def test_extension_initial_pair_must_cover_all_colours():
     # two initial arcs into vertex 2, whose out-arc takes colour 1
     d = Digraph(4, ((0, 2), (1, 2), (2, 3)))
@@ -156,21 +189,38 @@ def test_extension_initial_pair_must_cover_all_colours():
         lemma_extension_colouring(d, {0: (1, 2), 1: (1, 2), 2: (1,)})
 
 
+def brooks(vertex_count, edges):
+    """subcubic._brooks on the graph with these edges, checked to be a
+    proper colouring with 1..3."""
+    adj = [set() for _ in range(vertex_count)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    colours = subcubic._brooks(adj)
+    assert all(colours[u] != colours[v] for u, v in edges)
+    assert set(colours) <= {1, 2, 3}
+    return colours
+
+
 def test_brooks_triangle():
-    colours = brooks_three_colouring(3, [(0, 1), (1, 2), (0, 2)])
+    colours = brooks(3, [(0, 1), (1, 2), (0, 2)])
     assert sorted(colours) == [1, 2, 3]
 
 
 def test_brooks_k4_rejected():
-    with pytest.raises(HasK4Error):
-        brooks_three_colouring(4, list(itertools.combinations(range(4), 2)))
+    # K4 is the one connected cubic graph without an admissible pair;
+    # every caller cuts K4 components off first, so meeting one is a
+    # defect
+    with pytest.raises(InternalDefectError,
+                       match="^no admissible pair in a cubic component$"):
+        brooks(4, list(itertools.combinations(range(4), 2)))
 
 
 def test_brooks_petersen():
     edges = [(i, (i + 1) % 5) for i in range(5)]
     edges += [(i, 5 + i) for i in range(5)]
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    colours = brooks_three_colouring(10, edges)
+    colours = brooks(10, edges)
     assert all(colours[u] != colours[v] for u, v in edges)
     assert set(colours) <= {1, 2, 3}
 
@@ -180,7 +230,7 @@ def test_brooks_cubic_with_bridge():
     # bridge 4-9: a cubic graph with cut vertices, coloured piece by piece
     half = [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (4, 1)]
     edges = half + [(u + 5, v + 5) for u, v in half] + [(4, 9)]
-    colours = brooks_three_colouring(10, edges)
+    colours = brooks(10, edges)
     assert all(colours[u] != colours[v] for u, v in edges)
     assert colours == [3, 3, 2, 1, 1, 3, 3, 1, 2, 2]
 
@@ -190,7 +240,7 @@ def test_brooks_pair_that_disconnects_is_skipped():
     # 1, 3 leaves 0 with only 6, so the search goes on to another vertex
     edges = [(0, 1), (0, 3), (0, 6), (1, 6), (1, 7), (2, 7), (2, 8), (2, 9),
              (3, 5), (3, 6), (4, 7), (4, 8), (4, 9), (5, 8), (5, 9)]
-    colours = brooks_three_colouring(10, edges)
+    colours = brooks(10, edges)
     assert all(colours[u] != colours[v] for u, v in edges)
     assert colours == [1, 3, 2, 3, 2, 2, 2, 1, 1, 1]
 
@@ -220,7 +270,7 @@ def test_brooks_bridged_cubic_pinned():
     # each split takes the least cut vertex, wherever the shuffle puts it
     n, edges = bridged_cubic(3, 28)
     assert sorted(Counter(v for e in edges for v in e).values()) == [3] * n
-    colours = brooks_three_colouring(n, edges)
+    colours = brooks(n, edges)
     assert all(colours[u] != colours[v] for u, v in edges)
     assert colours == [3, 1, 3, 1, 2, 3, 3, 3, 3, 1, 2, 2, 2, 2, 1, 1, 2, 1,
                        1, 2, 1, 3]
@@ -234,17 +284,10 @@ def test_brooks_generalized_petersen_is_linear():
     edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
     edges += [(n + i, n + (i + 3) % n) for i in range(n)]
     start = time.perf_counter()
-    colours = brooks_three_colouring(2 * n, edges)
+    colours = brooks(2 * n, edges)
     elapsed = time.perf_counter() - start
     assert all(colours[u] != colours[v] for u, v in edges)
     assert elapsed < 2.0, elapsed
-
-
-def test_brooks_rejects_bad_edges():
-    with pytest.raises(ValidateError):
-        brooks_three_colouring(2, [(0, 2)])
-    with pytest.raises(ValidateError):
-        brooks_three_colouring(2, [(1, 1)])
 
 
 def check_subcubic(d):

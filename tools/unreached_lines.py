@@ -5,13 +5,21 @@
 Runs the tier-1 suite (tests/) in this process through pytest.main,
 under a sys.settrace and threading.settrace tracer that records every
 line run in src/galaxia.  Then prints `file:line: source` for each line
-of src/galaxia that has bytecode and that no test ran, and exits with
-pytest's exit code.
+of src/galaxia that has bytecode and that no test ran.
+
+A line that ends in the comment `# unreached: <reason>` is one that no
+in-process test can run: an import only a type checker reads, the
+`sys.exit(main())` that runs only in a child process, or a branch no
+known input takes.  Those lines are printed apart, under their own
+heading, each with its reason.  A marked line that a test did run is
+listed with the unreached ones, since its mark is stale.
+
+Exits with pytest's exit code when the suite fails; otherwise 1 when it
+lists any line other than the marked ones, and 0 when it lists none.
 
 The `*_leaves_no_cyclic_garbage` tests are deselected: they assert that
 a command leaves nothing for the cycle collector, and the frames a
-tracer keeps are cyclic garbage.  Code that only a child process runs
-(`python -m galaxia.cli` in a subprocess) is not traced and is listed.
+tracer keeps are cyclic garbage.
 """
 
 from __future__ import annotations
@@ -25,16 +33,18 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "galaxia"
+MARK = "# unreached: "
 
 
 def code_lines(path: Path) -> set[int]:
     """Line numbers that carry bytecode in the module at `path`, the
-    bodies of its functions and classes included."""
+    bodies of its functions and classes included (a module's first
+    instruction may report line 0, which is no line of the source)."""
     lines: set[int] = set()
     todo = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
     while todo:
         code = todo.pop()
-        lines.update(line for _, _, line in code.co_lines() if line is not None)
+        lines.update(line for _, _, line in code.co_lines() if line)
         todo.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
     return lines
 
@@ -64,11 +74,23 @@ def main(argv: list[str]) -> int:
         sys.settrace(None)
         threading.settrace(None)
 
+    unreached: list[str] = []
+    marked: list[str] = []
     for name, path in files.items():
         source = path.read_text(encoding="utf-8").splitlines()
-        for line in sorted(code_lines(path) - ran[name]):
-            print(f"{path.relative_to(ROOT)}:{line}: {source[line - 1].strip()}")
-    return int(code)
+        for line in sorted(code_lines(path)):
+            text, _, reason = source[line - 1].strip().partition(MARK)
+            where = f"{path.relative_to(ROOT)}:{line}: {text.rstrip()}"
+            if not reason:
+                if line not in ran[name]:
+                    unreached.append(where)
+            elif line in ran[name]:
+                unreached.append(f"{where}  (marked unreached, yet a test ran it)")
+            else:
+                marked.append(f"{where}  ({reason})")
+    print("lines no test runs:", *unreached or ["(none)"], sep="\n")
+    print("lines no in-process test can run:", *marked or ["(none)"], sep="\n")
+    return int(code) or int(bool(unreached))
 
 
 if __name__ == "__main__":
