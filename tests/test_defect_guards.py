@@ -251,6 +251,15 @@ def test_back_arc_conflict_complete_quadruple(monkeypatch):
         acircuitic.acircuitic_colouring(matched_pairs_into_one_tail(4))
 
 
+def test_list_colouring_no_distinct_colours(monkeypatch):
+    # four arcs into the sink 4 reach the list step with the full lists
+    # {1, 2, 3}, passed off as a subcubic digraph; the census counts
+    # that guard site under test_engine_no_distinct_colours
+    claims_subcubic(monkeypatch)
+    with raises_defect("no distinct colours for the arcs into 4"):
+        acircuitic.acircuitic_colouring(Digraph(5, tuple((v, 4) for v in range(4))))
+
+
 # ---------------------------------------------------------------------------
 # the other constructive theorems and the exact solvers
 

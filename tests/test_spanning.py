@@ -219,6 +219,12 @@ def test_dst4_rejects_high_degree():
         dst4_colouring(Digraph(4, ((0, 3), (1, 3), (2, 3))))
 
 
+def test_spanning_galaxy_rejects_high_degree():
+    # a spanning galaxy needs outdegree at most two as well
+    with pytest.raises(DegreeTooHighError, match=r"^in/outdegrees \(1, 3\) exceed two$"):
+        dst4_colouring(Digraph(4, ((3, 0), (3, 1), (3, 2))))
+
+
 @given(st.integers(2, 30), st.integers(0, 999))
 def test_dst4_random(n, seed):
     d = random_digraph(n, min(2, n - 1), min(2, n - 1), seed)
