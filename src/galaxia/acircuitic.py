@@ -95,7 +95,11 @@ def acircuitic_colouring(d: Digraph) -> ArcColouring:
         h = d.arcs[arc][1]
         taken_at[h] = taken_at.get(h, 0) | 1 << c
     lists = [_FULL_MASK & ~taken_at.get(h, 0) for _, h in sub.arcs]
-    finish = _extension_engine(sub, lists)
+    # the rest is acyclic, so its vertices one by one in reverse Kahn
+    # order are its strong components in reverse topological order; were
+    # a circuit left, the arcs into the vertices Kahn's sort leaves would
+    # stay uncoloured, and the verifier would reject the output
+    finish = _extension_engine(sub, lists, [(v,) for v in reversed(sub._sort)])
 
     colours = {i: 4 for i in four}
     colours.update(back_colour)

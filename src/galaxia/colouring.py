@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
+from .digraph import _Frozen
 from .errors import ValidateError
 
 
-@dataclass(frozen=True)
-class ArcColouring:
+class ArcColouring(_Frozen):
     """Total map arc index -> colour in 1..colour_count.
 
     A value of this type carries no proof of validity: the solvers
@@ -19,23 +18,25 @@ class ArcColouring:
 
     colour: Mapping[int, int]
     colour_count: int
+    _fields = ("colour", "colour_count")
 
-    def __post_init__(self) -> None:
-        _freeze_colours(self)
+    def __init__(self, colour: Mapping[int, int], colour_count: int) -> None:
+        vars(self).update(colour=_frozen_colours(colour, colour_count),
+                          colour_count=colour_count)
 
     def __getitem__(self, arc: int) -> int:
         return self.colour[arc]
 
 
-def _freeze_colours(colouring) -> None:
-    """Make colouring.colour a read-only copy and check that every colour
-    of the ArcColouring or FibreColouring is in 1..colour_count."""
-    object.__setattr__(colouring, "colour", MappingProxyType(dict(colouring.colour)))
-    top = colouring.colour_count
-    if not ints_within(colouring.colour.values(), 1, top):
-        for arc, c in colouring.colour.items():
+def _frozen_colours(colour: Mapping[int, int], top: int) -> Mapping[int, int]:
+    """A read-only copy of the colour map of an ArcColouring or
+    FibreColouring, once every colour is checked to lie in 1..top."""
+    colour = MappingProxyType(dict(colour))
+    if not ints_within(colour.values(), 1, top):
+        for arc, c in colour.items():
             if not 1 <= c <= top:
                 raise ValidateError(f"arc {arc} has colour {c} outside 1..{top}")
+    return colour
 
 
 def ints_within(values, low: int, high: float) -> bool:

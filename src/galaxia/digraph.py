@@ -3,36 +3,69 @@
 Vertices are dense 0-based integers.  Arcs live in an ordered tuple and
 are referenced everywhere by their index in that tuple, which keeps
 colourings unambiguous even when parallel arcs are allowed.  All types
-are immutable values; derived structures (adjacency, degrees) are
+are immutable values (`_Frozen`, which the other modules' value types
+share too); derived structures (adjacency, degrees) are
 cached lazily and never exposed mutably.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from operator import eq, itemgetter
+from operator import attrgetter, eq, itemgetter
 
 from .errors import CyclicError, ValidateError
 
 Arc = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Digraph:
+class _Frozen:
+    """Base of the package's immutable value types.  The attributes named
+    in `_fields` (two or more) decide ==, hash and repr, in that order,
+    as a frozen dataclass's fields would; a value equals only a value of
+    its own class.  No attribute can be assigned or deleted, so
+    constructors write them into vars(self)."""
+
+    _fields: tuple[str, ...]
+
+    def _values(self) -> tuple:
+        return attrgetter(*self._fields)(self)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Digraph(_Frozen):
     vertex_count: int
     arcs: tuple[Arc, ...]
-    allow_parallel: bool = False
+    allow_parallel: bool
+    _fields = ("vertex_count", "arcs", "allow_parallel")
 
-    def __post_init__(self) -> None:
-        arcs = tuple(self.arcs)
+    def __init__(self, vertex_count: int, arcs: tuple[Arc, ...],
+                 allow_parallel: bool = False) -> None:
+        arcs = tuple(arcs)
         if not _plain(arcs, 2):
             arcs = tuple((t, h) for t, h in arcs)
-        object.__setattr__(self, "arcs", arcs)
-        if self.vertex_count < 0:
+        vars(self).update(vertex_count=vertex_count, arcs=arcs,
+                          allow_parallel=allow_parallel)
+        if vertex_count < 0:
             raise ValidateError("vertex_count must be non-negative")
-        _check_arcs(self.vertex_count, arcs, self.allow_parallel)
+        _check_arcs(vertex_count, arcs, allow_parallel)
 
     @classmethod
     def _of(cls, vertex_count: int, arcs: tuple[Arc, ...],
@@ -120,8 +153,7 @@ def _kahn_leftover(arcs, keep) -> list[int]:
     return [v for v, k in indegree.items() if k]
 
 
-@dataclass(frozen=True)
-class LabelledDigraph:
+class LabelledDigraph(_Frozen):
     """Digraph whose arcs carry a label in 1..label_count.
 
     (tail, head, label) triples are distinct, so parallel arcs exist
@@ -131,17 +163,20 @@ class LabelledDigraph:
     vertex_count: int
     label_count: int
     arcs: tuple[tuple[int, int, int], ...]
+    _fields = ("vertex_count", "label_count", "arcs")
 
-    def __post_init__(self) -> None:
-        arcs = tuple(self.arcs)
+    def __init__(self, vertex_count: int, label_count: int,
+                 arcs: tuple[tuple[int, int, int], ...]) -> None:
+        arcs = tuple(arcs)
         if not _plain(arcs, 3):
             arcs = tuple((t, h, l) for t, h, l in arcs)
-        object.__setattr__(self, "arcs", arcs)
-        if self.vertex_count < 0:
+        vars(self).update(vertex_count=vertex_count, label_count=label_count,
+                          arcs=arcs)
+        if vertex_count < 0:
             raise ValidateError("vertex_count must be non-negative")
-        if self.label_count < 1:
+        if label_count < 1:
             raise ValidateError("label_count must be positive")
-        _check_arcs(self.vertex_count, arcs, False, self.label_count)
+        _check_arcs(vertex_count, arcs, False, label_count)
 
     @classmethod
     def _of(cls, vertex_count: int, label_count: int,
@@ -210,21 +245,23 @@ def _check_arcs(vertex_count, arcs: tuple, allow_parallel: bool,
             seen.add(arc)
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(_Frozen):
     indegree: tuple[int, ...]
     outdegree: tuple[int, ...]
-    degree: tuple[int, ...] = field(init=False)
-    max_indegree: int = field(init=False)
-    max_outdegree: int = field(init=False)
-    max_degree: int = field(init=False)
+    degree: tuple[int, ...]
+    max_indegree: int
+    max_outdegree: int
+    max_degree: int
+    _fields = ("indegree", "outdegree", "degree", "max_indegree",
+               "max_outdegree", "max_degree")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "degree",
-                           tuple(i + o for i, o in zip(self.indegree, self.outdegree)))
-        object.__setattr__(self, "max_indegree", max(self.indegree, default=0))
-        object.__setattr__(self, "max_outdegree", max(self.outdegree, default=0))
-        object.__setattr__(self, "max_degree", max(self.degree, default=0))
+    def __init__(self, indegree: tuple[int, ...],
+                 outdegree: tuple[int, ...]) -> None:
+        degree = tuple(i + o for i, o in zip(indegree, outdegree))
+        vars(self).update(indegree=indegree, outdegree=outdegree, degree=degree,
+                          max_indegree=max(indegree, default=0),
+                          max_outdegree=max(outdegree, default=0),
+                          max_degree=max(degree, default=0))
 
 
 def degree_profile(d: Digraph | LabelledDigraph) -> DegreeProfile:

@@ -24,14 +24,13 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import count
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .colouring import _freeze_colours, arc_values, ints_within
-from .digraph import LabelledDigraph, degree_profile, topological_order
+from .colouring import _frozen_colours, arc_values, ints_within
+from .digraph import LabelledDigraph, _Frozen, degree_profile, topological_order
 from .errors import (BadParamsError, InternalDefectError, InvalidColouringError,
                      ValidateError)
 
@@ -42,44 +41,46 @@ _MEMO_MAX_M = 4
 _MEMO_CAP = 1 << 11
 
 
-@dataclass(frozen=True)
-class FibreColouring:
+class FibreColouring(_Frozen):
     """Total map arc index -> colour in 1..colour_count under n fibres."""
 
     n: int
     colour: Mapping[int, int]
     colour_count: int
+    _fields = ("n", "colour", "colour_count")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, colour: Mapping[int, int],
+                 colour_count: int) -> None:
+        if n < 1:
             raise ValidateError("fibre count must be positive")
-        _freeze_colours(self)
+        vars(self).update(n=n, colour=_frozen_colours(colour, colour_count),
+                          colour_count=colour_count)
 
     def __getitem__(self, arc: int) -> int:
         return self.colour[arc]
 
 
-@dataclass(frozen=True)
-class WavelengthAssignment:
+class WavelengthAssignment(_Frozen):
     """Per arc: wavelength plus fibre numbers at the tail and head."""
 
     n: int
     triple: Mapping[int, tuple[int, int, int]]  # arc -> (wavelength, f_out, f_in)
+    _fields = ("n", "triple")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "triple",
-                           MappingProxyType(dict(self.triple)))
-        triples = self.triple.values()
+    def __init__(self, n: int,
+                 triple: Mapping[int, tuple[int, int, int]]) -> None:
+        triple = MappingProxyType(dict(triple))
+        vars(self).update(n=n, triple=triple)
+        triples = triple.values()
         if set(map(type, triples)) <= {tuple} and set(map(len, triples)) == {3}:
             wls, f_outs, f_ins = zip(*triples)
-            if (ints_within(wls, 1, math.inf)
-                    and ints_within(f_outs + f_ins, 1, self.n)):
+            if ints_within(wls, 1, math.inf) and ints_within(f_outs + f_ins, 1, n):
                 return
-        for arc, (wl, f_out, f_in) in self.triple.items():
+        for arc, (wl, f_out, f_in) in triple.items():
             if wl < 1:
                 raise ValidateError(f"arc {arc} wavelength must be positive")
-            if not (1 <= f_out <= self.n and 1 <= f_in <= self.n):
-                raise ValidateError(f"arc {arc} fibre outside 1..{self.n}")
+            if not (1 <= f_out <= n and 1 <= f_in <= n):
+                raise ValidateError(f"arc {arc} fibre outside 1..{n}")
 
     @classmethod
     def _of(cls, n: int, triple: dict[int, tuple[int, int, int]],

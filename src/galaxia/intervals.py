@@ -9,24 +9,24 @@ which a greedy sweep finds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .digraph import _Frozen
 from .errors import BadParamsError, BadShapeError, InternalDefectError
 
 
-@dataclass(frozen=True)
-class CyclicInterval:
+class CyclicInterval(_Frozen):
     modulus: int
     start: int
     length: int
+    _fields = ("modulus", "start", "length")
 
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
+    def __init__(self, modulus: int, start: int, length: int) -> None:
+        if modulus < 1:
             raise BadParamsError("modulus must be positive")
-        if not (1 <= self.start <= self.modulus):
-            raise BadParamsError(f"start {self.start} outside 1..{self.modulus}")
-        if not (1 <= self.length <= self.modulus):
-            raise BadParamsError(f"length {self.length} outside 1..{self.modulus}")
+        if not (1 <= start <= modulus):
+            raise BadParamsError(f"start {start} outside 1..{modulus}")
+        if not (1 <= length <= modulus):
+            raise BadParamsError(f"length {length} outside 1..{modulus}")
+        vars(self).update(modulus=modulus, start=start, length=length)
 
     def members_tuple(self) -> tuple[int, ...]:
         p = self.modulus

@@ -253,11 +253,11 @@ def lemma_cycle_colouring(circuit: Digraph,
                 f"vertex {v} needs exactly two colours from 1..3")
         lists.append(lst)
 
+    e = Digraph._of(2 * n, circuit.arcs + tuple((n + v, v) for v in range(n)))
     try:
         colours = _extension_engine(
-            Digraph._of(2 * n, circuit.arcs + tuple(
-                (n + v, v) for v in range(n))),
-            [_FULL_MASK] * n + [sum(1 << c for c in lst) for lst in lists])
+            e, [_FULL_MASK] * n + [sum(1 << c for c in lst) for lst in lists],
+            strong_components(e))
     except PreconditionViolatedError as exc:
         if n % 2 == 0 or any(l != lists[0] for l in lists):
             raise InternalDefectError(
@@ -296,17 +296,20 @@ def _first_distinct(lists: Iterable[Sequence[int]]) -> tuple[int, ...]:
     return ()
 
 
-def _extension_engine(e: Digraph, lists: list[int]) -> dict[int, int]:
-    """Colour every arc of e from the colour mask lists[arc], taking
+def _extension_engine(e: Digraph, lists: list[int],
+                      components: Iterable[tuple[int, ...]]) -> dict[int, int]:
+    """Colour the arcs of e from the colour masks lists[arc], taking
     strong components sinks first; the masks are struck in place.
 
-    One Tarjan pass orders the components; they are consumed in the
-    order it emits them, which is reverse topological, so each one is
-    terminal among the uncoloured arcs when its turn comes.  Any such
-    order gives the same colours as always taking the first terminal
-    component of what is left.  Taking a component colours exactly the
-    arcs whose heads lie in it, from their lists, and strikes each new
-    colour at the arc's tail.  So the list of an arc into a vertex w is
+    `components` are e's strong components in a reverse topological
+    order of their condensation (strong_components(e), or on acyclic e
+    its vertices one by one in a reverse topological order), so each one
+    is terminal among the uncoloured arcs when its turn comes; only the
+    arcs entering a listed component are coloured.  Any such order gives
+    the same colours as always taking the first terminal component of
+    what is left.  Taking a component colours exactly the arcs whose
+    heads lie in it, from their lists, and strikes each new colour at
+    the arc's tail.  So the list of an arc into a vertex w is
     struck only by the colours of arcs leaving w, whose heads lie in w's
     component or downstream of it.  Every reverse topological order has
     coloured all of those, with the same colours by induction, before
@@ -328,7 +331,7 @@ def _extension_engine(e: Digraph, lists: list[int]) -> dict[int, int]:
                 raise InternalDefectError(
                     f"arc {a} lost its last colour during propagation")
 
-    for comp in strong_components(e):
+    for comp in components:
         if len(comp) == 1:
             v = comp[0]
             ins = in_arcs[v]
@@ -452,7 +455,8 @@ def lemma_extension_colouring(d: Digraph,
                         f"initial arcs {group[x]} and {group[y]} into "
                         f"{h} do not cover all three colours")
 
-    colours = _extension_engine(d, [sum(1 << c for c in lst) for lst in norm])
+    colours = _extension_engine(d, [sum(1 << c for c in lst) for lst in norm],
+                                strong_components(d))
     return ArcColouring(colours, 3 if d.arc_count else 0)
 
 
@@ -832,9 +836,9 @@ def _colour_core(core: Digraph, ids: Sequence[int],
         engine_ids.append(a)
 
     # core arcs, some with a fresh head: nothing to check again
+    core = Digraph._of(fresh, tuple(engine_arcs))
     try:
-        engine = _extension_engine(Digraph._of(fresh, tuple(engine_arcs)),
-                                   lists)
+        engine = _extension_engine(core, lists, strong_components(core))
     except PreconditionViolatedError as exc:
         raise InternalDefectError(
             f"engine rejected a pipeline instance: {exc}") from exc

@@ -11,8 +11,10 @@ from galaxia import (
     find_bicoloured_circuit,
     random_oriented_subcubic,
     subcubic,
+    topological_order,
     verify_star_colouring,
 )
+from galaxia import acircuitic, cli
 from conftest import circuit
 
 
@@ -32,9 +34,11 @@ def check_acircuitic(d):
 
 def list_colour(d, lists):
     """subcubic's extension engine, the list step of the acircuitic
-    colouring, on an acyclic digraph with lists of colours by arc."""
+    colouring, on an acyclic digraph with lists of colours by arc, its
+    vertices taken one by one in reverse topological order."""
     colours = subcubic._extension_engine(
-        d, [sum(1 << c for c in set(lists[i])) for i in range(d.arc_count)])
+        d, [sum(1 << c for c in set(lists[i])) for i in range(d.arc_count)],
+        [(v,) for v in reversed(topological_order(d))])
     return ArcColouring(colours, max(colours.values(), default=0))
 
 
@@ -132,3 +136,15 @@ def test_acircuitic_both_part_circuits():
 @given(st.integers(1, 40), st.integers(0, 999))
 def test_acircuitic_random(n, seed):
     check_acircuitic(random_oriented_subcubic(n, seed))
+
+
+def test_circuit_left_in_the_rest_ends_in_exit_4(monkeypatch, tmp_path, capsys):
+    # without colour-4 arcs on the part circuits, the 3-circuit is left
+    # for the list step, which colours none of its arcs: the verifier
+    # blames the solver (exit 4), never the input (exit 3)
+    monkeypatch.setattr(acircuitic, "_functional_cycles", lambda succ: [])
+    path = tmp_path / "c3.dsa"
+    path.write_text("p dsa 3 3 1\na 0 1 1\na 1 2 1\na 2 0 1\n")
+    assert cli.main(["solve", str(path), "--algorithm", "acircuitic"]) == 4
+    assert capsys.readouterr().err == (
+        "internal defect: solver output failed verification: arc 0 is uncoloured\n")

@@ -92,6 +92,25 @@ def test_cli_acyclic_solve_loads_nine_modules(tmp_path):
     assert fresh_json(program, str(tiny)) == [0, ACYCLIC_SOLVE_MODULES]
 
 
+# What `dataclasses` loads in a fresh interpreter: nothing that starts a
+# command needs them, since the value types share a plain frozen base.
+HEAVY = "[m for m in ('ast', 'dataclasses', 'dis', 'inspect', 'tokenize') if m in sys.modules]"
+
+
+@pytest.mark.parametrize("start", [
+    "import galaxia.cli\n"
+    "assert galaxia.cli.main(['solve', sys.argv[1], '-o', sys.argv[1] + '.out']) == 0\n",
+    "from galaxia import *\n",
+], ids=["cli-solve", "star-import"])
+def test_start_up_loads_no_dataclasses_or_inspect(tmp_path, start):
+    tiny = tmp_path / "tiny.dsa"
+    tiny.write_text("p dsa 4 3 1\na 0 1 1\na 2 1 1\na 1 3 1\n")
+    program = (f"import json, sys\nbefore = {HEAVY}\n{start}"
+               f"print(json.dumps([before, {HEAVY}]))")
+    before, after = fresh_json(program, str(tiny))
+    assert after == before
+
+
 def test_public_names_resolve_in_a_fresh_process():
     program = (
         "import json, sys\n"

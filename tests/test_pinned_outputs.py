@@ -12,7 +12,7 @@ import random
 
 from galaxia import (ArcColouring, Digraph, acircuitic_colouring,
                      dst4_colouring, dst_upper_2k1, random_subcubic,
-                     star_colouring_subcubic, subcubic)
+                     star_colouring_subcubic, subcubic, topological_order)
 
 INSTANCES = 300
 
@@ -100,7 +100,9 @@ def test_acircuitic_colouring_pinned():
 def test_list_colouring_acyclic_pinned():
     # subcubic's extension engine on acyclic digraphs, the list step of
     # the acircuitic colouring; lists as large as the head's degree, from
-    # 1..3 or from 1..5, as masks whose bit c stands for colour c
+    # 1..3 or from 1..5, as masks whose bit c stands for colour c; the
+    # vertices one by one in reverse topological order, as there, give
+    # the colours Tarjan's components gave when the digest was taken
     rng = random.Random(2104)
     cols = []
     for _ in range(INSTANCES):
@@ -113,6 +115,7 @@ def test_list_colouring_acyclic_pinned():
         lists = [sum(1 << c for c in rng.sample(range(1, top + 1),
                                                 rng.randint(degree[h], top)))
                  for _, h in d.arcs]
-        colours = subcubic._extension_engine(d, lists)
+        colours = subcubic._extension_engine(
+            d, lists, [(v,) for v in reversed(topological_order(d))])
         cols.append(ArcColouring(colours, max(colours.values(), default=0)))
     assert digest(cols) == "d72d124e6924d26a9b1e7eb42e8bc3a677a182da7f5a5d8c3a723cfb59ff34d4"
