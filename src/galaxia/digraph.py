@@ -3,9 +3,9 @@
 Vertices are dense 0-based integers.  Arcs live in an ordered tuple and
 are referenced everywhere by their index in that tuple, which keeps
 colourings unambiguous even when parallel arcs are allowed.  All types
-are immutable values (`_Frozen`, which the other modules' value types
-share too); derived structures (adjacency, degrees) are
-cached lazily and never exposed mutably.
+are immutable values on `_Frozen`, the base the other modules' value
+types share; derived structures (adjacency, degrees) are cached lazily
+and never exposed mutably.
 """
 
 from __future__ import annotations

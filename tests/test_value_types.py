@@ -78,7 +78,7 @@ def test_equal_values_hash_alike(name):
 
 @pytest.mark.parametrize("name", MAPPED)
 def test_a_mapping_field_makes_a_value_unhashable(name):
-    with pytest.raises(TypeError, match="unhashable type: 'mappingproxy'"):
+    with pytest.raises(TypeError, match="unhashable type"):
         hash(build(name))
 
 
