@@ -14,10 +14,10 @@ it is coloured.
 from __future__ import annotations
 
 from .colouring import ArcColouring
-from .digraph import Digraph, degree_profile
+from .digraph import Digraph, _map_cycles, degree_profile
 from .errors import (HasDigonError, InternalDefectError, NotSimpleError,
                      NotSubcubicError)
-from .subcubic import _FULL_MASK, _brooks, _extension_engine, _functional_cycles
+from .subcubic import _FULL_MASK, _brooks, _extension_engine
 
 
 def acircuitic_colouring(d: Digraph) -> ArcColouring:
@@ -40,17 +40,18 @@ def acircuitic_colouring(d: Digraph) -> ArcColouring:
     m_idx = [i for i, (t, h) in enumerate(d.arcs) if not in_v2[t] and in_v2[h]]
     four: set[int] = set(m_idx)
 
-    succ1: dict[int, tuple[int, int]] = {}
-    pred2: dict[int, tuple[int, int]] = {}
+    succ1: dict[int, int] = {}  # V1 tail -> its arc into V1
+    pred2: dict[int, int] = {}  # V2 head -> its arc from V2
     for i, (t, h) in enumerate(d.arcs):
         if not in_v2[t] and not in_v2[h]:
-            succ1[t] = (i, h)
+            succ1[t] = i
         elif in_v2[t] and in_v2[h]:
-            pred2[h] = (i, t)
-    # circuits inside one part are the cycles of these partial maps,
-    # since each vertex has at most one successor there
-    for _, cycle in _functional_cycles(succ1) + _functional_cycles(pred2):
-        four.add(min(cycle))
+            pred2[h] = i
+    # circuits inside one part are the cycles of these partial maps to
+    # the arcs' other ends, since each vertex has at most one there
+    for by_end, other in ((succ1, 1), (pred2, 0)):
+        for cycle in _map_cycles({v: d.arcs[i][other] for v, i in by_end.items()}):
+            four.add(min(by_end[v] for v in cycle))
 
     ends: set[int] = set()
     for i in four:

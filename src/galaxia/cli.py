@@ -7,11 +7,12 @@ that command's own subparser, the one argparse would call, and leaves an
 argv that does not start with a command word to the top parser, so usage
 texts and exit codes are argparse's.  Each output kind has one verdict, which
 returns the text `verify` prints after `violation: `, or None:
-`_star_violation` for a star colouring and `_fibre_violation` for a
-wavelength assignment.  The solvers return their output unchecked;
-`solve`, `exact` and `reduce --check` run it through its verdict once,
-before anything is printed or written, and exit 4 with that text if it
-fails.  A command imports the solver, fibre and generator modules it
+`_star_violation` for a star colouring, where one walk per colour pair
+decides and names a bicoloured circuit and an interval is named by its
+ends and modulus, and `_fibre_violation` for a wavelength assignment.
+The solvers return their output unchecked; `solve`, `exact` and
+`reduce --check` run it through its verdict once, before anything is
+printed or written, and exit 4 with that text if it fails.  A command imports the solver, fibre and generator modules it
 runs when it runs, so a process loads only what its command uses.  A `-o` file is opened
 only after the output's check, written in place from its start and
 cut to the new length (so it keeps its links and mode), before the
@@ -51,9 +52,9 @@ from .errors import (AboveCapError, CyclicError, DegreeTooHighError,
 from .fileio import (read_colouring, read_digraph, read_wavelengths,
                      write_colouring, write_digraph, write_wavelengths)
 from .intervals import CyclicInterval
-from .oracle import (DEFAULT_ARC_LIMIT, _holds_bicoloured_circuit,
+from .oracle import (DEFAULT_ARC_LIMIT, _bicoloured_circuit,
                      edge_colouring_3regular, exact_dst, exact_lambda_n,
-                     find_bicoloured_circuit, verify_star_colouring)
+                     verify_star_colouring)
 
 if TYPE_CHECKING:
     from .fibre import FibreColouring, WavelengthAssignment  # unreached: type checkers only
@@ -76,17 +77,17 @@ def _star_violation(d: Digraph, colouring: ArcColouring,
     colour converge or are consecutive; with `acircuitic`, two colours
     hold a circuit; or some `i <vertex> <start> <k>` line names a vertex
     outside d, or a colour entering its vertex lies outside its
-    interval.  Once the colouring is a star colouring, one alternating
-    walk per colour pair decides whether a circuit is there
-    (`_holds_bicoloured_circuit`), and only then does
-    find_bicoloured_circuit's pair scan name it."""
+    interval, which is named by its start, end and modulus, so the text
+    does not grow with its length.  Once the colouring is a star
+    colouring, one alternating walk per colour pair
+    (`oracle._bicoloured_circuit`) both decides and names a circuit."""
     bad = verify_star_colouring(d, colouring)
     if bad is not None:
         kind = "converging" if bad.rule == "ii" else "consecutive"
         return (f"{kind} arcs {bad.first_arc} and {bad.second_arc}"
                 f" share colour {colouring[bad.first_arc]}")
-    if acircuitic and _holds_bicoloured_circuit(d, colouring):
-        circuit = find_bicoloured_circuit(d, colouring)
+    circuit = _bicoloured_circuit(d, colouring) if acircuitic else None
+    if circuit is not None:
         return f"bicoloured circuit through vertices {list(circuit)}"
     colour, in_arcs = colouring.colour, d.in_arcs
     for v in sorted(intervals):
@@ -97,8 +98,9 @@ def _star_violation(d: Digraph, colouring: ArcColouring,
         for a in in_arcs[v]:
             c = colour[a]
             if c > iv.modulus or c not in iv:
+                end = (iv.start + iv.length - 2) % iv.modulus + 1
                 return (f"arc {a} enters vertex {v} with colour {c} outside"
-                        f" its interval {list(iv.members_tuple())}")
+                        f" its interval {iv.start}..{end} mod {iv.modulus}")
     return None
 
 

@@ -9,7 +9,18 @@ from .digraph import _Frozen
 from .errors import ValidateError
 
 
-class ArcColouring(_Frozen):
+class _Mapped(_Frozen):
+    """Base of the value types with a read-only map field, whose
+    constructors take their fields in order.  A mappingproxy does not
+    pickle, so pickle and copy rebuild such a value through its checked
+    constructor, from a plain dict of the map."""
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(dict(v) if type(v) is MappingProxyType else v
+                                 for v in self._values())
+
+
+class ArcColouring(_Mapped):
     """Total map arc index -> colour in 1..colour_count.
 
     A value of this type carries no proof of validity: the solvers

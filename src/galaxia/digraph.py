@@ -133,26 +133,6 @@ class Digraph(_Frozen):
         return any((h, t) in pairs for t, h in self.arcs)
 
 
-def _kahn_leftover(arcs, keep) -> list[int]:
-    """The vertices Kahn's sort of the arcs numbered in `keep` leaves
-    (Digraph._sort does the same over all arcs, in order).  It is empty
-    exactly when those arcs hold no circuit, and each vertex it holds is
-    entered by a kept arc from another vertex it holds."""
-    heads: dict[int, list[int]] = {}
-    indegree: dict[int, int] = {}
-    for i in keep:
-        tail, head = arcs[i]
-        heads.setdefault(tail, []).append(head)
-        indegree[head] = indegree.get(head, 0) + 1
-    ready = [v for v in heads if v not in indegree]
-    while ready:
-        for w in heads.get(ready.pop(), ()):
-            indegree[w] -= 1
-            if not indegree[w]:
-                ready.append(w)
-    return [v for v, k in indegree.items() if k]
-
-
 class LabelledDigraph(_Frozen):
     """Digraph whose arcs carry a label in 1..label_count.
 
@@ -343,29 +323,44 @@ def is_acyclic(d: Digraph) -> bool:
     return len(d._sort) == d.vertex_count
 
 
-def find_circuit_arcs(d: Digraph, removed: set[int] | None = None) -> tuple[int, ...] | None:
-    """Arc indices of a circuit in d minus the `removed` arcs, or None.
+def find_circuit_arcs(d: Digraph) -> tuple[int, ...] | None:
+    """Arc indices of a circuit in d, or None.
 
-    The circuit is found among the vertices Kahn's sort of the other arcs
+    The circuit is found among the vertices Kahn's sort (Digraph._sort)
     leaves: from the least of them, walk back along the entering arc with
     the least tail (then the least index) until a vertex repeats.  It is
     returned in arc direction, starting with the arc that leaves its
     least vertex.  Deterministic.
     """
-    removed = removed or set()
-    arcs = d.arcs
-    left = set(_kahn_leftover(arcs, [i for i in range(len(arcs)) if i not in removed]))
+    left = set(range(d.vertex_count)).difference(d._sort)
     if not left:
         return None
-    v = min(left)
-    walked: dict[int, int] = {}  # vertex -> position of its entering arc
-    back: list[int] = []  # the entering arcs walked, tail-wards
-    while v not in walked:
-        walked[v] = len(back)
-        back.append(min((arcs[i][0], i) for i in d.in_arcs[v]
-                        if i not in removed and arcs[i][0] in left)[1])
-        v = arcs[back[-1]][0]
-    circuit = back[walked[v]:][::-1]
+    arcs = d.arcs
+    # each vertex left is entered by an arc from another one left
+    back = {v: min((arcs[i][0], i) for i in d.in_arcs[v] if arcs[i][0] in left)[1]
+            for v in sorted(left)}
+    # the first cycle is the one the walk from the least vertex reaches
+    circuit = [back[v] for v in reversed(_map_cycles(
+        {v: arcs[i][0] for v, i in back.items()})[0])]
     tails = [arcs[i][0] for i in circuit]
     k = tails.index(min(tails))
     return tuple(circuit[k:] + circuit[:k])
+
+
+def _map_cycles(step: dict[int, int]) -> list[list[int]]:
+    """The cycles of the partial map v -> step[v], each once, listed
+    along the map from the first of its vertices a walk met.  Walks start
+    at the keys of step in their order and end at a vertex met before or
+    outside the map, so each vertex is walked once."""
+    met: set[int] = set()
+    cycles = []
+    for start in step:
+        path = []
+        v = start
+        while v in step and v not in met:
+            met.add(v)
+            path.append(v)
+            v = step[v]
+        if v in path:  # the walk closed on itself
+            cycles.append(path[path.index(v):])
+    return cycles

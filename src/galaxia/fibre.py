@@ -29,8 +29,8 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .colouring import _frozen_colours, arc_values, ints_within
-from .digraph import LabelledDigraph, _Frozen, degree_profile, topological_order
+from .colouring import _Mapped, _frozen_colours, arc_values, ints_within
+from .digraph import LabelledDigraph, degree_profile, topological_order
 from .errors import (BadParamsError, InternalDefectError, InvalidColouringError,
                      ValidateError)
 
@@ -41,7 +41,7 @@ _MEMO_MAX_M = 4
 _MEMO_CAP = 1 << 11
 
 
-class FibreColouring(_Frozen):
+class FibreColouring(_Mapped):
     """Total map arc index -> colour in 1..colour_count under n fibres."""
 
     n: int
@@ -60,7 +60,7 @@ class FibreColouring(_Frozen):
         return self.colour[arc]
 
 
-class WavelengthAssignment(_Frozen):
+class WavelengthAssignment(_Mapped):
     """Per arc: wavelength plus fibre numbers at the tail and head."""
 
     n: int

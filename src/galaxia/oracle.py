@@ -16,10 +16,9 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .colouring import ArcColouring, arc_values
-from .digraph import (Digraph, LabelledDigraph, _kahn_leftover,
-                      find_circuit_arcs)
-from .errors import (AboveCapError, InternalDefectError, NotCubicError,
-                     TooLargeError, ValidateError)
+from .digraph import Digraph, LabelledDigraph, _map_cycles
+from .errors import (AboveCapError, InternalDefectError, InvalidColouringError,
+                     NotCubicError, TooLargeError, ValidateError)
 
 if TYPE_CHECKING:
     from .fibre import FibreColouring  # unreached: type checkers only
@@ -285,65 +284,46 @@ def exact_lambda_n(ld: LabelledDigraph, n: int, colour_cap: int | None = None,
 
 def find_bicoloured_circuit(d: Digraph, colouring: ArcColouring,
                             ) -> tuple[int, ...] | None:
-    """A circuit using at most two colours, as a vertex tuple, or None.
-
-    Colour pairs are scanned in ascending lexicographic order, (α, α)
-    before (α, β); the witness is the circuit find_circuit_arcs finds in
-    the first cyclic pair subdigraph, as its tails, starting at its least
-    vertex.  Each pair of distinct colours is tested by Kahn's sort of
-    its own arcs.  A single colour class lies inside every pair that
-    holds it, so it is tested only when (α, β) is the first cyclic pair,
-    for (α, α), or when one colour is used; only the pair that gives the
-    witness is searched for its circuit.
-    """
-    colours = arc_values(d.arc_count, colouring.colour, "uncoloured")
-    classes: dict[int, list[int]] = {}
-    for arc, c in enumerate(colours):
-        classes.setdefault(c, []).append(arc)
-    palette = sorted(classes)
-    # with one colour, its class is the one pair there is
-    for alpha, beta in combinations(palette, 2) if palette[1:] else zip(palette, palette):
-        keep = classes[alpha] + classes[beta]
-        if not _kahn_leftover(d.arcs, keep):
-            continue
-        # every class below α lies inside an acyclic pair by now
-        if _kahn_leftover(d.arcs, classes[alpha]):
-            keep = classes[alpha]
-        circuit = find_circuit_arcs(d, set(range(d.arc_count)).difference(keep))
-        return tuple(d.arcs[i][0] for i in circuit)
-    return None
+    """A circuit of d in two colours of a star colouring, as a vertex
+    tuple, or None; _bicoloured_circuit says which one.  The paper asks
+    this of star colourings only, so on any other colouring it raises
+    InvalidColouringError naming verify_star_colouring's clash."""
+    bad = verify_star_colouring(d, colouring)
+    if bad is not None:
+        raise InvalidColouringError(f"not a star colouring: {bad}")
+    return _bicoloured_circuit(d, colouring)
 
 
-def _holds_bicoloured_circuit(d: Digraph, colouring: ArcColouring) -> bool:
-    """Whether two colours of a star colouring of d hold a circuit.
+def _bicoloured_circuit(d: Digraph, colouring: ArcColouring,
+                        ) -> tuple[int, ...] | None:
+    """The circuit of the first colour pair α < β, in ascending order,
+    that holds one, through the least vertex on any of that pair's
+    circuits and listed from it in arc direction; None when no pair
+    holds one.
 
     The colouring must pass verify_star_colouring: each colour then
     enters a vertex at most once and never colours two consecutive
-    arcs, so a circuit in two colours α, β alternates them, and walking
-    back from a head of α's class, "the α-arc in, then the β-arc in", is
-    a map on those heads.  Its cycles are exactly the α, β circuits, and
-    each pair is walked from the heads of its smaller class, each head
-    once, so the walk costs O(q·A) time for q colours and A arcs, and
-    O(A) memory."""
+    arcs, so a circuit in α and β alternates them, each vertex lies on
+    at most one, and "the α-arc in, then the β-arc in" is a partial map
+    on the heads of α's class whose cycles are the α, β circuits.  Each
+    pair is walked from the heads of its smaller class, so the search
+    costs O(q·A) time for q colours and A arcs, and O(A) memory."""
     into: dict[int, dict[int, int]] = {}  # colour -> head -> tail
     for (tail, head), c in zip(d.arcs, arc_values(
             d.arc_count, colouring.colour, "uncoloured")):
         into.setdefault(c, {})[head] = tail
-    classes = sorted(into.values(), key=len)
-    for k, alpha in enumerate(classes):
-        for beta in classes[k + 1:]:
-            walk: dict[int, int] = {}  # head -> the head its walk began at
-            for start in alpha:
-                v = start
-                while v not in walk:
-                    walk[v] = start
-                    v = beta.get(alpha[v])
-                    if v not in alpha:
-                        break
-                else:
-                    if walk[v] == start:
-                        return True
-    return False
+    for alpha, beta in combinations(sorted(into), 2):
+        first, then = sorted((into[alpha], into[beta]), key=len)
+        # each cycle walks back from heads of `first`; its circuit lists
+        # those heads and the tails of their `first` arcs, reversed
+        circuits = [[x for h in cycle for x in (h, first[h])][::-1]
+                    for cycle in _map_cycles(
+                        {h: then[t] for h, t in first.items() if t in then})]
+        if circuits:
+            circuit = min(circuits, key=min)
+            k = circuit.index(min(circuit))
+            return tuple(circuit[k:] + circuit[:k])
+    return None
 
 
 def _check_cubic(vertex_count: int, edges: Iterable[tuple[int, int]],

@@ -12,7 +12,7 @@ from itertools import combinations, compress, product
 from typing import Container, Iterable, Mapping, Sequence
 
 from .colouring import ArcColouring
-from .digraph import Digraph, degree_profile, strong_components
+from .digraph import Digraph, _map_cycles, degree_profile, strong_components
 from .errors import (
     BadListsError,
     BadShapeError,
@@ -471,36 +471,6 @@ def lemma_extension_colouring(d: Digraph,
 # index the run's one colour list (0 while an arc is uncoloured).
 
 
-def _functional_cycles(step: dict[int, tuple[int, int]],
-                       ) -> list[tuple[list[int], list[int]]]:
-    """Cycles of a map vertex -> (arc key, next vertex).
-
-    Returns (vertex order, arc keys) pairs, each cycle reported once;
-    keys[i] leaves vertex i of its cycle.
-    """
-    state: dict[int, int] = {}
-    cycles = []
-    for v0 in step:
-        if state.get(v0):
-            continue
-        path: list[int] = []
-        pos: dict[int, int] = {}
-        cur = v0
-        while True:
-            if cur in pos:
-                cyc = path[pos[cur]:]
-                cycles.append((cyc, [step[x][0] for x in cyc]))
-                break
-            if state.get(cur) == 2 or cur not in step:
-                break
-            pos[cur] = len(path)
-            path.append(cur)
-            cur = step[cur][1]
-        for x in path:
-            state[x] = 2
-    return cycles
-
-
 def _sub(g: Digraph, ids: Sequence[int], keep: Sequence[int],
          ) -> tuple[Digraph, list[int]]:
     """The arcs `keep` (ascending) of g on the vertices they touch, both
@@ -734,14 +704,14 @@ def _colour_core(core: Digraph, ids: Sequence[int],
                 raise InternalDefectError(
                     f"high vertex {t} has two out-arcs")
             step[t] = (a, h)
-    for cyc, keys in _functional_cycles(step):
+    for cyc in _map_cycles({t: h for t, (_, h) in step.items()}):
         if len(cyc) % 2 == 0:
             continue
         entering = []
         ok = True
         for i, v in enumerate(cyc):
             for a in in_arcs[v]:
-                if a == keys[i - 1]:
+                if a == step[cyc[i - 1]][0]:
                     continue
                 if not low[arcs[a][0]]:
                     ok = False

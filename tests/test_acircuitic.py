@@ -142,7 +142,7 @@ def test_circuit_left_in_the_rest_ends_in_exit_4(monkeypatch, tmp_path, capsys):
     # without colour-4 arcs on the part circuits, the 3-circuit is left
     # for the list step, which colours none of its arcs: the verifier
     # blames the solver (exit 4), never the input (exit 3)
-    monkeypatch.setattr(acircuitic, "_functional_cycles", lambda succ: [])
+    monkeypatch.setattr(acircuitic, "_map_cycles", lambda step: [])
     path = tmp_path / "c3.dsa"
     path.write_text("p dsa 3 3 1\na 0 1 1\na 1 2 1\na 2 0 1\n")
     assert cli.main(["solve", str(path), "--algorithm", "acircuitic"]) == 4

@@ -23,7 +23,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from galaxia import (CUBIC_GRAPHS, ArcColouring, CyclicInterval, FibreColouring,
                      LabelledDigraph, WavelengthAssignment, digraph, fibre,
-                     oracle, read_colouring, read_digraph, read_wavelengths,
+                     read_colouring, read_digraph, read_wavelengths,
                      write_digraph)
 from galaxia import cli
 from galaxia.cli import main
@@ -228,12 +228,11 @@ def test_auto_solve_of_cyclic_instance_builds_no_witness(tmp_path, capsys,
     witnesses = []
     real = digraph.find_circuit_arcs
 
-    def counting(d, removed=None):
+    def counting(d):
         witnesses.append(d.vertex_count)
-        return real(d, removed)
+        return real(d)
 
     monkeypatch.setattr(digraph, "find_circuit_arcs", counting)
-    monkeypatch.setattr(oracle, "find_circuit_arcs", counting)
     assert main(["solve", circuit_instance(tmp_path)]) == 0
     assert "algorithm=" in capsys.readouterr().out
     assert witnesses == []
@@ -387,8 +386,8 @@ def test_verify_acircuitic_flag(tmp_path, capsys):
     (4, (1, 10 ** 14, 3, 10 ** 14), 0, "ok\n"),
 ])
 def test_verify_acircuitic_texts(tmp_path, capsys, n, colours, code, out):
-    # the walk decides, whatever the size of a colour; the pair scan
-    # names the circuit
+    # one walk per colour pair decides and names the circuit, whatever
+    # the size of a colour
     instance = circuit_instance(tmp_path, n)
     colouring = tmp_path / "col.txt"
     colouring.write_text("".join(f"c {a} {c}\n" for a, c in enumerate(colours)))
@@ -408,7 +407,11 @@ def test_verify_dag_roundtrip_checks_interval_lines(tmp_path, capsys):
 
 @pytest.mark.parametrize("line, text", [
     ("i 2 1 2", "violation: arc 0 enters vertex 2 with colour 4 outside its"
-                " interval [1, 2]\n"),
+                " interval 1..2 mod 4\n"),
+    # the interval is named by its ends, not listed: k = 10^12 prints as
+    # short a line, at once
+    ("i 2 5 1000000000000", "violation: arc 0 enters vertex 2 with colour 4"
+                            " outside its interval 5..1000000000004 mod 2000000000000\n"),
     ("i 99 1 5", "violation: interval line names vertex 99 outside 0..2\n"),
 ])
 def test_verify_rejects_bad_interval_line(tmp_path, capsys, line, text):
@@ -441,7 +444,7 @@ def test_solve_bad_interval_certificate_exits_4(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err == ("internal defect: solver output failed"
                             " verification: arc 2 enters vertex 2 with colour 3"
-                            " outside its interval [1, 2]\n")
+                            " outside its interval 1..2 mod 4\n")
     assert captured.out == ""
     assert not out.exists()
 

@@ -313,13 +313,16 @@ def test_find_circuit_arcs_dag_and_circuit():
 
 
 def test_find_circuit_respects_removed():
+    # the sub-digraph of the arcs kept is where a search with arcs removed
+    # looks
     c = circuit(3)
-    assert find_circuit_arcs(c, removed={1}) is None
+    assert find_circuit_arcs(Digraph(3, (c.arcs[0], c.arcs[2]))) is None
 
 
 def test_find_circuit_arcs_closes_a_circuit_exactly_when_one_is_kept():
-    # seeded random digraphs, some with parallel arcs, and random removed
-    # sets; Kahn's leftover runs on arc sets with distinct heads too
+    # seeded random digraphs, some with parallel arcs, and the sub-digraphs
+    # of random kept sets; Kahn's sort runs on arc sets with distinct
+    # heads too
     rng = random.Random(28)
     cyclic = 0
     for _ in range(2000):
@@ -329,16 +332,14 @@ def test_find_circuit_arcs_closes_a_circuit_exactly_when_one_is_kept():
         arcs = tuple(rng.choice(pairs) if parallel else pair
                      for pair in rng.sample(pairs, rng.randint(0, min(len(pairs), 3 * n))))
         d = Digraph(n, arcs, parallel)
-        removed = {i for i in range(d.arc_count) if rng.random() < 0.3}
-        kept = [i for i in range(d.arc_count) if i not in removed]
-        found = find_circuit_arcs(d, removed)
-        assert (found is None) == is_acyclic(
-            Digraph(n, tuple(arcs[i] for i in kept), parallel))
+        kept = tuple(arc for arc in arcs if rng.random() >= 0.3)
+        sub = Digraph(n, kept, parallel)
+        found = find_circuit_arcs(sub)
+        assert (found is None) == all(len(c) == 1 for c in strong_components(sub))
         if found is not None:
             cyclic += 1
-            tails = [arcs[i][0] for i in found]
-            assert set(found) <= set(kept)
-            assert all(arcs[i][1] == arcs[j][0]
+            tails = [kept[i][0] for i in found]
+            assert all(kept[i][1] == kept[j][0]
                        for i, j in zip(found, found[1:] + found[:1]))
             assert len(set(tails)) == len(tails) and tails[0] == min(tails)
         whole = find_circuit_arcs(d)
@@ -348,10 +349,9 @@ def test_find_circuit_arcs_closes_a_circuit_exactly_when_one_is_kept():
             with pytest.raises(CyclicError) as info:
                 topological_order(d)
             assert info.value.circuit == tuple(arcs[i][0] for i in whole)
-        first_in = {}
-        for i in kept:
-            first_in.setdefault(arcs[i][1], i)
-        for subset in (set(kept), set(first_in.values())):
-            assert (not digraph._kahn_leftover(arcs, subset)) == is_acyclic(
-                Digraph(n, tuple(arcs[i] for i in subset), parallel))
+        first_in = tuple({h: (t, h) for t, h in reversed(kept)}.values())
+        # with at most one arc into each vertex, a circuit is a cycle of
+        # the map from a head to its tail
+        assert is_acyclic(Digraph(n, first_in, parallel)) == (
+            not digraph._map_cycles({h: t for t, h in first_in}))
     assert 500 < cyclic < 1900

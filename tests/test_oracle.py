@@ -13,19 +13,19 @@ from galaxia import (
     ArcColouring,
     Digraph,
     FibreColouring,
+    InvalidColouringError,
     LabelledDigraph,
     NotCubicError,
     StarViolation,
     TooLargeError,
     ValidateError,
     degree_profile,
-    digraph,
     edge_colouring_3regular,
     exact_dst,
     exact_lambda_n,
     find_bicoloured_circuit,
-    find_circuit_arcs,
     from_class_list,
+    is_acyclic,
     oracle,
     random_digraph,
     triangle_multidigraph,
@@ -243,54 +243,76 @@ def test_bicoloured_circuit_found():
 
 def test_bicoloured_circuit_acyclic():
     d = Digraph(3, ((0, 1), (1, 2), (0, 2)))
-    col = ArcColouring({0: 1, 1: 2, 2: 2}, 2)
+    col = ArcColouring({0: 1, 1: 2, 2: 1}, 2)
     assert find_bicoloured_circuit(d, col) is None
 
 
-def test_bicoloured_circuit_monochromatic_pair_first():
-    # colour 1 alone closes 3->4->5; the pair (1, 2) also closes 0->1->2,
-    # which a search from vertex 0 would report, but (1, 1) comes first
-    d = Digraph(6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)))
-    col = ArcColouring({0: 1, 1: 2, 2: 2, 3: 1, 4: 1, 5: 1}, 2)
-    assert find_bicoloured_circuit(d, col) == (3, 4, 5)
+@pytest.mark.parametrize("arcs, colours, clash", [
+    # colour 1 alone closes 0->1->2 with consecutive arcs
+    (((0, 1), (1, 2), (2, 0)), (1, 1, 1),
+     "StarViolation(rule='i', first_arc=2, second_arc=0)"),
+    # two arcs of colour 1 converge at 2, on no circuit
+    (((0, 2), (1, 2)), (1, 1), "StarViolation(rule='ii', first_arc=0, second_arc=1)"),
+], ids=["monochromatic-circuit", "converging"])
+def test_find_bicoloured_circuit_rejects_a_non_star_colouring(arcs, colours, clash):
+    col = ArcColouring(dict(enumerate(colours)), 2)
+    with pytest.raises(InvalidColouringError) as info:
+        find_bicoloured_circuit(Digraph(3, arcs), col)
+    assert str(info.value) == f"not a star colouring: {clash}"
+
+
+def test_bicoloured_circuit_of_the_first_pair_through_its_least_vertex():
+    # pairs (1, 2) and (2, 3) each hold a circuit, and (1, 2) comes first
+    # though 0 lies on the (2, 3) circuit.  The walk from the heads of
+    # colour 2, the smaller class, meets the (1, 2) circuit through 8
+    # first; the one through 4 is named, and 4 is the head of a colour-1
+    # arc
+    arcs = ((8, 9), (9, 10), (10, 11), (11, 8),
+            (7, 4), (4, 5), (5, 6), (6, 7),
+            (0, 1), (1, 2), (2, 3), (3, 0),
+            (12, 13), (12, 14), (12, 15))
+    colours = (1, 2, 1, 2, 1, 2, 1, 2, 2, 3, 2, 3, 1, 1, 1)
+    d = Digraph(16, arcs)
+    col = ArcColouring(dict(enumerate(colours)), 3)
+    assert verify_star_colouring(d, col) is None
+    assert find_bicoloured_circuit(d, col) == (4, 5, 6, 7)
 
 
 def all_classes_scan(d, colouring):
-    """find_bicoloured_circuit as it was when it tested every single
-    colour class as well as every pair: the reference for its witness."""
+    """Whether some colour class, or some pair of classes, holds a
+    circuit, by Kahn's sort of the sub-digraph of its arcs: the
+    reference for whether find_bicoloured_circuit finds one."""
     classes = {}
     for arc in range(d.arc_count):
-        classes.setdefault(colouring[arc], []).append(arc)
+        classes.setdefault(colouring[arc], []).append(d.arcs[arc])
     palette = sorted(classes)
     for a_pos, alpha in enumerate(palette):
         for beta in palette[a_pos:]:
-            keep = classes[alpha]
-            if beta != alpha:
-                keep = keep + classes[beta]
-            if not digraph._kahn_leftover(d.arcs, keep):
-                continue
-            circ = find_circuit_arcs(d, set(range(d.arc_count)).difference(keep))
-            vertices = tuple(d.arcs[i][0] for i in circ)
-            k = vertices.index(min(vertices))
-            return vertices[k:] + vertices[:k]
+            keep = classes[alpha] + (classes[beta] if beta != alpha else [])
+            if not is_acyclic(Digraph(d.vertex_count, tuple(keep))):
+                return True
+    return False
+
+
+def pair_scan(d, colouring):
+    """The circuit find_bicoloured_circuit names, by a walk from each
+    vertex: for the first colour pair α < β that has one, the least
+    vertex from which walking back along the α-arc in, then the β-arc in
+    (or β first), returns to it, and the walk read in arc direction."""
+    into = {(colouring[a], h): t for a, (t, h) in enumerate(d.arcs)}
+    palette = sorted({colouring[a] for a in range(d.arc_count)})
+    for alpha, beta in itertools.combinations(palette, 2):
+        for v in range(d.vertex_count):
+            for order in ((alpha, beta), (beta, alpha)):
+                back = [v]
+                while len(back) <= d.vertex_count:
+                    key = (order[(len(back) - 1) % 2], back[-1])
+                    if key not in into:
+                        break
+                    back.append(into[key])
+                    if back[-1] == v:
+                        return tuple([v] + back[-2:0:-1])
     return None
-
-
-def test_bicoloured_circuit_matches_the_scan_of_every_class():
-    # random colourings of small digraphs, star colourings or not, with
-    # one to five colours; most have a bicoloured circuit
-    rng = random.Random(20)
-    found = 0
-    for _ in range(3000):
-        n = rng.randint(2, 7)
-        pairs = [(t, h) for t in range(n) for h in range(n) if t != h]
-        d = Digraph(n, tuple(rng.sample(pairs, rng.randint(0, len(pairs)))))
-        q = rng.randint(1, 5)
-        col = ArcColouring({a: rng.randint(1, q) for a in range(d.arc_count)}, q)
-        expected = all_classes_scan(d, col)
-        assert find_bicoloured_circuit(d, col) == expected
-        found += expected is not None
-    assert 1000 < found < 3000
 
 
 def random_star_colouring(rng, d, q):
@@ -306,22 +328,37 @@ def random_star_colouring(rng, d, q):
     return ArcColouring(colour, max(colour.values(), default=0))
 
 
-def test_alternating_walk_matches_the_pair_scan():
-    # random star colourings of small digraphs, digons allowed, in two to
-    # four colours: the walk finds a bicoloured circuit exactly when
-    # find_bicoloured_circuit's Kahn pair scan does
-    rng = random.Random(31)
-    outcomes = {True: 0, False: 0}
-    for _ in range(4000):
+def random_star_coloured(rng, count, max_arcs):
+    """count random star colourings, in two to four colours, of small
+    digraphs with digons allowed and at most max_arcs(n) arcs."""
+    for _ in range(count):
         n = rng.randint(2, 8)
         pairs = [(t, h) for t in range(n) for h in range(n) if t != h]
-        arcs = rng.sample(pairs, rng.randint(0, min(len(pairs), 2 * n)))
-        d = Digraph(n, tuple(arcs))
+        d = Digraph(n, tuple(rng.sample(pairs, rng.randint(0, min(len(pairs), max_arcs(n))))))
         col = random_star_colouring(rng, d, rng.randint(2, 4))
         assert verify_star_colouring(d, col) is None
-        held = oracle._holds_bicoloured_circuit(d, col)
-        assert held == (find_bicoloured_circuit(d, col) is not None)
-        outcomes[held] += 1
+        yield d, col
+
+
+def test_bicoloured_circuit_matches_the_scan_of_every_class():
+    # a star colouring has a bicoloured circuit exactly when some class
+    # or pair of classes is cyclic; most of these dense digraphs have one
+    found = 0
+    for d, col in random_star_coloured(random.Random(20), 3000, lambda n: 3 * n):
+        expected = all_classes_scan(d, col)
+        assert (find_bicoloured_circuit(d, col) is not None) == expected
+        found += expected
+    assert 1000 < found < 3000, found
+
+
+def test_alternating_walk_matches_the_pair_scan():
+    # the walk over the smaller class of each pair names the circuit the
+    # walk from every vertex in turn names
+    outcomes = {True: 0, False: 0}
+    for d, col in random_star_coloured(random.Random(31), 4000, lambda n: 2 * n):
+        named = oracle._bicoloured_circuit(d, col)
+        assert named == pair_scan(d, col)
+        outcomes[named is not None] += 1
     assert min(outcomes.values()) > 1000, outcomes
 
 
@@ -334,17 +371,15 @@ def test_alternating_walk_matches_the_pair_scan():
 def test_alternating_walk_on_circuits(n, colours, held):
     col = ArcColouring(dict(enumerate(colours)), max(colours))
     assert verify_star_colouring(circuit(n), col) is None
-    assert oracle._holds_bicoloured_circuit(circuit(n), col) is held
+    assert (oracle._bicoloured_circuit(circuit(n), col) is not None) is held
 
 
 def test_bicoloured_circuit_ignores_keys_that_are_not_arcs():
-    # the pair (2, 3) closes 0->1->2 before colour 3 alone closes 3->4->5;
-    # colour 1 on the non-arc key 6 must not add the pair (1, 3) first
-    d = Digraph(6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)))
-    colours = {0: 2, 1: 2, 2: 3, 3: 3, 4: 3, 5: 3}
-    assert find_bicoloured_circuit(d, ArcColouring(colours, 3)) == (0, 1, 2)
-    colours[6] = 1
-    assert find_bicoloured_circuit(d, ArcColouring(colours, 3)) == (0, 1, 2)
+    # colour 1 on the non-arc key 4 must add no pair, and no arc
+    colours = {0: 2, 1: 3, 2: 2, 3: 3}
+    assert find_bicoloured_circuit(circuit(4), ArcColouring(colours, 3)) == (0, 1, 2, 3)
+    colours[4] = 1
+    assert find_bicoloured_circuit(circuit(4), ArcColouring(colours, 3)) == (0, 1, 2, 3)
 
 
 def k4_edges():

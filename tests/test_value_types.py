@@ -125,9 +125,12 @@ def test_pickle_round_trip(name):
 
 
 @pytest.mark.parametrize("name", MAPPED)
-def test_a_mapping_field_does_not_pickle(name):
-    with pytest.raises(TypeError, match="cannot pickle 'mappingproxy' object"):
-        pickle.dumps(build(name))
+def test_a_mapping_field_round_trips_through_pickle_and_deepcopy(name):
+    # rebuilt through the checked constructor, with a read-only map again
+    value = build(name)
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(twin) is type(value) and twin == value
+        assert repr(twin) == CASES[name][3]
 
 
 def test_cached_structures_enter_no_comparison():

@@ -2,10 +2,12 @@
 
 Outputs start valid (from a solver) and get up to three random edits, so
 both verdicts turn up.  Each verifier must return None exactly when the
-brute-force check below finds no clash.
+brute-force check below finds no clash; find_bicoloured_circuit, defined
+on star colourings only, must refuse every other colouring.
 """
 from itertools import combinations, product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from galaxia import (ArcColouring, Digraph, FibreColouring,
@@ -103,8 +105,12 @@ def test_star_verdicts_match_pairwise_check(ld, data):
     colouring = ArcColouring(colour, max(colour.values(), default=0))
     assert ((verify_star_colouring(d, colouring) is None)
             == (not star_clash(d, colour)))
-    assert ((find_bicoloured_circuit(d, colouring) is None)
-            == (not bicoloured_circuit(d, colour)))
+    if star_clash(d, colour):
+        with pytest.raises(InvalidColouringError):
+            find_bicoloured_circuit(d, colouring)
+    else:
+        assert ((find_bicoloured_circuit(d, colouring) is None)
+                == (not bicoloured_circuit(d, colour)))
 
 
 @settings(max_examples=200)
