@@ -47,8 +47,7 @@ _EXPORTS = {
     "fileio": ("read_colouring", "read_digraph", "read_wavelengths",
                "write_colouring", "write_digraph", "write_wavelengths"),
     "galaxy": ("dst_upper_2k1",),
-    "intervals": ("CyclicInterval", "interval_complement",
-                  "sdr_in_cyclic_interval", "smallest_interval_containing"),
+    "intervals": ("CyclicInterval", "sdr_in_cyclic_interval"),
     "oracle": ("StarViolation", "edge_colouring_3regular", "exact_dst",
                "exact_lambda_n", "find_bicoloured_circuit",
                "verify_star_colouring"),

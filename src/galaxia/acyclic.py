@@ -23,8 +23,7 @@ import functools
 from .colouring import ArcColouring
 from .digraph import Digraph, degree_profile, topological_order
 from .errors import InternalDefectError
-from .intervals import (CyclicInterval, interval_complement,
-                        sdr_in_cyclic_interval, smallest_interval_containing)
+from .intervals import CyclicInterval, sdr_in_cyclic_interval
 
 # Past k = 4 a pattern is one of 111,110 or more, so few recur between
 # instances; at k <= 4 an entry holds at most 4 starts and 4 colours.
@@ -35,15 +34,19 @@ _MEMO_CAP = 1 << 11
 def _solve(k: int, starts: tuple[int, ...],
            ) -> tuple[tuple[int, ...], CyclicInterval | None]:
     """The SDR for arcs whose tails recorded the k-intervals of {1..2k}
-    at `starts`, and the smallest k-interval holding its colours (None
-    is a defect, which the caller reports)."""
+    at `starts`, and the k-interval of least start holding its colours
+    (None is a defect, which the caller reports).  A tail's arc takes
+    its colour from the opposite k-interval, which starts k later."""
     p = 2 * k
-    intervals = [interval_complement(CyclicInterval(modulus=p, start=s, length=k))
+    intervals = [CyclicInterval(modulus=p, start=(s + k - 1) % p + 1, length=k)
                  for s in starts]
     while len(intervals) < k:
         intervals.append(intervals[-1])
     _, reps = sdr_in_cyclic_interval(intervals)
-    return reps, smallest_interval_containing(set(reps[:len(starts)]), p, k)
+    used = reps[:len(starts)]
+    return reps, next((CyclicInterval(modulus=p, start=s, length=k)
+                       for s in range(1, p + 1)
+                       if all((c - s) % p < k for c in used)), None)
 
 
 @functools.lru_cache(maxsize=_MEMO_CAP)

@@ -135,12 +135,9 @@ def _require(violation: str | None) -> None:
 def _own_output(what: str):
     """Blame this package (exit 4) for an InvalidColouringError or a
     ValidateError raised while the block builds and decides a command's
-    output from an instance already read; NotSimpleError, a solver's
-    verdict on its input, passes."""
+    output from an instance already read."""
     try:
         yield
-    except NotSimpleError:
-        raise
     except (InvalidColouringError, ValidateError) as exc:
         raise InternalDefectError(f"{what} failed verification: {exc}") from exc
 

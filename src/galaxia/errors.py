@@ -1,9 +1,10 @@
 """Exception taxonomy shared by the whole package.
 
 Parsing problems carry the 1-based line number of the offending input
-line; everything structural that spans several lines (duplicate arcs,
-bad header counts) is a ValidateError instead, so callers can tell "fix
-the line" apart from "fix the file".
+line, or line 0 when the fault is the whole input's (no problem line);
+everything structural that spans several lines (duplicate arcs, bad
+header counts) is a ValidateError instead, so callers can tell "fix the
+line" apart from "fix the file".
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ class ValidateError(GalaxiaError):
         self.reason = reason
 
 
-class NotSimpleError(ValidateError):
+class NotSimpleError(GalaxiaError):
     """An operation restricted to simple digraphs found parallel arcs."""
 
 
@@ -61,7 +62,7 @@ class NotCubicError(GalaxiaError):
 
 
 class BadShapeError(GalaxiaError):
-    """A cyclic interval does not have the shape an operation needs."""
+    """A digraph does not have the shape an operation needs."""
 
 
 class BadListsError(GalaxiaError):

@@ -302,6 +302,8 @@ def fibre_colouring_smallm(ld: LabelledDigraph, n: int) -> FibreColouring:
     at most m label-slots leaving it.
     """
     m = ld.label_count
+    if n < 1:
+        raise BadParamsError("fibre count must be positive")
     if m >= n:
         raise BadParamsError(f"need m < n, got m={m} n={n}")
     profile = degree_profile(ld)

@@ -2,15 +2,15 @@
 
 A cyclic n-interval of {1..p} is a block of n consecutive values modulo
 p, kept in 1..p.  The star colouring of acyclic digraphs records one
-k-interval of {1..2k} per vertex; its machinery needs complements and a
-system of distinct representatives lying inside a common interval,
-which a greedy sweep finds.
+k-interval of {1..2k} per vertex; its machinery needs a system of
+distinct representatives lying inside a common interval, which a greedy
+sweep finds.
 """
 
 from __future__ import annotations
 
 from .digraph import _Frozen
-from .errors import BadParamsError, BadShapeError, InternalDefectError
+from .errors import BadParamsError, InternalDefectError
 
 
 class CyclicInterval(_Frozen):
@@ -34,25 +34,6 @@ class CyclicInterval(_Frozen):
 
     def __contains__(self, value: int) -> bool:
         return (value - self.start) % self.modulus < self.length
-
-
-def interval_complement(interval: CyclicInterval) -> CyclicInterval:
-    """Complement of a k-interval of {1..2k}: the opposite k-interval."""
-    p = interval.modulus
-    if p != 2 * interval.length:
-        raise BadShapeError(f"complement needs modulus {2 * interval.length}, got {p}")
-    start = (interval.start - 1 + interval.length) % p + 1
-    return CyclicInterval(modulus=p, start=start, length=interval.length)
-
-
-def smallest_interval_containing(values: set[int], modulus: int,
-                                 length: int) -> CyclicInterval | None:
-    """The containing interval of given length with the smallest start."""
-    for start in range(1, modulus + 1):
-        candidate = CyclicInterval(modulus=modulus, start=start, length=length)
-        if all(v in candidate for v in values):
-            return candidate
-    return None
 
 
 def _sweep(spans: list[tuple[int, int]]) -> list[int] | None:

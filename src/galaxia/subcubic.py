@@ -9,7 +9,7 @@ that eats terminal strong components one at a time.
 from __future__ import annotations
 
 from itertools import combinations, compress, product
-from typing import Container, Iterable, Mapping, Sequence
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 from .colouring import ArcColouring
 from .digraph import Digraph, _map_cycles, degree_profile, strong_components
@@ -41,14 +41,11 @@ def _greedy_fill(adj: list[set[int]], order: Iterable[int],
     # Every vertex must see at most two coloured neighbours when its
     # turn comes; the caller's ordering guarantees that.
     for v in order:
-        used = {colours[u] for u in adj[v] if colours[u]}
-        for c in COLOURS:
-            if c not in used:
-                colours[v] = c
-                break
-        else:
+        free = _FREE[sum({1 << colours[u] for u in adj[v]})]
+        if not free:
             raise InternalDefectError(
                 f"vertex {v} saw all three colours during greedy fill")
+        colours[v] = free[0]
 
 
 def _bfs(adj: Sequence[set[int]], root: int,
@@ -96,10 +93,10 @@ def _brooks_component(adj: list[set[int]], comp: list[int],
                     colours[v] = a
         return
 
-    # Two-connected cubic and not K4, which no caller passes (one would
-    # end at the raise below): some vertex has two non-adjacent
-    # neighbours whose removal keeps the rest connected.  Colour those
-    # two alike so the final vertex sees two colours only.
+    # Two-connected cubic: some vertex has two non-adjacent neighbours
+    # whose removal keeps the rest connected (K4 has none, and no caller
+    # passes it; it would end at the raise below).  Colour those two
+    # alike so the final vertex sees two colours only.
     for v in comp:
         for u, w in combinations(sorted(adj[v]), 2):
             if u in adj[w]:
@@ -169,54 +166,48 @@ def _brooks(adj: list[set[int]]) -> list[int]:
 # Positions 0..l-1 around the circuit.  Variable a_i is the colour of
 # the circuit arc leaving position i, variable v_i the colour tied to
 # position i itself (an entering arc, where present).  Constraints:
-# a_i != a_{i+1}, v_i not in {a_{i-1}, a_i}, all indices mod l.
+# a_i != a_{i+1}, v_i not in {a_{i-1}, a_i}, all indices mod l.  Each
+# position's colours come as an int mask, bit c for colour c.
 
 
-def _vertex_fits(vlist: Sequence[int], before: int, after: int) -> bool:
-    return any(c != before and c != after for c in vlist)
+def _follow(c: int, vertex_mask: int, mask: int) -> int:
+    """The colours d of `mask` that can follow an arc of colour c through
+    a vertex whose colour comes from vertex_mask: d != c, and the vertex
+    keeps a colour outside {c, d}."""
+    rest = vertex_mask & ~(1 << c)
+    if not rest & (rest - 1):  # at most one colour left, which d avoids
+        mask &= ~rest
+    return mask & ~(1 << c) if rest else 0
 
 
-def _cycle_dp(vertex_lists: Sequence[Sequence[int]],
-              arc_lists: Sequence[Sequence[int]],
+def _cycle_dp(vertex_masks: Sequence[int], arc_masks: Sequence[int],
               ) -> tuple[list[int], list[int]] | None:
-    """Lexicographically smallest (a_0..a_{l-1}) solution, or None.
+    """Lexicographically smallest (a_0..a_{l-1}) solution with each v_i
+    the least colour it can take, or None.
 
-    Both lists hold one entry per position of a circuit of length >= 2.
+    Both sequences hold one mask per position of a circuit of length >= 2.
     """
-    length = len(vertex_lists)
-    for start in arc_lists[0]:
-        # can_close[i][c]: choosing a_i = c still allows finishing the
-        # circuit and wrapping back onto a_0 = start.
-        can_close: list[dict[int, bool]] = [dict() for _ in range(length)]
-        for c in arc_lists[length - 1]:
-            can_close[length - 1][c] = (
-                c != start and _vertex_fits(vertex_lists[0], c, start))
+    length = len(vertex_masks)
+    for start in _colours_of(arc_masks[0]):
+        # close[i]: the colours c for which a_i = c still allows finishing
+        # the circuit and wrapping back onto a_0 = start
+        close = [0] * length
+        close[-1] = _follow(start, vertex_masks[0], arc_masks[-1])
         for i in range(length - 2, 0, -1):
-            for c in arc_lists[i]:
-                can_close[i][c] = any(
-                    c != d and _vertex_fits(vertex_lists[i + 1], c, d)
-                    and can_close[i + 1][d]
-                    for d in arc_lists[i + 1])
-        if not any(start != d and _vertex_fits(vertex_lists[1], start, d)
-                   and can_close[1][d] for d in arc_lists[1]):
+            after, vmask = close[i + 1], vertex_masks[i + 1]
+            close[i] = sum(1 << c for c in _colours_of(arc_masks[i])
+                           if _follow(c, vmask, after))
+        if not _follow(start, vertex_masks[1], close[1]):
             continue
         arcs = [start]
         for i in range(1, length):
-            prev = arcs[-1]
-            for c in sorted(arc_lists[i]):
-                if (c != prev and _vertex_fits(vertex_lists[i], prev, c)
-                        and can_close[i][c]):
-                    arcs.append(c)
-                    break
-            else:
+            options = _follow(arcs[-1], vertex_masks[i], close[i])
+            if not options:
                 raise InternalDefectError("cycle reconstruction dead end")
-        verts = []
-        for i in range(length):
-            before = arcs[(i - 1) % length]
-            after = arcs[i]
-            verts.append(min(c for c in vertex_lists[i]
-                             if c != before and c != after))
-        return arcs, verts
+            arcs.append((options & -options).bit_length() - 1)
+        ends = zip(arcs[-1:] + arcs[:-1], arcs)  # (a_{i-1}, a_i)
+        return arcs, [_colours_of(m & ~(1 << a | 1 << b))[0]
+                      for m, (a, b) in zip(vertex_masks, ends)]
     return None
 
 
@@ -251,13 +242,12 @@ def lemma_cycle_colouring(circuit: Digraph,
         if len(lst) != 2 or not lst <= FULL:
             raise BadListsError(
                 f"vertex {v} needs exactly two colours from 1..3")
-        lists.append(lst)
+        lists.append(sum(1 << c for c in lst))
 
     e = Digraph._of(2 * n, circuit.arcs + tuple((n + v, v) for v in range(n)))
     try:
-        colours = _extension_engine(
-            e, [_FULL_MASK] * n + [sum(1 << c for c in lst) for lst in lists],
-            strong_components(e))
+        colours = _extension_engine(e, [_FULL_MASK] * n + lists,
+                                    strong_components(e))
     except PreconditionViolatedError as exc:
         if n % 2 == 0 or any(l != lists[0] for l in lists):
             raise InternalDefectError(
@@ -367,19 +357,16 @@ def _extension_engine(e: Digraph, lists: list[int],
             raise InternalDefectError("terminal component is not a circuit")
 
         entering: list[int | None] = []
-        vertex_lists: list[Sequence[int]] = []
-        arc_lists: list[Sequence[int]] = []
+        vertex_masks = []
         for i, v in enumerate(seq):
             extra = [a for a in in_arcs[v] if a != circ[i - 1]]
             if len(extra) > 1:
                 raise InternalDefectError(
                     f"circuit vertex {v} has several entering arcs")
             entering.append(extra[0] if extra else None)
-            vertex_lists.append(_colours_of(lists[extra[0]]) if extra
-                                else COLOURS)
-            arc_lists.append(_colours_of(lists[circ[i]]))
+            vertex_masks.append(lists[extra[0]] if extra else _FULL_MASK)
 
-        solution = _cycle_dp(vertex_lists, arc_lists)
+        solution = _cycle_dp(vertex_masks, [lists[a] for a in circ])
         if solution is None:
             raise PreconditionViolatedError(
                 "odd circuit whose entering arcs all carry the same "
@@ -395,7 +382,7 @@ def _extension_engine(e: Digraph, lists: list[int],
 
 
 def _normalised_lists(d: Digraph, lists: Mapping[int, Iterable[int]],
-                      ) -> list[frozenset[int]]:
+                      ) -> list[int]:
     out = []
     for i in range(d.arc_count):
         if i not in lists:
@@ -404,7 +391,7 @@ def _normalised_lists(d: Digraph, lists: Mapping[int, Iterable[int]],
         if not lst or not lst <= FULL:
             raise PreconditionViolatedError(
                 f"arc {i} has list outside 1..3")
-        out.append(lst)
+        out.append(sum(1 << c for c in lst))
     return out
 
 
@@ -435,28 +422,27 @@ def lemma_extension_colouring(d: Digraph,
     initial_at: dict[int, list[int]] = {}
     for i, (t, h) in enumerate(d.arcs):
         if profile.outdegree[h] == 0:
-            if len(norm[i]) < profile.indegree[h]:
+            if norm[i].bit_count() < profile.indegree[h]:
                 raise PreconditionViolatedError(
                     f"arc {i} into sink {h} has a list smaller than "
                     f"the sink's indegree")
         elif profile.indegree[t] == 0:
-            if len(norm[i]) < 2:
+            if norm[i].bit_count() < 2:
                 raise PreconditionViolatedError(
                     f"initial arc {i} has fewer than two colours")
             initial_at.setdefault(h, []).append(i)
-        elif len(norm[i]) != 3:
+        elif norm[i] != _FULL_MASK:
             raise PreconditionViolatedError(
                 f"arc {i} must carry the full list")
     for h, group in initial_at.items():
         for x in range(len(group)):
             for y in range(x + 1, len(group)):
-                if norm[group[x]] | norm[group[y]] != FULL:
+                if norm[group[x]] | norm[group[y]] != _FULL_MASK:
                     raise PreconditionViolatedError(
                         f"initial arcs {group[x]} and {group[y]} into "
                         f"{h} do not cover all three colours")
 
-    colours = _extension_engine(d, [sum(1 << c for c in lst) for lst in norm],
-                                strong_components(d))
+    colours = _extension_engine(d, norm, strong_components(d))
     return ArcColouring(colours, 3 if d.arc_count else 0)
 
 
@@ -483,33 +469,37 @@ def _sub(g: Digraph, ids: Sequence[int], keep: Sequence[int],
             [ids[a] for a in keep])
 
 
-def _free_colours(d: Digraph, colour: list[int], a: int) -> list[int]:
-    """Colours the uncoloured arc a of d can take next to its coloured
-    neighbours: arcs into either end of a, and arcs out of its head."""
-    t, h = d.arcs[a]
-    taken = set(map(colour.__getitem__,
-                    d.in_arcs[h] + d.out_arcs[h] + d.in_arcs[t]))
-    return [c for c in COLOURS if c not in taken]
-
-
-def _first_completion(d: Digraph, colour: list[int],
-                      todo: Sequence[int]) -> bool:
-    """Colour the arcs `todo` of d, returning whether some choice fits.
+def _first_fit(arcs: Sequence[tuple[int, int]], batch: Sequence[int],
+               taken: Sequence[int]) -> list[int] | None:
+    """Colours for the uncoloured arcs `batch`, each outside its mask in
+    `taken` (the colours of its coloured neighbours: arcs into either
+    end, and out of its head) and apart from the batch's earlier arcs
+    that are such neighbours.  None when no choice fits.
 
     The choice is the first that fits in product(COLOURS, repeat=...)
     order.  Whether two arcs' colours fit is one symmetric test per pair,
-    so backtracking over the arcs in order, each tried against those
-    set before it, meets that choice first.
+    so backtracking over the arcs in order, each tried against those set
+    before it, meets that choice first.
     """
-    if not todo:
-        return True
-    a = todo[0]
-    for c in _free_colours(d, colour, a):
-        colour[a] = c
-        if _first_completion(d, colour, todo[1:]):
-            return True
-    colour[a] = 0
-    return False
+    picks: list[int] = []
+    tries: list[Iterator[int]] = []  # the untried colours of each pick
+    while len(picks) < len(batch):
+        if len(tries) == len(picks):
+            t, h = arcs[batch[len(picks)]]
+            mask = taken[len(picks)]
+            for b, c in zip(batch, picks):
+                if arcs[b][1] in (t, h) or arcs[b][0] == h:
+                    mask |= 1 << c
+            tries.append(iter(_FREE[mask]))
+        c = next(tries[-1], 0)
+        if c:
+            picks.append(c)
+        elif picks:
+            tries.pop()
+            picks.pop()
+        else:
+            return None
+    return picks
 
 
 def _peel(g: Digraph) -> tuple[list[int], list[tuple[str, list[int]]]]:
@@ -629,9 +619,8 @@ def _colour_subcubic(d: Digraph) -> list[int]:
         g, ids = _sub(g, ids, [a for a in range(g.arc_count) if a not in cut])
 
     # Bit c of into[v] (outof[v]) is set when an arc of colour c enters
-    # (leaves) v; an uncoloured arc sets none.  Only _first_completion
-    # ever uncolours an arc, and only its own, so the masks stay exact
-    # when each colouring below sets its bits.
+    # (leaves) v; an uncoloured arc sets none, and no arc is uncoloured
+    # again, so each colouring below keeps the masks exact by its bits.
     arcs = d.arcs
     into = [0] * d.vertex_count
     outof = [0] * d.vertex_count
@@ -639,9 +628,9 @@ def _colour_subcubic(d: Digraph) -> list[int]:
         outof[t] |= 1 << c
         into[h] |= 1 << c
 
-    def free(a: int) -> tuple[int, ...]:
+    def taken(a: int) -> int:
         t, h = arcs[a]
-        return _FREE[into[h] | outof[h] | into[t]]
+        return into[h] | outof[h] | into[t]
 
     def put(a: int, c: int) -> None:
         colour[a] = c
@@ -652,24 +641,25 @@ def _colour_subcubic(d: Digraph) -> list[int]:
     for kind, batch in reversed(batches):
         if kind == "sources":
             for a in batch:
-                options = free(a)
+                options = _FREE[taken(a)]
                 if not options:
                     raise InternalDefectError(
                         f"deferred arc {a} has no free colour")
                 put(a, options[0])
-        elif kind == "circuit":
-            solution = _cycle_dp([COLOURS] * len(batch),
-                                 [free(a) for a in batch])
+            continue
+        if kind == "circuit":
+            solution = _cycle_dp([_FULL_MASK] * len(batch),
+                                 [_FULL_MASK & ~taken(a) for a in batch])
             if solution is None:
                 raise InternalDefectError("even circuit completion failed")
-            for a, c in zip(batch, solution[0]):
-                put(a, c)
-        elif _first_completion(d, colour, batch):
-            for a in batch:
-                put(a, colour[a])
+            picks = solution[0]
         else:
-            raise InternalDefectError(
-                "no completion around a complete conflict component")
+            picks = _first_fit(arcs, batch, [taken(a) for a in batch])
+            if picks is None:
+                raise InternalDefectError(
+                    "no completion around a complete conflict component")
+        for a, c in zip(batch, picks):
+            put(a, c)
     return colour
 
 

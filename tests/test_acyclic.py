@@ -9,11 +9,13 @@ from hypothesis import given, strategies as st
 import galaxia.acyclic
 from galaxia import (
     CyclicError,
+    CyclicInterval,
     Digraph,
     degree_profile,
     exact_dst,
     extremal_gnmk,
     random_labelled_dag,
+    sdr_in_cyclic_interval,
     star_colouring_acyclic,
     verify_star_colouring,
 )
@@ -89,6 +91,26 @@ def test_pinned_colouring_and_certificates():
         0: 1, 1: 4, 2: 4, 3: 4, 4: 1, 5: 1, 6: 3, 7: 3, 8: 1, 9: 4, 10: 2,
         11: 2, 12: 1, 13: 2}
     check_locality(d, colouring, intervals, 3)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_solve_represents_the_opposite_intervals_and_certifies_by_least_start(k):
+    # each tail's arc draws from the k-interval made of the colours
+    # outside the tail's own, padded to k intervals with the last one,
+    # and the certificate is the least start whose interval holds the
+    # colours used
+    intervals = [CyclicInterval(2 * k, s, k) for s in range(1, 2 * k + 1)]
+    for count in range(1, k + 1):
+        for starts in itertools.product(range(1, 2 * k + 1), repeat=count):
+            opposite = [next(iv for iv in intervals if not set(iv.members_tuple())
+                             & set(intervals[s - 1].members_tuple()))
+                        for s in starts]
+            opposite += opposite[-1:] * (k - count)
+            reps, certificate = galaxia.acyclic._solve(k, starts)
+            assert reps == sdr_in_cyclic_interval(opposite)[1]
+            used = set(reps[:count])
+            assert certificate == next(
+                iv for iv in intervals if used <= set(iv.members_tuple()))
 
 
 def test_sdr_solved_once_per_entering_pattern(monkeypatch):

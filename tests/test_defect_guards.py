@@ -78,10 +78,20 @@ def test_brooks_no_admissible_pair(monkeypatch, tmp_path):
 
 @case
 def test_cycle_reconstruction_dead_end(monkeypatch, tmp_path):
-    # the forward pass is offered no colour the backward pass allowed
-    monkeypatch.setattr(subcubic, "sorted", lambda colours: [], raising=False)
+    # the forward pass is offered no colour the backward pass allowed:
+    # `_follow` answers each question once, and with no colour after that
+    asked = set()
+    follow = subcubic._follow
+
+    def once(*question):
+        if question in asked:
+            return 0
+        asked.add(question)
+        return follow(*question)
+
+    monkeypatch.setattr(subcubic, "_follow", once)
     with raises_defect("cycle reconstruction dead end"):
-        subcubic._cycle_dp([(1, 2), (1, 2)], [subcubic.COLOURS] * 2)
+        subcubic._cycle_dp([0b110, 0b110], [subcubic._FULL_MASK] * 2)
 
 
 @case

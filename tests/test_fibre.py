@@ -79,6 +79,9 @@ def test_fibre_count_must_be_positive():
         FibreColouring(0, {}, 0)
     with pytest.raises(BadParamsError, match="^fibre count must be positive$"):
         fibre_colouring_acyclic(LabelledDigraph(2, 1, ((0, 1, 1),)), 0)
+    for n in (0, -1):
+        with pytest.raises(BadParamsError, match="^fibre count must be positive$"):
+            fibre_colouring_smallm(LabelledDigraph(2, 1, ((0, 1, 1),)), n)
 
 
 def test_acyclic_rejects_circuit():

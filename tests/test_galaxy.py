@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 import galaxia
 from galaxia import (
     Digraph,
+    NotSimpleError,
     ValidateError,
     degree_profile,
     dst_upper_2k1,
@@ -103,8 +104,11 @@ def test_2k1_galaxy_input():
 
 
 def test_2k1_rejects_true_parallel_arcs():
-    with pytest.raises(ValidateError):
+    # a solver's verdict on its input, so no ValidateError
+    with pytest.raises(NotSimpleError,
+                       match=r"^2k\+1 colouring needs a simple digraph$") as caught:
         dst_upper_2k1(Digraph(2, ((0, 1), (0, 1)), allow_parallel=True))
+    assert not isinstance(caught.value, ValidateError)
 
 
 def test_2k1_accepts_parallel_flag_without_duplicates():

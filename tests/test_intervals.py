@@ -6,11 +6,8 @@ from hypothesis import given, strategies as st
 
 from galaxia import (
     BadParamsError,
-    BadShapeError,
     CyclicInterval,
-    interval_complement,
     sdr_in_cyclic_interval,
-    smallest_interval_containing,
 )
 
 
@@ -40,19 +37,6 @@ def test_members_wraparound():
     assert set(CyclicInterval(6, 5, 3).members_tuple()) == {5, 6, 1}
 
 
-def test_complement_plain():
-    assert set(interval_complement(CyclicInterval(4, 1, 2)).members_tuple()) == {3, 4}
-
-
-def test_complement_wraparound():
-    assert set(interval_complement(CyclicInterval(4, 4, 2)).members_tuple()) == {2, 3}
-
-
-def test_complement_needs_half_modulus():
-    with pytest.raises(BadShapeError):
-        interval_complement(CyclicInterval(6, 1, 2))
-
-
 def test_interval_validation():
     with pytest.raises(BadParamsError):
         CyclicInterval(4, 0, 2)
@@ -66,14 +50,6 @@ def test_contains():
     interval = CyclicInterval(6, 5, 3)
     assert 1 in interval and 6 in interval
     assert 2 not in interval
-
-
-def test_smallest_containing():
-    got = smallest_interval_containing({1, 2}, 4, 2)
-    assert got is not None and set(got.members_tuple()) == {1, 2}
-    wrap = smallest_interval_containing({4, 1}, 4, 2)
-    assert wrap is not None and set(wrap.members_tuple()) == {4, 1}
-    assert smallest_interval_containing({1, 3}, 4, 2) is None
 
 
 def test_sdr_uniform_pair():

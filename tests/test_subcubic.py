@@ -55,6 +55,38 @@ def cycle_feasible_brute(length, lists):
     return False
 
 
+def least_cycle_solution(vertex_masks, arc_masks):
+    """_cycle_dp's answer by enumeration: the least tuple of arc colours,
+    each in its position's mask and apart from the next around the
+    circuit, that leaves each position a colour of its vertex mask
+    outside its two arcs' colours, with each position's least such."""
+    length = len(vertex_masks)
+    for arcs in itertools.product((1, 2, 3), repeat=length):
+        if not all(arc_masks[i] >> arcs[i] & 1 and arcs[i] != arcs[i - 1]
+                   for i in range(length)):
+            continue
+        verts = [min((c for c in (1, 2, 3) if vertex_masks[i] >> c & 1
+                      and c not in (arcs[i - 1], arcs[i])), default=None)
+                 for i in range(length)]
+        if None not in verts:
+            return list(arcs), verts
+    return None
+
+
+@pytest.mark.parametrize("length", range(2, 8))
+def test_cycle_dp_takes_the_least_solution_of_any_masks(length):
+    # masks are any subsets of {1, 2, 3}, bit c for colour c
+    rng = random.Random(length)
+    found = 0
+    for _ in range(150):
+        vertex_masks = [rng.choice(range(0, 16, 2)) for _ in range(length)]
+        arc_masks = [rng.choice(range(0, 16, 2)) for _ in range(length)]
+        expected = least_cycle_solution(vertex_masks, arc_masks)
+        assert subcubic._cycle_dp(vertex_masks, arc_masks) == expected
+        found += expected is not None
+    assert 0 < found < 150
+
+
 def test_cycle_even_uniform():
     d = circuit(4)
     arc_cols, vert_cols = lemma_cycle_colouring(d, {v: (1, 2) for v in range(4)})
