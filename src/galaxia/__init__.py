@@ -6,9 +6,10 @@ The package is organised by graph class: `galaxy` covers the general
 cyclic-interval certificates, `subcubic` the 3-colour theorem,
 `spanning` the 4-colour theorem for in/outdegree two, `acircuitic` the
 4-colour theorem without bicoloured circuits, and `fibre` the
-n-fibre/wavelength layer.  `oracle` holds the exact solvers and
-verifiers everything else is tested against, `constructions` the
-instance generators, `cli` the command line.
+n-fibre/wavelength layer.  `theorems.solve` picks one for an instance
+and verifies its output.  `oracle` holds the exact solvers and verifiers
+everything else is tested against, `constructions` the instance
+generators, `cli` the command line.
 
 `import galaxia` loads no submodule: each public name below is imported
 from its module on first access (PEP 562), so a program loads only the
@@ -54,6 +55,7 @@ _EXPORTS = {
     "spanning": ("dst4_colouring",),
     "subcubic": ("lemma_cycle_colouring", "lemma_extension_colouring",
                  "star_colouring_subcubic"),
+    "theorems": ("Solution", "solve"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

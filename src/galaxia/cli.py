@@ -5,24 +5,21 @@ solve them constructively, verify colourings, run the exact solvers and
 build the hardness reduction.  `main` parses a command's arguments with
 that command's own subparser, the one argparse would call, and leaves an
 argv that does not start with a command word to the top parser, so usage
-texts and exit codes are argparse's.  Each output kind has one verdict, which
-returns the text `verify` prints after `violation: `, or None:
-`_star_violation` for a star colouring, where one walk per colour pair
-decides and names a bicoloured circuit and an interval is named by its
-ends and modulus, and `_fibre_violation` for a wavelength assignment.
-The solvers return their output unchecked; `solve`, `exact` and
-`reduce --check` run it through its verdict once, before anything is
-printed or written, and exit 4 with that text if it fails.  A command imports the solver, fibre and generator modules it
-runs when it runs, so a process loads only what its command uses.  A `-o` file is opened
-only after the output's check, written in place from its start and
-cut to the new length (so it keeps its links and mode), before the
-report line is printed; `-o -` is standard output, and no write is
-atomic or fsynced, so a crash soon after an overwrite can leave the
-old output's bytes at the new length.  Each command runs with the
-cyclic garbage collector paused, since its passes find no cyclic
-garbage in a command, and `main` restores the collector's state when it
-returns; a library caller that wants the same can call `gc.disable()`
-itself.
+texts and exit codes are argparse's.  `solve` runs `theorems.solve`,
+which verifies its output; `exact` and `reduce --check` decide their
+witness, and `verify` its file, by the same verdicts from `theorems`.
+Each output is decided once, before anything is printed or written, and
+a rejected one exits 4 (1 in `verify`).  A command imports the solver,
+fibre and generator modules it runs when it runs, so a process loads
+only what its command uses.  A `-o` file is opened only after the
+output's check, written in place from its start and cut to the new
+length (so it keeps its links and mode), before the report line is
+printed; `-o -` is standard output, and no write is atomic or fsynced,
+so a crash soon after an overwrite can leave the old output's bytes at
+the new length.  Each command runs with the cyclic garbage collector
+paused, since its passes find no cyclic garbage in a command, and `main`
+restores the collector's state when it returns; a library caller that
+wants the same can call `gc.disable()` itself.
 
 Exit codes: 0 success, 1 a verification failed or a cap was exceeded,
 2 bad usage, unreadable input or an instance too large for memory,
@@ -35,32 +32,24 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import math
 import os
 import stat
 import sys
 from contextlib import contextmanager
-from typing import TYPE_CHECKING
 
 from .colouring import ArcColouring
-from .digraph import Digraph, LabelledDigraph, degree_profile, is_acyclic
+from .digraph import Digraph, LabelledDigraph
 from .errors import (AboveCapError, CyclicError, DegreeTooHighError,
                      GalaxiaError, HasDigonError, InternalDefectError,
                      InvalidColouringError, NoApplicableAlgorithmError,
                      NotSimpleError, NotSubcubicError,
-                     PreconditionViolatedError, ValidateError)
+                     PreconditionViolatedError)
 from .fileio import (read_colouring, read_digraph, read_wavelengths,
                      write_colouring, write_digraph, write_wavelengths)
-from .intervals import CyclicInterval
-from .oracle import (DEFAULT_ARC_LIMIT, _bicoloured_circuit,
-                     edge_colouring_3regular, exact_dst, exact_lambda_n,
-                     verify_star_colouring)
-
-if TYPE_CHECKING:
-    from .fibre import FibreColouring, WavelengthAssignment  # unreached: type checkers only
-
-_STAR_ALGORITHMS = ("auto", "2k1", "acyclic", "subcubic", "diregular4",
-                    "acircuitic", "smallm")
+from .oracle import (DEFAULT_ARC_LIMIT, edge_colouring_3regular, exact_dst,
+                     exact_lambda_n)
+from .theorems import (_STAR_ALGORITHMS, _expand_checked, _fibre_violation,
+                       _own_output, _require, _star_violation, solve)
 
 
 def _read_instance(path: str) -> LabelledDigraph:
@@ -68,88 +57,6 @@ def _read_instance(path: str) -> LabelledDigraph:
         return read_digraph(sys.stdin)
     with open(path, encoding="utf-8") as fh:
         return read_digraph(fh)
-
-
-def _star_violation(d: Digraph, colouring: ArcColouring,
-                    intervals: dict[int, CyclicInterval],
-                    acircuitic: bool) -> str | None:
-    """Why `colouring` is no star colouring of d, or None: two arcs of a
-    colour converge or are consecutive; with `acircuitic`, two colours
-    hold a circuit; or some `i <vertex> <start> <k>` line names a vertex
-    outside d, or a colour entering its vertex lies outside its
-    interval, which is named by its start, end and modulus, so the text
-    does not grow with its length.  Once the colouring is a star
-    colouring, one alternating walk per colour pair
-    (`oracle._bicoloured_circuit`) both decides and names a circuit."""
-    bad = verify_star_colouring(d, colouring)
-    if bad is not None:
-        kind = "converging" if bad.rule == "ii" else "consecutive"
-        return (f"{kind} arcs {bad.first_arc} and {bad.second_arc}"
-                f" share colour {colouring[bad.first_arc]}")
-    circuit = _bicoloured_circuit(d, colouring) if acircuitic else None
-    if circuit is not None:
-        return f"bicoloured circuit through vertices {list(circuit)}"
-    colour, in_arcs = colouring.colour, d.in_arcs
-    for v in sorted(intervals):
-        iv = intervals[v]
-        if v >= d.vertex_count:
-            return (f"interval line names vertex {v} outside "
-                    f"0..{d.vertex_count - 1}")
-        for a in in_arcs[v]:
-            c = colour[a]
-            if c > iv.modulus or c not in iv:
-                end = (iv.start + iv.length - 2) % iv.modulus + 1
-                return (f"arc {a} enters vertex {v} with colour {c} outside"
-                        f" its interval {iv.start}..{end} mod {iv.modulus}")
-    return None
-
-
-def _fibre_violation(ld: LabelledDigraph, wa: WavelengthAssignment,
-                     ) -> str | None:
-    """Why `wa` is no wavelength assignment of ld, or None.  The
-    wavelength verifier decides: with fibres in 1..n, rules (i)-(iii)
-    give in(v,α) + out(v,α) distinct fibres at v, so its pass proves the
-    fibre colouring of the wavelengths valid too.  When it fails, that
-    colouring's first overload, if there is one, names the violation."""
-    from .fibre import (FibreColouring, verify_fibre_colouring,
-                        verify_wavelength_assignment)
-    bad = verify_wavelength_assignment(ld, wa)
-    if bad is None:
-        return None
-    colour = {a: wl for a, (wl, _, _) in wa.triple.items()}
-    overload = verify_fibre_colouring(
-        ld, FibreColouring(wa.n, colour, max(colour.values(), default=0)))
-    if overload is None:
-        return str(bad)
-    return (f"vertex {overload.vertex} colour {overload.colour} has in+out ="
-            f" {overload.in_count}+{overload.out_count} > {wa.n}")
-
-
-def _require(violation: str | None) -> None:
-    """Raise InvalidColouringError(violation) unless it is None."""
-    if violation is not None:
-        raise InvalidColouringError(violation)
-
-
-@contextmanager
-def _own_output(what: str):
-    """Blame this package (exit 4) for an InvalidColouringError or a
-    ValidateError raised while the block builds and decides a command's
-    output from an instance already read."""
-    try:
-        yield
-    except (InvalidColouringError, ValidateError) as exc:
-        raise InternalDefectError(f"{what} failed verification: {exc}") from exc
-
-
-def _expand_checked(ld: LabelledDigraph, fc: FibreColouring,
-                    ) -> WavelengthAssignment:
-    """fc's expansion, which rejects an overloaded fc, once its verdict
-    has passed; called inside `_own_output`."""
-    from .fibre import expand_to_wavelength_assignment
-    wa = expand_to_wavelength_assignment(ld, fc)
-    _require(_fibre_violation(ld, wa))
-    return wa
 
 
 @contextmanager
@@ -249,95 +156,17 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 # solve
 
 
-def _pick_star_algorithm(d: Digraph) -> str:
-    profile = degree_profile(d)
-    if is_acyclic(d):
-        return "acyclic"
-    if profile.max_degree <= 3:
-        return "subcubic"
-    if profile.max_indegree <= 2 and profile.max_outdegree <= 2:
-        return "diregular4"
-    return "2k1"
-
-
-def _run_star(algo: str, d: Digraph):
-    """(colouring, intervals, bound, rule) for one constructive theorem."""
-    k = degree_profile(d).max_indegree
-    if algo == "acyclic":
-        from .acyclic import star_colouring_acyclic
-        colouring, intervals = star_colouring_acyclic(d)
-        return colouring, intervals, 2 * k, f"2k with k={k}"
-    if algo == "subcubic":
-        from .subcubic import star_colouring_subcubic
-        return star_colouring_subcubic(d), {}, 3, "max degree <= 3"
-    if algo == "diregular4":
-        from .spanning import dst4_colouring
-        return dst4_colouring(d), {}, 4, "in/outdegrees <= 2"
-    if algo == "acircuitic":
-        from .acircuitic import acircuitic_colouring
-        return (acircuitic_colouring(d), {}, 4,
-                "oriented subcubic, no bicoloured circuit")
-    if algo == "2k1":
-        from .galaxy import dst_upper_2k1
-        return dst_upper_2k1(d), {}, 2 * k + 1, f"2k+1 with k={k}"
-    raise NoApplicableAlgorithmError(f"{algo} needs --fibres")
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     ld = _read_instance(args.input)
-    if args.fibres is not None:
-        return _solve_fibre(ld, args)
-    d = ld.underlying
-    algo = args.algorithm
-    if algo == "auto":
-        algo = _pick_star_algorithm(d)
-    with _own_output("solver output"):
-        colouring, intervals, bound, rule = _run_star(algo, d)
-        _require(_star_violation(d, colouring, intervals, algo == "acircuitic"))
-    summary = (f"algorithm={algo} colours={colouring.colour_count}"
-               f" bound={bound} ({rule})")
-    return _report([summary], args.output, lambda fh: write_colouring(
-        fh, colouring.colour, intervals or None, comments=[summary]))
-
-
-def _solve_fibre(ld: LabelledDigraph, args: argparse.Namespace) -> int:
-    from .fibre import (fibre_colouring_acyclic, fibre_colouring_smallm,
-                        upper_bound_acyclic)
-    n = args.fibres
-    m = ld.label_count
-    k = degree_profile(ld).max_indegree
-    algo = args.algorithm
-    if algo == "auto":
-        if m < n:
-            algo = "smallm"
-        elif is_acyclic(ld.underlying):
-            algo = "acyclic"
-        else:
-            raise NoApplicableAlgorithmError(
-                f"cyclic instance with m={m} >= n={n} fibres")
-    if algo == "smallm":
-        if m >= n:
-            raise NoApplicableAlgorithmError(
-                f"smallm needs m < n, instance has m={m}, n={n}")
-        solver = fibre_colouring_smallm
-        bound = math.ceil(k / (n - m)) if k else 0
-        rule = f"ceil(k/(n-m)) with k={k}"
-    elif algo == "acyclic":
-        if m < n:
-            raise NoApplicableAlgorithmError(
-                f"the acyclic bound needs m >= n, instance has m={m}, n={n}")
-        solver = fibre_colouring_acyclic
-        bound = upper_bound_acyclic(n, m, k)
-        rule = f"ceil((m/n)ceil(k/n) + k/n) with m={m} k={k}"
-    else:
-        raise NoApplicableAlgorithmError(f"{algo} does not apply to --fibres runs")
-    with _own_output("solver output"):
-        fc = solver(ld, n)
-        wa = _expand_checked(ld, fc)
-    summary = (f"algorithm={algo} fibres={n} colours={fc.colour_count}"
-               f" bound={bound} ({rule})")
+    sol = solve(ld, args.fibres, args.algorithm)
+    fibres = "" if args.fibres is None else f" fibres={args.fibres}"
+    summary = (f"algorithm={sol.algorithm}{fibres} colours={sol.colour_count}"
+               f" bound={sol.bound} ({sol.rule})")
+    if args.fibres is None:
+        return _report([summary], args.output, lambda fh: write_colouring(
+            fh, sol.output.colour, sol.intervals or None, comments=[summary]))
     return _report([summary], args.output, lambda fh: write_wavelengths(
-        fh, wa.triple, comments=[summary]))
+        fh, sol.output.triple, comments=[summary]))
 
 
 # ---------------------------------------------------------------------------
@@ -484,20 +313,21 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
     gen.add_argument("-o", "--output", default=None)
     gen.set_defaults(func=_cmd_generate)
 
-    solve = sub.add_parser("solve", help="colour an instance constructively")
-    solve.add_argument("input")
-    solve.add_argument("--algorithm", choices=_STAR_ALGORITHMS, default="auto")
-    solve.add_argument("--fibres", type=_positive_int, default=None)
-    solve.add_argument("-o", "--output", default=None)
-    solve.set_defaults(func=_cmd_solve)
+    sol = sub.add_parser("solve", help="colour an instance constructively")
+    sol.add_argument("input")
+    sol.add_argument("--algorithm", choices=_STAR_ALGORITHMS, default="auto")
+    sol.add_argument("--fibres", type=_positive_int, default=None)
+    sol.add_argument("-o", "--output", default=None)
+    sol.set_defaults(func=_cmd_solve)
 
     ver = sub.add_parser("verify", help="check a colouring file")
     ver.add_argument("input")
     ver.add_argument("colouring")
-    ver.add_argument("--fibres", type=_positive_int, default=None,
-                     help="treat the file as a wavelength assignment")
-    ver.add_argument("--acircuitic", action="store_true",
-                     help="also reject bicoloured circuits")
+    kind = ver.add_mutually_exclusive_group()
+    kind.add_argument("--fibres", type=_positive_int, default=None,
+                      help="treat the file as a wavelength assignment")
+    kind.add_argument("--acircuitic", action="store_true",
+                      help="also reject bicoloured circuits")
     ver.set_defaults(func=_cmd_verify)
 
     exact = sub.add_parser("exact", help="run the exponential exact solver")

@@ -116,5 +116,5 @@ class InternalDefectError(GalaxiaError):
     raises it only where the failure would otherwise end in something
     else: a loop that falls through, a missing value read as one,
     another error class, or an output property that no verifier checks.
-    The command line raises it when its verifier rejects an output.
+    `solve`, `exact` and `reduce --check` raise it when a verdict fails.
     """

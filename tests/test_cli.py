@@ -825,6 +825,7 @@ PARSER_ARGVS = [
     ["solve", "in.dsa", "--", "extra"],
     ["solve", "in.dsa", "--algorithm", "fastest"],
     ["solve", "in.dsa", "--fibres", "0"],
+    ["verify", "in.dsa", "c.wl", "--fibres", "2", "--acircuitic"],
     ["exact", "in.dsa", "--arc-limit", "many"],
     ["reduce", "--named", "k4", "--input", "g.dsa"],
     ["reduce", "--named", "nonagon"],

@@ -27,7 +27,7 @@ from galaxia import (CUBIC_GRAPHS, ArcColouring, CyclicInterval, Digraph,
                      np_reduction, sdr_in_cyclic_interval,
                      star_colouring_acyclic, strong_components)
 from galaxia import (acircuitic, acyclic, cli, constructions, fibre,
-                     intervals, oracle, spanning, subcubic)
+                     intervals, oracle, spanning, subcubic, theorems)
 from conftest import circuit
 
 PACKAGE = pathlib.Path(galaxia.__file__).resolve().parent
@@ -337,22 +337,22 @@ def test_reduction_output_degree_three(monkeypatch, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# cli: the output checks and the reduction cross-check
+# theorems: the output checks; cli: the reduction cross-check
 
 
 @case
 def test_cli_output_fails_verification(monkeypatch, tmp_path):
-    # a star verdict and a colour out of range, each failing inside a
-    # command's output block
+    # a star verdict and a colour out of range, each failing inside the
+    # output block that `solve`, `exact` and `reduce --check` share
     d = Digraph(3, ((0, 1), (1, 2)))
     with raises_defect("solver output failed verification: consecutive arcs"
                        " 0 and 1 share colour 1"):
-        with cli._own_output("solver output"):
-            cli._require(cli._star_violation(d, ArcColouring({0: 1, 1: 1}, 1),
-                                             {}, False))
+        with theorems._own_output("solver output"):
+            theorems._require(theorems._star_violation(
+                d, ArcColouring({0: 1, 1: 1}, 1), {}, False))
     with raises_defect("exact witness failed verification: arc 1 has colour 0"
                        " outside 1..1"):
-        with cli._own_output("exact witness"):
+        with theorems._own_output("exact witness"):
             ArcColouring({0: 1, 1: 0}, 1)
 
 
@@ -362,8 +362,8 @@ def test_cli_expansion_rejects_overload(monkeypatch):
     ld = LabelledDigraph(3, 1, ((0, 2, 1), (1, 2, 1)))
     with raises_defect("solver output failed verification: fibre colouring "
                        "invalid at vertex 2, colour 1: 2+0 > 1"):
-        with cli._own_output("solver output"):
-            cli._expand_checked(ld, FibreColouring(1, {0: 1, 1: 1}, 1))
+        with theorems._own_output("solver output"):
+            theorems._expand_checked(ld, FibreColouring(1, {0: 1, 1: 1}, 1))
 
 
 @case

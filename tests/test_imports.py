@@ -16,7 +16,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# galaxia.__all__: its 75 exports and the 13 submodules that importing
+# galaxia.__all__: its 77 exports and the 14 submodules that importing
 # them binds.
 PUBLIC_NAMES = [
     "ARC_BUDGET", "AboveCapError", "ArcColouring", "BadListsError",
@@ -27,8 +27,8 @@ PUBLIC_NAMES = [
     "InvalidColouringError", "LabelledDigraph",
     "NoApplicableAlgorithmError", "NotCubicError", "NotSimpleError",
     "NotSubcubicError", "NpGadget", "ParseError",
-    "PreconditionViolatedError", "SizeOverflowError", "StarViolation",
-    "TooLargeError", "ValidateError", "WavelengthAssignment",
+    "PreconditionViolatedError", "SizeOverflowError", "Solution",
+    "StarViolation", "TooLargeError", "ValidateError", "WavelengthAssignment",
     "WavelengthViolation", "acircuitic", "acircuitic_colouring", "acyclic",
     "colouring", "constructions", "degree_profile", "digraph",
     "dst4_colouring", "dst_upper_2k1", "edge_colouring_3regular", "errors",
@@ -40,9 +40,9 @@ PUBLIC_NAMES = [
     "lemma_cycle_colouring", "lemma_extension_colouring", "np_gadget",
     "np_reduction", "oracle", "random_digraph", "random_labelled_dag",
     "random_oriented_subcubic", "random_subcubic", "read_colouring",
-    "read_digraph", "read_wavelengths", "sdr_in_cyclic_interval",
+    "read_digraph", "read_wavelengths", "sdr_in_cyclic_interval", "solve",
     "spanning", "star_colouring_acyclic",
-    "star_colouring_subcubic", "strong_components", "subcubic",
+    "star_colouring_subcubic", "strong_components", "subcubic", "theorems",
     "topological_order", "triangle_multidigraph", "upper_bound_acyclic",
     "verify_fibre_colouring", "verify_star_colouring",
     "verify_wavelength_assignment", "write_colouring", "write_digraph",
@@ -51,14 +51,15 @@ PUBLIC_NAMES = [
 
 SUBMODULES = ["acircuitic", "acyclic", "colouring", "constructions", "digraph",
               "errors", "fibre", "fileio", "galaxy", "intervals", "oracle",
-              "spanning", "subcubic"]
+              "spanning", "subcubic", "theorems"]
 
 # What `import galaxia.cli` and one acyclic `solve` need: the parser,
-# the reader and writer, the star verifier and the acyclic theorem.
+# the reader and writer, the star verifier, the theorem choice and the
+# acyclic theorem.
 ACYCLIC_SOLVE_MODULES = [
     "galaxia", "galaxia.acyclic", "galaxia.cli", "galaxia.colouring",
     "galaxia.digraph", "galaxia.errors", "galaxia.fileio", "galaxia.intervals",
-    "galaxia.oracle",
+    "galaxia.oracle", "galaxia.theorems",
 ]
 
 LOADED = "sorted(m for m in sys.modules if m.startswith('galaxia'))"
@@ -83,7 +84,7 @@ def test_import_galaxia_loads_no_submodule():
         "galaxia"]
 
 
-def test_cli_acyclic_solve_loads_nine_modules(tmp_path):
+def test_cli_acyclic_solve_loads_ten_modules(tmp_path):
     tiny = tmp_path / "tiny.dsa"
     tiny.write_text("p dsa 4 3 1\na 0 1 1\na 2 1 1\na 1 3 1\n")
     program = ("import json, sys, galaxia.cli\n"
