@@ -1,4 +1,4 @@
-"""The exact colourings of four constructive theorems and of subcubic's
+"""The exact colourings of six constructive theorems and of subcubic's
 list-extension engine on acyclic digraphs, pinned by hash.
 
 Each test builds a few hundred small instances from a seeded
@@ -11,8 +11,10 @@ import hashlib
 import random
 
 from galaxia import (ArcColouring, Digraph, acircuitic_colouring,
-                     dst4_colouring, dst_upper_2k1, random_subcubic,
-                     star_colouring_subcubic, subcubic, topological_order)
+                     dst4_colouring, dst_upper_2k1, fibre_colouring_acyclic,
+                     random_labelled_dag, random_subcubic,
+                     star_colouring_acyclic, star_colouring_subcubic,
+                     subcubic, topological_order)
 
 INSTANCES = 300
 
@@ -119,3 +121,33 @@ def test_list_colouring_acyclic_pinned():
             d, lists, [(v,) for v in reversed(topological_order(d))])
         cols.append(ArcColouring(colours, max(colours.values(), default=0)))
     assert digest(cols) == "d72d124e6924d26a9b1e7eb42e8bc3a677a182da7f5a5d8c3a723cfb59ff34d4"
+
+
+def test_star_colouring_acyclic_pinned():
+    # k from 1 to 6, so patterns are solved both through the process
+    # memo (k <= 4) and afresh; a certificate is pinned by its start,
+    # its modulus and length being 2k and k
+    rng = random.Random(2106)
+    cols, starts = [], []
+    for _ in range(INSTANCES):
+        d = random_labelled_dag(rng.randint(1, 60), 1, rng.randint(1, 6),
+                                rng.randrange(10 ** 6)).underlying
+        colouring, intervals = star_colouring_acyclic(d)
+        cols.append(colouring)
+        starts.append(sorted((v, iv.start) for v, iv in intervals.items()))
+    assert digest(cols) == "027f25c9183e263dff0422512b87bc2eaa5a2afeb78dc368c6b0128db5b98162"
+    assert (hashlib.sha256(repr(starts).encode()).hexdigest()
+            == "480a161e6d69a80f18a63a33de890c9dff8cc69bf4e5fd9e334a20960b6c085d")
+
+
+def test_fibre_colouring_acyclic_pinned():
+    # n from 1 to 3 and m from n to 6, k from 1 to 6, so patterns are
+    # solved both through the process memo (k, m <= 4) and afresh
+    rng = random.Random(2107)
+    cols = []
+    for _ in range(INSTANCES):
+        n = rng.randint(1, 3)
+        ld = random_labelled_dag(rng.randint(1, 60), rng.randint(n, 6),
+                                 rng.randint(1, 6), rng.randrange(10 ** 6))
+        cols.append(fibre_colouring_acyclic(ld, n))
+    assert digest(cols) == "23a3ac5eb948c5c2d5055c6d0a23ecdec0120c4bf2dfe7003519998ea9c9d738"
