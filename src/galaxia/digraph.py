@@ -10,7 +10,7 @@ and never exposed mutably.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from operator import attrgetter, eq, itemgetter
 
@@ -317,6 +317,62 @@ def topological_order(d: Digraph) -> tuple[int, ...]:
     if len(order) < d.vertex_count:
         raise CyclicError(tuple(d.arcs[i][0] for i in find_circuit_arcs(d)))
     return order
+
+
+def _pattern_sweep(d: Digraph, reads, source, solve) -> tuple[dict[int, int], list]:
+    """The induction both acyclic constructions run: each vertex v in
+    topological order takes a state from the states of its tails, and
+    its entering arcs take their colours, by `solve(key)` on the key of
+    `state[tail][reads[a]]` over the arcs a entering v, in arc order.
+    A vertex with no entering arc keeps `source`.  The colours and the
+    state depend on the key alone, so each key is solved once per call.
+
+    Returns (colour by arc index, state by vertex).  Raises CyclicError
+    on cyclic input.
+    """
+    order = topological_order(d)
+    # tails precede their heads, so a key reads only states already set
+    state = [source] * d.vertex_count
+    colour: dict[int, int] = {}
+    table: dict[tuple, tuple] = {}
+    arcs, in_arcs = d.arcs, d.in_arcs
+    for v in order:
+        entering = in_arcs[v]
+        if not entering:
+            continue
+        key = tuple([state[arcs[a][0]][reads[a]] for a in entering])
+        entry = table.get(key)
+        if entry is None:
+            entry = table[key] = solve(key)
+        colours, state[v] = entry
+        colour.update(zip(entering, colours))
+    return colour, state
+
+
+_MEMO_CAP = 1 << 11
+
+
+def _remembered(lemma):
+    """`lemma`, a function of hashable arguments that returns (colours,
+    state), remembered for the life of the process: the memo keeps at
+    most `_MEMO_CAP` solved argument tuples and drops the least recently
+    used.  Only a process that colours several DAGs gains from it; a
+    CLI command colours one.  Outputs do not depend on what it holds."""
+
+    @lru_cache(maxsize=_MEMO_CAP)
+    def remembered(*args):
+        colours, state = lemma(*args)
+        return _shared(colours), tuple(map(_shared, state))
+    return remembered
+
+
+@lru_cache(maxsize=_MEMO_CAP)
+def _shared(value):
+    """The first value equal to `value` that a memo stored, among the
+    `_MEMO_CAP` most recently asked for.  Few distinct colour tuples and
+    state entries occur, and entries that share them keep far fewer
+    small objects alive."""
+    return value
 
 
 def is_acyclic(d: Digraph) -> bool:

@@ -9,19 +9,14 @@ n-fibre colouring expands mechanically into a full assignment of
 proves the colouring of its wavelengths valid, so the wavelength
 verifier alone decides an expanded output.
 
-The acyclic construction's in-arc colours and rebuilt sets at a vertex
-depend only on (n, m, k) and the sets its entering arcs draw from, so a
-call solves each of its patterns once.  For k <= `_MEMO_MAX_K` and
-m <= `_MEMO_MAX_M`, solved patterns are also kept for the life of the
-process, in a memo of at most `_MEMO_CAP` entries (about 2 MB when
-full) that drops the least recently used.  Only a process that colours
-several DAGs gains from it; a CLI command colours one.  Outputs do not
-depend on what the memo holds.
+The acyclic construction's sweep is `digraph._pattern_sweep`, with a
+vertex's state its m rebuilt sets; for k <= `_MEMO_MAX_K` and
+m <= `_MEMO_MAX_M` the placement is remembered through
+`digraph._remembered` (about 2 MB when its memo is full).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from itertools import count
@@ -30,7 +25,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .colouring import _Mapped, _frozen_colours, arc_values, ints_within
-from .digraph import LabelledDigraph, degree_profile, topological_order
+from .digraph import LabelledDigraph, _pattern_sweep, _remembered, degree_profile
 from .errors import (BadParamsError, InternalDefectError, InvalidColouringError,
                      ValidateError)
 
@@ -38,7 +33,6 @@ from .errors import (BadParamsError, InternalDefectError, InvalidColouringError,
 # 4 colours each; wider instances solve their patterns afresh.
 _MEMO_MAX_K = 4
 _MEMO_MAX_M = 4
-_MEMO_CAP = 1 << 11
 
 
 class FibreColouring(_Mapped):
@@ -222,21 +216,7 @@ def _place(n: int, m: int, k: int, draws: tuple[tuple[int, ...], ...],
     return tuple(colours), sets_v
 
 
-@functools.lru_cache(maxsize=_MEMO_CAP)
-def _assign(n: int, m: int, k: int, draws: tuple[tuple[int, ...], ...],
-            ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """`_place`, remembered, with its tuples shared between entries."""
-    colours, sets_v = _place(n, m, k, draws)
-    return _shared(colours), tuple(map(_shared, sets_v))
-
-
-@functools.lru_cache(maxsize=_MEMO_CAP)
-def _shared(value):
-    """The first value equal to `value` that the memo stored, among the
-    `_MEMO_CAP` most recently asked for.  Few distinct colour tuples and
-    sets occur, and entries that share them keep far fewer small objects
-    alive."""
-    return value
+_assign = _remembered(_place)
 
 
 def fibre_colouring_acyclic(ld: LabelledDigraph, n: int) -> FibreColouring:
@@ -257,7 +237,6 @@ def fibre_colouring_acyclic(ld: LabelledDigraph, n: int) -> FibreColouring:
     k = profile.max_indegree
     if ld.arc_count == 0:
         return FibreColouring(n, {}, 0)
-    order = topological_order(ld.underlying)  # raises CyclicError
     big_k = math.ceil(k / n)
     total = upper_bound_acyclic(n, m, k)
 
@@ -267,30 +246,11 @@ def fibre_colouring_acyclic(ld: LabelledDigraph, n: int) -> FibreColouring:
     # m*K <= n*total - k < n*total.
     generic = tuple(tuple((i * big_k + t) % total + 1 for t in range(big_k))
                     for i in range(m))
-
-    # a source keeps the generic family; every other vertex's entry is
-    # set before the first of its heads is reached
-    potential = [generic] * ld.vertex_count
-    colour_of: dict[int, int] = {}
-    # The in-arc colours and the rebuilt sets at v depend only on the
-    # sets its entering arcs draw from, in arc order, so vertices with
-    # the same entering pattern share one computation.
-    table: dict[tuple, tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = {}
     assign = _assign if k <= _MEMO_MAX_K and m <= _MEMO_MAX_M else _place
-    arcs = ld.arcs
-    in_arcs = ld.underlying.in_arcs
-    for v in order:
-        arcs_in = in_arcs[v]
-        if not arcs_in:
-            continue
-        # tails precede v in topological order, so their sets exist
-        key = tuple([potential[arcs[a][0]][arcs[a][2] - 1] for a in arcs_in])
-        entry = table.get(key)
-        if entry is None:
-            entry = table[key] = assign(n, m, k, key)
-        colours, potential[v] = entry
-        colour_of.update(zip(arcs_in, colours))
-
+    # an arc with label i draws from its tail's C_i
+    reads = [label - 1 for _, _, label in ld.arcs]
+    colour_of, _ = _pattern_sweep(ld.underlying, reads, generic,
+                                  lambda draws: assign(n, m, k, draws))
     return FibreColouring(n, colour_of, total)
 
 

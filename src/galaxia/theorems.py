@@ -52,15 +52,18 @@ def solve(ld: LabelledDigraph, fibres: int | None = None,
     """ld coloured by `algorithm`, a star colouring of its underlying
     digraph, or with `fibres` a wavelength assignment, verified.
 
-    Raises BadParamsError for an unknown algorithm or a fibre count
-    that is no positive integer, NoApplicableAlgorithmError or the
-    theorem's precondition error when the theorem does not cover ld,
-    and InternalDefectError when the output fails its verdict."""
+    Raises BadParamsError for an ld that is no LabelledDigraph, an
+    unknown algorithm or a fibre count that is no positive integer,
+    NoApplicableAlgorithmError or the theorem's precondition error when
+    the theorem does not cover ld, and InternalDefectError when the
+    output fails its verdict."""
+    if not isinstance(ld, LabelledDigraph):
+        raise BadParamsError(f"solve takes a LabelledDigraph, got {type(ld).__name__}")
     if algorithm not in _STAR_ALGORITHMS:
         raise BadParamsError(f"unknown algorithm {algorithm!r}")
     if fibres is None:
         return _solve_star(ld.underlying, algorithm)
-    if not isinstance(fibres, int) or fibres < 1:
+    if type(fibres) is not int or fibres < 1:
         raise BadParamsError(f"fibre count must be a positive integer, got {fibres!r}")
     return _solve_fibre(ld, fibres, algorithm)
 

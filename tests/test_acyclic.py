@@ -1,5 +1,4 @@
 """2k-colouring of acyclic digraphs with in-colour locality."""
-import functools
 import itertools
 import tracemalloc
 
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import galaxia.acyclic
+import galaxia.digraph
 from galaxia import (
     CyclicError,
     CyclicInterval,
@@ -106,10 +106,10 @@ def test_solve_represents_the_opposite_intervals_and_certifies_by_least_start(k)
                              & set(intervals[s - 1].members_tuple()))
                         for s in starts]
             opposite += opposite[-1:] * (k - count)
-            reps, certificate = galaxia.acyclic._solve(k, starts)
+            reps, (start,) = galaxia.acyclic._solve(k, starts)
             assert reps == sdr_in_cyclic_interval(opposite)[1]
             used = set(reps[:count])
-            assert certificate == next(
+            assert intervals[start - 1] == next(
                 iv for iv in intervals if used <= set(iv.members_tuple()))
 
 
@@ -170,14 +170,16 @@ def test_memo_never_grows_past_its_cap(monkeypatch):
     dags = [random_labelled_dag(300, 1, k, seed).underlying
             for k, seed in ((2, 1), (3, 2), (3, 3), (4, 5), (3, 2))]
     fresh = runs_on_empty_memo(monkeypatch, dags)
-    solve = galaxia.acyclic._lemma.__wrapped__  # still shares values
-    monkeypatch.setattr(galaxia.acyclic, "_lemma", functools.lru_cache(5)(solve))
+    solve = galaxia.acyclic._solve
+    monkeypatch.setattr(galaxia.digraph, "_MEMO_CAP", 5)
+    monkeypatch.setattr(galaxia.acyclic, "_lemma", galaxia.digraph._remembered(solve))
     for d, (output, _) in zip(dags, fresh):
         assert star_colouring_acyclic(d) == output
         assert galaxia.acyclic._lemma.cache_info().currsize == 5
     # with no room at all, each call still solves each of its own
     # patterns once, as on an empty memo
-    monkeypatch.setattr(galaxia.acyclic, "_lemma", functools.lru_cache(0)(solve))
+    monkeypatch.setattr(galaxia.digraph, "_MEMO_CAP", 0)
+    monkeypatch.setattr(galaxia.acyclic, "_lemma", galaxia.digraph._remembered(solve))
     assert runs_on_empty_memo(monkeypatch, dags) == fresh
 
 
@@ -194,24 +196,27 @@ def test_memo_keeps_no_pattern_past_k_4(monkeypatch):
 
 def test_full_memo_stays_near_a_megabyte():
     # the widest entries, k = 4, fill the memo: its bytes stay bounded
+    cap = galaxia.digraph._MEMO_CAP
     galaxia.acyclic._lemma.cache_clear()
-    galaxia.acyclic._shared.cache_clear()
+    galaxia.digraph._shared.cache_clear()
     patterns = itertools.product(range(1, 9), repeat=4)
     tracemalloc.start()
     try:
-        for starts in itertools.islice(patterns, galaxia.acyclic._MEMO_CAP):
+        for starts in itertools.islice(patterns, cap):
             galaxia.acyclic._lemma(4, starts)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert galaxia.acyclic._lemma.cache_info().currsize == galaxia.acyclic._MEMO_CAP
+    assert galaxia.acyclic._lemma.cache_info().currsize == cap
     assert held < 3 << 19  # about 1.0 MB on CPython 3.11
     # at k = 4 an SDR is one of 8 intervals in one of 4! orders, and
-    # entries hold one object per distinct SDR and certificate
-    assert galaxia.acyclic._shared.cache_info().currsize <= 8 * 24 + 8
+    # entries hold one object per distinct SDR and start
+    assert galaxia.digraph._shared.cache_info().currsize <= 8 * 24 + 8
     patterns = itertools.product(range(1, 9), repeat=4)
-    values = [v for starts in itertools.islice(patterns, galaxia.acyclic._MEMO_CAP)
-              for v in galaxia.acyclic._lemma(4, starts)]
+    values = []
+    for starts in itertools.islice(patterns, cap):
+        reps, state = galaxia.acyclic._lemma(4, starts)
+        values += [reps, *state]
     assert len(set(map(id, values))) == len(set(values))
 
 

@@ -25,7 +25,7 @@ from galaxia import (CUBIC_GRAPHS, ArcColouring, CyclicInterval, Digraph,
                      FibreColouring, LabelledDigraph, InternalDefectError,
                      exact_dst, exact_lambda_n, lemma_cycle_colouring,
                      np_reduction, sdr_in_cyclic_interval,
-                     star_colouring_acyclic, strong_components)
+                     strong_components)
 from galaxia import (acircuitic, acyclic, cli, constructions, fibre,
                      intervals, oracle, spanning, subcubic, theorems)
 from conftest import circuit
@@ -280,9 +280,10 @@ def test_list_colouring_no_distinct_colours(monkeypatch):
 
 @case
 def test_acyclic_lemma_without_interval(monkeypatch, tmp_path):
-    monkeypatch.setattr(acyclic, "_lemma", lambda k, key: ((1,) * len(key), None))
-    with raises_defect("in-colours at 1 fit no cyclic 1-interval"):
-        star_colouring_acyclic(Digraph(2, ((0, 1),)))
+    # colours 1 and 3 lie in no 2-interval of {1..4}
+    monkeypatch.setattr(acyclic, "sdr_in_cyclic_interval", lambda ivs: (None, (1, 3)))
+    with raises_defect("in-colours (1, 3) fit no cyclic 2-interval"):
+        acyclic._solve(2, (1, 1))
 
 
 @case

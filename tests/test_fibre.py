@@ -1,5 +1,4 @@
 """n-fibre colourings and wavelength assignments."""
-import functools
 import math
 import random
 import tracemalloc
@@ -20,6 +19,7 @@ from galaxia import (
     ValidateError,
     WavelengthViolation,
     degree_profile,
+    digraph,
     exact_lambda_n,
     expand_to_wavelength_assignment,
     fibre,
@@ -203,11 +203,10 @@ def test_acyclic_colouring_pinned(vertices, m, k, seed, n, colour_count, colours
     assert "".join(str(fc[arc]) for arc in range(ld.arc_count)) == colours
 
 
-def test_acyclic_assigns_each_entering_pattern_once(monkeypatch):
-    # 146 vertices have entering arcs, but only 57 distinct placement
-    # inputs arise; each is solved once, and an empty memo makes the
-    # count this call's own
-    fibre._assign.cache_clear()
+def counted_placements(monkeypatch):
+    """The inputs of every placement from here on, on both paths: `_place`
+    counts them, and the memo is a new one around the counting `_place`,
+    of `digraph._MEMO_CAP` entries."""
     inputs = []
     real = fibre._place
 
@@ -216,6 +215,15 @@ def test_acyclic_assigns_each_entering_pattern_once(monkeypatch):
         return real(n, m, k, draws)
 
     monkeypatch.setattr(fibre, "_place", counting)
+    monkeypatch.setattr(fibre, "_assign", digraph._remembered(counting))
+    return inputs
+
+
+def test_acyclic_assigns_each_entering_pattern_once(monkeypatch):
+    # 146 vertices have entering arcs, but only 57 distinct placement
+    # inputs arise; each is solved once, and an empty memo makes the
+    # count this call's own
+    inputs = counted_placements(monkeypatch)
     ld = random_labelled_dag(200, 2, 3, 5)
     fc = fibre_colouring_acyclic(ld, 2)
     assert check_pipeline(ld, fc)
@@ -225,32 +233,24 @@ def test_acyclic_assigns_each_entering_pattern_once(monkeypatch):
 
 def test_acyclic_second_call_solves_no_assignment(monkeypatch):
     # the first call leaves every pattern of the instance in the memo
+    inputs = counted_placements(monkeypatch)
     ld = random_labelled_dag(400, 3, 4, 6)
     first = fibre_colouring_acyclic(ld, 2)
-
-    def refuse(n, m, k, draws):
-        raise AssertionError("an entering pattern was assigned twice")
-
-    monkeypatch.setattr(fibre, "_place", refuse)
+    assert inputs
+    inputs.clear()
     assert fibre_colouring_acyclic(ld, 2) == first
+    assert inputs == []
 
 
 def runs_on_empty_memo(monkeypatch, cases):
     """Each (instance, n)'s colouring and its number of placement calls,
     each call made on an empty memo, as a new process makes it."""
-    real = fibre._place
-    calls = []
-
-    def counting(n, m, k, draws):
-        calls.append(1)
-        return real(n, m, k, draws)
-
-    monkeypatch.setattr(fibre, "_place", counting)
+    inputs = counted_placements(monkeypatch)
     runs = []
     for ld, n in cases:
         fibre._assign.cache_clear()
-        calls.clear()
-        runs.append((fibre_colouring_acyclic(ld, n), len(calls)))
+        inputs.clear()
+        runs.append((fibre_colouring_acyclic(ld, n), len(inputs)))
     return runs
 
 
@@ -278,14 +278,15 @@ def test_acyclic_memo_never_grows_past_its_cap(monkeypatch):
              for m, k, seed, n in ((2, 3, 1, 2), (2, 3, 1, 1), (3, 4, 2, 2),
                                    (1, 2, 3, 1), (2, 3, 1, 2))]
     fresh = runs_on_empty_memo(monkeypatch, cases)
-    solve = fibre._assign.__wrapped__  # still shares values
-    monkeypatch.setattr(fibre, "_assign", functools.lru_cache(5)(solve))
+    assert all(calls for _, calls in fresh)
+    monkeypatch.setattr(digraph, "_MEMO_CAP", 5)
+    monkeypatch.setattr(fibre, "_assign", digraph._remembered(fibre._place))
     for (ld, n), (output, _) in zip(cases, fresh):
         assert fibre_colouring_acyclic(ld, n) == output
         assert fibre._assign.cache_info().currsize == 5
     # with no room at all, each call still solves each of its own
     # patterns once, as on an empty memo
-    monkeypatch.setattr(fibre, "_assign", functools.lru_cache(0)(solve))
+    monkeypatch.setattr(digraph, "_MEMO_CAP", 0)
     assert runs_on_empty_memo(monkeypatch, cases) == fresh
 
 
@@ -305,12 +306,13 @@ def test_acyclic_memo_keeps_no_pattern_past_four(monkeypatch, m, k):
 def test_full_acyclic_memo_stays_near_two_megabytes():
     # the widest entries, n = 1 and m = k = 4, fill the memo: each holds
     # four 4-sets of 20 colours and is built here from fresh tuples
+    cap = digraph._MEMO_CAP
     fibre._assign.cache_clear()
-    fibre._shared.cache_clear()
+    digraph._shared.cache_clear()
     rng = random.Random(4)
     tracemalloc.start()
     try:
-        while fibre._assign.cache_info().currsize < fibre._MEMO_CAP:
+        while fibre._assign.cache_info().currsize < cap:
             fibre._assign(1, 4, 4, tuple(tuple(sorted(rng.sample(range(1, 21), 4)))
                                          for _ in range(4)))
         held = tracemalloc.get_traced_memory()[0]
@@ -320,11 +322,11 @@ def test_full_acyclic_memo_stays_near_two_megabytes():
     # entries hold one object per distinct colour tuple and set
     rng = random.Random(4)
     values = []
-    for _ in range(fibre._MEMO_CAP // 2):
+    for _ in range(cap // 2):
         colours, sets = fibre._assign(1, 4, 4, tuple(tuple(sorted(rng.sample(range(1, 21), 4)))
                                                   for _ in range(4)))
         values += [colours, *sets]
-    assert fibre._assign.cache_info().misses == fibre._MEMO_CAP
+    assert fibre._assign.cache_info().misses == cap
     assert len(set(map(id, values))) == len(set(values))
 
 

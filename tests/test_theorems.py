@@ -70,10 +70,12 @@ def test_solution_is_what_the_command_prints_and_writes(tmp_path, capsys, ld, fi
     ({"fibres": -3, "algorithm": "smallm"},
      "fibre count must be a positive integer, got -3"),
     ({"fibres": 2.5}, "fibre count must be a positive integer, got 2.5"),
+    ({"fibres": True}, "fibre count must be a positive integer, got True"),
+    ({"ld": DAG.underlying}, "solve takes a LabelledDigraph, got Digraph"),
 ])
 def test_solve_refuses_parameters_outside_its_domain(kwargs, message):
     with pytest.raises(BadParamsError, match=f"^{re.escape(message)}$"):
-        solve(DAG, **kwargs)
+        solve(**{"ld": DAG, **kwargs})
 
 
 # the errors `galaxia solve` reports with exit 3
