@@ -9,13 +9,16 @@ k-interval, which is what gets recorded at x.
 
 The sweep is `digraph._pattern_sweep`, a vertex's state the 1-tuple of
 its interval's start; for k <= `_MEMO_MAX_K` the lemma is remembered
-through `digraph._remembered` (about 1 MB when its memo is full).
+in `_lemma`, a `functools.lru_cache` of `digraph._MEMO_CAP` entries
+(about 0.8 MB when full).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .colouring import ArcColouring
-from .digraph import (Digraph, _pattern_sweep, _remembered, degree_profile,
+from .digraph import (_MEMO_CAP, Digraph, _pattern_sweep, degree_profile,
                       topological_order)
 from .errors import InternalDefectError
 from .intervals import CyclicInterval, sdr_in_cyclic_interval
@@ -43,7 +46,7 @@ def _solve(k: int, starts: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int]
     raise InternalDefectError(f"in-colours {used} fit no cyclic {k}-interval")
 
 
-_lemma = _remembered(_solve)
+_lemma = lru_cache(maxsize=_MEMO_CAP)(_solve)
 
 
 def star_colouring_acyclic(d: Digraph,

@@ -10,7 +10,7 @@ and never exposed mutably.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain
 from operator import attrgetter, eq, itemgetter
 
@@ -349,30 +349,9 @@ def _pattern_sweep(d: Digraph, reads, source, solve) -> tuple[dict[int, int], li
     return colour, state
 
 
+# Entries of each pattern memo (`acyclic._lemma`, `fibre._assign`), kept for
+# the process's life; outputs do not depend on what a memo holds.
 _MEMO_CAP = 1 << 11
-
-
-def _remembered(lemma):
-    """`lemma`, a function of hashable arguments that returns (colours,
-    state), remembered for the life of the process: the memo keeps at
-    most `_MEMO_CAP` solved argument tuples and drops the least recently
-    used.  Only a process that colours several DAGs gains from it; a
-    CLI command colours one.  Outputs do not depend on what it holds."""
-
-    @lru_cache(maxsize=_MEMO_CAP)
-    def remembered(*args):
-        colours, state = lemma(*args)
-        return _shared(colours), tuple(map(_shared, state))
-    return remembered
-
-
-@lru_cache(maxsize=_MEMO_CAP)
-def _shared(value):
-    """The first value equal to `value` that a memo stored, among the
-    `_MEMO_CAP` most recently asked for.  Few distinct colour tuples and
-    state entries occur, and entries that share them keep far fewer
-    small objects alive."""
-    return value
 
 
 def is_acyclic(d: Digraph) -> bool:

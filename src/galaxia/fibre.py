@@ -11,21 +11,23 @@ verifier alone decides an expanded output.
 
 The acyclic construction's sweep is `digraph._pattern_sweep`, with a
 vertex's state its m rebuilt sets; for k <= `_MEMO_MAX_K` and
-m <= `_MEMO_MAX_M` the placement is remembered through
-`digraph._remembered` (about 2 MB when its memo is full).
+m <= `_MEMO_MAX_M` the placement is remembered in `_assign`, a
+`functools.lru_cache` of `digraph._MEMO_CAP` entries (about 2.1 MB when
+full).
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import lru_cache
 from itertools import count
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .colouring import _Mapped, _frozen_colours, arc_values, ints_within
-from .digraph import LabelledDigraph, _pattern_sweep, _remembered, degree_profile
+from .digraph import _MEMO_CAP, LabelledDigraph, _pattern_sweep, degree_profile
 from .errors import (BadParamsError, InternalDefectError, InvalidColouringError,
                      ValidateError)
 
@@ -216,7 +218,7 @@ def _place(n: int, m: int, k: int, draws: tuple[tuple[int, ...], ...],
     return tuple(colours), sets_v
 
 
-_assign = _remembered(_place)
+_assign = lru_cache(maxsize=_MEMO_CAP)(_place)
 
 
 def fibre_colouring_acyclic(ld: LabelledDigraph, n: int) -> FibreColouring:

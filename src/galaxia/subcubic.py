@@ -8,8 +8,8 @@ that eats terminal strong components one at a time.
 
 from __future__ import annotations
 
-from itertools import combinations, compress, product
-from typing import Container, Iterable, Iterator, Mapping, Sequence
+from itertools import combinations, compress
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from .colouring import ArcColouring
 from .digraph import Digraph, _map_cycles, degree_profile, strong_components
@@ -277,13 +277,36 @@ def _colours_of(mask: int) -> list[int]:
     return [c for c in range(mask.bit_length()) if mask >> c & 1]
 
 
-def _first_distinct(lists: Iterable[Sequence[int]]) -> tuple[int, ...]:
-    """The first choice of pairwise distinct colours, one from each list
-    of ascending colours, in product order; () when there is none."""
-    for combo in product(*lists):
-        if len(set(combo)) == len(combo):
-            return combo
-    return ()
+def _first_fit(masks: Sequence[int],
+               clash: Callable[[int, int], bool]) -> list[int] | None:
+    """The first picks, one colour from each of `masks` (bit c stands
+    for colour c), where items i < j with clash(i, j) take distinct
+    colours, in product order over ascending colours; None when no
+    choice fits.
+
+    Whether two picks fit is one symmetric test per pair, so
+    backtracking over the items in order, each tried against those set
+    before it, meets that choice first.
+    """
+    picks: list[int] = []
+    tries: list[Iterator[int]] = []  # the untried colours of each pick
+    while len(picks) < len(masks):
+        j = len(picks)
+        if len(tries) == j:
+            mask = masks[j]
+            for i, c in enumerate(picks):
+                if clash(i, j):
+                    mask &= ~(1 << c)
+            tries.append(iter(_colours_of(mask)))
+        c = next(tries[-1], 0)
+        if c:
+            picks.append(c)
+        elif picks:
+            tries.pop()
+            picks.pop()
+        else:
+            return None
+    return picks
 
 
 def _extension_engine(e: Digraph, lists: list[int],
@@ -311,7 +334,7 @@ def _extension_engine(e: Digraph, lists: list[int],
     """
     colours: dict[int, int] = {}
     arcs, in_arcs, out_arcs = e.arcs, e.in_arcs, e.out_arcs
-    first: dict[tuple[int, ...], tuple[int, ...]] = {}
+    first: dict[tuple[int, ...], list[int]] = {}
 
     def strike(tail: int, colour: int) -> None:
         off = ~(1 << colour)
@@ -330,8 +353,8 @@ def _extension_engine(e: Digraph, lists: list[int],
             key = tuple(map(lists.__getitem__, ins))
             choice = first.get(key)
             if choice is None:
-                choice = first[key] = _first_distinct(map(_colours_of, key))
-            if not choice:
+                choice = first[key] = _first_fit(key, lambda i, j: True)
+            if choice is None:
                 raise InternalDefectError(
                     f"no distinct colours for the arcs into {v}")
             for a, c in zip(ins, choice):
@@ -467,39 +490,6 @@ def _sub(g: Digraph, ids: Sequence[int], keep: Sequence[int],
     return (Digraph._of(len(verts), tuple(
                 (index[arcs[a][0]], index[arcs[a][1]]) for a in keep)),
             [ids[a] for a in keep])
-
-
-def _first_fit(arcs: Sequence[tuple[int, int]], batch: Sequence[int],
-               taken: Sequence[int]) -> list[int] | None:
-    """Colours for the uncoloured arcs `batch`, each outside its mask in
-    `taken` (the colours of its coloured neighbours: arcs into either
-    end, and out of its head) and apart from the batch's earlier arcs
-    that are such neighbours.  None when no choice fits.
-
-    The choice is the first that fits in product(COLOURS, repeat=...)
-    order.  Whether two arcs' colours fit is one symmetric test per pair,
-    so backtracking over the arcs in order, each tried against those set
-    before it, meets that choice first.
-    """
-    picks: list[int] = []
-    tries: list[Iterator[int]] = []  # the untried colours of each pick
-    while len(picks) < len(batch):
-        if len(tries) == len(picks):
-            t, h = arcs[batch[len(picks)]]
-            mask = taken[len(picks)]
-            for b, c in zip(batch, picks):
-                if arcs[b][1] in (t, h) or arcs[b][0] == h:
-                    mask |= 1 << c
-            tries.append(iter(_FREE[mask]))
-        c = next(tries[-1], 0)
-        if c:
-            picks.append(c)
-        elif picks:
-            tries.pop()
-            picks.pop()
-        else:
-            return None
-    return picks
 
 
 def _peel(g: Digraph) -> tuple[list[int], list[tuple[str, list[int]]]]:
@@ -654,7 +644,12 @@ def _colour_subcubic(d: Digraph) -> list[int]:
                 raise InternalDefectError("even circuit completion failed")
             picks = solution[0]
         else:
-            picks = _first_fit(arcs, batch, [taken(a) for a in batch])
+            # an arc clashes with an earlier one that enters either of
+            # its ends or leaves its head, as its neighbours in taken do
+            picks = _first_fit(
+                [_FULL_MASK & ~taken(a) for a in batch],
+                lambda i, j: (arcs[batch[i]][1] in arcs[batch[j]]
+                              or arcs[batch[i]][0] == arcs[batch[j]][1]))
             if picks is None:
                 raise InternalDefectError(
                     "no completion around a complete conflict component")

@@ -1,4 +1,6 @@
 """n-fibre colourings and wavelength assignments."""
+import functools
+import itertools
 import math
 import random
 import tracemalloc
@@ -203,10 +205,10 @@ def test_acyclic_colouring_pinned(vertices, m, k, seed, n, colour_count, colours
     assert "".join(str(fc[arc]) for arc in range(ld.arc_count)) == colours
 
 
-def counted_placements(monkeypatch):
+def counted_placements(monkeypatch, maxsize=digraph._MEMO_CAP):
     """The inputs of every placement from here on, on both paths: `_place`
-    counts them, and the memo is a new one around the counting `_place`,
-    of `digraph._MEMO_CAP` entries."""
+    counts them, and the memo is a new `lru_cache` of `maxsize` entries
+    around the counting `_place`."""
     inputs = []
     real = fibre._place
 
@@ -215,7 +217,7 @@ def counted_placements(monkeypatch):
         return real(n, m, k, draws)
 
     monkeypatch.setattr(fibre, "_place", counting)
-    monkeypatch.setattr(fibre, "_assign", digraph._remembered(counting))
+    monkeypatch.setattr(fibre, "_assign", functools.lru_cache(maxsize=maxsize)(counting))
     return inputs
 
 
@@ -242,10 +244,11 @@ def test_acyclic_second_call_solves_no_assignment(monkeypatch):
     assert inputs == []
 
 
-def runs_on_empty_memo(monkeypatch, cases):
+def runs_on_empty_memo(monkeypatch, cases, maxsize=digraph._MEMO_CAP):
     """Each (instance, n)'s colouring and its number of placement calls,
-    each call made on an empty memo, as a new process makes it."""
-    inputs = counted_placements(monkeypatch)
+    each call made on an empty memo of `maxsize` entries, as a new
+    process makes it."""
+    inputs = counted_placements(monkeypatch, maxsize)
     runs = []
     for ld, n in cases:
         fibre._assign.cache_clear()
@@ -279,15 +282,13 @@ def test_acyclic_memo_never_grows_past_its_cap(monkeypatch):
                                    (1, 2, 3, 1), (2, 3, 1, 2))]
     fresh = runs_on_empty_memo(monkeypatch, cases)
     assert all(calls for _, calls in fresh)
-    monkeypatch.setattr(digraph, "_MEMO_CAP", 5)
-    monkeypatch.setattr(fibre, "_assign", digraph._remembered(fibre._place))
+    monkeypatch.setattr(fibre, "_assign", functools.lru_cache(maxsize=5)(fibre._place))
     for (ld, n), (output, _) in zip(cases, fresh):
         assert fibre_colouring_acyclic(ld, n) == output
         assert fibre._assign.cache_info().currsize == 5
     # with no room at all, each call still solves each of its own
     # patterns once, as on an empty memo
-    monkeypatch.setattr(digraph, "_MEMO_CAP", 0)
-    assert runs_on_empty_memo(monkeypatch, cases) == fresh
+    assert runs_on_empty_memo(monkeypatch, cases, maxsize=0) == fresh
 
 
 @pytest.mark.parametrize("m, k", [(5, 3), (2, 5)])
@@ -303,31 +304,34 @@ def test_acyclic_memo_keeps_no_pattern_past_four(monkeypatch, m, k):
     assert fibre._assign.cache_info().currsize > 0
 
 
+def fresh_draws(seed):
+    """Endless placement inputs for n = 1 and m = k = 4, each four 4-sets
+    of 20 colours built from fresh tuples."""
+    rng = random.Random(seed)
+    while True:
+        yield tuple(tuple(sorted(rng.sample(range(1, 21), 4))) for _ in range(4))
+
+
 def test_full_acyclic_memo_stays_near_two_megabytes():
-    # the widest entries, n = 1 and m = k = 4, fill the memo: each holds
-    # four 4-sets of 20 colours and is built here from fresh tuples
+    # the widest entries, n = 1 and m = k = 4, fill the memo; the fill
+    # stops after 4 * cap draws, so a memo that does not grow fails here
     cap = digraph._MEMO_CAP
     fibre._assign.cache_clear()
-    digraph._shared.cache_clear()
-    rng = random.Random(4)
     tracemalloc.start()
     try:
-        while fibre._assign.cache_info().currsize < cap:
-            fibre._assign(1, 4, 4, tuple(tuple(sorted(rng.sample(range(1, 21), 4)))
-                                         for _ in range(4)))
+        for draws in itertools.islice(fresh_draws(4), 4 * cap):
+            fibre._assign(1, 4, 4, draws)
+            if fibre._assign.cache_info().currsize == cap:
+                break
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held < 3 << 20  # about 1.7 MB on CPython 3.11
-    # entries hold one object per distinct colour tuple and set
-    rng = random.Random(4)
-    values = []
-    for _ in range(cap // 2):
-        colours, sets = fibre._assign(1, 4, 4, tuple(tuple(sorted(rng.sample(range(1, 21), 4)))
-                                                  for _ in range(4)))
-        values += [colours, *sets]
+    assert fibre._assign.cache_info().currsize == cap
+    assert held < 3 << 20  # about 2.1 MB on CPython 3.11
+    # the same draws again find their entries
+    for draws in itertools.islice(fresh_draws(4), cap // 2):
+        fibre._assign(1, 4, 4, draws)
     assert fibre._assign.cache_info().misses == cap
-    assert len(set(map(id, values))) == len(set(values))
 
 
 def test_verify_fibre_reports_first_violation():

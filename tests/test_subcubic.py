@@ -87,6 +87,48 @@ def test_cycle_dp_takes_the_least_solution_of_any_masks(length):
     assert 0 < found < 150
 
 
+def first_fit_brute(masks, clashes):
+    """The first choice in product order over ascending colours, one from
+    each mask, that gives each clashing pair distinct colours; None if
+    there is none."""
+    lists = [[c for c in range(mask.bit_length()) if mask >> c & 1] for mask in masks]
+    return next((list(picks) for picks in itertools.product(*lists)
+                 if all(picks[i] != picks[j] for i, j in clashes)), None)
+
+
+def first_fit_greedy(masks, clashes):
+    """Each item's least colour apart from its earlier clashing items',
+    with no backtracking; None where an item finds none."""
+    picks = []
+    for j, mask in enumerate(masks):
+        taken = {picks[i] for i, k in clashes if k == j}
+        picks.append(next((c for c in range(mask.bit_length())
+                           if mask >> c & 1 and c not in taken), None))
+        if picks[-1] is None:
+            return None
+    return picks
+
+
+def test_first_fit_takes_the_first_choice_in_product_order():
+    # masks inside {1, 2, 3} as the pipeline's, or {1..4} as list
+    # colouring allows; clash relations are random and symmetric
+    rng = random.Random(38)
+    seen = Counter()
+    for _ in range(400):
+        width = rng.choice((0b1110, 0b11110))
+        masks = [rng.randrange(32) & width for _ in range(rng.randint(1, 6))]
+        clashes = {(i, j) for j in range(len(masks)) for i in range(j)
+                   if rng.random() < 0.6}
+        symmetric = clashes | {(j, i) for i, j in clashes}
+        expected = first_fit_brute(masks, clashes)
+        assert subcubic._first_fit(masks, lambda i, j: (i, j) in symmetric) == expected
+        if expected is None:
+            seen["none, all masks nonempty" if all(masks) else "none"] += 1
+        elif expected != first_fit_greedy(masks, clashes):
+            seen["backtracked"] += 1
+    assert min(seen[k] for k in ("none", "none, all masks nonempty", "backtracked")) >= 5
+
+
 def test_cycle_even_uniform():
     d = circuit(4)
     arc_cols, vert_cols = lemma_cycle_colouring(d, {v: (1, 2) for v in range(4)})

@@ -4,9 +4,12 @@ It returns what the command prints and writes, refuses parameters
 outside its domain, and on every simple digraph of at most four vertices
 each star theorem either colours within its proven bound, never below
 the exact value, or refuses with an error the command maps to exit 3.
+On every labelled digraph of at most three vertices with m <= 2, each
+fibre path does the same against `exact_lambda_n` for 1-3 fibres.
 """
 import re
-from itertools import permutations, product
+from collections import Counter
+from itertools import compress, permutations, product
 
 import pytest
 
@@ -14,6 +17,7 @@ from galaxia import (BadParamsError, CyclicError, DegreeTooHighError,
                      Digraph, HasDigonError, LabelledDigraph,
                      NoApplicableAlgorithmError, NotSimpleError,
                      NotSubcubicError, PreconditionViolatedError, exact_dst,
+                     exact_lambda_n,
                      read_colouring, read_wavelengths, solve, write_digraph)
 from galaxia.cli import main
 
@@ -127,3 +131,37 @@ def test_every_small_digraph_through_every_star_theorem():
                 seen[algorithm] += 1
     assert instances == 1 + 2 ** 2 + 2 ** 6 + 2 ** 12
     assert seen["2k1"] == instances and min(seen.values()) > 100
+
+
+def small_labelled_digraphs():
+    """Every labelled digraph on 1-3 vertices with m = 1 or 2, no loops."""
+    for m in (1, 2):
+        for n in range(1, 4):
+            triples = [(t, h, label) for t in range(n) for h in range(n) if t != h
+                       for label in range(1, m + 1)]
+            for keep in product((False, True), repeat=len(triples)):
+                yield LabelledDigraph(n, m, tuple(compress(triples, keep)))
+
+
+def test_every_small_labelled_digraph_through_every_fibre_path():
+    seen = Counter()
+    instances = 0
+    for ld in small_labelled_digraphs():
+        instances += 1
+        m, acyclic = ld.label_count, classes(ld.underlying)["acyclic"]
+        for n in (1, 2, 3):
+            exact = exact_lambda_n(ld, n)[0]
+            # auto takes smallm when m < n, else acyclic when it holds
+            holds = {"smallm": m < n, "acyclic": m >= n and acyclic}
+            holds["auto"] = m < n or acyclic
+            for algorithm, ok in holds.items():
+                if not ok:
+                    with pytest.raises((NoApplicableAlgorithmError, CyclicError)):
+                        solve(ld, n, algorithm)
+                    continue
+                sol = solve(ld, n, algorithm)
+                used = len({wl for wl, _, _ in sol.output.triple.values()})
+                assert exact <= used <= sol.colour_count <= sol.bound, (ld, n, algorithm)
+                seen[algorithm] += 1
+    assert instances == 4182
+    assert seen == {"auto": 4874, "smallm": 4251, "acyclic": 623}
