@@ -14,9 +14,8 @@ it is coloured.
 from __future__ import annotations
 
 from .colouring import ArcColouring
-from .digraph import Digraph, _map_cycles, degree_profile
-from .errors import (HasDigonError, InternalDefectError, NotSimpleError,
-                     NotSubcubicError)
+from .digraph import Digraph, _map_cycles, _require_simple, degree_profile
+from .errors import HasDigonError, InternalDefectError, NotSubcubicError
 from .subcubic import _FULL_MASK, _brooks, _extension_engine
 
 
@@ -27,8 +26,7 @@ def acircuitic_colouring(d: Digraph) -> ArcColouring:
     Requires an oriented subcubic digraph (no digons, maximum total
     degree three).
     """
-    if len(set(d.arcs)) != d.arc_count:
-        raise NotSimpleError("needs a simple digraph")
+    _require_simple(d, "needs a simple digraph")
     if d.has_digon():
         raise HasDigonError("digraph has a digon")
     profile = degree_profile(d)

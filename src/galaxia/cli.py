@@ -135,14 +135,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     elif args.family == "dag":
         ld = random_labelled_dag(args.vertices, args.m, args.k, seed)
         origin = f"dag vertices={args.vertices} m={args.m} k={args.k}"
-    else:  # triangle; labels only tell parallel copies apart
+    else:  # triangle; labels tell an arc's consecutive copies apart
         d = triangle_multidigraph(args.multiplicity)
-        copies: dict[tuple[int, int], int] = {}
-        arcs = []
-        for t, h in d.arcs:
-            copies[(t, h)] = copies.get((t, h), 0) + 1
-            arcs.append((t, h, copies[(t, h)]))
-        ld = LabelledDigraph(3, args.multiplicity, tuple(arcs))
+        ld = LabelledDigraph(3, args.multiplicity, tuple(
+            (t, h, i % args.multiplicity + 1) for i, (t, h) in enumerate(d.arcs)))
         origin = f"triangle multiplicity={args.multiplicity}"
         seed = None
     comment = (f"generator={origin}, seed={'none' if seed is None else seed},"

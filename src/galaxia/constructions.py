@@ -252,7 +252,7 @@ def triangle_multidigraph(multiplicity: int) -> Digraph:
     arcs = []
     for pair in ((0, 1), (1, 2), (2, 0)):
         arcs.extend([pair] * multiplicity)
-    return Digraph(3, tuple(arcs), allow_parallel=True)
+    return Digraph(3, tuple(arcs))
 
 
 # ---------------------------------------------------------------------------

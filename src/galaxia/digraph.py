@@ -2,7 +2,7 @@
 
 Vertices are dense 0-based integers.  Arcs live in an ordered tuple and
 are referenced everywhere by their index in that tuple, which keeps
-colourings unambiguous even when parallel arcs are allowed.  All types
+colourings unambiguous where arcs repeat, as a Digraph's may.  All types
 are immutable values on `_Frozen`, the base the other modules' value
 types share; derived structures (adjacency, degrees) are cached lazily
 and never exposed mutably.
@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import chain
 from operator import attrgetter, eq, itemgetter
 
-from .errors import CyclicError, ValidateError
+from .errors import CyclicError, NotSimpleError, ValidateError
 
 Arc = tuple[int, int]
 
@@ -51,31 +51,28 @@ class _Frozen:
 
 
 class Digraph(_Frozen):
+    """Digraph on vertices 0..vertex_count-1 whose arcs may repeat, as
+    in the underlying digraph of a LabelledDigraph."""
+
     vertex_count: int
     arcs: tuple[Arc, ...]
-    allow_parallel: bool
-    _fields = ("vertex_count", "arcs", "allow_parallel")
+    _fields = ("vertex_count", "arcs")
 
-    def __init__(self, vertex_count: int, arcs: tuple[Arc, ...],
-                 allow_parallel: bool = False) -> None:
+    def __init__(self, vertex_count: int, arcs: tuple[Arc, ...]) -> None:
         arcs = tuple(arcs)
         if not _plain(arcs, 2):
             arcs = tuple((t, h) for t, h in arcs)
-        vars(self).update(vertex_count=vertex_count, arcs=arcs,
-                          allow_parallel=allow_parallel)
-        if vertex_count < 0:
-            raise ValidateError("vertex_count must be non-negative")
-        _check_arcs(vertex_count, arcs, allow_parallel)
+        vars(self).update(vertex_count=vertex_count, arcs=arcs)
+        _check_count("vertex_count", vertex_count, 0)
+        _check_arcs(vertex_count, arcs)
 
     @classmethod
-    def _of(cls, vertex_count: int, arcs: tuple[Arc, ...],
-            allow_parallel: bool = False) -> Digraph:
+    def _of(cls, vertex_count: int, arcs: tuple[Arc, ...]) -> Digraph:
         """The digraph of arcs this package has already checked: a tuple
-        of plain int pairs with ends in range, no self-loop and, unless
-        allow_parallel, no repeat.  They are kept as they are."""
+        of plain int pairs with ends in range and no self-loop.  They are
+        kept as they are."""
         d = object.__new__(cls)
-        vars(d).update(vertex_count=vertex_count, arcs=arcs,
-                       allow_parallel=allow_parallel)
+        vars(d).update(vertex_count=vertex_count, arcs=arcs)
         return d
 
     @property
@@ -152,11 +149,9 @@ class LabelledDigraph(_Frozen):
             arcs = tuple((t, h, l) for t, h, l in arcs)
         vars(self).update(vertex_count=vertex_count, label_count=label_count,
                           arcs=arcs)
-        if vertex_count < 0:
-            raise ValidateError("vertex_count must be non-negative")
-        if label_count < 1:
-            raise ValidateError("label_count must be positive")
-        _check_arcs(vertex_count, arcs, False, label_count)
+        _check_count("vertex_count", vertex_count, 0)
+        _check_count("label_count", label_count, 1)
+        _check_arcs(vertex_count, arcs, label_count)
 
     @classmethod
     def _of(cls, vertex_count: int, label_count: int,
@@ -184,7 +179,7 @@ class LabelledDigraph(_Frozen):
     def underlying(self) -> Digraph:
         """The label-stripped multidigraph, same arc indices."""
         return Digraph._of(self.vertex_count,
-                           tuple(map(itemgetter(0, 1), self.arcs)), True)
+                           tuple(map(itemgetter(0, 1), self.arcs)))
 
 
 def _plain(arcs: tuple, width: int) -> bool:
@@ -193,12 +188,20 @@ def _plain(arcs: tuple, width: int) -> bool:
     return set(map(type, arcs)) <= {tuple} and set(map(len, arcs)) <= {width}
 
 
-def _check_arcs(vertex_count, arcs: tuple, allow_parallel: bool,
+def _check_count(name: str, value, least: int) -> None:
+    """Raise ValidateError unless value is an int, not a bool, >= least."""
+    if type(value) is not int:
+        raise ValidateError(f"{name} must be an int")
+    if value < least:
+        raise ValidateError(f"{name} must be {'positive' if least else 'non-negative'}")
+
+
+def _check_arcs(vertex_count: int, arcs: tuple,
                 label_count: int | None = None) -> None:
-    """Raise ValidateError unless every arc has its ends in range, is no
-    self-loop, has its label (a third entry) in 1..label_count and,
-    unless allow_parallel, repeats no earlier arc.  Built-ins pass a
-    valid tuple of int arcs in one sweep; only when they do not does the
+    """Raise ValidateError unless every arc has its ends in range and is
+    no self-loop, and every labelled arc (a third entry) has its label in
+    1..label_count and repeats no earlier triple.  Built-ins pass a valid
+    tuple of int arcs in one sweep; only when they do not does the
     per-arc loop run, to name the first offending arc."""
     if not arcs:
         return
@@ -207,8 +210,8 @@ def _check_arcs(vertex_count, arcs: tuple, allow_parallel: bool,
             and min(tails) >= 0 and min(heads) >= 0
             and max(tails) < vertex_count and max(heads) < vertex_count
             and not any(map(eq, tails, heads))
-            and (not labels or (min(labels[0]) >= 1 and max(labels[0]) <= label_count))
-            and (allow_parallel or len(set(arcs)) == len(arcs))):
+            and (not labels or (min(labels[0]) >= 1 and max(labels[0]) <= label_count
+                                and len(set(arcs)) == len(arcs)))):
         return
     seen = set()
     for i, arc in enumerate(arcs):
@@ -217,12 +220,18 @@ def _check_arcs(vertex_count, arcs: tuple, allow_parallel: bool,
             raise ValidateError(f"arc {i} ({tail},{head}) out of vertex range")
         if tail == head:
             raise ValidateError(f"arc {i} is a self-loop at {tail}")
-        if labels and not (1 <= arc[2] <= label_count):
-            raise ValidateError(f"arc {i} label {arc[2]} outside 1..{label_count}")
-        if not allow_parallel:
+        if labels:
+            if not (1 <= arc[2] <= label_count):
+                raise ValidateError(f"arc {i} label {arc[2]} outside 1..{label_count}")
             if arc in seen:
                 raise ValidateError(f"arc {i} duplicates ({','.join(map(format, arc))})")
             seen.add(arc)
+
+
+def _require_simple(d: Digraph, message: str) -> None:
+    """Raise NotSimpleError(message) when an arc of d repeats another."""
+    if len(set(d.arcs)) != d.arc_count:
+        raise NotSimpleError(message)
 
 
 class DegreeProfile(_Frozen):

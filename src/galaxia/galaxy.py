@@ -38,8 +38,7 @@ from __future__ import annotations
 from typing import Collection
 
 from .colouring import ArcColouring, from_class_list
-from .digraph import Digraph, degree_profile, strong_components
-from .errors import NotSimpleError
+from .digraph import Digraph, _require_simple, degree_profile, strong_components
 
 
 def _bfs_tree(local: Digraph, comp_of: list[int], component: int,
@@ -89,7 +88,7 @@ def _decompose(d: Digraph, u: int, k: int) -> tuple[list[list[int]], list[int]]:
                     slot[w] = len(verts)
                     verts.append(w)
         local = Digraph._of(len(verts), tuple(
-            (slot[arcs[i][0]], slot[arcs[i][1]]) for i in live), True)
+            (slot[arcs[i][0]], slot[arcs[i][1]]) for i in live))
         local_arcs, in_arcs, out_arcs = local.arcs, local.in_arcs, local.out_arcs
         comps = strong_components(local)
         comp_of = [0] * len(verts)
@@ -167,8 +166,7 @@ def _split_forest(d: Digraph, forest: Collection[int],
 
 def dst_upper_2k1(d: Digraph) -> ArcColouring:
     """Directed star colouring with at most 2*max_indegree + 1 colours."""
-    if d.allow_parallel and len(set(d.arcs)) != d.arc_count:
-        raise NotSimpleError("2k+1 colouring needs a simple digraph")
+    _require_simple(d, "2k+1 colouring needs a simple digraph")
     # a simple digraph is k-nice for k its maximum indegree
     forests, galaxy = _decompose(d, 0, degree_profile(d).max_indegree)
     classes: list[set[int]] = []

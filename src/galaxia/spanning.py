@@ -30,8 +30,8 @@ most a handful of conflicts.
 from __future__ import annotations
 
 from .colouring import ArcColouring
-from .digraph import Digraph, degree_profile
-from .errors import DegreeTooHighError, InternalDefectError, NotSimpleError
+from .digraph import Digraph, _require_simple, degree_profile
+from .errors import DegreeTooHighError, InternalDefectError
 from .subcubic import _colour_subcubic
 
 
@@ -188,8 +188,7 @@ def dst4_colouring(d: Digraph) -> ArcColouring:
         raise DegreeTooHighError(
             f"in/outdegrees ({profile.max_indegree}, {profile.max_outdegree})"
             " exceed two")
-    if len(set(d.arcs)) != d.arc_count:
-        raise NotSimpleError("needs a simple digraph")
+    _require_simple(d, "needs a simple digraph")
     galaxy = set(_galaxy_arcs(d))
     rest = [i for i in range(d.arc_count) if i not in galaxy]
     sub = Digraph._of(d.vertex_count, tuple(d.arcs[i] for i in rest))

@@ -12,13 +12,13 @@ from itertools import combinations, compress
 from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from .colouring import ArcColouring
-from .digraph import Digraph, _map_cycles, degree_profile, strong_components
+from .digraph import (Digraph, _map_cycles, _require_simple, degree_profile,
+                      strong_components)
 from .errors import (
     BadListsError,
     BadShapeError,
     InfeasibleError,
     InternalDefectError,
-    NotSimpleError,
     NotSubcubicError,
     PreconditionViolatedError,
 )
@@ -431,8 +431,7 @@ def lemma_extension_colouring(d: Digraph,
     PreconditionViolatedError, including the one detected lazily: an
     odd circuit whose entering arcs all carry the same 2-colour list.
     """
-    if len(set(d.arcs)) != d.arc_count:
-        raise NotSimpleError("needs a simple digraph")
+    _require_simple(d, "needs a simple digraph")
     profile = degree_profile(d)
     if profile.max_degree > 3:
         raise PreconditionViolatedError("digraph is not subcubic")
@@ -810,8 +809,7 @@ def star_colouring_subcubic(d: Digraph) -> ArcColouring:
     Works for any digraph whose total degree is at most three at
     every vertex; raises NotSubcubicError otherwise.
     """
-    if len(set(d.arcs)) != d.arc_count:
-        raise NotSimpleError("needs a simple digraph")
+    _require_simple(d, "needs a simple digraph")
     profile = degree_profile(d)
     if profile.max_degree > 3:
         raise NotSubcubicError(

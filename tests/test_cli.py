@@ -25,7 +25,7 @@ from galaxia import (CUBIC_GRAPHS, ArcColouring, CyclicInterval, FibreColouring,
                      LabelledDigraph, WavelengthAssignment, digraph, fibre,
                      read_colouring, read_digraph, read_wavelengths,
                      write_digraph)
-from galaxia import cli
+from galaxia import cli, fileio
 from galaxia.cli import main
 
 
@@ -902,6 +902,57 @@ def test_hostile_input_never_raises_or_exits_4(tmp_path_factory, data):
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         assert main(["solve", str(path)]) != 4
         assert main(["exact", str(path)]) != 4
+
+
+def huge_numbers():
+    """Numbers past every limit, as text: above the vertex limit with at
+    most 40 digits, or 5,000 nines, past int()'s default digit limit."""
+    return st.one_of(st.integers(fileio.VERTEX_LIMIT + 1, 10**40).map(str),
+                     st.just("9" * 5000))
+
+
+@st.composite
+def hostile_number_calls(draw):
+    """(file text, argv) of a `solve` or `exact` call on at most 8 arcs,
+    with huge numbers in some of the header's vertex and arc counts and
+    the numeric options.  A vertex count is at most 64 or past the limit,
+    so no call builds tables of millions of entries; the label count
+    stays 1-3."""
+    n = draw(st.integers(0, 64))
+    m = draw(st.integers(1, 3))
+    arcs = []
+    if n >= 2:  # a head at a nonzero offset from its tail: no self-loop
+        arcs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1),
+                                       st.integers(1, m)),
+                             max_size=8, unique=True).map(
+            lambda raw: sorted({(t, (t + d) % n, l) for t, d, l in raw})))
+    vertices = draw(st.one_of(st.just(str(n)), huge_numbers()))
+    arc_count = draw(st.one_of(st.just(str(len(arcs))), huge_numbers()))
+    lines = [f"p dsa {vertices} {arc_count} {m}", *(f"a {t} {h} {l}" for t, h, l in arcs)]
+    command = draw(st.sampled_from(("solve", "exact")))
+    argv = [command]
+    options = ("--fibres", "--colour-cap", "--arc-limit") if command == "exact" else ("--fibres",)
+    for option in options:
+        value = draw(st.one_of(st.none(), st.integers(0, 4).map(str), huge_numbers()))
+        if value is not None:
+            argv += [option, value]
+    return "\n".join(lines) + "\n", argv
+
+
+@settings(max_examples=150)
+@given(hostile_number_calls())
+def test_huge_numbers_end_in_a_documented_exit(tmp_path_factory, call):
+    text, argv = call
+    path = tmp_path_factory.getbasetemp() / "numbers.dsa"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([argv[0], str(path), *argv[1:]])
+        except SystemExit as exc:  # argparse refuses an option
+            code = exc.code
+    assert code in (0, 1, 2, 3), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def seeded_subcubic(n, seed):

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from galaxia import (
     BadParamsError,
     CUBIC_GRAPHS,
-    Digraph,
     GnmkSizes,
     InfeasibleError,
     NotCubicError,
@@ -276,8 +275,6 @@ def test_random_oriented_subcubic_no_digons(n, seed):
        st.integers(0, 999))
 def test_random_labelled_dag_contract(n, m, k, seed):
     ld = random_labelled_dag(n, m, k, seed)
-    assert is_acyclic(Digraph(ld.vertex_count,
-                              tuple((t, h) for t, h, _ in ld.arcs),
-                              allow_parallel=True))
+    assert is_acyclic(ld.underlying)
     assert degree_profile(ld).max_indegree <= k
     assert all(1 <= label <= m for _, _, label in ld.arcs)

@@ -9,15 +9,18 @@ from galaxia import (
     CyclicError,
     Digraph,
     LabelledDigraph,
+    NotSimpleError,
     ValidateError,
     acircuitic_colouring,
     degree_profile,
     digraph,
     dst4_colouring,
     dst_upper_2k1,
+    exact_dst,
     fibre_colouring_acyclic,
     find_circuit_arcs,
     is_acyclic,
+    lemma_extension_colouring,
     random_digraph,
     random_labelled_dag,
     random_oriented_subcubic,
@@ -26,6 +29,7 @@ from galaxia import (
     star_colouring_subcubic,
     strong_components,
     topological_order,
+    verify_star_colouring,
 )
 from conftest import circuit
 
@@ -53,11 +57,50 @@ def test_digraph_rejects_self_loop():
         Digraph(3, ((1, 1),))
 
 
-def test_digraph_rejects_duplicates_unless_parallel():
-    with pytest.raises(ValidateError):
-        Digraph(2, ((0, 1), (0, 1)))
-    d = Digraph(2, ((0, 1), (0, 1)), allow_parallel=True)
-    assert d.arc_count == 2
+def test_a_digraph_may_repeat_arcs():
+    # a multidigraph, as the underlying digraph of an m-labelled one is
+    d = Digraph(2, ((0, 1), (0, 1)))
+    assert d.arc_count == 2 and d == Digraph(2, [[0, 1], (0, 1)])
+    assert d.out_arcs == ((0, 1), ()) and d.profile.indegree == (0, 2)
+    colouring, _ = star_colouring_acyclic(d)
+    value, witness = exact_dst(d)
+    assert value == 2
+    for found in (colouring, witness):
+        assert verify_star_colouring(d, found) is None
+
+
+@pytest.mark.parametrize("solve, message", [
+    (dst_upper_2k1, "2k+1 colouring needs a simple digraph"),
+    (star_colouring_subcubic, "needs a simple digraph"),
+    (lambda d: lemma_extension_colouring(d, {0: (1,), 1: (2,)}), "needs a simple digraph"),
+    (acircuitic_colouring, "needs a simple digraph"),
+    (dst4_colouring, "needs a simple digraph"),
+], ids=["2k1", "subcubic", "extension", "acircuitic", "dst4"])
+def test_simple_only_theorems_refuse_a_repeated_arc(solve, message):
+    with pytest.raises(NotSimpleError) as info:
+        solve(Digraph(2, ((0, 1), (0, 1))))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Digraph(3.0, ((0, 1),)), "vertex_count must be an int"),
+    (lambda: Digraph("3", ((0, 1),)), "vertex_count must be an int"),
+    (lambda: Digraph(True, ()), "vertex_count must be an int"),
+    (lambda: Digraph(None, ()), "vertex_count must be an int"),
+    (lambda: LabelledDigraph(2.0, 1, ((0, 1, 1),)), "vertex_count must be an int"),
+    (lambda: LabelledDigraph(False, 1, ()), "vertex_count must be an int"),
+    (lambda: LabelledDigraph(3, 1.5, ((0, 1, 1),)), "label_count must be an int"),
+    (lambda: LabelledDigraph(3, True, ((0, 1, 1),)), "label_count must be an int"),
+    (lambda: LabelledDigraph(3, "2", ()), "label_count must be an int"),
+    (lambda: LabelledDigraph(-1, 1.5, ()), "vertex_count must be non-negative"),
+    (lambda: LabelledDigraph(0, 0, ()), "label_count must be positive"),
+], ids=["digraph-float", "digraph-str", "digraph-bool", "digraph-none",
+        "labelled-float-vertices", "labelled-bool-vertices", "float-labels",
+        "bool-labels", "str-labels", "negative-vertices-first", "zero-labels"])
+def test_counts_must_be_ints(make, message):
+    with pytest.raises(ValidateError) as info:
+        make()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("make, message", [
@@ -65,7 +108,6 @@ def test_digraph_rejects_duplicates_unless_parallel():
     (lambda: Digraph(2, ((0, 1), (0, 2))), "arc 1 (0,2) out of vertex range"),
     (lambda: Digraph(2, ((-1, 0),)), "arc 0 (-1,0) out of vertex range"),
     (lambda: Digraph(3, ((0, 1), (1, 1), (0, 5))), "arc 1 is a self-loop at 1"),
-    (lambda: Digraph(3, ((0, 1), (1, 2), (0, 1), (1, 2))), "arc 2 duplicates (0,1)"),
     (lambda: LabelledDigraph(-1, 1, ()), "vertex_count must be non-negative"),
     (lambda: LabelledDigraph(2, 0, ()), "label_count must be positive"),
     (lambda: LabelledDigraph(2, 1, ((0, 1, 1), (0, 3, 1))), "arc 1 (0,3) out of vertex range"),
@@ -120,8 +162,7 @@ def test_labelled_digraph_rejects_duplicate_triples():
 def test_underlying_strips_labels():
     ld = LabelledDigraph(3, 2, ((0, 1, 1), (0, 1, 2), (1, 2, 1)))
     d = ld.underlying
-    assert d.arcs == ((0, 1), (0, 1), (1, 2))
-    assert d.allow_parallel
+    assert type(d) is Digraph and d.arcs == ((0, 1), (0, 1), (1, 2))
 
 
 def test_underlying_reuses_checks_and_profile(monkeypatch):
@@ -132,7 +173,7 @@ def test_underlying_reuses_checks_and_profile(monkeypatch):
     d = ld.underlying
     assert checks == []
     assert d.profile is ld.profile
-    assert d == Digraph(3, ((0, 1), (0, 1), (1, 2)), allow_parallel=True)
+    assert d == Digraph(3, ((0, 1), (0, 1), (1, 2)))
     assert d.in_arcs == ((), (0, 1), (2,)) and d.out_arcs == ((0, 1), (2,), ())
 
 
@@ -295,11 +336,12 @@ def test_trusted_sub_digraphs_pass_the_arc_check(monkeypatch, solve, family):
     real = Digraph.__dict__["_of"].__func__
     built = []
 
-    def checked(cls, vertex_count, arcs, allow_parallel=False):
+    def checked(cls, vertex_count, arcs):
         assert type(arcs) is tuple and digraph._plain(arcs, 2)
-        digraph._check_arcs(vertex_count, arcs, allow_parallel)
+        assert len(set(arcs)) == len(arcs)  # simple, as the solvers need
+        digraph._check_arcs(vertex_count, arcs)
         built.append(len(arcs))
-        return real(cls, vertex_count, arcs, allow_parallel)
+        return real(cls, vertex_count, arcs)
 
     monkeypatch.setattr(Digraph, "_of", classmethod(checked))
     assert [solve(family(seed)) for seed in seeds] == unpatched
@@ -331,9 +373,9 @@ def test_find_circuit_arcs_closes_a_circuit_exactly_when_one_is_kept():
         parallel = rng.random() < 0.2
         arcs = tuple(rng.choice(pairs) if parallel else pair
                      for pair in rng.sample(pairs, rng.randint(0, min(len(pairs), 3 * n))))
-        d = Digraph(n, arcs, parallel)
+        d = Digraph(n, arcs)
         kept = tuple(arc for arc in arcs if rng.random() >= 0.3)
-        sub = Digraph(n, kept, parallel)
+        sub = Digraph(n, kept)
         found = find_circuit_arcs(sub)
         assert (found is None) == all(len(c) == 1 for c in strong_components(sub))
         if found is not None:
@@ -352,6 +394,6 @@ def test_find_circuit_arcs_closes_a_circuit_exactly_when_one_is_kept():
         first_in = tuple({h: (t, h) for t, h in reversed(kept)}.values())
         # with at most one arc into each vertex, a circuit is a cycle of
         # the map from a head to its tail
-        assert is_acyclic(Digraph(n, first_in, parallel)) == (
+        assert is_acyclic(Digraph(n, first_in)) == (
             not digraph._map_cycles({h: t for t, h in first_in}))
     assert 500 < cyclic < 1900

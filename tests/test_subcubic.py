@@ -234,7 +234,7 @@ PATH4 = Digraph(4, ((0, 1), (1, 2), (2, 3)))
 
 
 @pytest.mark.parametrize("d, lists, error, message", [
-    (Digraph(2, ((0, 1), (0, 1)), allow_parallel=True), {0: (1,), 1: (2,)},
+    (Digraph(2, ((0, 1), (0, 1))), {0: (1,), 1: (2,)},
      NotSimpleError, "needs a simple digraph"),
     (Digraph(5, ((0, 4), (1, 4), (2, 4), (3, 4))), {i: (1, 2, 3) for i in range(4)},
      PreconditionViolatedError, "digraph is not subcubic"),

@@ -14,9 +14,9 @@ from galaxia import (ArcColouring, CyclicInterval, DegreeProfile, Digraph,
 # first value's repr.
 CASES = {
     "Digraph": (
-        Digraph, dict(vertex_count=3, arcs=((0, 1), (1, 2)), allow_parallel=False),
-        dict(vertex_count=4, arcs=((1, 2),), allow_parallel=True),
-        "Digraph(vertex_count=3, arcs=((0, 1), (1, 2)), allow_parallel=False)"),
+        Digraph, dict(vertex_count=3, arcs=((0, 1), (1, 2))),
+        dict(vertex_count=4, arcs=((1, 2),)),
+        "Digraph(vertex_count=3, arcs=((0, 1), (1, 2)))"),
     "LabelledDigraph": (
         LabelledDigraph, dict(vertex_count=2, label_count=2, arcs=((0, 1, 1), (0, 1, 2))),
         dict(vertex_count=3, label_count=3, arcs=((0, 1, 1),)),

@@ -48,7 +48,7 @@ def _alarm(_signum, _frame):
 def cyclic_labelled(rng: random.Random, arc_count: int | None = None):
     """(vertex_count, m, n, arcs) with a circuit; exactly arc_count arcs
     when given, else at most 40."""
-    from galaxia import Digraph, is_acyclic
+    from galaxia import LabelledDigraph, is_acyclic
     while True:
         k, m = rng.randint(1, 3), rng.randint(1, 3)
         n = rng.randint(1, m + 1)
@@ -65,8 +65,7 @@ def cyclic_labelled(rng: random.Random, arc_count: int | None = None):
         if arc_count is not None and len(arcs) < arc_count:
             continue
         arcs = rng.sample(arcs, min(len(arcs), arc_count or 40))
-        if not is_acyclic(Digraph(v, tuple((t, h) for t, h, _ in arcs),
-                                  allow_parallel=True)):
+        if not is_acyclic(LabelledDigraph(v, m, tuple(arcs)).underlying):
             return v, m, n, sorted(arcs)
 
 
