@@ -5,7 +5,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Mapping
 
-from .digraph import _Frozen
+from .digraph import _Frozen, _check_count
 from .errors import ValidateError
 
 
@@ -40,19 +40,23 @@ class ArcColouring(_Mapped):
 
 
 def _frozen_colours(colour: Mapping[int, int], top: int) -> Mapping[int, int]:
-    """A read-only copy of the colour map of an ArcColouring or
-    FibreColouring, once every colour is checked to lie in 1..top."""
+    """A read-only copy of the colour map of an ArcColouring or FibreColouring,
+    once top is a count and every colour a plain int (no bool) in 1..top; the
+    loop runs only when `ints_within` fails, to name the first arc that is not."""
+    _check_count("colour_count", top, 0)
     colour = MappingProxyType(dict(colour))
     if not ints_within(colour.values(), 1, top):
         for arc, c in colour.items():
+            if type(c) is not int:
+                raise ValidateError(f"arc {arc} colour {c!r} is not an int")
             if not 1 <= c <= top:
                 raise ValidateError(f"arc {arc} has colour {c} outside 1..{top}")
     return colour
 
 
-def ints_within(values, low: int, high: float) -> bool:
-    """Whether every value is an int in low..high, by built-ins alone; the
-    value types' per-item loops run only when it fails, to name one."""
+def ints_within(values, low: int, high: int) -> bool:
+    """Whether every value is a plain int (no bool) in low..high, by
+    built-ins alone."""
     return set(map(type, values)) <= {int} and (
         not values or (low <= min(values) and max(values) <= high))
 

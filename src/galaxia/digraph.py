@@ -11,8 +11,7 @@ and never exposed mutably.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
-from operator import attrgetter, eq, itemgetter
+from operator import attrgetter, itemgetter
 
 from .errors import CyclicError, NotSimpleError, ValidateError
 
@@ -59,12 +58,8 @@ class Digraph(_Frozen):
     _fields = ("vertex_count", "arcs")
 
     def __init__(self, vertex_count: int, arcs: tuple[Arc, ...]) -> None:
-        arcs = tuple(arcs)
-        if not _plain(arcs, 2):
-            arcs = tuple((t, h) for t, h in arcs)
-        vars(self).update(vertex_count=vertex_count, arcs=arcs)
         _check_count("vertex_count", vertex_count, 0)
-        _check_arcs(vertex_count, arcs)
+        vars(self).update(vertex_count=vertex_count, arcs=_check_arcs(vertex_count, arcs))
 
     @classmethod
     def _of(cls, vertex_count: int, arcs: tuple[Arc, ...]) -> Digraph:
@@ -144,14 +139,10 @@ class LabelledDigraph(_Frozen):
 
     def __init__(self, vertex_count: int, label_count: int,
                  arcs: tuple[tuple[int, int, int], ...]) -> None:
-        arcs = tuple(arcs)
-        if not _plain(arcs, 3):
-            arcs = tuple((t, h, l) for t, h, l in arcs)
-        vars(self).update(vertex_count=vertex_count, label_count=label_count,
-                          arcs=arcs)
         _check_count("vertex_count", vertex_count, 0)
         _check_count("label_count", label_count, 1)
-        _check_arcs(vertex_count, arcs, label_count)
+        vars(self).update(vertex_count=vertex_count, label_count=label_count,
+                          arcs=_check_arcs(vertex_count, arcs, label_count))
 
     @classmethod
     def _of(cls, vertex_count: int, label_count: int,
@@ -182,50 +173,45 @@ class LabelledDigraph(_Frozen):
                            tuple(map(itemgetter(0, 1), self.arcs)))
 
 
-def _plain(arcs: tuple, width: int) -> bool:
-    """Whether every arc is a plain tuple of `width` entries, which the
-    constructors keep as they are."""
-    return set(map(type, arcs)) <= {tuple} and set(map(len, arcs)) <= {width}
-
-
-def _check_count(name: str, value, least: int) -> None:
-    """Raise ValidateError unless value is an int, not a bool, >= least."""
+def _check_count(name: str, value, least: int, error=ValidateError) -> None:
+    """Raise error unless value is an int, not a bool, >= least."""
     if type(value) is not int:
-        raise ValidateError(f"{name} must be an int")
+        raise error(f"{name} must be an int")
     if value < least:
-        raise ValidateError(f"{name} must be {'positive' if least else 'non-negative'}")
+        raise error(f"{name} must be {'positive' if least else 'non-negative'}")
 
 
-def _check_arcs(vertex_count: int, arcs: tuple,
-                label_count: int | None = None) -> None:
-    """Raise ValidateError unless every arc has its ends in range and is
-    no self-loop, and every labelled arc (a third entry) has its label in
-    1..label_count and repeats no earlier triple.  Built-ins pass a valid
-    tuple of int arcs in one sweep; only when they do not does the
-    per-arc loop run, to name the first offending arc."""
-    if not arcs:
-        return
-    tails, heads, *labels = zip(*arcs)
-    if (set(map(type, chain.from_iterable(arcs))) <= {int}
-            and min(tails) >= 0 and min(heads) >= 0
-            and max(tails) < vertex_count and max(heads) < vertex_count
-            and not any(map(eq, tails, heads))
-            and (not labels or (min(labels[0]) >= 1 and max(labels[0]) <= label_count
-                                and len(set(arcs)) == len(arcs)))):
-        return
-    seen = set()
+def _check_arcs(vertex_count: int, arcs,
+                label_count: int | None = None) -> tuple:
+    """The arcs as a tuple of plain tuples, checked in one pass: each a
+    (tail, head) pair, or a (tail, head, label) triple when label_count
+    is given, of plain ints (no bool) with distinct ends in range, a label
+    in 1..label_count and no triple repeated.  A ValidateError names the
+    first arc that fails."""
+    width = 2 if label_count is None else 3
+    stored, seen = [], set()
     for i, arc in enumerate(arcs):
+        if type(arc) is not tuple:  # a list, say, is stored as a tuple
+            arc = tuple(arc) if hasattr(arc, "__iter__") else ()
+        if len(arc) != width:
+            shape = "(tail, head) pair" if width == 2 else "(tail, head, label) triple"
+            raise ValidateError(f"arc {i} is not a {shape}")
+        for entry in arc:
+            if type(entry) is not int:
+                raise ValidateError(f"arc {i} entry {entry!r} is not an int")
         tail, head = arc[0], arc[1]
         if not (0 <= tail < vertex_count and 0 <= head < vertex_count):
             raise ValidateError(f"arc {i} ({tail},{head}) out of vertex range")
         if tail == head:
             raise ValidateError(f"arc {i} is a self-loop at {tail}")
-        if labels:
-            if not (1 <= arc[2] <= label_count):
+        if width == 3:
+            if not 1 <= arc[2] <= label_count:
                 raise ValidateError(f"arc {i} label {arc[2]} outside 1..{label_count}")
             if arc in seen:
                 raise ValidateError(f"arc {i} duplicates ({','.join(map(format, arc))})")
             seen.add(arc)
+        stored.append(arc)
+    return tuple(stored)
 
 
 def _require_simple(d: Digraph, message: str) -> None:

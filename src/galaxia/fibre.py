@@ -26,8 +26,8 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .colouring import _Mapped, _frozen_colours, arc_values, ints_within
-from .digraph import _MEMO_CAP, LabelledDigraph, _pattern_sweep, degree_profile
+from .colouring import _Mapped, _frozen_colours, arc_values
+from .digraph import _MEMO_CAP, LabelledDigraph, _check_count, _pattern_sweep
 from .errors import (BadParamsError, InternalDefectError, InvalidColouringError,
                      ValidateError)
 
@@ -47,8 +47,7 @@ class FibreColouring(_Mapped):
 
     def __init__(self, n: int, colour: Mapping[int, int],
                  colour_count: int) -> None:
-        if n < 1:
-            raise ValidateError("fibre count must be positive")
+        _check_count("fibre count", n, 1)
         vars(self).update(n=n, colour=_frozen_colours(colour, colour_count),
                           colour_count=colour_count)
 
@@ -57,7 +56,9 @@ class FibreColouring(_Mapped):
 
 
 class WavelengthAssignment(_Mapped):
-    """Per arc: wavelength plus fibre numbers at the tail and head."""
+    """Per arc: wavelength plus fibre numbers at the tail and head, each
+    a plain int (no bool), like the fibre count n; a wavelength is
+    positive and a fibre in 1..n."""
 
     n: int
     triple: Mapping[int, tuple[int, int, int]]  # arc -> (wavelength, f_out, f_in)
@@ -65,14 +66,15 @@ class WavelengthAssignment(_Mapped):
 
     def __init__(self, n: int,
                  triple: Mapping[int, tuple[int, int, int]]) -> None:
-        triple = MappingProxyType(dict(triple))
-        vars(self).update(n=n, triple=triple)
-        triples = triple.values()
-        if set(map(type, triples)) <= {tuple} and set(map(len, triples)) == {3}:
-            wls, f_outs, f_ins = zip(*triples)
-            if ints_within(wls, 1, math.inf) and ints_within(f_outs + f_ins, 1, n):
-                return
-        for arc, (wl, f_out, f_in) in triple.items():
+        _check_count("fibre count", n, 1)
+        vars(self).update(n=n, triple=MappingProxyType(dict(triple)))
+        for arc, entries in self.triple.items():
+            if type(entries) is not tuple or len(entries) != 3:
+                raise ValidateError(f"arc {arc} is not a (wavelength, f_out, f_in) tuple")
+            for entry in entries:
+                if type(entry) is not int:
+                    raise ValidateError(f"arc {arc} entry {entry!r} is not an int")
+            wl, f_out, f_in = entries
             if wl < 1:
                 raise ValidateError(f"arc {arc} wavelength must be positive")
             if not (1 <= f_out <= n and 1 <= f_in <= n):
@@ -230,13 +232,11 @@ def fibre_colouring_acyclic(ld: LabelledDigraph, n: int) -> FibreColouring:
     most n per colour, then the C_i are rebuilt from the residual
     in-capacities so that any future colour still fits.
     """
+    _check_count("fibre count", n, 1, BadParamsError)
     m = ld.label_count
     if m < n:
         raise BadParamsError(f"need m >= n, got m={m} n={n}")
-    if n < 1:
-        raise BadParamsError("fibre count must be positive")
-    profile = degree_profile(ld)
-    k = profile.max_indegree
+    k = ld.profile.max_indegree
     if ld.arc_count == 0:
         return FibreColouring(n, {}, 0)
     big_k = math.ceil(k / n)
@@ -263,13 +263,11 @@ def fibre_colouring_smallm(ld: LabelledDigraph, n: int) -> FibreColouring:
     vertex so no colour enters more than n-m times leaves room for the
     at most m label-slots leaving it.
     """
+    _check_count("fibre count", n, 1, BadParamsError)
     m = ld.label_count
-    if n < 1:
-        raise BadParamsError("fibre count must be positive")
     if m >= n:
         raise BadParamsError(f"need m < n, got m={m} n={n}")
-    profile = degree_profile(ld)
-    k = profile.max_indegree
+    k = ld.profile.max_indegree
     if ld.arc_count == 0:
         return FibreColouring(n, {}, 0)
     total = math.ceil(k / (n - m))

@@ -9,7 +9,7 @@ sweep finds.
 
 from __future__ import annotations
 
-from .digraph import _Frozen
+from .digraph import _Frozen, _check_count
 from .errors import BadParamsError, InternalDefectError
 
 
@@ -20,8 +20,10 @@ class CyclicInterval(_Frozen):
     _fields = ("modulus", "start", "length")
 
     def __init__(self, modulus: int, start: int, length: int) -> None:
-        if modulus < 1:
-            raise BadParamsError("modulus must be positive")
+        _check_count("modulus", modulus, 1, BadParamsError)
+        for name, value in ("start", start), ("length", length):
+            if type(value) is not int:
+                raise BadParamsError(f"{name} must be an int")
         if not (1 <= start <= modulus):
             raise BadParamsError(f"start {start} outside 1..{modulus}")
         if not (1 <= length <= modulus):

@@ -16,9 +16,10 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .colouring import ArcColouring, arc_values
-from .digraph import Digraph, LabelledDigraph, _map_cycles
-from .errors import (AboveCapError, InternalDefectError, InvalidColouringError,
-                     NotCubicError, TooLargeError, ValidateError)
+from .digraph import Digraph, LabelledDigraph, _check_count, _map_cycles
+from .errors import (AboveCapError, BadParamsError, InternalDefectError,
+                     InvalidColouringError, NotCubicError, TooLargeError,
+                     ValidateError)
 
 if TYPE_CHECKING:
     from .fibre import FibreColouring  # unreached: type checkers only
@@ -178,6 +179,17 @@ def _lower_bound(indegree: tuple[int, ...], tails, n: int) -> int:
     return max(1, -(-max(need) // n))
 
 
+def _check_limits(arc_count: int, colour_cap: int | None, arc_limit: int) -> None:
+    """BadParamsError unless colour_cap (None for none) and arc_limit are
+    plain ints; then TooLargeError when arc_count exceeds arc_limit."""
+    if colour_cap is not None and type(colour_cap) is not int:
+        raise BadParamsError("colour_cap must be an int or None")
+    if type(arc_limit) is not int:
+        raise BadParamsError("arc_limit must be an int")
+    if arc_count > arc_limit:
+        raise TooLargeError(f"{arc_count} arcs exceed the limit {arc_limit}")
+
+
 def _fewest_colours(lower: int, upper: int, colour_cap: int | None,
                     attempt: Callable[[int], list[int] | None]) -> tuple[int, list[int]]:
     """(q, attempt(q)) for the least q in lower..upper, capped at
@@ -204,8 +216,7 @@ def exact_dst(d: Digraph, colour_cap: int | None = None,
     finds.  Raises TooLarge over the arc limit and AboveCap when the
     optimum exceeds colour_cap.
     """
-    if d.arc_count > arc_limit:
-        raise TooLargeError(f"{d.arc_count} arcs exceed the limit {arc_limit}")
+    _check_limits(d.arc_count, colour_cap, arc_limit)
     if d.arc_count == 0:
         return 0, ArcColouring({}, 0)
     conflicts = _conflict_lists(d)
@@ -227,10 +238,8 @@ def exact_lambda_n(ld: LabelledDigraph, n: int, colour_cap: int | None = None,
     just reached n; below n no arc can lose it there.
     """
     from .fibre import FibreColouring
-    if n < 1:
-        raise ValidateError("fibre count must be positive")
-    if ld.arc_count > arc_limit:
-        raise TooLargeError(f"{ld.arc_count} arcs exceed the limit {arc_limit}")
+    _check_count("fibre count", n, 1)
+    _check_limits(ld.arc_count, colour_cap, arc_limit)
     if ld.arc_count == 0:
         return 0, FibreColouring(n, {}, 0)
     lower = _lower_bound(ld.profile.indegree,

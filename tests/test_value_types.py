@@ -1,13 +1,18 @@
 """The contract of the seven frozen value types: equality, hashing and
 repr by their fields, no assignment or deletion, keyword construction,
-copying and pickling."""
+copying and pickling; and the refusal, by a documented error that names
+the arc or field, of every entry or solver parameter that is no plain
+int."""
 import copy
 import pickle
 
 import pytest
 
 from galaxia import (ArcColouring, CyclicInterval, DegreeProfile, Digraph,
-                     FibreColouring, LabelledDigraph, WavelengthAssignment)
+                     FibreColouring, LabelledDigraph, WavelengthAssignment,
+                     exact_dst, exact_lambda_n, fibre_colouring_acyclic,
+                     fibre_colouring_smallm)
+from galaxia.errors import BadParamsError, ValidateError
 
 # Per type: the keyword arguments of one value, for each argument a
 # value that makes another instance with the rest unchanged, and the
@@ -145,3 +150,75 @@ def test_unchecked_constructors_make_equal_values():
     assert Digraph._of(3, ((0, 1), (1, 2))) == build("Digraph")
     assert LabelledDigraph._of(2, 2, ((0, 1, 1), (0, 1, 2))) == build("LabelledDigraph")
     assert WavelengthAssignment._of(2, {0: (1, 1, 2)}) == build("WavelengthAssignment")
+
+
+PATH = LabelledDigraph(3, 2, ((0, 1, 1), (1, 2, 2)))
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: Digraph(3, ((0, 1.0),)), ValidateError, "arc 0 entry 1.0 is not an int"),
+    (lambda: LabelledDigraph(3, 2, ((0, 1, 1.0),)), ValidateError,
+     "arc 0 entry 1.0 is not an int"),
+    (lambda: LabelledDigraph(3, 2, ((0, 1, 1.0), (0, True, 1))), ValidateError,
+     "arc 0 entry 1.0 is not an int"),
+    (lambda: LabelledDigraph(3, 2, ((0, 1, 1), (0, True, 1))), ValidateError,
+     "arc 1 entry True is not an int"),
+    (lambda: Digraph(3, ((0, 1, 2),)), ValidateError, "arc 0 is not a (tail, head) pair"),
+    (lambda: LabelledDigraph(3, 1, ((0, 1),)), ValidateError,
+     "arc 0 is not a (tail, head, label) triple"),
+    (lambda: Digraph(3, (0, 1)), ValidateError, "arc 0 is not a (tail, head) pair"),
+    (lambda: ArcColouring({0: 2.0}, 3), ValidateError, "arc 0 colour 2.0 is not an int"),
+    (lambda: ArcColouring({0: 1, 1: True}, 3), ValidateError,
+     "arc 1 colour True is not an int"),
+    (lambda: ArcColouring({0: 1}, 1.5), ValidateError, "colour_count must be an int"),
+    (lambda: ArcColouring({}, -1), ValidateError, "colour_count must be non-negative"),
+    (lambda: FibreColouring(2, {0: 1.5}, 3), ValidateError, "arc 0 colour 1.5 is not an int"),
+    (lambda: FibreColouring(1.5, {0: 1}, 3), ValidateError,
+     "fibre count must be an int"),
+    (lambda: WavelengthAssignment(2, {0: (1.0, 1, 2)}), ValidateError,
+     "arc 0 entry 1.0 is not an int"),
+    (lambda: WavelengthAssignment(2, {0: (1, True, 2)}), ValidateError,
+     "arc 0 entry True is not an int"),
+    (lambda: WavelengthAssignment(2, {0: [1, 1, 2]}), ValidateError,
+     "arc 0 is not a (wavelength, f_out, f_in) tuple"),
+    (lambda: WavelengthAssignment(2, {0: (1, 1)}), ValidateError,
+     "arc 0 is not a (wavelength, f_out, f_in) tuple"),
+    (lambda: WavelengthAssignment(2.5, {0: (1, 1, 2)}), ValidateError,
+     "fibre count must be an int"),
+    (lambda: WavelengthAssignment(0, {}), ValidateError, "fibre count must be positive"),
+    (lambda: CyclicInterval(4, 1.5, 2), BadParamsError, "start must be an int"),
+    (lambda: CyclicInterval(4.0, 1, 2), BadParamsError, "modulus must be an int"),
+    (lambda: CyclicInterval(4, 1, True), BadParamsError, "length must be an int"),
+    (lambda: fibre_colouring_acyclic(PATH, 2.0), BadParamsError,
+     "fibre count must be an int"),
+    (lambda: fibre_colouring_acyclic(PATH, True), BadParamsError,
+     "fibre count must be an int"),
+    (lambda: fibre_colouring_smallm(PATH, 3.0), BadParamsError,
+     "fibre count must be an int"),
+    (lambda: exact_lambda_n(PATH, 1.5), ValidateError,
+     "fibre count must be an int"),
+    (lambda: exact_dst(PATH.underlying, arc_limit=True), BadParamsError,
+     "arc_limit must be an int"),
+    (lambda: exact_dst(PATH.underlying, colour_cap=2.5), BadParamsError,
+     "colour_cap must be an int or None"),
+    (lambda: exact_lambda_n(PATH, 1, colour_cap=2.5), BadParamsError,
+     "colour_cap must be an int or None"),
+    (lambda: exact_lambda_n(PATH, 1, arc_limit=40.0), BadParamsError,
+     "arc_limit must be an int"),
+], ids=["digraph-float-head", "labelled-float-label", "first-arc-named",
+        "labelled-bool-tail", "digraph-triple", "labelled-pair", "digraph-flat",
+        "colour-float", "colour-bool", "colour-count-float", "colour-count-negative",
+        "fibre-colour-float", "fibre-count-float", "wavelength-float",
+        "fibre-out-bool", "wavelength-list", "wavelength-pair",
+        "wavelength-fibre-count-float", "wavelength-fibre-count-zero",
+        "interval-start-float", "interval-modulus-float", "interval-length-bool",
+        "fibre-acyclic-float", "fibre-acyclic-bool", "fibre-smallm-float",
+        "exact-lambda-float", "exact-dst-bool-limit", "exact-dst-float-cap",
+        "exact-lambda-float-cap", "exact-lambda-float-limit"])
+def test_entries_and_parameters_must_be_plain_ints(make, error, message):
+    # one rule per entry, checked in one pass: a plain int (no bool) in
+    # its range; the error names the arc or field, and a count takes the
+    # class its site raises for a count below its least value
+    with pytest.raises(error) as info:
+        make()
+    assert str(info.value) == message
