@@ -33,13 +33,10 @@ _EXPORTS = {
     "digraph": ("DegreeProfile", "Digraph", "LabelledDigraph", "degree_profile",
                 "find_circuit_arcs", "is_acyclic", "strong_components",
                 "topological_order"),
-    "errors": ("AboveCapError", "BadListsError", "BadParamsError",
-               "BadShapeError", "CyclicError", "DegreeTooHighError",
-               "GalaxiaError", "HasDigonError", "InfeasibleError",
-               "InternalDefectError", "InvalidColouringError",
-               "NoApplicableAlgorithmError", "NotCubicError", "NotSimpleError",
-               "NotSubcubicError", "ParseError", "PreconditionViolatedError",
-               "SizeOverflowError", "TooLargeError", "ValidateError"),
+    "errors": ("AboveCapError", "BadParamsError", "CyclicError", "GalaxiaError",
+               "InfeasibleError", "InternalDefectError", "InvalidColouringError",
+               "NoApplicableAlgorithmError", "ParseError",
+               "PreconditionViolatedError", "TooLargeError", "ValidateError"),
     "fibre": ("FibreColouring", "FibreViolation", "WavelengthAssignment",
               "WavelengthViolation", "expand_to_wavelength_assignment",
               "fibre_colouring_acyclic", "fibre_colouring_smallm",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .colouring import ArcColouring
 from .digraph import Digraph, _map_cycles, _require_simple, degree_profile
-from .errors import HasDigonError, InternalDefectError, NotSubcubicError
+from .errors import InternalDefectError, PreconditionViolatedError
 from .subcubic import _FULL_MASK, _brooks, _extension_engine
 
 
@@ -28,10 +28,10 @@ def acircuitic_colouring(d: Digraph) -> ArcColouring:
     """
     _require_simple(d, "needs a simple digraph")
     if d.has_digon():
-        raise HasDigonError("digraph has a digon")
+        raise PreconditionViolatedError("digraph has a digon")
     profile = degree_profile(d)
     if profile.max_degree > 3:
-        raise NotSubcubicError(
+        raise PreconditionViolatedError(
             f"maximum degree {profile.max_degree} exceeds three")
 
     in_v2 = [profile.outdegree[v] >= 2 for v in range(d.vertex_count)]

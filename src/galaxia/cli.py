@@ -39,10 +39,8 @@ from contextlib import contextmanager
 
 from .colouring import ArcColouring
 from .digraph import Digraph, LabelledDigraph
-from .errors import (AboveCapError, CyclicError, DegreeTooHighError,
-                     GalaxiaError, HasDigonError, InternalDefectError,
+from .errors import (AboveCapError, GalaxiaError, InternalDefectError,
                      InvalidColouringError, NoApplicableAlgorithmError,
-                     NotSimpleError, NotSubcubicError,
                      PreconditionViolatedError)
 from .fileio import (read_colouring, read_digraph, read_wavelengths,
                      write_colouring, write_digraph, write_wavelengths)
@@ -377,8 +375,7 @@ def main(argv: list[str] | None = None) -> int:
     except NoApplicableAlgorithmError as exc:
         print(f"no applicable algorithm: {exc}", file=sys.stderr)
         return 3
-    except (CyclicError, NotSubcubicError, DegreeTooHighError, HasDigonError,
-            NotSimpleError, PreconditionViolatedError) as exc:
+    except PreconditionViolatedError as exc:
         print(f"algorithm does not apply: {exc}", file=sys.stderr)
         return 3
     except (AboveCapError, InvalidColouringError) as exc:

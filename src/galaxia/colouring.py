@@ -44,7 +44,7 @@ def _frozen_colours(colour: Mapping[int, int], top: int) -> Mapping[int, int]:
     once top is a count and every colour a plain int (no bool) in 1..top; the
     loop runs only when `ints_within` fails, to name the first arc that is not."""
     _check_count("colour_count", top, 0)
-    colour = MappingProxyType(dict(colour))
+    colour = _read_only("colour", colour)
     if not ints_within(colour.values(), 1, top):
         for arc, c in colour.items():
             if type(c) is not int:
@@ -52,6 +52,15 @@ def _frozen_colours(colour: Mapping[int, int], top: int) -> Mapping[int, int]:
             if not 1 <= c <= top:
                 raise ValidateError(f"arc {arc} has colour {c} outside 1..{top}")
     return colour
+
+
+def _read_only(name: str, mapping) -> Mapping:
+    """A read-only copy of `mapping`, the field `name` of a value type; a
+    ValidateError names the field when dict() cannot read it."""
+    try:
+        return MappingProxyType(dict(mapping))
+    except (TypeError, ValueError):
+        raise ValidateError(f"{name} must be a mapping") from None
 
 
 def ints_within(values, low: int, high: int) -> bool:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .digraph import Digraph, LabelledDigraph, degree_profile
 from .errors import (BadParamsError, InfeasibleError, InternalDefectError,
-                     SizeOverflowError)
+                     TooLargeError)
 from .oracle import _check_cubic, _conflict_lists
 
 ARC_BUDGET = 1_000_000
@@ -48,7 +48,7 @@ def gnmk_sizes(n: int, m: int, k: int, y_cap: int | None = None) -> GnmkSizes:
     _check_gnmk_params(n, m, k, y_cap)
     exponent = (m + 1) * k
     if exponent > _MAX_EXPONENT:
-        raise SizeOverflowError(
+        raise TooLargeError(
             f"G_{{{n},{m},{k}}} has |Y| = {k}*2^{exponent}, beyond any budget")
     full_y = k * (1 << exponent)
     y = full_y if y_cap is None else min(full_y, y_cap)
@@ -57,11 +57,22 @@ def gnmk_sizes(n: int, m: int, k: int, y_cap: int | None = None) -> GnmkSizes:
     return GnmkSizes(k, y, z, arcs, y < full_y)
 
 
+def _check_ints(**counts: object) -> None:
+    """Raise BadParamsError naming the first count that is not a plain
+    int (a bool is refused), before any range is checked."""
+    for name, value in counts.items():
+        if type(value) is not int:
+            raise BadParamsError(f"{name} must be an int")
+
+
 def _check_gnmk_params(n: int, m: int, k: int, y_cap: int | None) -> None:
+    _check_ints(n=n, m=m, k=k)
     if n < 1 or m < 1 or k < 1:
         raise BadParamsError(f"need n,m,k >= 1, got ({n},{m},{k})")
-    if y_cap is not None and y_cap < 1:
-        raise BadParamsError(f"y_cap must be positive, got {y_cap}")
+    if y_cap is not None:
+        _check_ints(y_cap=y_cap)
+        if y_cap < 1:
+            raise BadParamsError(f"y_cap must be positive, got {y_cap}")
 
 
 def extremal_gnmk(n: int, m: int, k: int, y_cap: int | None = None,
@@ -75,13 +86,13 @@ def extremal_gnmk(n: int, m: int, k: int, y_cap: int | None = None,
     vertex outside X has indegree exactly k.
 
     Full sizes explode immediately, so without y_cap anything beyond
-    arc_budget raises SizeOverflowError; y_cap truncates Y (and with it
+    arc_budget raises TooLargeError; y_cap truncates Y (and with it
     the Z layer) to a reduced probe instance.
     """
     sizes = gnmk_sizes(n, m, k, y_cap)
     if sizes.arcs > arc_budget:
         hint = "" if y_cap is not None else "; pass y_cap for a reduced variant"
-        raise SizeOverflowError(
+        raise TooLargeError(
             f"G_{{{n},{m},{k}}} needs {sizes.arcs} arcs, budget is {arc_budget}{hint}")
     y_base = sizes.x
     z_base = y_base + sizes.y
@@ -247,6 +258,7 @@ def triangle_multidigraph(multiplicity: int) -> Digraph:
     """Directed triangle with every arc repeated; needs 3*multiplicity
     galaxies since parallel arcs share a head and consecutive blocks
     collide pairwise."""
+    _check_ints(multiplicity=multiplicity)
     if multiplicity < 1:
         raise BadParamsError(f"multiplicity must be positive, got {multiplicity}")
     arcs = []
@@ -282,6 +294,7 @@ def random_digraph(n: int, in_cap: int, out_cap: int, seed: int) -> Digraph:
     (Infeasible when n is too small for that); a zero cap on either
     side forces the arcless digraph.
     """
+    _check_ints(n=n, in_cap=in_cap, out_cap=out_cap)
     if n < 1 or in_cap < 0 or out_cap < 0:
         raise BadParamsError(f"bad parameters n={n}, caps=({in_cap},{out_cap})")
     if in_cap == 0 or out_cap == 0:
@@ -311,6 +324,7 @@ def random_digraph(n: int, in_cap: int, out_cap: int, seed: int) -> Digraph:
 
 def _random_subcubic(n: int, seed: int, oriented: bool) -> Digraph:
     """Three shuffled stubs per vertex, paired off in consecutive twos."""
+    _check_ints(n=n)
     if n < 1:
         raise BadParamsError(f"need n >= 1, got {n}")
     stubs = [v for v in range(n) for _ in range(3)]
@@ -334,6 +348,7 @@ def random_labelled_dag(n: int, m: int, k: int, seed: int) -> LabelledDigraph:
     Arcs respect a hidden random topological order; the last vertex in
     that order attains indegree min(k, n-1) so the bound is tight.
     """
+    _check_ints(n=n, m=m, k=k)
     if n < 1 or m < 1 or k < 0:
         raise BadParamsError(f"bad parameters n={n}, m={m}, k={k}")
     rng = random.Random(seed)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import cached_property
 from operator import attrgetter, itemgetter
 
-from .errors import CyclicError, NotSimpleError, ValidateError
+from .errors import CyclicError, PreconditionViolatedError, ValidateError
 
 Arc = tuple[int, int]
 
@@ -187,9 +187,13 @@ def _check_arcs(vertex_count: int, arcs,
     (tail, head) pair, or a (tail, head, label) triple when label_count
     is given, of plain ints (no bool) with distinct ends in range, a label
     in 1..label_count and no triple repeated.  A ValidateError names the
-    first arc that fails."""
+    first arc that fails, or the arcs when they are not iterable."""
     width = 2 if label_count is None else 3
     stored, seen = [], set()
+    try:
+        arcs = iter(arcs)
+    except TypeError:
+        raise ValidateError("arcs must be iterable") from None
     for i, arc in enumerate(arcs):
         if type(arc) is not tuple:  # a list, say, is stored as a tuple
             arc = tuple(arc) if hasattr(arc, "__iter__") else ()
@@ -215,9 +219,9 @@ def _check_arcs(vertex_count: int, arcs,
 
 
 def _require_simple(d: Digraph, message: str) -> None:
-    """Raise NotSimpleError(message) when an arc of d repeats another."""
+    """Raise PreconditionViolatedError(message) when an arc of d repeats another."""
     if len(set(d.arcs)) != d.arc_count:
-        raise NotSimpleError(message)
+        raise PreconditionViolatedError(message)
 
 
 class DegreeProfile(_Frozen):

@@ -4,7 +4,9 @@ Parsing problems carry the 1-based line number of the offending input
 line, or line 0 when the fault is the whole input's (no problem line);
 everything structural that spans several lines (duplicate arcs, bad
 header counts) is a ValidateError instead, so callers can tell "fix the
-line" apart from "fix the file".
+line" apart from "fix the file".  Each class is one way a call fails, so
+`cli.main` maps each to one exit code; a theorem's hypothesis failing on
+its input is always a PreconditionViolatedError.
 """
 
 from __future__ import annotations
@@ -29,11 +31,20 @@ class ValidateError(GalaxiaError):
         self.reason = reason
 
 
-class NotSimpleError(GalaxiaError):
-    """An operation restricted to simple digraphs found parallel arcs."""
+class InfeasibleError(GalaxiaError):
+    """The requested object provably does not exist for this input."""
 
 
-class CyclicError(GalaxiaError):
+class PreconditionViolatedError(GalaxiaError):
+    """The input lies outside the class of digraphs an operation's
+    theorem or lemma covers: parallel arcs where it needs a simple
+    digraph, a circuit, a digon, a degree above its bound, a digraph
+    that is not one circuit, or colour lists outside its contract.  The
+    message names the hypothesis that fails; the CLI exits 3.
+    """
+
+
+class CyclicError(PreconditionViolatedError):
     """Raised when an operation requires an acyclic digraph.
 
     Carries a witness circuit: vertices c0..c_{l-1}, distinct, with an
@@ -45,48 +56,13 @@ class CyclicError(GalaxiaError):
         self.circuit = tuple(circuit)
 
 
-class NotSubcubicError(GalaxiaError):
-    """An operation restricted to digraphs with max degree 3 got more."""
-
-
-class DegreeTooHighError(GalaxiaError):
-    """An operation requiring max in- and outdegree 2 got more."""
-
-
-class HasDigonError(GalaxiaError):
-    """An operation restricted to oriented graphs found a digon."""
-
-
-class NotCubicError(GalaxiaError):
-    """An operation on undirected graphs requires 3-regularity."""
-
-
-class BadShapeError(GalaxiaError):
-    """A digraph does not have the shape an operation needs."""
-
-
-class BadListsError(GalaxiaError):
-    """A list assignment violates the size contract of an operation."""
-
-
-class InfeasibleError(GalaxiaError):
-    """The requested object provably does not exist for this input."""
-
-
-class PreconditionViolatedError(GalaxiaError):
-    """A documented precondition of a constructive lemma does not hold."""
-
-
 class BadParamsError(GalaxiaError):
     """Parameters outside an operation's documented domain."""
 
 
-class SizeOverflowError(GalaxiaError):
-    """A requested construction would exceed hard size limits."""
-
-
 class TooLargeError(GalaxiaError):
-    """Instance exceeds the hard cap of an exact solver."""
+    """An instance exceeds the hard cap of an exact solver, or a
+    construction would exceed its size budget."""
 
 
 class AboveCapError(GalaxiaError):

@@ -26,7 +26,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .colouring import _Mapped, _frozen_colours, arc_values
+from .colouring import _Mapped, _frozen_colours, _read_only, arc_values
 from .digraph import _MEMO_CAP, LabelledDigraph, _check_count, _pattern_sweep
 from .errors import (BadParamsError, InternalDefectError, InvalidColouringError,
                      ValidateError)
@@ -67,7 +67,7 @@ class WavelengthAssignment(_Mapped):
     def __init__(self, n: int,
                  triple: Mapping[int, tuple[int, int, int]]) -> None:
         _check_count("fibre count", n, 1)
-        vars(self).update(n=n, triple=MappingProxyType(dict(triple)))
+        vars(self).update(n=n, triple=_read_only("triple", triple))
         for arc, entries in self.triple.items():
             if type(entries) is not tuple or len(entries) != 3:
                 raise ValidateError(f"arc {arc} is not a (wavelength, f_out, f_in) tuple")

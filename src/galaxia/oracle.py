@@ -18,8 +18,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 from .colouring import ArcColouring, arc_values
 from .digraph import Digraph, LabelledDigraph, _check_count, _map_cycles
 from .errors import (AboveCapError, BadParamsError, InternalDefectError,
-                     InvalidColouringError, NotCubicError, TooLargeError,
-                     ValidateError)
+                     InvalidColouringError, TooLargeError, ValidateError)
 
 if TYPE_CHECKING:
     from .fibre import FibreColouring  # unreached: type checkers only
@@ -338,11 +337,16 @@ def _bicoloured_circuit(d: Digraph, colouring: ArcColouring,
 def _check_cubic(vertex_count: int, edges: Iterable[tuple[int, int]],
                  ) -> list[tuple[int, int]]:
     """The edges as (low, high) pairs in input order, after checking that
-    they form a simple 3-regular graph on 0..vertex_count-1."""
+    they form a simple 3-regular graph on 0..vertex_count-1 whose edge
+    ends are plain ints (no bool)."""
+    _check_count("vertex_count", vertex_count, 0)
     out: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     degree = [0] * vertex_count
-    for u, v in edges:
+    for i, (u, v) in enumerate(edges):
+        for end in u, v:
+            if type(end) is not int:
+                raise ValidateError(f"edge {i} entry {end!r} is not an int")
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise ValidateError(f"edge ({u},{v}) outside 0..{vertex_count - 1}")
         if u == v:
@@ -355,7 +359,7 @@ def _check_cubic(vertex_count: int, edges: Iterable[tuple[int, int]],
         degree[v] += 1
         out.append(key)
     if any(deg != 3 for deg in degree):
-        raise NotCubicError("graph is not 3-regular")
+        raise ValidateError("graph is not 3-regular")
     return out
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from .colouring import ArcColouring
 from .digraph import Digraph, _require_simple, degree_profile
-from .errors import DegreeTooHighError, InternalDefectError
+from .errors import InternalDefectError, PreconditionViolatedError
 from .subcubic import _colour_subcubic
 
 
@@ -185,7 +185,7 @@ def dst4_colouring(d: Digraph) -> ArcColouring:
     """
     profile = degree_profile(d)
     if profile.max_indegree > 2 or profile.max_outdegree > 2:
-        raise DegreeTooHighError(
+        raise PreconditionViolatedError(
             f"in/outdegrees ({profile.max_indegree}, {profile.max_outdegree})"
             " exceed two")
     _require_simple(d, "needs a simple digraph")

@@ -14,14 +14,8 @@ from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 from .colouring import ArcColouring
 from .digraph import (Digraph, _map_cycles, _require_simple, degree_profile,
                       strong_components)
-from .errors import (
-    BadListsError,
-    BadShapeError,
-    InfeasibleError,
-    InternalDefectError,
-    NotSubcubicError,
-    PreconditionViolatedError,
-)
+from .errors import (InfeasibleError, InternalDefectError,
+                     PreconditionViolatedError)
 
 COLOURS = (1, 2, 3)
 FULL = frozenset(COLOURS)
@@ -227,20 +221,20 @@ def lemma_cycle_colouring(circuit: Digraph,
     """
     n = circuit.vertex_count
     if n == 0 or circuit.arc_count == 0:
-        raise BadShapeError("empty digraph is not a circuit")
+        raise PreconditionViolatedError("empty digraph is not a circuit")
     for v in range(n):
         if len(circuit.in_arcs[v]) != 1 or len(circuit.out_arcs[v]) != 1:
-            raise BadShapeError(
+            raise PreconditionViolatedError(
                 f"vertex {v} has degrees other than one in and one out")
     if len(strong_components(circuit)) > 1:
-        raise BadShapeError("digraph is a union of several circuits")
+        raise PreconditionViolatedError("digraph is a union of several circuits")
     lists = []
     for v in range(n):
         if v not in vertex_lists:
-            raise BadListsError(f"vertex {v} has no list")
+            raise PreconditionViolatedError(f"vertex {v} has no list")
         lst = set(vertex_lists[v])
         if len(lst) != 2 or not lst <= FULL:
-            raise BadListsError(
+            raise PreconditionViolatedError(
                 f"vertex {v} needs exactly two colours from 1..3")
         lists.append(sum(1 << c for c in lst))
 
@@ -807,12 +801,13 @@ def star_colouring_subcubic(d: Digraph) -> ArcColouring:
     """Directed star colouring with at most three colours.
 
     Works for any digraph whose total degree is at most three at
-    every vertex; raises NotSubcubicError otherwise.
+    every vertex; raises PreconditionViolatedError otherwise, and for
+    parallel arcs.
     """
     _require_simple(d, "needs a simple digraph")
     profile = degree_profile(d)
     if profile.max_degree > 3:
-        raise NotSubcubicError(
+        raise PreconditionViolatedError(
             f"maximum total degree {profile.max_degree} exceeds three")
     colours = _colour_subcubic(d)
     return ArcColouring(dict(enumerate(colours)), 3 if d.arc_count else 0)

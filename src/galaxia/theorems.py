@@ -54,9 +54,10 @@ def solve(ld: LabelledDigraph, fibres: int | None = None,
 
     Raises BadParamsError for an ld that is no LabelledDigraph, an
     unknown algorithm or a fibre count that is no positive integer,
-    NoApplicableAlgorithmError or the theorem's precondition error when
-    the theorem does not cover ld, and InternalDefectError when the
-    output fails its verdict."""
+    NoApplicableAlgorithmError when no theorem covers ld,
+    PreconditionViolatedError (CyclicError for a circuit) when the
+    theorem run finds its hypothesis false, and InternalDefectError
+    when the output fails its verdict."""
     if not isinstance(ld, LabelledDigraph):
         raise BadParamsError(f"solve takes a LabelledDigraph, got {type(ld).__name__}")
     if algorithm not in _STAR_ALGORITHMS:

@@ -5,8 +5,7 @@ from hypothesis import given, strategies as st
 from galaxia import (
     ArcColouring,
     Digraph,
-    HasDigonError,
-    NotSubcubicError,
+    PreconditionViolatedError,
     acircuitic_colouring,
     find_bicoloured_circuit,
     random_oriented_subcubic,
@@ -96,12 +95,13 @@ def test_acircuitic_tree_orientation():
 
 
 def test_acircuitic_rejects_digon():
-    with pytest.raises(HasDigonError):
+    with pytest.raises(PreconditionViolatedError, match=r"^digraph has a digon$"):
         acircuitic_colouring(Digraph(2, ((0, 1), (1, 0))))
 
 
 def test_acircuitic_rejects_high_degree():
-    with pytest.raises(NotSubcubicError):
+    with pytest.raises(PreconditionViolatedError,
+                       match=r"^maximum degree 4 exceeds three$"):
         acircuitic_colouring(Digraph(5, ((0, 4), (1, 4), (2, 4), (3, 4))))
 
 

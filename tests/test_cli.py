@@ -25,7 +25,7 @@ from galaxia import (CUBIC_GRAPHS, ArcColouring, CyclicInterval, FibreColouring,
                      LabelledDigraph, WavelengthAssignment, digraph, fibre,
                      read_colouring, read_digraph, read_wavelengths,
                      write_digraph)
-from galaxia import cli, fileio
+from galaxia import cli, errors, fileio
 from galaxia.cli import main
 
 
@@ -619,6 +619,43 @@ def test_solve_explicit_algorithm_outside_its_theorem_exits_3(
         tmp_path, capsys, make, flags, err):
     assert main(["solve", make(tmp_path), *flags]) == 3
     assert capsys.readouterr() == ("", err)
+
+
+# Per error class: the exit code of `galaxia` and the prefix of its
+# standard error line; a class without a row fails the test below.
+EXIT_BY_CLASS = {
+    "InternalDefectError": (4, "internal defect: "),
+    "NoApplicableAlgorithmError": (3, "no applicable algorithm: "),
+    "PreconditionViolatedError": (3, "algorithm does not apply: "),
+    "CyclicError": (3, "algorithm does not apply: "),
+    "AboveCapError": (1, ""),
+    "InvalidColouringError": (1, ""),
+    "GalaxiaError": (2, "error: "),
+    "ParseError": (2, "error: "),
+    "ValidateError": (2, "error: "),
+    "InfeasibleError": (2, "error: "),
+    "BadParamsError": (2, "error: "),
+    "TooLargeError": (2, "error: "),
+}
+# The constructor arguments of the classes that take no plain message.
+ERROR_ARGS = {"ParseError": (3, "why"), "CyclicError": ((0, 1, 2),),
+              "AboveCapError": (2, "why")}
+
+
+def test_every_error_class_has_one_exit_code(monkeypatch, capsys):
+    classes = [value for value in vars(errors).values() if isinstance(value, type)
+               and issubclass(value, errors.GalaxiaError)]
+    assert sorted(cls.__name__ for cls in classes) == sorted(EXIT_BY_CLASS)
+    for cls in classes:
+        exc = cls(*ERROR_ARGS.get(cls.__name__, ("why",)))
+
+        def failing(path, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "_read_instance", failing)
+        code, prefix = EXIT_BY_CLASS[cls.__name__]
+        assert main(["solve", "in.dsa"]) == code, cls
+        assert capsys.readouterr() == ("", f"{prefix}{exc}\n"), cls
 
 
 def test_exact_dst(tmp_path, capsys):

@@ -11,8 +11,8 @@ from galaxia import (
     CUBIC_GRAPHS,
     GnmkSizes,
     InfeasibleError,
-    NotCubicError,
-    SizeOverflowError,
+    TooLargeError,
+    ValidateError,
     degree_profile,
     edge_colouring_3regular,
     exact_dst,
@@ -67,6 +67,27 @@ def test_random_generators_reject_bad_params():
         random_labelled_dag(1, 0, 1, 0)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: random_digraph(5.0, 1, 1, 0), "n must be an int"),
+    (lambda: random_digraph(5, True, 1, 0), "in_cap must be an int"),
+    (lambda: random_subcubic(5.5, 0), "n must be an int"),
+    (lambda: random_oriented_subcubic(True, 0), "n must be an int"),
+    (lambda: random_labelled_dag(5, 2, True, 0), "k must be an int"),
+    (lambda: triangle_multidigraph(1.5), "multiplicity must be an int"),
+    (lambda: triangle_multidigraph(True), "multiplicity must be an int"),
+    (lambda: gnmk_sizes(1, 1.5, 1), "m must be an int"),
+    (lambda: gnmk_sizes(1, 1, 1, y_cap=2.5), "y_cap must be an int"),
+    (lambda: extremal_gnmk(1, 1, True), "k must be an int"),
+], ids=["random-float-n", "random-bool-cap", "subcubic-float-n",
+        "oriented-bool-n", "dag-bool-k", "triangle-float", "triangle-bool",
+        "gnmk-float-m", "gnmk-float-y-cap", "extremal-bool-k"])
+def test_generator_counts_must_be_plain_ints(make, message):
+    # refused before any range check, by the class a count out of range
+    # takes
+    with pytest.raises(BadParamsError, match=f"^{message}$"):
+        make()
+
+
 def test_gnmk_params_rejected():
     with pytest.raises(BadParamsError):
         gnmk_sizes(0, 1, 1)
@@ -75,7 +96,8 @@ def test_gnmk_params_rejected():
 
 
 def test_gnmk_exponent_guard():
-    with pytest.raises(SizeOverflowError):
+    with pytest.raises(TooLargeError,
+                       match=r"^G_\{1,5000,2\} has \|Y\| = 2\*2\^10002, beyond any budget$"):
         gnmk_sizes(1, 5000, 2)
 
 
@@ -103,12 +125,11 @@ def test_extremal_gnmk_reduced_still_tight():
 
 
 def test_extremal_gnmk_budget():
-    with pytest.raises(SizeOverflowError) as info:
+    with pytest.raises(TooLargeError, match=r"^G_\{2,2,2\} needs \d+ arcs,"
+                       r" budget is 10; pass y_cap for a reduced variant$"):
         extremal_gnmk(2, 2, 2, arc_budget=10)
-    assert "y_cap" in str(info.value)
-    with pytest.raises(SizeOverflowError) as capped:
+    with pytest.raises(TooLargeError, match=r"^G_\{2,2,2\} needs \d+ arcs, budget is 10$"):
         extremal_gnmk(2, 2, 2, y_cap=100, arc_budget=10)
-    assert "y_cap" not in str(capped.value)
 
 
 def test_gadget_certificate():
@@ -198,7 +219,7 @@ def test_reduction_is_linear_time():
 
 
 def test_reduction_rejects_non_cubic():
-    with pytest.raises(NotCubicError):
+    with pytest.raises(ValidateError, match=r"^graph is not 3-regular$"):
         np_reduction(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
 
 

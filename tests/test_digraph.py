@@ -1,5 +1,6 @@
 """Data model and basic graph machinery."""
 import random
+import re
 from heapq import heapify, heappop, heappush
 
 import pytest
@@ -9,7 +10,7 @@ from galaxia import (
     CyclicError,
     Digraph,
     LabelledDigraph,
-    NotSimpleError,
+    PreconditionViolatedError,
     ValidateError,
     acircuitic_colouring,
     degree_profile,
@@ -77,9 +78,8 @@ def test_a_digraph_may_repeat_arcs():
     (dst4_colouring, "needs a simple digraph"),
 ], ids=["2k1", "subcubic", "extension", "acircuitic", "dst4"])
 def test_simple_only_theorems_refuse_a_repeated_arc(solve, message):
-    with pytest.raises(NotSimpleError) as info:
+    with pytest.raises(PreconditionViolatedError, match=f"^{re.escape(message)}$"):
         solve(Digraph(2, ((0, 1), (0, 1))))
-    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("make, message", [

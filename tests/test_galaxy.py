@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 import galaxia
 from galaxia import (
     Digraph,
-    NotSimpleError,
+    PreconditionViolatedError,
     ValidateError,
     degree_profile,
     dst_upper_2k1,
@@ -105,7 +105,7 @@ def test_2k1_galaxy_input():
 
 def test_2k1_rejects_true_parallel_arcs():
     # a solver's verdict on its input, so no ValidateError
-    with pytest.raises(NotSimpleError,
+    with pytest.raises(PreconditionViolatedError,
                        match=r"^2k\+1 colouring needs a simple digraph$") as caught:
         dst_upper_2k1(Digraph(2, ((0, 1), (0, 1))))
     assert not isinstance(caught.value, ValidateError)

@@ -15,7 +15,6 @@ from galaxia import (
     FibreColouring,
     InvalidColouringError,
     LabelledDigraph,
-    NotCubicError,
     StarViolation,
     TooLargeError,
     ValidateError,
@@ -26,6 +25,7 @@ from galaxia import (
     find_bicoloured_circuit,
     from_class_list,
     is_acyclic,
+    np_reduction,
     oracle,
     random_digraph,
     triangle_multidigraph,
@@ -426,7 +426,7 @@ def test_edge_colouring_petersen_infeasible():
 
 
 def test_edge_colouring_rejects_non_cubic():
-    with pytest.raises(NotCubicError):
+    with pytest.raises(ValidateError, match=r"^graph is not 3-regular$"):
         edge_colouring_3regular(3, [(0, 1), (1, 2), (0, 2)])
 
 
@@ -438,6 +438,22 @@ def test_edge_colouring_rejects_non_cubic():
 def test_edge_colouring_rejects_bad_edges(edges, message):
     with pytest.raises(ValidateError, match=f"^{re.escape(message)}$"):
         edge_colouring_3regular(4, edges)
+
+
+K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+@pytest.mark.parametrize("vertex_count, edges, message", [
+    (4, [(0, 1.0)] + K4_EDGES[1:], "edge 0 entry 1.0 is not an int"),
+    (4, [(0, True)] + K4_EDGES[1:], "edge 0 entry True is not an int"),
+    (4.0, K4_EDGES, "vertex_count must be an int"),
+], ids=["float-end", "bool-end", "float-count"])
+def test_cubic_graph_entries_must_be_plain_ints(vertex_count, edges, message):
+    # the edge checks behind both the exact edge colouring and the
+    # hardness reduction
+    for make in (edge_colouring_3regular, np_reduction):
+        with pytest.raises(ValidateError, match=f"^{re.escape(message)}$"):
+            make(vertex_count, edges)
 
 
 def test_exact_lambda_rejects_bad_fibres_and_large_input():

@@ -205,6 +205,12 @@ PATH = LabelledDigraph(3, 2, ((0, 1, 1), (1, 2, 2)))
      "colour_cap must be an int or None"),
     (lambda: exact_lambda_n(PATH, 1, arc_limit=40.0), BadParamsError,
      "arc_limit must be an int"),
+    (lambda: Digraph(3, None), ValidateError, "arcs must be iterable"),
+    (lambda: LabelledDigraph(3, 1, 5), ValidateError, "arcs must be iterable"),
+    (lambda: ArcColouring(None, 1), ValidateError, "colour must be a mapping"),
+    (lambda: ArcColouring([(0, 1, 1)], 1), ValidateError, "colour must be a mapping"),
+    (lambda: FibreColouring(1, None, 1), ValidateError, "colour must be a mapping"),
+    (lambda: WavelengthAssignment(1, None), ValidateError, "triple must be a mapping"),
 ], ids=["digraph-float-head", "labelled-float-label", "first-arc-named",
         "labelled-bool-tail", "digraph-triple", "labelled-pair", "digraph-flat",
         "colour-float", "colour-bool", "colour-count-float", "colour-count-negative",
@@ -214,7 +220,9 @@ PATH = LabelledDigraph(3, 2, ((0, 1, 1), (1, 2, 2)))
         "interval-start-float", "interval-modulus-float", "interval-length-bool",
         "fibre-acyclic-float", "fibre-acyclic-bool", "fibre-smallm-float",
         "exact-lambda-float", "exact-dst-bool-limit", "exact-dst-float-cap",
-        "exact-lambda-float-cap", "exact-lambda-float-limit"])
+        "exact-lambda-float-cap", "exact-lambda-float-limit", "digraph-arcs-none",
+        "labelled-arcs-int", "colour-none", "colour-triples", "fibre-colour-none",
+        "wavelength-triple-none"])
 def test_entries_and_parameters_must_be_plain_ints(make, error, message):
     # one rule per entry, checked in one pass: a plain int (no bool) in
     # its range; the error names the arc or field, and a count takes the
