@@ -66,6 +66,10 @@ def star_colouring_acyclic(d: Digraph,
                                    lambda starts: lemma(k, starts))
     intervals = [CyclicInterval(modulus=p, start=s, length=k)
                  for s in range(1, p + 1)]
-    # keyed by the order's own ints, which the digraph keeps anyway
-    recorded = {v: intervals[state[v][0] - 1] for v in topological_order(d)}
+    # in vertex order, so the verdict and the writer sort sorted keys,
+    # and keyed by the order's own ints, which the digraph keeps anyway
+    vertices = [0] * d.vertex_count
+    for v in topological_order(d):
+        vertices[v] = v
+    recorded = {v: intervals[state[v][0] - 1] for v in vertices}
     return ArcColouring(colour, p), recorded

@@ -58,8 +58,8 @@ def gnmk_sizes(n: int, m: int, k: int, y_cap: int | None = None) -> GnmkSizes:
 
 
 def _check_ints(**counts: object) -> None:
-    """Raise BadParamsError naming the first count that is not a plain
-    int (a bool is refused), before any range is checked."""
+    """Raise BadParamsError naming the first count, seed or budget that
+    is not a plain int (a bool is refused), before any range is checked."""
     for name, value in counts.items():
         if type(value) is not int:
             raise BadParamsError(f"{name} must be an int")
@@ -89,6 +89,7 @@ def extremal_gnmk(n: int, m: int, k: int, y_cap: int | None = None,
     arc_budget raises TooLargeError; y_cap truncates Y (and with it
     the Z layer) to a reduced probe instance.
     """
+    _check_ints(arc_budget=arc_budget)
     sizes = gnmk_sizes(n, m, k, y_cap)
     if sizes.arcs > arc_budget:
         hint = "" if y_cap is not None else "; pass y_cap for a reduced variant"
@@ -294,7 +295,7 @@ def random_digraph(n: int, in_cap: int, out_cap: int, seed: int) -> Digraph:
     (Infeasible when n is too small for that); a zero cap on either
     side forces the arcless digraph.
     """
-    _check_ints(n=n, in_cap=in_cap, out_cap=out_cap)
+    _check_ints(n=n, in_cap=in_cap, out_cap=out_cap, seed=seed)
     if n < 1 or in_cap < 0 or out_cap < 0:
         raise BadParamsError(f"bad parameters n={n}, caps=({in_cap},{out_cap})")
     if in_cap == 0 or out_cap == 0:
@@ -324,7 +325,7 @@ def random_digraph(n: int, in_cap: int, out_cap: int, seed: int) -> Digraph:
 
 def _random_subcubic(n: int, seed: int, oriented: bool) -> Digraph:
     """Three shuffled stubs per vertex, paired off in consecutive twos."""
-    _check_ints(n=n)
+    _check_ints(n=n, seed=seed)
     if n < 1:
         raise BadParamsError(f"need n >= 1, got {n}")
     stubs = [v for v in range(n) for _ in range(3)]
@@ -348,7 +349,7 @@ def random_labelled_dag(n: int, m: int, k: int, seed: int) -> LabelledDigraph:
     Arcs respect a hidden random topological order; the last vertex in
     that order attains indegree min(k, n-1) so the bound is tight.
     """
-    _check_ints(n=n, m=m, k=k)
+    _check_ints(n=n, m=m, k=k, seed=seed)
     if n < 1 or m < 1 or k < 0:
         raise BadParamsError(f"bad parameters n={n}, m={m}, k={k}")
     rng = random.Random(seed)

@@ -11,7 +11,7 @@ and never exposed mutably.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from operator import add, attrgetter, itemgetter
 
 from .errors import CyclicError, PreconditionViolatedError, ValidateError
 
@@ -80,7 +80,7 @@ class Digraph(_Frozen):
         buckets: list[list[int]] = [[] for _ in range(self.vertex_count)]
         for i, (tail, _) in enumerate(self.arcs):
             buckets[tail].append(i)
-        return tuple(tuple(b) for b in buckets)
+        return tuple(map(tuple, buckets))
 
     @cached_property
     def in_arcs(self) -> tuple[tuple[int, ...], ...]:
@@ -88,7 +88,7 @@ class Digraph(_Frozen):
         buckets: list[list[int]] = [[] for _ in range(self.vertex_count)]
         for i, (_, head) in enumerate(self.arcs):
             buckets[head].append(i)
-        return tuple(tuple(b) for b in buckets)
+        return tuple(map(tuple, buckets))
 
     @cached_property
     def profile(self) -> DegreeProfile:
@@ -121,8 +121,7 @@ class Digraph(_Frozen):
         return tuple(order)
 
     def has_digon(self) -> bool:
-        pairs = set(self.arcs)
-        return any((h, t) in pairs for t, h in self.arcs)
+        return not set(self.arcs).isdisjoint(map(itemgetter(1, 0), self.arcs))
 
 
 class LabelledDigraph(_Frozen):
@@ -236,7 +235,7 @@ class DegreeProfile(_Frozen):
 
     def __init__(self, indegree: tuple[int, ...],
                  outdegree: tuple[int, ...]) -> None:
-        degree = tuple(i + o for i, o in zip(indegree, outdegree))
+        degree = tuple(map(add, indegree, outdegree))
         vars(self).update(indegree=indegree, outdegree=outdegree, degree=degree,
                           max_indegree=max(indegree, default=0),
                           max_outdegree=max(outdegree, default=0),
@@ -339,7 +338,10 @@ def _pattern_sweep(d: Digraph, reads, source, solve) -> tuple[dict[int, int], li
         entering = in_arcs[v]
         if not entering:
             continue
-        key = tuple([state[arcs[a][0]][reads[a]] for a in entering])
+        read = []  # a loop: a comprehension is one more call per vertex
+        for a in entering:
+            read.append(state[arcs[a][0]][reads[a]])
+        key = tuple(read)
         entry = table.get(key)
         if entry is None:
             entry = table[key] = solve(key)

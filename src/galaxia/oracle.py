@@ -337,13 +337,23 @@ def _bicoloured_circuit(d: Digraph, colouring: ArcColouring,
 def _check_cubic(vertex_count: int, edges: Iterable[tuple[int, int]],
                  ) -> list[tuple[int, int]]:
     """The edges as (low, high) pairs in input order, after checking that
-    they form a simple 3-regular graph on 0..vertex_count-1 whose edge
-    ends are plain ints (no bool)."""
+    they form a simple 3-regular graph on 0..vertex_count-1 whose edges
+    are pairs of plain ints (no bool).  A ValidateError names the first
+    edge that fails, or the edges when they are not iterable."""
     _check_count("vertex_count", vertex_count, 0)
     out: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     degree = [0] * vertex_count
-    for i, (u, v) in enumerate(edges):
+    try:
+        edges = iter(edges)
+    except TypeError:
+        raise ValidateError("edges must be iterable") from None
+    for i, edge in enumerate(edges):
+        if type(edge) is not tuple:  # a list, say, is read as a tuple
+            edge = tuple(edge) if hasattr(edge, "__iter__") else ()
+        if len(edge) != 2:
+            raise ValidateError(f"edge {i} is not a pair")
+        u, v = edge
         for end in u, v:
             if type(end) is not int:
                 raise ValidateError(f"edge {i} entry {end!r} is not an int")

@@ -35,7 +35,10 @@ def _greedy_fill(adj: list[set[int]], order: Iterable[int],
     # Every vertex must see at most two coloured neighbours when its
     # turn comes; the caller's ordering guarantees that.
     for v in order:
-        free = _FREE[sum({1 << colours[u] for u in adj[v]})]
+        seen = 0  # a loop, not a set display: no call per vertex
+        for u in adj[v]:
+            seen |= 1 << colours[u]
+        free = _FREE[seen]
         if not free:
             raise InternalDefectError(
                 f"vertex {v} saw all three colours during greedy fill")
@@ -330,14 +333,6 @@ def _extension_engine(e: Digraph, lists: list[int],
     arcs, in_arcs, out_arcs = e.arcs, e.in_arcs, e.out_arcs
     first: dict[tuple[int, ...], list[int]] = {}
 
-    def strike(tail: int, colour: int) -> None:
-        off = ~(1 << colour)
-        for a in in_arcs[tail]:
-            lists[a] &= off
-            if not lists[a]:
-                raise InternalDefectError(
-                    f"arc {a} lost its last colour during propagation")
-
     for comp in components:
         if len(comp) == 1:
             v = comp[0]
@@ -351,50 +346,55 @@ def _extension_engine(e: Digraph, lists: list[int],
             if choice is None:
                 raise InternalDefectError(
                     f"no distinct colours for the arcs into {v}")
-            for a, c in zip(ins, choice):
-                colours[a] = c
-                strike(arcs[a][0], c)
-            continue
+            strikes = zip(ins, choice)
+        else:
+            # Terminal component on several vertices: must be a circuit.
+            seq = [comp[0]]
+            circ = []
+            while True:
+                outs = [a for a in out_arcs[seq[-1]] if a not in colours]
+                if len(outs) != 1:
+                    raise InternalDefectError(
+                        f"vertex {seq[-1]} of a terminal component has "
+                        f"{len(outs)} out-arcs")
+                circ.append(outs[0])
+                nxt = arcs[outs[0]][1]
+                if nxt == seq[0]:
+                    break
+                seq.append(nxt)
+            if len(seq) != len(comp):
+                raise InternalDefectError("terminal component is not a circuit")
 
-        # Terminal component on several vertices: must be a circuit.
-        seq = [comp[0]]
-        circ = []
-        while True:
-            outs = [a for a in out_arcs[seq[-1]] if a not in colours]
-            if len(outs) != 1:
-                raise InternalDefectError(
-                    f"vertex {seq[-1]} of a terminal component has "
-                    f"{len(outs)} out-arcs")
-            circ.append(outs[0])
-            nxt = arcs[outs[0]][1]
-            if nxt == seq[0]:
-                break
-            seq.append(nxt)
-        if len(seq) != len(comp):
-            raise InternalDefectError("terminal component is not a circuit")
+            entering: list[int | None] = []
+            vertex_masks = []
+            for i, v in enumerate(seq):
+                extra = [a for a in in_arcs[v] if a != circ[i - 1]]
+                if len(extra) > 1:
+                    raise InternalDefectError(
+                        f"circuit vertex {v} has several entering arcs")
+                entering.append(extra[0] if extra else None)
+                vertex_masks.append(lists[extra[0]] if extra else _FULL_MASK)
 
-        entering: list[int | None] = []
-        vertex_masks = []
-        for i, v in enumerate(seq):
-            extra = [a for a in in_arcs[v] if a != circ[i - 1]]
-            if len(extra) > 1:
-                raise InternalDefectError(
-                    f"circuit vertex {v} has several entering arcs")
-            entering.append(extra[0] if extra else None)
-            vertex_masks.append(lists[extra[0]] if extra else _FULL_MASK)
-
-        solution = _cycle_dp(vertex_masks, [lists[a] for a in circ])
-        if solution is None:
-            raise PreconditionViolatedError(
-                "odd circuit whose entering arcs all carry the same "
-                "two-colour list")
-        arc_cols, vert_cols = solution
-        colours.update(zip(circ, arc_cols))
-        strikes = sorted((a, c) for a, c in zip(entering, vert_cols)
-                         if a is not None)
-        colours.update(strikes)
+            solution = _cycle_dp(vertex_masks, [lists[a] for a in circ])
+            if solution is None:
+                raise PreconditionViolatedError(
+                    "odd circuit whose entering arcs all carry the same "
+                    "two-colour list")
+            arc_cols, vert_cols = solution
+            colours.update(zip(circ, arc_cols))
+            strikes = sorted((a, c) for a, c in zip(entering, vert_cols)
+                             if a is not None)
+        # each arc coloured here strikes its colour from the lists of the
+        # arcs entering its tail; inline, as lone vertices come up once
+        # per vertex
         for a, c in strikes:
-            strike(arcs[a][0], c)
+            colours[a] = c
+            off = ~(1 << c)
+            for b in in_arcs[arcs[a][0]]:
+                lists[b] &= off
+                if not lists[b]:
+                    raise InternalDefectError(
+                        f"arc {b} lost its last colour during propagation")
     return colours
 
 
@@ -480,8 +480,8 @@ def _sub(g: Digraph, ids: Sequence[int], keep: Sequence[int],
     arcs = g.arcs
     verts = sorted({v for a in keep for v in arcs[a]})
     index = {v: i for i, v in enumerate(verts)}
-    return (Digraph._of(len(verts), tuple(
-                (index[arcs[a][0]], index[arcs[a][1]]) for a in keep)),
+    return (Digraph._of(len(verts), tuple([
+                (index[arcs[a][0]], index[arcs[a][1]]) for a in keep])),
             [ids[a] for a in keep])
 
 
@@ -530,48 +530,52 @@ def _peel(g: Digraph) -> tuple[list[int], list[tuple[str, list[int]]]]:
     circuits: list[list[int]] = []  # entering arcs, even only
     step: dict[int, tuple[int, int]] = {}
 
-    def find(v: int) -> int:
-        while low[v] != v:
-            low[v] = low[low[v]]
-            v = low[v]
-        return v
-
-    def link(h: int, a: int, t: int) -> None:
-        step[h] = (a, t)
-        rh, rt = find(h), find(t)
-        low[rh] = rt
-        if rh == rt:
-            cyc = [h]
-            while step[cyc[-1]][1] != h:
-                cyc.append(step[cyc[-1]][1])
-            if len(cyc) % 2 == 0:
-                # opened at its least vertex, whichever arc closed it
-                j = cyc.index(min(cyc))
-                circuits.append([step[x][0] for x in cyc[j:] + cyc[:j]])
-
-    def make_low(w: int) -> None:
-        low[w] = w
-        a = next(a for a in in_arcs[w] if live[a])
-        if arcs[a][0] in low:
-            link(w, a, arcs[a][0])
-        for a in out_arcs[w]:
-            x = arcs[a][1]
-            if live[a] and x in low and x not in step:
-                link(x, a, w)
+    def make_low(vertices: Iterable[int]) -> None:
+        """Make each vertex of indegree 1 low, in turn, and link each new
+        step arc: its live entering arc from a low tail, then each live
+        arc it sends to a low vertex.  The union-find runs inline, with
+        path halving, as this loop meets every vertex."""
+        for w in vertices:
+            if indeg[w] != 1:
+                continue
+            low[w] = w
+            links = []
+            for a in in_arcs[w]:
+                if live[a]:
+                    if arcs[a][0] in low:
+                        links.append(a)
+                    break
+            for a in out_arcs[w]:
+                if live[a] and arcs[a][1] in low:
+                    links.append(a)
+            for a in links:
+                # h is low with this arc its one live entering arc, so it
+                # has no step yet and is the root of its own tree
+                t, h = arcs[a]
+                step[h] = (a, t)
+                rt = t
+                while low[rt] != rt:
+                    low[rt] = low[low[rt]]
+                    rt = low[rt]
+                low[h] = rt
+                if h == rt:
+                    cyc = [h]
+                    while step[cyc[-1]][1] != h:
+                        cyc.append(step[cyc[-1]][1])
+                    if len(cyc) % 2 == 0:
+                        # opened at its least vertex, whichever arc closed it
+                        j = cyc.index(min(cyc))
+                        circuits.append([step[x][0] for x in cyc[j:] + cyc[:j]])
 
     peel_sources([v for v in range(g.vertex_count) if indeg[v] == 0])
-    for v in range(g.vertex_count):
-        if indeg[v] == 1:
-            make_low(v)
+    make_low(range(g.vertex_count))
     for circ in circuits:
         # the circuit follows entering arcs, so flip to arc order
         deferred.append(("circuit", circ[::-1]))
         for a in circ:
             live[a] = False
             indeg[arcs[a][1]] -= 1
-        for w in set(peel_sources([arcs[a][1] for a in circ])):
-            if indeg[w] == 1:
-                make_low(w)
+        make_low(set(peel_sources([arcs[a][1] for a in circ])))
     return [a for a in range(g.arc_count) if live[a]], deferred
 
 
@@ -611,43 +615,42 @@ def _colour_subcubic(d: Digraph) -> list[int]:
         outof[t] |= 1 << c
         into[h] |= 1 << c
 
-    def taken(a: int) -> int:
-        t, h = arcs[a]
-        return into[h] | outof[h] | into[t]
-
-    def put(a: int, c: int) -> None:
-        colour[a] = c
-        t, h = arcs[a]
-        outof[t] |= 1 << c
-        into[h] |= 1 << c
-
+    # An arc t->h may not take a colour entering h or t or leaving h.
+    # The loops below test and set these bits inline, as every source
+    # arc passes through them; a call per arc costs as much as the work.
     for kind, batch in reversed(batches):
         if kind == "sources":
             for a in batch:
-                options = _FREE[taken(a)]
+                t, h = arcs[a]
+                options = _FREE[into[h] | outof[h] | into[t]]
                 if not options:
                     raise InternalDefectError(
                         f"deferred arc {a} has no free colour")
-                put(a, options[0])
+                c = colour[a] = options[0]
+                outof[t] |= 1 << c
+                into[h] |= 1 << c
             continue
+        free = [_FULL_MASK & ~(into[h] | outof[h] | into[t])
+                for t, h in map(arcs.__getitem__, batch)]
         if kind == "circuit":
-            solution = _cycle_dp([_FULL_MASK] * len(batch),
-                                 [_FULL_MASK & ~taken(a) for a in batch])
+            solution = _cycle_dp([_FULL_MASK] * len(batch), free)
             if solution is None:
                 raise InternalDefectError("even circuit completion failed")
             picks = solution[0]
         else:
             # an arc clashes with an earlier one that enters either of
-            # its ends or leaves its head, as its neighbours in taken do
+            # its ends or leaves its head, as the bits above do
             picks = _first_fit(
-                [_FULL_MASK & ~taken(a) for a in batch],
-                lambda i, j: (arcs[batch[i]][1] in arcs[batch[j]]
-                              or arcs[batch[i]][0] == arcs[batch[j]][1]))
+                free, lambda i, j: (arcs[batch[i]][1] in arcs[batch[j]]
+                                    or arcs[batch[i]][0] == arcs[batch[j]][1]))
             if picks is None:
                 raise InternalDefectError(
                     "no completion around a complete conflict component")
         for a, c in zip(batch, picks):
-            put(a, c)
+            colour[a] = c
+            t, h = arcs[a]
+            outof[t] |= 1 << c
+            into[h] |= 1 << c
     return colour
 
 
@@ -671,10 +674,14 @@ def _colour_core(core: Digraph, ids: Sequence[int],
     # lists) apart.
     selected_pairs: list[tuple[int, int]] = []
     for v in range(core.vertex_count):
-        if not low[v]:
-            from_low = [a for a in in_arcs[v] if low[arcs[a][0]]]
-            if len(from_low) >= 2:
-                selected_pairs.append((from_low[0], from_low[1]))
+        if low[v]:
+            continue
+        from_low = []  # loops, not comprehensions, in the per-vertex passes
+        for a in in_arcs[v]:
+            if low[arcs[a][0]]:
+                from_low.append(a)
+        if len(from_low) >= 2:
+            selected_pairs.append((from_low[0], from_low[1]))
     step = {}
     for a, (t, h) in enumerate(arcs):
         if not low[t] and not low[h]:
@@ -761,10 +768,14 @@ def _colour_core(core: Digraph, ids: Sequence[int],
     for v in range(core.vertex_count):
         if not low[v]:
             continue
-        ins = [a for a in in_arcs[v] if not low[arcs[a][0]]]
-        if ins and any(not low[arcs[a][1]] for a in out_arcs[v]):
-            detached[ins[0]] = fresh
-            fresh += 1
+        for a in in_arcs[v]:  # at most one, as v is low
+            if low[arcs[a][0]]:
+                continue
+            for b in out_arcs[v]:
+                if not low[arcs[b][1]]:
+                    detached[a] = fresh
+                    fresh += 1
+                    break
     engine_arcs = []
     engine_ids = []
     lists = []

@@ -163,12 +163,14 @@ def _star_violation(d: Digraph, colouring: ArcColouring,
         if v >= d.vertex_count:
             return (f"interval line names vertex {v} outside "
                     f"0..{d.vertex_count - 1}")
+        # `c in iv`, tested here: a call per arc costs as much as the test
+        start, length, modulus = iv.start, iv.length, iv.modulus
         for a in in_arcs[v]:
             c = colour[a]
-            if c > iv.modulus or c not in iv:
-                end = (iv.start + iv.length - 2) % iv.modulus + 1
+            if c > modulus or (c - start) % modulus >= length:
+                end = (start + length - 2) % modulus + 1
                 return (f"arc {a} enters vertex {v} with colour {c} outside"
-                        f" its interval {iv.start}..{end} mod {iv.modulus}")
+                        f" its interval {start}..{end} mod {modulus}")
     return None
 
 

@@ -78,9 +78,16 @@ def test_random_generators_reject_bad_params():
     (lambda: gnmk_sizes(1, 1.5, 1), "m must be an int"),
     (lambda: gnmk_sizes(1, 1, 1, y_cap=2.5), "y_cap must be an int"),
     (lambda: extremal_gnmk(1, 1, True), "k must be an int"),
+    (lambda: random_digraph(5, 1, 1, [1]), "seed must be an int"),
+    (lambda: random_subcubic(5, None), "seed must be an int"),
+    (lambda: random_oriented_subcubic(5, "1"), "seed must be an int"),
+    (lambda: random_labelled_dag(5, 2, 1, 1.0), "seed must be an int"),
+    (lambda: extremal_gnmk(1, 1, 1, arc_budget=None), "arc_budget must be an int"),
 ], ids=["random-float-n", "random-bool-cap", "subcubic-float-n",
         "oriented-bool-n", "dag-bool-k", "triangle-float", "triangle-bool",
-        "gnmk-float-m", "gnmk-float-y-cap", "extremal-bool-k"])
+        "gnmk-float-m", "gnmk-float-y-cap", "extremal-bool-k",
+        "random-list-seed", "subcubic-none-seed", "oriented-str-seed",
+        "dag-float-seed", "extremal-none-budget"])
 def test_generator_counts_must_be_plain_ints(make, message):
     # refused before any range check, by the class a count out of range
     # takes

@@ -447,7 +447,10 @@ K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     (4, [(0, 1.0)] + K4_EDGES[1:], "edge 0 entry 1.0 is not an int"),
     (4, [(0, True)] + K4_EDGES[1:], "edge 0 entry True is not an int"),
     (4.0, K4_EDGES, "vertex_count must be an int"),
-], ids=["float-end", "bool-end", "float-count"])
+    (4, [(0, 1, 2)] + K4_EDGES[1:], "edge 0 is not a pair"),
+    (4, K4_EDGES[:2] + [5] + K4_EDGES[3:], "edge 2 is not a pair"),
+    (4, None, "edges must be iterable"),
+], ids=["float-end", "bool-end", "float-count", "triple", "not-a-pair", "not-iterable"])
 def test_cubic_graph_entries_must_be_plain_ints(vertex_count, edges, message):
     # the edge checks behind both the exact edge colouring and the
     # hardness reduction
