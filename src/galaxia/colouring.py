@@ -32,26 +32,21 @@ class ArcColouring(_Mapped):
     _fields = ("colour", "colour_count")
 
     def __init__(self, colour: Mapping[int, int], colour_count: int) -> None:
-        vars(self).update(colour=_frozen_colours(colour, colour_count),
-                          colour_count=colour_count)
+        # the loop runs only when `ints_within` fails, to name the first
+        # arc whose colour is no plain int (no bool) in 1..colour_count
+        _check_count("colour_count", colour_count, 0)
+        colour = _read_only("colour", colour)
+        if not ints_within(colour.values(), 1, colour_count):
+            for arc, c in colour.items():
+                if type(c) is not int:
+                    raise ValidateError(f"arc {arc} colour {c!r} is not an int")
+                if not 1 <= c <= colour_count:
+                    raise ValidateError(
+                        f"arc {arc} has colour {c} outside 1..{colour_count}")
+        vars(self).update(colour=colour, colour_count=colour_count)
 
     def __getitem__(self, arc: int) -> int:
         return self.colour[arc]
-
-
-def _frozen_colours(colour: Mapping[int, int], top: int) -> Mapping[int, int]:
-    """A read-only copy of the colour map of an ArcColouring or FibreColouring,
-    once top is a count and every colour a plain int (no bool) in 1..top; the
-    loop runs only when `ints_within` fails, to name the first arc that is not."""
-    _check_count("colour_count", top, 0)
-    colour = _read_only("colour", colour)
-    if not ints_within(colour.values(), 1, top):
-        for arc, c in colour.items():
-            if type(c) is not int:
-                raise ValidateError(f"arc {arc} colour {c!r} is not an int")
-            if not 1 <= c <= top:
-                raise ValidateError(f"arc {arc} has colour {c} outside 1..{top}")
-    return colour
 
 
 def _read_only(name: str, mapping) -> Mapping:
@@ -72,12 +67,17 @@ def ints_within(values, low: int, high: int) -> bool:
 
 def arc_values(arc_count: int, mapping: Mapping[int, object], missing: str) -> tuple:
     """mapping[0], ..., mapping[arc_count - 1]; a ValidateError names the
-    first arc the mapping lacks as 'arc i is <missing>'."""
+    first arc the mapping lacks as 'arc i is <missing>', or else the
+    first key that names no arc."""
     try:
-        return tuple(map(mapping.__getitem__, range(arc_count)))
+        values = tuple(map(mapping.__getitem__, range(arc_count)))
     except KeyError:
         arc = next(a for a in range(arc_count) if a not in mapping)
         raise ValidateError(f"arc {arc} is {missing}") from None
+    if len(mapping) != arc_count:
+        key = next(k for k in mapping if k not in range(arc_count))
+        raise ValidateError(f"key {key!r} names no arc")
+    return values
 
 
 def from_class_list(classes: list[set[int]] | tuple[set[int], ...]) -> ArcColouring:

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from functools import cached_property
 from operator import add, attrgetter, itemgetter
+from typing import TypeVar
 
 from .errors import CyclicError, PreconditionViolatedError, ValidateError
 
 Arc = tuple[int, int]
+_V = TypeVar("_V", bound="_Frozen")
 
 
 class _Frozen:
@@ -26,6 +28,16 @@ class _Frozen:
     constructors write them into vars(self)."""
 
     _fields: tuple[str, ...]
+
+    @classmethod
+    def _of(cls: type[_V], *values: object) -> _V:
+        """The value of fields this package has already checked, kept as
+        they are: `values` in `_fields` order, with no check run.  A
+        Digraph's arcs, say, must be a tuple of plain int pairs with ends
+        in range and no self-loop."""
+        value = object.__new__(cls)
+        vars(value).update(zip(cls._fields, values))
+        return value
 
     def _values(self) -> tuple:
         return attrgetter(*self._fields)(self)
@@ -60,15 +72,6 @@ class Digraph(_Frozen):
     def __init__(self, vertex_count: int, arcs: tuple[Arc, ...]) -> None:
         _check_count("vertex_count", vertex_count, 0)
         vars(self).update(vertex_count=vertex_count, arcs=_check_arcs(vertex_count, arcs))
-
-    @classmethod
-    def _of(cls, vertex_count: int, arcs: tuple[Arc, ...]) -> Digraph:
-        """The digraph of arcs this package has already checked: a tuple
-        of plain int pairs with ends in range and no self-loop.  They are
-        kept as they are."""
-        d = object.__new__(cls)
-        vars(d).update(vertex_count=vertex_count, arcs=arcs)
-        return d
 
     @property
     def arc_count(self) -> int:
@@ -142,17 +145,6 @@ class LabelledDigraph(_Frozen):
         _check_count("label_count", label_count, 1)
         vars(self).update(vertex_count=vertex_count, label_count=label_count,
                           arcs=_check_arcs(vertex_count, arcs, label_count))
-
-    @classmethod
-    def _of(cls, vertex_count: int, label_count: int,
-            arcs: tuple[tuple[int, int, int], ...]) -> LabelledDigraph:
-        """The labelled digraph of arcs this package has already checked
-        (see Digraph._of; labels in 1..label_count, no repeated triple),
-        kept as they are."""
-        ld = object.__new__(cls)
-        vars(ld).update(vertex_count=vertex_count, label_count=label_count,
-                        arcs=arcs)
-        return ld
 
     @property
     def arc_count(self) -> int:

@@ -26,7 +26,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .colouring import _Mapped, _frozen_colours, _read_only, arc_values
+from .colouring import ArcColouring, _Mapped, _read_only, arc_values
 from .digraph import _MEMO_CAP, LabelledDigraph, _check_count, _pattern_sweep
 from .errors import (BadParamsError, InternalDefectError, InvalidColouringError,
                      ValidateError)
@@ -37,22 +37,17 @@ _MEMO_MAX_K = 4
 _MEMO_MAX_M = 4
 
 
-class FibreColouring(_Mapped):
-    """Total map arc index -> colour in 1..colour_count under n fibres."""
+class FibreColouring(ArcColouring):
+    """An arc colouring under n fibres; it equals no ArcColouring."""
 
     n: int
-    colour: Mapping[int, int]
-    colour_count: int
     _fields = ("n", "colour", "colour_count")
 
     def __init__(self, n: int, colour: Mapping[int, int],
                  colour_count: int) -> None:
         _check_count("fibre count", n, 1)
-        vars(self).update(n=n, colour=_frozen_colours(colour, colour_count),
-                          colour_count=colour_count)
-
-    def __getitem__(self, arc: int) -> int:
-        return self.colour[arc]
+        super().__init__(colour, colour_count)
+        vars(self)["n"] = n
 
 
 class WavelengthAssignment(_Mapped):
@@ -79,16 +74,6 @@ class WavelengthAssignment(_Mapped):
                 raise ValidateError(f"arc {arc} wavelength must be positive")
             if not (1 <= f_out <= n and 1 <= f_in <= n):
                 raise ValidateError(f"arc {arc} fibre outside 1..{n}")
-
-    @classmethod
-    def _of(cls, n: int, triple: dict[int, tuple[int, int, int]],
-            ) -> WavelengthAssignment:
-        """The assignment of a dict this package built, whose fibres it
-        has already proved to lie in 1..n and whose wavelengths are
-        positive; the dict is kept, not copied."""
-        wa = object.__new__(cls)
-        vars(wa).update(n=n, triple=MappingProxyType(triple))
-        return wa
 
     def __getitem__(self, arc: int) -> tuple[int, int, int]:
         return self.triple[arc]
@@ -315,4 +300,4 @@ def expand_to_wavelength_assignment(ld: LabelledDigraph, fc: FibreColouring,
             f" {v.in_count}+{v.out_count} > {fc.n}")
     # every fibre is in 1..n now, and the colours are positive
     return WavelengthAssignment._of(
-        fc.n, dict(enumerate(zip(colours, f_out, f_in))))
+        fc.n, MappingProxyType(dict(enumerate(zip(colours, f_out, f_in)))))

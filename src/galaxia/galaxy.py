@@ -1,21 +1,21 @@
 """Forest-plus-galaxy arc partitions and the 2k+1 colouring bound.
 
 A k-decomposition splits the arcs into k forests and a galaxy with all
-sources isolated in the galaxy; u-suitable adds that no galaxy arc
-points at u.  Every k-nice multidigraph (indegree at most k, parallel
-arcs only out of sources) has one, which `_decompose` builds.  A simple
-digraph is k-nice for k its maximum indegree, and `_split_forest` turns
-each forest into two galaxies, so `dst_upper_2k1` colours it with 2k+1
-colours.
+sources isolated in the galaxy.  Every k-nice multidigraph (indegree at
+most k, parallel arcs only out of sources) has one, which `_decompose`
+builds.  A simple digraph is k-nice for k its maximum indegree, and
+`_split_forest` turns each forest into two galaxies, so `dst_upper_2k1`
+colours it with 2k+1 colours.
 
-The proof is an induction on k.  A strong piece S gives forest k-1 a
-spanning arborescence rooted at the least outneighbour v of u_S, puts
-v's other entering arcs one per lower forest and u_S v in the galaxy,
-and leaves S - v to level k-1.  A piece that is not strong peels a
-terminal strong component D1 (the one with the lowest vertex), keeps
-D - D1 at level k, and contracts the arcs entering D1 to a fresh
-source: a breadth-first arborescence from that source goes to forest
-k-1 and the rest of D1 plus the source to level k-1.
+The proof is an induction on k.  A strong piece S, rooted at its least
+vertex r, gives forest k-1 a spanning arborescence rooted at the least
+outneighbour v of r, puts v's other entering arcs one per lower forest
+and rv in the galaxy, and leaves S - v to level k-1.  A piece that is
+not strong peels a terminal strong component D1 (the one with the
+lowest vertex), keeps D - D1 at level k, and contracts the arcs
+entering D1 to a fresh source: a breadth-first arborescence from that
+source goes to forest k-1 and the rest of D1 plus the source to level
+k-1.
 
 `_decompose` does one strong-component pass per level instead of one
 per peel.  Peeling a terminal component leaves the strong components
@@ -23,9 +23,8 @@ of the rest unchanged, and a component peeled earlier has no arc into
 one peeled later, since it was terminal when it went.  So in any
 peeling order each component S with an entering arc is peeled once,
 with all its entering arcs crossing, and each source component of
-more than one vertex ends as a strong piece of its own.  What S receives therefore depends on S
-alone, and u_S is u when u is in S and min(S) otherwise, because every
-split passes on u or the least vertex of the part.  The contracted
+more than one vertex ends as a strong piece of its own, rooted at its
+least vertex: what S receives depends on S alone.  The contracted
 source keeps no vertex of its own: at level k-1 its arcs keep their
 real tails, which lie in other components of level k and so on no
 circuit, since arcs only ever leave.  A single vertex w with j
@@ -65,7 +64,7 @@ def _bfs_tree(local: Digraph, comp_of: list[int], component: int,
     return tree
 
 
-def _decompose(d: Digraph, u: int, k: int) -> tuple[list[list[int]], list[int]]:
+def _decompose(d: Digraph, k: int) -> tuple[list[list[int]], list[int]]:
     """Returns (k forests, galaxy) as lists of arc indices of d.
 
     Level l (k down to 1) fills forest l-1 from the strong components of
@@ -114,20 +113,18 @@ def _decompose(d: Digraph, u: int, k: int) -> tuple[list[list[int]], list[int]]:
                 placed.update(tree)
             else:
                 # strong piece: an arborescence rooted at the least
-                # outneighbour v of u_S, then v's other entering arcs one
-                # per lower forest and u_S v to the galaxy
-                lu = slot[u]
-                if lu == -1 or comp_of[lu] != c:
-                    lu = min(members, key=verts.__getitem__)
-                lv = min((local_arcs[j][1] for j in out_arcs[lu]
+                # outneighbour v of its least vertex r, then v's other
+                # entering arcs one per lower forest and rv to the galaxy
+                lr = min(members, key=verts.__getitem__)
+                lv = min((local_arcs[j][1] for j in out_arcs[lr]
                           if comp_of[local_arcs[j][1]] == c), key=verts.__getitem__)
                 reached[lv] = True
                 tree = _bfs_tree(local, comp_of, c, out_arcs[lv], reached)
                 forests[level - 1].extend(live[j] for j in tree)
-                others = [j for j in in_arcs[lv] if local_arcs[j][0] != lu]
+                others = [j for j in in_arcs[lv] if local_arcs[j][0] != lr]
                 for pos, j in enumerate(others):
                     forests[pos].append(live[j])
-                galaxy.extend(live[j] for j in in_arcs[lv] if local_arcs[j][0] == lu)
+                galaxy.extend(live[j] for j in in_arcs[lv] if local_arcs[j][0] == lr)
                 placed.update(tree, in_arcs[lv])
         for w in verts:
             slot[w] = -1
@@ -168,7 +165,7 @@ def dst_upper_2k1(d: Digraph) -> ArcColouring:
     """Directed star colouring with at most 2*max_indegree + 1 colours."""
     _require_simple(d, "2k+1 colouring needs a simple digraph")
     # a simple digraph is k-nice for k its maximum indegree
-    forests, galaxy = _decompose(d, 0, degree_profile(d).max_indegree)
+    forests, galaxy = _decompose(d, degree_profile(d).max_indegree)
     classes: list[set[int]] = []
     for forest in forests:
         classes.extend(map(set, _split_forest(d, forest)))

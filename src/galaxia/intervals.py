@@ -35,7 +35,8 @@ class CyclicInterval(_Frozen):
         return tuple((self.start - 1 + i) % p + 1 for i in range(self.length))
 
     def __contains__(self, value: int) -> bool:
-        return (value - self.start) % self.modulus < self.length
+        return (1 <= value <= self.modulus
+                and (value - self.start) % self.modulus < self.length)
 
 
 def _sweep(spans: list[tuple[int, int]]) -> list[int] | None:

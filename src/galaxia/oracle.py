@@ -241,47 +241,48 @@ def exact_lambda_n(ld: LabelledDigraph, n: int, colour_cap: int | None = None,
     _check_limits(ld.arc_count, colour_cap, arc_limit)
     if ld.arc_count == 0:
         return 0, FibreColouring(n, {}, 0)
-    lower = _lower_bound(ld.profile.indegree,
-                         map(itemgetter(0), set(map(itemgetter(0, 2), ld.arcs))), n)
     arcs = ld.arcs
     in_arcs = ld.underlying.in_arcs
     out_arcs = ld.underlying.out_arcs
-    width = ld.label_count + 1
+    groups: dict[tuple[int, int], int] = {}  # (tail, label) -> its number
+    group = [groups.setdefault((u, label), len(groups)) for u, _, label in arcs]
+    lower = _lower_bound(ld.profile.indegree, map(itemgetter(0), groups), n)
     degree = [len(in_arcs[u]) + len(out_arcs[u]) + len(in_arcs[v]) + len(out_arcs[v])
               for u, v, _ in arcs]
 
     def attempt(q: int) -> list[int] | None:
         # load[v * (q + 1) + c]: in + out of v in colour c, where out
-        # counts distinct labels; sent[that index * width + l]: arcs
-        # placed leaving v in colour c with label l
+        # counts distinct labels; sent[group[a] * (q + 1) + c]: arcs
+        # placed in colour c that leave a's tail with a's label
         load = [0] * (ld.vertex_count * (q + 1))
-        sent = [0] * (len(load) * width)
+        sent = [0] * (len(groups) * (q + 1))
 
-        def full(v: int, at: int) -> list[int]:
-            # arcs ruled out at v once its load in the colour is n
+        def full(v: int, c: int) -> list[int]:
+            # arcs ruled out at v once its load in colour c is n
             return [*in_arcs[v], *(j for j in out_arcs[v]
-                                   if not sent[at * width + arcs[j][2]])]
+                                   if not sent[group[j] * (q + 1) + c])]
 
         def place(a: int, c: int) -> list[int]:
-            tail, head, label = arcs[a]
+            tail, head, _ = arcs[a]
             at = head * (q + 1) + c
             load[at] += 1
-            ruled = full(head, at) if load[at] == n else []
-            at = tail * (q + 1) + c
-            sent[at * width + label] += 1
-            if sent[at * width + label] == 1:
+            ruled = full(head, c) if load[at] == n else []
+            g = group[a] * (q + 1) + c
+            sent[g] += 1
+            if sent[g] == 1:
+                at = tail * (q + 1) + c
                 load[at] += 1
                 if load[at] == n:
-                    ruled += full(tail, at)
+                    ruled += full(tail, c)
             return ruled
 
         def take_back(a: int, c: int) -> None:
-            tail, head, label = arcs[a]
+            tail, head, _ = arcs[a]
             load[head * (q + 1) + c] -= 1
-            at = tail * (q + 1) + c
-            sent[at * width + label] -= 1
-            if not sent[at * width + label]:
-                load[at] -= 1
+            g = group[a] * (q + 1) + c
+            sent[g] -= 1
+            if not sent[g]:
+                load[tail * (q + 1) + c] -= 1
 
         return _dsatur(q, degree, place, take_back)
 
@@ -382,6 +383,8 @@ def edge_colouring_3regular(vertex_count: int,
     Colours the line graph with the exact solvers' search (_dsatur).
     """
     _check_cubic(vertex_count, edges)
+    if type(vertex_limit) is not int:
+        raise BadParamsError("vertex_limit must be an int")
     if vertex_count > vertex_limit:
         raise TooLargeError(f"{vertex_count} vertices exceed the limit {vertex_limit}")
 

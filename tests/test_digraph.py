@@ -334,7 +334,7 @@ def test_trusted_sub_digraphs_pass_the_arc_check(monkeypatch, solve, family):
     # every sub-digraph a solver builds unchecked would pass the check
     seeds = range(8)
     unpatched = [solve(family(seed)) for seed in seeds]
-    real = Digraph.__dict__["_of"].__func__
+    real = Digraph._of.__func__
     built = []
 
     def checked(cls, vertex_count, arcs):

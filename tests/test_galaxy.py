@@ -25,10 +25,10 @@ from galaxia.galaxy import _decompose, _split_forest
 from conftest import circuit, is_forest, is_galaxy
 
 
-def check_decomposition(d, forests, galaxy, u, k):
-    """(forests, galaxy) is a u-suitable k-decomposition of d: k forests
-    and a galaxy that partition the arcs, no galaxy arc at a source and
-    none into u; and each forest splits into two galaxies."""
+def check_decomposition(d, forests, galaxy, k):
+    """(forests, galaxy) is a k-decomposition of d: k forests and a
+    galaxy that partition the arcs, no galaxy arc at a source and none
+    into vertex 0; and each forest splits into two galaxies."""
     assert sorted(i for piece in (*forests, galaxy) for i in piece) == list(
         range(d.arc_count))
     assert len(forests) == k
@@ -36,7 +36,7 @@ def check_decomposition(d, forests, galaxy, u, k):
     assert is_galaxy(d, galaxy)
     indegree = degree_profile(d).indegree
     assert all(indegree[v] for i in galaxy for v in d.arcs[i])
-    assert all(d.arcs[i][1] != u for i in galaxy)
+    assert all(d.arcs[i][1] != 0 for i in galaxy)
     for f in forests:
         first, second = _split_forest(d, f)
         assert first | second == set(f) and not first & second
@@ -45,8 +45,8 @@ def check_decomposition(d, forests, galaxy, u, k):
 
 def test_decomposition_out_star():
     d = Digraph(4, ((0, 1), (0, 2), (0, 3)))
-    forests, galaxy = _decompose(d, 0, 1)
-    check_decomposition(d, forests, galaxy, 0, 1)
+    forests, galaxy = _decompose(d, 1)
+    check_decomposition(d, forests, galaxy, 1)
     # the root is a source, so it must sit isolated in the galaxy
     assert galaxy == []
     assert sorted(forests[0]) == [0, 1, 2]
@@ -54,21 +54,20 @@ def test_decomposition_out_star():
 
 def test_decomposition_circuit():
     d = circuit(3)
-    check_decomposition(d, *_decompose(d, 0, 1), 0, 1)
+    check_decomposition(d, *_decompose(d, 1), 1)
 
 
 def test_decomposition_two_components():
     arcs = tuple((i, (i + 1) % 3) for i in range(3))
     arcs += tuple((3 + i, 3 + (i + 1) % 3) for i in range(3))
     d = Digraph(6, arcs)
-    check_decomposition(d, *_decompose(d, 0, 1), 0, 1)
+    check_decomposition(d, *_decompose(d, 1), 1)
 
 
 @given(st.integers(2, 16), st.integers(1, 3), st.integers(0, 999))
 def test_decomposition_random(n, k, seed):
     d = random_digraph(n, min(k, n - 1), min(3, n - 1), seed)
-    for u in (0, n - 1):
-        check_decomposition(d, *_decompose(d, u, k), u, k)
+    check_decomposition(d, *_decompose(d, k), k)
 
 
 def test_forest_split_path():
@@ -123,56 +122,40 @@ def test_2k1_bound_random(n, seed):
 # Decompositions recorded from the recursive peeling construction (one
 # terminal strong component per level); the per-level strong-component
 # pass must give the same forests and galaxy.  Each entry: digraph, k,
-# and per u the forests and the galaxy as sorted arc-index lists.
+# and the forests and the galaxy as sorted arc-index lists.
 PINNED_DECOMPOSITIONS = {
     "lone_source_into_terminal_component": (
-        Digraph(4, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 1))), 2, {
-            0: ([[2, 4], [0, 1, 3]], []),
-            2: ([[2, 4], [0, 1, 3]], []),
-        }),
+        Digraph(4, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 1))), 2,
+        [[2, 4], [0, 1, 3]], []),
     "chain_of_three_components": (
         Digraph(6, ((0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (3, 4), (4, 5),
-                    (5, 4))), 2, {
-            0: ([[4, 7], [1, 2, 3, 5, 6]], [0]),
-            3: ([[4, 7], [1, 2, 3, 5, 6]], [0]),
-            5: ([[4, 7], [1, 2, 3, 5, 6]], [0]),
-        }),
+                    (5, 4))), 2,
+        [[4, 7], [1, 2, 3, 5, 6]], [0]),
     "two_source_components_into_one_sink": (
         Digraph(8, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 3), (0, 5), (3, 6),
-                    (5, 6), (6, 7), (7, 5))), 2, {
-            0: ([[7, 9], [1, 2, 4, 5, 6, 8]], [0, 3]),
-            4: ([[7, 9], [1, 2, 3, 5, 6, 8]], [0, 4]),
-            6: ([[7, 9], [1, 2, 4, 5, 6, 8]], [0, 3]),
-        }),
+                    (5, 6), (6, 7), (7, 5))), 2,
+        [[7, 9], [1, 2, 4, 5, 6, 8]], [0, 3]),
     "two_weak_components": (
-        Digraph(6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (3, 5))), 2, {
-            0: ([[5], [1, 2, 3, 4]], [0]),
-            4: ([[5], [1, 2, 3, 4]], [0]),
-        }),
-    "strong_piece_without_u": (
+        Digraph(6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (3, 5))), 2,
+        [[5], [1, 2, 3, 4]], [0]),
+    "strong_piece_without_vertex_0": (
         Digraph(7, ((0, 1), (1, 2), (2, 3), (3, 1), (2, 1), (4, 5), (5, 6),
-                    (6, 4), (4, 6), (6, 5))), 3, {
-            0: ([[4, 9], [3, 8], [0, 1, 2, 6, 7]], [5]),
-            1: ([[4, 9], [3, 8], [0, 1, 2, 6, 7]], [5]),
-            5: ([[4, 8], [3, 5], [0, 1, 2, 7, 9]], [6]),
-        }),
+                    (6, 4), (4, 6), (6, 5))), 3,
+        [[4, 9], [3, 8], [0, 1, 2, 6, 7]], [5]),
     "parallel_arcs_leaving_a_source": (
         Digraph(5, ((0, 1), (0, 1), (0, 2), (1, 2), (2, 3), (3, 1), (0, 3),
-                    (0, 3), (4, 3))), 4, {
-            0: ([[8], [4, 5], [1, 3, 7], [0, 2, 6]], []),
-            3: ([[8], [4, 5], [1, 3, 7], [0, 2, 6]], []),
-        }),
+                    (0, 3), (4, 3))), 4,
+        [[8], [4, 5], [1, 3, 7], [0, 2, 6]], []),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_DECOMPOSITIONS))
 def test_decomposition_pinned(name):
-    d, k, by_u = PINNED_DECOMPOSITIONS[name]
-    for u, (forests, galaxy) in by_u.items():
-        found = _decompose(d, u, k)
-        check_decomposition(d, *found, u, k)
-        assert [sorted(f) for f in found[0]] == forests
-        assert sorted(found[1]) == galaxy
+    d, k, forests, galaxy = PINNED_DECOMPOSITIONS[name]
+    found = _decompose(d, k)
+    check_decomposition(d, *found, k)
+    assert [sorted(f) for f in found[0]] == forests
+    assert sorted(found[1]) == galaxy
 
 
 # (n, cap, seed) -> the arcs that random_digraph(n, cap, cap, seed) built

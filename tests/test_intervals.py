@@ -37,6 +37,17 @@ def test_members_wraparound():
     assert set(CyclicInterval(6, 5, 3).members_tuple()) == {5, 6, 1}
 
 
+def test_membership_agrees_with_members_tuple():
+    # a value outside 1..modulus is no member, whatever its residue
+    for modulus in range(1, 7):
+        for start, length in itertools.product(range(1, modulus + 1), repeat=2):
+            iv = CyclicInterval(modulus, start, length)
+            members = iv.members_tuple()
+            for v in range(-3, modulus + 4):
+                assert (v in iv) == (v in members), (iv, v)
+    assert 5 not in CyclicInterval(4, 1, 2) and 0 not in CyclicInterval(4, 4, 1)
+
+
 def test_interval_validation():
     with pytest.raises(BadParamsError):
         CyclicInterval(4, 0, 2)

@@ -4,6 +4,7 @@ import random
 import re
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -374,12 +375,13 @@ def test_alternating_walk_on_circuits(n, colours, held):
     assert (oracle._bicoloured_circuit(circuit(n), col) is not None) is held
 
 
-def test_bicoloured_circuit_ignores_keys_that_are_not_arcs():
-    # colour 1 on the non-arc key 4 must add no pair, and no arc
+def test_bicoloured_circuit_refuses_keys_that_are_not_arcs():
+    # colour 1 on the non-arc key 4 is refused, not read as a fifth arc
     colours = {0: 2, 1: 3, 2: 2, 3: 3}
     assert find_bicoloured_circuit(circuit(4), ArcColouring(colours, 3)) == (0, 1, 2, 3)
     colours[4] = 1
-    assert find_bicoloured_circuit(circuit(4), ArcColouring(colours, 3)) == (0, 1, 2, 3)
+    with pytest.raises(ValidateError, match="^key 4 names no arc$"):
+        find_bicoloured_circuit(circuit(4), ArcColouring(colours, 3))
 
 
 def k4_edges():
@@ -472,6 +474,19 @@ def test_edge_colouring_vertex_limit():
     edges += [(i, (i + 11) % 22) for i in range(11)]
     with pytest.raises(TooLargeError):
         edge_colouring_3regular(22, edges)
+
+
+def test_exact_lambda_n_memory_follows_the_arcs_not_the_labels():
+    # two arcs under a header of a million labels: the search keeps one
+    # count per (tail, label) group and colour, not one per label
+    ld = LabelledDigraph(3, 10**6, ((0, 1, 1), (1, 2, 10**6)))
+    tracemalloc.start()
+    try:
+        assert exact_lambda_n(ld, 1)[0] == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
 
 
 def test_triangle_multidigraph_dst():

@@ -5,13 +5,14 @@ the arc or field, of every entry or solver parameter that is no plain
 int."""
 import copy
 import pickle
+from types import MappingProxyType
 
 import pytest
 
 from galaxia import (ArcColouring, CyclicInterval, DegreeProfile, Digraph,
                      FibreColouring, LabelledDigraph, WavelengthAssignment,
-                     exact_dst, exact_lambda_n, fibre_colouring_acyclic,
-                     fibre_colouring_smallm)
+                     edge_colouring_3regular, exact_dst, exact_lambda_n,
+                     fibre_colouring_acyclic, fibre_colouring_smallm)
 from galaxia.errors import BadParamsError, ValidateError
 
 # Per type: the keyword arguments of one value, for each argument a
@@ -149,10 +150,12 @@ def test_cached_structures_enter_no_comparison():
 def test_unchecked_constructors_make_equal_values():
     assert Digraph._of(3, ((0, 1), (1, 2))) == build("Digraph")
     assert LabelledDigraph._of(2, 2, ((0, 1, 1), (0, 1, 2))) == build("LabelledDigraph")
-    assert WavelengthAssignment._of(2, {0: (1, 1, 2)}) == build("WavelengthAssignment")
+    assert WavelengthAssignment._of(
+        2, MappingProxyType({0: (1, 1, 2)})) == build("WavelengthAssignment")
 
 
 PATH = LabelledDigraph(3, 2, ((0, 1, 1), (1, 2, 2)))
+K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
 @pytest.mark.parametrize("make, error, message", [
@@ -205,6 +208,10 @@ PATH = LabelledDigraph(3, 2, ((0, 1, 1), (1, 2, 2)))
      "colour_cap must be an int or None"),
     (lambda: exact_lambda_n(PATH, 1, arc_limit=40.0), BadParamsError,
      "arc_limit must be an int"),
+    (lambda: edge_colouring_3regular(4, K4_EDGES, vertex_limit=None), BadParamsError,
+     "vertex_limit must be an int"),
+    (lambda: edge_colouring_3regular(4, K4_EDGES, vertex_limit=20.0), BadParamsError,
+     "vertex_limit must be an int"),
     (lambda: Digraph(3, None), ValidateError, "arcs must be iterable"),
     (lambda: LabelledDigraph(3, 1, 5), ValidateError, "arcs must be iterable"),
     (lambda: ArcColouring(None, 1), ValidateError, "colour must be a mapping"),
@@ -220,7 +227,8 @@ PATH = LabelledDigraph(3, 2, ((0, 1, 1), (1, 2, 2)))
         "interval-start-float", "interval-modulus-float", "interval-length-bool",
         "fibre-acyclic-float", "fibre-acyclic-bool", "fibre-smallm-float",
         "exact-lambda-float", "exact-dst-bool-limit", "exact-dst-float-cap",
-        "exact-lambda-float-cap", "exact-lambda-float-limit", "digraph-arcs-none",
+        "exact-lambda-float-cap", "exact-lambda-float-limit",
+        "cubic-none-vertex-limit", "cubic-float-vertex-limit", "digraph-arcs-none",
         "labelled-arcs-int", "colour-none", "colour-triples", "fibre-colour-none",
         "wavelength-triple-none"])
 def test_entries_and_parameters_must_be_plain_ints(make, error, message):

@@ -5,13 +5,14 @@ both verdicts turn up.  Each verifier must return None exactly when the
 brute-force check below finds no clash; find_bicoloured_circuit, defined
 on star colourings only, must refuse every other colouring.
 """
+import re
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from galaxia import (ArcColouring, Digraph, FibreColouring,
-                     InvalidColouringError, LabelledDigraph,
+                     InvalidColouringError, LabelledDigraph, ValidateError,
                      WavelengthAssignment, exact_dst, exact_lambda_n,
                      expand_to_wavelength_assignment,
                      find_bicoloured_circuit, verify_fibre_colouring,
@@ -163,3 +164,32 @@ def test_expansion_rejects_what_the_fibre_verifier_names(ld, n, data):
     else:
         assert violation is None
         assert verify_wavelength_assignment(ld, wa) is None
+
+
+PATH = LabelledDigraph(3, 1, ((0, 1, 1), (1, 2, 1)))
+# each verdict on the path's two arcs with an entry for `key` added
+WITH_KEY = {
+    "verify_star_colouring": lambda key: verify_star_colouring(
+        PATH.underlying, ArcColouring({0: 1, 1: 2, key: 1}, 2)),
+    "find_bicoloured_circuit": lambda key: find_bicoloured_circuit(
+        PATH.underlying, ArcColouring({0: 1, 1: 2, key: 1}, 2)),
+    "verify_fibre_colouring": lambda key: verify_fibre_colouring(
+        PATH, FibreColouring(1, {0: 1, 1: 2, key: 1}, 2)),
+    "expand_to_wavelength_assignment": lambda key: expand_to_wavelength_assignment(
+        PATH, FibreColouring(1, {0: 1, 1: 2, key: 1}, 2)),
+    "verify_wavelength_assignment": lambda key: verify_wavelength_assignment(
+        PATH, WavelengthAssignment(1, {0: (1, 1, 1), 1: (2, 1, 1), key: (1, 1, 1)})),
+}
+
+
+@pytest.mark.parametrize("key", ["x", 7, 2, -4, 2.5, None])
+@pytest.mark.parametrize("verdict", sorted(WITH_KEY))
+def test_verdicts_refuse_keys_that_name_no_arc(verdict, key):
+    with pytest.raises(ValidateError, match=f"^key {re.escape(repr(key))} names no arc$"):
+        WITH_KEY[verdict](key)
+
+
+def test_the_first_foreign_key_is_named():
+    colouring = ArcColouring({0: 1, 1: 2, "x": 1, 7: 2}, 2)
+    with pytest.raises(ValidateError, match="^key 'x' names no arc$"):
+        verify_star_colouring(PATH.underlying, colouring)
