@@ -65,19 +65,18 @@ def acircuitic_colouring(d: Digraph) -> ArcColouring:
     eprime = [i for i in range(d.arc_count)
               if d.arcs[i][0] in y_rank and d.arcs[i][1] in x_rank]
 
-    # two back arcs y_i -> x_j conflict when they share x_j, or when one
-    # enters x_j, the other leaves y_j, and both other ends rank above j;
-    # a matched vertex has at most two back arcs, so the buckets are small
-    pairs = [(y_rank[d.arcs[i][0]], x_rank[d.arcs[i][1]]) for i in eprime]
-    by_x: dict[int, list[int]] = {}
-    by_y: dict[int, list[int]] = {}
-    for a, (i, j) in enumerate(pairs):
-        by_x.setdefault(j, []).append(a)
-        by_y.setdefault(i, []).append(a)
+    # back arc y_i -> x_j is the arc i -> j of a digraph on the ranks, no
+    # loop, as y_i -> x_i and matching arc i would make a digon.  Two back
+    # arcs conflict when they share x_j (both enter j), or when one enters
+    # x_j, the other leaves y_j (leaves j), and both other ends rank above
+    # j; a matched vertex has at most two back arcs, so buckets are small
+    back = Digraph._of(len(m_sorted), tuple(
+        (y_rank[d.arcs[i][0]], x_rank[d.arcs[i][1]]) for i in eprime))
+    pairs, by_x, by_y = back.arcs, back.in_arcs, back.out_arcs
     neigh = [set(by_x[j]) - {a} for a, (_, j) in enumerate(pairs)]
     for a, (i, j) in enumerate(pairs):
         if i > j:
-            for b in by_y.get(j, ()):
+            for b in by_y[j]:
                 if pairs[b][1] > j:
                     neigh[a].add(b)
                     neigh[b].add(a)

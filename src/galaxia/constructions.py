@@ -217,8 +217,7 @@ def np_reduction(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Digraph
     vertices 2 and 3, and gadget vertex 2 takes over the tail of v's
     second leaving arc.  Output degrees stay <= 2.
     """
-    edge_list = _check_cubic(vertex_count, edges)
-    arcs = _orient_no_sink_source(vertex_count, edge_list)
+    arcs = _orient_no_sink_source(vertex_count, _check_cubic(vertex_count, edges).arcs)
     oriented = Digraph._of(vertex_count, tuple(arcs))
     fresh = vertex_count
     extra: list[tuple[int, int]] = []

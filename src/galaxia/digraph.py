@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from operator import add, attrgetter, itemgetter
-from typing import TypeVar
+from typing import Sequence, TypeVar
 
 from .errors import CyclicError, PreconditionViolatedError, ValidateError
 
@@ -213,6 +213,20 @@ def _require_simple(d: Digraph, message: str) -> None:
     """Raise PreconditionViolatedError(message) when an arc of d repeats another."""
     if len(set(d.arcs)) != d.arc_count:
         raise PreconditionViolatedError(message)
+
+
+def _sub(g: Digraph, ids: Sequence[int], keep: Sequence[int],
+         ) -> tuple[Digraph, list[int]]:
+    """The arcs `keep` (ascending) of g on the vertices they touch, both
+    renumbered in ascending order, and the input index `ids[a]` of each
+    arc a kept.  The renumbering keeps the order of vertices and of arcs,
+    so every tie-break by index falls as it would in g."""
+    arcs = g.arcs
+    verts = sorted({v for a in keep for v in arcs[a]})
+    index = {v: i for i, v in enumerate(verts)}
+    return (Digraph._of(len(verts), tuple([
+                (index[arcs[a][0]], index[arcs[a][1]]) for a in keep])),
+            [ids[a] for a in keep])
 
 
 class DegreeProfile(_Frozen):

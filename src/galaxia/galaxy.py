@@ -37,7 +37,8 @@ from __future__ import annotations
 from typing import Collection
 
 from .colouring import ArcColouring, from_class_list
-from .digraph import Digraph, _require_simple, degree_profile, strong_components
+from .digraph import (Digraph, _require_simple, _sub, degree_profile,
+                      strong_components)
 
 
 def _bfs_tree(local: Digraph, comp_of: list[int], component: int,
@@ -68,34 +69,26 @@ def _decompose(d: Digraph, k: int) -> tuple[list[list[int]], list[int]]:
     """Returns (k forests, galaxy) as lists of arc indices of d.
 
     Level l (k down to 1) fills forest l-1 from the strong components of
-    the arcs still unplaced; see the module docstring.  Each level takes
-    at least one entering arc of every vertex that has one, so with all
-    indegrees at most k no vertex has more entering arcs than levels left.
+    the arcs still unplaced, as the sub-digraph `_sub` builds of them, so
+    its vertices keep their order; see the module docstring.  Each level
+    takes at least one entering arc of every vertex that has one, so with
+    all indegrees at most k no vertex has more entering arcs than levels
+    left.
     """
-    arcs = d.arcs
     forests: list[list[int]] = [[] for _ in range(k)]
     galaxy: list[int] = []
-    live = list(range(d.arc_count))
-    slot = [-1] * d.vertex_count  # local id of each vertex at this level
+    local, live = d, list(range(d.arc_count))  # live[j]: d's index of local arc j
     for level in range(k, 0, -1):
         if not live:
             break
-        verts: list[int] = []
-        for i in live:
-            for w in arcs[i]:
-                if slot[w] == -1:
-                    slot[w] = len(verts)
-                    verts.append(w)
-        local = Digraph._of(len(verts), tuple(
-            (slot[arcs[i][0]], slot[arcs[i][1]]) for i in live))
         local_arcs, in_arcs, out_arcs = local.arcs, local.in_arcs, local.out_arcs
         comps = strong_components(local)
-        comp_of = [0] * len(verts)
+        comp_of = [0] * local.vertex_count
         for c, members in enumerate(comps):
             for x in members:
                 comp_of[x] = c
         placed: set[int] = set()  # local arcs that found their piece
-        reached = [False] * len(verts)
+        reached = [False] * local.vertex_count
         for c, members in enumerate(comps):
             if len(members) == 1:
                 # every arc into a lone vertex enters it, and each level
@@ -115,9 +108,9 @@ def _decompose(d: Digraph, k: int) -> tuple[list[list[int]], list[int]]:
                 # strong piece: an arborescence rooted at the least
                 # outneighbour v of its least vertex r, then v's other
                 # entering arcs one per lower forest and rv to the galaxy
-                lr = min(members, key=verts.__getitem__)
-                lv = min((local_arcs[j][1] for j in out_arcs[lr]
-                          if comp_of[local_arcs[j][1]] == c), key=verts.__getitem__)
+                lr = members[0]
+                lv = min(local_arcs[j][1] for j in out_arcs[lr]
+                         if comp_of[local_arcs[j][1]] == c)
                 reached[lv] = True
                 tree = _bfs_tree(local, comp_of, c, out_arcs[lv], reached)
                 forests[level - 1].extend(live[j] for j in tree)
@@ -126,19 +119,15 @@ def _decompose(d: Digraph, k: int) -> tuple[list[list[int]], list[int]]:
                     forests[pos].append(live[j])
                 galaxy.extend(live[j] for j in in_arcs[lv] if local_arcs[j][0] == lr)
                 placed.update(tree, in_arcs[lv])
-        for w in verts:
-            slot[w] = -1
-        live = [i for j, i in enumerate(live) if j not in placed]
+        local, live = _sub(local, live, [j for j in range(local.arc_count)
+                                         if j not in placed])
     return forests, galaxy
 
 
 def _split_forest(d: Digraph, forest: Collection[int],
                   ) -> tuple[frozenset[int], frozenset[int]]:
     """Two galaxies that split a forest by the parity of tail depth."""
-    parent: dict[int, tuple[int, int]] = {}
-    for i in forest:
-        t, h = d.arcs[i]
-        parent[h] = (t, i)
+    parent = {d.arcs[i][1]: d.arcs[i][0] for i in forest}
     depth: dict[int, int] = {}
 
     def depth_of(v: int) -> int:
@@ -146,7 +135,7 @@ def _split_forest(d: Digraph, forest: Collection[int],
         w = v
         while w not in depth and w in parent:
             path.append(w)
-            w = parent[w][0]
+            w = parent[w]
         base = depth.get(w, 0)
         for x in reversed(path):
             base += 1

@@ -9,6 +9,8 @@ sweep finds.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .digraph import _Frozen, _check_count
 from .errors import BadParamsError, InternalDefectError
 
@@ -56,7 +58,7 @@ def _sweep(spans: list[tuple[int, int]]) -> list[int] | None:
     return where
 
 
-def sdr_in_cyclic_interval(intervals: list[CyclicInterval],
+def sdr_in_cyclic_interval(intervals: Iterable[CyclicInterval],
                            ) -> tuple[CyclicInterval, tuple[int, ...]]:
     """Distinct representatives of k k-intervals, themselves filling a
     k-interval of {1..2k}.
@@ -68,10 +70,16 @@ def sdr_in_cyclic_interval(intervals: list[CyclicInterval],
     the greedy solves exactly.  Existence is guaranteed, so exhausting
     all candidates is an internal defect and aborts loudly.
     """
+    try:
+        intervals = list(intervals)
+    except TypeError:
+        raise BadParamsError("intervals must be iterable") from None
     k = len(intervals)
     if k < 1:
         raise BadParamsError("need at least one interval")
     for pos, iv in enumerate(intervals):
+        if not isinstance(iv, CyclicInterval):
+            raise BadParamsError(f"interval {pos} is not a CyclicInterval")
         if iv.modulus != 2 * k or iv.length != k:
             raise BadParamsError(
                 f"interval {pos} is not a {k}-interval of 1..{2 * k}")

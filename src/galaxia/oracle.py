@@ -335,66 +335,41 @@ def _bicoloured_circuit(d: Digraph, colouring: ArcColouring,
     return None
 
 
-def _check_cubic(vertex_count: int, edges: Iterable[tuple[int, int]],
-                 ) -> list[tuple[int, int]]:
-    """The edges as (low, high) pairs in input order, after checking that
-    they form a simple 3-regular graph on 0..vertex_count-1 whose edges
-    are pairs of plain ints (no bool).  A ValidateError names the first
-    edge that fails, or the edges when they are not iterable."""
-    _check_count("vertex_count", vertex_count, 0)
-    out: list[tuple[int, int]] = []
+def _check_cubic(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Digraph:
+    """The edges as the arcs of a Digraph, in input order, after checking
+    that they form a simple 3-regular graph.  The Digraph constructor
+    checks the count and each pair; then a ValidateError names the first
+    edge that repeats another in either direction."""
+    g = Digraph(vertex_count, edges)
     seen: set[tuple[int, int]] = set()
-    degree = [0] * vertex_count
-    try:
-        edges = iter(edges)
-    except TypeError:
-        raise ValidateError("edges must be iterable") from None
-    for i, edge in enumerate(edges):
-        if type(edge) is not tuple:  # a list, say, is read as a tuple
-            edge = tuple(edge) if hasattr(edge, "__iter__") else ()
-        if len(edge) != 2:
-            raise ValidateError(f"edge {i} is not a pair")
-        u, v = edge
-        for end in u, v:
-            if type(end) is not int:
-                raise ValidateError(f"edge {i} entry {end!r} is not an int")
-        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-            raise ValidateError(f"edge ({u},{v}) outside 0..{vertex_count - 1}")
-        if u == v:
-            raise ValidateError(f"loop at vertex {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
+    for u, v in g.arcs:
+        if (u, v) in seen:
             raise ValidateError(f"duplicate edge ({u},{v})")
-        seen.add(key)
-        degree[u] += 1
-        degree[v] += 1
-        out.append(key)
-    if any(deg != 3 for deg in degree):
+        seen.update(((u, v), (v, u)))
+    if any(deg != 3 for deg in g.profile.degree):
         raise ValidateError("graph is not 3-regular")
-    return out
+    return g
 
 
 def edge_colouring_3regular(vertex_count: int,
-                            edges: list[tuple[int, int]],
+                            edges: Iterable[tuple[int, int]],
                             vertex_limit: int = 20,
                             ) -> dict[int, int] | None:
     """Proper 3-edge-colouring of a cubic graph, or None if impossible.
 
     Colours the line graph with the exact solvers' search (_dsatur).
     """
-    _check_cubic(vertex_count, edges)
+    g = _check_cubic(vertex_count, edges)
     if type(vertex_limit) is not int:
         raise BadParamsError("vertex_limit must be an int")
     if vertex_count > vertex_limit:
         raise TooLargeError(f"{vertex_count} vertices exceed the limit {vertex_limit}")
 
-    at_vertex: list[list[int]] = [[] for _ in range(vertex_count)]
-    for idx, (a, b) in enumerate(edges):
-        at_vertex[a].append(idx)
-        at_vertex[b].append(idx)
-    # the conflicts of an edge are the other edges at its two ends
-    result = _colour_graph([[f for f in at_vertex[a] + at_vertex[b] if f != e]
-                            for e, (a, b) in enumerate(edges)], 3)
+    # the conflicts of an edge are the other edges at its two ends, each
+    # an arc that leaves or enters the end
+    out_arcs, in_arcs = g.out_arcs, g.in_arcs
+    result = _colour_graph([[f for w in (a, b) for f in out_arcs[w] + in_arcs[w]
+                             if f != e] for e, (a, b) in enumerate(g.arcs)], 3)
     if result is None:
         return None
     return dict(enumerate(result))

@@ -12,8 +12,8 @@ from itertools import combinations, compress
 from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from .colouring import ArcColouring
-from .digraph import (Digraph, _map_cycles, _require_simple, degree_profile,
-                      strong_components)
+from .digraph import (Digraph, _map_cycles, _require_simple, _sub,
+                      degree_profile, strong_components)
 from .errors import (InfeasibleError, InternalDefectError,
                      PreconditionViolatedError)
 
@@ -466,23 +466,10 @@ def lemma_extension_colouring(d: Digraph,
 # The full pipeline.
 #
 # Every stage reads a Digraph's arc buckets.  A stage that keeps some
-# arcs of its digraph goes on with the sub-digraph of those arcs, whose
-# arcs and touched vertices are renumbered in ascending order, so that
-# every tie-break by index falls as it would in the whole digraph.  Next
-# to each sub-digraph runs `ids`, its arcs' indices in the input, which
-# index the run's one colour list (0 while an arc is uncoloured).
-
-
-def _sub(g: Digraph, ids: Sequence[int], keep: Sequence[int],
-         ) -> tuple[Digraph, list[int]]:
-    """The arcs `keep` (ascending) of g on the vertices they touch, both
-    renumbered in ascending order, and the input index of each arc."""
-    arcs = g.arcs
-    verts = sorted({v for a in keep for v in arcs[a]})
-    index = {v: i for i, v in enumerate(verts)}
-    return (Digraph._of(len(verts), tuple([
-                (index[arcs[a][0]], index[arcs[a][1]]) for a in keep])),
-            [ids[a] for a in keep])
+# arcs of its digraph goes on with the sub-digraph `digraph._sub` builds
+# of those arcs.  Next to each sub-digraph runs `ids`, its arcs' indices
+# in the input, which index the run's one colour list (0 while an arc
+# is uncoloured).
 
 
 def _peel(g: Digraph) -> tuple[list[int], list[tuple[str, list[int]]]]:

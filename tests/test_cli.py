@@ -710,10 +710,18 @@ def test_exact_writes_witness(tmp_path, capsys):
     assert main(["verify", instance, str(out)]) == 0
 
 
-def test_reduce_named_with_check(capsys):
-    assert main(["reduce", "--named", "k4", "--check"]) == 0
-    out = capsys.readouterr().out
-    assert "12" in out  # arc count of the reduced instance
+@pytest.mark.parametrize("name, arc_count, verdict", [
+    ("k4", 12, "3-edge-colourable=True dst=3"),
+    ("k33", 18, "3-edge-colourable=True dst=3"),
+    ("prism", 18, "3-edge-colourable=True dst=3"),
+    ("petersen", 30, "3-edge-colourable=False dst=4"),
+], ids=["k4", "k33", "prism", "petersen"])
+def test_reduce_named_with_check(capsys, name, arc_count, verdict):
+    # the four named graphs whose reductions fit the default arc limit
+    assert main(["reduce", "--named", name, "--check"]) == 0
+    summary, last = capsys.readouterr().out.splitlines()
+    assert summary.endswith(f" -> {2 * arc_count // 3} vertices, {arc_count} arcs")
+    assert last == verdict
 
 
 def test_reduce_writes_instance(tmp_path):

@@ -350,6 +350,16 @@ def test_trusted_sub_digraphs_pass_the_arc_check(monkeypatch, solve, family):
     assert built
 
 
+def test_sub_renumbers_touched_vertices_ascending_and_keeps_arc_order():
+    g = Digraph(7, ((5, 1), (6, 5), (1, 3), (3, 6), (0, 2)))
+    ids = [10, 11, 12, 13, 14]
+    sub, kept = digraph._sub(g, ids, [0, 1, 3])
+    # vertices 1, 3, 5 and 6 are touched, and become 0, 1, 2 and 3
+    assert sub == Digraph(4, ((2, 0), (3, 2), (1, 3)))
+    assert kept == [10, 11, 13]
+    assert digraph._sub(g, ids, []) == (Digraph(0, ()), [])
+
+
 def test_find_circuit_arcs_dag_and_circuit():
     assert find_circuit_arcs(Digraph(3, ((0, 1), (0, 2)))) is None
     found = find_circuit_arcs(circuit(4))

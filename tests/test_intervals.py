@@ -1,5 +1,6 @@
 """Cyclic intervals and the distinct-representatives search."""
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -84,6 +85,24 @@ def test_sdr_uniform_triple():
 def test_sdr_empty_rejected():
     with pytest.raises(BadParamsError):
         sdr_in_cyclic_interval([])
+
+
+def test_sdr_takes_any_iterable_of_intervals():
+    intervals = [CyclicInterval(6, s, 3) for s in (1, 3, 5)]
+    expected = sdr_in_cyclic_interval(intervals)
+    assert sdr_in_cyclic_interval(iter(intervals)) == expected
+    assert sdr_in_cyclic_interval(iv for iv in intervals) == expected
+
+
+@pytest.mark.parametrize("intervals, message", [
+    (None, "intervals must be iterable"),
+    (7, "intervals must be iterable"),
+    ([CyclicInterval(4, 1, 2), (1, 2)], "interval 1 is not a CyclicInterval"),
+    ([None], "interval 0 is not a CyclicInterval"),
+])
+def test_sdr_names_what_is_not_an_interval(intervals, message):
+    with pytest.raises(BadParamsError, match=f"^{re.escape(message)}$"):
+        sdr_in_cyclic_interval(intervals)
 
 
 def test_sdr_wrong_shape_rejected():

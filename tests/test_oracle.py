@@ -433,8 +433,8 @@ def test_edge_colouring_rejects_non_cubic():
 
 
 @pytest.mark.parametrize("edges, message", [
-    ([(0, 4)], "edge (0,4) outside 0..3"),
-    ([(2, 2)], "loop at vertex 2"),
+    ([(0, 4)], "arc 0 (0,4) out of vertex range"),
+    ([(2, 2)], "arc 0 is a self-loop at 2"),
     ([(0, 1), (1, 0)], "duplicate edge (1,0)"),
 ])
 def test_edge_colouring_rejects_bad_edges(edges, message):
@@ -446,19 +446,34 @@ K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
 @pytest.mark.parametrize("vertex_count, edges, message", [
-    (4, [(0, 1.0)] + K4_EDGES[1:], "edge 0 entry 1.0 is not an int"),
-    (4, [(0, True)] + K4_EDGES[1:], "edge 0 entry True is not an int"),
+    (4, [(0, 1.0)] + K4_EDGES[1:], "arc 0 entry 1.0 is not an int"),
+    (4, [(0, True)] + K4_EDGES[1:], "arc 0 entry True is not an int"),
     (4.0, K4_EDGES, "vertex_count must be an int"),
-    (4, [(0, 1, 2)] + K4_EDGES[1:], "edge 0 is not a pair"),
-    (4, K4_EDGES[:2] + [5] + K4_EDGES[3:], "edge 2 is not a pair"),
-    (4, None, "edges must be iterable"),
+    (4, [(0, 1, 2)] + K4_EDGES[1:], "arc 0 is not a (tail, head) pair"),
+    (4, K4_EDGES[:2] + [5] + K4_EDGES[3:], "arc 2 is not a (tail, head) pair"),
+    (4, None, "arcs must be iterable"),
 ], ids=["float-end", "bool-end", "float-count", "triple", "not-a-pair", "not-iterable"])
 def test_cubic_graph_entries_must_be_plain_ints(vertex_count, edges, message):
     # the edge checks behind both the exact edge colouring and the
-    # hardness reduction
+    # hardness reduction: the edges are read as a Digraph's arcs, so a
+    # malformed one gets that constructor's text
     for make in (edge_colouring_3regular, np_reduction):
         with pytest.raises(ValidateError, match=f"^{re.escape(message)}$"):
             make(vertex_count, edges)
+
+
+PRISM_EDGES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+
+
+@pytest.mark.parametrize("vertex_count, edges", [(4, K4_EDGES), (6, PRISM_EDGES)],
+                         ids=["k4", "prism"])
+def test_cubic_graph_edges_may_come_from_any_iterable(vertex_count, edges):
+    # the edges are read once, so an iterator colours and reduces the
+    # graph its list does, not a graph of no edges
+    for make in (edge_colouring_3regular, np_reduction):
+        expected = make(vertex_count, edges)
+        assert make(vertex_count, iter(edges)) == expected
+        assert make(vertex_count, (e for e in edges)) == expected
 
 
 def test_exact_lambda_rejects_bad_fibres_and_large_input():

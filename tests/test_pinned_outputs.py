@@ -1,8 +1,8 @@
 """The exact colourings of six constructive theorems and of subcubic's
 list-extension engine on acyclic digraphs, pinned by hash.
 
-Each test builds a few hundred small instances from a seeded
-random.Random, colours them all, and compares the sha256 of the
+Each test builds a few hundred small instances (the deep 2k+1 pin: 60
+larger ones) from a seeded random.Random, colours them all, and compares the sha256 of the
 colourings with the value recorded when the solvers were last changed
 on purpose.  A refactor that keeps every colouring keeps the hash; one
 that changes a single colour or colour count anywhere does not.
@@ -12,7 +12,7 @@ import random
 
 from galaxia import (ArcColouring, Digraph, acircuitic_colouring,
                      dst4_colouring, dst_upper_2k1, fibre_colouring_acyclic,
-                     random_labelled_dag, random_subcubic,
+                     random_digraph, random_labelled_dag, random_subcubic,
                      star_colouring_acyclic, star_colouring_subcubic,
                      subcubic, topological_order)
 
@@ -75,6 +75,16 @@ def test_dst_upper_2k1_pinned():
                                  rng.randint(1, 4)))
             for _ in range(INSTANCES)]
     assert digest(cols) == "27ac0ab6213322e467a2eab7feb4474fdffe7792ae3c137b0cda4a2478938369"
+
+
+def test_dst_upper_2k1_deep_levels_pinned():
+    # 100-400 vertices with indegrees 5-8, so each colouring runs five
+    # to eight levels of the decomposition
+    rng = random.Random(2108)
+    cols = [dst_upper_2k1(random_digraph(rng.randint(100, 400), rng.randint(5, 8),
+                                         rng.randint(1, 8), rng.randrange(10 ** 6)))
+            for _ in range(60)]
+    assert digest(cols) == "908854d643564e6d81ff619112990d6295fc56d7a8e10da0e3a99ce740895f43"
 
 
 def test_dst4_colouring_pinned():
