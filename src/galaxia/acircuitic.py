@@ -82,24 +82,22 @@ def acircuitic_colouring(d: Digraph) -> ArcColouring:
                     neigh[b].add(a)
     if any(len(nb) > 3 for nb in neigh):
         raise InternalDefectError("back-arc conflict graph has degree four")
-    brooks = _brooks(neigh)
-    back_colour = {arc: brooks[k] for k, arc in enumerate(eprime)}
+    colours: list[int | None] = [None] * d.arc_count
+    for i in four:
+        colours[i] = 4
+    taken_at = [0] * d.vertex_count  # mask of back-arc colours by head
+    for arc, c in zip(eprime, _brooks(neigh)):
+        colours[arc] = c
+        taken_at[d.arcs[arc][1]] |= 1 << c
 
-    rest = [i for i in range(d.arc_count)
-            if i not in four and i not in back_colour]
+    rest = [i for i in range(d.arc_count) if colours[i] is None]
     sub = Digraph._of(d.vertex_count, tuple(d.arcs[i] for i in rest))
-    taken_at: dict[int, int] = {}  # mask of back-arc colours by head
-    for arc, c in back_colour.items():
-        h = d.arcs[arc][1]
-        taken_at[h] = taken_at.get(h, 0) | 1 << c
-    lists = [_FULL_MASK & ~taken_at.get(h, 0) for _, h in sub.arcs]
+    lists = [_FULL_MASK & ~taken_at[h] for _, h in sub.arcs]
     # the rest is acyclic, so its vertices one by one in reverse Kahn
     # order are its strong components in reverse topological order; were
     # a circuit left, the arcs into the vertices Kahn's sort leaves would
-    # stay uncoloured, and the verifier would reject the output
+    # stay None, which ArcColouring names as uncoloured
     finish = _extension_engine(sub, lists, [(v,) for v in reversed(sub._sort)])
-
-    colours = {i: 4 for i in four}
-    colours.update(back_colour)
-    colours.update({rest[k]: c for k, c in finish.items()})
-    return ArcColouring(colours, max(colours.values(), default=0))
+    for i, c in zip(rest, finish):
+        colours[i] = c
+    return ArcColouring(colours, max(filter(None, colours), default=0))

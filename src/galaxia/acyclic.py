@@ -58,7 +58,7 @@ def star_colouring_acyclic(d: Digraph,
     """
     k = degree_profile(d).max_indegree
     if k == 0:
-        return ArcColouring({}, 0), {}
+        return ArcColouring((), 0), {}
     p = 2 * k
     lemma = _lemma if k <= _MEMO_MAX_K else _solve
     # every arc reads its tail's one start: zeros, one byte per arc

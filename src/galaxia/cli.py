@@ -171,14 +171,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ld = _read_instance(args.input)
     with open(args.colouring, encoding="utf-8") as fh:
         if args.fibres is not None:
-            triples = read_wavelengths(fh, arc_count=ld.arc_count)
+            triples = read_wavelengths(fh, ld.arc_count)
         else:
-            colours, intervals = read_colouring(fh, arc_count=ld.arc_count)
+            colours, intervals = read_colouring(fh, ld.arc_count)
     if args.fibres is not None:
         from .fibre import WavelengthAssignment
         violation = _fibre_violation(ld, WavelengthAssignment(args.fibres, triples))
     else:
-        colouring = ArcColouring(colours, max(colours.values(), default=0))
+        colouring = ArcColouring(colours, max(colours, default=0))
         violation = _star_violation(ld.underlying, colouring, intervals,
                                     args.acircuitic)
     if violation is not None:
@@ -192,6 +192,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # exact
 
 
+def _exact_star(d: Digraph, colour_cap: int | None, arc_limit: int,
+                ) -> tuple[int, ArcColouring]:
+    """exact_dst's value and its witness, which the star verdict passed."""
+    with _own_output("exact witness"):
+        value, witness = exact_dst(d, colour_cap, arc_limit)
+        _require(_star_violation(d, witness, {}, False))
+    return value, witness
+
+
 def _cmd_exact(args: argparse.Namespace) -> int:
     ld = _read_instance(args.input)
     if args.fibres is not None:
@@ -203,10 +212,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
                        lambda fh: write_wavelengths(
                            fh, wa.triple,
                            comments=[f"lambda_{args.fibres}={value}"]))
-    d = ld.underlying
-    with _own_output("exact witness"):
-        value, witness = exact_dst(d, args.colour_cap, args.arc_limit)
-        _require(_star_violation(d, witness, {}, False))
+    value, witness = _exact_star(ld.underlying, args.colour_cap, args.arc_limit)
     return _report([f"dst = {value}"], args.output, lambda fh: write_colouring(
         fh, witness.colour, comments=[f"dst={value}"]))
 
@@ -231,9 +237,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     if args.check:
         if args.output is None or args.output == "-":
             print(lines.pop())  # shown before the exact search runs
-        with _own_output("exact witness"):
-            value, witness = exact_dst(d, arc_limit=args.arc_limit)
-            _require(_star_violation(d, witness, {}, False))
+        value, _ = _exact_star(d, None, args.arc_limit)
         # the reduction has three arcs per vertex, so the arc limit the
         # exact search passed bounds the edge-colouring search as well
         feasible = edge_colouring_3regular(

@@ -323,7 +323,7 @@ def topological_order(d: Digraph) -> tuple[int, ...]:
     return order
 
 
-def _pattern_sweep(d: Digraph, reads, source, solve) -> tuple[dict[int, int], list]:
+def _pattern_sweep(d: Digraph, reads, source, solve) -> tuple[list[int], list]:
     """The induction both acyclic constructions run: each vertex v in
     topological order takes a state from the states of its tails, and
     its entering arcs take their colours, by `solve(key)` on the key of
@@ -337,7 +337,7 @@ def _pattern_sweep(d: Digraph, reads, source, solve) -> tuple[dict[int, int], li
     order = topological_order(d)
     # tails precede their heads, so a key reads only states already set
     state = [source] * d.vertex_count
-    colour: dict[int, int] = {}
+    colour = [None] * d.arc_count
     table: dict[tuple, tuple] = {}
     arcs, in_arcs = d.arcs, d.in_arcs
     for v in order:
@@ -352,7 +352,8 @@ def _pattern_sweep(d: Digraph, reads, source, solve) -> tuple[dict[int, int], li
         if entry is None:
             entry = table[key] = solve(key)
         colours, state[v] = entry
-        colour.update(zip(entering, colours))
+        for a, c in zip(entering, colours):
+            colour[a] = c
     return colour, state
 
 

@@ -23,11 +23,11 @@ from collections import Counter
 from functools import lru_cache
 from itertools import count
 from operator import itemgetter
-from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
-from .colouring import ArcColouring, _Mapped, _read_only, arc_values
-from .digraph import _MEMO_CAP, LabelledDigraph, _check_count, _pattern_sweep
+from .colouring import ArcColouring, _by_arc, arc_values
+from .digraph import (_MEMO_CAP, LabelledDigraph, _check_count, _Frozen,
+                      _pattern_sweep)
 from .errors import (BadParamsError, InternalDefectError, InvalidColouringError,
                      ValidateError)
 
@@ -43,27 +43,27 @@ class FibreColouring(ArcColouring):
     n: int
     _fields = ("n", "colour", "colour_count")
 
-    def __init__(self, n: int, colour: Mapping[int, int],
+    def __init__(self, n: int, colour: Sequence[int],
                  colour_count: int) -> None:
         _check_count("fibre count", n, 1)
         super().__init__(colour, colour_count)
         vars(self)["n"] = n
 
 
-class WavelengthAssignment(_Mapped):
-    """Per arc: wavelength plus fibre numbers at the tail and head, each
-    a plain int (no bool), like the fibre count n; a wavelength is
+class WavelengthAssignment(_Frozen):
+    """By arc index: wavelength plus fibre numbers at the tail and head,
+    each a plain int (no bool), like the fibre count n; a wavelength is
     positive and a fibre in 1..n."""
 
     n: int
-    triple: Mapping[int, tuple[int, int, int]]  # arc -> (wavelength, f_out, f_in)
+    triple: tuple[tuple[int, int, int], ...]  # by arc: (wavelength, f_out, f_in)
     _fields = ("n", "triple")
 
     def __init__(self, n: int,
-                 triple: Mapping[int, tuple[int, int, int]]) -> None:
+                 triple: Sequence[tuple[int, int, int]]) -> None:
         _check_count("fibre count", n, 1)
-        vars(self).update(n=n, triple=_read_only("triple", triple))
-        for arc, entries in self.triple.items():
+        triple = _by_arc("triple", triple)
+        for arc, entries in enumerate(triple):
             if type(entries) is not tuple or len(entries) != 3:
                 raise ValidateError(f"arc {arc} is not a (wavelength, f_out, f_in) tuple")
             for entry in entries:
@@ -74,6 +74,7 @@ class WavelengthAssignment(_Mapped):
                 raise ValidateError(f"arc {arc} wavelength must be positive")
             if not (1 <= f_out <= n and 1 <= f_in <= n):
                 raise ValidateError(f"arc {arc} fibre outside 1..{n}")
+        vars(self).update(n=n, triple=triple)
 
     def __getitem__(self, arc: int) -> tuple[int, int, int]:
         return self.triple[arc]
@@ -146,7 +147,7 @@ def verify_wavelength_assignment(ld: LabelledDigraph, wa: WavelengthAssignment,
         out_here: dict[tuple[int, int], int] = {}
         # both directions in arc order, so the first violation is stable
         for arc in sorted(d.in_arcs[v] + d.out_arcs[v]):
-            wl, f_out, f_in = wa[arc]
+            wl, f_out, f_in = triples[arc]
             if d.arcs[arc][1] == v:
                 key = (wl, f_in)
                 if key in in_here:
@@ -223,7 +224,7 @@ def fibre_colouring_acyclic(ld: LabelledDigraph, n: int) -> FibreColouring:
         raise BadParamsError(f"need m >= n, got m={m} n={n}")
     k = ld.profile.max_indegree
     if ld.arc_count == 0:
-        return FibreColouring(n, {}, 0)
+        return FibreColouring(n, (), 0)
     big_k = math.ceil(k / n)
     total = upper_bound_acyclic(n, m, k)
 
@@ -254,14 +255,14 @@ def fibre_colouring_smallm(ld: LabelledDigraph, n: int) -> FibreColouring:
         raise BadParamsError(f"need m < n, got m={m} n={n}")
     k = ld.profile.max_indegree
     if ld.arc_count == 0:
-        return FibreColouring(n, {}, 0)
+        return FibreColouring(n, (), 0)
     total = math.ceil(k / (n - m))
     colours: list[int] = []
     seen_in = [0] * ld.vertex_count
     for head in map(itemgetter(1), ld.arcs):
         colours.append(seen_in[head] // (n - m) + 1)
         seen_in[head] += 1
-    return FibreColouring(n, dict(enumerate(colours)), total)
+    return FibreColouring(n, colours, total)
 
 
 def expand_to_wavelength_assignment(ld: LabelledDigraph, fc: FibreColouring,
@@ -299,5 +300,4 @@ def expand_to_wavelength_assignment(ld: LabelledDigraph, fc: FibreColouring,
             f"fibre colouring invalid at vertex {v.vertex}, colour {v.colour}:"
             f" {v.in_count}+{v.out_count} > {fc.n}")
     # every fibre is in 1..n now, and the colours are positive
-    return WavelengthAssignment._of(
-        fc.n, MappingProxyType(dict(enumerate(zip(colours, f_out, f_in)))))
+    return WavelengthAssignment._of(fc.n, tuple(zip(colours, f_out, f_in)))

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from operator import eq
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Sequence
 
 from .digraph import LabelledDigraph
 from .errors import ParseError, ValidateError
@@ -164,10 +164,11 @@ def write_digraph(stream: IO[str], ld: LabelledDigraph,
         stream.write(f"a {tail} {head} {label}\n")
 
 
-def read_colouring(stream: Iterable[str], arc_count: int | None = None,
-                   ) -> tuple[dict[int, int], dict[int, CyclicInterval]]:
-    """Returns (arc colours, per-vertex interval reports)."""
-    colours: dict[int, int] = {}
+def read_colouring(stream: Iterable[str], arc_count: int,
+                   ) -> tuple[tuple[int, ...], dict[int, CyclicInterval]]:
+    """Returns (colour by arc index, per-vertex interval reports).  Each
+    of the arc_count arcs needs one `c` line."""
+    colours: list[int | None] = [None] * arc_count
     intervals: dict[int, CyclicInterval] = {}
     for lineno, fields in _content_lines(stream):
         kind = fields[0]
@@ -175,11 +176,11 @@ def read_colouring(stream: Iterable[str], arc_count: int | None = None,
             if len(fields) != 3:
                 raise ParseError(lineno, "colour line must be 'c <arc_index> <colour>'")
             arc, colour = _ints(fields[1:], lineno)
-            if arc < 0 or (arc_count is not None and arc >= arc_count):
+            if not 0 <= arc < arc_count:
                 raise ParseError(lineno, f"arc index {arc} out of range")
             if colour < 1:
                 raise ParseError(lineno, "colours are positive")
-            if arc in colours:
+            if colours[arc] is not None:
                 raise ValidateError(f"arc {arc} coloured twice")
             colours[arc] = colour
         elif kind == "i":
@@ -193,25 +194,34 @@ def read_colouring(stream: Iterable[str], arc_count: int | None = None,
             intervals[vertex] = CyclicInterval(modulus=2 * k, start=start, length=k)
         else:
             raise ParseError(lineno, f"unknown line type {kind!r}")
-    return colours, intervals
+    return _every_arc(colours, "uncoloured"), intervals
 
 
-def write_colouring(stream: IO[str], colours: Mapping[int, int],
+def _every_arc(values: list, missing: str) -> tuple:
+    """`values` as a tuple once no entry is None; else a ValidateError
+    names the first arc without a line as 'arc i is <missing>'."""
+    if None in values:
+        raise ValidateError(f"arc {values.index(None)} is {missing}")
+    return tuple(values)
+
+
+def write_colouring(stream: IO[str], colours: Sequence[int],
                     intervals: dict[int, CyclicInterval] | None = None,
                     comments: Iterable[str] = ()) -> None:
     for c in comments:
         stream.write(f"# {c}\n")
-    for arc in sorted(colours):
-        stream.write(f"c {arc} {colours[arc]}\n")
+    for arc, colour in enumerate(colours):
+        stream.write(f"c {arc} {colour}\n")
     for vertex in sorted(intervals or {}):
         iv = intervals[vertex]
         stream.write(f"i {vertex} {iv.start} {iv.length}\n")
 
 
-def read_wavelengths(stream: Iterable[str], arc_count: int | None = None,
-                     ) -> dict[int, tuple[int, int, int]]:
-    """Returns arc -> (wavelength, fibre_out, fibre_in)."""
-    out: dict[int, tuple[int, int, int]] = {}
+def read_wavelengths(stream: Iterable[str], arc_count: int,
+                     ) -> tuple[tuple[int, int, int], ...]:
+    """Returns (wavelength, fibre_out, fibre_in) by arc index.  Each of
+    the arc_count arcs needs one `w` line."""
+    out: list[tuple[int, int, int] | None] = [None] * arc_count
     for lineno, fields in _content_lines(stream):
         if fields[0] != "w":
             raise ParseError(lineno, f"unknown line type {fields[0]!r}")
@@ -219,21 +229,20 @@ def read_wavelengths(stream: Iterable[str], arc_count: int | None = None,
             raise ParseError(lineno,
                              "wavelength line must be 'w <arc> <colour> <f_out> <f_in>'")
         arc, colour, f_out, f_in = _ints(fields[1:], lineno)
-        if arc < 0 or (arc_count is not None and arc >= arc_count):
+        if not 0 <= arc < arc_count:
             raise ParseError(lineno, f"arc index {arc} out of range")
         if colour < 1 or f_out < 1 or f_in < 1:
             raise ParseError(lineno, "wavelength and fibres are positive")
-        if arc in out:
+        if out[arc] is not None:
             raise ValidateError(f"arc {arc} assigned twice")
         out[arc] = (colour, f_out, f_in)
-    return out
+    return _every_arc(out, "unassigned")
 
 
 def write_wavelengths(stream: IO[str],
-                      assignment: Mapping[int, tuple[int, int, int]],
+                      assignment: Sequence[tuple[int, int, int]],
                       comments: Iterable[str] = ()) -> None:
     for c in comments:
         stream.write(f"# {c}\n")
-    for arc in sorted(assignment):
-        colour, f_out, f_in = assignment[arc]
+    for arc, (colour, f_out, f_in) in enumerate(assignment):
         stream.write(f"w {arc} {colour} {f_out} {f_in}\n")

@@ -52,12 +52,12 @@ def verify_star_colouring(d: Digraph, colouring: ArcColouring,
     for v in count():
         first_in: dict[int, int] = {}
         for i in in_arcs[v]:
-            c = colouring[i]
+            c = colours[i]
             if c in first_in:
                 return StarViolation("ii", first_in[c], i)
             first_in[c] = i
         for i in out_arcs[v]:
-            c = colouring[i]
+            c = colours[i]
             if c in first_in:
                 return StarViolation("i", first_in[c], i)
 
@@ -217,13 +217,13 @@ def exact_dst(d: Digraph, colour_cap: int | None = None,
     """
     _check_limits(d.arc_count, colour_cap, arc_limit)
     if d.arc_count == 0:
-        return 0, ArcColouring({}, 0)
+        return 0, ArcColouring((), 0)
     conflicts = _conflict_lists(d)
     lower = _lower_bound(d.profile.indegree, set(map(itemgetter(0), d.arcs)), 1)
     # one arc per colour always verifies
     q, solution = _fewest_colours(lower, d.arc_count, colour_cap,
                                   lambda q: _colour_graph(conflicts, q))
-    return q, ArcColouring(dict(enumerate(solution)), q)
+    return q, ArcColouring(solution, q)
 
 
 def exact_lambda_n(ld: LabelledDigraph, n: int, colour_cap: int | None = None,
@@ -240,7 +240,7 @@ def exact_lambda_n(ld: LabelledDigraph, n: int, colour_cap: int | None = None,
     _check_count("fibre count", n, 1)
     _check_limits(ld.arc_count, colour_cap, arc_limit)
     if ld.arc_count == 0:
-        return 0, FibreColouring(n, {}, 0)
+        return 0, FibreColouring(n, (), 0)
     arcs = ld.arcs
     in_arcs = ld.underlying.in_arcs
     out_arcs = ld.underlying.out_arcs
@@ -288,7 +288,7 @@ def exact_lambda_n(ld: LabelledDigraph, n: int, colour_cap: int | None = None,
 
     # all-distinct colours satisfy in+out <= 1+0 at heads
     q, solution = _fewest_colours(lower, ld.arc_count, colour_cap, attempt)
-    return q, FibreColouring(n, dict(enumerate(solution)), q)
+    return q, FibreColouring(n, solution, q)
 
 
 def find_bicoloured_circuit(d: Digraph, colouring: ArcColouring,
@@ -318,8 +318,7 @@ def _bicoloured_circuit(d: Digraph, colouring: ArcColouring,
     pair is walked from the heads of its smaller class, so the search
     costs O(q·A) time for q colours and A arcs, and O(A) memory."""
     into: dict[int, dict[int, int]] = {}  # colour -> head -> tail
-    for (tail, head), c in zip(d.arcs, arc_values(
-            d.arc_count, colouring.colour, "uncoloured")):
+    for (tail, head), c in zip(d.arcs, colouring.colour):
         into.setdefault(c, {})[head] = tail
     for alpha, beta in combinations(sorted(into), 2):
         first, then = sorted((into[alpha], into[beta]), key=len)
@@ -354,8 +353,9 @@ def _check_cubic(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Digraph
 def edge_colouring_3regular(vertex_count: int,
                             edges: Iterable[tuple[int, int]],
                             vertex_limit: int = 20,
-                            ) -> dict[int, int] | None:
-    """Proper 3-edge-colouring of a cubic graph, or None if impossible.
+                            ) -> tuple[int, ...] | None:
+    """Proper 3-edge-colouring of a cubic graph, its colour by edge
+    index, or None if impossible.
 
     Colours the line graph with the exact solvers' search (_dsatur).
     """
@@ -370,6 +370,4 @@ def edge_colouring_3regular(vertex_count: int,
     out_arcs, in_arcs = g.out_arcs, g.in_arcs
     result = _colour_graph([[f for w in (a, b) for f in out_arcs[w] + in_arcs[w]
                              if f != e] for e, (a, b) in enumerate(g.arcs)], 3)
-    if result is None:
-        return None
-    return dict(enumerate(result))
+    return None if result is None else tuple(result)

@@ -192,6 +192,7 @@ def dst4_colouring(d: Digraph) -> ArcColouring:
     galaxy = set(_galaxy_arcs(d))
     rest = [i for i in range(d.arc_count) if i not in galaxy]
     sub = Digraph._of(d.vertex_count, tuple(d.arcs[i] for i in rest))
-    colours = dict(zip(rest, _colour_subcubic(sub)))
-    colours.update(dict.fromkeys(galaxy, 4))
+    colours = [4] * d.arc_count
+    for i, c in zip(rest, _colour_subcubic(sub)):
+        colours[i] = c
     return ArcColouring(colours, 4 if galaxy else 3 if rest else 0)

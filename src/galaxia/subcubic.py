@@ -307,9 +307,10 @@ def _first_fit(masks: Sequence[int],
 
 
 def _extension_engine(e: Digraph, lists: list[int],
-                      components: Iterable[tuple[int, ...]]) -> dict[int, int]:
+                      components: Iterable[tuple[int, ...]]) -> list[int | None]:
     """Colour the arcs of e from the colour masks lists[arc], taking
     strong components sinks first; the masks are struck in place.
+    Returns the colour by arc index, None for an arc left uncoloured.
 
     `components` are e's strong components in a reverse topological
     order of their condensation (strong_components(e), or on acyclic e
@@ -329,7 +330,7 @@ def _extension_engine(e: Digraph, lists: list[int],
     into it, are all uncoloured when it comes up, since their heads lie
     in it or upstream of it.
     """
-    colours: dict[int, int] = {}
+    colours: list[int | None] = [None] * e.arc_count
     arcs, in_arcs, out_arcs = e.arcs, e.in_arcs, e.out_arcs
     first: dict[tuple[int, ...], list[int]] = {}
 
@@ -352,7 +353,7 @@ def _extension_engine(e: Digraph, lists: list[int],
             seq = [comp[0]]
             circ = []
             while True:
-                outs = [a for a in out_arcs[seq[-1]] if a not in colours]
+                outs = [a for a in out_arcs[seq[-1]] if colours[a] is None]
                 if len(outs) != 1:
                     raise InternalDefectError(
                         f"vertex {seq[-1]} of a terminal component has "
@@ -381,7 +382,8 @@ def _extension_engine(e: Digraph, lists: list[int],
                     "odd circuit whose entering arcs all carry the same "
                     "two-colour list")
             arc_cols, vert_cols = solution
-            colours.update(zip(circ, arc_cols))
+            for a, c in zip(circ, arc_cols):
+                colours[a] = c
             strikes = sorted((a, c) for a, c in zip(entering, vert_cols)
                              if a is not None)
         # each arc coloured here strikes its colour from the lists of the
@@ -790,8 +792,8 @@ def _colour_core(core: Digraph, ids: Sequence[int],
             f"engine rejected a pipeline instance: {exc}") from exc
     for a, c in cprime.items():
         colour[ids[a]] = c
-    for j, c in engine.items():
-        colour[ids[engine_ids[j]]] = c
+    for a, c in zip(engine_ids, engine):
+        colour[ids[a]] = c
     return []
 
 
@@ -808,4 +810,4 @@ def star_colouring_subcubic(d: Digraph) -> ArcColouring:
         raise PreconditionViolatedError(
             f"maximum total degree {profile.max_degree} exceeds three")
     colours = _colour_subcubic(d)
-    return ArcColouring(dict(enumerate(colours)), 3 if d.arc_count else 0)
+    return ArcColouring(colours, 3 if d.arc_count else 0)

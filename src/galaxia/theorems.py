@@ -186,9 +186,9 @@ def _fibre_violation(ld: LabelledDigraph, wa: WavelengthAssignment,
     bad = verify_wavelength_assignment(ld, wa)
     if bad is None:
         return None
-    colour = {a: wl for a, (wl, _, _) in wa.triple.items()}
+    colour = [wl for wl, _, _ in wa.triple]
     overload = verify_fibre_colouring(
-        ld, FibreColouring(wa.n, colour, max(colour.values(), default=0)))
+        ld, FibreColouring(wa.n, colour, max(colour, default=0)))
     if overload is None:
         return str(bad)
     return (f"vertex {overload.vertex} colour {overload.colour} has in+out ="

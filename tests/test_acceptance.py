@@ -95,7 +95,7 @@ def test_criterion_2():
         k = degree_profile(d).max_indegree
         if k == 0:
             continue
-        assert all(1 <= c <= 2 * k for c in colouring.colour.values())
+        assert all(1 <= c <= 2 * k for c in colouring.colour)
         for v in range(d.vertex_count):
             entering = d.in_arcs[v]
             if entering:
@@ -313,7 +313,7 @@ def test_criterion_9():
         assert col.colour_count <= 4
         assert verify_star_colouring(d, col) is None
         ends = set()
-        for i, c in col.colour.items():
+        for i, c in enumerate(col.colour):
             if c == 4:
                 t, h = d.arcs[i]
                 assert t not in ends and h not in ends

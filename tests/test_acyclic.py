@@ -24,7 +24,7 @@ from conftest import circuit
 
 
 def check_locality(d, colouring, intervals, k):
-    assert all(1 <= c <= 2 * k for c in colouring.colour.values())
+    assert all(1 <= c <= 2 * k for c in colouring.colour)
     for v in range(d.vertex_count):
         entering = d.in_arcs[v]
         if not entering:
@@ -39,7 +39,7 @@ def test_single_arc():
     colouring, intervals = star_colouring_acyclic(d)
     assert verify_star_colouring(d, colouring) is None
     assert colouring.colour_count == 2
-    assert len(set(colouring.colour.values())) == 1
+    assert len(set(colouring.colour)) == 1
     check_locality(d, colouring, intervals, 1)
 
 
@@ -84,10 +84,8 @@ def test_pinned_colouring_and_certificates():
         (12, 3)))
     colouring, intervals = star_colouring_acyclic(d)
     assert colouring.colour_count == 6
-    assert dict(colouring.colour) == {
-        0: 4, 1: 5, 2: 5, 3: 6, 4: 6, 5: 1, 6: 4, 7: 3, 8: 5, 9: 4, 10: 3,
-        11: 2, 12: 4, 13: 4, 14: 5, 15: 6, 16: 3, 17: 2, 18: 1, 19: 1,
-        20: 6, 21: 4, 22: 5}
+    assert colouring.colour == (
+        4, 5, 5, 6, 6, 1, 4, 3, 5, 4, 3, 2, 4, 4, 5, 6, 3, 2, 1, 1, 6, 4, 5)
     assert {v: iv.start for v, iv in intervals.items()} == {
         0: 1, 1: 4, 2: 4, 3: 4, 4: 1, 5: 1, 6: 3, 7: 3, 8: 1, 9: 4, 10: 2,
         11: 2, 12: 1, 13: 2}

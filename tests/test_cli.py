@@ -261,7 +261,7 @@ def test_solve_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
 
 def test_solve_clashing_output_exits_4(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("galaxia.subcubic.star_colouring_subcubic",
-                        lambda d: ArcColouring({i: 1 for i in range(d.arc_count)}, 1))
+                        lambda d: ArcColouring((1,) * d.arc_count, 1))
     out = tmp_path / "col.txt"
     assert main(["solve", circuit_instance(tmp_path), "-o", str(out)]) == 4
     assert "internal defect" in capsys.readouterr().err
@@ -271,7 +271,7 @@ def test_solve_clashing_output_exits_4(tmp_path, capsys, monkeypatch):
 def test_solve_acircuitic_bicoloured_circuit_exits_4(tmp_path, capsys, monkeypatch):
     # 1,2,1,2 round a 4-circuit is a star colouring but a bicoloured circuit
     monkeypatch.setattr("galaxia.acircuitic.acircuitic_colouring",
-                        lambda d: ArcColouring({0: 1, 1: 2, 2: 1, 3: 2}, 2))
+                        lambda d: ArcColouring((1, 2, 1, 2), 2))
     out = tmp_path / "col.txt"
     code = main(["solve", circuit_instance(tmp_path, 4), "--algorithm", "acircuitic",
                  "-o", str(out)])
@@ -284,7 +284,7 @@ def test_solve_fibres_invalid_colouring_exits_4(tmp_path, capsys, monkeypatch):
     instance = tmp_path / "star.dsa"
     write_instance(instance, LabelledDigraph(4, 1, ((0, 3, 1), (1, 3, 1), (2, 3, 1))))
     monkeypatch.setattr("galaxia.fibre.fibre_colouring_smallm",
-                        lambda ld, n: FibreColouring(n, {0: 1, 1: 1, 2: 1}, 1))
+                        lambda ld, n: FibreColouring(n, (1, 1, 1), 1))
     out = tmp_path / "w.txt"
     assert main(["solve", str(instance), "--fibres", "2", "-o", str(out)]) == 4
     assert "internal defect" in capsys.readouterr().err
@@ -294,7 +294,7 @@ def test_solve_fibres_invalid_colouring_exits_4(tmp_path, capsys, monkeypatch):
 def test_exact_fibres_invalid_expansion_exits_4(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("galaxia.fibre.expand_to_wavelength_assignment",
                         lambda ld, fc: WavelengthAssignment(
-                            fc.n, {a: (1, 1, 1) for a in range(ld.arc_count)}))
+                            fc.n, ((1, 1, 1),) * ld.arc_count))
     out = tmp_path / "w.txt"
     code = main(["exact", circuit_instance(tmp_path), "--fibres", "2", "-o", str(out)])
     assert code == 4
@@ -307,10 +307,10 @@ def test_exact_fibres_invalid_expansion_exits_4(tmp_path, capsys, monkeypatch):
 def test_exact_invalid_witness_exits_4(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr("galaxia.cli.exact_dst",
                         lambda d, cap, limit: (1, ArcColouring(
-                            {i: 1 for i in range(d.arc_count)}, 1)))
+                            (1,) * d.arc_count, 1)))
     monkeypatch.setattr("galaxia.cli.exact_lambda_n",
                         lambda ld, n, cap, limit: (1, FibreColouring(
-                            n, {i: 1 for i in range(ld.arc_count)}, 1)))
+                            n, (1,) * ld.arc_count, 1)))
     instance = tmp_path / "star.dsa"
     write_instance(instance, LabelledDigraph(4, 1, ((0, 3, 1), (1, 3, 1), (2, 3, 1))))
     argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
@@ -369,6 +369,14 @@ def test_verify_detects_violation(tmp_path, capsys):
     bad.write_text("c 0 1\nc 1 1\nc 2 2\nc 3 2\n")
     assert main(["verify", instance, str(bad)]) == 1
     assert "violation" in capsys.readouterr().out
+
+
+def test_verify_names_the_first_arc_the_file_lacks(tmp_path, capsys):
+    instance = circuit_instance(tmp_path, 4)
+    colouring = tmp_path / "col.txt"
+    colouring.write_text("c 0 1\nc 2 2\nc 3 1\n")
+    assert main(["verify", instance, str(colouring)]) == 2
+    assert capsys.readouterr() == ("", "error: arc 1 is uncoloured\n")
 
 
 def test_verify_acircuitic_flag(tmp_path, capsys):
@@ -437,7 +445,7 @@ def test_verify_interval_start_above_2k_names_its_line(tmp_path, capsys):
 
 def test_solve_bad_interval_certificate_exits_4(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("galaxia.acyclic.star_colouring_acyclic",
-                        lambda d: (ArcColouring({0: 1, 1: 2, 2: 3}, 4),
+                        lambda d: (ArcColouring((1, 2, 3), 4),
                                    {2: CyclicInterval(4, 1, 2)}))
     out = tmp_path / "col.txt"
     assert main(["solve", dag_instance(tmp_path), "-o", str(out)]) == 4
@@ -458,14 +466,14 @@ def path_instance(tmp_path):
 @pytest.mark.parametrize("target, output, flags, text", [
     # a solver that leaves an arc uncoloured
     ("galaxia.subcubic.star_colouring_subcubic",
-     lambda d: ArcColouring({0: 1}, 3), ["--algorithm", "subcubic"],
+     lambda d: ArcColouring((1,), 3), ["--algorithm", "subcubic"],
      "arc 1 is uncoloured"),
     # a colour outside the range its ArcColouring declares
     ("galaxia.subcubic._colour_subcubic", lambda d: [1, 0],
      ["--algorithm", "subcubic"], "arc 1 has colour 0 outside 1..3"),
     # a fibre colouring that leaves an arc unassigned
     ("galaxia.fibre.fibre_colouring_smallm",
-     lambda ld, n: FibreColouring(2, {0: 1}, 1), ["--fibres", "2"],
+     lambda ld, n: FibreColouring(2, (1,), 1), ["--fibres", "2"],
      "arc 1 is unassigned"),
 ], ids=["uncoloured", "colour-out-of-range", "unassigned"])
 def test_solve_incomplete_or_out_of_range_output_exits_4(
@@ -483,7 +491,7 @@ def test_solve_incomplete_or_out_of_range_output_exits_4(
                                      ["reduce", "--named", "k4", "--check"]])
 def test_exact_incomplete_witness_exits_4(tmp_path, capsys, monkeypatch, command):
     monkeypatch.setattr("galaxia.cli.exact_dst", lambda d, *args, **kwargs: (
-        1, ArcColouring({0: 1}, 1)))
+        1, ArcColouring((1,), 1)))
     argv = [arg.format(path=path_instance(tmp_path)) for arg in command]
     assert main(argv) == 4
     assert capsys.readouterr().err == (
@@ -562,7 +570,7 @@ def test_solve_and_verify_decide_one_output_alike(tmp_path, capsys, monkeypatch,
             output = lambda ld, fc: WavelengthAssignment(fc.n, triples)
         else:
             colours, intervals = read_colouring(fh, arc_count=len(arcs))
-            colouring = ArcColouring(colours, max(colours.values()))
+            colouring = ArcColouring(colours, max(colours))
             # star_colouring_acyclic returns its interval certificates too
             output = lambda d: (colouring, intervals) if intervals else colouring
     monkeypatch.setattr(solver, output)
@@ -590,6 +598,9 @@ def test_verify_fibres(tmp_path, capsys):
      "violation: WavelengthViolation(condition='ii', first_arc=0,"
      " second_arc=1)\n", ""),
     (((0, 2, 1), (1, 2, 1)), "w 0 1 1 1\n", 2, "",
+     "error: arc 1 is unassigned\n"),
+    # the reader names the missing arc before the fibre above n
+    (((0, 2, 1), (1, 2, 1), (2, 3, 1)), "w 0 1 1 1\nw 2 1 3 1\n", 2, "",
      "error: arc 1 is unassigned\n"),
 ])
 def test_verify_fibres_violation_text(tmp_path, capsys, arcs, lines, code,
@@ -1209,7 +1220,7 @@ def _raise_runtime_error(monkeypatch):
 
 def _clash(monkeypatch):
     monkeypatch.setattr("galaxia.subcubic.star_colouring_subcubic",
-                        lambda d: ArcColouring({i: 1 for i in range(d.arc_count)}, 1))
+                        lambda d: ArcColouring((1,) * d.arc_count, 1))
 
 
 # (argv builder, patch, expected exit code or exception type)

@@ -350,11 +350,11 @@ def test_cli_output_fails_verification(monkeypatch, tmp_path):
                        " 0 and 1 share colour 1"):
         with theorems._own_output("solver output"):
             theorems._require(theorems._star_violation(
-                d, ArcColouring({0: 1, 1: 1}, 1), {}, False))
+                d, ArcColouring((1, 1), 1), {}, False))
     with raises_defect("exact witness failed verification: arc 1 has colour 0"
                        " outside 1..1"):
         with theorems._own_output("exact witness"):
-            ArcColouring({0: 1, 1: 0}, 1)
+            ArcColouring((1, 0), 1)
 
 
 def test_cli_expansion_rejects_overload(monkeypatch):
@@ -364,7 +364,7 @@ def test_cli_expansion_rejects_overload(monkeypatch):
     with raises_defect("solver output failed verification: fibre colouring "
                        "invalid at vertex 2, colour 1: 2+0 > 1"):
         with theorems._own_output("solver output"):
-            theorems._expand_checked(ld, FibreColouring(1, {0: 1, 1: 1}, 1))
+            theorems._expand_checked(ld, FibreColouring(1, (1, 1), 1))
 
 
 @case

@@ -78,7 +78,7 @@ def test_acyclic_rejects_small_m():
 
 def test_fibre_count_must_be_positive():
     with pytest.raises(ValidateError, match="^fibre count must be positive$"):
-        FibreColouring(0, {}, 0)
+        FibreColouring(0, (), 0)
     with pytest.raises(BadParamsError, match="^fibre count must be positive$"):
         fibre_colouring_acyclic(LabelledDigraph(2, 1, ((0, 1, 1),)), 0)
     for n in (0, -1):
@@ -123,13 +123,13 @@ def test_smallm_rejects_large_m():
 
 def test_expand_single_arc():
     ld = LabelledDigraph(2, 1, ((0, 1, 1),))
-    wa = expand_to_wavelength_assignment(ld, FibreColouring(1, {0: 1}, 1))
+    wa = expand_to_wavelength_assignment(ld, FibreColouring(1, (1,), 1))
     assert wa[0] == (1, 1, 1)
 
 
 def test_expand_same_colour_in_arcs_get_distinct_fibres():
     ld = LabelledDigraph(3, 1, ((0, 2, 1), (1, 2, 1)))
-    fc = FibreColouring(2, {0: 1, 1: 1}, 1)
+    fc = FibreColouring(2, (1, 1), 1)
     wa = check_pipeline(ld, fc)
     assert {wa[0][2], wa[1][2]} == {1, 2}
 
@@ -137,7 +137,7 @@ def test_expand_same_colour_in_arcs_get_distinct_fibres():
 def test_expand_through_vertex():
     # one in-arc and one out-arc of the middle vertex share a colour
     ld = LabelledDigraph(3, 1, ((0, 1, 1), (1, 2, 1)))
-    fc = FibreColouring(2, {0: 1, 1: 1}, 1)
+    fc = FibreColouring(2, (1, 1), 1)
     wa = check_pipeline(ld, fc)
     assert (wa[0][0], wa[0][2]) != (wa[1][0], wa[1][1])
 
@@ -150,17 +150,17 @@ def test_expand_pins_fibre_numbers():
     arcs = ((0, 2, 1), (1, 2, 2), (0, 3, 1), (2, 3, 1), (2, 4, 2),
             (2, 4, 1), (3, 4, 1), (0, 2, 2), (2, 3, 2), (1, 4, 1))
     ld = LabelledDigraph(5, 2, arcs)
-    colours = {0: 1, 1: 2, 2: 2, 3: 1, 4: 1, 5: 1, 6: 2, 7: 2, 8: 1, 9: 1}
+    colours = (1, 2, 2, 1, 1, 1, 2, 2, 1, 1)
     wa = check_pipeline(ld, FibreColouring(3, colours, 2))
-    assert dict(wa.triple) == {
-        0: (1, 1, 1), 1: (2, 1, 1), 2: (2, 1, 1), 3: (1, 2, 1), 4: (1, 3, 1),
-        5: (1, 2, 2), 6: (2, 2, 1), 7: (2, 2, 2), 8: (1, 3, 2), 9: (1, 1, 3)}
+    assert wa.triple == (
+        (1, 1, 1), (2, 1, 1), (2, 1, 1), (1, 2, 1), (1, 3, 1),
+        (1, 2, 2), (2, 2, 1), (2, 2, 2), (1, 3, 2), (1, 1, 3))
 
 
 def test_expand_rejects_invalid_colouring():
     ld = LabelledDigraph(3, 1, ((0, 2, 1), (1, 2, 1)))
     with pytest.raises(InvalidColouringError):
-        expand_to_wavelength_assignment(ld, FibreColouring(1, {0: 1, 1: 1}, 1))
+        expand_to_wavelength_assignment(ld, FibreColouring(1, (1, 1), 1))
 
 
 @pytest.mark.parametrize("arcs, n, message", [
@@ -171,23 +171,22 @@ def test_expand_rejects_invalid_colouring():
 ])
 def test_expand_names_the_overload_it_rejects(arcs, n, message):
     ld = LabelledDigraph(4, 1, arcs)
-    fc = FibreColouring(n, dict.fromkeys(range(len(arcs)), 1), 1)
+    fc = FibreColouring(n, (1,) * len(arcs), 1)
     with pytest.raises(InvalidColouringError) as info:
         expand_to_wavelength_assignment(ld, fc)
     assert str(info.value) == message
 
 
-def test_value_types_compare_by_content_and_do_not_hash():
-    assert ArcColouring({0: 1, 1: 2}, 2) == ArcColouring({1: 2, 0: 1}, 2)
-    assert ArcColouring({0: 1}, 1) != ArcColouring({0: 1}, 2)
-    assert ArcColouring({0: 1}, 2) != ArcColouring({0: 2}, 2)
-    assert FibreColouring(2, {0: 1, 1: 1}, 1) == FibreColouring(2, {1: 1, 0: 1}, 1)
-    assert FibreColouring(1, {0: 1}, 1) != FibreColouring(2, {0: 1}, 1)
-    assert FibreColouring(1, {0: 1}, 2) != FibreColouring(1, {0: 1}, 1)
-    assert ArcColouring({0: 1}, 1) != FibreColouring(1, {0: 1}, 1)
-    for value in (ArcColouring({0: 1}, 1), FibreColouring(1, {0: 1}, 1)):
-        with pytest.raises(TypeError):
-            hash(value)
+def test_value_types_compare_by_content_and_hash_alike():
+    assert ArcColouring((1, 2), 2) == ArcColouring([1, 2], 2)
+    assert ArcColouring((1,), 1) != ArcColouring((1,), 2)
+    assert ArcColouring((1,), 2) != ArcColouring((2,), 2)
+    assert FibreColouring(2, (1, 1), 1) == FibreColouring(2, [1, 1], 1)
+    assert FibreColouring(1, (1,), 1) != FibreColouring(2, (1,), 1)
+    assert FibreColouring(1, (1,), 2) != FibreColouring(1, (1,), 1)
+    assert ArcColouring((1,), 1) != FibreColouring(1, (1,), 1)
+    for value in (ArcColouring((1,), 1), FibreColouring(1, (1,), 1)):
+        assert hash(value) == hash(type(value)(*value._values()))
 
 
 # Colourings recorded with first-fit placement of the entering arcs;
@@ -336,7 +335,7 @@ def test_full_acyclic_memo_stays_near_two_megabytes():
 
 def test_verify_fibre_reports_first_violation():
     ld = LabelledDigraph(3, 1, ((0, 2, 1), (1, 2, 1)))
-    fc = FibreColouring(1, {0: 1, 1: 1}, 1)
+    fc = FibreColouring(1, (1, 1), 1)
     assert verify_fibre_colouring(ld, fc) == FibreViolation(2, 1, 2, 0)
 
 
@@ -345,22 +344,22 @@ def test_verify_fibre_first_violation_by_vertex_then_colour():
     # (1, 3) comes first in (vertex, colour) order
     ld = LabelledDigraph(4, 2, ((0, 3, 1), (1, 3, 1), (3, 2, 1), (3, 1, 2),
                                 (0, 1, 1), (2, 1, 1)))
-    fc = FibreColouring(1, {0: 2, 1: 2, 2: 1, 3: 1, 4: 3, 5: 3}, 3)
+    fc = FibreColouring(1, (2, 2, 1, 1, 3, 3), 3)
     assert verify_fibre_colouring(ld, fc) == FibreViolation(1, 3, 2, 0)
 
 
 def test_verify_fibre_witness_of_out_load_alone():
     # vertex 0 sends two labels in colour 1 on one fibre; nothing enters it
     ld = LabelledDigraph(3, 2, ((0, 1, 1), (0, 2, 2)))
-    fc = FibreColouring(1, {0: 1, 1: 1}, 1)
+    fc = FibreColouring(1, (1, 1), 1)
     assert verify_fibre_colouring(ld, fc) == FibreViolation(0, 1, 0, 2)
 
 
 @pytest.mark.parametrize("check, output, message", [
-    (verify_fibre_colouring, FibreColouring(1, {0: 1}, 1), "arc 1 is unassigned"),
-    (expand_to_wavelength_assignment, FibreColouring(1, {1: 1}, 1),
+    (verify_fibre_colouring, FibreColouring(1, (1,), 1), "arc 1 is unassigned"),
+    (expand_to_wavelength_assignment, FibreColouring(1, (), 1),
      "arc 0 is unassigned"),
-    (verify_wavelength_assignment, WavelengthAssignment(1, {2: (1, 1, 1)}),
+    (verify_wavelength_assignment, WavelengthAssignment(1, ()),
      "arc 0 is unassigned"),
 ])
 def test_partial_output_names_first_missing_arc(check, output, message):
@@ -371,11 +370,11 @@ def test_partial_output_names_first_missing_arc(check, output, message):
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: FibreColouring(1, {0: 1, 1: 3}, 2), "arc 1 has colour 3 outside 1..2"),
-    (lambda: FibreColouring(1, {0: 0}, 1), "arc 0 has colour 0 outside 1..1"),
-    (lambda: WavelengthAssignment(2, {0: (0, 1, 1)}),
+    (lambda: FibreColouring(1, (1, 3), 2), "arc 1 has colour 3 outside 1..2"),
+    (lambda: FibreColouring(1, (0,), 1), "arc 0 has colour 0 outside 1..1"),
+    (lambda: WavelengthAssignment(2, ((0, 1, 1),)),
      "arc 0 wavelength must be positive"),
-    (lambda: WavelengthAssignment(2, {0: (1, 1, 1), 1: (1, 3, 1)}),
+    (lambda: WavelengthAssignment(2, ((1, 1, 1), (1, 3, 1))),
      "arc 1 fibre outside 1..2"),
 ])
 def test_value_types_name_first_bad_arc(make, message):
@@ -388,13 +387,13 @@ def test_verify_wavelength_condition_i_reports_sorted_pair():
     # at vertex 1 the leaving arc 0 and the entering arc 1 share
     # (wavelength 1, fibre 1); the record lists the lower arc first
     ld = LabelledDigraph(3, 1, ((1, 2, 1), (0, 1, 1)))
-    wa = WavelengthAssignment(1, {0: (1, 1, 1), 1: (1, 1, 1)})
+    wa = WavelengthAssignment(1, ((1, 1, 1), (1, 1, 1)))
     assert verify_wavelength_assignment(ld, wa) == WavelengthViolation("i", 0, 1)
 
 
 def test_verify_wavelength_condition_ii():
     ld = LabelledDigraph(3, 1, ((0, 2, 1), (1, 2, 1)))
-    wa = WavelengthAssignment(2, {0: (1, 1, 1), 1: (1, 1, 1)})
+    wa = WavelengthAssignment(2, ((1, 1, 1), (1, 1, 1)))
     violation = verify_wavelength_assignment(ld, wa)
     assert violation is not None and violation.condition == "ii"
 
@@ -402,14 +401,14 @@ def test_verify_wavelength_condition_ii():
 def test_verify_wavelength_condition_iii():
     # same tail, same (wavelength, out-fibre), different labels
     ld = LabelledDigraph(3, 2, ((0, 1, 1), (0, 2, 2)))
-    wa = WavelengthAssignment(2, {0: (1, 1, 1), 1: (1, 1, 2)})
+    wa = WavelengthAssignment(2, ((1, 1, 1), (1, 1, 2)))
     violation = verify_wavelength_assignment(ld, wa)
     assert violation is not None and violation.condition == "iii"
 
 
 def test_verify_wavelength_condition_i():
     ld = LabelledDigraph(3, 1, ((0, 1, 1), (1, 2, 1)))
-    wa = WavelengthAssignment(1, {0: (1, 1, 1), 1: (1, 1, 1)})
+    wa = WavelengthAssignment(1, ((1, 1, 1), (1, 1, 1)))
     violation = verify_wavelength_assignment(ld, wa)
     assert violation is not None and violation.condition == "i"
 
@@ -418,13 +417,13 @@ def test_verify_wavelength_reports_first_violation_in_arc_order():
     # at vertex 0 the leaving arcs 0 and 1 clash (iii) before the
     # entering arcs 2 and 3 clash (ii)
     ld = LabelledDigraph(4, 2, ((0, 1, 1), (0, 2, 2), (3, 0, 1), (1, 0, 1)))
-    wa = WavelengthAssignment(2, {arc: (1, 1, 1) for arc in range(4)})
+    wa = WavelengthAssignment(2, ((1, 1, 1),) * 4)
     assert verify_wavelength_assignment(ld, wa) == WavelengthViolation("iii", 0, 1)
 
 
 def test_same_label_out_arcs_may_share_a_fibre():
     ld = LabelledDigraph(3, 1, ((0, 1, 1), (0, 2, 1)))
-    wa = WavelengthAssignment(1, {0: (1, 1, 1), 1: (1, 1, 1)})
+    wa = WavelengthAssignment(1, ((1, 1, 1), (1, 1, 1)))
     assert verify_wavelength_assignment(ld, wa) is None
 
 

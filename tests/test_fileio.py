@@ -73,12 +73,12 @@ def test_garbage_record_rejected():
 
 
 def test_colouring_roundtrip_with_intervals():
-    colours = {0: 1, 1: 2}
+    colours = (1, 2)
     from galaxia import CyclicInterval
     intervals = {0: CyclicInterval(4, 3, 2)}
     buf = io.StringIO()
     write_colouring(buf, colours, intervals)
-    got_colours, got_intervals = read_colouring(io.StringIO(buf.getvalue()))
+    got_colours, got_intervals = read_colouring(io.StringIO(buf.getvalue()), 2)
     assert got_colours == colours
     assert got_intervals == intervals
 
@@ -89,10 +89,10 @@ def test_colouring_arc_count_check():
 
 
 def test_wavelength_roundtrip():
-    assignment = {0: (1, 1, 2), 1: (2, 1, 1)}
+    assignment = ((1, 1, 2), (2, 1, 1))
     buf = io.StringIO()
     write_wavelengths(buf, assignment)
-    assert read_wavelengths(io.StringIO(buf.getvalue())) == assignment
+    assert read_wavelengths(io.StringIO(buf.getvalue()), 2) == assignment
 
 
 def test_write_digraph_emits_comments():

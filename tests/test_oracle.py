@@ -38,19 +38,19 @@ from conftest import circuit
 
 def test_verify_star_monochromatic_star():
     d = Digraph(4, ((0, 1), (0, 2), (0, 3)))
-    col = ArcColouring({0: 1, 1: 1, 2: 1}, 1)
+    col = ArcColouring((1, 1, 1), 1)
     assert verify_star_colouring(d, col) is None
 
 
 def test_verify_star_rule_i():
     d = Digraph(3, ((0, 1), (1, 2)))
-    violation = verify_star_colouring(d, ArcColouring({0: 1, 1: 1}, 1))
+    violation = verify_star_colouring(d, ArcColouring((1, 1), 1))
     assert violation == StarViolation("i", 0, 1)
 
 
 def test_verify_star_rule_ii():
     d = Digraph(3, ((0, 2), (1, 2)))
-    violation = verify_star_colouring(d, ArcColouring({0: 1, 1: 1}, 1))
+    violation = verify_star_colouring(d, ArcColouring((1, 1), 1))
     assert violation == StarViolation("ii", 0, 1)
 
 
@@ -58,26 +58,26 @@ def test_verify_star_rule_ii_before_rule_i_at_one_vertex():
     # at vertex 2 the consecutive pair (1, 0) has the lower arc, but the
     # converging pair (1, 2) is reported first
     d = Digraph(4, ((2, 3), (0, 2), (1, 2)))
-    col = ArcColouring({0: 1, 1: 1, 2: 1}, 1)
+    col = ArcColouring((1, 1, 1), 1)
     assert verify_star_colouring(d, col) == StarViolation("ii", 1, 2)
 
 
 @pytest.mark.parametrize("check", [verify_star_colouring, find_bicoloured_circuit])
 def test_partial_colouring_names_first_uncoloured_arc(check):
     with pytest.raises(ValidateError) as info:
-        check(circuit(3), ArcColouring({0: 1, 2: 1}, 1))
+        check(circuit(3), ArcColouring((1,), 1))
     assert str(info.value) == "arc 1 is uncoloured"
 
 
 def test_arc_colouring_names_first_colour_out_of_range():
     with pytest.raises(ValidateError) as info:
-        ArcColouring({0: 1, 1: 3, 2: 0}, 2)
+        ArcColouring((1, 3, 0), 2)
     assert str(info.value) == "arc 1 has colour 3 outside 1..2"
 
 
 def test_verify_star_rejects_partial():
     with pytest.raises(ValidateError):
-        verify_star_colouring(circuit(3), ArcColouring({0: 1}, 1))
+        verify_star_colouring(circuit(3), ArcColouring((1,), 1))
 
 
 def test_exact_dst_circuits():
@@ -110,6 +110,13 @@ def test_exact_dst_above_cap():
 def test_from_class_list_rejects_an_arc_in_two_classes():
     with pytest.raises(ValidateError, match="^arc 1 appears in two colour classes$"):
         from_class_list([{0, 1}, set(), {1}])
+
+
+@pytest.mark.parametrize("classes", [[{0}, {2}], [{-1}, {0}]], ids=["gap", "negative"])
+def test_from_class_list_rejects_classes_that_are_not_the_arcs(classes):
+    # two classes of one arc each must hold the arcs 0 and 1
+    with pytest.raises(ValidateError, match=r"^arc -?\d is outside 0..1$"):
+        from_class_list(classes)
 
 
 def test_exact_dst_arc_limit():
@@ -179,7 +186,7 @@ def small_labelled(draw):
 def test_exact_values_match_brute_force(ld, n):
     # the least colour count of any colouring that passes the verifier
     d = ld.underlying
-    colourings = [(dict(enumerate(c)), max(c)) for c in _colourings(ld.arc_count)]
+    colourings = [(c, max(c)) for c in _colourings(ld.arc_count)]
     dst = min(q for col, q in colourings
               if verify_star_colouring(d, ArcColouring(col, q)) is None)
     lam = min(q for col, q in colourings
@@ -231,12 +238,12 @@ def test_exact_lambda_hard_instance_is_fast():
 
 
 def test_bicoloured_circuit_absent():
-    col = ArcColouring({0: 1, 1: 2, 2: 3}, 3)
+    col = ArcColouring((1, 2, 3), 3)
     assert find_bicoloured_circuit(circuit(3), col) is None
 
 
 def test_bicoloured_circuit_found():
-    col = ArcColouring({0: 1, 1: 2, 2: 1, 3: 2}, 2)
+    col = ArcColouring((1, 2, 1, 2), 2)
     found = find_bicoloured_circuit(circuit(4), col)
     assert found is not None
     assert sorted(found) == [0, 1, 2, 3]
@@ -244,7 +251,7 @@ def test_bicoloured_circuit_found():
 
 def test_bicoloured_circuit_acyclic():
     d = Digraph(3, ((0, 1), (1, 2), (0, 2)))
-    col = ArcColouring({0: 1, 1: 2, 2: 1}, 2)
+    col = ArcColouring((1, 2, 1), 2)
     assert find_bicoloured_circuit(d, col) is None
 
 
@@ -256,7 +263,7 @@ def test_bicoloured_circuit_acyclic():
     (((0, 2), (1, 2)), (1, 1), "StarViolation(rule='ii', first_arc=0, second_arc=1)"),
 ], ids=["monochromatic-circuit", "converging"])
 def test_find_bicoloured_circuit_rejects_a_non_star_colouring(arcs, colours, clash):
-    col = ArcColouring(dict(enumerate(colours)), 2)
+    col = ArcColouring(colours, 2)
     with pytest.raises(InvalidColouringError) as info:
         find_bicoloured_circuit(Digraph(3, arcs), col)
     assert str(info.value) == f"not a star colouring: {clash}"
@@ -274,7 +281,7 @@ def test_bicoloured_circuit_of_the_first_pair_through_its_least_vertex():
             (12, 13), (12, 14), (12, 15))
     colours = (1, 2, 1, 2, 1, 2, 1, 2, 2, 3, 2, 3, 1, 1, 1)
     d = Digraph(16, arcs)
-    col = ArcColouring(dict(enumerate(colours)), 3)
+    col = ArcColouring(colours, 3)
     assert verify_star_colouring(d, col) is None
     assert find_bicoloured_circuit(d, col) == (4, 5, 6, 7)
 
@@ -321,12 +328,12 @@ def random_star_colouring(rng, d, q):
     colours 1..q its coloured conflicts leave, or takes a colour of its
     own above q when they leave none."""
     conflicts = oracle._conflict_lists(d)
-    colour = {}
+    colour = [None] * d.arc_count
     for a in rng.sample(range(d.arc_count), d.arc_count):
-        taken = {colour.get(b) for b in conflicts[a]}
+        taken = {colour[b] for b in conflicts[a]}
         free = [c for c in range(1, q + 1) if c not in taken]
         colour[a] = rng.choice(free) if free else q + 1 + a
-    return ArcColouring(colour, max(colour.values(), default=0))
+    return ArcColouring(colour, max(colour, default=0))
 
 
 def random_star_coloured(rng, count, max_arcs):
@@ -370,18 +377,17 @@ def test_alternating_walk_matches_the_pair_scan():
     (6, (1, 2, 3, 1, 2, 3), False),
 ])
 def test_alternating_walk_on_circuits(n, colours, held):
-    col = ArcColouring(dict(enumerate(colours)), max(colours))
+    col = ArcColouring(colours, max(colours))
     assert verify_star_colouring(circuit(n), col) is None
     assert (oracle._bicoloured_circuit(circuit(n), col) is not None) is held
 
 
 def test_bicoloured_circuit_refuses_keys_that_are_not_arcs():
-    # colour 1 on the non-arc key 4 is refused, not read as a fifth arc
-    colours = {0: 2, 1: 3, 2: 2, 3: 3}
+    # colour 1 on the entry 4 is refused, not read as a fifth arc
+    colours = (2, 3, 2, 3)
     assert find_bicoloured_circuit(circuit(4), ArcColouring(colours, 3)) == (0, 1, 2, 3)
-    colours[4] = 1
-    with pytest.raises(ValidateError, match="^key 4 names no arc$"):
-        find_bicoloured_circuit(circuit(4), ArcColouring(colours, 3))
+    with pytest.raises(ValidateError, match="^entry 4 names no arc$"):
+        find_bicoloured_circuit(circuit(4), ArcColouring(colours + (1,), 3))
 
 
 def k4_edges():
@@ -400,9 +406,9 @@ def petersen_edges():
 
 
 def check_proper_edge_colouring(edges, colouring):
-    assert set(colouring.values()) <= {1, 2, 3}
+    assert len(colouring) == len(edges) and set(colouring) <= {1, 2, 3}
     at_vertex = {}
-    for e, c in colouring.items():
+    for e, c in enumerate(colouring):
         for v in edges[e]:
             assert c not in at_vertex.setdefault(v, set())
             at_vertex[v].add(c)
@@ -420,7 +426,7 @@ def test_edge_colouring_k33():
 
 def test_edge_colouring_empty_graph():
     # no edges: the search returns before it builds a domain
-    assert edge_colouring_3regular(0, []) == {}
+    assert edge_colouring_3regular(0, []) == ()
 
 
 def test_edge_colouring_petersen_infeasible():

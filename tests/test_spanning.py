@@ -204,7 +204,7 @@ def test_dst4_complete_digraph():
     col = dst4_colouring(K3)
     assert col.colour_count <= 4
     assert verify_star_colouring(K3, col) is None
-    assert dict(col.colour) == {0: 4, 1: 4, 2: 1, 3: 1, 4: 2, 5: 2}
+    assert col.colour == (4, 4, 1, 1, 2, 2)
 
 
 @pytest.mark.parametrize("length", [3, 5, 7, 9])

@@ -190,7 +190,7 @@ def test_cycle_feasibility_characterisation(length):
 
 def test_extension_single_arc():
     col = lemma_extension_colouring(Digraph(2, ((0, 1),)), {0: (1,)})
-    assert dict(col.colour) == {0: 1}
+    assert col.colour == (1,)
 
 
 def test_extension_two_arc_path():
@@ -251,7 +251,7 @@ def test_extension_initial_pair_must_cover_all_colours():
     # two initial arcs into vertex 2, whose out-arc takes colour 1
     d = Digraph(4, ((0, 2), (1, 2), (2, 3)))
     col = lemma_extension_colouring(d, {0: (1, 2), 1: (2, 3), 2: (1,)})
-    assert dict(col.colour) == {0: 2, 1: 3, 2: 1}
+    assert col.colour == (2, 3, 1)
     with pytest.raises(PreconditionViolatedError, match=(
             "^initial arcs 0 and 1 into 2 do not cover all three colours$")):
         lemma_extension_colouring(d, {0: (1, 2), 1: (1, 2), 2: (1,)})
@@ -367,7 +367,7 @@ def check_subcubic(d):
 
 def test_subcubic_odd_circuit():
     col = check_subcubic(circuit(5))
-    assert len(set(col.colour.values())) == 3
+    assert len(set(col.colour)) == 3
     assert exact_dst(circuit(5))[0] == 3
 
 
@@ -448,7 +448,7 @@ def gadget_copies(copies):
         "engine-circuit", "k4-gadget", "k4-gadget-twice"])
 def test_subcubic_pinned_colouring(d, expected):
     col = check_subcubic(d)
-    assert tuple(col.colour[i] for i in range(d.arc_count)) == expected
+    assert col.colour == expected
     assert col.colour_count == 3
 
 
@@ -463,7 +463,7 @@ def test_subcubic_pinned_colouring(d, expected):
 ], ids=["sinks-only", "engine-circuit"])
 def test_extension_pinned_colouring(d, lists, expected):
     col = lemma_extension_colouring(d, lists)
-    assert tuple(col.colour[i] for i in range(d.arc_count)) == expected
+    assert col.colour == expected
     assert verify_star_colouring(d, col) is None
 
 
@@ -487,7 +487,7 @@ def test_subcubic_many_k4_components():
     start = time.perf_counter()
     col = check_subcubic(d)
     assert time.perf_counter() - start < 5.0
-    assert (tuple(col.colour[i] for i in range(d.arc_count))
+    assert (col.colour
             == K4_GADGET_COLOURS * 4000)
 
 
@@ -503,7 +503,7 @@ def test_one_level_cuts_every_complete_component(monkeypatch):
     d = gadget_copies(50)
     col = check_subcubic(d)
     assert len(calls) == 1
-    assert (tuple(col.colour[i] for i in range(d.arc_count))
+    assert (col.colour
             == K4_GADGET_COLOURS * 50)
 
 

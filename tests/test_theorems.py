@@ -59,10 +59,10 @@ def test_solution_is_what_the_command_prints_and_writes(tmp_path, capsys, ld, fi
                        f" bound={sol.bound} ({sol.rule})")
     with open(out, encoding="utf-8") as fh:
         if fibres is None:
-            assert read_colouring(fh, ld.arc_count) == (dict(sol.output.colour),
+            assert read_colouring(fh, ld.arc_count) == (sol.output.colour,
                                                          sol.intervals)
         else:
-            assert read_wavelengths(fh, ld.arc_count) == dict(sol.output.triple)
+            assert read_wavelengths(fh, ld.arc_count) == sol.output.triple
     assert bool(sol.intervals) == (sol.algorithm == "acyclic" and fibres is None)
 
 
@@ -121,7 +121,7 @@ def test_every_small_digraph_through_every_star_theorem():
                     solve(ld, algorithm=algorithm)
                 continue
             sol = solve(ld, algorithm=algorithm)
-            used = len(set(sol.output.colour.values()))
+            used = len(set(sol.output.colour))
             assert exact <= used <= sol.colour_count <= sol.bound, (d.arcs, algorithm)
             if algorithm != "auto":
                 seen[algorithm] += 1
@@ -156,7 +156,7 @@ def test_every_small_labelled_digraph_through_every_fibre_path():
                         solve(ld, n, algorithm)
                     continue
                 sol = solve(ld, n, algorithm)
-                used = len({wl for wl, _, _ in sol.output.triple.values()})
+                used = len({wl for wl, _, _ in sol.output.triple})
                 assert exact <= used <= sol.colour_count <= sol.bound, (ld, n, algorithm)
                 seen[algorithm] += 1
     assert instances == 4182

@@ -3,13 +3,17 @@
     python3 tools/size_ladder.py [--src src] [THEOREM ...]
 
 For each theorem named (all five when none is) and each of 16k, 64k and
-256k vertices, a fresh interpreter imports galaxia from --src, builds
-the instance of seed 1 with the package's own generator, and times the
-theorem's call alone, with the cyclic garbage collector paused as the
-command line pauses it.  One line per theorem gives the arcs and µs per
-arc at each size, the growth of µs per arc from the first size to the
-last (near-linear work reads about 1.0), and each cell's peak RSS in MB,
-instance generation included.  The cells run one at a time.
+256k vertices, SAMPLES fresh interpreters in turn each import galaxia
+from --src, build the instance of seed 1 with the package's own
+generator, and time the theorem's call alone, with the cyclic garbage
+collector paused as the command line pauses it.  One line per theorem
+gives the arcs and, at each size, the median µs per arc of the samples
+with their min-max range, the growth of the median from the first size
+to the last (near-linear work reads about 1.0; the ROADMAP gate is at
+most 1.3), and each cell's largest peak RSS in MB, instance generation
+included.  A shared host moves a single sample by up to 1.7x between
+runs, so one ladder per tree decides the gate only through the medians.
+The processes run one at a time.
 
     acyclic     star_colouring_acyclic on random_labelled_dag(n, 1, 3)
     2k1         dst_upper_2k1 on random_digraph(n, 3, 3)
@@ -24,6 +28,7 @@ import argparse
 import gc
 import json
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -33,6 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 THEOREMS = ("acyclic", "2k1", "diregular4", "subcubic", "acircuitic")
 SIZES = (16000, 64000, 256000)
 SEED = 1
+SAMPLES = 3  # fresh processes per cell
 
 
 def cell(theorem: str, n: int) -> dict[str, float]:
@@ -76,19 +82,23 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     for theorem in args.theorems or THEOREMS:
-        cells = []
+        cells = []  # per size, its samples
         for n in SIZES:
-            out = subprocess.run(
+            cells.append([json.loads(subprocess.run(
                 [sys.executable, __file__, "--src", args.src,
                  "--cell", theorem, str(n)],
-                check=True, capture_output=True, text=True).stdout
-            cells.append(json.loads(out))
-        per_arc = [c["seconds"] * 1e6 / max(c["arcs"], 1) for c in cells]
-        arcs = " / ".join(str(c["arcs"]) for c in cells)
-        times = " / ".join(f"{u:.2f}" for u in per_arc)
-        rss = " / ".join(f"{c['rss_mb']:.0f}" for c in cells)
-        print(f"{theorem:10s} arcs {arcs}; us/arc {times}"
-              f" (x{per_arc[-1] / per_arc[0]:.2f}); peak RSS MB {rss}",
+                check=True, capture_output=True, text=True).stdout)
+                for _ in range(SAMPLES)])
+        per_arc = [sorted(c["seconds"] * 1e6 / max(c["arcs"], 1) for c in samples)
+                   for samples in cells]
+        median = [statistics.median(us) for us in per_arc]
+        arcs = " / ".join(str(samples[0]["arcs"]) for samples in cells)
+        times = " / ".join(f"{m:.2f} ({us[0]:.2f}-{us[-1]:.2f})"
+                           for m, us in zip(median, per_arc))
+        rss = " / ".join(f"{max(c['rss_mb'] for c in samples):.0f}"
+                         for samples in cells)
+        print(f"{theorem:10s} arcs {arcs}; median us/arc (min-max) {times}"
+              f" (x{median[-1] / median[0]:.2f}); peak RSS MB {rss}",
               flush=True)
     return 0
 
