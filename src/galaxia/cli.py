@@ -46,7 +46,7 @@ from .fileio import (read_colouring, read_digraph, read_wavelengths,
                      write_colouring, write_digraph, write_wavelengths)
 from .oracle import (DEFAULT_ARC_LIMIT, edge_colouring_3regular, exact_dst,
                      exact_lambda_n)
-from .theorems import (_STAR_ALGORITHMS, _expand_checked, _fibre_violation,
+from .theorems import (_ALGORITHMS, _expand_checked, _fibre_violation,
                        _own_output, _require, _star_violation, solve)
 
 
@@ -313,7 +313,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
 
     sol = sub.add_parser("solve", help="colour an instance constructively")
     sol.add_argument("input")
-    sol.add_argument("--algorithm", choices=_STAR_ALGORITHMS, default="auto")
+    sol.add_argument("--algorithm", choices=_ALGORITHMS, default="auto")
     sol.add_argument("--fibres", type=_positive_int, default=None)
     sol.add_argument("-o", "--output", default=None)
     sol.set_defaults(func=_cmd_solve)

@@ -1,31 +1,30 @@
 """The verified entry point: pick a theorem, run it, state its bound.
 
 `solve(ld, fibres, algorithm)` returns a `Solution`: a directed star
-colouring of ld's underlying digraph by `acyclic` (bound 2k, k the max
-indegree), `subcubic` (3), `diregular4` (4), `acircuitic` (4, no
-bicoloured circuit) or `2k1` (2k+1), or with `fibres` the wavelength
-assignment of an n-fibre colouring by `smallm` (m < n labels) or
-`acyclic` (m >= n).  `auto` takes the first of acyclic, subcubic and
-diregular4 whose class holds, else 2k1, and with fibres smallm if m < n.
-Each output kind has one verdict, which returns the text `galaxia
-verify` prints after `violation: `, or None: `_star_violation` for a
-star colouring, where one walk per colour pair decides and names a
-bicoloured circuit and an interval is named by its ends and modulus, and
-`_fibre_violation` for a wavelength assignment.  The solvers return
-their output unchecked; `solve`, and the command line's `exact` and
-`reduce --check`, run it through its verdict once and raise
-InternalDefectError with that text.  A theorem's module is imported
-when it runs, so a process loads only the theorems it uses.
+colouring of ld's underlying digraph, or with `fibres` the wavelength
+assignment of an n-fibre colouring, by a row of `_THEOREMS`, the one
+place that states each theorem's class, bound and solver; `auto` takes
+the first row of its output kind whose class holds.  Each output kind
+has one verdict, which returns the text `galaxia verify` prints after
+`violation: `, or None: `_star_violation` for a star colouring, where
+one walk per colour pair decides and names a bicoloured circuit and an
+interval is named by its ends and modulus, and `_fibre_violation` for a
+wavelength assignment.  The solvers return their output unchecked;
+`solve`, and the command line's `exact` and `reduce --check`, run it
+through its verdict once and raise InternalDefectError with that text.
+A theorem's module is imported when it runs, so a process loads only
+the theorems it uses.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, NamedTuple
+from importlib import import_module
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .colouring import ArcColouring
-from .digraph import Digraph, LabelledDigraph, degree_profile, is_acyclic
+from .digraph import DegreeProfile, Digraph, LabelledDigraph, is_acyclic
 from .errors import (BadParamsError, InternalDefectError, InvalidColouringError,
                      NoApplicableAlgorithmError, ValidateError)
 from .intervals import CyclicInterval
@@ -34,8 +33,54 @@ from .oracle import _bicoloured_circuit, verify_star_colouring
 if TYPE_CHECKING:
     from .fibre import FibreColouring, WavelengthAssignment  # unreached: type checkers only
 
-_STAR_ALGORITHMS = ("auto", "2k1", "acyclic", "subcubic", "diregular4",
-                    "acircuitic", "smallm")
+
+class _Theorem(NamedTuple):
+    name: str
+    kind: str  # "star", "acircuitic" (no bicoloured circuit either) or "fibre"
+    holds: Callable[[Digraph, DegreeProfile], bool]  # auto's class test
+    bound: Callable[[int, int, int], tuple[int, str]]  # (k, m, n) -> bound, rule
+    module: str  # the solver, looked up when it runs
+    solver: str
+    fits: Callable[[int, int], bool] = lambda m, n: True  # fibre rows: m against n
+    refusal: str = ""  # why a named run fails `fits`
+
+
+def _load(module: str, name: str):
+    """`name` of this package's `module`, imported when first asked for."""
+    return getattr(import_module(f"{__package__}.{module}"), name)
+
+
+_THEOREMS = (
+    _Theorem("acyclic", "star", lambda d, p: is_acyclic(d),
+             lambda k, m, n: (2 * k, f"2k with k={k}"),
+             "acyclic", "star_colouring_acyclic"),
+    _Theorem("subcubic", "star", lambda d, p: p.max_degree <= 3,
+             lambda k, m, n: (3, "max degree <= 3"),
+             "subcubic", "star_colouring_subcubic"),
+    _Theorem("diregular4", "star",
+             lambda d, p: p.max_indegree <= 2 and p.max_outdegree <= 2,
+             lambda k, m, n: (4, "in/outdegrees <= 2"), "spanning", "dst4_colouring"),
+    _Theorem("2k1", "star", lambda d, p: True,
+             lambda k, m, n: (2 * k + 1, f"2k+1 with k={k}"),
+             "galaxy", "dst_upper_2k1"),
+    _Theorem("acircuitic", "acircuitic",
+             lambda d, p: p.max_degree <= 3 and not d.has_digon(),
+             lambda k, m, n: (4, "oriented subcubic, no bicoloured circuit"),
+             "acircuitic", "acircuitic_colouring"),
+    _Theorem("smallm", "fibre", lambda d, p: True,
+             lambda k, m, n: (math.ceil(k / (n - m)), f"ceil(k/(n-m)) with k={k}"),
+             "fibre", "fibre_colouring_smallm",
+             lambda m, n: m < n, "smallm needs m < n, instance has m={m}, n={n}"),
+    _Theorem("acyclic", "fibre", lambda d, p: is_acyclic(d),
+             lambda k, m, n: (_load("fibre", "upper_bound_acyclic")(n, m, k),
+                              f"ceil((m/n)ceil(k/n) + k/n) with m={m} k={k}"),
+             "fibre", "fibre_colouring_acyclic", lambda m, n: m >= n,
+             "the acyclic bound needs m >= n, instance has m={m}, n={n}"),
+)
+_NAMED = {(row.name, row.kind == "fibre"): row for row in _THEOREMS}
+# the `--algorithm` choices, with 2k1, the theorem for every digraph, first
+_ALGORITHMS = ("auto", *sorted(dict.fromkeys(name for name, _ in _NAMED),
+                               key=lambda name: name != "2k1"))
 
 
 class Solution(NamedTuple):
@@ -60,82 +105,39 @@ def solve(ld: LabelledDigraph, fibres: int | None = None,
     when the output fails its verdict."""
     if not isinstance(ld, LabelledDigraph):
         raise BadParamsError(f"solve takes a LabelledDigraph, got {type(ld).__name__}")
-    if algorithm not in _STAR_ALGORITHMS:
+    if algorithm not in _ALGORITHMS:
         raise BadParamsError(f"unknown algorithm {algorithm!r}")
-    if fibres is None:
-        return _solve_star(ld.underlying, algorithm)
-    if type(fibres) is not int or fibres < 1:
+    if fibres is not None and (type(fibres) is not int or fibres < 1):
         raise BadParamsError(f"fibre count must be a positive integer, got {fibres!r}")
-    return _solve_fibre(ld, fibres, algorithm)
-
-
-def _solve_star(d: Digraph, algo: str) -> Solution:
-    profile = degree_profile(d)
-    k = profile.max_indegree
-    if algo == "auto":
-        if is_acyclic(d):
-            algo = "acyclic"
-        elif profile.max_degree <= 3:
-            algo = "subcubic"
-        elif profile.max_indegree <= 2 and profile.max_outdegree <= 2:
-            algo = "diregular4"
-        else:
-            algo = "2k1"
-    intervals = {}
-    with _own_output("solver output"):
-        if algo == "acyclic":
-            from .acyclic import star_colouring_acyclic
-            colouring, intervals = star_colouring_acyclic(d)
-            bound, rule = 2 * k, f"2k with k={k}"
-        elif algo == "subcubic":
-            from .subcubic import star_colouring_subcubic
-            colouring, bound, rule = star_colouring_subcubic(d), 3, "max degree <= 3"
-        elif algo == "diregular4":
-            from .spanning import dst4_colouring
-            colouring, bound, rule = dst4_colouring(d), 4, "in/outdegrees <= 2"
-        elif algo == "acircuitic":
-            from .acircuitic import acircuitic_colouring
-            colouring, bound = acircuitic_colouring(d), 4
-            rule = "oriented subcubic, no bicoloured circuit"
-        elif algo == "2k1":
-            from .galaxy import dst_upper_2k1
-            colouring, bound, rule = dst_upper_2k1(d), 2 * k + 1, f"2k+1 with k={k}"
-        else:
-            raise NoApplicableAlgorithmError(f"{algo} needs --fibres")
-        _require(_star_violation(d, colouring, intervals, algo == "acircuitic"))
-    return Solution(algo, colouring, colouring.colour_count, intervals, bound, rule)
-
-
-def _solve_fibre(ld: LabelledDigraph, n: int, algo: str) -> Solution:
-    from .fibre import (fibre_colouring_acyclic, fibre_colouring_smallm,
-                        upper_bound_acyclic)
-    m, k = ld.label_count, degree_profile(ld).max_indegree
-    if algo == "auto":
-        if m < n:
-            algo = "smallm"
-        elif is_acyclic(ld.underlying):
-            algo = "acyclic"
-        else:
+    d, m, n, fibre = ld.underlying, ld.label_count, fibres, fibres is not None
+    profile = d.profile
+    if algorithm == "auto":
+        row = next((row for row in _THEOREMS if (row.kind == "fibre") == fibre
+                    and row.fits(m, n) and row.holds(d, profile)), None)
+        if row is None:  # a fibre run: 2k1 covers every digraph
             raise NoApplicableAlgorithmError(
                 f"cyclic instance with m={m} >= n={n} fibres")
-    if algo == "smallm":
-        if m >= n:
-            raise NoApplicableAlgorithmError(
-                f"smallm needs m < n, instance has m={m}, n={n}")
-        solver, bound = fibre_colouring_smallm, math.ceil(k / (n - m))
-        rule = f"ceil(k/(n-m)) with k={k}"
-    elif algo == "acyclic":
-        if m < n:
-            raise NoApplicableAlgorithmError(
-                f"the acyclic bound needs m >= n, instance has m={m}, n={n}")
-        solver, bound = fibre_colouring_acyclic, upper_bound_acyclic(n, m, k)
-        rule = f"ceil((m/n)ceil(k/n) + k/n) with m={m} k={k}"
     else:
-        raise NoApplicableAlgorithmError(f"{algo} does not apply to --fibres runs")
+        row = _NAMED.get((algorithm, fibre))
+        if row is None:
+            raise NoApplicableAlgorithmError(
+                f"{algorithm} does not apply to --fibres runs" if fibre
+                else f"{algorithm} needs --fibres")
+        if not row.fits(m, n):
+            raise NoApplicableAlgorithmError(row.refusal.format(m=m, n=n))
+    bound, rule = row.bound(profile.max_indegree, m, n)
+    solver, intervals = _load(row.module, row.solver), {}
     with _own_output("solver output"):
-        fc = solver(ld, n)
-        wa = _expand_checked(ld, fc)
-    return Solution(algo, wa, fc.colour_count, {}, bound, rule)
+        if fibre:
+            fc = solver(ld, n)
+            output, colour_count = _expand_checked(ld, fc), fc.colour_count
+        else:
+            output = solver(d)
+            if type(output) is tuple:  # the acyclic theorem's certificates
+                output, intervals = output
+            _require(_star_violation(d, output, intervals, row.kind == "acircuitic"))
+            colour_count = output.colour_count
+    return Solution(row.name, output, colour_count, intervals, bound, rule)
 
 
 def _star_violation(d: Digraph, colouring: ArcColouring,
@@ -161,8 +163,7 @@ def _star_violation(d: Digraph, colouring: ArcColouring,
     for v in sorted(intervals):
         iv = intervals[v]
         if v >= d.vertex_count:
-            return (f"interval line names vertex {v} outside "
-                    f"0..{d.vertex_count - 1}")
+            return f"interval line names vertex {v} outside 0..{d.vertex_count - 1}"
         # `c in iv`, tested here: a call per arc costs as much as the test
         start, length, modulus = iv.start, iv.length, iv.modulus
         for a in in_arcs[v]:
@@ -174,8 +175,7 @@ def _star_violation(d: Digraph, colouring: ArcColouring,
     return None
 
 
-def _fibre_violation(ld: LabelledDigraph, wa: WavelengthAssignment,
-                     ) -> str | None:
+def _fibre_violation(ld: LabelledDigraph, wa: WavelengthAssignment) -> str | None:
     """Why `wa` is no wavelength assignment of ld, or None.  The
     wavelength verifier decides: with fibres in 1..n, rules (i)-(iii)
     give in(v,α) + out(v,α) distinct fibres at v, so its pass proves the
@@ -212,8 +212,7 @@ def _own_output(what: str):
         raise InternalDefectError(f"{what} failed verification: {exc}") from exc
 
 
-def _expand_checked(ld: LabelledDigraph, fc: FibreColouring,
-                    ) -> WavelengthAssignment:
+def _expand_checked(ld: LabelledDigraph, fc: FibreColouring) -> WavelengthAssignment:
     """fc's expansion, which rejects an overloaded fc, once its verdict
     has passed; called inside `_own_output`."""
     from .fibre import expand_to_wavelength_assignment

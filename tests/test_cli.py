@@ -184,9 +184,10 @@ def parallel_arc_instance(tmp_path):
 def test_solve_non_simple_digraph_exits_3(tmp_path, capsys, algorithm):
     instance = parallel_arc_instance(tmp_path)
     assert main(["solve", instance, "--algorithm", algorithm]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("algorithm does not apply: ")
-    assert "needs a simple digraph" in err
+    # auto's class tests leave simplicity to the theorem, so auto takes
+    # subcubic here and reports its refusal, not 2k1's
+    refusal = ("2k+1 colouring " if algorithm == "2k1" else "") + "needs a simple digraph"
+    assert capsys.readouterr() == ("", f"algorithm does not apply: {refusal}\n")
     assert main(["exact", instance]) == 0
     assert capsys.readouterr().out == "dst = 3\n"
 
@@ -199,26 +200,39 @@ def test_solve_2k1_on_arcless_digraph(tmp_path, capsys):
         "algorithm=2k1 colours=0 bound=1 (2k+1 with k=0)\n")
 
 
-@pytest.mark.parametrize("argv", [["--fibres", "2"], []])
-def test_auto_solve_sorts_acyclic_instance_once(tmp_path, capsys, monkeypatch,
-                                                argv):
-    # count the runs of Kahn's sort itself, whichever digraph it runs on
+@pytest.fixture
+def kahn_sorts(monkeypatch):
+    """The digraphs Kahn's sort itself runs on, whichever they are."""
     sorts = []
     real = digraph.Digraph.__dict__["_sort"].func
 
     def counting(d):
-        sorts.append(d.vertex_count)
+        sorts.append(d)
         return real(d)
 
     cached = functools.cached_property(counting)
     cached.__set_name__(digraph.Digraph, "_sort")
     monkeypatch.setattr(digraph.Digraph, "_sort", cached)
+    return sorts
+
+
+@pytest.mark.parametrize("argv", [["--fibres", "2"], []])
+def test_auto_solve_sorts_acyclic_instance_once(tmp_path, capsys, kahn_sorts, argv):
     path = tmp_path / "dag.dsa"
     write_instance(path, LabelledDigraph(4, 2, ((0, 2, 1), (1, 2, 2), (0, 3, 1),
                                                 (2, 3, 2))))
     assert main(["solve", str(path), *argv]) == 0
     assert "algorithm=acyclic" in capsys.readouterr().out
-    assert len(sorts) == 1
+    assert len(kahn_sorts) == 1
+
+
+@pytest.mark.parametrize("algorithm", ["2k1", "subcubic", "diregular4"])
+def test_named_solve_sorts_no_cyclic_instance(tmp_path, capsys, kahn_sorts,
+                                              algorithm):
+    # a named run tests no class, so it never asks whether the input is acyclic
+    assert main(["solve", circuit_instance(tmp_path), "--algorithm", algorithm]) == 0
+    assert capsys.readouterr().out.startswith(f"algorithm={algorithm} ")
+    assert digraph.Digraph(5, tuple((i, (i + 1) % 5) for i in range(5))) not in kahn_sorts
 
 
 def test_auto_solve_of_cyclic_instance_builds_no_witness(tmp_path, capsys,
@@ -260,11 +274,11 @@ def test_solve_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_solve_clashing_output_exits_4(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("galaxia.subcubic.star_colouring_subcubic",
-                        lambda d: ArcColouring((1,) * d.arc_count, 1))
+    _clash(monkeypatch)  # the exit-path tests' exit 4 as well
     out = tmp_path / "col.txt"
     assert main(["solve", circuit_instance(tmp_path), "-o", str(out)]) == 4
-    assert "internal defect" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "internal defect: solver output failed"
+                                   " verification: consecutive arcs 4 and 0 share colour 1\n")
     assert not out.exists()
 
 
@@ -276,7 +290,9 @@ def test_solve_acircuitic_bicoloured_circuit_exits_4(tmp_path, capsys, monkeypat
     code = main(["solve", circuit_instance(tmp_path, 4), "--algorithm", "acircuitic",
                  "-o", str(out)])
     assert code == 4
-    assert "internal defect" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "internal defect: solver output failed"
+                                   " verification: bicoloured circuit through"
+                                   " vertices [0, 1, 2, 3]\n")
     assert not out.exists()
 
 
@@ -287,7 +303,9 @@ def test_solve_fibres_invalid_colouring_exits_4(tmp_path, capsys, monkeypatch):
                         lambda ld, n: FibreColouring(n, (1, 1, 1), 1))
     out = tmp_path / "w.txt"
     assert main(["solve", str(instance), "--fibres", "2", "-o", str(out)]) == 4
-    assert "internal defect" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "internal defect: solver output failed"
+                                   " verification: fibre colouring invalid at"
+                                   " vertex 3, colour 1: 3+0 > 2\n")
     assert not out.exists()
 
 
@@ -298,7 +316,9 @@ def test_exact_fibres_invalid_expansion_exits_4(tmp_path, capsys, monkeypatch):
     out = tmp_path / "w.txt"
     code = main(["exact", circuit_instance(tmp_path), "--fibres", "2", "-o", str(out)])
     assert code == 4
-    assert "internal defect" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "internal defect: exact witness failed"
+                                   " verification: WavelengthViolation(condition='i',"
+                                   " first_arc=0, second_arc=4)\n")
     assert not out.exists()
 
 
@@ -315,9 +335,10 @@ def test_exact_invalid_witness_exits_4(tmp_path, capsys, monkeypatch, argv):
     write_instance(instance, LabelledDigraph(4, 1, ((0, 3, 1), (1, 3, 1), (2, 3, 1))))
     argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
     assert main(["exact", str(instance)] + argv) == 4
-    captured = capsys.readouterr()
-    assert "internal defect" in captured.err
-    assert captured.out == ""
+    text = ("fibre colouring invalid at vertex 3, colour 1: 3+0 > 2" if argv
+            else "converging arcs 0 and 1 share colour 1")
+    assert capsys.readouterr() == (
+        "", f"internal defect: exact witness failed verification: {text}\n")
     assert not (tmp_path / "w.txt").exists()
 
 

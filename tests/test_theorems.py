@@ -5,7 +5,10 @@ outside its domain, and on every simple digraph of at most four vertices
 each star theorem either colours within its proven bound, never below
 the exact value, or refuses with an error the command maps to exit 3.
 On every labelled digraph of at most three vertices with m <= 2, each
-fibre path does the same against `exact_lambda_n` for 1-3 fibres.
+fibre path does the same against `exact_lambda_n` for 1-3 fibres.  On
+both, each row of the theorem table tests the class that the theorem's
+definition gives, read here without the table, and `auto` runs the
+first row whose class holds.
 """
 import re
 from collections import Counter
@@ -18,6 +21,7 @@ from galaxia import (BadParamsError, CyclicError, Digraph, LabelledDigraph,
                      exact_dst, exact_lambda_n, read_colouring,
                      read_wavelengths, solve, write_digraph)
 from galaxia.cli import main
+from galaxia.theorems import _THEOREMS
 
 DAG = LabelledDigraph(4, 1, ((0, 1, 1), (2, 1, 1), (1, 3, 1)))
 CIRCUIT = LabelledDigraph(5, 1, tuple((i, (i + 1) % 5, 1) for i in range(5)))
@@ -109,12 +113,16 @@ def classes(d):
 
 def test_every_small_digraph_through_every_star_theorem():
     seen = dict.fromkeys(["2k1", "acyclic", "subcubic", "diregular4", "acircuitic"], 0)
+    rows = [row for row in _THEOREMS if row.kind != "fibre"]
+    assert sorted(row.name for row in rows) == sorted(seen)
     instances = 0
     for d in small_digraphs():
         instances += 1
         ld = LabelledDigraph(d.vertex_count, 1, tuple((t, h, 1) for t, h in d.arcs))
         exact = exact_dst(d)[0]
         holds = classes(d)
+        for row in rows:
+            assert row.holds(d, d.profile) == holds[row.name], (d.arcs, row.name)
         for algorithm in ("auto", *seen):
             if algorithm != "auto" and not holds[algorithm]:
                 with pytest.raises(EXIT_3):
@@ -125,6 +133,9 @@ def test_every_small_digraph_through_every_star_theorem():
             assert exact <= used <= sol.colour_count <= sol.bound, (d.arcs, algorithm)
             if algorithm != "auto":
                 seen[algorithm] += 1
+            else:  # 2k1 holds for every digraph, so acircuitic comes too late
+                assert sol.algorithm == next(name for name in (
+                    "acyclic", "subcubic", "diregular4", "2k1") if holds[name])
     assert instances == 1 + 2 ** 2 + 2 ** 6 + 2 ** 12
     assert seen["2k1"] == instances and min(seen.values()) > 100
 
@@ -141,6 +152,8 @@ def small_labelled_digraphs():
 
 def test_every_small_labelled_digraph_through_every_fibre_path():
     seen = Counter()
+    rows = [row for row in _THEOREMS if row.kind == "fibre"]
+    assert [row.name for row in rows] == ["smallm", "acyclic"]
     instances = 0
     for ld in small_labelled_digraphs():
         instances += 1
@@ -149,6 +162,9 @@ def test_every_small_labelled_digraph_through_every_fibre_path():
             exact = exact_lambda_n(ld, n)[0]
             # auto takes smallm when m < n, else acyclic when it holds
             holds = {"smallm": m < n, "acyclic": m >= n and acyclic}
+            for row in rows:
+                assert (row.fits(m, n) and row.holds(ld.underlying, ld.profile)
+                        ) == holds[row.name], (ld, n, row.name)
             holds["auto"] = m < n or acyclic
             for algorithm, ok in holds.items():
                 if not ok:
@@ -158,6 +174,8 @@ def test_every_small_labelled_digraph_through_every_fibre_path():
                 sol = solve(ld, n, algorithm)
                 used = len({wl for wl, _, _ in sol.output.triple})
                 assert exact <= used <= sol.colour_count <= sol.bound, (ld, n, algorithm)
+                if algorithm == "auto":
+                    assert sol.algorithm == ("smallm" if m < n else "acyclic")
                 seen[algorithm] += 1
     assert instances == 4182
     assert seen == {"auto": 4874, "smallm": 4251, "acyclic": 623}
