@@ -85,12 +85,25 @@ class FibreViolation(NamedTuple):
     colour: int
     in_count: int
     out_count: int
+    n: int
+
+    def __str__(self) -> str:
+        return (f"vertex {self.vertex} colour {self.colour} has in+out ="
+                f" {self.in_count}+{self.out_count} > {self.n}")
 
 
 class WavelengthViolation(NamedTuple):
     condition: str  # 'i', 'ii' or 'iii'
     first_arc: int
     second_arc: int
+    vertex: int
+
+    def __str__(self) -> str:
+        how = {"i": "meet at vertex {}, one entering and one leaving,",
+               "ii": "enter vertex {}",
+               "iii": "leave vertex {} with different labels"}[self.condition]
+        return (f"arcs {self.first_arc} and {self.second_arc}"
+                f" {how.format(self.vertex)} on one wavelength and fibre")
 
 
 def _first_overload(ld: LabelledDigraph, colours: tuple, n: int,
@@ -99,7 +112,7 @@ def _first_overload(ld: LabelledDigraph, colours: tuple, n: int,
     entering arcs are counted again to split the load."""
     key = min(key for key, count in load.items() if count > n)
     in_count = list(zip(map(itemgetter(1), ld.arcs), colours)).count(key)
-    return FibreViolation(*key, in_count, load[key] - in_count)
+    return FibreViolation(*key, in_count, load[key] - in_count, n)
 
 
 def verify_fibre_colouring(ld: LabelledDigraph, fc: FibreColouring,
@@ -151,7 +164,7 @@ def verify_wavelength_assignment(ld: LabelledDigraph, wa: WavelengthAssignment,
             if d.arcs[arc][1] == v:
                 key = (wl, f_in)
                 if key in in_here:
-                    return WavelengthViolation("ii", in_here[key], arc)
+                    return WavelengthViolation("ii", in_here[key], arc, v)
                 in_here[key] = arc
             else:
                 key = (wl, f_out)
@@ -159,11 +172,11 @@ def verify_wavelength_assignment(ld: LabelledDigraph, wa: WavelengthAssignment,
                 if prev is None:
                     out_here[key] = arc
                 elif ld.arcs[prev][2] != ld.arcs[arc][2]:
-                    return WavelengthViolation("iii", prev, arc)
+                    return WavelengthViolation("iii", prev, arc, v)
         for key, arc in sorted(out_here.items()):
             if key in in_here:
                 a, b = in_here[key], arc
-                return WavelengthViolation("i", min(a, b), max(a, b))
+                return WavelengthViolation("i", min(a, b), max(a, b), v)
 
 
 def upper_bound_acyclic(n: int, m: int, k: int) -> int:
@@ -274,9 +287,9 @@ def expand_to_wavelength_assignment(ld: LabelledDigraph, fc: FibreColouring,
     fibres continuing after them, one fibre per label, shared within a
     label.  in+out <= n makes every number fit in 1..n.  Once every
     fibre is numbered, the last number at (v, ω) is in(v,ω) + out(v,ω),
-    so the numbering decides validity itself: InvalidColouringError
-    names the witness verify_fibre_colouring would when a number
-    exceeds n.  No verifier runs here.
+    so the numbering decides validity itself: when a number exceeds n,
+    InvalidColouringError carries the text of the FibreViolation that
+    verify_fibre_colouring would return.  No verifier runs here.
     """
     colours = arc_values(ld.arc_count, fc.colour, "unassigned")
     arcs = ld.arcs
@@ -295,9 +308,6 @@ def expand_to_wavelength_assignment(ld: LabelledDigraph, fc: FibreColouring,
             taken[key] = group_fibre[group] = fibre = taken.get(key, 0) + 1
         f_out.append(fibre)
     if max(taken.values(), default=0) > fc.n:
-        v = _first_overload(ld, colours, fc.n, taken)
-        raise InvalidColouringError(
-            f"fibre colouring invalid at vertex {v.vertex}, colour {v.colour}:"
-            f" {v.in_count}+{v.out_count} > {fc.n}")
+        raise InvalidColouringError(str(_first_overload(ld, colours, fc.n, taken)))
     # every fibre is in 1..n now, and the colours are positive
     return WavelengthAssignment._of(fc.n, tuple(zip(colours, f_out, f_in)))

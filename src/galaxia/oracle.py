@@ -30,6 +30,12 @@ class StarViolation(NamedTuple):
     rule: str  # 'i' (consecutive arcs) or 'ii' (converging arcs)
     first_arc: int
     second_arc: int
+    colour: int
+
+    def __str__(self) -> str:
+        kind = "converging" if self.rule == "ii" else "consecutive"
+        return (f"{kind} arcs {self.first_arc} and {self.second_arc}"
+                f" share colour {self.colour}")
 
 
 def verify_star_colouring(d: Digraph, colouring: ArcColouring,
@@ -54,12 +60,12 @@ def verify_star_colouring(d: Digraph, colouring: ArcColouring,
         for i in in_arcs[v]:
             c = colours[i]
             if c in first_in:
-                return StarViolation("ii", first_in[c], i)
+                return StarViolation("ii", first_in[c], i, c)
             first_in[c] = i
         for i in out_arcs[v]:
             c = colours[i]
             if c in first_in:
-                return StarViolation("i", first_in[c], i)
+                return StarViolation("i", first_in[c], i, c)
 
 
 def _conflict_lists(d: Digraph) -> list[list[int]]:
@@ -237,7 +243,7 @@ def exact_lambda_n(ld: LabelledDigraph, n: int, colour_cap: int | None = None,
     just reached n; below n no arc can lose it there.
     """
     from .fibre import FibreColouring
-    _check_count("fibre count", n, 1)
+    _check_count("fibre count", n, 1, BadParamsError)
     _check_limits(ld.arc_count, colour_cap, arc_limit)
     if ld.arc_count == 0:
         return 0, FibreColouring(n, (), 0)

@@ -9,11 +9,12 @@ has one verdict, which returns the text `galaxia verify` prints after
 `violation: `, or None: `_star_violation` for a star colouring, where
 one walk per colour pair decides and names a bicoloured circuit and an
 interval is named by its ends and modulus, and `_fibre_violation` for a
-wavelength assignment.  The solvers return their output unchecked;
-`solve`, and the command line's `exact` and `reduce --check`, run it
-through its verdict once and raise InternalDefectError with that text.
-A theorem's module is imported when it runs, so a process loads only
-the theorems it uses.
+wavelength assignment.  A verifier's violation record words itself, so
+a verdict that finds one returns `str(record)`.  The solvers return
+their output unchecked; `solve`, and the command line's `exact` and
+`reduce --check`, run it through its verdict once and raise
+InternalDefectError with that text.  A theorem's module is imported
+when it runs, so a process loads only the theorems it uses.
 """
 
 from __future__ import annotations
@@ -153,9 +154,7 @@ def _star_violation(d: Digraph, colouring: ArcColouring,
     (`oracle._bicoloured_circuit`) both decides and names a circuit."""
     bad = verify_star_colouring(d, colouring)
     if bad is not None:
-        kind = "converging" if bad.rule == "ii" else "consecutive"
-        return (f"{kind} arcs {bad.first_arc} and {bad.second_arc}"
-                f" share colour {colouring[bad.first_arc]}")
+        return str(bad)
     circuit = _bicoloured_circuit(d, colouring) if acircuitic else None
     if circuit is not None:
         return f"bicoloured circuit through vertices {list(circuit)}"
@@ -180,7 +179,7 @@ def _fibre_violation(ld: LabelledDigraph, wa: WavelengthAssignment) -> str | Non
     wavelength verifier decides: with fibres in 1..n, rules (i)-(iii)
     give in(v,α) + out(v,α) distinct fibres at v, so its pass proves the
     fibre colouring of the wavelengths valid too.  When it fails, that
-    colouring's first overload, if there is one, names the violation."""
+    colouring's first overload names the violation, else the collision."""
     from .fibre import (FibreColouring, verify_fibre_colouring,
                         verify_wavelength_assignment)
     bad = verify_wavelength_assignment(ld, wa)
@@ -189,10 +188,7 @@ def _fibre_violation(ld: LabelledDigraph, wa: WavelengthAssignment) -> str | Non
     colour = [wl for wl, _, _ in wa.triple]
     overload = verify_fibre_colouring(
         ld, FibreColouring(wa.n, colour, max(colour, default=0)))
-    if overload is None:
-        return str(bad)
-    return (f"vertex {overload.vertex} colour {overload.colour} has in+out ="
-            f" {overload.in_count}+{overload.out_count} > {wa.n}")
+    return str(overload or bad)
 
 
 def _require(violation: str | None) -> None:

@@ -304,8 +304,8 @@ def test_solve_fibres_invalid_colouring_exits_4(tmp_path, capsys, monkeypatch):
     out = tmp_path / "w.txt"
     assert main(["solve", str(instance), "--fibres", "2", "-o", str(out)]) == 4
     assert capsys.readouterr() == ("", "internal defect: solver output failed"
-                                   " verification: fibre colouring invalid at"
-                                   " vertex 3, colour 1: 3+0 > 2\n")
+                                   " verification: vertex 3 colour 1 has"
+                                   " in+out = 3+0 > 2\n")
     assert not out.exists()
 
 
@@ -317,8 +317,9 @@ def test_exact_fibres_invalid_expansion_exits_4(tmp_path, capsys, monkeypatch):
     code = main(["exact", circuit_instance(tmp_path), "--fibres", "2", "-o", str(out)])
     assert code == 4
     assert capsys.readouterr() == ("", "internal defect: exact witness failed"
-                                   " verification: WavelengthViolation(condition='i',"
-                                   " first_arc=0, second_arc=4)\n")
+                                   " verification: arcs 0 and 4 meet at vertex 0,"
+                                   " one entering and one leaving, on one"
+                                   " wavelength and fibre\n")
     assert not out.exists()
 
 
@@ -335,11 +336,39 @@ def test_exact_invalid_witness_exits_4(tmp_path, capsys, monkeypatch, argv):
     write_instance(instance, LabelledDigraph(4, 1, ((0, 3, 1), (1, 3, 1), (2, 3, 1))))
     argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
     assert main(["exact", str(instance)] + argv) == 4
-    text = ("fibre colouring invalid at vertex 3, colour 1: 3+0 > 2" if argv
+    text = ("vertex 3 colour 1 has in+out = 3+0 > 2" if argv
             else "converging arcs 0 and 1 share colour 1")
     assert capsys.readouterr() == (
         "", f"internal defect: exact witness failed verification: {text}\n")
     assert not (tmp_path / "w.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "exact"])
+@pytest.mark.parametrize("flags, line", [([], "c {} 1"), (["--fibres", "2"], "w {} 1 1 1")],
+                         ids=["star-clash", "fibre-overload"])
+def test_exit_4_carries_the_text_verify_prints(tmp_path, capsys, monkeypatch,
+                                               command, flags, line):
+    """An output that puts colour 1 on the three arcs into vertex 3 makes
+    `solve` and `exact` exit 4, and `verify` on a file of the same
+    colours, every fibre 1, prints the same text after `violation: `."""
+    monkeypatch.setattr("galaxia.acyclic.star_colouring_acyclic",
+                        lambda d: ArcColouring((1,) * d.arc_count, 1))
+    monkeypatch.setattr("galaxia.fibre.fibre_colouring_smallm",
+                        lambda ld, n: FibreColouring(n, (1,) * ld.arc_count, 1))
+    monkeypatch.setattr("galaxia.cli.exact_dst",
+                        lambda d, cap, limit: (1, ArcColouring((1,) * d.arc_count, 1)))
+    monkeypatch.setattr("galaxia.cli.exact_lambda_n",
+                        lambda ld, n, cap, limit: (1, FibreColouring(
+                            n, (1,) * ld.arc_count, 1)))
+    instance, output = tmp_path / "star.dsa", tmp_path / "output"
+    write_instance(instance, LabelledDigraph(4, 1, ((0, 3, 1), (1, 3, 1), (2, 3, 1))))
+    assert main([command, str(instance), *flags]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and "Violation(" not in err
+    output.write_text("".join(line.format(arc) + "\n" for arc in range(3)))
+    assert main(["verify", str(instance), str(output), *flags]) == 1
+    assert capsys.readouterr() == (
+        f"violation: {err.partition(' failed verification: ')[2]}", "")
 
 
 @pytest.fixture
@@ -615,9 +644,9 @@ def test_verify_fibres(tmp_path, capsys):
     (((0, 1, 1), (3, 1, 1), (1, 2, 1)), "w 0 1 1 1\nw 1 1 1 2\nw 2 1 1 1\n", 1,
      "violation: vertex 1 colour 1 has in+out = 2+1 > 2\n", ""),
     # two arcs enter vertex 2 on one fibre, though two fibres would fit
-    (((0, 2, 1), (1, 2, 1)), "w 0 1 1 1\nw 1 1 1 1\n", 1,
-     "violation: WavelengthViolation(condition='ii', first_arc=0,"
-     " second_arc=1)\n", ""),
+    pytest.param(((0, 2, 1), (1, 2, 1)), "w 0 1 1 1\nw 1 1 1 1\n", 1,
+                 "violation: arcs 0 and 1 enter vertex 2 on one wavelength and fibre\n",
+                 "", id="collision"),
     (((0, 2, 1), (1, 2, 1)), "w 0 1 1 1\n", 2, "",
      "error: arc 1 is unassigned\n"),
     # the reader names the missing arc before the fibre above n

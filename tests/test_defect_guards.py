@@ -361,8 +361,8 @@ def test_cli_expansion_rejects_overload(monkeypatch):
     # the expansion's rejection fails through the output block's raise
     # site, which the census counts under the verification case above
     ld = LabelledDigraph(3, 1, ((0, 2, 1), (1, 2, 1)))
-    with raises_defect("solver output failed verification: fibre colouring "
-                       "invalid at vertex 2, colour 1: 2+0 > 1"):
+    with raises_defect("solver output failed verification: vertex 2 colour 1"
+                       " has in+out = 2+0 > 1"):
         with theorems._own_output("solver output"):
             theorems._expand_checked(ld, FibreColouring(1, (1, 1), 1))
 

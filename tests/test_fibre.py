@@ -164,10 +164,10 @@ def test_expand_rejects_invalid_colouring():
 
 
 @pytest.mark.parametrize("arcs, n, message", [
-    (((0, 2, 1), (1, 2, 1)), 1,
-     "fibre colouring invalid at vertex 2, colour 1: 2+0 > 1"),
-    (((0, 1, 1), (3, 1, 1), (1, 2, 1)), 2,
-     "fibre colouring invalid at vertex 1, colour 1: 2+1 > 2"),
+    pytest.param(((0, 2, 1), (1, 2, 1)), 1,
+                 "vertex 2 colour 1 has in+out = 2+0 > 1", id="in-load"),
+    pytest.param(((0, 1, 1), (3, 1, 1), (1, 2, 1)), 2,
+                 "vertex 1 colour 1 has in+out = 2+1 > 2", id="in-and-out-load"),
 ])
 def test_expand_names_the_overload_it_rejects(arcs, n, message):
     ld = LabelledDigraph(4, 1, arcs)
@@ -336,7 +336,9 @@ def test_full_acyclic_memo_stays_near_two_megabytes():
 def test_verify_fibre_reports_first_violation():
     ld = LabelledDigraph(3, 1, ((0, 2, 1), (1, 2, 1)))
     fc = FibreColouring(1, (1, 1), 1)
-    assert verify_fibre_colouring(ld, fc) == FibreViolation(2, 1, 2, 0)
+    violation = verify_fibre_colouring(ld, fc)
+    assert violation == FibreViolation(2, 1, 2, 0, 1)
+    assert str(violation) == "vertex 2 colour 1 has in+out = 2+0 > 1"
 
 
 def test_verify_fibre_first_violation_by_vertex_then_colour():
@@ -345,14 +347,14 @@ def test_verify_fibre_first_violation_by_vertex_then_colour():
     ld = LabelledDigraph(4, 2, ((0, 3, 1), (1, 3, 1), (3, 2, 1), (3, 1, 2),
                                 (0, 1, 1), (2, 1, 1)))
     fc = FibreColouring(1, (2, 2, 1, 1, 3, 3), 3)
-    assert verify_fibre_colouring(ld, fc) == FibreViolation(1, 3, 2, 0)
+    assert verify_fibre_colouring(ld, fc) == FibreViolation(1, 3, 2, 0, 1)
 
 
 def test_verify_fibre_witness_of_out_load_alone():
     # vertex 0 sends two labels in colour 1 on one fibre; nothing enters it
     ld = LabelledDigraph(3, 2, ((0, 1, 1), (0, 2, 2)))
     fc = FibreColouring(1, (1, 1), 1)
-    assert verify_fibre_colouring(ld, fc) == FibreViolation(0, 1, 0, 2)
+    assert verify_fibre_colouring(ld, fc) == FibreViolation(0, 1, 0, 2, 1)
 
 
 @pytest.mark.parametrize("check, output, message", [
@@ -388,14 +390,15 @@ def test_verify_wavelength_condition_i_reports_sorted_pair():
     # (wavelength 1, fibre 1); the record lists the lower arc first
     ld = LabelledDigraph(3, 1, ((1, 2, 1), (0, 1, 1)))
     wa = WavelengthAssignment(1, ((1, 1, 1), (1, 1, 1)))
-    assert verify_wavelength_assignment(ld, wa) == WavelengthViolation("i", 0, 1)
+    assert verify_wavelength_assignment(ld, wa) == WavelengthViolation("i", 0, 1, 1)
 
 
 def test_verify_wavelength_condition_ii():
     ld = LabelledDigraph(3, 1, ((0, 2, 1), (1, 2, 1)))
     wa = WavelengthAssignment(2, ((1, 1, 1), (1, 1, 1)))
     violation = verify_wavelength_assignment(ld, wa)
-    assert violation is not None and violation.condition == "ii"
+    assert violation == WavelengthViolation("ii", 0, 1, 2)
+    assert str(violation) == "arcs 0 and 1 enter vertex 2 on one wavelength and fibre"
 
 
 def test_verify_wavelength_condition_iii():
@@ -403,14 +406,18 @@ def test_verify_wavelength_condition_iii():
     ld = LabelledDigraph(3, 2, ((0, 1, 1), (0, 2, 2)))
     wa = WavelengthAssignment(2, ((1, 1, 1), (1, 1, 2)))
     violation = verify_wavelength_assignment(ld, wa)
-    assert violation is not None and violation.condition == "iii"
+    assert violation == WavelengthViolation("iii", 0, 1, 0)
+    assert str(violation) == ("arcs 0 and 1 leave vertex 0 with different labels"
+                              " on one wavelength and fibre")
 
 
 def test_verify_wavelength_condition_i():
     ld = LabelledDigraph(3, 1, ((0, 1, 1), (1, 2, 1)))
     wa = WavelengthAssignment(1, ((1, 1, 1), (1, 1, 1)))
     violation = verify_wavelength_assignment(ld, wa)
-    assert violation is not None and violation.condition == "i"
+    assert violation == WavelengthViolation("i", 0, 1, 1)
+    assert str(violation) == ("arcs 0 and 1 meet at vertex 1, one entering and"
+                              " one leaving, on one wavelength and fibre")
 
 
 def test_verify_wavelength_reports_first_violation_in_arc_order():
@@ -418,7 +425,7 @@ def test_verify_wavelength_reports_first_violation_in_arc_order():
     # entering arcs 2 and 3 clash (ii)
     ld = LabelledDigraph(4, 2, ((0, 1, 1), (0, 2, 2), (3, 0, 1), (1, 0, 1)))
     wa = WavelengthAssignment(2, ((1, 1, 1),) * 4)
-    assert verify_wavelength_assignment(ld, wa) == WavelengthViolation("iii", 0, 1)
+    assert verify_wavelength_assignment(ld, wa) == WavelengthViolation("iii", 0, 1, 0)
 
 
 def test_same_label_out_arcs_may_share_a_fibre():

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from galaxia import (
     AboveCapError,
     ArcColouring,
+    BadParamsError,
     Digraph,
     FibreColouring,
     InvalidColouringError,
@@ -45,13 +46,15 @@ def test_verify_star_monochromatic_star():
 def test_verify_star_rule_i():
     d = Digraph(3, ((0, 1), (1, 2)))
     violation = verify_star_colouring(d, ArcColouring((1, 1), 1))
-    assert violation == StarViolation("i", 0, 1)
+    assert violation == StarViolation("i", 0, 1, 1)
+    assert str(violation) == "consecutive arcs 0 and 1 share colour 1"
 
 
 def test_verify_star_rule_ii():
     d = Digraph(3, ((0, 2), (1, 2)))
     violation = verify_star_colouring(d, ArcColouring((1, 1), 1))
-    assert violation == StarViolation("ii", 0, 1)
+    assert violation == StarViolation("ii", 0, 1, 1)
+    assert str(violation) == "converging arcs 0 and 1 share colour 1"
 
 
 def test_verify_star_rule_ii_before_rule_i_at_one_vertex():
@@ -59,7 +62,7 @@ def test_verify_star_rule_ii_before_rule_i_at_one_vertex():
     # converging pair (1, 2) is reported first
     d = Digraph(4, ((2, 3), (0, 2), (1, 2)))
     col = ArcColouring((1, 1, 1), 1)
-    assert verify_star_colouring(d, col) == StarViolation("ii", 1, 2)
+    assert verify_star_colouring(d, col) == StarViolation("ii", 1, 2, 1)
 
 
 @pytest.mark.parametrize("check", [verify_star_colouring, find_bicoloured_circuit])
@@ -257,10 +260,9 @@ def test_bicoloured_circuit_acyclic():
 
 @pytest.mark.parametrize("arcs, colours, clash", [
     # colour 1 alone closes 0->1->2 with consecutive arcs
-    (((0, 1), (1, 2), (2, 0)), (1, 1, 1),
-     "StarViolation(rule='i', first_arc=2, second_arc=0)"),
+    (((0, 1), (1, 2), (2, 0)), (1, 1, 1), "consecutive arcs 2 and 0 share colour 1"),
     # two arcs of colour 1 converge at 2, on no circuit
-    (((0, 2), (1, 2)), (1, 1), "StarViolation(rule='ii', first_arc=0, second_arc=1)"),
+    (((0, 2), (1, 2)), (1, 1), "converging arcs 0 and 1 share colour 1"),
 ], ids=["monochromatic-circuit", "converging"])
 def test_find_bicoloured_circuit_rejects_a_non_star_colouring(arcs, colours, clash):
     col = ArcColouring(colours, 2)
@@ -484,7 +486,7 @@ def test_cubic_graph_edges_may_come_from_any_iterable(vertex_count, edges):
 
 def test_exact_lambda_rejects_bad_fibres_and_large_input():
     ld = LabelledDigraph(3, 1, ((0, 1, 1), (1, 2, 1)))
-    with pytest.raises(ValidateError, match="^fibre count must be positive$"):
+    with pytest.raises(BadParamsError, match="^fibre count must be positive$"):
         exact_lambda_n(ld, 0)
     with pytest.raises(TooLargeError, match="^2 arcs exceed the limit 1$"):
         exact_lambda_n(ld, 1, arc_limit=1)

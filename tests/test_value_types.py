@@ -180,7 +180,7 @@ K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
      "fibre count must be an int"),
     (lambda: fibre_colouring_smallm(PATH, 3.0), BadParamsError,
      "fibre count must be an int"),
-    (lambda: exact_lambda_n(PATH, 1.5), ValidateError,
+    (lambda: exact_lambda_n(PATH, 1.5), BadParamsError,
      "fibre count must be an int"),
     (lambda: exact_dst(PATH.underlying, arc_limit=True), BadParamsError,
      "arc_limit must be an int"),

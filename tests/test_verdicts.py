@@ -3,7 +3,9 @@
 Outputs start valid (from a solver) and get up to three random edits, so
 both verdicts turn up.  Each verifier must return None exactly when the
 brute-force check below finds no clash; find_bicoloured_circuit, defined
-on star colourings only, must refuse every other colouring.
+on star colourings only, must refuse every other colouring.  A fault has
+one text: the verifier's record words itself, and the command line's
+verdict and every raise that names the record carry that text.
 """
 from itertools import combinations, product
 
@@ -14,7 +16,7 @@ from galaxia import (ArcColouring, Digraph, FibreColouring,
                      InvalidColouringError, LabelledDigraph, ValidateError,
                      WavelengthAssignment, exact_dst, exact_lambda_n,
                      expand_to_wavelength_assignment,
-                     find_bicoloured_circuit, verify_fibre_colouring,
+                     find_bicoloured_circuit, theorems, verify_fibre_colouring,
                      verify_star_colouring, verify_wavelength_assignment)
 
 
@@ -103,12 +105,16 @@ def test_star_verdicts_match_pairwise_check(ld, data):
     _, witness = exact_dst(d)
     colour = edited(data.draw, witness.colour, st.integers(1, 4))
     colouring = ArcColouring(colour, max(colour, default=0))
-    assert ((verify_star_colouring(d, colouring) is None)
-            == (not star_clash(d, colour)))
-    if star_clash(d, colour):
-        with pytest.raises(InvalidColouringError):
+    violation = verify_star_colouring(d, colouring)
+    assert (violation is None) == (not star_clash(d, colour))
+    verdict = theorems._star_violation(d, colouring, {}, False)
+    if violation is not None:
+        assert verdict == str(violation) and "Violation(" not in verdict
+        with pytest.raises(InvalidColouringError) as info:
             find_bicoloured_circuit(d, colouring)
+        assert str(info.value) == f"not a star colouring: {verdict}"
     else:
+        assert verdict is None
         assert ((find_bicoloured_circuit(d, colouring) is None)
                 == (not bicoloured_circuit(d, colour)))
 
@@ -126,8 +132,20 @@ def test_fibre_verdicts_match_pairwise_check(ld, n, data):
         triple = edited(data.draw, wa.triple,
                         st.tuples(st.integers(1, 3), st.integers(1, n),
                                   st.integers(1, n)))
-        assert ((verify_wavelength_assignment(ld, WavelengthAssignment(n, triple))
-                 is None) == (not wavelength_clash(ld, triple)))
+        wa = WavelengthAssignment(n, triple)
+        clash = verify_wavelength_assignment(ld, wa)
+        assert (clash is None) == (not wavelength_clash(ld, triple))
+        verdict = theorems._fibre_violation(ld, wa)
+        if clash is None:
+            assert verdict is None
+        else:
+            # the wavelengths' first overload names the fault when there
+            # is one, else the collision does
+            wavelengths = [wl for wl, _, _ in triple]
+            overload = verify_fibre_colouring(
+                ld, FibreColouring(n, wavelengths, max(wavelengths)))
+            assert verdict == str(clash if overload is None else overload)
+            assert "Violation(" not in verdict
 
 
 @settings(max_examples=300)
@@ -156,10 +174,9 @@ def test_expansion_rejects_what_the_fibre_verifier_names(ld, n, data):
         wa = expand_to_wavelength_assignment(ld, fc)
     except InvalidColouringError as exc:
         assert violation is not None
-        assert str(exc) == (
-            f"fibre colouring invalid at vertex {violation.vertex}, colour "
-            f"{violation.colour}: {violation.in_count}+{violation.out_count}"
-            f" > {n}")
+        # the same colours with every fibre 1 collide where they overload
+        assert str(exc) == str(violation) == theorems._fibre_violation(
+            ld, WavelengthAssignment(n, [(c, 1, 1) for c in colour]))
     else:
         assert violation is None
         assert verify_wavelength_assignment(ld, wa) is None
