@@ -101,10 +101,9 @@ def _report(lines: list[str], path: str | None, write) -> int:
 
 
 def _as_labelled(d: Digraph) -> LabelledDigraph:
-    """d with every arc labelled 1.  Every caller passes a checked
-    simple digraph, whose triples need no second check."""
-    return LabelledDigraph._of(d.vertex_count, 1,
-                               tuple((t, h, 1) for t, h in d.arcs))
+    """d with every arc labelled 1, on d's own arcs tuple.  Every caller
+    passes a checked simple digraph, whose triples need no second check."""
+    return LabelledDigraph._of(d.vertex_count, 1, d.arcs, (1,) * d.arc_count)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -179,8 +178,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         violation = _fibre_violation(ld, WavelengthAssignment(args.fibres, triples))
     else:
         colouring = ArcColouring(colours, max(colours, default=0))
-        violation = _star_violation(ld.underlying, colouring, intervals,
-                                    args.acircuitic)
+        violation = _star_violation(ld, colouring, intervals, args.acircuitic)
     if violation is not None:
         print(f"violation: {violation}")
         return 1
@@ -212,7 +210,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
                        lambda fh: write_wavelengths(
                            fh, wa.triple,
                            comments=[f"lambda_{args.fibres}={value}"]))
-    value, witness = _exact_star(ld.underlying, args.colour_cap, args.arc_limit)
+    value, witness = _exact_star(ld, args.colour_cap, args.arc_limit)
     return _report([f"dst = {value}"], args.output, lambda fh: write_colouring(
         fh, witness.colour, comments=[f"dst={value}"]))
 
@@ -228,7 +226,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         origin = args.named
     else:
         ld = _read_instance(args.input)
-        edges = tuple((t, h) for t, h, _ in ld.arcs)
+        edges = ld.arcs
         vertex_count = ld.vertex_count
         origin = args.input
     d = np_reduction(vertex_count, edges)

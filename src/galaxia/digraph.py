@@ -14,7 +14,7 @@ from functools import cached_property
 from operator import add, attrgetter, itemgetter
 from typing import Sequence, TypeVar
 
-from .errors import CyclicError, PreconditionViolatedError, ValidateError
+from .errors import BadParamsError, CyclicError, PreconditionViolatedError, ValidateError
 
 Arc = tuple[int, int]
 _V = TypeVar("_V", bound="_Frozen")
@@ -63,7 +63,7 @@ class _Frozen:
 
 class Digraph(_Frozen):
     """Digraph on vertices 0..vertex_count-1 whose arcs may repeat, as
-    in the underlying digraph of a LabelledDigraph."""
+    a LabelledDigraph's do under distinct labels."""
 
     vertex_count: int
     arcs: tuple[Arc, ...]
@@ -127,41 +127,31 @@ class Digraph(_Frozen):
         return not set(self.arcs).isdisjoint(map(itemgetter(1, 0), self.arcs))
 
 
-class LabelledDigraph(_Frozen):
-    """Digraph whose arcs carry a label in 1..label_count.
+class LabelledDigraph(Digraph):
+    """Digraph whose arc i carries the label labels[i] in 1..label_count.
 
-    (tail, head, label) triples are distinct, so parallel arcs exist
-    exactly when the same ordered pair appears under several labels.
+    It is built from (tail, head, label) triples, which are distinct, so
+    parallel arcs exist exactly when the same ordered pair appears under
+    several labels.  It equals no Digraph.
     """
 
-    vertex_count: int
     label_count: int
-    arcs: tuple[tuple[int, int, int], ...]
-    _fields = ("vertex_count", "label_count", "arcs")
+    labels: tuple[int, ...]
+    _fields = ("vertex_count", "label_count", "arcs", "labels")
 
     def __init__(self, vertex_count: int, label_count: int,
                  arcs: tuple[tuple[int, int, int], ...]) -> None:
         _check_count("vertex_count", vertex_count, 0)
         _check_count("label_count", label_count, 1)
+        triples = _check_arcs(vertex_count, arcs, label_count)
         vars(self).update(vertex_count=vertex_count, label_count=label_count,
-                          arcs=_check_arcs(vertex_count, arcs, label_count))
+                          arcs=tuple(map(itemgetter(0, 1), triples)),
+                          labels=tuple(map(itemgetter(2), triples)))
 
     @property
-    def arc_count(self) -> int:
-        return len(self.arcs)
-
-    @cached_property
-    def profile(self) -> DegreeProfile:
-        """In- and outdegree of every vertex; see degree_profile.  Labels
-        do not change degrees, so this is the underlying digraph's
-        profile, counted once for both."""
-        return self.underlying.profile
-
-    @cached_property
     def underlying(self) -> Digraph:
-        """The label-stripped multidigraph, same arc indices."""
-        return Digraph._of(self.vertex_count,
-                           tuple(map(itemgetter(0, 1), self.arcs)))
+        """The same arcs as a plain Digraph, sharing the arcs tuple."""
+        return Digraph._of(self.vertex_count, self.arcs)
 
 
 def _check_count(name: str, value, least: int, error=ValidateError) -> None:
@@ -170,6 +160,14 @@ def _check_count(name: str, value, least: int, error=ValidateError) -> None:
         raise error(f"{name} must be an int")
     if value < least:
         raise error(f"{name} must be {'positive' if least else 'non-negative'}")
+
+
+def _check_type(caller: str, value, kind: type) -> None:
+    """Raise BadParamsError, worded '<caller> takes a <kind>, got
+    <value's type>', unless value is a kind."""
+    if not isinstance(value, kind):
+        raise BadParamsError(
+            f"{caller} takes a {kind.__name__}, got {type(value).__name__}")
 
 
 def _check_arcs(vertex_count: int, arcs,
@@ -248,7 +246,7 @@ class DegreeProfile(_Frozen):
                           max_degree=max(degree, default=0))
 
 
-def degree_profile(d: Digraph | LabelledDigraph) -> DegreeProfile:
+def degree_profile(d: Digraph) -> DegreeProfile:
     """In- and outdegree of every vertex, counted once per digraph."""
     return d.profile
 

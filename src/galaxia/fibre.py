@@ -26,8 +26,8 @@ from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
 from .colouring import ArcColouring, _by_arc, arc_values
-from .digraph import (_MEMO_CAP, LabelledDigraph, _check_count, _Frozen,
-                      _pattern_sweep)
+from .digraph import (_MEMO_CAP, LabelledDigraph, _check_count, _check_type,
+                      _Frozen, _pattern_sweep)
 from .errors import (BadParamsError, InternalDefectError, InvalidColouringError,
                      ValidateError)
 
@@ -121,12 +121,14 @@ def verify_fibre_colouring(ld: LabelledDigraph, fc: FibreColouring,
 
     First by ascending vertex then colour, so the witness is stable.
     """
+    _check_type("verify_fibre_colouring", ld, LabelledDigraph)
+    _check_type("verify_fibre_colouring", fc, FibreColouring)
     colours = arc_values(ld.arc_count, fc.colour, "unassigned")
     if not colours:
         return None
-    tails, heads, labels = zip(*ld.arcs)
+    tails, heads = zip(*ld.arcs)
     load = Counter(zip(heads, colours))
-    load.update(map(itemgetter(0, 1), set(zip(tails, colours, labels))))
+    load.update(map(itemgetter(0, 1), set(zip(tails, colours, ld.labels))))
     if max(load.values()) <= fc.n:
         return None
     return _first_overload(ld, colours, fc.n, load)
@@ -142,26 +144,27 @@ def verify_wavelength_assignment(ld: LabelledDigraph, wa: WavelengthAssignment,
     (iii) two arcs leaving v with different labels may not share
           (wavelength, fibre-at-v).
     """
+    _check_type("verify_wavelength_assignment", ld, LabelledDigraph)
+    _check_type("verify_wavelength_assignment", wa, WavelengthAssignment)
     triples = arc_values(ld.arc_count, wa.triple, "unassigned")
     if not triples:
         return None
-    tails, heads, labels = zip(*ld.arcs)
+    tails, heads = zip(*ld.arcs)
     wls, f_outs, f_ins = zip(*triples)
     entering = set(zip(heads, wls, f_ins))
     leaving = set(zip(tails, wls, f_outs))
     if (len(entering) == ld.arc_count and entering.isdisjoint(leaving)
-            and len(leaving) == len(set(zip(tails, wls, f_outs, labels)))):
+            and len(leaving) == len(set(zip(tails, wls, f_outs, ld.labels)))):
         return None
-    d = ld.underlying
     # the test above found a violation, so the scan returns before it
     # runs out of vertices
     for v in count():
         in_here: dict[tuple[int, int], int] = {}
         out_here: dict[tuple[int, int], int] = {}
         # both directions in arc order, so the first violation is stable
-        for arc in sorted(d.in_arcs[v] + d.out_arcs[v]):
+        for arc in sorted(ld.in_arcs[v] + ld.out_arcs[v]):
             wl, f_out, f_in = triples[arc]
-            if d.arcs[arc][1] == v:
+            if ld.arcs[arc][1] == v:
                 key = (wl, f_in)
                 if key in in_here:
                     return WavelengthViolation("ii", in_here[key], arc, v)
@@ -171,7 +174,7 @@ def verify_wavelength_assignment(ld: LabelledDigraph, wa: WavelengthAssignment,
                 prev = out_here.get(key)
                 if prev is None:
                     out_here[key] = arc
-                elif ld.arcs[prev][2] != ld.arcs[arc][2]:
+                elif ld.labels[prev] != ld.labels[arc]:
                     return WavelengthViolation("iii", prev, arc, v)
         for key, arc in sorted(out_here.items()):
             if key in in_here:
@@ -231,6 +234,7 @@ def fibre_colouring_acyclic(ld: LabelledDigraph, n: int) -> FibreColouring:
     most n per colour, then the C_i are rebuilt from the residual
     in-capacities so that any future colour still fits.
     """
+    _check_type("fibre_colouring_acyclic", ld, LabelledDigraph)
     _check_count("fibre count", n, 1, BadParamsError)
     m = ld.label_count
     if m < n:
@@ -249,9 +253,8 @@ def fibre_colouring_acyclic(ld: LabelledDigraph, n: int) -> FibreColouring:
                     for i in range(m))
     assign = _assign if k <= _MEMO_MAX_K and m <= _MEMO_MAX_M else _place
     # an arc with label i draws from its tail's C_i
-    reads = [label - 1 for _, _, label in ld.arcs]
-    colour_of, _ = _pattern_sweep(ld.underlying, reads, generic,
-                                  lambda draws: assign(n, m, k, draws))
+    reads = [label - 1 for label in ld.labels]
+    colour_of, _ = _pattern_sweep(ld, reads, generic, lambda draws: assign(n, m, k, draws))
     return FibreColouring(n, colour_of, total)
 
 
@@ -262,6 +265,7 @@ def fibre_colouring_smallm(ld: LabelledDigraph, n: int) -> FibreColouring:
     vertex so no colour enters more than n-m times leaves room for the
     at most m label-slots leaving it.
     """
+    _check_type("fibre_colouring_smallm", ld, LabelledDigraph)
     _check_count("fibre count", n, 1, BadParamsError)
     m = ld.label_count
     if m >= n:
@@ -291,6 +295,8 @@ def expand_to_wavelength_assignment(ld: LabelledDigraph, fc: FibreColouring,
     InvalidColouringError carries the text of the FibreViolation that
     verify_fibre_colouring would return.  No verifier runs here.
     """
+    _check_type("expand_to_wavelength_assignment", ld, LabelledDigraph)
+    _check_type("expand_to_wavelength_assignment", fc, FibreColouring)
     colours = arc_values(ld.arc_count, fc.colour, "unassigned")
     arcs = ld.arcs
     taken: dict[tuple[int, int], int] = {}  # (vertex, colour) -> fibres used
@@ -301,7 +307,7 @@ def expand_to_wavelength_assignment(ld: LabelledDigraph, fc: FibreColouring,
     # every in-fibre is numbered before the first out-fibre is placed
     group_fibre: dict[tuple[int, int, int], int] = {}
     f_out: list[int] = []
-    for group in zip(map(itemgetter(0), arcs), colours, map(itemgetter(2), arcs)):
+    for group in zip(map(itemgetter(0), arcs), colours, ld.labels):
         fibre = group_fibre.get(group)  # group is (tail, colour, label)
         if fibre is None:
             key = group[:2]

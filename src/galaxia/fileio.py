@@ -108,10 +108,9 @@ def _read_canonical(text: str) -> LabelledDigraph | None:
             and max(heads) < n and min(labels) >= 1 and max(labels) <= m
             and not any(map(eq, tails, heads))):
         return None
-    arcs = tuple(zip(tails, heads, labels))
-    if len(set(arcs)) < arc_count:
+    if len(set(zip(tails, heads, labels))) < arc_count:
         return None
-    return LabelledDigraph._of(n, m, arcs)
+    return LabelledDigraph._of(n, m, tuple(zip(tails, heads)), tuple(labels))
 
 
 def _read_lines(stream: Iterable[str]) -> LabelledDigraph:
@@ -160,7 +159,7 @@ def write_digraph(stream: IO[str], ld: LabelledDigraph,
     for c in comments:
         stream.write(f"# {c}\n")
     stream.write(f"p dsa {ld.vertex_count} {ld.arc_count} {ld.label_count}\n")
-    for tail, head, label in ld.arcs:
+    for (tail, head), label in zip(ld.arcs, ld.labels):
         stream.write(f"a {tail} {head} {label}\n")
 
 

@@ -16,7 +16,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .colouring import ArcColouring, arc_values
-from .digraph import Digraph, LabelledDigraph, _check_count, _map_cycles
+from .digraph import Digraph, LabelledDigraph, _check_count, _check_type, _map_cycles
 from .errors import (AboveCapError, BadParamsError, InternalDefectError,
                      InvalidColouringError, TooLargeError, ValidateError)
 
@@ -243,18 +243,19 @@ def exact_lambda_n(ld: LabelledDigraph, n: int, colour_cap: int | None = None,
     just reached n; below n no arc can lose it there.
     """
     from .fibre import FibreColouring
+    _check_type("exact_lambda_n", ld, LabelledDigraph)
     _check_count("fibre count", n, 1, BadParamsError)
     _check_limits(ld.arc_count, colour_cap, arc_limit)
     if ld.arc_count == 0:
         return 0, FibreColouring(n, (), 0)
     arcs = ld.arcs
-    in_arcs = ld.underlying.in_arcs
-    out_arcs = ld.underlying.out_arcs
+    in_arcs, out_arcs = ld.in_arcs, ld.out_arcs
     groups: dict[tuple[int, int], int] = {}  # (tail, label) -> its number
-    group = [groups.setdefault((u, label), len(groups)) for u, _, label in arcs]
+    group = [groups.setdefault(key, len(groups))
+             for key in zip(map(itemgetter(0), arcs), ld.labels)]
     lower = _lower_bound(ld.profile.indegree, map(itemgetter(0), groups), n)
     degree = [len(in_arcs[u]) + len(out_arcs[u]) + len(in_arcs[v]) + len(out_arcs[v])
-              for u, v, _ in arcs]
+              for u, v in arcs]
 
     def attempt(q: int) -> list[int] | None:
         # load[v * (q + 1) + c]: in + out of v in colour c, where out
@@ -269,7 +270,7 @@ def exact_lambda_n(ld: LabelledDigraph, n: int, colour_cap: int | None = None,
                                    if not sent[group[j] * (q + 1) + c])]
 
         def place(a: int, c: int) -> list[int]:
-            tail, head, _ = arcs[a]
+            tail, head = arcs[a]
             at = head * (q + 1) + c
             load[at] += 1
             ruled = full(head, c) if load[at] == n else []
@@ -283,7 +284,7 @@ def exact_lambda_n(ld: LabelledDigraph, n: int, colour_cap: int | None = None,
             return ruled
 
         def take_back(a: int, c: int) -> None:
-            tail, head, _ = arcs[a]
+            tail, head = arcs[a]
             load[head * (q + 1) + c] -= 1
             g = group[a] * (q + 1) + c
             sent[g] -= 1

@@ -1,7 +1,7 @@
 """The verified entry point: pick a theorem, run it, state its bound.
 
 `solve(ld, fibres, algorithm)` returns a `Solution`: a directed star
-colouring of ld's underlying digraph, or with `fibres` the wavelength
+colouring of ld's arcs (labels unread), or with `fibres` the wavelength
 assignment of an n-fibre colouring, by a row of `_THEOREMS`, the one
 place that states each theorem's class, bound and solver; `auto` takes
 the first row of its output kind whose class holds.  Each output kind
@@ -25,7 +25,7 @@ from importlib import import_module
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .colouring import ArcColouring
-from .digraph import DegreeProfile, Digraph, LabelledDigraph, is_acyclic
+from .digraph import DegreeProfile, Digraph, LabelledDigraph, _check_type, is_acyclic
 from .errors import (BadParamsError, InternalDefectError, InvalidColouringError,
                      NoApplicableAlgorithmError, ValidateError)
 from .intervals import CyclicInterval
@@ -95,8 +95,8 @@ class Solution(NamedTuple):
 
 def solve(ld: LabelledDigraph, fibres: int | None = None,
           algorithm: str = "auto") -> Solution:
-    """ld coloured by `algorithm`, a star colouring of its underlying
-    digraph, or with `fibres` a wavelength assignment, verified.
+    """ld coloured by `algorithm`, a star colouring of its arcs, or
+    with `fibres` a wavelength assignment, verified.
 
     Raises BadParamsError for an ld that is no LabelledDigraph, an
     unknown algorithm or a fibre count that is no positive integer,
@@ -104,17 +104,16 @@ def solve(ld: LabelledDigraph, fibres: int | None = None,
     PreconditionViolatedError (CyclicError for a circuit) when the
     theorem run finds its hypothesis false, and InternalDefectError
     when the output fails its verdict."""
-    if not isinstance(ld, LabelledDigraph):
-        raise BadParamsError(f"solve takes a LabelledDigraph, got {type(ld).__name__}")
+    _check_type("solve", ld, LabelledDigraph)
     if algorithm not in _ALGORITHMS:
         raise BadParamsError(f"unknown algorithm {algorithm!r}")
     if fibres is not None and (type(fibres) is not int or fibres < 1):
         raise BadParamsError(f"fibre count must be a positive integer, got {fibres!r}")
-    d, m, n, fibre = ld.underlying, ld.label_count, fibres, fibres is not None
-    profile = d.profile
+    m, n, fibre = ld.label_count, fibres, fibres is not None
+    profile = ld.profile
     if algorithm == "auto":
         row = next((row for row in _THEOREMS if (row.kind == "fibre") == fibre
-                    and row.fits(m, n) and row.holds(d, profile)), None)
+                    and row.fits(m, n) and row.holds(ld, profile)), None)
         if row is None:  # a fibre run: 2k1 covers every digraph
             raise NoApplicableAlgorithmError(
                 f"cyclic instance with m={m} >= n={n} fibres")
@@ -133,10 +132,10 @@ def solve(ld: LabelledDigraph, fibres: int | None = None,
             fc = solver(ld, n)
             output, colour_count = _expand_checked(ld, fc), fc.colour_count
         else:
-            output = solver(d)
+            output = solver(ld)
             if type(output) is tuple:  # the acyclic theorem's certificates
                 output, intervals = output
-            _require(_star_violation(d, output, intervals, row.kind == "acircuitic"))
+            _require(_star_violation(ld, output, intervals, row.kind == "acircuitic"))
             colour_count = output.colour_count
     return Solution(row.name, output, colour_count, intervals, bound, rule)
 

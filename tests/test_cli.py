@@ -575,8 +575,8 @@ def corrupt_one_line(lines, arcs):
     kind = lines[0].split()[0]
     fields = {int(line.split()[1]): line.split()[2:]
               for line in lines if line.startswith(kind)}
-    for a, (ta, ha, _) in enumerate(arcs):
-        for b, (tb, hb, _) in enumerate(arcs):
+    for a, (ta, ha) in enumerate(arcs):
+        for b, (tb, hb) in enumerate(arcs):
             if a != b and (ha == hb if kind == "w" else ha in (hb, tb) or hb == ta):
                 new = fields[b][:1] if kind == "c" else [
                     fields[b][0], fields[a][1], fields[b][2]]

@@ -305,4 +305,4 @@ def test_random_labelled_dag_contract(n, m, k, seed):
     ld = random_labelled_dag(n, m, k, seed)
     assert is_acyclic(ld.underlying)
     assert degree_profile(ld).max_indegree <= k
-    assert all(1 <= label <= m for _, _, label in ld.arcs)
+    assert all(1 <= label <= m for label in ld.labels)

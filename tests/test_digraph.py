@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from galaxia import (
+    ArcColouring,
     CyclicError,
     Digraph,
     LabelledDigraph,
@@ -18,7 +19,9 @@ from galaxia import (
     dst4_colouring,
     dst_upper_2k1,
     exact_dst,
+    exact_lambda_n,
     fibre_colouring_acyclic,
+    find_bicoloured_circuit,
     find_circuit_arcs,
     is_acyclic,
     lemma_extension_colouring,
@@ -26,12 +29,14 @@ from galaxia import (
     random_labelled_dag,
     random_oriented_subcubic,
     random_subcubic,
+    solve,
     star_colouring_acyclic,
     star_colouring_subcubic,
     strong_components,
     topological_order,
     verify_star_colouring,
 )
+from galaxia.cli import _as_labelled
 from conftest import circuit
 
 
@@ -126,7 +131,7 @@ def test_constructor_error_text(make, message):
 def test_constructors_store_arcs_as_tuples():
     assert Digraph(3, [[0, 1], (1, 2)]).arcs == ((0, 1), (1, 2))
     ld = LabelledDigraph(3, 2, iter([[0, 1, 2], (1, 2, 1)]))
-    assert ld.arcs == ((0, 1, 2), (1, 2, 1))
+    assert ld.arcs == ((0, 1), (1, 2)) and ld.labels == (2, 1)
     assert type(ld.arcs[0]) is tuple
     assert ld.underlying.arcs == ((0, 1), (1, 2))
 
@@ -173,9 +178,66 @@ def test_underlying_reuses_checks_and_profile(monkeypatch):
                         lambda *args: checks.append(args))
     d = ld.underlying
     assert checks == []
-    assert d.profile is ld.profile
+    # the view shares ld's arcs tuple, so it counts the same degrees
+    assert d.arcs is ld.arcs and d.profile == ld.profile
     assert d == checked
     assert d.in_arcs == ((), (0, 1), (2,)) and d.out_arcs == ((0, 1), (2,), ())
+
+
+def seeded_labelled(seed: int) -> LabelledDigraph:
+    """A random 3-labelled digraph on 6 vertices; on odd seeds its first
+    ordered pair is an arc under labels 1 and 2, so arcs repeat."""
+    rng = random.Random(seed)
+    pairs = [tuple(rng.sample(range(6), 2)) for _ in range(8)]
+    triples = {(t, h, rng.randint(1, 3)) for t, h in pairs}
+    if seed % 2:
+        triples |= {(*pairs[0], 1), (*pairs[0], 2)}
+    return LabelledDigraph(6, 3, tuple(sorted(triples)))
+
+
+def outcome(f, *args):
+    """What f(*args) returns, or the class and text of what it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:  # the class and text are compared
+        return type(exc), str(exc)
+
+
+LABEL_BLIND = (star_colouring_acyclic, star_colouring_subcubic, dst4_colouring,
+               dst_upper_2k1, acircuitic_colouring, exact_dst, topological_order,
+               strong_components, find_circuit_arcs, is_acyclic)
+
+
+@pytest.mark.parametrize("ld", [seeded_labelled(seed) for seed in range(12)]
+                         + [random_labelled_dag(10, 2, 2, seed) for seed in range(4)])
+def test_a_labelled_digraph_is_its_own_underlying_digraph(ld):
+    # what reads no label answers alike on ld and on the plain view of
+    # its arcs, raising or not, though the two values are not equal
+    d = ld.underlying
+    assert ld != d and type(d) is Digraph
+    for f in LABEL_BLIND:
+        assert outcome(f, ld) == outcome(f, d), f.__name__
+    clash = ArcColouring((1,) * ld.arc_count, 1)
+    assert verify_star_colouring(d, clash) is not None
+    for colouring in (clash, exact_dst(d)[1]):
+        for f in (verify_star_colouring, find_bicoloured_circuit):
+            assert outcome(f, ld, colouring) == outcome(f, d, colouring), f.__name__
+
+
+def test_no_solve_copies_the_instance():
+    # every solve path and the exact fibre search read ld's own arcs, so
+    # none builds the plain view; that view and `_as_labelled` share the
+    # arcs tuple they are given
+    for fibres, algorithm in ((None, "acyclic"), (1, "acyclic"), (3, "smallm")):
+        ld = random_labelled_dag(40, 2, 3, 7)
+        assert solve(ld, fibres).algorithm == algorithm
+        assert "underlying" not in vars(ld)
+    ld = random_labelled_dag(8, 2, 2, 7)
+    exact_lambda_n(ld, 2)
+    assert "underlying" not in vars(ld)
+    assert ld.underlying.arcs is ld.arcs
+    d = random_digraph(20, 2, 2, 7)
+    assert _as_labelled(d).arcs is d.arcs
 
 
 def test_degree_profile_empty():

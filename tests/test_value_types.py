@@ -11,7 +11,9 @@ import pytest
 from galaxia import (ArcColouring, CyclicInterval, DegreeProfile, Digraph,
                      FibreColouring, LabelledDigraph, WavelengthAssignment,
                      edge_colouring_3regular, exact_dst, exact_lambda_n,
-                     fibre_colouring_acyclic, fibre_colouring_smallm)
+                     expand_to_wavelength_assignment, fibre_colouring_acyclic,
+                     fibre_colouring_smallm, verify_fibre_colouring,
+                     verify_wavelength_assignment)
 from galaxia.errors import BadParamsError, ValidateError
 
 # Per type: the keyword arguments of one value, for each argument a
@@ -25,7 +27,8 @@ CASES = {
     "LabelledDigraph": (
         LabelledDigraph, dict(vertex_count=2, label_count=2, arcs=((0, 1, 1), (0, 1, 2))),
         dict(vertex_count=3, label_count=3, arcs=((0, 1, 1),)),
-        "LabelledDigraph(vertex_count=2, label_count=2, arcs=((0, 1, 1), (0, 1, 2)))"),
+        "LabelledDigraph(vertex_count=2, label_count=2, arcs=((0, 1), (0, 1)),"
+        " labels=(1, 2))"),
     "DegreeProfile": (
         DegreeProfile, dict(indegree=(0, 1), outdegree=(1, 0)),
         dict(indegree=(1, 0), outdegree=(0, 1)),
@@ -132,11 +135,15 @@ def test_cached_structures_enter_no_comparison():
 
 def test_unchecked_constructors_make_equal_values():
     assert Digraph._of(3, ((0, 1), (1, 2))) == build("Digraph")
-    assert LabelledDigraph._of(2, 2, ((0, 1, 1), (0, 1, 2))) == build("LabelledDigraph")
+    assert LabelledDigraph._of(2, 2, ((0, 1), (0, 1)), (1, 2)) == build("LabelledDigraph")
     assert WavelengthAssignment._of(2, ((1, 1, 2),)) == build("WavelengthAssignment")
 
 
 PATH = LabelledDigraph(3, 2, ((0, 1, 1), (1, 2, 2)))
+PLAIN = PATH.underlying  # a Digraph, where the fibre entry points take PATH
+PATH_FIBRES = FibreColouring(1, (1, 2), 2)
+PATH_COLOURS = ArcColouring((1, 2), 2)
+PATH_WAVELENGTHS = WavelengthAssignment(1, ((1, 1, 1), (2, 1, 1)))
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
@@ -204,6 +211,24 @@ K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
      "colour must be a sequence by arc index, not NoneType"),
     (lambda: WavelengthAssignment(1, None), ValidateError,
      "triple must be a sequence by arc index, not NoneType"),
+    (lambda: fibre_colouring_acyclic(PLAIN, 1), BadParamsError,
+     "fibre_colouring_acyclic takes a LabelledDigraph, got Digraph"),
+    (lambda: fibre_colouring_smallm(PLAIN, 3), BadParamsError,
+     "fibre_colouring_smallm takes a LabelledDigraph, got Digraph"),
+    (lambda: exact_lambda_n(PLAIN, 1), BadParamsError,
+     "exact_lambda_n takes a LabelledDigraph, got Digraph"),
+    (lambda: verify_fibre_colouring(PLAIN, PATH_FIBRES), BadParamsError,
+     "verify_fibre_colouring takes a LabelledDigraph, got Digraph"),
+    (lambda: verify_wavelength_assignment(PLAIN, PATH_WAVELENGTHS), BadParamsError,
+     "verify_wavelength_assignment takes a LabelledDigraph, got Digraph"),
+    (lambda: expand_to_wavelength_assignment(PLAIN, PATH_FIBRES), BadParamsError,
+     "expand_to_wavelength_assignment takes a LabelledDigraph, got Digraph"),
+    (lambda: verify_fibre_colouring(PATH, PATH_COLOURS), BadParamsError,
+     "verify_fibre_colouring takes a FibreColouring, got ArcColouring"),
+    (lambda: expand_to_wavelength_assignment(PATH, PATH_COLOURS), BadParamsError,
+     "expand_to_wavelength_assignment takes a FibreColouring, got ArcColouring"),
+    (lambda: verify_wavelength_assignment(PATH, PATH_FIBRES), BadParamsError,
+     "verify_wavelength_assignment takes a WavelengthAssignment, got FibreColouring"),
 ], ids=["digraph-float-head", "labelled-float-label", "first-arc-named",
         "labelled-bool-tail", "digraph-triple", "labelled-pair", "digraph-flat",
         "colour-float", "colour-bool", "colour-count-float", "colour-count-negative",
@@ -216,11 +241,15 @@ K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
         "exact-lambda-float-cap", "exact-lambda-float-limit",
         "cubic-none-vertex-limit", "cubic-float-vertex-limit", "digraph-arcs-none",
         "labelled-arcs-int", "colour-none", "colour-triples", "fibre-colour-none",
-        "wavelength-triple-none"])
+        "wavelength-triple-none", "fibre-acyclic-digraph", "fibre-smallm-digraph",
+        "exact-lambda-digraph", "verify-fibre-digraph", "verify-wavelength-digraph",
+        "expand-digraph", "verify-fibre-arc-colouring", "expand-arc-colouring",
+        "verify-wavelength-fibre-colouring"])
 def test_entries_and_parameters_must_be_plain_ints(make, error, message):
     # one rule per entry, checked in one pass: a plain int (no bool) in
     # its range; the error names the arc or field, and a count takes the
-    # class its site raises for a count below its least value
+    # class its site raises for a count below its least value.  A fibre
+    # entry point names the value type it takes and the type it got.
     with pytest.raises(error) as info:
         make()
     assert str(info.value) == message

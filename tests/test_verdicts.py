@@ -71,9 +71,9 @@ def fibre_overload(ld: LabelledDigraph, colour, n: int) -> bool:
     """in(v, w) plus the number of labels leaving v in colour w exceeds
     n somewhere."""
     for v, w in product(range(ld.vertex_count), set(colour)):
-        entering = sum(1 for i, (_, h, _) in enumerate(ld.arcs)
+        entering = sum(1 for i, (_, h) in enumerate(ld.arcs)
                        if h == v and colour[i] == w)
-        labels = {l for i, (t, _, l) in enumerate(ld.arcs)
+        labels = {ld.labels[i] for i, (t, _) in enumerate(ld.arcs)
                   if t == v and colour[i] == w}
         if entering + len(labels) > n:
             return True
@@ -85,7 +85,8 @@ def wavelength_clash(ld: LabelledDigraph, triple) -> bool:
     for a, b in product(range(ld.arc_count), repeat=2):
         if a == b:
             continue
-        (ta, ha, la), (tb, hb, lb) = ld.arcs[a], ld.arcs[b]
+        (ta, ha), (tb, hb) = ld.arcs[a], ld.arcs[b]
+        la, lb = ld.labels[a], ld.labels[b]
         (wa, out_a, in_a), (wb, out_b, in_b) = triple[a], triple[b]
         if wa != wb:
             continue
